@@ -30,7 +30,6 @@ import (
 
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/frontend"
 	"hmccoal/internal/hmc"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/mshr"
@@ -95,11 +94,11 @@ func run(argv []string) int {
 	if *frontendF != "" && *sizeSweep {
 		return usageErr(errors.New("-frontend only applies to pattern runs, not -sweep"))
 	}
-	feKind, err := frontend.ParseKind(*frontendF)
+	feKind, err := coalescer.ParseKind(*frontendF)
 	if err != nil {
 		return usageErr(err)
 	}
-	schedKind, err := frontend.ParseSched(*schedF)
+	schedKind, err := coalescer.ParseSched(*schedF)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -248,7 +247,7 @@ func run(argv []string) int {
 // block's scattered loads share one lane — the scatter16 pattern is then
 // exactly the motivating example the front-end exists to repair.
 type coalescedDriver struct {
-	fr     frontend.Frontend
+	fr     *coalescer.Coalescer
 	now    uint64
 	token  uint64
 	last   uint64
@@ -261,12 +260,9 @@ const (
 	driverLanes      = 16
 )
 
-func newCoalescedDriver(fe frontend.Kind, sched frontend.SchedKind, dev membackend.Backend) (*coalescedDriver, error) {
+func newCoalescedDriver(fe coalescer.Kind, sched coalescer.Sched, dev membackend.Backend) (*coalescedDriver, error) {
 	d := &coalescedDriver{}
-	fr, err := frontend.New(frontend.Config{
-		Kind: fe, Sched: sched, Lanes: driverLanes,
-		Coalescer: coalescer.DefaultConfig(),
-	},
+	fr, err := coalescer.New(coalescer.DefaultConfig(), fe, sched, driverLanes,
 		func(tick uint64, e *mshr.Entry) coalescer.IssueResult {
 			packet := uint32(e.Lines()) * driverLineBytes
 			requested := uint32(e.Payload())

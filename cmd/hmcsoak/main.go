@@ -22,7 +22,7 @@ import (
 	"os/signal"
 	"time"
 
-	"hmccoal/internal/frontend"
+	"hmccoal/internal/coalescer"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/soak"
 )
@@ -81,12 +81,12 @@ func run(argv []string) int {
 		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
 		return exitUsage
 	}
-	feKind, err := frontend.ParseKind(*frontendF)
+	feKind, err := coalescer.ParseKind(*frontendF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
 		return exitUsage
 	}
-	schedKind, err := frontend.ParseSched(*sched)
+	schedKind, err := coalescer.ParseSched(*sched)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
 		return exitUsage

@@ -3,7 +3,8 @@ package hmccoal
 // The determinism contract behind every hot-path optimization: for a fixed
 // seed trace, the simulator's Result — rendered through Summary() plus the
 // raw counters — must stay byte-identical across all three miss-handling
-// architectures. Regenerate with:
+// architectures, the hetero scheduler and the warp front-end. Regenerate
+// with:
 //
 //	UPDATE_GOLDEN=1 go test -run TestGoldenMetrics
 
@@ -16,43 +17,69 @@ import (
 
 const goldenPath = "testdata/golden_metrics.txt"
 
-// renderGoldenMetrics runs the fixed workloads under every architecture and
-// renders everything the figures depend on.
+// renderGoldenMetrics runs the fixed workloads under every architecture,
+// then under the hetero scheduler and the warp front-end, and renders
+// everything the figures depend on.
 func renderGoldenMetrics(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	for _, bench := range []string{"HPCG", "FT"} {
+	benches := []string{"HPCG", "FT"}
+	traces := make([][]Access, len(benches))
+	for i, bench := range benches {
 		accs, err := GenerateTrace(bench, TraceParams{CPUs: 12, OpsPerCPU: 900, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
+		traces[i] = accs
 		for _, mode := range []Mode{ModeBaseline, ModeDMCOnly, ModeTwoPhase} {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sys.Run(accs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "=== %s/%v ===\n%s", bench, mode, res.Summary())
-			fmt.Fprintf(&b, "RuntimeCycles=%d LLCMisses=%d HMCRequests=%d StallCycles=%d\n",
-				res.RuntimeCycles, res.LLCMisses, res.HMCRequests, res.StallCycles)
-			fmt.Fprintf(&b, "MSHR allocs=%d merged=%d split=%d stalls=%d\n",
-				res.MSHR.Allocations, res.MSHR.MergedTargets, res.MSHR.SplitRequests, res.MSHR.FullStalls)
-			fmt.Fprintf(&b, "L1=%+v\nL2=%+v\nLLC=%+v\n", res.L1, res.L2, res.LLC)
-			fmt.Fprintf(&b, "HMC reads=%d writes=%d packet=%d requested=%d transferred=%d rowact=%d conflicts=%d conflictwait=%d\n",
-				res.HMC.Reads, res.HMC.Writes, res.HMC.PacketBytes, res.HMC.RequestedBytes,
-				res.HMC.TransferredBytes, res.HMC.RowActivations, res.HMC.BankConflicts, res.HMC.ConflictWait)
-			fmt.Fprintf(&b, "Coal batches=%d batchreqs=%d sort=%d dmc=%d lat=%d/%d peak=%d fills=%d fillcycles=%d\n",
-				res.Coalescer.Batches, res.Coalescer.BatchRequests, res.Coalescer.SortCycles,
-				res.Coalescer.DMCCycles, res.Coalescer.RequestLatency, res.Coalescer.LatencySamples,
-				res.Coalescer.CRQPeak, res.Coalescer.CRQFills, res.Coalescer.CRQFillCycles)
+			writeGoldenSection(t, &b, fmt.Sprintf("%s/%v", bench, mode), cfg, accs)
+		}
+	}
+	fronts := []struct {
+		fe    FrontendKind
+		sched SchedKind
+	}{
+		{FrontendTwoPhase, SchedHetero},
+		{FrontendWarp, SchedFRFCFS},
+		{FrontendWarp, SchedHetero},
+	}
+	for i, bench := range benches {
+		for _, f := range fronts {
+			cfg := DefaultConfig()
+			cfg.Frontend, cfg.Sched = f.fe, f.sched
+			writeGoldenSection(t, &b, fmt.Sprintf("%s/%v/%v", bench, f.fe, f.sched), cfg, traces[i])
 		}
 	}
 	return b.String()
+}
+
+// writeGoldenSection runs one configuration over accs and renders its
+// Summary plus the raw counters under a "=== name ===" header.
+func writeGoldenSection(t *testing.T, b *strings.Builder, name string, cfg Config, accs []Access) {
+	t.Helper()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(accs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(b, "=== %s ===\n%s", name, res.Summary())
+	fmt.Fprintf(b, "RuntimeCycles=%d LLCMisses=%d HMCRequests=%d StallCycles=%d\n",
+		res.RuntimeCycles, res.LLCMisses, res.HMCRequests, res.StallCycles)
+	fmt.Fprintf(b, "MSHR allocs=%d merged=%d split=%d stalls=%d\n",
+		res.MSHR.Allocations, res.MSHR.MergedTargets, res.MSHR.SplitRequests, res.MSHR.FullStalls)
+	fmt.Fprintf(b, "L1=%+v\nL2=%+v\nLLC=%+v\n", res.L1, res.L2, res.LLC)
+	fmt.Fprintf(b, "HMC reads=%d writes=%d packet=%d requested=%d transferred=%d rowact=%d conflicts=%d conflictwait=%d\n",
+		res.HMC.Reads, res.HMC.Writes, res.HMC.PacketBytes, res.HMC.RequestedBytes,
+		res.HMC.TransferredBytes, res.HMC.RowActivations, res.HMC.BankConflicts, res.HMC.ConflictWait)
+	fmt.Fprintf(b, "Coal batches=%d batchreqs=%d sort=%d dmc=%d lat=%d/%d peak=%d fills=%d fillcycles=%d\n",
+		res.Coalescer.Batches, res.Coalescer.BatchRequests, res.Coalescer.SortCycles,
+		res.Coalescer.DMCCycles, res.Coalescer.RequestLatency, res.Coalescer.LatencySamples,
+		res.Coalescer.CRQPeak, res.Coalescer.CRQFills, res.Coalescer.CRQFillCycles)
 }
 
 // TestGoldenMetrics locks the byte-identical-output contract. Any

@@ -29,8 +29,8 @@ package hmccoal
 import (
 	"fmt"
 
+	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/frontend"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/sim"
 	"hmccoal/internal/trace"
@@ -67,11 +67,11 @@ type (
 	// the memory backend (Config.Frontend): the paper's two-phase
 	// coalescer or a GPU-style warp coalescing unit. The zero value is
 	// the two-phase coalescer.
-	FrontendKind = frontend.Kind
+	FrontendKind = coalescer.Kind
 	// SchedKind selects the issue policy inside the front-end
 	// (Config.Sched): strict FR-FCFS or the heterogeneity-aware
 	// scheduler. The zero value is FR-FCFS.
-	SchedKind = frontend.SchedKind
+	SchedKind = coalescer.Sched
 	// SystemSnapshot is a deterministic mid-run snapshot of a System
 	// (System.Snapshot / System.Restore): restoring it into a fresh system
 	// built from the same Config and stepping to completion reproduces the
@@ -103,18 +103,18 @@ const (
 // Coalescing front-ends selectable via Config.Frontend.
 const (
 	// FrontendTwoPhase is the paper's two-phase coalescer (the default).
-	FrontendTwoPhase = frontend.KindTwoPhase
+	FrontendTwoPhase = coalescer.KindTwoPhase
 	// FrontendWarp is the GPU-style warp coalescing unit.
-	FrontendWarp = frontend.KindWarp
+	FrontendWarp = coalescer.KindWarp
 )
 
 // Issue policies selectable via Config.Sched.
 const (
 	// SchedFRFCFS issues queued packets strictly in arrival order (the
 	// default).
-	SchedFRFCFS = frontend.SchedFRFCFS
+	SchedFRFCFS = coalescer.SchedFRFCFS
 	// SchedHetero favors criticality-hinted requests and starved lanes.
-	SchedHetero = frontend.SchedHetero
+	SchedHetero = coalescer.SchedHetero
 )
 
 // ParseBackend resolves a backend name ("hmc", "ddr", "ideal"; "" is the
@@ -126,17 +126,17 @@ func Backends() []string { return membackend.Kinds() }
 
 // ParseFrontend resolves a front-end name ("two-phase", "warp"; "" is the
 // two-phase default) for CLI flags.
-func ParseFrontend(s string) (FrontendKind, error) { return frontend.ParseKind(s) }
+func ParseFrontend(s string) (FrontendKind, error) { return coalescer.ParseKind(s) }
 
 // Frontends lists the selectable front-end names.
-func Frontends() []string { return frontend.Kinds() }
+func Frontends() []string { return coalescer.Kinds() }
 
 // ParseSched resolves a scheduler name ("frfcfs", "hetero"; "" is the
 // FR-FCFS default) for CLI flags.
-func ParseSched(s string) (SchedKind, error) { return frontend.ParseSched(s) }
+func ParseSched(s string) (SchedKind, error) { return coalescer.ParseSched(s) }
 
 // Scheds lists the selectable scheduler names.
-func Scheds() []string { return frontend.Scheds() }
+func Scheds() []string { return coalescer.Scheds() }
 
 // ParseFaultFlag decodes the shared -faults CLI syntax ("seed=1,ber=1e-6,
 // drop=1e-7,retries=3"); an empty string disables injection.

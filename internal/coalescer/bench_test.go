@@ -10,7 +10,7 @@ import (
 // memory, the configuration the full simulator drives.
 func benchCoalescer(b *testing.B) *Coalescer {
 	b.Helper()
-	c, err := New(DefaultConfig(),
+	c, err := New(DefaultConfig(), KindTwoPhase, SchedFRFCFS, 1,
 		func(tick uint64, e *mshr.Entry) IssueResult { return IssueResult{Done: tick + 200} },
 		func(tick uint64, subs []mshr.Sub, fault bool) {})
 	if err != nil {
@@ -48,7 +48,7 @@ func BenchmarkPushAdvance(b *testing.B) {
 // every miss goes straight at the MSHRs.
 func BenchmarkBaselinePush(b *testing.B) {
 	cfg := BaselineConfig()
-	c, err := New(cfg,
+	c, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1,
 		func(tick uint64, e *mshr.Entry) IssueResult { return IssueResult{Done: tick + 200} },
 		func(tick uint64, subs []mshr.Sub, fault bool) {})
 	if err != nil {

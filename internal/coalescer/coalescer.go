@@ -1,9 +1,23 @@
 // Package coalescer implements the paper's memory coalescer (§3): the unit
-// between the shared LLC and the MSHRs that batches LLC misses, sorts them
-// with a pipelined odd–even merge network, fuses adjacent requests into
-// large HMC packets (first-phase coalescing, the DMC unit), queues the
-// packets in the coalesced request queue (CRQ), and merges them against the
-// dynamic MSHRs (second-phase coalescing) before they reach memory.
+// between the shared LLC and the memory backend that batches LLC misses
+// into large HMC packets. It works in two stages.
+//
+// A gather stage forms packets. Two are provided:
+//
+//	two-phase  the paper's CPU coalescer: an input buffer feeding a
+//	           pipelined odd–even merge sorting network and the DMC unit,
+//	           which fuses adjacent requests (first-phase coalescing), plus
+//	           the §4.2 idle bypass — the default
+//	warp       a GPU-style coalescing unit: per-lane warp buffers that
+//	           close on width or timeout and merge at block granularity in
+//	           first-touch order, as in GPGPU SIMT front-ends
+//
+// One issue stage, shared by both, takes the packets through the
+// coalesced request queue (CRQ) into the dynamic MSHRs (second-phase
+// coalescing) and on to memory: issue scheduling (strict FR-FCFS or the
+// heterogeneity-aware policy), span-level retry with backoff, degraded
+// mode, the dropped-response watchdog, the conservation checks and the
+// snapshot codec.
 //
 // The coalescer is tick-driven and single-threaded: the system simulator
 // pushes LLC misses in non-decreasing tick order and the coalescer reports
@@ -26,6 +40,54 @@ import (
 // conservation violation.
 var ErrWatchdog = errors.New("watchdog")
 
+// Kind selects the gather stage. The zero value is the two-phase
+// coalescer, so configurations that predate front-end selection are
+// unchanged.
+type Kind int
+
+// Gather stages.
+const (
+	// KindTwoPhase is the paper's sorter + DMC gather.
+	KindTwoPhase Kind = iota
+	// KindWarp is the GPU-style warp coalescing unit.
+	KindWarp
+)
+
+// String names the kind as the CLI -frontend flag spells it.
+func (k Kind) String() string {
+	switch k {
+	case KindTwoPhase:
+		return "two-phase"
+	case KindWarp:
+		return "warp"
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// Validate rejects kinds no gather stage exists for.
+func (k Kind) Validate() error {
+	switch k {
+	case KindTwoPhase, KindWarp:
+		return nil
+	}
+	return fmt.Errorf("coalescer: unknown frontend kind %d", int(k))
+}
+
+// ParseKind maps a -frontend flag value to a Kind. The empty string means
+// the default two-phase coalescer.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "", "two-phase":
+		return KindTwoPhase, nil
+	case "warp":
+		return KindWarp, nil
+	}
+	return 0, fmt.Errorf("coalescer: unknown frontend %q (have two-phase, warp)", s)
+}
+
+// Kinds lists the recognized front-end names for usage messages.
+func Kinds() []string { return []string{"two-phase", "warp"} }
+
 // Sched selects the issue policy the CRQ head uses when dispatching
 // packets into the MSHRs. The zero value is the strict first-ready FCFS
 // order every configuration used before schedulers existed.
@@ -45,6 +107,17 @@ const (
 	SchedHetero
 )
 
+// String names the scheduler as the CLI -sched flag spells it.
+func (s Sched) String() string {
+	switch s {
+	case SchedFRFCFS:
+		return "frfcfs"
+	case SchedHetero:
+		return "hetero"
+	}
+	return fmt.Sprintf("Sched(%d)", int(s))
+}
+
 // Validate rejects scheduler values no issue path exists for.
 func (s Sched) Validate() error {
 	switch s {
@@ -53,6 +126,21 @@ func (s Sched) Validate() error {
 	}
 	return fmt.Errorf("coalescer: unknown scheduler %d", int(s))
 }
+
+// ParseSched maps a -sched flag value to a Sched. The empty string means
+// the default FR-FCFS policy.
+func ParseSched(s string) (Sched, error) {
+	switch s {
+	case "", "frfcfs":
+		return SchedFRFCFS, nil
+	case "hetero":
+		return SchedHetero, nil
+	}
+	return 0, fmt.Errorf("coalescer: unknown scheduler %q (have frfcfs, hetero)", s)
+}
+
+// Scheds lists the recognized scheduler names for usage messages.
+func Scheds() []string { return []string{"frfcfs", "hetero"} }
 
 // Config parameterizes the coalescer. The zero value is not valid; start
 // from DefaultConfig.
@@ -119,10 +207,6 @@ type Config struct {
 	// the defaults (64 packets, 0.25).
 	DegradeWindow    int
 	DegradeThreshold float64
-
-	// Sched selects the CRQ issue policy. The zero value (SchedFRFCFS) is
-	// the strict FIFO order of every pre-scheduler configuration.
-	Sched Sched
 }
 
 // DefaultConfig returns the paper's evaluation configuration with both
@@ -195,19 +279,20 @@ type IssueFunc func(tick uint64, e *mshr.Entry) IssueResult
 // memory error instead of a fill.
 type CompleteFunc func(tick uint64, subs []mshr.Sub, fault bool)
 
-// Coalescer is the two-phase memory coalescer.
+// Coalescer is the memory coalescer: a gather stage feeding the shared
+// issue stage.
 type Coalescer struct {
 	cfg      Config
-	net      *sortnet.Network
-	pipe     *sortnet.Pipeline
+	kind     Kind
 	file     *mshr.File
 	issue    IssueFunc
 	complete CompleteFunc
 
-	pending      []pendingReq // input buffer feeding the sorter
-	pendingSince uint64       // tick the oldest pending request arrived
-	sortFree     uint64       // next tick the sorter's first stage is free
-	curTimeout   uint64       // effective timeout (EWMA when adaptive)
+	// gather is the first stage: &c.sorter under two-phase, a *warpGather
+	// under warp. The sorter is held by value so the default coalescer is
+	// a single allocation.
+	gather gather
+	sorter sortGather
 
 	// The CRQ is a power-of-two ring buffer: crqBuf[crqHead] is the FIFO
 	// head and crqLen its occupancy. Popping the head is an index bump, not
@@ -216,22 +301,14 @@ type Coalescer struct {
 	crqHead int
 	crqLen  int
 
-	// flushKeys/flushPad are the sorter's Width-sized working arrays,
-	// allocated once; padSwap is the sorter's swap callback over flushPad,
-	// built once so flush does not allocate a closure per sequence.
-	// targetPool recycles packet target slices retired from the CRQ back to
-	// the DMC unit and the bypass path.
-	flushKeys  []uint64
-	flushPad   []pendingReq
-	padSwap    func(i, j int)
+	// targetPool recycles packet target slices retired from the CRQ back
+	// to the gather stage.
 	targetPool [][]mshr.Target
 
 	inflight    []completion
 	freedAt     uint64 // tick of the most recent MSHR entry release
 	lastIssue   uint64 // tick of the most recent memory dispatch
 	lastAdvance uint64 // latest tick Advance has processed
-	bypassOn    bool   // §4.2 stage-select state: idle bypass armed
-	idleSince   uint64 // first tick of the current full-idle span (^0 = busy)
 	fillStart   uint64 // start of the current CRQ fill episode
 	fillCount   int    // packets supplied in the current episode
 	stats       Stats
@@ -260,6 +337,30 @@ type Coalescer struct {
 	// sites record here and the event loop aborts on the next poll.
 	check *invariant.Checker
 	viol  error
+}
+
+// gather is the coalescer's first stage. It buffers LLC requests and
+// closes them into packets for the issue stage (enqueuePacket); each
+// implementation decides when it drains the CRQ, so both keep the exact
+// issue timing they were calibrated with.
+type gather interface {
+	// push buffers one request arriving at now. The issue stage has
+	// already advanced to now and counted the request.
+	push(now uint64, r Request)
+	// fence closes every open sequence for a memory fence at now.
+	fence(now uint64)
+	// expire closes every sequence whose timeout fell due by now.
+	expire(now uint64)
+	// drain closes every open sequence at the end of a run.
+	drain(now uint64)
+	// nextExpiry returns the earliest timeout of an open sequence, or ^0.
+	nextExpiry() uint64
+	// buffered counts the requests waiting in open sequences.
+	buffered() int
+	// save and restore copy the gather's part of a State; restore
+	// validates before it mutates anything.
+	save(st *State)
+	restore(st *State) error
 }
 
 // pendingReq is an input-buffer slot: the request plus its arrival tick,
@@ -301,9 +402,6 @@ func (cfg Config) Validate() error {
 	if cfg.DegradeThreshold < 0 || cfg.DegradeThreshold > 1 {
 		return fmt.Errorf("coalescer: degrade threshold %v outside [0,1]", cfg.DegradeThreshold)
 	}
-	if err := cfg.Sched.Validate(); err != nil {
-		return err
-	}
 	mcfg := cfg.MSHR
 	mcfg.LineBytes = cfg.LineBytes
 	mcfg.BlockBytes = cfg.BlockBytes
@@ -313,20 +411,20 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// New builds a coalescer. issue and complete must be non-nil.
-func New(cfg Config, issue IssueFunc, complete CompleteFunc) (*Coalescer, error) {
+// New builds a coalescer with the given gather stage and issue policy.
+// lanes is the number of request sources (CPUs); the warp gather keeps one
+// open warp buffer per lane. issue and complete must be non-nil.
+func New(cfg Config, kind Kind, sched Sched, lanes int, issue IssueFunc, complete CompleteFunc) (*Coalescer, error) {
 	if issue == nil || complete == nil {
 		return nil, fmt.Errorf("coalescer: nil callback")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	net, err := sortnet.New(cfg.Width)
-	if err != nil {
+	if err := kind.Validate(); err != nil {
 		return nil, err
 	}
-	pipe, err := sortnet.NewPipeline(net, cfg.Fold, cfg.StepCycles)
-	if err != nil {
+	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
 	mcfg := cfg.MSHR
@@ -339,21 +437,22 @@ func New(cfg Config, issue IssueFunc, complete CompleteFunc) (*Coalescer, error)
 	}
 	c := &Coalescer{
 		cfg:        cfg,
-		net:        net,
-		pipe:       pipe,
+		kind:       kind,
 		file:       file,
 		issue:      issue,
 		complete:   complete,
 		linesBlock: uint64(cfg.BlockBytes / cfg.LineBytes),
-		curTimeout: cfg.TimeoutCycles,
-		bypassOn:   true,       // §4.2: the bypass is armed at boot
-		idleSince:  ^uint64(0), // not in an idle span until proven so
-		flushKeys:  make([]uint64, cfg.Width),
-		flushPad:   make([]pendingReq, cfg.Width),
 	}
-	pad := c.flushPad
-	c.padSwap = func(i, j int) { pad[i], pad[j] = pad[j], pad[i] }
-	if cfg.Sched == SchedHetero {
+	switch kind {
+	case KindTwoPhase:
+		if err := c.sorter.init(c); err != nil {
+			return nil, err
+		}
+		c.gather = &c.sorter
+	case KindWarp:
+		c.gather = newWarpGather(c, lanes)
+	}
+	if sched == SchedHetero {
 		c.laneBytes = make([]uint64, 256) // full uint8 lane space
 	}
 	return c, nil
@@ -408,27 +507,6 @@ func (c *Coalescer) crqPop() {
 	c.crqLen--
 }
 
-// Timeout returns the effective input-buffer timeout: the configured value,
-// or the tracked average coalescing latency under AdaptiveTimeout.
-func (c *Coalescer) Timeout() uint64 { return c.curTimeout }
-
-// adaptTimeout folds one sequence's coalescing cost (sorting + DMC cycles)
-// into the adaptive timeout.
-func (c *Coalescer) adaptTimeout(cost uint64) {
-	if !c.cfg.AdaptiveTimeout {
-		return
-	}
-	// EWMA with 1/8 weight, clamped to a sane band around the seed.
-	next := (c.curTimeout*7 + cost) / 8
-	if lo := c.cfg.TimeoutCycles / 2; next < lo {
-		next = lo
-	}
-	if hi := c.cfg.TimeoutCycles * 4; next > hi {
-		next = hi
-	}
-	c.curTimeout = next
-}
-
 // Config returns the coalescer configuration.
 func (c *Coalescer) Config() Config { return c.cfg }
 
@@ -457,7 +535,7 @@ func (c *Coalescer) setViol(v *invariant.Violation) {
 // queue must be empty and every MSHR entry free. It returns the first
 // violation found, or nil on a clean coalescer.
 func (c *Coalescer) CheckDrained(tick uint64) error {
-	if n := len(c.pending); n != 0 {
+	if n := c.gather.buffered(); n != 0 {
 		return c.check.Record(invariant.Violatef(invariant.RuleQueueLeak, tick,
 			c.DebugState(), "%d request(s) left in the input buffer after drain", n))
 	}
@@ -482,9 +560,9 @@ func (c *Coalescer) MSHRStats() mshr.Stats { return c.file.Stats() }
 // Outstanding reports how many memory requests are in flight.
 func (c *Coalescer) Outstanding() int { return len(c.inflight) }
 
-// QueueDepths reports the occupancy of the input buffer and the CRQ,
-// for diagnostics.
-func (c *Coalescer) QueueDepths() (pending, crq int) { return len(c.pending), c.crqLen }
+// QueueDepths reports the occupancy of the gather stage's buffers and the
+// CRQ, for diagnostics.
+func (c *Coalescer) QueueDepths() (pending, crq int) { return c.gather.buffered(), c.crqLen }
 
 // DebugState renders internal queue state for deadlock diagnostics.
 func (c *Coalescer) DebugState() string {
@@ -506,92 +584,51 @@ func (c *Coalescer) Push(now uint64, r Request) {
 
 	if !c.cfg.FirstPhase {
 		// Conventional MHA: the miss goes straight at the MSHRs.
-		c.enqueuePacket(now, packet{
-			baseLine: r.Line, lines: 1, write: r.Write,
-			targets: append(c.getTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
-			ready:   now, cpu: r.CPU, critical: r.Critical,
-		})
+		c.enqueueSingle(now, r)
 		c.drainCRQ(now)
 		return
 	}
-
-	// §4.2 stage-select hysteresis: the bypass engages when the memory
-	// system has been idle for a while (program start, post-blocking-call)
-	// and disengages the moment the MSHR file packs; it re-arms only once
-	// the system drains and stays drained.
-	if c.file.Full() {
-		c.bypassOn = false
-		c.idleSince = ^uint64(0)
-	} else if c.crqLen == 0 && len(c.pending) == 0 && len(c.inflight) == 0 && len(c.retryQ) == 0 {
-		if c.idleSince == ^uint64(0) {
-			c.idleSince = now
-		}
-		rearm := c.cfg.BypassRearmCycles
-		if rearm == 0 {
-			rearm = 2048
-		}
-		if now-c.idleSince >= rearm {
-			c.bypassOn = true
-		}
-	} else {
-		c.idleSince = ^uint64(0)
-	}
-	if c.cfg.Bypass && c.bypassOn && len(c.pending) == 0 && c.crqLen == 0 && len(c.retryQ) == 0 && !c.file.Full() {
-		// Idle coalescer, free MSHRs — skip the sorter entirely.
-		c.stats.Bypassed++
-		c.enqueuePacket(now, packet{
-			baseLine: r.Line, lines: 1, write: r.Write,
-			targets: append(c.getTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
-			ready:   now, cpu: r.CPU, critical: r.Critical,
-		})
-		c.drainCRQ(now)
-		return
-	}
-
-	if len(c.pending) == 0 {
-		c.pendingSince = now
-	}
-	c.pending = append(c.pending, pendingReq{Request: r, pushTick: now})
-	if len(c.pending) >= c.cfg.Width {
-		c.flush(now, flushFull)
-	}
+	c.gather.push(now, r)
 }
 
-// Fence signals a memory fence at the given tick: the pending sequence is
-// flushed immediately and the fence monopolizes one pipeline stage (§3.4).
+// enqueueSingle queues one request as its own one-line packet, skipping
+// first-phase coalescing.
+func (c *Coalescer) enqueueSingle(now uint64, r Request) {
+	c.enqueuePacket(now, packet{
+		baseLine: r.Line, lines: 1, write: r.Write,
+		targets: append(c.getTargets(), mshr.Target{Line: r.Line, Token: r.Token, Payload: r.Payload}),
+		ready:   now, cpu: r.CPU, critical: r.Critical,
+	})
+}
+
+// Fence signals a memory fence at the given tick: the gather stage closes
+// its open sequences immediately.
 func (c *Coalescer) Fence(now uint64) {
 	c.Advance(now)
 	c.stats.Fences++
-	if len(c.pending) > 0 {
-		c.flush(now, flushFence)
-	}
-	if c.cfg.FirstPhase {
-		if c.sortFree < now {
-			c.sortFree = now
-		}
-		c.sortFree += c.pipe.IntervalCycles()
-	}
+	c.gather.fence(now)
 }
 
-// Advance processes time up to now: expires the input-buffer timeout,
-// releases backed-off retries that fell due, and delivers any memory
-// responses due at or before now.
+// Advance processes time up to now: releases backed-off retries that fell
+// due, delivers any memory responses due at or before now and closes
+// gather sequences whose timeout expired.
 func (c *Coalescer) Advance(now uint64) {
 	if now > c.lastAdvance {
 		c.lastAdvance = now
 	}
 	c.releaseRetries(now)
+	c.completeDue(now)
+	c.gather.expire(now)
+	// A timeout close may have freed the way for in-flight work.
+	c.completeDue(now)
+	c.drainCRQ(now)
+}
+
+// completeDue delivers every response due at or before now.
+func (c *Coalescer) completeDue(now uint64) {
 	for len(c.inflight) > 0 && c.inflight[0].tick <= now {
 		c.completeOne()
 	}
-	if len(c.pending) > 0 && now >= c.pendingSince+c.curTimeout {
-		c.flush(c.pendingSince+c.curTimeout, flushTimeout)
-		// A timeout flush may have freed the way for in-flight work.
-		for len(c.inflight) > 0 && c.inflight[0].tick <= now {
-			c.completeOne()
-		}
-	}
-	c.drainCRQ(now)
 }
 
 // releaseRetries moves failed spans whose backoff has expired back into
@@ -605,16 +642,13 @@ func (c *Coalescer) releaseRetries(now uint64) {
 }
 
 // NextEvent returns the earliest tick at which Advance will make further
-// progress — a pending-buffer timeout expiry, a packet becoming ready for
-// the CRQ, or a memory response — and whether any such event exists.
+// progress — a gather timeout expiry, a packet becoming ready for the CRQ,
+// or a memory response — and whether any such event exists.
 // Simulators use it to advance time while a CPU is stalled. Events already
 // processed are excluded: a CRQ head that became ready in the past but is
 // blocked on a packed MSHR file only progresses at the next completion.
 func (c *Coalescer) NextEvent() (uint64, bool) {
-	next := ^uint64(0)
-	if len(c.pending) > 0 {
-		next = c.pendingSince + c.curTimeout
-	}
+	next := c.gather.nextExpiry()
 	if len(c.inflight) > 0 && c.inflight[0].tick < next {
 		next = c.inflight[0].tick
 	}
@@ -657,9 +691,7 @@ func (c *Coalescer) crqNextReady() uint64 {
 // report it.
 func (c *Coalescer) Drain(now uint64) (uint64, error) {
 	c.Advance(now)
-	if len(c.pending) > 0 {
-		c.flush(now, flushDrain)
-	}
+	c.gather.drain(now)
 	idle := now
 	for len(c.inflight) > 0 || c.crqLen > 0 || len(c.retryQ) > 0 {
 		if c.viol != nil {

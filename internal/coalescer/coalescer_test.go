@@ -24,10 +24,10 @@ type issueRecord struct {
 	write    bool
 }
 
-func newHarness(t *testing.T, cfg Config) *harness {
+func newHarness(t *testing.T, kind Kind, cfg Config) *harness {
 	t.Helper()
 	h := &harness{memLatency: 400, completed: map[uint64]uint64{}}
-	c, err := New(cfg,
+	c, err := New(cfg, kind, SchedFRFCFS, testLanes,
 		func(tick uint64, e *mshr.Entry) IssueResult {
 			h.issues = append(h.issues, issueRecord{tick, e.BaseLine(), e.Lines(), e.Write()})
 			return IssueResult{Done: tick + h.memLatency}
@@ -47,6 +47,17 @@ func newHarness(t *testing.T, cfg Config) *harness {
 	return h
 }
 
+// testLanes is the warp gather's lane count in the tests; requests that
+// leave CPU at zero all share lane 0.
+const testLanes = 4
+
+// forEachGather runs an issue-stage test once per gather stage.
+func forEachGather(t *testing.T, test func(t *testing.T, kind Kind)) {
+	for _, k := range []Kind{KindTwoPhase, KindWarp} {
+		t.Run(k.String(), func(t *testing.T) { test(t, k) })
+	}
+}
+
 func noBypass() Config {
 	cfg := DefaultConfig()
 	cfg.Bypass = false
@@ -56,20 +67,20 @@ func noBypass() Config {
 func TestNewValidation(t *testing.T) {
 	cb := func(uint64, *mshr.Entry) IssueResult { return IssueResult{} }
 	cc := func(uint64, []mshr.Sub, bool) {}
-	if _, err := New(DefaultConfig(), nil, cc); err == nil {
+	if _, err := New(DefaultConfig(), KindTwoPhase, SchedFRFCFS, 1, nil, cc); err == nil {
 		t.Error("nil issue accepted")
 	}
-	if _, err := New(DefaultConfig(), cb, nil); err == nil {
+	if _, err := New(DefaultConfig(), KindTwoPhase, SchedFRFCFS, 1, cb, nil); err == nil {
 		t.Error("nil complete accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Width = 12
-	if _, err := New(cfg, cb, cc); err == nil {
+	if _, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
 		t.Error("non-power-of-two width accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.LineBytes = 0
-	if _, err := New(cfg, cb, cc); err == nil {
+	if _, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
 		t.Error("zero line size accepted")
 	}
 }
@@ -77,7 +88,7 @@ func TestNewValidation(t *testing.T) {
 func TestFullBatchCoalescesContiguousLoads(t *testing.T) {
 	// 16 contiguous line misses span four 256 B blocks → exactly four
 	// 4-line (256 B) packets, i.e. 75% coalescing efficiency.
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
 	}
@@ -106,7 +117,7 @@ func TestFullBatchCoalescesContiguousLoads(t *testing.T) {
 }
 
 func TestScatteredLoadsDontCoalesce(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i * 100, Payload: 8, Token: i})
 	}
@@ -122,7 +133,7 @@ func TestScatteredLoadsDontCoalesce(t *testing.T) {
 func TestTimeoutFlush(t *testing.T) {
 	cfg := noBypass()
 	cfg.TimeoutCycles = 24
-	h := newHarness(t, cfg)
+	h := newHarness(t, KindTwoPhase, cfg)
 	h.c.Push(100, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(105, Request{Line: 1, Payload: 8, Token: 2})
 	// Nothing flushed yet: the window is open until 124.
@@ -143,7 +154,7 @@ func TestTimeoutFlush(t *testing.T) {
 func TestTypesNeverShareAPacket(t *testing.T) {
 	// Alternating load/store misses on contiguous lines: the type bit
 	// sorts stores after loads, so the DMC forms separate packets.
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i, Write: i%2 == 1, Payload: 8, Token: i})
 	}
@@ -172,7 +183,7 @@ func TestTypesNeverShareAPacket(t *testing.T) {
 }
 
 func TestContiguousStoresCoalesce(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: i, Write: true, Payload: 64, Token: i})
 	}
@@ -186,7 +197,7 @@ func TestContiguousStoresCoalesce(t *testing.T) {
 func TestBlockBoundarySplitsPacket(t *testing.T) {
 	// Lines 2..5 are contiguous but lines 3|4 straddle a 256 B block
 	// boundary: the DMC must emit [2,3] and [4,5].
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for _, ln := range []uint64{2, 3, 4, 5} {
 		h.c.Push(10, Request{Line: ln, Payload: 8, Token: ln})
 	}
@@ -202,7 +213,7 @@ func TestBlockBoundarySplitsPacket(t *testing.T) {
 }
 
 func TestDuplicateLinesAbsorb(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: 7, Payload: 8, Token: i})
 	}
@@ -219,7 +230,7 @@ func TestDuplicateLinesAbsorb(t *testing.T) {
 func TestSecondPhaseMergesAcrossBatches(t *testing.T) {
 	// Batch 1 issues lines 0-3 as one 256 B request. While it is in
 	// flight, batch 2 wants lines 0-1 again: Case A merge, no new request.
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	h.memLatency = 100000 // keep the first request outstanding
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
@@ -248,7 +259,7 @@ func TestMSHROnlyMode(t *testing.T) {
 	// FirstPhase off: every miss reaches the MSHRs alone; coalescing only
 	// happens when lines overlap outstanding entries.
 	cfg := BaselineConfig()
-	h := newHarness(t, cfg)
+	h := newHarness(t, KindTwoPhase, cfg)
 	h.memLatency = 100000
 	h.c.Push(10, Request{Line: 5, Payload: 8, Token: 1})
 	h.c.Push(11, Request{Line: 5, Payload: 8, Token: 2}) // merges
@@ -270,7 +281,7 @@ func TestMSHROnlyMode(t *testing.T) {
 func TestDMCOnlyModeNeverMergesInMSHR(t *testing.T) {
 	cfg := noBypass()
 	cfg.SecondPhase = false
-	h := newHarness(t, cfg)
+	h := newHarness(t, KindTwoPhase, cfg)
 	h.memLatency = 100000
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
@@ -291,7 +302,7 @@ func TestDMCOnlyModeNeverMergesInMSHR(t *testing.T) {
 
 func TestBypassIdlePath(t *testing.T) {
 	cfg := DefaultConfig() // bypass on
-	h := newHarness(t, cfg)
+	h := newHarness(t, KindTwoPhase, cfg)
 	h.c.Push(10, Request{Line: 42, Payload: 8, Token: 1})
 	// Idle coalescer, free MSHRs: the request must dispatch immediately,
 	// with no sorting latency.
@@ -307,7 +318,7 @@ func TestBypassIdlePath(t *testing.T) {
 func TestBypassStopsWhenMSHRsFull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MSHR.Entries = 2
-	h := newHarness(t, cfg)
+	h := newHarness(t, KindTwoPhase, cfg)
 	h.memLatency = 100000
 	h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(11, Request{Line: 100, Payload: 8, Token: 2})
@@ -326,7 +337,7 @@ func TestBypassStopsWhenMSHRsFull(t *testing.T) {
 }
 
 func TestFenceFlushesPending(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(11, Request{Line: 1, Payload: 8, Token: 2})
 	h.c.Fence(12)
@@ -345,7 +356,7 @@ func TestFenceFlushesPending(t *testing.T) {
 }
 
 func TestDrainCompletesEverything(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	rng := rand.New(rand.NewSource(2))
 	tokens := 0
 	tick := uint64(0)
@@ -382,7 +393,7 @@ func TestDrainCompletesEverything(t *testing.T) {
 }
 
 func TestLatencyStatsPopulated(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10+i, Request{Line: i, Payload: 8, Token: i})
 	}
@@ -409,7 +420,7 @@ func TestHigherTimeoutRaisesLatency(t *testing.T) {
 	for i, timeout := range []uint64{16, 64, 256} {
 		cfg := noBypass()
 		cfg.TimeoutCycles = timeout
-		h := newHarness(t, cfg)
+		h := newHarness(t, KindTwoPhase, cfg)
 		tick := uint64(0)
 		for r := uint64(0); r < 400; r++ {
 			tick += 8 // sparse: timeout governs flushing
@@ -425,29 +436,34 @@ func TestHigherTimeoutRaisesLatency(t *testing.T) {
 }
 
 func TestCRQFillEpisodes(t *testing.T) {
-	cfg := noBypass()
-	cfg.MSHR.Entries = 4 // CRQ capacity 4
-	h := newHarness(t, cfg)
-	h.memLatency = 1 << 40 // nothing completes during pushes
-	for i := uint64(0); i < 64; i++ {
-		h.c.Push(10, Request{Line: i * 50, Payload: 8, Token: i})
-	}
-	h.c.Advance(1 << 20)
-	s := h.c.Stats()
-	if s.CRQFills == 0 {
-		t.Fatal("CRQ never filled despite saturation")
-	}
-	if s.CRQPeak < 4 {
-		t.Errorf("CRQPeak = %d, want ≥ 4", s.CRQPeak)
-	}
-	if ns := s.AvgCRQFillNs(3.3); ns <= 0 {
-		t.Errorf("AvgCRQFillNs = %v", ns)
-	}
-	h.c.Drain(1 << 41)
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		cfg := noBypass()
+		cfg.MSHR.Entries = 4 // CRQ capacity 4
+		h := newHarness(t, kind, cfg)
+		h.memLatency = 1 << 40 // nothing completes during pushes
+		// Scattered misses spaced past the timeout: each closes its own
+		// sequence, so packets reach the CRQ one at a time and a fill
+		// episode spans several closes under either gather.
+		for i := uint64(0); i < 64; i++ {
+			h.c.Push(10+30*i, Request{Line: i * 50, Payload: 8, Token: i})
+		}
+		h.c.Advance(1 << 20)
+		s := h.c.Stats()
+		if s.CRQFills == 0 {
+			t.Fatal("CRQ never filled despite saturation")
+		}
+		if s.CRQPeak < 4 {
+			t.Errorf("CRQPeak = %d, want ≥ 4", s.CRQPeak)
+		}
+		if ns := s.AvgCRQFillNs(3.3); ns <= 0 {
+			t.Errorf("AvgCRQFillNs = %v", ns)
+		}
+		h.c.Drain(1 << 41)
+	})
 }
 
 func TestPayloadAccounting(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(10, Request{Line: 1, Payload: 32, Token: 2})
 	h.c.Drain(10)
@@ -457,32 +473,34 @@ func TestPayloadAccounting(t *testing.T) {
 }
 
 func TestIssueTicksNonDecreasing(t *testing.T) {
-	h := newHarness(t, noBypass())
-	rng := rand.New(rand.NewSource(9))
-	tick := uint64(0)
-	for i := 0; i < 2000; i++ {
-		tick += uint64(rng.Intn(6))
-		h.c.Push(tick, Request{
-			Line:  rng.Uint64() % 512,
-			Write: rng.Intn(5) == 0, Payload: 8, Token: uint64(i),
-		})
-	}
-	h.c.Drain(tick)
-	for i := 1; i < len(h.issues); i++ {
-		if h.issues[i].tick < h.issues[i-1].tick {
-			t.Fatalf("issue %d at %d before issue %d at %d",
-				i, h.issues[i].tick, i-1, h.issues[i-1].tick)
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		h := newHarness(t, kind, noBypass())
+		rng := rand.New(rand.NewSource(9))
+		tick := uint64(0)
+		for i := 0; i < 2000; i++ {
+			tick += uint64(rng.Intn(6))
+			h.c.Push(tick, Request{
+				Line:  rng.Uint64() % 512,
+				Write: rng.Intn(5) == 0, Payload: 8, Token: uint64(i),
+			})
 		}
-	}
+		h.c.Drain(tick)
+		for i := 1; i < len(h.issues); i++ {
+			if h.issues[i].tick < h.issues[i-1].tick {
+				t.Fatalf("issue %d at %d before issue %d at %d",
+					i, h.issues[i].tick, i-1, h.issues[i-1].tick)
+			}
+		}
+	})
 }
 
 func TestAdaptiveTimeoutTracksCoalescingCost(t *testing.T) {
 	cfg := noBypass()
 	cfg.AdaptiveTimeout = true
 	cfg.TimeoutCycles = 24
-	h := newHarness(t, cfg)
-	if h.c.Timeout() != 24 {
-		t.Fatalf("initial timeout = %d, want seed 24", h.c.Timeout())
+	h := newHarness(t, KindTwoPhase, cfg)
+	if h.c.sorter.curTimeout != 24 {
+		t.Fatalf("initial timeout = %d, want seed 24", h.c.sorter.curTimeout)
 	}
 	// Full batches of coalescable traffic: per-sequence cost is sorting
 	// (40 cycles) + DMC work, so the EWMA must climb above the seed.
@@ -495,21 +513,21 @@ func TestAdaptiveTimeoutTracksCoalescingCost(t *testing.T) {
 		h.c.Advance(tick)
 	}
 	h.c.Drain(tick)
-	if got := h.c.Timeout(); got <= 24 {
+	if got := h.c.sorter.curTimeout; got <= 24 {
 		t.Errorf("adaptive timeout = %d, want above seed 24", got)
 	}
-	if got, hi := h.c.Timeout(), cfg.TimeoutCycles*4; got > hi {
+	if got, hi := h.c.sorter.curTimeout, cfg.TimeoutCycles*4; got > hi {
 		t.Errorf("adaptive timeout = %d, beyond clamp %d", got, hi)
 	}
 }
 
 func TestStaticTimeoutUnchanged(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 64; i++ {
 		h.c.Push(i*10, Request{Line: i, Payload: 8, Token: i})
 	}
 	h.c.Drain(1000)
-	if got := h.c.Timeout(); got != DefaultConfig().TimeoutCycles {
+	if got := h.c.sorter.curTimeout; got != DefaultConfig().TimeoutCycles {
 		t.Errorf("static timeout drifted to %d", got)
 	}
 }
@@ -576,7 +594,7 @@ func TestFirstPhaseMatchesOracle(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		cfg := noBypass()
 		cfg.SecondPhase = false // isolate the first phase
-		h := newHarness(t, cfg)
+		h := newHarness(t, KindTwoPhase, cfg)
 		n := 1 + rng.Intn(16)
 		reqs := make([]Request, n)
 		for i := range reqs {
@@ -609,7 +627,7 @@ func TestFirstPhaseMatchesOracle(t *testing.T) {
 func TestWidth32EndToEnd(t *testing.T) {
 	cfg := noBypass()
 	cfg.Width = 32
-	h := newHarness(t, cfg)
+	h := newHarness(t, KindTwoPhase, cfg)
 	for i := uint64(0); i < 32; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
 	}
@@ -624,7 +642,7 @@ func TestWidth32EndToEnd(t *testing.T) {
 }
 
 func TestFlushCausePartitionsBatches(t *testing.T) {
-	h := newHarness(t, noBypass())
+	h := newHarness(t, KindTwoPhase, noBypass())
 	// Full-width flush.
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
@@ -649,47 +667,49 @@ func TestFlushCausePartitionsBatches(t *testing.T) {
 }
 
 func TestBlockedCRQHeadRetries(t *testing.T) {
-	// Saturate a 2-entry MSHR file with scattered misses: the CRQ head
-	// must park (blocked on a packed file), survive the retry without
-	// re-issuing already placed targets, and drain to completion in FIFO
-	// order once completions free entries.
-	cfg := noBypass()
-	cfg.MSHR.Entries = 2
-	h := newHarness(t, cfg)
-	h.memLatency = 1000
-	const n = 6
-	for i := uint64(0); i < n; i++ {
-		h.c.Push(10, Request{Line: i * 100, Payload: 8, Token: i}) // scattered: no coalescing
-	}
-	h.c.Advance(500) // timeout flush; only 2 packets can enter the file
-	if len(h.issues) != 2 {
-		t.Fatalf("issued %d before any completion, want 2 (file capacity)", len(h.issues))
-	}
-	if _, crq := h.c.QueueDepths(); crq == 0 {
-		t.Fatal("CRQ drained despite a packed MSHR file")
-	}
-	h.c.Drain(500)
-	if len(h.issues) != n {
-		t.Fatalf("issued %d total, want %d", len(h.issues), n)
-	}
-	// The retried head issues strictly after the first response frees an
-	// entry, and the dispatch order preserves the sorted FIFO order.
-	if h.issues[2].tick < 10+h.memLatency {
-		t.Errorf("blocked head issued at %d, before the first completion at %d",
-			h.issues[2].tick, 10+h.memLatency)
-	}
-	for i := 1; i < len(h.issues); i++ {
-		if h.issues[i].baseLine <= h.issues[i-1].baseLine {
-			t.Errorf("FIFO order broken: issue %d line %d after line %d",
-				i, h.issues[i].baseLine, h.issues[i-1].baseLine)
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		// Saturate a 2-entry MSHR file with scattered misses: the CRQ head
+		// must park (blocked on a packed file), survive the retry without
+		// re-issuing already placed targets, and drain to completion in FIFO
+		// order once completions free entries.
+		cfg := noBypass()
+		cfg.MSHR.Entries = 2
+		h := newHarness(t, kind, cfg)
+		h.memLatency = 1000
+		const n = 6
+		for i := uint64(0); i < n; i++ {
+			h.c.Push(10, Request{Line: i * 100, Payload: 8, Token: i}) // scattered: no coalescing
 		}
-	}
-	if len(h.completed) != n {
-		t.Errorf("completed %d tokens, want %d", len(h.completed), n)
-	}
-	if got := h.c.MSHRStats().FullStalls; got == 0 {
-		t.Error("FullStalls = 0, blocked-head path not exercised")
-	}
+		h.c.Advance(500) // timeout flush; only 2 packets can enter the file
+		if len(h.issues) != 2 {
+			t.Fatalf("issued %d before any completion, want 2 (file capacity)", len(h.issues))
+		}
+		if _, crq := h.c.QueueDepths(); crq == 0 {
+			t.Fatal("CRQ drained despite a packed MSHR file")
+		}
+		h.c.Drain(500)
+		if len(h.issues) != n {
+			t.Fatalf("issued %d total, want %d", len(h.issues), n)
+		}
+		// The retried head issues strictly after the first response frees an
+		// entry, and the dispatch order preserves the sorted FIFO order.
+		if h.issues[2].tick < 10+h.memLatency {
+			t.Errorf("blocked head issued at %d, before the first completion at %d",
+				h.issues[2].tick, 10+h.memLatency)
+		}
+		for i := 1; i < len(h.issues); i++ {
+			if h.issues[i].baseLine <= h.issues[i-1].baseLine {
+				t.Errorf("FIFO order broken: issue %d line %d after line %d",
+					i, h.issues[i].baseLine, h.issues[i-1].baseLine)
+			}
+		}
+		if len(h.completed) != n {
+			t.Errorf("completed %d tokens, want %d", len(h.completed), n)
+		}
+		if got := h.c.MSHRStats().FullStalls; got == 0 {
+			t.Error("FullStalls = 0, blocked-head path not exercised")
+		}
+	})
 }
 
 func TestSplitPacketChunking(t *testing.T) {
@@ -738,7 +758,7 @@ func TestFenceMonopolizesPipelineStage(t *testing.T) {
 	// §3.4: a fence occupies an entire pipeline stage, so a batch flushed
 	// right after a fence becomes ready later than without the fence.
 	ready := func(withFence bool) uint64 {
-		h := newHarness(t, noBypass())
+		h := newHarness(t, KindTwoPhase, noBypass())
 		h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 		if withFence {
 			h.c.Fence(11)

@@ -1,8 +1,8 @@
 package coalescer
 
 import (
-	"hmccoal/internal/invariant"
 	"hmccoal/internal/mshr"
+	"hmccoal/internal/sortnet"
 	"hmccoal/internal/trace"
 )
 
@@ -17,44 +17,205 @@ const (
 	flushDrain                     // end-of-run Drain forced the drain
 )
 
+// countFlush opens one batch of m requests in the flush statistics.
+func (s *Stats) countFlush(m int, cause flushCause) {
+	s.Batches++
+	s.BatchRequests += uint64(m)
+	switch cause {
+	case flushFull:
+		s.FullFlushes++
+	case flushTimeout:
+		s.TimeoutFlushes++
+	case flushFence:
+		s.FenceFlushes++
+	case flushDrain:
+		s.DrainFlushes++
+	}
+}
+
+// sortGather is the two-phase gather stage (§3.3–§3.5, §4.2): one shared
+// input buffer that flushes on width or timeout into the pipelined
+// sorting network and the DMC unit, plus the idle bypass that sends raw
+// requests straight to the MSHRs.
+type sortGather struct {
+	c    *Coalescer
+	net  *sortnet.Network
+	pipe *sortnet.Pipeline
+
+	pending      []pendingReq // input buffer feeding the sorter
+	pendingSince uint64       // tick the oldest pending request arrived
+	sortFree     uint64       // next tick the sorter's first stage is free
+	curTimeout   uint64       // effective timeout (EWMA when adaptive)
+	bypassOn     bool         // §4.2 stage-select state: idle bypass armed
+	idleSince    uint64       // first tick of the current full-idle span (^0 = busy)
+
+	// flushKeys/flushPad are the sorter's Width-sized working arrays,
+	// allocated once; padSwap is the sorter's swap callback over flushPad,
+	// built once so flush does not allocate a closure per sequence.
+	flushKeys []uint64
+	flushPad  []pendingReq
+	padSwap   func(i, j int)
+}
+
+// init builds the sorter for c's configuration.
+func (g *sortGather) init(c *Coalescer) error {
+	net, err := sortnet.New(c.cfg.Width)
+	if err != nil {
+		return err
+	}
+	pipe, err := sortnet.NewPipeline(net, c.cfg.Fold, c.cfg.StepCycles)
+	if err != nil {
+		return err
+	}
+	*g = sortGather{
+		c:          c,
+		net:        net,
+		pipe:       pipe,
+		curTimeout: c.cfg.TimeoutCycles,
+		bypassOn:   true,       // §4.2: the bypass is armed at boot
+		idleSince:  ^uint64(0), // not in an idle span until proven so
+		flushKeys:  make([]uint64, c.cfg.Width),
+		flushPad:   make([]pendingReq, c.cfg.Width),
+	}
+	pad := g.flushPad
+	g.padSwap = func(i, j int) { pad[i], pad[j] = pad[j], pad[i] }
+	return nil
+}
+
+func (g *sortGather) push(now uint64, r Request) {
+	c := g.c
+	// §4.2 stage-select hysteresis: the bypass engages when the memory
+	// system has been idle for a while (program start, post-blocking-call)
+	// and disengages the moment the MSHR file packs; it re-arms only once
+	// the system drains and stays drained.
+	if c.file.Full() {
+		g.bypassOn = false
+		g.idleSince = ^uint64(0)
+	} else if c.crqLen == 0 && len(g.pending) == 0 && len(c.inflight) == 0 && len(c.retryQ) == 0 {
+		if g.idleSince == ^uint64(0) {
+			g.idleSince = now
+		}
+		rearm := c.cfg.BypassRearmCycles
+		if rearm == 0 {
+			rearm = 2048
+		}
+		if now-g.idleSince >= rearm {
+			g.bypassOn = true
+		}
+	} else {
+		g.idleSince = ^uint64(0)
+	}
+	if c.cfg.Bypass && g.bypassOn && len(g.pending) == 0 && c.crqLen == 0 && len(c.retryQ) == 0 && !c.file.Full() {
+		// Idle coalescer, free MSHRs — skip the sorter entirely.
+		c.stats.Bypassed++
+		c.enqueueSingle(now, r)
+		c.drainCRQ(now)
+		return
+	}
+
+	if len(g.pending) == 0 {
+		g.pendingSince = now
+	}
+	g.pending = append(g.pending, pendingReq{Request: r, pushTick: now})
+	if len(g.pending) >= c.cfg.Width {
+		g.flush(now, flushFull)
+	}
+}
+
+// fence flushes the pending sequence; the fence then monopolizes one
+// pipeline stage (§3.4).
+func (g *sortGather) fence(now uint64) {
+	g.flush(now, flushFence)
+	if g.c.cfg.FirstPhase {
+		if g.sortFree < now {
+			g.sortFree = now
+		}
+		g.sortFree += g.pipe.IntervalCycles()
+	}
+}
+
+func (g *sortGather) expire(now uint64) {
+	if len(g.pending) > 0 && now >= g.pendingSince+g.curTimeout {
+		g.flush(g.pendingSince+g.curTimeout, flushTimeout)
+	}
+}
+
+func (g *sortGather) drain(now uint64) { g.flush(now, flushDrain) }
+
+func (g *sortGather) nextExpiry() uint64 {
+	if len(g.pending) == 0 {
+		return ^uint64(0)
+	}
+	return g.pendingSince + g.curTimeout
+}
+
+func (g *sortGather) buffered() int { return len(g.pending) }
+
+func (g *sortGather) save(st *State) {
+	st.pending = append([]pendingReq(nil), g.pending...)
+	st.pendingSince = g.pendingSince
+	st.sortFree = g.sortFree
+	st.curTimeout = g.curTimeout
+	st.bypassOn = g.bypassOn
+	st.idleSince = g.idleSince
+}
+
+func (g *sortGather) restore(st *State) error {
+	g.pending = append(g.pending[:0], st.pending...)
+	g.pendingSince = st.pendingSince
+	g.sortFree = st.sortFree
+	g.curTimeout = st.curTimeout
+	g.bypassOn = st.bypassOn
+	g.idleSince = st.idleSince
+	return nil
+}
+
+// adaptTimeout folds one sequence's coalescing cost (sorting + DMC cycles)
+// into the adaptive timeout.
+func (g *sortGather) adaptTimeout(cost uint64) {
+	cfg := &g.c.cfg
+	if !cfg.AdaptiveTimeout {
+		return
+	}
+	// EWMA with 1/8 weight, clamped to a sane band around the seed.
+	next := (g.curTimeout*7 + cost) / 8
+	if lo := cfg.TimeoutCycles / 2; next < lo {
+		next = lo
+	}
+	if hi := cfg.TimeoutCycles * 4; next > hi {
+		next = hi
+	}
+	g.curTimeout = next
+}
+
 // flush closes the pending input sequence and runs it through the sorting
 // pipeline and the DMC unit. now is the flush trigger tick; cause is what
 // closed the sequence.
-func (c *Coalescer) flush(now uint64, cause flushCause) {
-	batch := c.pending
+func (g *sortGather) flush(now uint64, cause flushCause) {
+	c := g.c
+	batch := g.pending
 	// The buffer is reused for the next sequence; batch stays valid for the
 	// rest of this flush because nothing can Push before it returns.
-	c.pending = c.pending[:0]
+	g.pending = g.pending[:0]
 	m := len(batch)
 	if m == 0 {
 		return
 	}
-	c.stats.Batches++
-	c.stats.BatchRequests += uint64(m)
-	switch cause {
-	case flushFull:
-		c.stats.FullFlushes++
-	case flushTimeout:
-		c.stats.TimeoutFlushes++
-	case flushFence:
-		c.stats.FenceFlushes++
-	case flushDrain:
-		c.stats.DrainFlushes++
-	}
+	c.stats.countFlush(m, cause)
 
 	// The sequence enters the sorter when its first stage is free; the
 	// pipelined network accepts a new sequence every initiation interval.
 	enter := now
-	if c.sortFree > enter {
-		enter = c.sortFree
+	if g.sortFree > enter {
+		enter = g.sortFree
 	}
-	c.sortFree = enter + c.pipe.IntervalCycles()
+	g.sortFree = enter + g.pipe.IntervalCycles()
 
 	// Sort by the extended 54-bit key (§3.4): Type bit above the address
 	// separates loads from stores; invalid padding sinks to the tail. The
 	// Width-sized working arrays are reused across flushes; stale entries
 	// past m carry pad keys and sink below every real request.
-	keys := c.flushKeys
+	keys := g.flushKeys
 	for i, r := range batch {
 		kind := trace.Load
 		if r.Write {
@@ -62,12 +223,12 @@ func (c *Coalescer) flush(now uint64, cause flushCause) {
 		}
 		keys[i] = uint64(trace.MakeKey(r.Line, kind))
 	}
-	padded := c.flushPad
+	padded := g.flushPad
 	copy(padded, batch)
-	c.net.SortPrefix(keys, m, uint64(trace.InvalidKey()), c.padSwap)
+	g.net.SortPrefix(keys, m, uint64(trace.InvalidKey()), g.padSwap)
 	sorted := padded[:m]
-	sortedAt := enter + c.pipe.LatencyCycles(m)
-	c.stats.SortCycles += c.pipe.LatencyCycles(m)
+	sortedAt := enter + g.pipe.LatencyCycles(m)
+	c.stats.SortCycles += g.pipe.LatencyCycles(m)
 
 	// First-phase coalescing (§3.5): the DMC takes the smallest request as
 	// the base, compares it with the following requests in parallel
@@ -128,7 +289,7 @@ func (c *Coalescer) flush(now uint64, cause flushCause) {
 		i = j
 	}
 	c.stats.DMCCycles += cost
-	c.adaptTimeout(c.pipe.LatencyCycles(m) + cost)
+	g.adaptTimeout(g.pipe.LatencyCycles(m) + cost)
 
 	// Per-request coalescer latency (Figure 14): input-buffer wait plus
 	// sorting plus DMC processing, ending when the packet reaches the CRQ.
@@ -156,13 +317,7 @@ const maxChunks = 3
 func splitPacket(base uint64, length int, out *[maxChunks]chunk) int {
 	n := 0
 	for length > 0 {
-		size := 1
-		switch {
-		case length >= 4:
-			size = 4
-		case length >= 2:
-			size = 2
-		}
+		size := chunkLen(length)
 		out[n] = chunk{base: base, len: size}
 		n++
 		base += uint64(size)
@@ -171,290 +326,14 @@ func splitPacket(base uint64, length int, out *[maxChunks]chunk) int {
 	return n
 }
 
-// enqueuePacket routes a packet into the CRQ. In degraded mode the DMC
-// caps packet size at one cache line: a multi-line packet is split into
-// single-line packets before queuing, trading the coalescing win for a
-// smaller retransmission unit on the errored link.
-func (c *Coalescer) enqueuePacket(now uint64, p packet) {
-	if !c.degraded || p.lines <= 1 {
-		c.enqueueOne(now, p)
-		return
+// chunkLen is the largest legal HMC packet (4, 2 or 1 lines) that fits in
+// a run of length lines.
+func chunkLen(length int) int {
+	switch {
+	case length >= 4:
+		return 4
+	case length >= 2:
+		return 2
 	}
-	c.stats.DegradedSplits++
-	for ln := p.baseLine; ln < p.baseLine+uint64(p.lines); ln++ {
-		var targets []mshr.Target
-		for _, t := range p.targets {
-			if t.Line == ln {
-				if targets == nil {
-					targets = c.getTargets()
-				}
-				targets = append(targets, t)
-			}
-		}
-		if targets == nil {
-			continue // no waiter on this line: nothing to fetch
-		}
-		c.enqueueOne(now, packet{
-			baseLine: ln, lines: 1, write: p.write, targets: targets,
-			ready: p.ready, attempt: p.attempt, cpu: p.cpu, critical: p.critical,
-		})
-	}
-	c.putTargets(p.targets)
-}
-
-// enqueueOne appends a packet to the CRQ and maintains the fill-episode
-// accounting behind Figure 13: an episode measures how long the coalescer
-// takes to supply one CRQ's worth of packets (capacity = number of MSHRs).
-// Better coalescing means fewer packets per batch and therefore a longer
-// fill time — the FT effect discussed in §5.3.3.
-func (c *Coalescer) enqueueOne(now uint64, p packet) {
-	if c.fillCount == 0 {
-		c.fillStart = now
-	}
-	c.crqPush(p)
-	c.stats.Packets++
-	if c.crqLen > c.stats.CRQPeak {
-		c.stats.CRQPeak = c.crqLen
-	}
-	c.fillCount++
-	if c.fillCount >= c.cfg.MSHR.Entries {
-		c.stats.CRQFillCycles += now - c.fillStart
-		c.stats.CRQFills++
-		c.fillCount = 0
-	}
-}
-
-// drainCRQ advances the CRQ head into the MSHRs: second-phase coalescing,
-// entry allocation and memory dispatch. now is the current event tick.
-func (c *Coalescer) drainCRQ(now uint64) {
-	for c.crqLen > 0 {
-		if c.laneBytes != nil && c.crqLen > 1 && !c.crqFront().blocked {
-			c.selectReady(now)
-		}
-		p := c.crqFront()
-		if p.ready > now {
-			return
-		}
-		// The insert happens as soon as both the packet and the MSHR state
-		// allow: not before the packet was ready, not before the entry
-		// release it was blocked on, and never out of FIFO order.
-		t := p.ready
-		if p.blocked && c.freedAt > t {
-			t = c.freedAt
-		}
-		if c.lastIssue > t {
-			t = c.lastIssue
-		}
-		minLine, maxLine := p.targets[0].Line, p.targets[0].Line
-		for _, tg := range p.targets[1:] {
-			if tg.Line < minLine {
-				minLine = tg.Line
-			}
-			if tg.Line > maxLine {
-				maxLine = tg.Line
-			}
-		}
-		out, err := c.file.Insert(minLine, int(maxLine-minLine)+1, p.write, p.targets)
-		if err != nil {
-			// A CRQ packet the file rejects is malformed bookkeeping, not a
-			// recoverable stall: latch the violation and retire the packet so
-			// the event loop can abort instead of spinning on it.
-			if v, ok := invariant.As(err); ok {
-				c.setViol(v)
-			} else {
-				c.setViol(invariant.Violatef(invariant.RuleCRQInsert, now, c.DebugState(),
-					"CRQ packet [line %d, %d lines, write=%v, %d targets] rejected by MSHR file: %v",
-					p.baseLine, p.lines, p.write, len(p.targets), err))
-			}
-			c.crqPop()
-			return
-		}
-		issuedSubs := 0
-		for _, e := range out.Issued {
-			issuedSubs += len(e.Subs())
-		}
-		if out.MergedTargets+issuedSubs+len(out.Unplaced) != len(p.targets) {
-			c.setViol(invariant.Violatef(invariant.RuleTargetConservation, now, c.DebugState(),
-				"%d targets -> %d merged + %d issued + %d unplaced",
-				len(p.targets), out.MergedTargets, issuedSubs, len(out.Unplaced)))
-			c.crqPop()
-			return
-		}
-		for _, e := range out.Issued {
-			c.stats.HMCRequests++
-			res := c.issue(t, e)
-			c.noteIssue(t, res)
-			c.stats.LinkRetryRounds += uint64(res.Retries)
-			if res.Dropped {
-				c.stats.DroppedPackets++
-				res.Done = NeverTick // normalize whatever the callback set
-			} else if res.Fault {
-				c.stats.PoisonedPackets++
-			}
-			if c.laneBytes != nil {
-				c.laneBytes[p.cpu] += uint64(e.Lines()) * uint64(c.cfg.LineBytes)
-			}
-			c.inflight = completionPush(c.inflight, completion{
-				tick: res.Done, entry: e, issuedAt: t, fault: res.Fault, attempt: p.attempt,
-				cpu: p.cpu, critical: p.critical,
-			})
-		}
-		c.lastIssue = t
-		if len(out.Unplaced) > 0 {
-			// Head blocks in FIFO order until an entry frees; the already
-			// placed waiters must not be retried. The unplaced set is a
-			// subset of the packet's own targets, so it fits in place —
-			// copying it frees the file's scratch buffer for the retry.
-			p.targets = append(p.targets[:0], out.Unplaced...)
-			p.blocked = true
-			return
-		}
-		c.crqPop()
-	}
-}
-
-// selectReady implements the heterogeneity-aware issue policy: among the
-// packets already ready at now it rotates the preferred one to the CRQ
-// head, keeping every other packet in FIFO order. With no ready packet, or
-// when the FIFO head already wins, the queue is untouched — so FR-FCFS
-// behavior is the fixed point the policy degrades to under light load.
-func (c *Coalescer) selectReady(now uint64) {
-	mask := len(c.crqBuf) - 1
-	best := -1
-	for i := 0; i < c.crqLen; i++ {
-		p := &c.crqBuf[(c.crqHead+i)&mask]
-		if p.ready > now {
-			continue
-		}
-		if best < 0 || c.schedBetter(p, &c.crqBuf[(c.crqHead+best)&mask]) {
-			best = i
-		}
-	}
-	if best <= 0 {
-		return
-	}
-	sel := c.crqBuf[(c.crqHead+best)&mask]
-	for i := best; i > 0; i-- {
-		c.crqBuf[(c.crqHead+i)&mask] = c.crqBuf[(c.crqHead+i-1)&mask]
-	}
-	c.crqBuf[c.crqHead] = sel
-}
-
-// schedBetter ranks two ready packets under SchedHetero: criticality hints
-// first, then the lane that has issued the fewest bytes — deprioritizing
-// bandwidth hogs — with FIFO order (the earlier packet) winning ties.
-func (c *Coalescer) schedBetter(a, b *packet) bool {
-	if a.critical != b.critical {
-		return a.critical
-	}
-	if ab, bb := c.laneBytes[a.cpu], c.laneBytes[b.cpu]; ab != bb {
-		return ab < bb
-	}
-	return false
-}
-
-// completion pairs an outstanding MSHR entry with its response tick.
-// tick is NeverTick for a dropped response — such completions sink to the
-// bottom of the heap and only the watchdog ever looks at them.
-type completion struct {
-	tick     uint64
-	entry    *mshr.Entry
-	issuedAt uint64 // dispatch tick, for watchdog age ordering
-	fault    bool   // response arrived poisoned
-	attempt  int    // span-level retry attempts already spent
-	cpu      uint8  // issuing lane, carried so retries keep their account
-	critical bool   // criticality hint, carried across retries
-}
-
-// The in-flight min-heap is hand-inlined: container/heap's interface
-// indirection boxes every completion on push and pop, and this runs once
-// per memory request. The sift routines mirror container/heap exactly
-// (left child preferred on ties) so the pop order of same-tick completions
-// is unchanged.
-
-// completionPush inserts x and returns the updated heap slice.
-func completionPush(h []completion, x completion) []completion {
-	h = append(h, x)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[i].tick >= h[p].tick {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-// The retry queue is a min-heap of failed spans ordered by (ready, seq):
-// release time first, failure order as the tie-break, so backed-off
-// retries re-enter the CRQ in a deterministic total order.
-
-func retryLess(a, b *packet) bool {
-	if a.ready != b.ready {
-		return a.ready < b.ready
-	}
-	return a.seq < b.seq
-}
-
-// retryPush inserts x and returns the updated heap slice.
-func retryPush(h []packet, x packet) []packet {
-	h = append(h, x)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !retryLess(&h[i], &h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-// retryPop removes the minimum packet, returning the shrunk slice and the
-// removed item.
-func retryPop(h []packet) ([]packet, packet) {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	item := h[n]
-	h = h[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && retryLess(&h[r], &h[j]) {
-			j = r
-		}
-		if !retryLess(&h[j], &h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return h, item
-}
-
-// completionPop removes the minimum completion, returning the shrunk slice
-// and the removed item.
-func completionPop(h []completion) ([]completion, completion) {
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	item := h[n]
-	h = h[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].tick < h[j].tick {
-			j = r
-		}
-		if h[j].tick >= h[i].tick {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return h, item
+	return 1
 }

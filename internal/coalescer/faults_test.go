@@ -19,13 +19,13 @@ type faultHarness struct {
 	faulted   map[uint64]bool
 }
 
-func newFaultHarness(t *testing.T, cfg Config, verdicts []IssueResult) *faultHarness {
+func newFaultHarness(t *testing.T, kind Kind, cfg Config, verdicts []IssueResult) *faultHarness {
 	t.Helper()
 	h := &faultHarness{
 		latency: 400, verdicts: verdicts,
 		completed: map[uint64]uint64{}, faulted: map[uint64]bool{},
 	}
-	c, err := New(cfg,
+	c, err := New(cfg, kind, SchedFRFCFS, testLanes,
 		func(tick uint64, e *mshr.Entry) IssueResult {
 			n := len(h.issues)
 			h.issues = append(h.issues, issueRecord{tick, e.BaseLine(), e.Lines(), e.Write()})
@@ -59,98 +59,104 @@ func newFaultHarness(t *testing.T, cfg Config, verdicts []IssueResult) *faultHar
 // the re-issue succeeds. The waiter completes exactly once, without the
 // error bit, after the backoff.
 func TestPoisonedPacketRetriesAndSucceeds(t *testing.T) {
-	h := newFaultHarness(t, noBypass(), []IssueResult{{Fault: true}})
-	h.c.Push(0, Request{Line: 5, Payload: 16, Token: 1})
-	idle, err := h.c.Drain(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.issues) != 2 {
-		t.Fatalf("%d dispatches, want 2 (original + retry)", len(h.issues))
-	}
-	if h.issues[1].baseLine != 5 || h.issues[1].lines != 1 {
-		t.Fatalf("retry dispatched wrong span: %+v", h.issues[1])
-	}
-	tick, ok := h.completed[1]
-	if !ok {
-		t.Fatal("waiter never completed")
-	}
-	if h.faulted[1] {
-		t.Fatal("successful retry still delivered the error bit")
-	}
-	// The retry waits out the poisoned response (latency) plus the backoff
-	// before its own full round trip.
-	s := h.c.Stats()
-	if tick < h.latency+s.RetryBackoffCycles {
-		t.Fatalf("completion at %d is too early for a backed-off retry", tick)
-	}
-	if s.PoisonedPackets != 1 || s.RetriedPackets != 1 || s.FailedTargets != 0 {
-		t.Fatalf("stats %+v: want 1 poisoned, 1 retried, 0 failed", s)
-	}
-	if idle < tick {
-		t.Fatalf("idle tick %d before the last completion %d", idle, tick)
-	}
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		h := newFaultHarness(t, kind, noBypass(), []IssueResult{{Fault: true}})
+		h.c.Push(0, Request{Line: 5, Payload: 16, Token: 1})
+		idle, err := h.c.Drain(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(h.issues) != 2 {
+			t.Fatalf("%d dispatches, want 2 (original + retry)", len(h.issues))
+		}
+		if h.issues[1].baseLine != 5 || h.issues[1].lines != 1 {
+			t.Fatalf("retry dispatched wrong span: %+v", h.issues[1])
+		}
+		tick, ok := h.completed[1]
+		if !ok {
+			t.Fatal("waiter never completed")
+		}
+		if h.faulted[1] {
+			t.Fatal("successful retry still delivered the error bit")
+		}
+		// The retry waits out the poisoned response (latency) plus the backoff
+		// before its own full round trip.
+		s := h.c.Stats()
+		if tick < h.latency+s.RetryBackoffCycles {
+			t.Fatalf("completion at %d is too early for a backed-off retry", tick)
+		}
+		if s.PoisonedPackets != 1 || s.RetriedPackets != 1 || s.FailedTargets != 0 {
+			t.Fatalf("stats %+v: want 1 poisoned, 1 retried, 0 failed", s)
+		}
+		if idle < tick {
+			t.Fatalf("idle tick %d before the last completion %d", idle, tick)
+		}
+	})
 }
 
 // TestRetryExhaustionDeliversError: a span that fails every re-issue
 // completes its waiters with the error bit instead of looping forever.
 func TestRetryExhaustionDeliversError(t *testing.T) {
-	cfg := noBypass()
-	cfg.MaxPacketRetries = 3
-	// Enough poison verdicts to outlast the budget.
-	verdicts := make([]IssueResult, 10)
-	for i := range verdicts {
-		verdicts[i] = IssueResult{Fault: true}
-	}
-	h := newFaultHarness(t, cfg, verdicts)
-	h.c.Push(0, Request{Line: 9, Payload: 16, Token: 7})
-	if _, err := h.c.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.issues) != 4 {
-		t.Fatalf("%d dispatches, want 4 (original + 3 retries)", len(h.issues))
-	}
-	if !h.faulted[7] {
-		t.Fatal("exhausted span did not deliver the error bit")
-	}
-	s := h.c.Stats()
-	if s.FailedTargets != 1 {
-		t.Fatalf("FailedTargets = %d, want 1", s.FailedTargets)
-	}
-	if s.RetriedPackets != 3 {
-		t.Fatalf("RetriedPackets = %d, want 3", s.RetriedPackets)
-	}
-	// Backoff must grow: total backoff 64+128+256 with the defaults.
-	if s.RetryBackoffCycles != 64+128+256 {
-		t.Fatalf("RetryBackoffCycles = %d, want %d", s.RetryBackoffCycles, 64+128+256)
-	}
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		cfg := noBypass()
+		cfg.MaxPacketRetries = 3
+		// Enough poison verdicts to outlast the budget.
+		verdicts := make([]IssueResult, 10)
+		for i := range verdicts {
+			verdicts[i] = IssueResult{Fault: true}
+		}
+		h := newFaultHarness(t, kind, cfg, verdicts)
+		h.c.Push(0, Request{Line: 9, Payload: 16, Token: 7})
+		if _, err := h.c.Drain(10); err != nil {
+			t.Fatal(err)
+		}
+		if len(h.issues) != 4 {
+			t.Fatalf("%d dispatches, want 4 (original + 3 retries)", len(h.issues))
+		}
+		if !h.faulted[7] {
+			t.Fatal("exhausted span did not deliver the error bit")
+		}
+		s := h.c.Stats()
+		if s.FailedTargets != 1 {
+			t.Fatalf("FailedTargets = %d, want 1", s.FailedTargets)
+		}
+		if s.RetriedPackets != 3 {
+			t.Fatalf("RetriedPackets = %d, want 3", s.RetriedPackets)
+		}
+		// Backoff must grow: total backoff 64+128+256 with the defaults.
+		if s.RetryBackoffCycles != 64+128+256 {
+			t.Fatalf("RetryBackoffCycles = %d, want %d", s.RetryBackoffCycles, 64+128+256)
+		}
+	})
 }
 
 // TestRetryPreservesAllWaiters: a poisoned 4-line coalesced packet with
 // several waiters re-issues the whole span; every token completes once.
 func TestRetryPreservesAllWaiters(t *testing.T) {
-	h := newFaultHarness(t, noBypass(), []IssueResult{{Fault: true}})
-	for i := uint64(0); i < 4; i++ {
-		h.c.Push(0, Request{Line: i, Payload: 16, Token: 100 + i})
-	}
-	h.c.Advance(200) // timeout-flush the partial batch
-	if _, err := h.c.Drain(300); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 4; i++ {
-		if _, ok := h.completed[100+i]; !ok {
-			t.Fatalf("token %d lost across the retry", 100+i)
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		h := newFaultHarness(t, kind, noBypass(), []IssueResult{{Fault: true}})
+		for i := uint64(0); i < 4; i++ {
+			h.c.Push(0, Request{Line: i, Payload: 16, Token: 100 + i})
 		}
-		if h.faulted[100+i] {
-			t.Fatalf("token %d delivered with error after a successful retry", 100+i)
+		h.c.Advance(200) // timeout-flush the partial batch
+		if _, err := h.c.Drain(300); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(h.issues) != 2 {
-		t.Fatalf("%d dispatches, want 2", len(h.issues))
-	}
-	if h.issues[1].lines != 4 {
-		t.Fatalf("retry split the span: %+v", h.issues[1])
-	}
+		for i := uint64(0); i < 4; i++ {
+			if _, ok := h.completed[100+i]; !ok {
+				t.Fatalf("token %d lost across the retry", 100+i)
+			}
+			if h.faulted[100+i] {
+				t.Fatalf("token %d delivered with error after a successful retry", 100+i)
+			}
+		}
+		if len(h.issues) != 2 {
+			t.Fatalf("%d dispatches, want 2", len(h.issues))
+		}
+		if h.issues[1].lines != 4 {
+			t.Fatalf("retry split the span: %+v", h.issues[1])
+		}
+	})
 }
 
 // TestDegradedModeCapsPacketSize: a run of errored issues pushes the
@@ -158,154 +164,162 @@ func TestRetryPreservesAllWaiters(t *testing.T) {
 // are split to one line, and the mode exits (recording its duration) once
 // the errors stop.
 func TestDegradedModeCapsPacketSize(t *testing.T) {
-	cfg := noBypass()
-	cfg.DegradeWindow = 8
-	cfg.DegradeThreshold = 0.5
-	// First 4 issues are retried-but-successful: they errored on the link
-	// (Retries > 0) without poisoning, so they trip the window without
-	// triggering span retries.
-	verdicts := make([]IssueResult, 4)
-	for i := range verdicts {
-		verdicts[i] = IssueResult{Retries: 1}
-	}
-	h := newFaultHarness(t, cfg, verdicts)
-
-	// 4 single-line pushes spread over distinct blocks: 4 issues, all
-	// errored → 4/8 ≥ 0.5 → degraded.
-	tick := uint64(0)
-	for i := uint64(0); i < 4; i++ {
-		h.c.Push(tick, Request{Line: i * 64, Payload: 16, Token: i})
-		tick += 100
-		h.c.Advance(tick)
-	}
-	h.c.Advance(tick + 1000)
-	if !h.c.Degraded() {
-		t.Fatalf("4/8 errored issues did not degrade (stats %+v)", h.c.Stats())
-	}
-
-	// A full contiguous 16-line batch while degraded: normally 4×4-line
-	// packets, now 16 single-line packets.
-	before := len(h.issues)
-	for i := uint64(0); i < 16; i++ {
-		h.c.Push(tick, Request{Line: 1000 + i, Payload: 16, Token: 100 + i})
-	}
-	if _, err := h.c.Drain(tick + 10); err != nil {
-		t.Fatal(err)
-	}
-	degradedIssues := h.issues[before:]
-	for _, is := range degradedIssues {
-		if is.lines != 1 {
-			t.Fatalf("degraded mode issued a %d-line packet: %+v", is.lines, is)
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		cfg := noBypass()
+		cfg.DegradeWindow = 8
+		cfg.DegradeThreshold = 0.5
+		// First 4 issues are retried-but-successful: they errored on the link
+		// (Retries > 0) without poisoning, so they trip the window without
+		// triggering span retries.
+		verdicts := make([]IssueResult, 4)
+		for i := range verdicts {
+			verdicts[i] = IssueResult{Retries: 1}
 		}
-	}
-	if len(degradedIssues) != 16 {
-		t.Fatalf("%d degraded dispatches, want 16", len(degradedIssues))
-	}
-	s := h.c.Stats()
-	if s.DegradedSplits == 0 {
-		t.Fatal("no degraded splits recorded")
-	}
-	if s.DegradedEntries != 1 {
-		t.Fatalf("DegradedEntries = %d, want 1", s.DegradedEntries)
-	}
-	// 16 clean issues flushed the window: degraded mode must have exited
-	// with its duration accounted.
-	if h.c.Degraded() {
-		t.Fatal("16 clean issues did not clear degraded mode")
-	}
-	if s.DegradedCycles == 0 {
-		t.Fatal("time spent degraded not recorded")
-	}
-	// All waiters still complete cleanly.
-	for i := uint64(0); i < 16; i++ {
-		if _, ok := h.completed[100+i]; !ok {
-			t.Fatalf("token %d lost in degraded mode", 100+i)
+		h := newFaultHarness(t, kind, cfg, verdicts)
+
+		// 4 single-line pushes spread over distinct blocks: 4 issues, all
+		// errored → 4/8 ≥ 0.5 → degraded.
+		tick := uint64(0)
+		for i := uint64(0); i < 4; i++ {
+			h.c.Push(tick, Request{Line: i * 64, Payload: 16, Token: i})
+			tick += 100
+			h.c.Advance(tick)
 		}
-	}
+		h.c.Advance(tick + 1000)
+		if !h.c.Degraded() {
+			t.Fatalf("4/8 errored issues did not degrade (stats %+v)", h.c.Stats())
+		}
+
+		// A full contiguous 16-line batch while degraded: normally 4×4-line
+		// packets, now 16 single-line packets.
+		before := len(h.issues)
+		for i := uint64(0); i < 16; i++ {
+			h.c.Push(tick, Request{Line: 1000 + i, Payload: 16, Token: 100 + i})
+		}
+		if _, err := h.c.Drain(tick + 10); err != nil {
+			t.Fatal(err)
+		}
+		degradedIssues := h.issues[before:]
+		for _, is := range degradedIssues {
+			if is.lines != 1 {
+				t.Fatalf("degraded mode issued a %d-line packet: %+v", is.lines, is)
+			}
+		}
+		if len(degradedIssues) != 16 {
+			t.Fatalf("%d degraded dispatches, want 16", len(degradedIssues))
+		}
+		s := h.c.Stats()
+		if s.DegradedSplits == 0 {
+			t.Fatal("no degraded splits recorded")
+		}
+		if s.DegradedEntries != 1 {
+			t.Fatalf("DegradedEntries = %d, want 1", s.DegradedEntries)
+		}
+		// 16 clean issues flushed the window: degraded mode must have exited
+		// with its duration accounted.
+		if h.c.Degraded() {
+			t.Fatal("16 clean issues did not clear degraded mode")
+		}
+		if s.DegradedCycles == 0 {
+			t.Fatal("time spent degraded not recorded")
+		}
+		// All waiters still complete cleanly.
+		for i := uint64(0); i < 16; i++ {
+			if _, ok := h.completed[100+i]; !ok {
+				t.Fatalf("token %d lost in degraded mode", 100+i)
+			}
+		}
+	})
 }
 
 // TestDroppedResponseWatchdog: a response that never arrives must turn
 // Drain into a deterministic watchdog error, not a hang or a panic.
 func TestDroppedResponseWatchdog(t *testing.T) {
-	run := func() (string, Stats) {
-		h := newFaultHarness(t, noBypass(), []IssueResult{{Dropped: true}})
-		h.c.Push(0, Request{Line: 42, Payload: 16, Token: 3})
-		_, err := h.c.Drain(10)
-		if err == nil {
-			t.Fatal("Drain returned no error for a dropped response")
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		run := func() (string, Stats) {
+			h := newFaultHarness(t, kind, noBypass(), []IssueResult{{Dropped: true}})
+			h.c.Push(0, Request{Line: 42, Payload: 16, Token: 3})
+			_, err := h.c.Drain(10)
+			if err == nil {
+				t.Fatal("Drain returned no error for a dropped response")
+			}
+			return err.Error(), h.c.Stats()
 		}
-		return err.Error(), h.c.Stats()
-	}
-	msg1, stats := run()
-	msg2, _ := run()
-	if msg1 != msg2 {
-		t.Fatalf("watchdog message unstable:\n%s\n%s", msg1, msg2)
-	}
-	for _, want := range []string{"watchdog", "line 42", "1 waiters", "MSHR entry 0"} {
-		if !strings.Contains(msg1, want) {
-			t.Errorf("watchdog message %q missing %q", msg1, want)
+		msg1, stats := run()
+		msg2, _ := run()
+		if msg1 != msg2 {
+			t.Fatalf("watchdog message unstable:\n%s\n%s", msg1, msg2)
 		}
-	}
-	if stats.DroppedPackets != 1 {
-		t.Fatalf("DroppedPackets = %d, want 1", stats.DroppedPackets)
-	}
-	// The waiter is stranded by design — the sim layer reports it — but
-	// the watchdog must know about it.
-	if w, ok := func() (WatchdogInfo, bool) {
-		h := newFaultHarness(t, noBypass(), []IssueResult{{Dropped: true}})
-		h.c.Push(0, Request{Line: 42, Payload: 16, Token: 3})
-		h.c.Drain(10) // dispatches the packet, then reports the drop
-		return h.c.Watchdog()
-	}(); !ok || w.Dropped != 1 || w.Line != 42 {
-		t.Fatalf("Watchdog() = %+v, %v", w, ok)
-	}
+		for _, want := range []string{"watchdog", "line 42", "1 waiters", "MSHR entry 0"} {
+			if !strings.Contains(msg1, want) {
+				t.Errorf("watchdog message %q missing %q", msg1, want)
+			}
+		}
+		if stats.DroppedPackets != 1 {
+			t.Fatalf("DroppedPackets = %d, want 1", stats.DroppedPackets)
+		}
+		// The waiter is stranded by design — the sim layer reports it — but
+		// the watchdog must know about it.
+		if w, ok := func() (WatchdogInfo, bool) {
+			h := newFaultHarness(t, kind, noBypass(), []IssueResult{{Dropped: true}})
+			h.c.Push(0, Request{Line: 42, Payload: 16, Token: 3})
+			h.c.Drain(10) // dispatches the packet, then reports the drop
+			return h.c.Watchdog()
+		}(); !ok || w.Dropped != 1 || w.Line != 42 {
+			t.Fatalf("Watchdog() = %+v, %v", w, ok)
+		}
+	})
 }
 
 // TestWatchdogPicksOldestDrop: with several dropped responses, the
 // diagnostic names the earliest-issued one.
 func TestWatchdogPicksOldestDrop(t *testing.T) {
-	h := newFaultHarness(t, noBypass(), []IssueResult{{Dropped: true}, {Dropped: true}})
-	h.c.Push(0, Request{Line: 7, Payload: 16, Token: 1})
-	h.c.Advance(50)
-	h.c.Push(60, Request{Line: 300, Payload: 16, Token: 2})
-	_, err := h.c.Drain(100)
-	if err == nil {
-		t.Fatal("no watchdog error")
-	}
-	if !strings.Contains(err.Error(), "2 response(s)") {
-		t.Errorf("drop count missing: %s", err)
-	}
-	if !strings.Contains(err.Error(), "line 7") {
-		t.Errorf("oldest drop (line 7) not named: %s", err)
-	}
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		h := newFaultHarness(t, kind, noBypass(), []IssueResult{{Dropped: true}, {Dropped: true}})
+		h.c.Push(0, Request{Line: 7, Payload: 16, Token: 1})
+		h.c.Advance(50)
+		h.c.Push(60, Request{Line: 300, Payload: 16, Token: 2})
+		_, err := h.c.Drain(100)
+		if err == nil {
+			t.Fatal("no watchdog error")
+		}
+		if !strings.Contains(err.Error(), "2 response(s)") {
+			t.Errorf("drop count missing: %s", err)
+		}
+		if !strings.Contains(err.Error(), "line 7") {
+			t.Errorf("oldest drop (line 7) not named: %s", err)
+		}
+	})
 }
 
 // TestRetryQueueDeterministicOrder: same-tick retries release in failure
 // order, so a fault-heavy run replays identically.
 func TestRetryQueueDeterministicOrder(t *testing.T) {
-	run := func() []issueRecord {
-		cfg := noBypass()
-		verdicts := []IssueResult{{Fault: true}, {Fault: true}, {Fault: true}, {Fault: true}}
-		h := newFaultHarness(t, cfg, verdicts)
-		// Four single-line packets in distinct blocks issued back to back;
-		// all four poison at once and re-enter through the retry queue.
-		for i := uint64(0); i < 4; i++ {
-			h.c.Push(0, Request{Line: i * 64, Payload: 16, Token: i})
+	forEachGather(t, func(t *testing.T, kind Kind) {
+		run := func() []issueRecord {
+			cfg := noBypass()
+			verdicts := []IssueResult{{Fault: true}, {Fault: true}, {Fault: true}, {Fault: true}}
+			h := newFaultHarness(t, kind, cfg, verdicts)
+			// Four single-line packets in distinct blocks issued back to back;
+			// all four poison at once and re-enter through the retry queue.
+			for i := uint64(0); i < 4; i++ {
+				h.c.Push(0, Request{Line: i * 64, Payload: 16, Token: i})
+			}
+			if _, err := h.c.Drain(10); err != nil {
+				t.Fatal(err)
+			}
+			return h.issues
 		}
-		if _, err := h.c.Drain(10); err != nil {
-			t.Fatal(err)
+		a, b := run(), run()
+		if len(a) != len(b) {
+			t.Fatalf("dispatch counts differ: %d vs %d", len(a), len(b))
 		}
-		return h.issues
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("dispatch counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("dispatch %d differs: %+v vs %+v", i, a[i], b[i])
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("dispatch %d differs: %+v vs %+v", i, a[i], b[i])
+			}
 		}
-	}
+	})
 }
 
 func TestConfigValidate(t *testing.T) {

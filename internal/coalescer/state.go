@@ -6,21 +6,6 @@ import (
 	"hmccoal/internal/mshr"
 )
 
-// packetState is one captured CRQ or retry-queue packet. Targets are
-// deep-copied; the target-slice pool is working storage and not captured.
-type packetState struct {
-	baseLine uint64
-	lines    int
-	write    bool
-	targets  []mshr.Target
-	ready    uint64
-	blocked  bool
-	attempt  int
-	seq      uint64
-	cpu      uint8
-	critical bool
-}
-
 // completionState is one captured in-flight completion. The MSHR entry
 // pointer is stored as its stable index and re-pointed on restore.
 type completionState struct {
@@ -34,25 +19,33 @@ type completionState struct {
 }
 
 // State is an opaque deep copy of the coalescer's mutable state: the
-// pending input buffer, the CRQ (linearized to FIFO order), the in-flight
-// and retry heaps (verbatim array order, so tie-breaking after a restore
-// matches the uninterrupted run exactly), the MSHR file, the bypass and
-// degraded-mode machinery and every statistic.
+// gather stage's buffers (the two-phase input buffer and its sorter,
+// bypass and timeout state, or the warp lane buffers), the CRQ
+// (linearized to FIFO order), the in-flight and retry heaps (verbatim
+// array order, so tie-breaking after a restore matches the uninterrupted
+// run exactly), the MSHR file, the degraded-mode machinery and every
+// statistic. It restores only into a coalescer of the same kind.
 type State struct {
+	kind Kind
+
+	// Two-phase gather.
 	pending      []pendingReq
 	pendingSince uint64
 	sortFree     uint64
 	curTimeout   uint64
+	bypassOn     bool
+	idleSince    uint64
 
-	crq      []packetState // FIFO order, head first
+	// Warp gather.
+	lanes []warpLane
+
+	crq      []packet // FIFO order, head first; targets deep-copied
 	inflight []completionState
-	retryQ   []packetState
+	retryQ   []packet
 
 	freedAt     uint64
 	lastIssue   uint64
 	lastAdvance uint64
-	bypassOn    bool
-	idleSince   uint64
 	fillStart   uint64
 	fillCount   int
 	stats       Stats
@@ -69,34 +62,11 @@ type State struct {
 	file *mshr.FileState
 }
 
-func savePacket(p *packet) packetState {
-	return packetState{
-		baseLine: p.baseLine,
-		lines:    p.lines,
-		write:    p.write,
-		targets:  append([]mshr.Target(nil), p.targets...),
-		ready:    p.ready,
-		blocked:  p.blocked,
-		attempt:  p.attempt,
-		seq:      p.seq,
-		cpu:      p.cpu,
-		critical: p.critical,
-	}
-}
-
-func restorePacket(st *packetState) packet {
-	return packet{
-		baseLine: st.baseLine,
-		lines:    st.lines,
-		write:    st.write,
-		targets:  append([]mshr.Target(nil), st.targets...),
-		ready:    st.ready,
-		blocked:  st.blocked,
-		attempt:  st.attempt,
-		seq:      st.seq,
-		cpu:      st.cpu,
-		critical: st.critical,
-	}
+// clonePacket deep-copies a packet's targets; the target-slice pool is
+// working storage and not captured.
+func clonePacket(p packet) packet {
+	p.targets = append([]mshr.Target(nil), p.targets...)
+	return p
 }
 
 // SaveState deep-copies the coalescer's mutable state. It refuses to
@@ -107,28 +77,24 @@ func (c *Coalescer) SaveState() (*State, error) {
 		return nil, fmt.Errorf("coalescer: cannot snapshot after violation: %w", c.viol)
 	}
 	st := &State{
-		pending:      append([]pendingReq(nil), c.pending...),
-		pendingSince: c.pendingSince,
-		sortFree:     c.sortFree,
-		curTimeout:   c.curTimeout,
-		freedAt:      c.freedAt,
-		lastIssue:    c.lastIssue,
-		lastAdvance:  c.lastAdvance,
-		bypassOn:     c.bypassOn,
-		idleSince:    c.idleSince,
-		fillStart:    c.fillStart,
-		fillCount:    c.fillCount,
-		stats:        c.stats,
-		retrySeq:     c.retrySeq,
-		faultPos:     c.faultPos,
-		faultCnt:     c.faultCnt,
-		degraded:     c.degraded,
-		degradedAt:   c.degradedAt,
-		file:         c.file.SaveState(),
+		kind:        c.kind,
+		freedAt:     c.freedAt,
+		lastIssue:   c.lastIssue,
+		lastAdvance: c.lastAdvance,
+		fillStart:   c.fillStart,
+		fillCount:   c.fillCount,
+		stats:       c.stats,
+		retrySeq:    c.retrySeq,
+		faultPos:    c.faultPos,
+		faultCnt:    c.faultCnt,
+		degraded:    c.degraded,
+		degradedAt:  c.degradedAt,
+		file:        c.file.SaveState(),
 	}
-	st.crq = make([]packetState, c.crqLen)
+	c.gather.save(st)
+	st.crq = make([]packet, c.crqLen)
 	for i := 0; i < c.crqLen; i++ {
-		st.crq[i] = savePacket(&c.crqBuf[(c.crqHead+i)&(len(c.crqBuf)-1)])
+		st.crq[i] = clonePacket(c.crqBuf[(c.crqHead+i)&(len(c.crqBuf)-1)])
 	}
 	st.inflight = make([]completionState, len(c.inflight))
 	for i := range c.inflight {
@@ -142,9 +108,9 @@ func (c *Coalescer) SaveState() (*State, error) {
 			critical:   c.inflight[i].critical,
 		}
 	}
-	st.retryQ = make([]packetState, len(c.retryQ))
+	st.retryQ = make([]packet, len(c.retryQ))
 	for i := range c.retryQ {
-		st.retryQ[i] = savePacket(&c.retryQ[i])
+		st.retryQ[i] = clonePacket(c.retryQ[i])
 	}
 	if c.faultWin != nil {
 		st.faultWin = append([]bool(nil), c.faultWin...)
@@ -156,21 +122,24 @@ func (c *Coalescer) SaveState() (*State, error) {
 }
 
 // RestoreState replays a snapshot into the coalescer, which must have been
-// built from the same configuration (and callbacks bound to the restored
-// system). The CRQ is re-laid-out from index 0 — FIFO content, not ring
-// phase, is the state — while both heaps are restored in verbatim array
-// order so future pops break ties exactly as the snapshotted run would.
+// built from the same configuration and kind (and callbacks bound to the
+// restored system). The CRQ is re-laid-out from index 0 — FIFO content,
+// not ring phase, is the state — while both heaps are restored in verbatim
+// array order so future pops break ties exactly as the snapshotted run
+// would.
 func (c *Coalescer) RestoreState(st *State) error {
 	if c.viol != nil {
 		return fmt.Errorf("coalescer: cannot restore after violation: %w", c.viol)
 	}
+	if st.kind != c.kind {
+		return fmt.Errorf("coalescer: %v snapshot restored into %v coalescer", st.kind, c.kind)
+	}
+	if err := c.gather.restore(st); err != nil {
+		return err
+	}
 	if err := c.file.RestoreState(st.file); err != nil {
 		return err
 	}
-	c.pending = append(c.pending[:0], st.pending...)
-	c.pendingSince = st.pendingSince
-	c.sortFree = st.sortFree
-	c.curTimeout = st.curTimeout
 	need := len(c.crqBuf)
 	if need == 0 && len(st.crq) > 0 {
 		need = 16 // matches crqPush's initial allocation
@@ -185,7 +154,7 @@ func (c *Coalescer) RestoreState(st *State) error {
 		c.crqBuf[i] = packet{}
 	}
 	for i := range st.crq {
-		c.crqBuf[i] = restorePacket(&st.crq[i])
+		c.crqBuf[i] = clonePacket(st.crq[i])
 	}
 	c.crqHead = 0
 	c.crqLen = len(st.crq)
@@ -203,13 +172,11 @@ func (c *Coalescer) RestoreState(st *State) error {
 	}
 	c.retryQ = c.retryQ[:0]
 	for i := range st.retryQ {
-		c.retryQ = append(c.retryQ, restorePacket(&st.retryQ[i]))
+		c.retryQ = append(c.retryQ, clonePacket(st.retryQ[i]))
 	}
 	c.freedAt = st.freedAt
 	c.lastIssue = st.lastIssue
 	c.lastAdvance = st.lastAdvance
-	c.bypassOn = st.bypassOn
-	c.idleSince = st.idleSince
 	c.fillStart = st.fillStart
 	c.fillCount = st.fillCount
 	c.stats = st.stats

@@ -2,6 +2,7 @@ package jobserv
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -492,30 +493,44 @@ func TestRecoveredDoneJobsAreNotRerun(t *testing.T) {
 }
 
 func TestLedgerTornLineRecovery(t *testing.T) {
-	dir := t.TempDir()
-	d1 := newTestDaemon(t, Options{Dir: dir, exec: instantExec})
-	id := mustSubmit(t, d1, "a", 0, singleSpec())
-	d1.WaitJob(id, 10*time.Second)
-	if err := d1.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	// Simulate a crash mid-append: a torn trailing half-line.
-	path := filepath.Join(dir, "ledger.jsonl")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Each case appends one bad line after a clean ledger: a write torn by
+	// a crash mid-append, or a well-formed submit longer than replay's
+	// line cap. Either is skipped and the daemon restarts.
+	spec := singleSpec()
+	oversized, err := json.Marshal(event{Type: evSubmit, ID: "j-9", Tenant: strings.Repeat("x", maxLedgerLine), Spec: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"type":"submit","id":"j-9`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, tc := range []struct{ name, line string }{
+		{"torn", `{"type":"submit","id":"j-9`},
+		{"oversized", string(oversized) + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d1 := newTestDaemon(t, Options{Dir: dir, exec: instantExec})
+			id := mustSubmit(t, d1, "a", 0, singleSpec())
+			d1.WaitJob(id, 10*time.Second)
+			if err := d1.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
 
-	d2 := newTestDaemon(t, Options{Dir: dir, exec: instantExec})
-	if v, ok := d2.Get(id); !ok || v.State != StateDone {
-		t.Fatalf("job after torn-line recovery: %+v (ok=%v)", v, ok)
-	}
-	if n := len(d2.List("")); n != 1 {
-		t.Fatalf("torn line materialized a job: %d jobs, want 1", n)
+			path := filepath.Join(dir, "ledger.jsonl")
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tc.line); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+
+			d2 := newTestDaemon(t, Options{Dir: dir, exec: instantExec})
+			if v, ok := d2.Get(id); !ok || v.State != StateDone {
+				t.Fatalf("job after bad-line recovery: %+v (ok=%v)", v, ok)
+			}
+			if n := len(d2.List("")); n != 1 {
+				t.Fatalf("bad line materialized a job: %d jobs, want 1", n)
+			}
+		})
 	}
 }

@@ -82,10 +82,15 @@ func (l *ledger) close() error {
 	return l.f.Close()
 }
 
+// maxLedgerLine is the longest event line replay decodes.
+const maxLedgerLine = 1 << 24
+
 // replayLedger reads every decodable event from path, in order. Unparsable
 // lines are skipped: the only way one arises from this code is a write
 // torn by a crash, and the fsync-before-act discipline guarantees nothing
-// observable depended on a torn line.
+// observable depended on a torn line. A line longer than maxLedgerLine is
+// skipped the same way, so one bad line can never stop the daemon from
+// restarting.
 func replayLedger(path string) ([]event, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -96,19 +101,32 @@ func replayLedger(path string) ([]event, error) {
 	}
 	defer f.Close()
 	var evs []event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		var ev event
-		if json.Unmarshal(sc.Bytes(), &ev) != nil || ev.Type == "" || ev.ID == "" {
-			continue // torn or foreign line
+	r := bufio.NewReaderSize(f, 1<<16)
+	var line []byte
+	tooLong := false
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if !tooLong && len(line)+len(chunk) > maxLedgerLine {
+			tooLong, line = true, line[:0]
 		}
-		evs = append(evs, ev)
+		if !tooLong {
+			line = append(line, chunk...)
+		}
+		if errors.Is(err, bufio.ErrBufferFull) {
+			continue // the line goes on past the read buffer
+		}
+		var ev event
+		if !tooLong && json.Unmarshal(line, &ev) == nil && ev.Type != "" && ev.ID != "" {
+			evs = append(evs, ev)
+		} // else: torn, foreign or oversized line
+		line, tooLong = line[:0], false
+		if errors.Is(err, io.EOF) {
+			return evs, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("jobserv: ledger replay: %w", err)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("jobserv: ledger replay: %w", err)
-	}
-	return evs, nil
 }
 
 // openDurableAppend opens path for appending, creating a missing file via

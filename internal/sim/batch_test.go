@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/frontend"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/trace"
 )
@@ -87,8 +87,8 @@ func TestRunBatchFrontendMatrix(t *testing.T) {
 
 	var jobs []BatchJob
 	var want []Result
-	for _, fe := range []frontend.Kind{frontend.KindTwoPhase, frontend.KindWarp} {
-		for _, sched := range []frontend.SchedKind{frontend.SchedFRFCFS, frontend.SchedHetero} {
+	for _, fe := range []coalescer.Kind{coalescer.KindTwoPhase, coalescer.KindWarp} {
+		for _, sched := range []coalescer.Sched{coalescer.SchedFRFCFS, coalescer.SchedHetero} {
 			for _, kind := range []membackend.Kind{membackend.KindHMC, membackend.KindDDR, membackend.KindIdeal} {
 				cfg := DefaultConfig()
 				cfg.Frontend = fe
@@ -244,8 +244,8 @@ func TestSystemReset(t *testing.T) {
 	// Recycling across front-end kinds: a lane that ran two-phase must
 	// rebuild as a clean warp/hetero system, and back again.
 	cfg4 := DefaultConfig()
-	cfg4.Frontend = frontend.KindWarp
-	cfg4.Sched = frontend.SchedHetero
+	cfg4.Frontend = coalescer.KindWarp
+	cfg4.Sched = coalescer.SchedHetero
 	if err := s.Reset(cfg4); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 
 	"hmccoal/internal/cache"
 	"hmccoal/internal/coalescer"
-	"hmccoal/internal/frontend"
 	"hmccoal/internal/hmc"
 	"hmccoal/internal/invariant"
 	"hmccoal/internal/membackend"
@@ -78,8 +77,8 @@ type Config struct {
 	// coalescing unit. Sched selects the issue policy inside the
 	// front-end: strict FR-FCFS (the zero value) or the
 	// heterogeneity-aware scheduler.
-	Frontend frontend.Kind
-	Sched    frontend.SchedKind
+	Frontend coalescer.Kind
+	Sched    coalescer.Sched
 	// Checks enables the runtime invariant checker across every layer
 	// (token ledger, MSHR leak audit, device byte conservation, clock
 	// monotonicity). Off by default: the checked quantities are identical
@@ -235,7 +234,7 @@ type System struct {
 	cfg       Config
 	hierarchy *cache.Hierarchy
 	device    membackend.Backend
-	coal      frontend.Frontend
+	coal      *coalescer.Coalescer
 
 	outstanding []int    // demand misses in flight per CPU
 	nextToken   uint64   // demand-miss token allocator
@@ -346,13 +345,7 @@ func (s *System) init(cfg Config) error {
 		s.stall = make([]uint64, cfg.Hierarchy.CPUs)
 	}
 	lineBytes := uint64(cfg.Coalescer.LineBytes)
-	fcfg := frontend.Config{
-		Kind:      cfg.Frontend,
-		Sched:     cfg.Sched,
-		Lanes:     cfg.Hierarchy.CPUs,
-		Coalescer: cfg.Coalescer,
-	}
-	c, err := frontend.New(fcfg,
+	c, err := coalescer.New(cfg.Coalescer, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs,
 		func(tick uint64, e *mshr.Entry) coalescer.IssueResult {
 			packet := uint32(e.Lines()) * cfg.Coalescer.LineBytes
 			requested := uint32(e.Payload())
@@ -425,10 +418,12 @@ func (s *System) init(cfg Config) error {
 	ring := (cfg.MaxOutstanding + cfg.Coalescer.Width + cfg.Coalescer.MSHR.Entries*8) * cfg.Hierarchy.CPUs
 	if len(s.tokenCPU) == ring {
 		clear(s.tokenCPU)
-		clear(s.tokenLine)
 	} else {
 		s.tokenCPU = make([]uint8, ring)
 		s.tokenLine = make([]uint64, ring)
+	}
+	for i := range s.tokenLine {
+		s.tokenLine[i] = fetchDone // every slot starts free
 	}
 	// Live fetch-table entries are bounded by the demand-miss budget. A
 	// previous run's table can be cleared in place as long as it is at
@@ -492,29 +487,32 @@ func (s *System) Run(accs []trace.Access) (Result, error) {
 	return s.Finish()
 }
 
-// newToken allocates a demand-miss token for cpu waiting on line.
+// newToken allocates a demand-miss token for cpu waiting on line: the next
+// ring slot in counter order, stepping over slots whose miss is still
+// outstanding. A wrap onto a live slot is rare — it takes a miss that
+// waits while a whole ring of later misses is issued, which the hetero
+// scheduler can cause by deferring a bandwidth-hog lane — and reusing the
+// slot would hand the old miss's completion to the new waiter. A slot
+// whose response was dropped can never complete, so it is reused.
 func (s *System) newToken(cpu uint8, line uint64) uint64 {
-	tok := s.nextToken % uint64(len(s.tokenCPU))
+	ring := uint64(len(s.tokenCPU))
+	tok := s.nextToken % ring
+	for skipped := uint64(0); skipped < ring && s.tokenLine[tok] != fetchDone && !s.forfeitIfDoomed(tok); skipped++ {
+		s.nextToken++
+		tok = s.nextToken % ring
+	}
 	s.nextToken++
 	s.tokenCPU[tok] = cpu
 	s.tokenLine[tok] = line
 	s.outstanding[cpu]++
 	s.pushedTok++
 	if s.ledger != nil {
+		// The allocator only lands on a live slot if every slot is live,
+		// which the ring's sizing rules out: that is a violation.
 		if v := s.ledger.Issue(tok, s.lastClock); v != nil {
-			// The monotone counter wrapped onto a live slot. If the slot's
-			// holder is waiting on a dropped response, its completion is
-			// unreachable and the slot is safely re-usable: forfeit it in
-			// the ledger and issue cleanly. Only genuine reuse — a slot
-			// whose completion can still arrive — is a violation.
-			if s.forfeitIfDoomed(tok) {
-				v = s.ledger.Issue(tok, s.lastClock)
-			}
-			if v != nil {
-				s.check.Record(v)
-				if s.runErr == nil {
-					s.runErr = v
-				}
+			s.check.Record(v)
+			if s.runErr == nil {
+				s.runErr = v
 			}
 		}
 	}
@@ -523,8 +521,7 @@ func (s *System) newToken(cpu uint8, line uint64) uint64 {
 
 // forfeitIfDoomed reports whether ring slot tok belongs to a waiter whose
 // response was dropped, forfeiting the slot in the ledger if so. O(inflight)
-// but only reached when the ledger flags a wrapped slot, which requires a
-// drop to have leaked it first.
+// but only reached when the allocator wraps onto a live slot.
 func (s *System) forfeitIfDoomed(tok uint64) bool {
 	doomed := false
 	s.coal.DoomedTokens(func(token uint64) {
@@ -532,7 +529,7 @@ func (s *System) forfeitIfDoomed(tok uint64) bool {
 			doomed = true
 		}
 	})
-	if doomed {
+	if doomed && s.ledger != nil {
 		s.ledger.Forfeit(tok)
 	}
 	return doomed

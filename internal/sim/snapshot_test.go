@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/frontend"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/trace"
 	"hmccoal/internal/workloads"
@@ -20,8 +20,8 @@ type snapshotScenario struct {
 	ops     int
 	mode    Mode
 	backend membackend.Kind
-	fe      frontend.Kind
-	sched   frontend.SchedKind
+	fe      coalescer.Kind
+	sched   coalescer.Sched
 	ber     float64 // >0 enables deterministic link fault injection
 	checks  bool
 }
@@ -39,14 +39,14 @@ func snapshotScenarios() []snapshotScenario {
 		{name: "hpcg/checked", bench: "HPCG", ops: 400, mode: TwoPhase, checks: true},
 		// The front-end axis: the warp coalescing unit and the hetero issue
 		// policy across every backend and under link faults.
-		{name: "hpcg/warp", bench: "HPCG", ops: 600, mode: TwoPhase, fe: frontend.KindWarp},
-		{name: "ft/warp-ddr", bench: "FT", ops: 400, mode: TwoPhase, fe: frontend.KindWarp, backend: membackend.KindDDR},
-		{name: "hpcg/warp-ideal", bench: "HPCG", ops: 400, mode: TwoPhase, fe: frontend.KindWarp, backend: membackend.KindIdeal},
-		{name: "ft/warp-faulty", bench: "FT", ops: 600, mode: TwoPhase, fe: frontend.KindWarp, ber: 1e-5},
-		{name: "hpcg/warp-hetero", bench: "HPCG", ops: 600, mode: TwoPhase, fe: frontend.KindWarp, sched: frontend.SchedHetero},
-		{name: "ft/hetero", bench: "FT", ops: 600, mode: TwoPhase, sched: frontend.SchedHetero},
+		{name: "hpcg/warp", bench: "HPCG", ops: 600, mode: TwoPhase, fe: coalescer.KindWarp},
+		{name: "ft/warp-ddr", bench: "FT", ops: 400, mode: TwoPhase, fe: coalescer.KindWarp, backend: membackend.KindDDR},
+		{name: "hpcg/warp-ideal", bench: "HPCG", ops: 400, mode: TwoPhase, fe: coalescer.KindWarp, backend: membackend.KindIdeal},
+		{name: "ft/warp-faulty", bench: "FT", ops: 600, mode: TwoPhase, fe: coalescer.KindWarp, ber: 1e-5},
+		{name: "hpcg/warp-hetero", bench: "HPCG", ops: 600, mode: TwoPhase, fe: coalescer.KindWarp, sched: coalescer.SchedHetero},
+		{name: "ft/hetero", bench: "FT", ops: 600, mode: TwoPhase, sched: coalescer.SchedHetero},
 		{name: "ft/warp-hetero-faulty-checked", bench: "FT", ops: 600, mode: TwoPhase,
-			fe: frontend.KindWarp, sched: frontend.SchedHetero, ber: 1e-5, checks: true},
+			fe: coalescer.KindWarp, sched: coalescer.SchedHetero, ber: 1e-5, checks: true},
 	}
 }
 
@@ -248,12 +248,12 @@ func TestSnapshotAPIErrors(t *testing.T) {
 		t.Error("Restore into a different backend accepted")
 	}
 	otherFrontend := DefaultConfig()
-	otherFrontend.Frontend = frontend.KindWarp
+	otherFrontend.Frontend = coalescer.KindWarp
 	if err := mustSystem(t, otherFrontend).Restore(snap); err == nil {
 		t.Error("Restore into a different front-end accepted")
 	}
 	otherSched := DefaultConfig()
-	otherSched.Sched = frontend.SchedHetero
+	otherSched.Sched = coalescer.SchedHetero
 	if err := mustSystem(t, otherSched).Restore(snap); err == nil {
 		t.Error("Restore into a different issue policy accepted")
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"hmccoal/internal/cache"
-	"hmccoal/internal/frontend"
+	"hmccoal/internal/coalescer"
 	"hmccoal/internal/invariant"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/trace"
@@ -43,7 +43,7 @@ type Snapshot struct {
 	ts        tickState
 
 	hier    *cache.HierarchyState
-	coal    frontend.Snapshot
+	coal    *coalescer.State
 	backend membackend.Snapshot
 	ledger  *invariant.TokenLedgerState
 }

@@ -18,7 +18,6 @@ import (
 
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/frontend"
 	"hmccoal/internal/invariant"
 	"hmccoal/internal/membackend"
 	"hmccoal/internal/sim"
@@ -93,18 +92,18 @@ func (sc Scenario) backendKind() membackend.Kind {
 
 // frontendKind and schedKind resolve the scenario's front-end axes with
 // the same fail-loudly convention as backendKind.
-func (sc Scenario) frontendKind() frontend.Kind {
-	k, err := frontend.ParseKind(sc.Frontend)
+func (sc Scenario) frontendKind() coalescer.Kind {
+	k, err := coalescer.ParseKind(sc.Frontend)
 	if err != nil {
-		return frontend.Kind(-1)
+		return coalescer.Kind(-1)
 	}
 	return k
 }
 
-func (sc Scenario) schedKind() frontend.SchedKind {
-	k, err := frontend.ParseSched(sc.Sched)
+func (sc Scenario) schedKind() coalescer.Sched {
+	k, err := coalescer.ParseSched(sc.Sched)
 	if err != nil {
-		return frontend.SchedKind(-1)
+		return coalescer.Sched(-1)
 	}
 	return k
 }
@@ -249,8 +248,8 @@ type Options struct {
 	// and issue policy. Like Backend they are campaign-wide overrides, not
 	// random dimensions, so the zero values keep legacy scenario
 	// derivations — and old repro indices — bit-identical.
-	Frontend frontend.Kind
-	Sched    frontend.SchedKind
+	Frontend coalescer.Kind
+	Sched    coalescer.Sched
 	// Checkpoint, when non-empty, persists every classified scenario to a
 	// JSONL file (see sweep.Options.Checkpoint) so an interrupted campaign
 	// resumes without re-running completed scenarios — the serving layer's
@@ -267,10 +266,10 @@ func (o Options) scenario(i int) Scenario {
 	if o.Backend != membackend.KindHMC {
 		sc.Backend = o.Backend.String()
 	}
-	if o.Frontend != frontend.KindTwoPhase {
+	if o.Frontend != coalescer.KindTwoPhase {
 		sc.Frontend = o.Frontend.String()
 	}
-	if o.Sched != frontend.SchedFRFCFS {
+	if o.Sched != coalescer.SchedFRFCFS {
 		sc.Sched = o.Sched.String()
 	}
 	return sc
@@ -331,10 +330,10 @@ func Soak(ctx context.Context, opts Options) (Report, error) {
 	// Tag checkpoint lines with the campaign's front-end axes so a warp
 	// campaign never resumes from two-phase outcomes; default campaigns
 	// stay untagged, keeping legacy checkpoints restorable.
-	if opts.Frontend != frontend.KindTwoPhase {
+	if opts.Frontend != coalescer.KindTwoPhase {
 		swOpts.Frontend = opts.Frontend.String()
 	}
-	if opts.Sched != frontend.SchedFRFCFS {
+	if opts.Sched != coalescer.SchedFRFCFS {
 		swOpts.Sched = opts.Sched.String()
 	}
 	results, err := sweep.Map(ctx, opts.Runs, swOpts, func(ctx context.Context, i int) (result, error) {

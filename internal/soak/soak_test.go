@@ -282,3 +282,25 @@ func TestRegressionDroppedTokenWrap(t *testing.T) {
 		}
 	}
 }
+
+// TestRegressionHeteroDeferredTokenWrap replays the seed-1 scenarios that
+// exposed live token-ring slot reuse under the hetero scheduler: in
+// MSHR-based mode it can defer a bandwidth-hog lane's miss while more
+// than a whole ring of later misses is issued. The allocator must step
+// over the live slot instead of reissuing it (ring overflow).
+func TestRegressionHeteroDeferredTokenWrap(t *testing.T) {
+	t.Parallel()
+	for _, fe := range []string{"", "warp"} {
+		for _, idx := range []int{123, 501, 809, 885} {
+			sc := MakeScenario(1, idx)
+			sc.Frontend, sc.Sched = fe, "hetero"
+			accs, err := sc.Trace()
+			if err != nil {
+				t.Fatalf("run %d: trace: %v", idx, err)
+			}
+			if err := RunScenario(sc, accs); Classify(sc, err) == Failed {
+				t.Errorf("%v: classified as failure: %v", sc, err)
+			}
+		}
+	}
+}
