@@ -6,12 +6,12 @@ import (
 	"hmccoal/internal/mshr"
 )
 
-// benchCoalescer builds a two-phase coalescer against a fixed-latency fake
-// memory, the configuration the full simulator drives.
-func benchCoalescer(b *testing.B) *Coalescer {
+// benchCoalescer builds a two-phase coalescer against a fake memory that
+// answers every request latency cycles after it is issued.
+func benchCoalescer(b *testing.B, cfg Config, latency uint64) *Coalescer {
 	b.Helper()
-	c, err := New(DefaultConfig(), KindTwoPhase, SchedFRFCFS, 1,
-		func(tick uint64, e *mshr.Entry) IssueResult { return IssueResult{Done: tick + 200} },
+	c, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1,
+		func(tick uint64, e *mshr.Entry) IssueResult { return IssueResult{Done: tick + latency} },
 		func(tick uint64, subs []mshr.Sub, fault bool) {})
 	if err != nil {
 		b.Fatal(err)
@@ -23,7 +23,7 @@ func benchCoalescer(b *testing.B) *Coalescer {
 // line-adjacent misses flushed through the sorter, the DMC unit, the CRQ
 // and the MSHR file, with time advanced past every completion.
 func BenchmarkPushAdvance(b *testing.B) {
-	c := benchCoalescer(b)
+	c := benchCoalescer(b, DefaultConfig(), 200)
 	tick := uint64(0)
 	tok := uint64(0)
 	b.ReportAllocs()
@@ -47,13 +47,7 @@ func BenchmarkPushAdvance(b *testing.B) {
 // BenchmarkBaselinePush measures the conventional-MHA path (no sorter):
 // every miss goes straight at the MSHRs.
 func BenchmarkBaselinePush(b *testing.B) {
-	cfg := BaselineConfig()
-	c, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1,
-		func(tick uint64, e *mshr.Entry) IssueResult { return IssueResult{Done: tick + 200} },
-		func(tick uint64, subs []mshr.Sub, fault bool) {})
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := benchCoalescer(b, BaselineConfig(), 200)
 	tick := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -63,4 +57,30 @@ func BenchmarkBaselinePush(b *testing.B) {
 	}
 	b.StopTimer()
 	c.Drain(tick)
+}
+
+// BenchmarkBlockedHead measures a CRQ head blocked on a packed 16-entry
+// MSHR file: every cycle advances time with no response due, so each pass
+// finds the file unchanged and has only the head's stalls to count.
+func BenchmarkBlockedHead(b *testing.B) {
+	cfg := BaselineConfig()
+	c := benchCoalescer(b, cfg, 1<<40) // no response lands during the run
+	n := uint64(cfg.MSHR.Entries)
+	for i := uint64(0); i <= n; i++ {
+		c.Push(0, Request{Line: i * 100, Payload: 8, Token: i}) // scattered
+	}
+	if got := c.Outstanding(); got != int(n) {
+		b.Fatalf("%d requests in flight, want a packed file of %d", got, n)
+	}
+	stalls := c.MSHRStats().FullStalls
+	b.ReportAllocs()
+	b.ResetTimer()
+	for tick := uint64(1); tick <= uint64(b.N); tick++ {
+		c.Advance(tick)
+	}
+	b.StopTimer()
+	if d := c.MSHRStats().FullStalls - stalls; d != uint64(b.N) {
+		b.Fatalf("%d stalls over %d blocked passes", d, b.N)
+	}
+	c.Drain(uint64(b.N))
 }

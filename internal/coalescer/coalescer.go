@@ -314,6 +314,13 @@ type Coalescer struct {
 	stats       Stats
 	linesBlock  uint64 // lines per HMC block
 
+	// headStalls is the FullStalls delta of the CRQ head's last Insert if
+	// that Insert merged and issued nothing, else 0. Until the next entry
+	// release every retry would repeat it exactly, so drainCRQ only counts
+	// the stalls. Derived state: cleared whenever the file or the head
+	// changes, never saved.
+	headStalls uint64
+
 	// laneBytes is the heterogeneity-aware scheduler's per-lane issued-byte
 	// account, indexed by Request.CPU. It is nil under FR-FCFS, so the
 	// default configuration allocates and pays nothing for scheduling.
@@ -503,6 +510,7 @@ func (c *Coalescer) crqPop() {
 	p := &c.crqBuf[c.crqHead]
 	c.putTargets(p.targets)
 	p.targets = nil
+	c.headStalls = 0
 	c.crqHead = (c.crqHead + 1) & (len(c.crqBuf) - 1)
 	c.crqLen--
 }
@@ -752,6 +760,7 @@ func (c *Coalescer) completeOne() {
 	// Capture the span before Complete invalidates the entry: a poisoned
 	// response may need to re-issue exactly these lines.
 	baseLine, lines, write := e.BaseLine(), e.Lines(), e.Write()
+	c.headStalls = 0
 	subs, err := c.file.Complete(e)
 	if err != nil {
 		if v, ok := invariant.As(err); ok {

@@ -687,15 +687,30 @@ func TestBlockedCRQHeadRetries(t *testing.T) {
 		if _, crq := h.c.QueueDepths(); crq == 0 {
 			t.Fatal("CRQ drained despite a packed MSHR file")
 		}
-		h.c.Drain(500)
+		// Until the first response frees an entry, every further pass over
+		// the blocked one-target head repeats its fruitless Insert exactly:
+		// one stall for the packed file and nothing issued.
+		firstDone := h.issues[0].tick + h.memLatency
+		for tick := uint64(501); tick < firstDone; tick += 37 {
+			stalls := h.c.MSHRStats().FullStalls
+			h.c.Advance(tick)
+			if d := h.c.MSHRStats().FullStalls - stalls; d != 1 {
+				t.Fatalf("Advance(%d) on the blocked head counted %d stalls, want 1", tick, d)
+			}
+			if len(h.issues) != 2 {
+				t.Fatalf("Advance(%d) issued on a packed file: %d issues", tick, len(h.issues))
+			}
+		}
+		// The head issues at the first completion's tick, and the dispatch
+		// order preserves the sorted FIFO order.
+		h.c.Advance(firstDone)
+		if len(h.issues) < 3 || h.issues[2].tick != firstDone {
+			t.Fatalf("after the first completion at %d: issues %+v, want the head issued then",
+				firstDone, h.issues)
+		}
+		h.c.Drain(firstDone)
 		if len(h.issues) != n {
 			t.Fatalf("issued %d total, want %d", len(h.issues), n)
-		}
-		// The retried head issues strictly after the first response frees an
-		// entry, and the dispatch order preserves the sorted FIFO order.
-		if h.issues[2].tick < 10+h.memLatency {
-			t.Errorf("blocked head issued at %d, before the first completion at %d",
-				h.issues[2].tick, 10+h.memLatency)
 		}
 		for i := 1; i < len(h.issues); i++ {
 			if h.issues[i].baseLine <= h.issues[i-1].baseLine {

@@ -69,6 +69,13 @@ func (c *Coalescer) drainCRQ(now uint64) {
 		if p.ready > now {
 			return
 		}
+		if c.headStalls != 0 {
+			// The head's last Insert merged and issued nothing, and no entry
+			// has been released since: a retry would defer the same waiters
+			// again, so only its stalls are counted.
+			c.file.AddFullStalls(c.headStalls)
+			return
+		}
 		// The insert happens as soon as both the packet and the MSHR state
 		// allow: not before the packet was ready, not before the entry
 		// release it was blocked on, and never out of FIFO order.
@@ -88,6 +95,7 @@ func (c *Coalescer) drainCRQ(now uint64) {
 				maxLine = tg.Line
 			}
 		}
+		stalls := c.file.Stats().FullStalls
 		out, err := c.file.Insert(minLine, int(maxLine-minLine)+1, p.write, p.targets)
 		if err != nil {
 			// A CRQ packet the file rejects is malformed bookkeeping, not a
@@ -141,6 +149,9 @@ func (c *Coalescer) drainCRQ(now uint64) {
 			// copying it frees the file's scratch buffer for the retry.
 			p.targets = append(p.targets[:0], out.Unplaced...)
 			p.blocked = true
+			if out.MergedTargets == 0 && len(out.Issued) == 0 {
+				c.headStalls = c.file.Stats().FullStalls - stalls
+			}
 			return
 		}
 		c.crqPop()

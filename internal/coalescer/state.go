@@ -158,6 +158,7 @@ func (c *Coalescer) RestoreState(st *State) error {
 	}
 	c.crqHead = 0
 	c.crqLen = len(st.crq)
+	c.headStalls = 0
 	c.inflight = c.inflight[:0]
 	for i := range st.inflight {
 		c.inflight = append(c.inflight, completion{

@@ -36,11 +36,17 @@ func BenchmarkInsertMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	seed, err := f.Insert(0, 4, false, []Target{{Line: 0, Token: 0, Payload: 16}})
-	if err != nil || len(seed.Issued) != 1 {
-		b.Fatalf("seed insert: %v", err)
+	// Insert allocates only the lines that have waiters, so the host gets
+	// one waiter on each of its four lines.
+	seed, err := f.Insert(0, 4, false, []Target{
+		{Line: 0, Token: 0, Payload: 16}, {Line: 1, Token: 1, Payload: 16},
+		{Line: 2, Token: 2, Payload: 16}, {Line: 3, Token: 3, Payload: 16},
+	})
+	if err != nil || len(seed.Issued) != 1 || seed.Issued[0].Lines() != 4 {
+		b.Fatalf("seed insert: %+v, %v", seed, err)
 	}
 	host := seed.Issued[0]
+	hostSubs := len(host.subs)
 	targets := []Target{{Line: 1, Token: 1, Payload: 16}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -53,6 +59,6 @@ func BenchmarkInsertMerge(b *testing.B) {
 			b.Fatalf("expected merge, got %+v", out)
 		}
 		// Drop the absorbed subentry so the host never fills.
-		host.subs = host.subs[:1]
+		host.subs = host.subs[:hostSubs]
 	}
 }

@@ -146,8 +146,10 @@ type Stats struct {
 	// SplitRequests counts Case-B partial overlaps that forced a request
 	// to be broken apart.
 	SplitRequests uint64
-	// FullStalls counts placement attempts deferred because no entry (or
-	// no subentry slot) was available.
+	// FullStalls counts deferred placements: one per waiter that finds its
+	// entry's subentries full, plus one per Insert that finds the file
+	// packed. A blocked CRQ head counts both again on every retry pass, so
+	// this counts retry passes, not distinct waiters.
 	FullStalls uint64
 	// Completions counts freed entries.
 	Completions uint64
@@ -201,6 +203,10 @@ func (f *File) Full() bool { return f.free == 0 }
 
 // Stats returns the accumulated counters.
 func (f *File) Stats() Stats { return f.stats }
+
+// AddFullStalls adds n to Stats.FullStalls, for a caller that skips an
+// Insert it knows would defer the same waiters again.
+func (f *File) AddFullStalls(n uint64) { f.stats.FullStalls += n }
 
 // Outcome reports what happened to one Insert.
 type Outcome struct {

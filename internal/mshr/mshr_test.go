@@ -1,6 +1,7 @@
 package mshr
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -509,4 +510,97 @@ func TestRandomizedConservation(t *testing.T) {
 	if s.Allocations != s.Completions {
 		t.Fatalf("allocations %d != completions %d after drain", s.Allocations, s.Completions)
 	}
+}
+
+// TestFruitlessInsertRepeats pins the fact the coalescer's blocked-head
+// skip relies on: after an Insert that merged and issued nothing, inserting
+// its Unplaced again on the unchanged file makes no progress either,
+// returns the same waiters in the same order, counts the same FullStalls
+// and leaves every entry as it was.
+func TestFruitlessInsertRepeats(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Entries = 4
+	cfg.MaxSubentries = 2
+	f, err := NewFile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	image := func() string { return fmt.Sprintf("free=%d %+v", f.Free(), f.Entries()) }
+	live := map[int]*Entry{}
+	nextToken := uint64(0)
+	var packed, subFull int
+	for i := 0; i < 5000; i++ {
+		if rng.Intn(4) == 0 && len(live) > 0 {
+			for idx, e := range live {
+				if _, err := f.Complete(e); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, idx)
+				break
+			}
+			continue
+		}
+		// A small address space with repeated lines keeps merges, full
+		// subentry lists and a packed file all common.
+		lines := []int{1, 2, 4}[rng.Intn(3)]
+		block := uint64(rng.Intn(6)) * 4
+		off := 0
+		if lines < 4 {
+			off = rng.Intn(4 - lines + 1)
+		}
+		base := block + uint64(off)
+		targets := make([]Target, 1+rng.Intn(6))
+		for j := range targets {
+			targets[j] = Target{Line: base + uint64(rng.Intn(lines)), Token: nextToken, Payload: uint32(rng.Intn(64))}
+			nextToken++
+		}
+		write := rng.Intn(4) == 0
+		stalls := f.Stats().FullStalls
+		out, err := f.Insert(base, lines, write, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range out.Issued {
+			live[e.Index()] = e
+		}
+		if len(out.Unplaced) == 0 || out.MergedTargets != 0 || len(out.Issued) != 0 {
+			continue
+		}
+		delta := f.Stats().FullStalls - stalls
+		if f.Full() {
+			packed++
+		} else {
+			subFull++
+		}
+		unplaced := append([]Target(nil), out.Unplaced...)
+		lo, hi := unplaced[0].Line, unplaced[0].Line
+		for _, u := range unplaced {
+			lo, hi = min(lo, u.Line), max(hi, u.Line)
+		}
+		before := image()
+		for retry := 0; retry < 2; retry++ {
+			stalls = f.Stats().FullStalls
+			again, err := f.Insert(lo, int(hi-lo)+1, write, unplaced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.MergedTargets != 0 || len(again.Issued) != 0 || again.Split {
+				t.Fatalf("op %d retry %d: fruitless insert made progress on an unchanged file: %+v", i, retry, again)
+			}
+			if fmt.Sprint(again.Unplaced) != fmt.Sprint(unplaced) {
+				t.Fatalf("op %d retry %d: Unplaced = %v, want %v", i, retry, again.Unplaced, unplaced)
+			}
+			if d := f.Stats().FullStalls - stalls; d != delta {
+				t.Fatalf("op %d retry %d: FullStalls delta = %d, want %d", i, retry, d, delta)
+			}
+			if after := image(); after != before {
+				t.Fatalf("op %d retry %d: entries changed:\n%s\nwant\n%s", i, retry, after, before)
+			}
+		}
+	}
+	if packed == 0 || subFull == 0 {
+		t.Fatalf("property exercised %d times on a packed file and %d on full subentries; want both", packed, subFull)
+	}
+	t.Logf("fruitless inserts checked: %d packed file, %d full subentries", packed, subFull)
 }

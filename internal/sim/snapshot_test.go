@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"hmccoal/internal/coalescer"
@@ -24,6 +25,7 @@ type snapshotScenario struct {
 	sched   coalescer.Sched
 	ber     float64 // >0 enables deterministic link fault injection
 	checks  bool
+	blocked bool // snapshot at the first tick ≥10k with the CRQ head blocked
 }
 
 func snapshotScenarios() []snapshotScenario {
@@ -47,6 +49,13 @@ func snapshotScenarios() []snapshotScenario {
 		{name: "ft/hetero", bench: "FT", ops: 600, mode: TwoPhase, sched: coalescer.SchedHetero},
 		{name: "ft/warp-hetero-faulty-checked", bench: "FT", ops: 600, mode: TwoPhase,
 			fe: coalescer.KindWarp, sched: coalescer.SchedHetero, ber: 1e-5, checks: true},
+		// Saturated MSHRs: the snapshot lands while the CRQ head is blocked
+		// on a packed file, so the restored run must re-derive the head's
+		// retry outcome from the restored file alone.
+		{name: "ssca2/two-phase-blocked", bench: "SSCA2", ops: 600, mode: TwoPhase, blocked: true},
+		{name: "ssca2/baseline-blocked", bench: "SSCA2", ops: 600, mode: Baseline, blocked: true},
+		{name: "cg/warp-hetero-blocked", bench: "CG", ops: 600, mode: TwoPhase,
+			fe: coalescer.KindWarp, sched: coalescer.SchedHetero, blocked: true},
 	}
 }
 
@@ -184,6 +193,19 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			}
 			if stepUntil(t, s, 10_000) {
 				t.Fatalf("trace drained before tick 10k; grow ops for this scenario")
+			}
+			if sc.blocked {
+				// Step on to the first tick the CRQ head is blocked.
+				for !strings.Contains(s.coal.DebugState(), "blocked=true") {
+					if done, err := s.Step(); err != nil {
+						t.Fatal(err)
+					} else if done {
+						t.Fatal("trace drained before the CRQ head blocked")
+					}
+				}
+				if s.coal.MSHRStats().FullStalls == 0 {
+					t.Fatalf("no MSHR full stalls by the snapshot at tick %d", s.Tick())
+				}
 			}
 			snap, err := s.Snapshot()
 			if err != nil {
