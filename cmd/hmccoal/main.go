@@ -29,12 +29,10 @@ package main
 
 import (
 	"context"
-	"crypto/tls"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -163,11 +161,13 @@ func run(argv []string) int {
 
 	var dispatch hmccoal.Dispatcher
 	if *serve != "" {
-		coord, err := serveCoordinator(*serve, dsweep.Options{
+		// Coordinator chatter goes to stderr, keeping stdout byte-identical
+		// to a local run.
+		coord, err := dsweep.ServeCoordinator(*serve, dsweep.Options{
 			Lease:       *lease,
 			MaxAttempts: *maxAttempts,
 			Token:       *token,
-		}, chaosCfg, *tlsCert, *tlsKey)
+		}, chaosCfg, *tlsCert, *tlsKey, os.Stderr, "hmccoal")
 		if err != nil {
 			return usageErr(err)
 		}
@@ -516,48 +516,6 @@ func sweepOptions(workers, batch int, checks bool, checkpoint, tag string, backe
 		opt.Checkpoint = checkpoint + "." + tag
 	}
 	return opt
-}
-
-// serveCoordinator starts the distributed-sweep coordinator on addr and
-// announces the bound address on stderr (":0" binds an ephemeral port, so
-// scripts parse the announcement). The coordinator's chatter — worker
-// connects, losses, requeues — also goes to stderr, keeping stdout
-// byte-identical to a local run. A non-zero chaos config wraps the
-// listener so every accepted worker connection suffers deterministic,
-// seeded network faults — the CI soak that proves figures stay
-// byte-identical anyway. A -tls-cert/-tls-key pair wraps the listener
-// last, so encryption sits above the injected faults exactly as it sits
-// above real network faults.
-func serveCoordinator(addr string, opt dsweep.Options, chaos netchaos.Config, tlsCert, tlsKey string) (*dsweep.Coordinator, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("-serve: %w", err)
-	}
-	if chaos.Enabled() {
-		inj, err := netchaos.New(chaos)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("-chaos: %w", err)
-		}
-		ln = inj.Listen(ln)
-		fmt.Fprintf(os.Stderr, "hmccoal: chaos injection armed on worker connections (seed %d)\n", chaos.Seed)
-	}
-	if tlsCert != "" {
-		cfg, err := dsweep.ServerTLS(tlsCert, tlsKey)
-		if err != nil {
-			ln.Close()
-			return nil, fmt.Errorf("-tls-cert: %w", err)
-		}
-		ln = tls.NewListener(ln, cfg)
-		fmt.Fprintln(os.Stderr, "hmccoal: TLS enabled on worker connections")
-	}
-	opt.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "hmccoal: "+format+"\n", args...)
-	}
-	coord := dsweep.NewCoordinator(opt)
-	go coord.Serve(ln)
-	fmt.Fprintf(os.Stderr, "hmccoal: coordinating sweeps on %s\n", ln.Addr())
-	return coord, nil
 }
 
 // validBenchmark rejects names that are not in the benchmark suite.

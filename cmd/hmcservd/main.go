@@ -36,7 +36,6 @@ package main
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"flag"
 	"fmt"
@@ -157,38 +156,17 @@ func run(argv []string, outw, errw io.Writer) int {
 	// With -serve, sweep jobs dispatch to hmcsweepd workers through an
 	// embedded dsweep coordinator instead of simulating in-process.
 	if *serve != "" {
-		ln, err := net.Listen("tcp", *serve)
-		if err != nil {
-			return usageErr(fmt.Errorf("-serve: %w", err))
-		}
-		if chaosCfg.Enabled() {
-			inj, err := netchaos.New(chaosCfg)
-			if err != nil {
-				ln.Close()
-				return usageErr(fmt.Errorf("-chaos: %w", err))
-			}
-			ln = inj.Listen(ln)
-			fmt.Fprintf(errw, "hmcservd: chaos injection armed on worker connections (seed %d)\n", chaosCfg.Seed)
-		}
-		if *tlsCert != "" {
-			cfg, err := dsweep.ServerTLS(*tlsCert, *tlsKey)
-			if err != nil {
-				ln.Close()
-				return usageErr(fmt.Errorf("-tls-cert: %w", err))
-			}
-			ln = tls.NewListener(ln, cfg)
-			fmt.Fprintln(errw, "hmcservd: TLS enabled on worker connections")
-		}
-		coord := dsweep.NewCoordinator(dsweep.Options{
+		coord, err := dsweep.ServeCoordinator(*serve, dsweep.Options{
 			Lease:       *lease,
 			MaxAttempts: *maxAttempts,
 			Token:       *token,
 			Logf:        opt.Logf,
-		})
-		go coord.Serve(ln)
+		}, chaosCfg, *tlsCert, *tlsKey, errw, "hmcservd")
+		if err != nil {
+			return usageErr(err)
+		}
 		defer coord.Close()
 		opt.Dispatch = coord
-		fmt.Fprintf(errw, "hmcservd: coordinating sweeps on %s\n", ln.Addr())
 	}
 
 	d, err := jobserv.NewDaemon(opt)

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hmccoal/internal/enum"
 	"hmccoal/internal/invariant"
 	"hmccoal/internal/mshr"
 	"hmccoal/internal/sortnet"
@@ -53,40 +54,21 @@ const (
 	KindWarp
 )
 
+// kinds spells every Kind, in iota order, as the CLI -frontend flag does.
+var kinds = enum.Table[Kind]{Type: "Kind", Unknown: "coalescer: unknown frontend", Names: []string{"two-phase", "warp"}}
+
 // String names the kind as the CLI -frontend flag spells it.
-func (k Kind) String() string {
-	switch k {
-	case KindTwoPhase:
-		return "two-phase"
-	case KindWarp:
-		return "warp"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
+func (k Kind) String() string { return kinds.String(k) }
 
 // Validate rejects kinds no gather stage exists for.
-func (k Kind) Validate() error {
-	switch k {
-	case KindTwoPhase, KindWarp:
-		return nil
-	}
-	return fmt.Errorf("coalescer: unknown frontend kind %d", int(k))
-}
+func (k Kind) Validate() error { return kinds.Validate(k) }
 
 // ParseKind maps a -frontend flag value to a Kind. The empty string means
 // the default two-phase coalescer.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "two-phase":
-		return KindTwoPhase, nil
-	case "warp":
-		return KindWarp, nil
-	}
-	return 0, fmt.Errorf("coalescer: unknown frontend %q (have two-phase, warp)", s)
-}
+func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
 
 // Kinds lists the recognized front-end names for usage messages.
-func Kinds() []string { return []string{"two-phase", "warp"} }
+func Kinds() []string { return kinds.List() }
 
 // Sched selects the issue policy the CRQ head uses when dispatching
 // packets into the MSHRs. The zero value is the strict first-ready FCFS
@@ -107,40 +89,21 @@ const (
 	SchedHetero
 )
 
+// scheds spells every Sched, in iota order, as the CLI -sched flag does.
+var scheds = enum.Table[Sched]{Type: "Sched", Unknown: "coalescer: unknown scheduler", Names: []string{"frfcfs", "hetero"}}
+
 // String names the scheduler as the CLI -sched flag spells it.
-func (s Sched) String() string {
-	switch s {
-	case SchedFRFCFS:
-		return "frfcfs"
-	case SchedHetero:
-		return "hetero"
-	}
-	return fmt.Sprintf("Sched(%d)", int(s))
-}
+func (s Sched) String() string { return scheds.String(s) }
 
 // Validate rejects scheduler values no issue path exists for.
-func (s Sched) Validate() error {
-	switch s {
-	case SchedFRFCFS, SchedHetero:
-		return nil
-	}
-	return fmt.Errorf("coalescer: unknown scheduler %d", int(s))
-}
+func (s Sched) Validate() error { return scheds.Validate(s) }
 
 // ParseSched maps a -sched flag value to a Sched. The empty string means
 // the default FR-FCFS policy.
-func ParseSched(s string) (Sched, error) {
-	switch s {
-	case "", "frfcfs":
-		return SchedFRFCFS, nil
-	case "hetero":
-		return SchedHetero, nil
-	}
-	return 0, fmt.Errorf("coalescer: unknown scheduler %q (have frfcfs, hetero)", s)
-}
+func ParseSched(s string) (Sched, error) { return scheds.Parse(s) }
 
 // Scheds lists the recognized scheduler names for usage messages.
-func Scheds() []string { return []string{"frfcfs", "hetero"} }
+func Scheds() []string { return scheds.List() }
 
 // Config parameterizes the coalescer. The zero value is not valid; start
 // from DefaultConfig.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hmccoal"
+	"hmccoal/internal/durable"
 )
 
 // Options tunes a Daemon.
@@ -413,7 +414,8 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 		ev = event{Type: evFail, ID: j.ID, Error: out.err.Error()}
 		state = StateFailed
 	default:
-		if err := writeFileAtomic(d.resultPath(j.ID), out.result); err != nil {
+		// The result file is complete before its done record exists.
+		if err := durable.WriteFileAtomic(d.resultPath(j.ID), out.result); err != nil {
 			ev = event{Type: evFail, ID: j.ID, Error: fmt.Sprintf("write result: %v", err)}
 			state = StateFailed
 			break
@@ -493,7 +495,7 @@ func (d *Daemon) Result(id string) ([]byte, error) {
 	if state != StateDone {
 		return nil, fmt.Errorf("jobserv: job %s is %s, not done", id, state)
 	}
-	return readAll(d.resultPath(id))
+	return os.ReadFile(d.resultPath(id))
 }
 
 // Cancel removes a queued job or interrupts a running one. Terminal jobs

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hmccoal"
+	"hmccoal/internal/durable"
 )
 
 // ---- fake executor harness --------------------------------------------------
@@ -497,7 +498,7 @@ func TestLedgerTornLineRecovery(t *testing.T) {
 	// a crash mid-append, or a well-formed submit longer than replay's
 	// line cap. Either is skipped and the daemon restarts.
 	spec := singleSpec()
-	oversized, err := json.Marshal(event{Type: evSubmit, ID: "j-9", Tenant: strings.Repeat("x", maxLedgerLine), Spec: &spec})
+	oversized, err := json.Marshal(event{Type: evSubmit, ID: "j-9", Tenant: strings.Repeat("x", durable.MaxLine), Spec: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,5 +533,45 @@ func TestLedgerTornLineRecovery(t *testing.T) {
 				t.Fatalf("bad line materialized a job: %d jobs, want 1", n)
 			}
 		})
+	}
+}
+
+// TestLedgerTornTailKeepsNextJob pins torn-tail recovery across restarts:
+// a daemon that starts over a ledger whose last append was torn must not
+// glue its own first record onto the fragment, so a job submitted and
+// finished after that restart survives the next one.
+func TestLedgerTornTailKeepsNextJob(t *testing.T) {
+	dir := t.TempDir()
+	d1 := newTestDaemon(t, Options{Dir: dir, exec: instantExec})
+	if err := d1.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "ledger.jsonl"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"submit","id":"j-9`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	d2 := newTestDaemon(t, Options{Dir: dir, exec: instantExec})
+	id := mustSubmit(t, d2, "a", 0, singleSpec())
+	if v, done := d2.WaitJob(id, 10*time.Second); !done || v.State != StateDone {
+		t.Fatalf("job on the torn-tail ledger: %+v (done=%v)", v, done)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	d3 := newTestDaemon(t, Options{Dir: dir, exec: instantExec})
+	if v, ok := d3.Get(id); !ok || v.State != StateDone {
+		t.Fatalf("job %s after restart: %+v (ok=%v), want done", id, v, ok)
+	}
+	if raw, err := d3.Result(id); err != nil || string(raw) != string(fakeResult(id)) {
+		t.Fatalf("result after restart = %q, %v", raw, err)
+	}
+	if n := len(d3.List("")); n != 1 {
+		t.Fatalf("restart lists %d jobs, want 1", n)
 	}
 }

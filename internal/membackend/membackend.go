@@ -21,6 +21,7 @@ package membackend
 import (
 	"fmt"
 
+	"hmccoal/internal/enum"
 	"hmccoal/internal/hmc"
 	"hmccoal/internal/invariant"
 )
@@ -39,44 +40,21 @@ const (
 	KindIdeal
 )
 
+// kinds spells every Kind, in iota order, as the CLI -backend flag does.
+var kinds = enum.Table[Kind]{Type: "Kind", Unknown: "membackend: unknown backend", Names: []string{"hmc", "ddr", "ideal"}}
+
 // String names the kind as the CLI -backend flag spells it.
-func (k Kind) String() string {
-	switch k {
-	case KindHMC:
-		return "hmc"
-	case KindDDR:
-		return "ddr"
-	case KindIdeal:
-		return "ideal"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
+func (k Kind) String() string { return kinds.String(k) }
 
 // Validate rejects kinds no factory case exists for.
-func (k Kind) Validate() error {
-	switch k {
-	case KindHMC, KindDDR, KindIdeal:
-		return nil
-	}
-	return fmt.Errorf("membackend: unknown backend kind %d", int(k))
-}
+func (k Kind) Validate() error { return kinds.Validate(k) }
 
 // ParseKind maps a -backend flag value to a Kind. The empty string means
 // the default HMC device.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "hmc":
-		return KindHMC, nil
-	case "ddr":
-		return KindDDR, nil
-	case "ideal":
-		return KindIdeal, nil
-	}
-	return 0, fmt.Errorf("membackend: unknown backend %q (have hmc, ddr, ideal)", s)
-}
+func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
 
 // Kinds lists the recognized backend names for usage messages.
-func Kinds() []string { return []string{"hmc", "ddr", "ideal"} }
+func Kinds() []string { return kinds.List() }
 
 // Snapshot is an opaque deep copy of one backend's mutable state. It can
 // only be restored into a backend of the same kind and configuration.
@@ -126,7 +104,7 @@ func New(kind Kind, cfg hmc.Config) (Backend, error) {
 	case KindIdeal:
 		return newIdeal(cfg)
 	}
-	return nil, fmt.Errorf("membackend: unknown backend kind %d", int(kind))
+	return nil, kind.Validate()
 }
 
 // hmcBackend adapts *hmc.Device to the Backend interface. It is a pure

@@ -3,10 +3,14 @@ package soak
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"hmccoal/internal/coalescer"
+	"hmccoal/internal/membackend"
 	"hmccoal/internal/trace"
 )
 
@@ -46,5 +50,43 @@ func TestSoakCheckpointResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("restored report differs:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+}
+
+// TestSoakCheckpointCampaignIdentity pins the campaign tag: a checkpoint
+// restores only into the campaign that wrote it. A different seed,
+// backend, front-end or scheduler derives different scenarios, so it
+// restores nothing and re-runs every scenario.
+func TestSoakCheckpointCampaignIdentity(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "soak.ckpt")
+	var ran atomic.Int64
+	count := func(sc Scenario, accs []trace.Access) error { ran.Add(1); return nil }
+	base := Options{Seed: 7, Runs: 4, Workers: 1, Run: count, Checkpoint: ckpt}
+	if _, err := Soak(context.Background(), base); err != nil {
+		t.Fatal(err)
+	}
+	for name, mod := range map[string]func(*Options){
+		"seed":     func(o *Options) { o.Seed = 8 },
+		"backend":  func(o *Options) { o.Backend = membackend.KindIdeal },
+		"frontend": func(o *Options) { o.Frontend = coalescer.KindWarp },
+		"sched":    func(o *Options) { o.Sched = coalescer.SchedHetero },
+	} {
+		opts := base
+		opts.Checkpoint = filepath.Join(t.TempDir(), name+".ckpt")
+		data, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(opts.Checkpoint, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mod(&opts)
+		ran.Store(0)
+		if _, err := Soak(context.Background(), opts); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r := ran.Load(); r != int64(base.Runs) {
+			t.Errorf("%s: campaign ran %d of %d scenarios over a foreign checkpoint", name, r, base.Runs)
+		}
 	}
 }

@@ -326,15 +326,9 @@ func Soak(ctx context.Context, opts Options) (Report, error) {
 		KeepGoing:  true,
 		Progress:   opts.Progress,
 		Checkpoint: opts.Checkpoint,
-	}
-	// Tag checkpoint lines with the campaign's front-end axes so a warp
-	// campaign never resumes from two-phase outcomes; default campaigns
-	// stay untagged, keeping legacy checkpoints restorable.
-	if opts.Frontend != coalescer.KindTwoPhase {
-		swOpts.Frontend = opts.Frontend.String()
-	}
-	if opts.Sched != coalescer.SchedFRFCFS {
-		swOpts.Sched = opts.Sched.String()
+		// The campaign identity: every scenario derives from it, so a
+		// checkpoint restores only into the same campaign.
+		Tag: fmt.Sprintf("seed=%d backend=%v frontend=%v sched=%v", opts.Seed, opts.Backend, opts.Frontend, opts.Sched),
 	}
 	results, err := sweep.Map(ctx, opts.Runs, swOpts, func(ctx context.Context, i int) (result, error) {
 		sc := opts.scenario(i)

@@ -77,3 +77,33 @@ func TestOpenCheckpointAppendsToExisting(t *testing.T) {
 		t.Error("restore-only resume modified the checkpoint file")
 	}
 }
+
+// TestCheckpointTornTailResumes pins torn-tail recovery: a checkpoint
+// whose last append was torn by a crash (no trailing newline) costs only
+// the torn job. The first resume recomputes it and the job after it; the
+// second resume restores everything, because the first resume's lines
+// were not glued onto the torn fragment.
+func TestCheckpointTornTailResumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	torn := `{"job":0,"n":3,"result":10}` + "\n" + `{"job":1,"n":3,"res`
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	run := func(_ context.Context, i int) (int, error) { calls++; return i + 10, nil }
+	for pass, want := range []int{2, 0} {
+		calls = 0
+		got, err := Map(context.Background(), 3, Options{Workers: 1, Checkpoint: path}, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != want {
+			t.Errorf("resume %d recomputed %d jobs, want %d", pass+1, calls, want)
+		}
+		for i, v := range got {
+			if v != i+10 {
+				t.Errorf("resume %d: job %d = %d, want %d", pass+1, i, v, i+10)
+			}
+		}
+	}
+}

@@ -2,20 +2,16 @@ package sweep
 
 import (
 	"context"
-	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 )
 
-// runTagged runs a 4-job sweep against path with the given tags and
+// runTagged runs a 4-job sweep against path with the given tag and
 // returns how many jobs actually recomputed (were not restored).
-func runTagged(t *testing.T, path string, opts Options) int {
+func runTagged(t *testing.T, path, tag string) int {
 	t.Helper()
 	calls := 0
-	opts.Workers = 1
-	opts.Checkpoint = path
-	got, err := Map(context.Background(), 4, opts,
+	got, err := Map(context.Background(), 4, Options{Workers: 1, Checkpoint: path, Tag: tag},
 		func(_ context.Context, i int) (int, error) { calls++; return i + 100, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -28,67 +24,34 @@ func runTagged(t *testing.T, path string, opts Options) int {
 	return calls
 }
 
-// TestCheckpointFrontendTags pins the front-end tagging contract: a sweep
-// resumes only from checkpoint lines carrying its own frontend/sched tags,
-// so a warp campaign never restores two-phase results (or vice versa), and
-// every combination still restores its own lines with zero recompute.
+// TestCheckpointFrontendTags pins the single-tag contract: a sweep resumes
+// only from checkpoint lines carrying exactly its own Tag — whatever axis
+// the tags encode (here front-end/scheduler combinations) — and every tag
+// sharing one file still restores its own lines with zero recompute.
 func TestCheckpointFrontendTags(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
-	if got := runTagged(t, path, Options{Frontend: "warp", Sched: "hetero"}); got != 4 {
+	if got := runTagged(t, path, "warp/hetero"); got != 4 {
 		t.Fatalf("cold warp/hetero sweep ran %d jobs, want 4", got)
 	}
-	if got := runTagged(t, path, Options{Frontend: "warp", Sched: "hetero"}); got != 0 {
+	if got := runTagged(t, path, "warp/hetero"); got != 0 {
 		t.Errorf("warp/hetero resume recomputed %d jobs, want 0", got)
 	}
 
-	// A different front-end, scheduler, or the untagged default must skip
-	// every warp/hetero line and recompute the full grid.
-	for _, opts := range []Options{
-		{Frontend: "warp"},
-		{Frontend: "two-phase", Sched: "hetero"},
-		{},
-	} {
-		if got := runTagged(t, path, opts); got != 4 {
-			t.Errorf("sweep tagged %+v restored foreign lines: ran %d jobs, want 4", opts, got)
+	// Any other tag, including the empty one, must skip every warp/hetero
+	// line and recompute the full grid.
+	others := []string{"warp/frfcfs", "two-phase/hetero", ""}
+	for _, tag := range others {
+		if got := runTagged(t, path, tag); got != 4 {
+			t.Errorf("sweep tagged %q restored foreign lines: ran %d jobs, want 4", tag, got)
 		}
 	}
 
 	// Those runs appended their own lines behind the warp ones; each tag
-	// combination now resumes from its own results, still zero recompute.
-	for _, opts := range []Options{
-		{Frontend: "warp", Sched: "hetero"},
-		{Frontend: "warp"},
-		{Frontend: "two-phase", Sched: "hetero"},
-		{},
-	} {
-		if got := runTagged(t, path, opts); got != 0 {
-			t.Errorf("resume tagged %+v recomputed %d jobs, want 0", opts, got)
+	// now resumes from its own results, still zero recompute.
+	for _, tag := range append(others, "warp/hetero") {
+		if got := runTagged(t, path, tag); got != 0 {
+			t.Errorf("resume tagged %q recomputed %d jobs, want 0", tag, got)
 		}
-	}
-}
-
-// TestCheckpointLegacyLinesUntaggedOnly pins backward compatibility:
-// checkpoints written before front-ends existed carry no frontend/sched
-// keys, restore in full into an untagged (default two-phase/FR-FCFS)
-// sweep, and are skipped by any tagged sweep.
-func TestCheckpointLegacyLinesUntaggedOnly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	var lines []byte
-	for i := 0; i < 4; i++ {
-		lines = append(lines, []byte(fmt.Sprintf("{\"job\":%d,\"n\":4,\"result\":%d}\n", i, i+100))...)
-	}
-	if err := os.WriteFile(path, lines, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := runTagged(t, path, Options{}); got != 0 {
-		t.Errorf("untagged sweep recomputed %d jobs from a legacy checkpoint, want 0", got)
-	}
-	if got := runTagged(t, path, Options{Frontend: "warp"}); got != 4 {
-		t.Errorf("warp sweep restored legacy lines: ran %d jobs, want 4", got)
-	}
-	if got := runTagged(t, path, Options{Sched: "hetero"}); got != 4 {
-		t.Errorf("hetero sweep restored legacy lines: ran %d jobs, want 4", got)
 	}
 }

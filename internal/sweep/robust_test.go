@@ -240,21 +240,21 @@ func TestMapCheckpointProgressCountsRestored(t *testing.T) {
 	}
 }
 
-// TestMapCheckpointBackendTag proves backend-tagged checkpoint lines only
-// restore into a sweep with the same tag, while legacy untagged lines keep
-// restoring into untagged sweeps.
+// TestMapCheckpointBackendTag proves tagged checkpoint lines (here, one
+// tag per memory backend) only restore into a sweep with the same tag,
+// and untagged lines only into untagged sweeps.
 func TestMapCheckpointBackendTag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	content := `{"job":0,"n":4,"result":100}
-{"job":1,"n":4,"backend":"ddr","result":200}
-{"job":2,"n":4,"backend":"ideal","result":300}
+{"job":1,"n":4,"tag":"ddr","result":200}
+{"job":2,"n":4,"tag":"ideal","result":300}
 `
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh := func(_ context.Context, i int) (int, error) { return i, nil }
 
-	// Untagged sweep: only the legacy line restores.
+	// Untagged sweep: only the untagged line restores.
 	got, err := Map(context.Background(), 4, Options{Workers: 1, Checkpoint: path}, fresh)
 	if err != nil {
 		t.Fatal(err)
@@ -264,8 +264,8 @@ func TestMapCheckpointBackendTag(t *testing.T) {
 	}
 
 	// ddr-tagged sweep against the same file: only the ddr line restores;
-	// the legacy and ideal lines are foreign.
-	got, err = Map(context.Background(), 4, Options{Workers: 1, Checkpoint: path, Backend: "ddr"}, fresh)
+	// the untagged and ideal lines are foreign.
+	got, err = Map(context.Background(), 4, Options{Workers: 1, Checkpoint: path, Tag: "ddr"}, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +275,12 @@ func TestMapCheckpointBackendTag(t *testing.T) {
 
 	// A tagged sweep writes tagged lines and resumes from its own output.
 	tagged := filepath.Join(t.TempDir(), "tagged.jsonl")
-	if _, err := Map(context.Background(), 3, Options{Workers: 1, Checkpoint: tagged, Backend: "ideal"},
+	if _, err := Map(context.Background(), 3, Options{Workers: 1, Checkpoint: tagged, Tag: "ideal"},
 		func(_ context.Context, i int) (int, error) { return i * 7, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Int64
-	got, err = Map(context.Background(), 3, Options{Workers: 1, Checkpoint: tagged, Backend: "ideal"},
+	got, err = Map(context.Background(), 3, Options{Workers: 1, Checkpoint: tagged, Tag: "ideal"},
 		func(_ context.Context, i int) (int, error) { ran.Add(1); return i * 7, nil })
 	if err != nil {
 		t.Fatal(err)

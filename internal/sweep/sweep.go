@@ -20,17 +20,17 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
+
+	"hmccoal/internal/durable"
 )
 
 // Options tunes a sweep.
@@ -49,14 +49,15 @@ type Options struct {
 	// reported as a JobError wrapping context.DeadlineExceeded.
 	JobTimeout time.Duration
 	// Checkpoint, when non-empty, is a JSONL file persisting completed
-	// results: one {"job":i,"n":n,"result":…} line per finished job,
-	// appended as jobs complete. Starting a sweep with an existing
-	// checkpoint restores those results by index and only runs the
-	// remainder. Lines from a different grid size and lines torn by a
-	// crash mid-write are skipped individually — the scan continues past
-	// them — and a job recorded twice (an interrupted write re-appended on
-	// resume) restores its last complete line. The result type must be
-	// JSON round-trippable for restored runs to be byte-identical.
+	// results: one {"job":i,"n":n,"tag":t,"result":…} line per finished
+	// job, appended as jobs complete (see internal/durable). Starting a
+	// sweep with an existing checkpoint restores those results by index
+	// and only runs the remainder. Lines from a different grid size or
+	// Tag and lines torn by a crash mid-write are skipped individually —
+	// the scan continues past them — and a job recorded twice (an
+	// interrupted write re-appended on resume) restores its last complete
+	// line. The result type must be JSON round-trippable for restored
+	// runs to be byte-identical.
 	Checkpoint string
 	// KeepGoing runs every job even after failures instead of cancelling
 	// the sweep at the first error. All distinct errors are aggregated in
@@ -69,19 +70,12 @@ type Options struct {
 	// group, capped — rather than to the local core count, which would
 	// starve a many-worker cluster from a small coordinator machine.
 	Remote bool
-	// Backend tags every checkpoint line with the sweep's memory backend;
-	// on restore, lines carrying a different tag are skipped so a ddr
-	// sweep never resumes from hmc results. The empty tag is the legacy
-	// default: checkpoints written before backends existed carry no tag
-	// and keep restoring into untagged (default-backend) sweeps.
-	Backend string
-	// Frontend and Sched tag every checkpoint line with the sweep's
-	// coalescing front-end and issue policy, with the same skip-on-restore
-	// and legacy-line rules as Backend: empty tags are the two-phase /
-	// FR-FCFS defaults, and untagged lines (including every pre-frontend
-	// checkpoint) restore only into untagged sweeps.
-	Frontend string
-	Sched    string
+	// Tag is the identity of the sweep's results: every checkpoint line
+	// carries it, and on restore only lines whose tag and grid size both
+	// match are used, so a checkpoint never resumes into a sweep whose
+	// inputs differ. Callers derive it from everything that can change a
+	// result (hmccoal hashes its sweep spec; soak names its campaign).
+	Tag string
 }
 
 // JobError wraps a job failure with the index of the job that failed.
@@ -146,15 +140,9 @@ func (o Options) workers(n int) int {
 
 // checkpointLine is one JSONL record of a completed job.
 type checkpointLine struct {
-	Job int `json:"job"`
-	N   int `json:"n"`
-	// Backend is the sweep's memory-backend tag; empty on legacy lines
-	// (and on untagged sweeps, keeping their format byte-compatible).
-	Backend string `json:"backend,omitempty"`
-	// Frontend and Sched are the coalescing front-end and issue-policy
-	// tags, empty on legacy and default-front-end lines alike.
-	Frontend string `json:"frontend,omitempty"`
-	Sched    string `json:"sched,omitempty"`
+	Job int    `json:"job"`
+	N   int    `json:"n"`
+	Tag string `json:"tag,omitempty"`
 	// Result is deferred so restore can skip records whose envelope does
 	// not match before paying for the payload.
 	Result json.RawMessage `json:"result"`
@@ -209,7 +197,7 @@ func MapBatch[T any](ctx context.Context, n, batch int, opts Options, fn func(ct
 		if err != nil {
 			return results, err
 		}
-		ckpt, err = openCheckpoint(opts.Checkpoint)
+		ckpt, err = durable.OpenAppend(opts.Checkpoint)
 		if err != nil {
 			return results, fmt.Errorf("sweep: checkpoint: %w", err)
 		}
@@ -368,69 +356,47 @@ func runGroup[T any](ctx context.Context, idxs []int, opts Options, fn func(ctx 
 
 // restoreCheckpoint loads completed results from a JSONL checkpoint into
 // results/restored and reports how many were restored. A missing file is
-// an empty checkpoint. The file is scanned line by line: records from a
-// different grid size or backend, out-of-range indices, and undecodable
-// lines are skipped — and the scan continues past them, so a line torn by
-// a crash mid-append (which a resumed sweep then re-appends after) costs
-// exactly that line, never the rest of the file. Legacy lines carry no
-// backend/frontend/sched tags and restore only into untagged sweeps.
+// an empty checkpoint. durable.Scan skips torn and undecodable lines and
+// continues past them, so a line torn by a crash mid-append costs exactly
+// that line, never the rest of the file; records from a different grid
+// size or tag, out-of-range indices and undecodable payloads are skipped
+// the same way.
 //
 // Duplicate indices are last-wins: when a job appears twice — an
 // interrupted write whose complete record was re-appended on resume — the
 // later, complete line supersedes the earlier one. A job only counts as
 // restored once, and only a line whose payload decodes can supersede.
 func restoreCheckpoint[T any](path string, n int, opts Options, results []T, restored []bool) (int, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("sweep: checkpoint: %w", err)
-	}
 	count := 0
-	for len(data) > 0 {
-		var raw []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			raw, data = data[:i], data[i+1:]
-		} else {
-			raw, data = data, nil
-		}
-		raw = bytes.TrimSpace(raw)
-		if len(raw) == 0 {
-			continue
-		}
-		var line checkpointLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			continue // torn or corrupt line: skip it, keep scanning
-		}
-		if line.N != n || line.Backend != opts.Backend || line.Job < 0 || line.Job >= n {
-			continue
-		}
-		if line.Frontend != opts.Frontend || line.Sched != opts.Sched {
-			continue // a different front-end's results: never resume across them
+	err := durable.Scan(path, func(line checkpointLine) {
+		if line.N != n || line.Tag != opts.Tag || line.Job < 0 || line.Job >= n {
+			return
 		}
 		var r T
-		if err := json.Unmarshal(line.Result, &r); err != nil {
-			continue
+		if json.Unmarshal(line.Result, &r) != nil {
+			return
 		}
 		results[line.Job] = r
 		if !restored[line.Job] {
 			restored[line.Job] = true
 			count++
 		}
+	})
+	if err != nil {
+		return 0, fmt.Errorf("sweep: checkpoint: %w", err)
 	}
 	return count, nil
 }
 
 // appendCheckpoint writes one completed group's jobs to the checkpoint as
-// a single unbuffered Write — one JSONL line per job, write-through, so a
-// group recorded by finish is on disk before the sweep moves on. There is
-// no deferred flush to lose: cancellation (or a crash) after a group's
-// append costs nothing, and mid-append it tears at most the final line,
-// which restore skips. Every append is fsync'd before finish counts the
-// group as done, so a power loss can only take the lines after the last
-// sync — never reorder a complete, acknowledged line behind a torn one.
-// Does nothing when checkpointing is off.
+// a single durable.Append — one JSONL line per job, one Write and one
+// Sync — so a group recorded by finish is on disk before the sweep moves
+// on. There is no deferred flush to lose: cancellation (or a crash) after
+// a group's append costs nothing, and mid-append it tears at most the
+// final line, which restore skips and the next OpenAppend terminates. A
+// power loss can only take the lines after the last sync — never reorder
+// a complete, acknowledged line behind a torn one. Does nothing when
+// checkpointing is off.
 func appendCheckpoint[T any](f *os.File, idxs []int, n int, opts Options, rs []T) error {
 	if f == nil {
 		return nil
@@ -441,56 +407,14 @@ func appendCheckpoint[T any](f *os.File, idxs []int, n int, opts Options, rs []T
 		if err != nil {
 			return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
 		}
-		line, err := json.Marshal(checkpointLine{
-			Job: i, N: n,
-			Backend: opts.Backend, Frontend: opts.Frontend, Sched: opts.Sched,
-			Result: raw,
-		})
+		line, err := json.Marshal(checkpointLine{Job: i, N: n, Tag: opts.Tag, Result: raw})
 		if err != nil {
 			return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
 		}
 		buf = append(append(buf, line...), '\n')
 	}
-	if _, err := f.Write(buf); err != nil {
+	if err := durable.Append(f, buf); err != nil {
 		return fmt.Errorf("sweep: checkpoint group at job %d: %w", idxs[0], err)
 	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("sweep: checkpoint sync: %w", err)
-	}
 	return nil
-}
-
-// openCheckpoint opens the checkpoint for appending, creating a missing
-// file via temp-file + atomic rename (plus a directory sync) so the file
-// either exists completely or not at all — a crash during creation can
-// never leave a half-born directory entry for a later resume to trip on.
-func openCheckpoint(path string) (*os.File, error) {
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		dir := filepath.Dir(path)
-		tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-		if err != nil {
-			return nil, err
-		}
-		tmpName := tmp.Name()
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		if err := os.Rename(tmpName, path); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		syncDir(dir)
-	}
-	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// syncDir fsyncs a directory so a just-renamed file's entry is durable.
-// Best-effort: filesystems that reject directory fsync lose nothing but
-// the stronger guarantee.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

@@ -2,6 +2,8 @@ package hmccoal
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -76,6 +78,23 @@ type SweepSpec struct {
 	Batch int `json:"batch,omitempty"`
 }
 
+// fingerprint is the checkpoint tag of the spec's grid: a short hex hash
+// of its canonical JSON with the fields that cannot change a result
+// zeroed — Batch and Checks on every grid, plus Frontend and Sched on the
+// stride grid, which sweeps both axes itself.
+func (s SweepSpec) fingerprint() (string, error) {
+	s.Batch, s.Checks = 0, false
+	if s.Kind == SweepStride {
+		s.Frontend, s.Sched = "", ""
+	}
+	raw, err := json.Marshal(s)
+	if err != nil {
+		return "", fmt.Errorf("hmccoal: sweep spec fingerprint: %w", err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:8]), nil
+}
+
 // Dispatcher ships sweep job groups to external executors. RunGroup
 // blocks until the group completes somewhere and returns one JSON-encoded
 // SweepCell per index, in index order; the dsweep coordinator
@@ -88,8 +107,7 @@ type Dispatcher interface {
 // SweepCell is the universal per-job result of a sweep grid: the
 // simulation Result, or the payload analysis for the RunAll grid's
 // analysis jobs. It is what crosses the dsweep wire and what checkpoint
-// lines of the RunAll grid store (the JSON shape predates the type — old
-// checkpoints keep restoring).
+// lines of the RunAll grid store.
 type SweepCell struct {
 	Res Result          `json:"res"`
 	Pay PayloadAnalysis `json:"pay"`

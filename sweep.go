@@ -37,21 +37,19 @@ type SweepOptions struct {
 	Checks bool
 	// Checkpoint, when non-empty, persists each completed job to a JSONL
 	// file so an interrupted sweep resumes without recomputing (see
-	// sweep.Options.Checkpoint). Use a distinct file per sweep grid; the
-	// format is per-job, so batched and unbatched sweeps resume from each
-	// other's checkpoints.
+	// sweep.Options.Checkpoint). Every line is tagged with a fingerprint
+	// of the grid's SweepSpec — everything that can change a result, but
+	// not Batch or Checks — so a checkpoint only restores into a sweep
+	// with the same inputs; batched, unbatched, checked and distributed
+	// runs of one grid resume from each other's checkpoints.
 	Checkpoint string
 	// Backend selects the memory device for every simulation of the sweep
-	// (see Config.Backend). The zero value is the default HMC model; its
-	// checkpoint lines stay untagged, so pre-backend checkpoints keep
-	// resuming (sweep.Options.Backend).
+	// (see Config.Backend). The zero value is the default HMC model.
 	Backend BackendKind
 	// Frontend and Sched select the coalescing front-end and its issue
 	// policy for every simulation of the sweep (see Config.Frontend,
-	// Config.Sched). Like Backend, the zero values (two-phase, FR-FCFS)
-	// leave checkpoint lines untagged so pre-frontend checkpoints keep
-	// resuming; the StrideLadder grid sweeps both axes itself and ignores
-	// these.
+	// Config.Sched). The StrideLadder grid sweeps both axes itself and
+	// ignores these.
 	Frontend FrontendKind
 	Sched    SchedKind
 	// Dispatch, when non-nil, ships every job group to external executors
@@ -63,23 +61,21 @@ type SweepOptions struct {
 	Dispatch Dispatcher
 }
 
-func (o SweepOptions) engine() sweep.Options {
+// engine is the sweep-engine configuration for one grid. With a
+// checkpoint, its tag is the spec's fingerprint, so the checkpoint only
+// resumes into a sweep with identical inputs.
+func (o SweepOptions) engine(spec SweepSpec) (sweep.Options, error) {
 	opt := sweep.Options{
 		Workers:    o.Workers,
 		Progress:   o.Progress,
 		Checkpoint: o.Checkpoint,
 		Remote:     o.Dispatch != nil,
 	}
-	if o.Backend != BackendHMC {
-		opt.Backend = o.Backend.String()
+	var err error
+	if o.Checkpoint != "" {
+		opt.Tag, err = spec.fingerprint()
 	}
-	if o.Frontend != FrontendTwoPhase {
-		opt.Frontend = o.Frontend.String()
-	}
-	if o.Sched != SchedFRFCFS {
-		opt.Sched = o.Sched.String()
-	}
-	return opt
+	return opt, err
 }
 
 // spec is the serializable description of one of this option set's grids.
@@ -216,12 +212,16 @@ func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post 
 	if err != nil {
 		return nil, err
 	}
+	eng, err := opt.engine(spec)
+	if err != nil {
+		return nil, err
+	}
 	if opt.Dispatch != nil {
 		raw, err := json.Marshal(spec)
 		if err != nil {
 			return nil, fmt.Errorf("hmccoal: encode sweep spec: %w", err)
 		}
-		return sweep.MapBatch(ctx, g.n(), opt.groupSize(), opt.engine(),
+		return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
 			func(ctx context.Context, idxs []int) ([]T, error) {
 				cells, err := opt.Dispatch.RunGroup(ctx, raw, idxs)
 				if err != nil {
@@ -242,7 +242,7 @@ func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post 
 			})
 	}
 	tr := newTraceTable(g.benches, spec.Params, g.base.Hierarchy.CPUs, g.perBench)
-	return sweep.MapBatch(ctx, g.n(), opt.groupSize(), opt.engine(),
+	return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
 		func(_ context.Context, idxs []int) ([]T, error) {
 			cells, err := runSpecGroup(g, spec.Batch, idxs, tr.get)
 			if err != nil {
@@ -488,10 +488,6 @@ type StrideRun struct {
 // byte-identical at any worker count, batch width or under distributed
 // dispatch.
 func StrideLadderContext(ctx context.Context, p TraceParams, opt SweepOptions) ([]StrideRun, error) {
-	// The grid carries the front-end × scheduler axes in-band — every
-	// job's configuration and name come from its combo — so option-level
-	// tags would only mislabel its checkpoint lines: drop them.
-	opt.Frontend, opt.Sched = FrontendTwoPhase, SchedFRFCFS
 	names := workloads.StrideNames()
 	spec := opt.spec(SweepStride, p)
 	spec.Benches = names
