@@ -92,47 +92,128 @@ func TestBatchedTimeoutAndFaultSweeps(t *testing.T) {
 	}
 }
 
-// TestTraceTableReleases pins the refcount contract: a benchmark's trace
-// is generated on first get, stays resident while jobs are outstanding,
-// and is dropped when the last job calls done.
-func TestTraceTableReleases(t *testing.T) {
-	names := []string{"STREAM", "EP"}
-	tr := newTraceTable(names, sweepTestParams(), 2, 3)
+// TestTraceCacheRetention pins the trace cache's retention contract. On
+// a walk that is not whole (a dsweep worker's view of a sweep): an entry
+// a group holds survives any number of newer misses, an idle entry is
+// evicted once the walk reaches a later benchmark, the walk's furthest
+// trace stays resident as a hit, and a group behind it does not move the
+// walk back. Interleaved walks each keep their own trace, a walk trailing
+// another reuses the traces generated before its latest group, and idle
+// walks beyond the most groups ever run at once are forgotten. A whole
+// walk keeps a trace until every job of its benchmark has run, however
+// late.
+func TestTraceCacheRetention(t *testing.T) {
+	benches := []string{"STREAM", "EP", "FT", "CG", "LU"}
+	walkSpec := func(kind SweepKind, timeouts ...uint64) (string, *sweepGrid) {
+		s := SweepSpec{Kind: kind, Params: sweepTestParams(), Benches: benches, Timeouts: timeouts}
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := s.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw), g
+	}
+	var c *traceCache
+	resident := func(b string) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.m[traceKey{bench: b, p: sweepTestParams()}] != nil
+	}
+	type group struct {
+		held    map[int]*traceEntry
+		release func()
+	}
+	hold := func(spec string, g *sweepGrid, idxs ...int) group {
+		held, release := c.hold(spec, g, sweepTestParams(), idxs)
+		return group{held, release}
+	}
+	release := func(gr group) { gr.release() }
+	wantResident := func(when string, want map[string]bool) {
+		t.Helper()
+		for b, in := range want {
+			if resident(b) != in {
+				t.Fatalf("%s: %s resident %v, want %v", when, b, !in, in)
+			}
+		}
+	}
 
-	if tr.resident(0) || tr.resident(1) {
-		t.Fatal("cells resident before first get")
+	// One timeout per benchmark: job i runs benches[i].
+	c = new(traceCache)
+	a, ga := walkSpec(SweepFig14, 16)
+	first := hold(a, ga, 0)
+	accs, idx, err := first.held[0].load()
+	if err != nil || len(accs) == 0 || idx == nil {
+		t.Fatalf("load returned no trace (err %v)", err)
 	}
-	accs, idx, err := tr.get(0)
-	if err != nil {
-		t.Fatal(err)
+	for i := 1; i < 4; i++ {
+		release(hold(a, ga, i))
 	}
-	if len(accs) == 0 || idx == nil {
-		t.Fatal("get returned an empty trace")
+	wantResident("after newer misses", map[string]bool{"STREAM": true, "EP": false, "FT": false, "CG": true})
+	furthest := hold(a, ga, 3)
+	again := hold(a, ga, 0)
+	if accs2, idx2, _ := again.held[0].load(); &accs2[0] != &accs[0] || idx2 != idx {
+		t.Fatal("a hit rebuilt the trace instead of sharing it")
 	}
-	if !tr.resident(0) {
-		t.Fatal("cell not resident after get")
-	}
-	if tr.resident(1) {
-		t.Fatal("untouched benchmark generated eagerly")
+	release(again)
+	wantResident("while another group holds it", map[string]bool{"STREAM": true})
+	release(first)
+	release(furthest)
+	wantResident("after release behind the walk", map[string]bool{"STREAM": false, "CG": true})
+	release(hold(a, ga, 1))
+	wantResident("after a late group", map[string]bool{"EP": false, "CG": true})
+	if want := (TraceCacheStats{Hits: 2, Misses: 5, Evictions: 4}); c.stats != want {
+		t.Fatalf("stats %+v, want %+v", c.stats, want)
 	}
 
-	// Same cell, same backing trace — shared, not regenerated.
-	accs2, idx2, err := tr.get(0)
-	if err != nil {
-		t.Fatal(err)
+	// Two walks interleaved one group at a time each keep their trace; a
+	// third forgets the least recently used.
+	c = new(traceCache)
+	b, gb := walkSpec(SweepFig14, 28)
+	d, gd := walkSpec(SweepFig14, 40)
+	for k := 0; k < 2; k++ {
+		release(hold(a, ga, 0))
+		release(hold(b, gb, 1))
 	}
-	if &accs[0] != &accs2[0] || idx != idx2 {
-		t.Fatal("second get rebuilt the trace instead of sharing it")
+	release(hold(d, gd, 2))
+	wantResident("after a third walk", map[string]bool{"STREAM": false, "EP": true, "FT": true})
+	if want := (TraceCacheStats{Hits: 2, Misses: 3, Evictions: 1}); c.stats != want {
+		t.Fatalf("interleaved stats %+v, want %+v", c.stats, want)
 	}
 
-	tr.done(0)
-	tr.done(0)
-	if !tr.resident(0) {
-		t.Fatal("cell dropped with a job still outstanding")
+	// b trails a over the same trace parameters: it reuses a's traces
+	// generated before its latest group, and once it stops getting
+	// groups, a's newer traces go as a moves past them.
+	c = new(traceCache)
+	for _, step := range []struct {
+		spec string
+		g    *sweepGrid
+		i    int
+	}{{a, ga, 0}, {b, gb, 0}, {a, ga, 1}, {b, gb, 0}, {a, ga, 2}, {b, gb, 1}, {a, ga, 3}, {a, ga, 4}} {
+		release(hold(step.spec, step.g, step.i))
 	}
-	tr.done(0)
-	if tr.resident(0) {
-		t.Fatal("cell still resident after its last job completed")
+	wantResident("after a leads b", map[string]bool{"STREAM": false, "EP": true, "FT": true, "CG": false, "LU": true})
+	if want := (TraceCacheStats{Hits: 3, Misses: 5, Evictions: 2}); c.stats != want {
+		t.Fatalf("trailing stats %+v, want %+v", c.stats, want)
+	}
+
+	// A whole RunAll walk (four jobs per benchmark) keeps STREAM for its
+	// late fourth job after moving on to EP, and drops it once that job
+	// has run.
+	c = new(traceCache)
+	e, ge := walkSpec(SweepRunAll)
+	end := c.whole(e, ge, sweepTestParams())
+	release(hold(e, ge, 0, 1, 2))
+	release(hold(e, ge, 4))
+	wantResident("before the late job", map[string]bool{"STREAM": true, "EP": true})
+	release(hold(e, ge, 3))
+	wantResident("after the late job", map[string]bool{"STREAM": false, "EP": true})
+	end()
+	wantResident("after the sweep", map[string]bool{"EP": false})
+	if want := (TraceCacheStats{Hits: 1, Misses: 2, Evictions: 2}); c.stats != want {
+		t.Fatalf("whole-walk stats %+v, want %+v", c.stats, want)
 	}
 }
 

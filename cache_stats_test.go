@@ -27,36 +27,40 @@ func timeoutSpec(t *testing.T, bench string) []byte {
 
 // TestSweepRunnerCacheStats pins the trace-cache counter semantics: the
 // first group on a benchmark is a miss, every later group on the same
-// benchmark a hit, and visiting more benchmarks than the cache holds
-// evicts the oldest.
+// benchmark a hit, and a group counts once per benchmark however many of
+// its jobs replay that trace. Each spec keeps the trace it is on, so a
+// second spec does not evict the first's.
 func TestSweepRunnerCacheStats(t *testing.T) {
 	r := NewSweepRunner()
 	ctx := context.Background()
-	spec := timeoutSpec(t, Benchmarks()[0])
+	benches := Benchmarks()
+	spec := timeoutSpec(t, benches[0])
 	for g := 0; g < 2; g++ {
-		if _, err := r.Run(ctx, spec, []int{g}); err != nil {
+		if _, err := r.RunGroup(ctx, spec, []int{g}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := r.CacheStats()
-	if s.Misses != 1 || s.Hits != 1 || s.Evictions != 0 {
+	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 1, Hits: 1}) {
 		t.Fatalf("after two groups on one benchmark: %+v; want 1 miss, 1 hit, 0 evictions", s)
 	}
 
-	// One more benchmark than the cache holds: the oldest trace goes.
-	benches := Benchmarks()
-	if len(benches) < traceCacheEntries+1 {
-		t.Skipf("only %d benchmarks; need %d to overflow the cache", len(benches), traceCacheEntries+1)
+	// One eight-job group over two benchmarks: a hit on the resident
+	// trace and a miss on the other, each counted once.
+	raw, err := json.Marshal(SweepSpec{Kind: SweepRunAll, Params: sweepTestParams(), Benches: benches[:2]})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, b := range benches[:traceCacheEntries+1] {
-		if _, err := r.Run(ctx, timeoutSpec(t, b), []int{0}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := r.RunGroup(ctx, raw, []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
+		t.Fatal(err)
 	}
-	s = r.CacheStats()
-	if s.Evictions == 0 {
-		t.Fatalf("visited %d benchmarks over a %d-entry cache without an eviction: %+v",
-			traceCacheEntries+1, traceCacheEntries, s)
+	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 2, Hits: 2}) {
+		t.Fatalf("after an 8-job group on two benchmarks: %+v; want 2 misses, 2 hits, 0 evictions", s)
+	}
+	if _, err := r.RunGroup(ctx, spec, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 2, Hits: 3}) {
+		t.Fatalf("back on the first spec: %+v; want its trace still resident (3 hits)", s)
 	}
 }
 
@@ -68,7 +72,7 @@ func TestStatusCarriesCacheCounts(t *testing.T) {
 	runner := NewSweepRunner()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go dsweep.Work(ctx, addr, runner.Run, dsweep.WorkOptions{
+	go dsweep.Work(ctx, addr, runner.RunGroup, dsweep.WorkOptions{
 		Name: "cachy",
 		CacheStats: func() dsweep.CacheCounts {
 			s := runner.CacheStats()

@@ -40,7 +40,6 @@ import (
 
 	"hmccoal"
 	"hmccoal/internal/dsweep"
-	"hmccoal/internal/netchaos"
 	"hmccoal/internal/profiling"
 	"hmccoal/internal/trace"
 )
@@ -66,7 +65,7 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("hmccoal", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "figure to regenerate: 1,2,8,9,10,11,12,13,14,15, 'fault' or 'all'")
+		fig     = fs.String("fig", "all", "figures to regenerate, comma-separated: 1,2,8,9,10,11,12,13,14,15, 'fault', 'speedup', 'stride' or 'all' ('all' is the paper's set)")
 		ops     = fs.Int("ops", 4000, "approximate memory operations per CPU (scale)")
 		seed    = fs.Int64("seed", 3, "workload random seed")
 		cpus    = fs.Int("cpus", 12, "number of simulated CPUs")
@@ -78,25 +77,20 @@ func run(argv []string) int {
 		replay  = fs.String("trace", "", "replay a binary trace file (from tracegen/rvsim) instead of running the benchmark suite")
 		asJSON  = fs.Bool("json", false, "with -trace: emit the full results as JSON")
 
-		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = fs.String("memprofile", "", "write an allocation profile to this file on exit")
-		exectrace   = fs.String("exectrace", "", "write a runtime execution trace to this file (-trace is taken by replay)")
-		checks      = fs.Bool("checks", false, "enable the runtime invariant checker in every simulation (results identical; violations become errors)")
-		checkpoint  = fs.String("checkpoint", "", "JSONL checkpoint base path: each sweep persists completed jobs to <base>.<sweep> and resumes from it")
-		backend     = fs.String("backend", "hmc", "memory backend behind the coalescer: hmc, ddr or ideal")
-		frontendF   = fs.String("frontend", "two-phase", "coalescing front-end between the LLC and the backend: two-phase or warp")
-		sched       = fs.String("sched", "frfcfs", "issue policy inside the front-end: frfcfs or hetero")
-		runBench    = fs.String("run", "", "run one benchmark once (two-phase) and print its summary; combines with -backend, -faults and -snapshot-at")
-		snapshotAt  = fs.Uint64("snapshot-at", 0, "with -run: snapshot at this tick, restore into a fresh system, and finish from the snapshot — the summary is byte-identical to the uninterrupted run")
-		faults      = fs.String("faults", "", "with -run: link fault injection (hmc backend only), e.g. seed=1,ber=1e-6[,drop=1e-7][,retries=3]")
-		serve       = fs.String("serve", "", "coordinate distributed sweeps: listen on this TCP address and ship sweep job groups to hmcsweepd workers instead of simulating locally")
-		lease       = fs.Duration("lease", dsweep.DefaultLease, "with -serve: a worker silent this long after taking a job group is presumed dead and the group is requeued")
-		token       = fs.String("token", "", "with -serve: shared secret workers must present in their handshake (empty accepts any worker)")
-		maxAttempts = fs.Int("max-attempts", dsweep.DefaultMaxAttempts, "with -serve: workers that may be lost on one job group before the group fails")
-		chaos       = fs.String("chaos", "", "with -serve: deterministic network-fault injection on worker connections, e.g. seed=1,reset=0.02,delay=2ms (testing)")
-		tlsCert     = fs.String("tls-cert", "", "with -serve: PEM certificate; worker connections are TLS-wrapped (requires -tls-key)")
-		tlsKey      = fs.String("tls-key", "", "with -serve: PEM private key for -tls-cert")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+		exectrace  = fs.String("exectrace", "", "write a runtime execution trace to this file (-trace is taken by replay)")
+		checks     = fs.Bool("checks", false, "enable the runtime invariant checker in every simulation (results identical; violations become errors)")
+		checkpoint = fs.String("checkpoint", "", "JSONL checkpoint base path: each sweep persists completed jobs to <base>.<sweep> and resumes from it")
+		backend    = fs.String("backend", "hmc", "memory backend behind the coalescer: hmc, ddr or ideal")
+		frontendF  = fs.String("frontend", "two-phase", "coalescing front-end between the LLC and the backend: two-phase or warp")
+		sched      = fs.String("sched", "frfcfs", "issue policy inside the front-end: frfcfs or hetero")
+		runBench   = fs.String("run", "", "run one benchmark once (two-phase) and print its summary; combines with -backend, -faults and -snapshot-at")
+		snapshotAt = fs.Uint64("snapshot-at", 0, "with -run: snapshot at this tick, restore into a fresh system, and finish from the snapshot — the summary is byte-identical to the uninterrupted run")
+		faults     = fs.String("faults", "", "with -run: link fault injection (hmc backend only), e.g. seed=1,ber=1e-6[,drop=1e-7][,retries=3]")
 	)
+	var serve dsweep.ServeFlags
+	serve.Register(fs, "coordinate distributed sweeps: listen on this TCP address and ship sweep job groups to hmcsweepd workers instead of simulating locally")
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -109,29 +103,8 @@ func run(argv []string) int {
 	if *batch < 0 {
 		return usageErr(fmt.Errorf("-batch must be ≥ 0, got %d", *batch))
 	}
-	if *lease <= 0 {
-		return usageErr(fmt.Errorf("-lease must be positive, got %v", *lease))
-	}
-	if *maxAttempts <= 0 {
-		return usageErr(fmt.Errorf("-max-attempts must be positive, got %d", *maxAttempts))
-	}
-	if *serve == "" {
-		if *token != "" {
-			return usageErr(errors.New("-token only applies with -serve"))
-		}
-		if *chaos != "" {
-			return usageErr(errors.New("-chaos only applies with -serve"))
-		}
-		if *tlsCert != "" || *tlsKey != "" {
-			return usageErr(errors.New("-tls-cert/-tls-key only apply with -serve"))
-		}
-	}
-	if (*tlsCert == "") != (*tlsKey == "") {
-		return usageErr(errors.New("-tls-cert and -tls-key must be given together"))
-	}
-	chaosCfg, err := netchaos.ParseFlag(*chaos)
-	if err != nil {
-		return usageErr(fmt.Errorf("-chaos: %w", err))
+	if err := serve.Validate(); err != nil {
+		return usageErr(err)
 	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile, *exectrace)
@@ -146,31 +119,19 @@ func run(argv []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	kind, err := hmccoal.ParseBackend(*backend)
-	if err != nil {
-		return usageErr(err)
-	}
-	feKind, err := hmccoal.ParseFrontend(*frontendF)
-	if err != nil {
-		return usageErr(err)
-	}
-	schedKind, err := hmccoal.ParseSched(*sched)
+	kind, feKind, schedKind, err := hmccoal.ParseSimAxes(*backend, *frontendF, *sched)
 	if err != nil {
 		return usageErr(err)
 	}
 
 	var dispatch hmccoal.Dispatcher
-	if *serve != "" {
-		// Coordinator chatter goes to stderr, keeping stdout byte-identical
-		// to a local run.
-		coord, err := dsweep.ServeCoordinator(*serve, dsweep.Options{
-			Lease:       *lease,
-			MaxAttempts: *maxAttempts,
-			Token:       *token,
-		}, chaosCfg, *tlsCert, *tlsKey, os.Stderr, "hmccoal")
-		if err != nil {
-			return usageErr(err)
-		}
+	// Coordinator chatter goes to stderr, keeping stdout byte-identical to
+	// a local run.
+	coord, err := serve.Start(os.Stderr, "hmccoal", nil)
+	if err != nil {
+		return usageErr(err)
+	}
+	if coord != nil {
 		defer coord.Close()
 		dispatch = coord
 
@@ -423,6 +384,7 @@ func runOnce(bench string, p hmccoal.TraceParams, kind hmccoal.BackendKind, fe h
 		return err
 	}
 	cfg := hmccoal.DefaultConfig()
+	cfg.Hierarchy.CPUs = p.CPUs
 	cfg.Mode = hmccoal.ModeTwoPhase
 	cfg.Backend = kind
 	cfg.Frontend = fe

@@ -49,7 +49,6 @@ import (
 
 	"hmccoal/internal/dsweep"
 	"hmccoal/internal/jobserv"
-	"hmccoal/internal/netchaos"
 )
 
 const (
@@ -76,15 +75,9 @@ func run(argv []string, outw, errw io.Writer) int {
 		burst        = fs.Int("burst", 0, "submit rate burst size (with -rate; 0 = 1)")
 		jobTimeout   = fs.Duration("job-timeout", 0, "per-attempt watchdog: a job running longer fails with a structured timeout (0 = off)")
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "how long a SIGTERM drain waits for running jobs to finish or park")
-
-		serve       = fs.String("serve", "", "also coordinate distributed sweeps: listen on this TCP address for hmcsweepd workers and ship sweep jobs to them")
-		lease       = fs.Duration("lease", dsweep.DefaultLease, "with -serve: a worker silent this long after taking a job group is presumed dead and the group is requeued")
-		token       = fs.String("token", "", "with -serve: shared secret workers must present (empty accepts any worker)")
-		maxAttempts = fs.Int("max-attempts", dsweep.DefaultMaxAttempts, "with -serve: workers that may be lost on one job group before the group fails")
-		chaos       = fs.String("chaos", "", "with -serve: deterministic network-fault injection on worker connections (testing)")
-		tlsCert     = fs.String("tls-cert", "", "with -serve: PEM certificate; worker connections are TLS-wrapped (requires -tls-key)")
-		tlsKey      = fs.String("tls-key", "", "with -serve: PEM private key for -tls-cert")
 	)
+	var serve dsweep.ServeFlags
+	serve.Register(fs, "also coordinate distributed sweeps: listen on this TCP address for hmcsweepd workers and ship sweep jobs to them")
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -114,26 +107,8 @@ func run(argv []string, outw, errw io.Writer) int {
 	if *jobTimeout < 0 || *drainTimeout <= 0 {
 		return usageErr(errors.New("-job-timeout must be ≥ 0 and -drain-timeout > 0"))
 	}
-	if *serve == "" {
-		if *token != "" {
-			return usageErr(errors.New("-token only applies with -serve"))
-		}
-		if *chaos != "" {
-			return usageErr(errors.New("-chaos only applies with -serve"))
-		}
-		if *tlsCert != "" || *tlsKey != "" {
-			return usageErr(errors.New("-tls-cert/-tls-key only apply with -serve"))
-		}
-	}
-	if (*tlsCert == "") != (*tlsKey == "") {
-		return usageErr(errors.New("-tls-cert and -tls-key must be given together"))
-	}
-	chaosCfg, err := netchaos.ParseFlag(*chaos)
-	if err != nil {
-		return usageErr(fmt.Errorf("-chaos: %w", err))
-	}
-	if *lease <= 0 || *maxAttempts <= 0 {
-		return usageErr(errors.New("-lease and -max-attempts must be positive"))
+	if err := serve.Validate(); err != nil {
+		return usageErr(err)
 	}
 
 	opt := jobserv.Options{
@@ -155,16 +130,11 @@ func run(argv []string, outw, errw io.Writer) int {
 
 	// With -serve, sweep jobs dispatch to hmcsweepd workers through an
 	// embedded dsweep coordinator instead of simulating in-process.
-	if *serve != "" {
-		coord, err := dsweep.ServeCoordinator(*serve, dsweep.Options{
-			Lease:       *lease,
-			MaxAttempts: *maxAttempts,
-			Token:       *token,
-			Logf:        opt.Logf,
-		}, chaosCfg, *tlsCert, *tlsKey, errw, "hmcservd")
-		if err != nil {
-			return usageErr(err)
-		}
+	coord, err := serve.Start(errw, "hmcservd", opt.Logf)
+	if err != nil {
+		return usageErr(err)
+	}
+	if coord != nil {
 		defer coord.Close()
 		opt.Dispatch = coord
 	}

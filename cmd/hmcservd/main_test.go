@@ -53,6 +53,24 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBudgetErrors pins the stderr line for a non-positive
+// -lease or -max-attempts: the coordinator flags are validated by the
+// shared dsweep registration, so hmcservd names the flag at fault exactly
+// as hmccoal does.
+func TestCoordinatorBudgetErrors(t *testing.T) {
+	for args, want := range map[[2]string]string{
+		{"-lease", "0s"}:       "hmcservd: -lease must be positive, got 0s\n",
+		{"-lease", "-1m"}:      "hmcservd: -lease must be positive, got -1m0s\n",
+		{"-max-attempts", "0"}: "hmcservd: -max-attempts must be positive, got 0\n",
+	} {
+		var errb bytes.Buffer
+		argv := []string{"-state", t.TempDir(), "-serve", ":0", args[0], args[1]}
+		if code := run(argv, &errb, &errb); code != exitUsage || errb.String() != want {
+			t.Errorf("run(%v) = %d, stderr %q; want %d, %q", argv, code, errb.String(), exitUsage, want)
+		}
+	}
+}
+
 // child is one re-exec'd hmcservd process.
 type child struct {
 	cmd  *exec.Cmd

@@ -1,10 +1,10 @@
-// Command hmcsweepd is a distributed-sweep worker: it connects to an
-// hmccoal coordinator (hmccoal -serve), pulls sweep job groups over the
-// dsweep wire protocol, runs the simulations locally and streams the
-// results back. Start any number of workers on any machines that can
-// reach the coordinator; work-stealing dispatch balances the grid across
-// them, and the coordinator's printed figures stay byte-identical to a
-// local run.
+// Command hmcsweepd is a distributed-sweep worker: it connects to a sweep
+// coordinator (hmccoal -serve, or hmcservd -serve for the job service's
+// sweep jobs), pulls sweep job groups over the dsweep wire protocol, runs
+// the simulations locally and streams the results back. Start any number
+// of workers on any machines that can reach the coordinator;
+// work-stealing dispatch balances the grid across them, and the
+// coordinator's results stay byte-identical to a local run.
 //
 // Usage:
 //
@@ -161,7 +161,7 @@ func run(argv []string) int {
 	}
 
 	fmt.Fprintf(os.Stderr, "hmcsweepd: %s pulling from %s (%d slots)\n", *name, *connect, *slots)
-	if err := dsweep.Work(ctx, *connect, runner.Run, opt); err != nil {
+	if err := dsweep.Work(ctx, *connect, runner.RunGroup, opt); err != nil {
 		fmt.Fprintln(os.Stderr, "hmcsweepd:", err)
 		return exitRun
 	}

@@ -29,7 +29,7 @@ func chaosWorkers(t *testing.T, addr string, n int, inj *netchaos.Injector) {
 		return d.DialContext(ctx, "tcp", addr)
 	})
 	for i := 0; i < n; i++ {
-		go dsweep.Work(ctx, addr, NewSweepRunner().Run, dsweep.WorkOptions{
+		go dsweep.Work(ctx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{
 			Name:       fmt.Sprintf("chaos-%d", i),
 			Dial:       dial,
 			DialRetry:  30 * time.Second,
@@ -165,7 +165,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		if atomic.AddInt32(&groups, 1) > 1 {
 			<-gate // hold every group after the first until the test releases them
 		}
-		return runner.Run(ctx, spec, idxs)
+		return runner.RunGroup(ctx, spec, idxs)
 	}, dsweep.WorkOptions{Name: "doomed-era"})
 
 	// Batch 0 keeps every job its own dispatch group, so the single-slot
@@ -238,7 +238,7 @@ func TestBadTokenWorkerDoesNotDisturbCampaign(t *testing.T) {
 	coord, addr := startTestCoordinator(t, dsweep.Options{Token: "s3cret"})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go dsweep.Work(ctx, addr, NewSweepRunner().Run, dsweep.WorkOptions{Name: "auth", Token: "s3cret"})
+	go dsweep.Work(ctx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{Name: "auth", Token: "s3cret"})
 
 	// Intruders: wrong token, then no token, in a loop for the whole
 	// campaign. Each must be turned away with a Bye and a counted reject.
@@ -250,7 +250,7 @@ func TestBadTokenWorkerDoesNotDisturbCampaign(t *testing.T) {
 				return
 			}
 			ictx, icancel := context.WithTimeout(ctx, 5*time.Second)
-			err := dsweep.Work(ictx, addr, NewSweepRunner().Run, dsweep.WorkOptions{
+			err := dsweep.Work(ictx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{
 				Name: "intruder", Token: strings.Repeat("x", i), Reconnects: -1,
 			})
 			icancel()

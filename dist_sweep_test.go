@@ -34,13 +34,17 @@ func startTestWorkers(t *testing.T, addr string, n int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	for i := 0; i < n; i++ {
-		go dsweep.Work(ctx, addr, NewSweepRunner().Run, dsweep.WorkOptions{Name: "test-worker"})
+		go dsweep.Work(ctx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{Name: "test-worker"})
 	}
 }
 
-// SweepRunner.Run in package hmccoal has the GroupRunner signature
-// dsweep.Work expects; this assignment pins that contract at compile time.
-var _ dsweep.GroupRunner = NewSweepRunner().Run
+// SweepRunner.RunGroup has the GroupRunner signature dsweep.Work expects,
+// and *SweepRunner is the in-process Dispatcher; these assignments pin
+// both contracts at compile time.
+var (
+	_ dsweep.GroupRunner = NewSweepRunner().RunGroup
+	_ Dispatcher         = NewSweepRunner()
+)
 
 // TestDistributedSweepDeterminism is the distribution tentpole's
 // correctness contract: a sweep dispatched to remote workers must produce

@@ -138,6 +138,21 @@ func ParseSched(s string) (SchedKind, error) { return coalescer.ParseSched(s) }
 // Scheds lists the selectable scheduler names.
 func Scheds() []string { return coalescer.Scheds() }
 
+// ParseSimAxes resolves a run's backend, front-end and scheduler names,
+// in that order ("" selects each default), and returns the first error.
+func ParseSimAxes(backend, frontend, sched string) (BackendKind, FrontendKind, SchedKind, error) {
+	b, err := ParseBackend(backend)
+	if err != nil {
+		return b, 0, 0, err
+	}
+	f, err := ParseFrontend(frontend)
+	if err != nil {
+		return b, f, 0, err
+	}
+	s, err := ParseSched(sched)
+	return b, f, s, err
+}
+
 // ParseFaultFlag decodes the shared -faults CLI syntax ("seed=1,ber=1e-6,
 // drop=1e-7,retries=3"); an empty string disables injection.
 func ParseFaultFlag(s string) (FaultConfig, error) { return fault.ParseFlag(s) }

@@ -110,13 +110,7 @@ func (s Spec) Validate() error {
 	if s.CPUs < 0 || s.Ops < 0 {
 		return fmt.Errorf("jobserv: cpus and ops must be ≥ 0")
 	}
-	if _, err := hmccoal.ParseBackend(s.Backend); s.Backend != "" && err != nil {
-		return fmt.Errorf("jobserv: %w", err)
-	}
-	if _, err := hmccoal.ParseFrontend(s.Frontend); s.Frontend != "" && err != nil {
-		return fmt.Errorf("jobserv: %w", err)
-	}
-	if _, err := hmccoal.ParseSched(s.Sched); s.Sched != "" && err != nil {
+	if _, _, _, err := hmccoal.ParseSimAxes(s.Backend, s.Frontend, s.Sched); err != nil {
 		return fmt.Errorf("jobserv: %w", err)
 	}
 	checkBench := func() error {

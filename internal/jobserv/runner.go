@@ -65,15 +65,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 		}
 		sys = restored
 	} else {
-		backend, err := hmccoal.ParseBackend(spec.Backend)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		fe, err := hmccoal.ParseFrontend(spec.Frontend)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		sched, err := hmccoal.ParseSched(spec.Sched)
+		backend, fe, sched, err := hmccoal.ParseSimAxes(spec.Backend, spec.Frontend, spec.Sched)
 		if err != nil {
 			return execOutcome{err: err}
 		}
@@ -83,9 +75,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 		}
 		cfg = hmccoal.DefaultConfig()
 		cfg.Mode = hmccoal.ModeTwoPhase
-		cfg.Backend = backend
-		cfg.Frontend = fe
-		cfg.Sched = sched
+		cfg.Backend, cfg.Frontend, cfg.Sched = backend, fe, sched
 		cfg.Hierarchy.CPUs = spec.params().CPUs
 		if sys, err = hmccoal.NewSystem(cfg); err != nil {
 			return execOutcome{err: err}
@@ -133,15 +123,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 // restore instead of recomputing and the final output is byte-identical
 // across any interruption history.
 func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
-	backend, err := hmccoal.ParseBackend(spec.Backend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	fe, err := hmccoal.ParseFrontend(spec.Frontend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	sched, err := hmccoal.ParseSched(spec.Sched)
+	backend, fe, sched, err := hmccoal.ParseSimAxes(spec.Backend, spec.Frontend, spec.Sched)
 	if err != nil {
 		return execOutcome{err: err}
 	}
@@ -235,15 +217,7 @@ func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
 // classified scenario durable, so interruptions only recompute scenarios
 // that had not been classified yet.
 func (d *Daemon) execSoak(ctl execCtl, id string, spec Spec) execOutcome {
-	backend, err := hmccoal.ParseBackend(spec.Backend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	fe, err := hmccoal.ParseFrontend(spec.Frontend)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	sched, err := hmccoal.ParseSched(spec.Sched)
+	backend, fe, sched, err := hmccoal.ParseSimAxes(spec.Backend, spec.Frontend, spec.Sched)
 	if err != nil {
 		return execOutcome{err: err}
 	}

@@ -1,26 +1,28 @@
 package hmccoal
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
 	"hmccoal/internal/cache"
 	"hmccoal/internal/sim"
 )
 
-// This file is the distributed half of the sweep layer: a sweep grid as a
-// serializable value. A SweepSpec plus a grid index is a pure description
-// of one simulation job — benchmark trace, configuration, display name —
-// identical on the coordinator and on every dsweep worker process, so a
-// worker can reconstruct any job from the spec alone (traces are seeded
-// and regenerate deterministically; nothing bulky crosses the wire). Both
-// the in-process sweep path and the remote workers execute groups through
-// the same compiled grid and runSpecGroup, which is what makes the
-// distributed output byte-identical to -workers 1 by construction.
+// This file is the executing half of the sweep layer: a sweep grid as a
+// serializable value and the runner that executes it. A SweepSpec plus a
+// grid index is a pure description of one simulation job — benchmark
+// trace, configuration, display name — identical on the coordinator and
+// on every dsweep worker process, so a worker can reconstruct any job from
+// the spec alone (traces are seeded and regenerate deterministically;
+// nothing bulky crosses the wire). In-process sweeps and remote workers
+// alike execute groups through SweepRunner.RunGroup, which is what makes
+// the distributed output byte-identical to -workers 1 by construction.
 
 // SweepKind enumerates the distributable sweep grids.
 type SweepKind string
@@ -95,11 +97,11 @@ func (s SweepSpec) fingerprint() (string, error) {
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// Dispatcher ships sweep job groups to external executors. RunGroup
-// blocks until the group completes somewhere and returns one JSON-encoded
-// SweepCell per index, in index order; the dsweep coordinator
-// (internal/dsweep.Coordinator) is the canonical implementation, handing
-// groups to worker processes with work-stealing and crash requeue.
+// Dispatcher executes sweep job groups. RunGroup blocks until the group
+// completes somewhere and returns one JSON-encoded SweepCell per index, in
+// index order. SweepRunner executes groups in-process; the dsweep
+// coordinator (internal/dsweep.Coordinator) hands them to worker
+// processes with work-stealing and crash requeue.
 type Dispatcher interface {
 	RunGroup(ctx context.Context, spec []byte, idxs []int) ([]json.RawMessage, error)
 }
@@ -135,19 +137,12 @@ func (g *sweepGrid) isPayload(i int) bool { return g.payload != nil && g.payload
 // remote workers both run jobs through it, so their configurations cannot
 // diverge.
 func (s SweepSpec) compile() (*sweepGrid, error) {
-	backend, err := ParseBackend(s.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("hmccoal: sweep spec: %w", err)
-	}
-	fe, err := ParseFrontend(s.Frontend)
-	if err != nil {
-		return nil, fmt.Errorf("hmccoal: sweep spec: %w", err)
-	}
-	sched, err := ParseSched(s.Sched)
+	backend, fe, sched, err := ParseSimAxes(s.Backend, s.Frontend, s.Sched)
 	if err != nil {
 		return nil, fmt.Errorf("hmccoal: sweep spec: %w", err)
 	}
 	base := DefaultConfig()
+	base.Hierarchy.CPUs = s.Params.CPUs
 	base.Checks = s.Checks
 	base.Backend = backend
 	base.Frontend = fe
@@ -253,152 +248,223 @@ func batchLanes(batch, n int) int {
 	return batch
 }
 
-// runSpecGroup executes grid indices idxs of a compiled grid: simulation
-// jobs run together on batch lockstep lanes, payload-analysis jobs on one
-// shared (reset per analysis) hierarchy, and benchmark b's trace comes
-// from trace(b) — the local refcounted table or a worker's cache. One
-// cell per index, in index order.
-func runSpecGroup(g *sweepGrid, batch int, idxs []int, trace func(b int) ([]Access, *TraceIndex, error)) ([]SweepCell, error) {
-	out := make([]SweepCell, len(idxs))
-	var jobs []BatchJob
-	var slot []int
-	var payHier *cache.Hierarchy
-	for k, i := range idxs {
-		accs, idx, err := trace(i / g.perBench)
-		if err != nil {
-			return nil, err
-		}
-		if g.isPayload(i) {
-			if payHier == nil {
-				if payHier, err = cache.NewHierarchy(g.base.Hierarchy); err != nil {
-					return nil, err
-				}
-			}
-			pay, err := sim.AnalyzePayloadWith(payHier, accs, g.base.Coalescer.Width)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = SweepCell{Pay: pay}
-			continue
-		}
-		jobs = append(jobs, BatchJob{Name: g.name(i), Cfg: g.cfg(i), Accs: accs, Index: idx})
-		slot = append(slot, k)
-	}
-	res, err := RunBatch(jobs, batchLanes(batch, len(jobs)))
-	if err != nil {
-		return nil, err
-	}
-	for k, r := range res {
-		out[slot[k]].Res = r
-	}
-	return out, nil
-}
-
-// traceCacheEntries bounds a worker's resident traces: groups of one grid
-// interleave a handful of benchmarks, and a few extra slots ride out the
-// boundary between consecutive sweeps.
-const traceCacheEntries = 6
-
-// traceKey identifies one generated trace+index pair.
+// traceKey identifies one generated trace+index pair; the index is built
+// for Params.CPUs CPUs, the same count the grid's systems simulate.
 type traceKey struct {
 	bench string
 	p     TraceParams
-	cpus  int
 }
 
-// TraceCacheStats counts a worker's trace-cache behavior across every
-// group it ran: a hit is a group finding its benchmark's trace already
-// resident (or being generated by a concurrent slot), a miss pays a full
-// generation, and an eviction drops the oldest resident trace past the
-// cache cap. The counters are monotonic over a SweepRunner's lifetime;
-// the dsweep protocol ships them back with every result so the
-// coordinator's Status() can show cache effectiveness per worker.
+// TraceCacheStats counts a SweepRunner's trace-cache behavior across
+// every group it ran: a hit is a group finding one of its benchmarks'
+// traces already resident (or being generated by a concurrent group), a
+// miss pays a full generation, and an eviction drops a trace that no
+// group holds and no walk needs. Each group counts once per benchmark it
+// touches, however many of its jobs replay that trace. The counters are
+// monotonic over a SweepRunner's lifetime; the dsweep protocol ships them
+// back with every result so the coordinator's Status() can show cache
+// effectiveness per worker.
 type TraceCacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 }
 
-// traceCache shares generated traces across a worker's job groups (and
-// its concurrent slots), evicting the oldest entry beyond the cap.
-// Distinct benchmarks generate concurrently; same-benchmark callers
-// serialize on the entry.
+// traceCache shares generated traces across a runner's job groups. A
+// trace stays resident while a group holds it; once idle, only while a
+// walk — the runner's view of one sweep spec, whose grid visits its
+// benchmarks in order — needs it. A whole walk (a sweep mapSpec runs
+// entirely on this runner) needs a benchmark's trace until every job of
+// that benchmark has run here, so the sweep pays one generation per
+// benchmark however late a group arrives; jobs restored from a checkpoint
+// never arrive, so a partly restored benchmark keeps its trace to the
+// end. Any other walk (a dsweep worker sees only some groups of each
+// sweep) needs the trace of the furthest benchmark it has reached; a
+// group behind it regenerates its trace without moving the walk back.
+// Every walk also needs the traces ahead of it generated before its
+// latest group, so a sweep trailing another over the same trace
+// parameters reuses the leader's. Besides the walks with groups running,
+// the runner remembers as many idle walks as it has ever run groups at
+// once, least recently used going first. Distinct benchmarks generate
+// concurrently; same-benchmark callers wait on the entry.
 type traceCache struct {
-	mu    sync.Mutex
-	keys  []traceKey
-	m     map[traceKey]*traceCacheEntry
-	stats TraceCacheStats
+	mu            sync.Mutex
+	m             map[traceKey]*traceEntry
+	walks         map[string]*walk // by raw spec
+	running, peak int              // groups holding entries: now, and at most
+	clock         uint64           // counts holds
+	stats         TraceCacheStats
 }
 
-type traceCacheEntry struct {
-	mu    sync.Mutex
+// walk is one sweep spec's progress through its grid.
+type walk struct {
+	g       *sweepGrid
+	p       TraceParams
+	whole   int    // mapSpec sweeps running every job of the spec here
+	running int    // groups of the spec holding entries
+	last    uint64 // clock at the spec's latest group
+	cursor  int    // furthest benchmark position held; -1 before any
+	seen    []int  // jobs held per benchmark position
+}
+
+func (w *walk) key(b int) traceKey { return traceKey{bench: w.g.benches[b], p: w.p} }
+
+type traceEntry struct {
+	key   traceKey
+	users int    // groups holding the entry; guarded by traceCache.mu
+	born  uint64 // clock at the miss that created the entry
+	once  sync.Once
 	accs  []Access
 	idx   *TraceIndex
 	err   error
-	built bool
 }
 
-func (c *traceCache) get(bench string, p TraceParams, cpus int) ([]Access, *TraceIndex, error) {
-	key := traceKey{bench: bench, p: p, cpus: cpus}
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[traceKey]*traceCacheEntry)
+// walkLocked returns the walk of a spec, starting it if new.
+func (c *traceCache) walkLocked(spec string, g *sweepGrid, p TraceParams) *walk {
+	if c.walks == nil {
+		c.walks, c.m = make(map[string]*walk), make(map[traceKey]*traceEntry)
 	}
-	e, ok := c.m[key]
-	if !ok {
-		c.stats.Misses++
-		e = &traceCacheEntry{}
-		c.m[key] = e
-		c.keys = append(c.keys, key)
-		if len(c.keys) > traceCacheEntries {
-			c.stats.Evictions++
-			delete(c.m, c.keys[0])
-			c.keys = c.keys[1:]
-		}
-	} else {
-		c.stats.Hits++
+	if c.walks[spec] == nil {
+		c.walks[spec] = &walk{g: g, p: p, cursor: -1, seen: make([]int, len(g.benches))}
 	}
-	c.mu.Unlock()
+	return c.walks[spec]
+}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.built {
-		e.built = true
-		e.accs, e.err = GenerateTrace(bench, p)
-		if e.err == nil {
-			e.idx, e.err = NewTraceIndex(e.accs, cpus)
+// whole marks spec's walk whole until end is called: every job of the
+// spec runs on this runner.
+func (c *traceCache) whole(spec string, g *sweepGrid, p TraceParams) (end func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.walkLocked(spec, g, p)
+	w.whole++
+	return func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if w.whole--; w.whole == 0 {
+			delete(c.walks, spec)
+		}
+		c.evictLocked()
+	}
+}
+
+// hold holds, until release is called, the trace of every benchmark the
+// group's indices touch, keyed by benchmark position; a trace without an
+// entry is a miss. It forgets the least recently used idle walks beyond
+// peak.
+func (c *traceCache) hold(spec string, g *sweepGrid, p TraceParams, idxs []int) (held map[int]*traceEntry, release func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.walkLocked(spec, g, p)
+	c.clock++
+	c.running++
+	c.peak = max(c.peak, c.running)
+	w.last = c.clock
+	w.running++
+	held = make(map[int]*traceEntry)
+	for _, i := range idxs {
+		b := i / g.perBench
+		if w.seen[b]++; held[b] != nil {
+			continue
+		}
+		e := c.m[w.key(b)]
+		if e != nil {
+			c.stats.Hits++
+		} else {
+			c.stats.Misses++
+			e = &traceEntry{key: w.key(b), born: c.clock}
+			c.m[e.key] = e
+		}
+		e.users++
+		held[b] = e
+		w.cursor = max(w.cursor, b)
+	}
+	var idle []string
+	for s, v := range c.walks {
+		if v.whole == 0 && v.running == 0 {
+			idle = append(idle, s)
 		}
 	}
+	slices.SortFunc(idle, func(a, b string) int { return cmp.Compare(c.walks[a].last, c.walks[b].last) })
+	for _, s := range idle[:max(0, len(idle)-c.peak)] {
+		delete(c.walks, s)
+	}
+	c.evictLocked()
+	return held, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.running--
+		w.running--
+		for _, e := range held {
+			e.users--
+		}
+		c.evictLocked()
+	}
+}
+
+// evictLocked drops every idle entry no walk needs.
+func (c *traceCache) evictLocked() {
+	need := make(map[traceKey]bool)
+	for _, w := range c.walks {
+		for b, n := range w.seen {
+			switch {
+			case w.whole > 0 && n > 0 && n < w.g.perBench, w.whole == 0 && b == w.cursor:
+				need[w.key(b)] = true
+			case b > w.cursor:
+				if e := c.m[w.key(b)]; e != nil && e.born < w.last {
+					need[e.key] = true
+				}
+			}
+		}
+	}
+	for key, e := range c.m {
+		if e.users == 0 && !need[key] {
+			c.stats.Evictions++
+			delete(c.m, key)
+		}
+	}
+}
+
+// load returns the entry's trace and index, generating both on first use.
+func (e *traceEntry) load() ([]Access, *TraceIndex, error) {
+	e.once.Do(func() {
+		e.accs, e.err = GenerateTrace(e.key.bench, e.key.p)
+		if e.err == nil {
+			e.idx, e.err = NewTraceIndex(e.accs, e.key.p.CPUs)
+		}
+	})
 	return e.accs, e.idx, e.err
 }
 
-// SweepRunner is the worker-side executor for distributed sweep groups:
-// Run is the function a dsweep worker hands every job it pulls, and
-// CacheStats exposes the trace cache's hit/miss/eviction counters for the
-// Result protocol (dsweep.WorkOptions.CacheStats).
+// SweepRunner executes sweep job groups against a trace cache. It is the
+// Dispatcher every in-process sweep runs through, and the function a
+// dsweep worker hands every job it pulls (RunGroup has the
+// dsweep.GroupRunner shape); CacheStats exposes the cache's counters for
+// the Result protocol (dsweep.WorkOptions.CacheStats).
 type SweepRunner struct {
 	cache traceCache
 }
 
-// NewSweepRunner builds the worker-side executor. Run decodes the
-// SweepSpec, regenerates the group's benchmark traces (cached across
-// groups, so a sweep's repeat visits to one benchmark pay generation
-// once), runs the simulation jobs on the spec's lockstep lanes and
-// returns one JSON-encoded SweepCell per index. Errors are deterministic
-// job failures; the coordinator fails the group rather than retrying them
-// elsewhere.
+// NewSweepRunner builds a group executor. RunGroup decodes the SweepSpec,
+// regenerates the group's benchmark traces (shared with concurrent and
+// consecutive groups on the same benchmark, so an in-process sweep pays
+// each generation once), runs the simulation jobs on the spec's lockstep
+// lanes and returns one JSON-encoded SweepCell per index. Errors are
+// deterministic job failures; the coordinator fails the group rather than
+// retrying them elsewhere.
 func NewSweepRunner() *SweepRunner { return &SweepRunner{} }
 
 // CacheStats snapshots the runner's trace-cache counters. Safe for
-// concurrent use with Run.
+// concurrent use with RunGroup.
 func (r *SweepRunner) CacheStats() TraceCacheStats {
 	r.cache.mu.Lock()
 	defer r.cache.mu.Unlock()
 	return r.cache.stats
 }
 
-// Run executes one sweep job group; it has the dsweep.GroupRunner shape.
-func (r *SweepRunner) Run(ctx context.Context, rawSpec []byte, idxs []int) ([]json.RawMessage, error) {
+// RunGroup executes one sweep job group: simulation jobs run together on
+// the spec's batch lockstep lanes, payload-analysis jobs on one shared
+// (reset per analysis) hierarchy.
+func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([]json.RawMessage, error) {
 	var spec SweepSpec
 	if err := json.Unmarshal(rawSpec, &spec); err != nil {
 		return nil, fmt.Errorf("hmccoal: sweep spec: %w", err)
@@ -412,12 +478,42 @@ func (r *SweepRunner) Run(ctx context.Context, rawSpec []byte, idxs []int) ([]js
 			return nil, fmt.Errorf("hmccoal: job index %d outside the %d-job %s grid", i, g.n(), spec.Kind)
 		}
 	}
-	cells, err := runSpecGroup(g, spec.Batch, idxs, func(b int) ([]Access, *TraceIndex, error) {
-		return r.cache.get(g.benches[b], spec.Params, g.base.Hierarchy.CPUs)
-	})
+	held, release := r.cache.hold(string(rawSpec), g, spec.Params, idxs)
+	defer release()
+
+	cells := make([]SweepCell, len(idxs))
+	var jobs []BatchJob
+	var jobCell []int
+	var payHier *cache.Hierarchy
+	for k, i := range idxs {
+		accs, idx, err := held[i/g.perBench].load()
+		if err != nil {
+			return nil, err
+		}
+		if g.isPayload(i) {
+			if payHier == nil {
+				if payHier, err = cache.NewHierarchy(g.base.Hierarchy); err != nil {
+					return nil, err
+				}
+			}
+			pay, err := sim.AnalyzePayloadWith(payHier, accs, g.base.Coalescer.Width)
+			if err != nil {
+				return nil, err
+			}
+			cells[k] = SweepCell{Pay: pay}
+			continue
+		}
+		jobs = append(jobs, BatchJob{Name: g.name(i), Cfg: g.cfg(i), Accs: accs, Index: idx})
+		jobCell = append(jobCell, k)
+	}
+	res, err := RunBatch(jobs, batchLanes(spec.Batch, len(jobs)))
 	if err != nil {
 		return nil, err
 	}
+	for k := range res {
+		cells[jobCell[k]].Res = res[k]
+	}
+
 	raw := make([]json.RawMessage, len(cells))
 	for k := range cells {
 		if raw[k], err = json.Marshal(cells[k]); err != nil {

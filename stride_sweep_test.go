@@ -132,7 +132,7 @@ func TestSweepSpecFrontendValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewSweepRunner().Run(context.Background(), raw, []int{0}); err == nil {
+		if _, err := NewSweepRunner().RunGroup(context.Background(), raw, []int{0}); err == nil {
 			t.Errorf("spec %+v accepted", spec)
 		} else if !strings.Contains(err.Error(), "sweep spec") {
 			t.Errorf("spec %+v error %q does not name the sweep spec", spec, err)

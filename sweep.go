@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"hmccoal/internal/metrics"
 	"hmccoal/internal/sweep"
@@ -52,12 +51,12 @@ type SweepOptions struct {
 	// ignores these.
 	Frontend FrontendKind
 	Sched    SchedKind
-	// Dispatch, when non-nil, ships every job group to external executors
-	// instead of running it in-process — the distributed sweep path (see
-	// Dispatcher and internal/dsweep). Workers then bounds in-flight
-	// groups rather than local simulation goroutines; checkpointing,
-	// progress and result assembly are unchanged, and the output stays
-	// byte-identical to the in-process run.
+	// Dispatch, when non-nil, runs every job group instead of an
+	// in-process SweepRunner — the distributed sweep path (see Dispatcher
+	// and internal/dsweep). Workers then bounds in-flight groups rather
+	// than local simulation goroutines; checkpointing, progress and result
+	// assembly are unchanged, and the output stays byte-identical to the
+	// in-process run.
 	Dispatch Dispatcher
 }
 
@@ -128,85 +127,13 @@ func runMode(name string, m Mode, cfg Config, accs []Access) (Result, error) {
 	return res, nil
 }
 
-// traceTable shares each benchmark's lazily generated trace — and its CSR
-// bucketing — across the sweep's jobs, and releases both once the
-// benchmark's last job completes, so a long sweep holds only the traces
-// still in flight instead of pinning every trace it ever generated.
-type traceTable struct {
-	names []string
-	p     TraceParams
-	cpus  int // the simulated systems' CPU count (for the shared index)
-	cells []traceCell
-}
-
-// traceCell is one benchmark's shared trace with its remaining-jobs
-// refcount.
-type traceCell struct {
-	mu      sync.Mutex
-	accs    []Access
-	idx     *TraceIndex
-	err     error
-	built   bool
-	pending int // jobs not yet completed; trace and index drop at 0
-}
-
-// newTraceTable builds the per-benchmark trace cells for a sweep whose
-// grid runs jobsPer jobs against each benchmark's trace.
-func newTraceTable(names []string, p TraceParams, cpus, jobsPer int) *traceTable {
-	t := &traceTable{names: names, p: p, cpus: cpus, cells: make([]traceCell, len(names))}
-	for i := range t.cells {
-		t.cells[i].pending = jobsPer
-	}
-	return t
-}
-
-// get returns benchmark b's trace and shared index, generating both on
-// first use. Distinct benchmarks generate concurrently; same-benchmark
-// callers serialize on the cell.
-func (t *traceTable) get(b int) ([]Access, *TraceIndex, error) {
-	c := &t.cells[b]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.built {
-		c.built = true
-		c.accs, c.err = GenerateTrace(t.names[b], t.p)
-		if c.err == nil {
-			c.idx, c.err = NewTraceIndex(c.accs, t.cpus)
-		}
-	}
-	return c.accs, c.idx, c.err
-}
-
-// done retires one of benchmark b's jobs, dropping the trace and index
-// when the last one completes. Jobs restored from a checkpoint never call
-// done; if no other job of that benchmark runs, its cell was never
-// generated and holds nothing, and if one does, the cell stays resident
-// for the sweep's remainder — no worse than the old always-pinned table.
-func (t *traceTable) done(b int) {
-	c := &t.cells[b]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pending--; c.pending == 0 {
-		c.accs, c.idx = nil, nil
-	}
-}
-
-// resident reports whether benchmark b's trace is currently held (test
-// hook for the release contract).
-func (t *traceTable) resident(b int) bool {
-	c := &t.cells[b]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.accs != nil
-}
-
-// mapSpec fans a sweep grid across the engine. In-process, each group of
-// grid indices runs through runSpecGroup on traces shared (and released)
-// by a refcounted table; with opt.Dispatch set, the same groups ship to
-// remote executors as (spec, indices) pairs and come back as JSON cells.
-// Either way post maps each cell to the driver's own type on the calling
-// process — so the checkpoint format, the progress cadence and the final
-// output are identical across local, batched and distributed runs.
+// mapSpec fans a sweep grid across the engine: each group of grid indices
+// goes to opt.Dispatch — or, when that is nil, to a SweepRunner built for
+// this sweep — as a (spec, indices) pair and comes back as JSON cells,
+// which post maps to the driver's own type on the calling process. Local,
+// batched and distributed runs share this one path, so the checkpoint
+// format, the progress cadence and the final output are identical across
+// them.
 func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post func(i int, c SweepCell) T) ([]T, error) {
 	g, err := spec.compile()
 	if err != nil {
@@ -216,42 +143,35 @@ func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post 
 	if err != nil {
 		return nil, err
 	}
-	if opt.Dispatch != nil {
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			return nil, fmt.Errorf("hmccoal: encode sweep spec: %w", err)
-		}
-		return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
-			func(ctx context.Context, idxs []int) ([]T, error) {
-				cells, err := opt.Dispatch.RunGroup(ctx, raw, idxs)
-				if err != nil {
-					return nil, err
-				}
-				if len(cells) != len(idxs) {
-					return nil, fmt.Errorf("hmccoal: dispatcher returned %d cells for %d jobs", len(cells), len(idxs))
-				}
-				out := make([]T, len(idxs))
-				for k, i := range idxs {
-					var c SweepCell
-					if err := json.Unmarshal(cells[k], &c); err != nil {
-						return nil, fmt.Errorf("hmccoal: decode cell %d: %w", i, err)
-					}
-					out[k] = post(i, c)
-				}
-				return out, nil
-			})
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("hmccoal: encode sweep spec: %w", err)
 	}
-	tr := newTraceTable(g.benches, spec.Params, g.base.Hierarchy.CPUs, g.perBench)
+	d := opt.Dispatch
+	if d == nil {
+		d = NewSweepRunner()
+	}
+	if r, ok := d.(*SweepRunner); ok {
+		// Every job of this sweep runs on r, so r keeps each benchmark's
+		// trace until that benchmark's last job has run.
+		defer r.cache.whole(string(raw), g, spec.Params)()
+	}
 	return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
-		func(_ context.Context, idxs []int) ([]T, error) {
-			cells, err := runSpecGroup(g, spec.Batch, idxs, tr.get)
+		func(ctx context.Context, idxs []int) ([]T, error) {
+			cells, err := d.RunGroup(ctx, raw, idxs)
 			if err != nil {
 				return nil, err
 			}
+			if len(cells) != len(idxs) {
+				return nil, fmt.Errorf("hmccoal: dispatcher returned %d cells for %d jobs", len(cells), len(idxs))
+			}
 			out := make([]T, len(idxs))
 			for k, i := range idxs {
-				out[k] = post(i, cells[k])
-				tr.done(i / g.perBench)
+				var c SweepCell
+				if err := json.Unmarshal(cells[k], &c); err != nil {
+					return nil, fmt.Errorf("hmccoal: decode cell %d: %w", i, err)
+				}
+				out[k] = post(i, c)
 			}
 			return out, nil
 		})
@@ -268,10 +188,9 @@ var runAllModes = [3]Mode{ModeBaseline, ModeDMCOnly, ModeTwoPhase}
 // analysis) jobs across opt.Workers goroutines — batched onto shared
 // engine lanes when opt.Batch is set, or shipped to distributed workers
 // when opt.Dispatch is. Each benchmark's trace is generated and
-// CSR-bucketed once per process, shared by its four jobs, and released
-// when the last of them completes. Results are in figure order regardless
-// of completion order; a cancelled ctx or the first job error aborts the
-// sweep.
+// CSR-bucketed once per executor and shared by its four jobs. Results are
+// in figure order regardless of completion order; a cancelled ctx or the
+// first job error aborts the sweep.
 func RunAllContext(ctx context.Context, p TraceParams, opt SweepOptions) ([]BenchmarkRun, error) {
 	names := Benchmarks()
 	spec := opt.spec(SweepRunAll, p)
@@ -312,7 +231,7 @@ func TimeoutSweepContext(ctx context.Context, name string, p TraceParams, timeou
 
 // Figure14TableContext renders the timeout sweep for every benchmark,
 // fanning the full (benchmark × timeout) grid across the worker pool with
-// one shared trace per benchmark, released as benchmarks complete.
+// one shared trace per benchmark.
 func Figure14TableContext(ctx context.Context, p TraceParams, timeouts []uint64, opt SweepOptions) (string, error) {
 	if len(timeouts) == 0 {
 		timeouts = defaultTimeouts()

@@ -117,3 +117,70 @@ func TestSweepErrorAborts(t *testing.T) {
 		t.Error("sweep with invalid params succeeded")
 	}
 }
+
+// TestRunAllGeneratesEachTraceOnce runs RunAll through an explicit
+// SweepRunner dispatcher — the executor every in-process sweep uses — and
+// checks the grid's benchmark-by-benchmark walk pays one trace generation
+// per benchmark, serial or with groups in flight, batched or not. That
+// holds by construction because the sweep marks its walk whole on the
+// runner, which the progress hook checks while the sweep runs.
+func TestRunAllGeneratesEachTraceOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full benchmark sweep")
+	}
+	for _, opt := range []SweepOptions{{Workers: 1}, {Workers: 2}, {Workers: 12}, {Workers: 2, Batch: 2}} {
+		r := NewSweepRunner()
+		opt.Dispatch = r
+		wholeWalks := 0
+		opt.Progress = func(int, int) {
+			r.cache.mu.Lock()
+			defer r.cache.mu.Unlock()
+			wholeWalks = 0
+			for _, w := range r.cache.walks {
+				if w.whole > 0 {
+					wholeWalks++
+				}
+			}
+		}
+		if _, err := RunAllContext(context.Background(), sweepTestParams(), opt); err != nil {
+			t.Fatal(err)
+		}
+		if wholeWalks != 1 {
+			t.Errorf("workers=%d batch=%d: %d whole walks during the sweep, want 1", opt.Workers, opt.Batch, wholeWalks)
+		}
+		if s := r.CacheStats(); s.Misses != uint64(len(Benchmarks())) {
+			t.Errorf("workers=%d batch=%d: %+v; want one miss per benchmark (%d)", opt.Workers, opt.Batch, s, len(Benchmarks()))
+		}
+	}
+}
+
+// TestSweepMoreThanTwelveCPUs pins that sweeps simulate as many CPUs as
+// the trace has: a 16-CPU sweep runs, and its cells match a hand-built
+// 16-CPU system replaying the same trace.
+func TestSweepMoreThanTwelveCPUs(t *testing.T) {
+	p := TraceParams{CPUs: 16, OpsPerCPU: 150, Seed: 7}
+	const seed = 5
+	rows, err := FaultSweepContext(context.Background(), "STREAM", p, seed, []float64{0}, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs, err := GenerateTrace("STREAM", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Hierarchy.CPUs = 16
+	cfg.Mode = ModeTwoPhase
+	cfg.HMC.Fault.Seed = seed
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Run(accs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows[0].TwoPhase, want) {
+		t.Fatalf("16-CPU sweep cell differs from a 16-CPU system:\nsweep:\n%s\nsystem:\n%s", rows[0].TwoPhase.Summary(), want.Summary())
+	}
+}
