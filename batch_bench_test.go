@@ -44,8 +44,8 @@ func BenchmarkSweepTimeout(b *testing.B) {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts,
-					SweepOptions{Workers: 1, Batch: batch}); err != nil {
+				if _, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p,
+					SweepOptions{Workers: 1, Batch: batch}, AxisOf("timeout", timeouts)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -53,11 +53,11 @@ func TestBatchedTimeoutAndFaultSweeps(t *testing.T) {
 	p := sweepTestParams()
 
 	timeouts := []uint64{16, 28}
-	serialT, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts, SweepOptions{Workers: 1})
+	serialT, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, SweepOptions{Workers: 1}, AxisOf("timeout", timeouts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchedT, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts, SweepOptions{Workers: 1, Batch: 2})
+	batchedT, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, SweepOptions{Workers: 1, Batch: 2}, AxisOf("timeout", timeouts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestBatchedTimeoutAndFaultSweeps(t *testing.T) {
 	}
 
 	entries := []int{8, 16}
-	serialM, err := MSHRSweepContext(context.Background(), "FT", p, entries, SweepOptions{Workers: 1})
+	serialM, err := presetOut[[]float64]("mshr", "efficiency", "FT", p, SweepOptions{Workers: 1}, AxisOf("mshr", entries))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchedM, err := MSHRSweepContext(context.Background(), "FT", p, entries, SweepOptions{Workers: 1, Batch: 2})
+	batchedM, err := presetOut[[]float64]("mshr", "efficiency", "FT", p, SweepOptions{Workers: 1, Batch: 2}, AxisOf("mshr", entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestBatchedTimeoutAndFaultSweeps(t *testing.T) {
 // late.
 func TestTraceCacheRetention(t *testing.T) {
 	benches := []string{"STREAM", "EP", "FT", "CG", "LU"}
-	walkSpec := func(kind SweepKind, timeouts ...uint64) (string, *sweepGrid) {
-		s := SweepSpec{Kind: kind, Params: sweepTestParams(), Benches: benches, Timeouts: timeouts}
+	walkSpec := func(axis Axis) (string, *sweepGrid) {
+		s := SweepSpec{Params: sweepTestParams(), Benches: benches, Axes: []Axis{axis}}
 		raw, err := json.Marshal(s)
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestTraceCacheRetention(t *testing.T) {
 
 	// One timeout per benchmark: job i runs benches[i].
 	c = new(traceCache)
-	a, ga := walkSpec(SweepFig14, 16)
+	a, ga := walkSpec(AxisOf("timeout", []int{16}))
 	first := hold(a, ga, 0)
 	accs, idx, err := first.held[0].load()
 	if err != nil || len(accs) == 0 || idx == nil {
@@ -171,8 +171,8 @@ func TestTraceCacheRetention(t *testing.T) {
 	// Two walks interleaved one group at a time each keep their trace; a
 	// third forgets the least recently used.
 	c = new(traceCache)
-	b, gb := walkSpec(SweepFig14, 28)
-	d, gd := walkSpec(SweepFig14, 40)
+	b, gb := walkSpec(AxisOf("timeout", []int{28}))
+	d, gd := walkSpec(AxisOf("timeout", []int{40}))
 	for k := 0; k < 2; k++ {
 		release(hold(a, ga, 0))
 		release(hold(b, gb, 1))
@@ -203,7 +203,7 @@ func TestTraceCacheRetention(t *testing.T) {
 	// late fourth job after moving on to EP, and drops it once that job
 	// has run.
 	c = new(traceCache)
-	e, ge := walkSpec(SweepRunAll)
+	e, ge := walkSpec(Axis{"mode", []string{"MSHR-based", "DMC-only", "two-phase", payloadCell}})
 	end := c.whole(e, ge, sweepTestParams())
 	release(hold(e, ge, 0, 1, 2))
 	release(hold(e, ge, 4))

@@ -53,7 +53,7 @@ func BenchmarkFig02ControlOverhead(b *testing.B) {
 // runAllOnce executes the full 12-benchmark × 3-architecture sweep.
 func runAllOnce(b *testing.B) []BenchmarkRun {
 	b.Helper()
-	runs, err := RunAll(benchParams())
+	runs, err := RunAllContext(context.Background(), benchParams(), SweepOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,13 +169,13 @@ func BenchmarkFig14TimeoutSweep(b *testing.B) {
 	var table string
 	for i := 0; i < b.N; i++ {
 		var err error
-		table, err = Figure14Table(benchParams(), timeouts)
+		table, err = Figure14TableContext(context.Background(), benchParams(), timeouts, SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	// Headline: the latency trend for one representative benchmark.
-	lat, err := TimeoutSweep("SG", benchParams(), timeouts)
+	lat, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", benchParams(), SweepOptions{}, AxisOf("timeout", timeouts))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func BenchmarkSweepMSHREntries(b *testing.B) {
 	var eff []float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		eff, err = MSHRSweep("FT", benchParams(), entries)
+		eff, err = presetOut[[]float64]("mshr", "efficiency", "FT", benchParams(), SweepOptions{}, AxisOf("mshr", entries))
 		if err != nil {
 			b.Fatal(err)
 		}

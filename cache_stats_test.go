@@ -14,10 +14,9 @@ import (
 func timeoutSpec(t *testing.T, bench string) []byte {
 	t.Helper()
 	raw, err := json.Marshal(SweepSpec{
-		Kind:     SweepTimeout,
-		Params:   sweepTestParams(),
-		Bench:    bench,
-		Timeouts: []uint64{16, 28},
+		Params:  sweepTestParams(),
+		Benches: []string{bench},
+		Axes:    []Axis{AxisOf("timeout", []uint64{16, 28})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +45,7 @@ func TestSweepRunnerCacheStats(t *testing.T) {
 
 	// One eight-job group over two benchmarks: a hit on the resident
 	// trace and a miss on the other, each counted once.
-	raw, err := json.Marshal(SweepSpec{Kind: SweepRunAll, Params: sweepTestParams(), Benches: benches[:2]})
+	raw, err := json.Marshal(SweepSpec{Params: sweepTestParams(), Benches: benches[:2], Axes: []Axis{{"mode", []string{"MSHR-based", "DMC-only", "two-phase", payloadCell}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,6 @@ func ckptLines(t *testing.T, path string) int {
 // over a seed-1 checkpoint restores nothing, recomputes every job, and
 // equals a cold seed-2 run.
 func TestCheckpointFingerprintCoversTraceParams(t *testing.T) {
-	ctx := context.Background()
 	entries := []int{8, 16}
 	p1 := TraceParams{CPUs: 2, OpsPerCPU: 150, Seed: 1}
 	p2 := p1
@@ -50,11 +49,11 @@ func TestCheckpointFingerprintCoversTraceParams(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "mshr.ckpt")
 	opt := SweepOptions{Workers: 1, Checkpoint: ckpt}
 
-	seed1, err := MSHRSweepContext(ctx, "FT", p1, entries, opt)
+	seed1, err := presetOut[[]float64]("mshr", "efficiency", "FT", p1, opt, AxisOf("mshr", entries))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := MSHRSweepContext(ctx, "FT", p2, entries, SweepOptions{Workers: 1})
+	cold, err := presetOut[[]float64]("mshr", "efficiency", "FT", p2, SweepOptions{Workers: 1}, AxisOf("mshr", entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestCheckpointFingerprintCoversTraceParams(t *testing.T) {
 	}
 
 	before := ckptLines(t, ckpt)
-	got, err := MSHRSweepContext(ctx, "FT", p2, entries, opt)
+	got, err := presetOut[[]float64]("mshr", "efficiency", "FT", p2, opt, AxisOf("mshr", entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +89,10 @@ func (d failDispatcher) RunGroup(context.Context, []byte, []int) ([]json.RawMess
 // checkpoint written under one setting restores every job under any
 // other with zero recompute.
 func TestCheckpointFingerprintIgnoresExecutionKnobs(t *testing.T) {
-	ctx := context.Background()
 	entries := []int{8, 16, 32}
 	p := sweepTestParams()
 	ckpt := filepath.Join(t.TempDir(), "mshr.ckpt")
-	want, err := MSHRSweepContext(ctx, "FT", p, entries, SweepOptions{Workers: 1, Checkpoint: ckpt})
+	want, err := presetOut[[]float64]("mshr", "efficiency", "FT", p, SweepOptions{Workers: 1, Checkpoint: ckpt}, AxisOf("mshr", entries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestCheckpointFingerprintIgnoresExecutionKnobs(t *testing.T) {
 		"dispatch": {Workers: 2, Dispatch: failDispatcher{t}},
 	} {
 		opt.Checkpoint = ckpt
-		got, err := MSHRSweepContext(ctx, "FT", p, entries, opt)
+		got, err := presetOut[[]float64]("mshr", "efficiency", "FT", p, opt, AxisOf("mshr", entries))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -127,15 +125,14 @@ func TestStrideCheckpointIgnoresFrontendOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stride ladder sweep")
 	}
-	ctx := context.Background()
 	p := TraceParams{CPUs: 2, OpsPerCPU: 60, Seed: 3}
 	ckpt := filepath.Join(t.TempDir(), "stride.ckpt")
-	want, err := StrideLadderContext(ctx, p, SweepOptions{Checkpoint: ckpt})
+	want, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Checkpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	size := ckptSize(t, ckpt)
-	got, err := StrideLadderContext(ctx, p, SweepOptions{Checkpoint: ckpt, Frontend: FrontendWarp, Sched: SchedHetero})
+	got, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Checkpoint: ckpt, Frontend: FrontendWarp, Sched: SchedHetero})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,76 @@ import (
 	"hmccoal/internal/trace"
 )
 
-// validFigs is the set of figure tokens the -fig flag accepts.
-var validFigs = map[string]bool{
-	"all": true, "1": true, "2": true, "8": true, "9": true, "10": true,
-	"11": true, "12": true, "13": true, "14": true, "15": true, "fault": true,
-	"speedup": true, "stride": true,
+// figure is one -fig token: its section title, the preset sweep it reads
+// ("" for the analytic figures) and how it renders that sweep's results.
+// {bench} and {backend} in a title expand to the -bench and -backend
+// flags, and a figure naming {bench} needs a known benchmark. Explicit
+// figures print only when named; "all" is the paper's set.
+type figure struct {
+	token, title, preset string
+	explicit             bool
+	render               func(out map[string]any, bench string, chart bool) string
+}
+
+// runs is the runall preset's per-benchmark results.
+func runs(out map[string]any) []hmccoal.BenchmarkRun { return out["runs"].([]hmccoal.BenchmarkRun) }
+
+// figures lists every -fig token in output order.
+var figures = []figure{
+	{"1", "Figure 1 — bandwidth efficiency of HMC request packets", "", false,
+		func(map[string]any, string, bool) string { return hmccoal.Figure1Table() }},
+	{"2", "Figure 2 — control overhead of different requested data size", "", false,
+		func(map[string]any, string, bool) string { return hmccoal.Figure2Table() }},
+	{"8", "Figure 8 — coalescing efficiency", "runall", false,
+		func(out map[string]any, _ string, chart bool) string {
+			return withChart(hmccoal.Figure8Table(runs(out)), chart, hmccoal.Figure8Chart(runs(out)))
+		}},
+	{"9", "Figure 9 — bandwidth efficiency of coalesced and raw requests", "runall", false,
+		func(out map[string]any, _ string, _ bool) string { return hmccoal.Figure9Table(runs(out)) }},
+	{"10", "Figure 10 — coalesced HMC request distribution of {bench}", "runall", false,
+		func(out map[string]any, bench string, _ bool) string {
+			for _, r := range runs(out) {
+				if r.Name == bench {
+					return hmccoal.Figure10Table(r)
+				}
+			}
+			return ""
+		}},
+	{"11", "Figure 11 — bandwidth saving", "runall", false,
+		func(out map[string]any, _ string, _ bool) string { return hmccoal.Figure11Table(runs(out)) }},
+	{"12", "Figure 12 — average latency of coalescing in the DMC unit", "runall", false,
+		func(out map[string]any, _ string, _ bool) string { return hmccoal.Figure12Table(runs(out)) }},
+	{"13", "Figure 13 — average time cost of filling up the CRQ", "runall", false,
+		func(out map[string]any, _ string, _ bool) string { return hmccoal.Figure13Table(runs(out)) }},
+	{"14", "Figure 14 — average coalescer latency vs timeout T", "fig14", false,
+		func(out map[string]any, _ string, _ bool) string { return out["figure14"].(string) }},
+	{"15", "Figure 15 — performance improvement with memory coalescer", "runall", false,
+		func(out map[string]any, _ string, chart bool) string {
+			return withChart(out["figure15"].(string), chart, hmccoal.Figure15Chart(runs(out)))
+		}},
+	{"speedup", "Speedup — runtime improvement on the {backend} backend", "speedup", true,
+		func(out map[string]any, _ string, _ bool) string { return out["speedup"].(string) }},
+	{"stride", "Stride ladder — front-end coalescing efficiency vs access stride", "stride", true,
+		func(out map[string]any, _ string, _ bool) string { return out["table"].(string) }},
+	{"fault", "Fault sweep — efficiency and speedup vs link error rate ({bench})", "fault", false,
+		func(out map[string]any, _ string, _ bool) string { return out["table"].(string) }},
+}
+
+// withChart appends chart to table when asked.
+func withChart(table string, on bool, chart string) string {
+	if on {
+		return table + "\n" + chart
+	}
+	return table
+}
+
+// figureTokens lists the -fig tokens for help and error texts.
+func figureTokens() string {
+	var toks []string
+	for _, f := range figures {
+		toks = append(toks, f.token)
+	}
+	return strings.Join(append(toks, "all"), ", ")
 }
 
 // Exit codes: flag/config mistakes are the user's to fix (1); a failed or
@@ -65,7 +130,7 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("hmccoal", flag.ContinueOnError)
 	var (
-		fig     = fs.String("fig", "all", "figures to regenerate, comma-separated: 1,2,8,9,10,11,12,13,14,15, 'fault', 'speedup', 'stride' or 'all' ('all' is the paper's set)")
+		fig     = fs.String("fig", "all", "figures to regenerate, comma-separated: "+figureTokens()+" ('all' is the paper's set)")
 		ops     = fs.Int("ops", 4000, "approximate memory operations per CPU (scale)")
 		seed    = fs.Int64("seed", 3, "workload random seed")
 		cpus    = fs.Int("cpus", 12, "number of simulated CPUs")
@@ -187,22 +252,18 @@ func run(argv []string) int {
 	p := hmccoal.TraceParams{CPUs: *cpus, OpsPerCPU: *ops, Seed: *seed}
 	want := map[string]bool{}
 	for _, f := range strings.Split(*fig, ",") {
-		f = strings.TrimSpace(f)
-		if !validFigs[f] {
-			return usageErr(fmt.Errorf("unknown figure %q (valid: 1, 2, 8, 9, 10, 11, 12, 13, 14, 15, fault, speedup, stride, all)", f))
-		}
-		want[f] = true
+		want[strings.TrimSpace(f)] = true
 	}
-	all := want["all"]
-	need := func(f string) bool { return all || want[f] }
-
-	if need("10") || need("fault") {
-		if err := validBenchmark(*bench); err != nil {
-			return usageErr(err)
+	var figs []figure
+	for _, f := range figures {
+		if want[f.token] || want["all"] && !f.explicit {
+			figs = append(figs, f)
 		}
+		delete(want, f.token)
 	}
-	if kind != hmccoal.BackendHMC && need("fault") {
-		return usageErr(fmt.Errorf("the fault sweep injects errors on HMC serial links; -backend must be hmc, not %v", kind))
+	delete(want, "all")
+	for f := range want {
+		return usageErr(fmt.Errorf("unknown figure %q (valid: %s)", f, figureTokens()))
 	}
 
 	opts := func(tag string) hmccoal.SweepOptions {
@@ -211,112 +272,42 @@ func run(argv []string) int {
 		opt.Dispatch = dispatch
 		return opt
 	}
-
-	if need("1") {
-		section("Figure 1 — bandwidth efficiency of HMC request packets")
-		fmt.Print(hmccoal.Figure1Table())
-	}
-	if need("2") {
-		section("Figure 2 — control overhead of different requested data size")
-		fmt.Print(hmccoal.Figure2Table())
-	}
-
-	needsRuns := false
-	for _, f := range []string{"8", "9", "10", "11", "12", "13", "15"} {
-		if need(f) {
-			needsRuns = true
-		}
-	}
-	var runs []hmccoal.BenchmarkRun
-	if needsRuns {
-		fmt.Fprintf(os.Stderr, "running %d benchmarks × 3 architectures at %d ops/CPU…\n",
-			len(hmccoal.Benchmarks()), *ops)
-		var err error
-		runs, err = hmccoal.RunAllContext(ctx, p, opts("runall"))
-		fmt.Fprintln(os.Stderr)
-		if err != nil {
-			return runErr(err)
-		}
-	}
-
-	if need("8") {
-		section("Figure 8 — coalescing efficiency")
-		fmt.Print(hmccoal.Figure8Table(runs))
-		if *chart {
-			fmt.Printf("\n%s", hmccoal.Figure8Chart(runs))
-		}
-	}
-	if need("9") {
-		section("Figure 9 — bandwidth efficiency of coalesced and raw requests")
-		fmt.Print(hmccoal.Figure9Table(runs))
-	}
-	if need("10") {
-		section(fmt.Sprintf("Figure 10 — coalesced HMC request distribution of %s", *bench))
-		for _, r := range runs {
-			if r.Name == *bench {
-				fmt.Print(hmccoal.Figure10Table(r))
+	// Every preset the figures need compiles before any of them runs, so
+	// a bad grid is a usage error, not a failure halfway through.
+	presets := map[string]*hmccoal.Preset{}
+	specs := map[string]hmccoal.SweepSpec{}
+	for _, f := range figs {
+		if strings.Contains(f.title, "{bench}") {
+			if err := validBenchmark(*bench); err != nil {
+				return usageErr(err)
 			}
 		}
-	}
-	if need("11") {
-		section("Figure 11 — bandwidth saving")
-		fmt.Print(hmccoal.Figure11Table(runs))
-	}
-	if need("12") {
-		section("Figure 12 — average latency of coalescing in the DMC unit")
-		fmt.Print(hmccoal.Figure12Table(runs))
-	}
-	if need("13") {
-		section("Figure 13 — average time cost of filling up the CRQ")
-		fmt.Print(hmccoal.Figure13Table(runs))
-	}
-	if need("14") {
-		section("Figure 14 — average coalescer latency vs timeout T")
-		table, err := hmccoal.Figure14TableContext(ctx, p, nil, opts("fig14"))
-		fmt.Fprintln(os.Stderr)
+		if f.preset == "" || presets[f.preset] != nil {
+			continue
+		}
+		pr, err := hmccoal.LookupPreset(f.preset)
+		if err == nil {
+			specs[f.preset], err = pr.Spec(*bench, p, opts(f.preset))
+		}
 		if err != nil {
-			return runErr(err)
+			return usageErr(err)
 		}
-		fmt.Print(table)
+		presets[f.preset] = pr
 	}
-	if need("15") {
-		section("Figure 15 — performance improvement with memory coalescer")
-		fmt.Print(hmccoal.Figure15Table(runs))
-		if *chart {
-			fmt.Printf("\n%s", hmccoal.Figure15Chart(runs))
+
+	outs := map[string]map[string]any{}
+	title := strings.NewReplacer("{bench}", *bench, "{backend}", kind.String())
+	for _, f := range figs {
+		if f.preset != "" && outs[f.preset] == nil {
+			out, err := presets[f.preset].Run(ctx, specs[f.preset], opts(f.preset))
+			fmt.Fprintln(os.Stderr)
+			if err != nil {
+				return runErr(err)
+			}
+			outs[f.preset] = out
 		}
-	}
-	// The backend-comparison speedup study is explicit-only: "all" keeps
-	// producing exactly the paper's figure set.
-	if want["speedup"] {
-		section(fmt.Sprintf("Speedup — runtime improvement on the %v backend", kind))
-		table, err := hmccoal.SpeedupTableContext(ctx, p, opts("speedup"))
-		fmt.Fprintln(os.Stderr)
-		if err != nil {
-			return runErr(err)
-		}
-		fmt.Print(table)
-	}
-	// The stride-ladder front-end comparison is explicit-only for the same
-	// reason; it sweeps the front-end × scheduler axes itself, so the
-	// -frontend/-sched flags do not apply to it.
-	if want["stride"] {
-		section("Stride ladder — front-end coalescing efficiency vs access stride")
-		runs, err := hmccoal.StrideLadderContext(ctx, p, opts("stride"))
-		fmt.Fprintln(os.Stderr)
-		if err != nil {
-			return runErr(err)
-		}
-		fmt.Print(hmccoal.StrideLadderTable(runs))
-	}
-	if need("fault") {
-		section(fmt.Sprintf("Fault sweep — efficiency and speedup vs link error rate (%s)", *bench))
-		rows, err := hmccoal.FaultSweepContext(ctx, *bench, p, uint64(*seed), nil, opts("fault"))
-		fmt.Fprintln(os.Stderr)
-		if err != nil {
-			return runErr(err)
-		}
-		fmt.Print(hmccoal.FaultSweepTable(rows))
+		section(title.Replace(f.title))
+		fmt.Print(f.render(outs[f.preset], *bench, *chart))
 	}
 	return 0
 }

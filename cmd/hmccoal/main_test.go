@@ -13,6 +13,7 @@ func TestFlagValidation(t *testing.T) {
 		"negative lease":   {"-lease", "-1m", "-list"},
 		"bad serve addr":   {"-serve", "no-such-host-xyz:0:0", "-list"},
 		"unknown figure":   {"-fig", "99"},
+		"fault on ddr":     {"-fig", "fault", "-backend", "ddr"},
 		"unknown backend":  {"-backend", "sram", "-list"},
 		"token sans serve": {"-token", "s3cret", "-list"},
 		"chaos sans serve": {"-chaos", "seed=1,reset=0.5", "-list"},

@@ -101,7 +101,7 @@ func crashNextWorker(t *testing.T, addr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := json.Marshal(map[string]any{"proto": 1, "name": "crash-test"})
+	hello, err := json.Marshal(map[string]any{"proto": 2, "name": "crash-test"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 // injection never configured at all.
 func TestFaultSweepDegradesWithBER(t *testing.T) {
 	p := sweepTestParams()
-	rows, err := FaultSweep("STREAM", p, 11, []float64{0, 1e-4})
+	rows, err := FaultSweepContext(context.Background(), "STREAM", p, 11, []float64{0, 1e-4}, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package hmccoal
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -53,14 +52,6 @@ func RunBenchmark(name string, p TraceParams) (BenchmarkRun, error) {
 		return run, err
 	}
 	return run, nil
-}
-
-// RunAll executes every benchmark; results are in figure order. It fans
-// the simulations out across every core through the internal/sweep worker
-// pool — use RunAllContext for cancellation, progress reporting, or an
-// explicit worker count.
-func RunAll(p TraceParams) ([]BenchmarkRun, error) {
-	return RunAllContext(context.Background(), p, SweepOptions{})
 }
 
 // Figure1Table renders the analytic bandwidth-efficiency series.
@@ -222,19 +213,6 @@ func Figure13Table(runs []BenchmarkRun) string {
 	return rows2(rows)
 }
 
-// TimeoutSweep runs one benchmark's two-phase system across the Figure 14
-// timeout values, returning the average coalescer latency (ns) per timeout.
-// The per-timeout runs execute on the internal/sweep worker pool.
-func TimeoutSweep(name string, p TraceParams, timeouts []uint64) ([]float64, error) {
-	return TimeoutSweepContext(context.Background(), name, p, timeouts, SweepOptions{})
-}
-
-// Figure14Table renders the timeout sweep for every benchmark, fanning the
-// (benchmark × timeout) grid across every core.
-func Figure14Table(p TraceParams, timeouts []uint64) (string, error) {
-	return Figure14TableContext(context.Background(), p, timeouts, SweepOptions{})
-}
-
 // Figure15Table renders the runtime improvement of the memory coalescer.
 func Figure15Table(runs []BenchmarkRun) string {
 	rows := [][]string{{"benchmark", "improvement"}}
@@ -285,16 +263,18 @@ func FaultSweepTable(rows []FaultSweepRow) string {
 // and where its merging collapses, is the comparison the figure makes.
 func StrideLadderTable(runs []StrideRun) string {
 	header := []string{"stride", "metric"}
-	for _, c := range strideCombos {
-		header = append(header, fmt.Sprintf("%v/%v", c.fe, c.sched))
+	for _, fe := range strideAxes[0].Values {
+		for _, sched := range strideAxes[1].Values {
+			header = append(header, fe+"/"+sched)
+		}
 	}
 	rows := [][]string{header}
 	for _, r := range runs {
 		eff := []string{r.Name, "coalescing"}
 		bw := []string{"", "bandwidth"}
-		for k := range strideCombos {
-			eff = append(eff, metrics.Pct(r.Results[k].CoalescingEfficiency()))
-			bw = append(bw, metrics.Pct(r.Results[k].CoalescedBandwidthEfficiency()))
+		for _, res := range r.Results {
+			eff = append(eff, metrics.Pct(res.CoalescingEfficiency()))
+			bw = append(bw, metrics.Pct(res.CoalescedBandwidthEfficiency()))
 		}
 		rows = append(rows, eff, bw)
 	}
@@ -326,12 +306,4 @@ func Figure15Chart(runs []BenchmarkRun) string {
 		values[i] = 100 * r.Speedup()
 	}
 	return metrics.Bars(labels, values, 50)
-}
-
-// MSHRSweep runs one benchmark's two-phase system across MSHR file sizes,
-// returning the coalescing efficiency per size — a scalability study of the
-// dynamic-MSHR design (the CRQ is resized in lockstep, as §3.2.2 requires).
-// The per-size runs execute on the internal/sweep worker pool.
-func MSHRSweep(name string, p TraceParams, entries []int) ([]float64, error) {
-	return MSHRSweepContext(context.Background(), name, p, entries, SweepOptions{})
 }

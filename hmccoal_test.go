@@ -117,7 +117,7 @@ func TestTimeoutSweepDefaultsAndTrend(t *testing.T) {
 	}
 	p := DefaultTraceParams()
 	p.OpsPerCPU = 800
-	lat, err := TimeoutSweep("SG", p, nil)
+	lat, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMSHRSweep(t *testing.T) {
 	}
 	p := DefaultTraceParams()
 	p.OpsPerCPU = 800
-	eff, err := MSHRSweep("FT", p, []int{4, 16})
+	eff, err := presetOut[[]float64]("mshr", "efficiency", "FT", p, SweepOptions{}, AxisOf("mshr", []int{4, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +172,10 @@ func TestMSHRSweep(t *testing.T) {
 		}
 	}
 	// Defaults path.
-	if _, err := MSHRSweep("FT", p, nil); err != nil {
+	if _, err := presetOut[[]float64]("mshr", "efficiency", "FT", p, SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MSHRSweep("nope", p, nil); err == nil {
+	if _, err := presetOut[[]float64]("mshr", "efficiency", "nope", p, SweepOptions{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

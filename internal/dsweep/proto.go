@@ -10,11 +10,13 @@ import (
 
 // protoVersion is the handshake protocol version, distinct from the frame
 // version: the frame layer rejects byte-level skew, the hello rejects
-// semantic skew (message meanings, job payload contract). Token and
-// Attempt are optional additions within version 1 — absent fields decode
+// semantic skew (message meanings, job payload contract). Version 2 ships
+// sweep specs as benchmarks × axes instead of one of seven grid kinds, so
+// a version-1 worker is refused at the hello rather than failing every
+// group. Token and Attempt are optional additions — absent fields decode
 // to their zero values, so a pre-auth worker still interoperates with an
 // open (tokenless) coordinator.
-const protoVersion = 1
+const protoVersion = 2
 
 // Field caps the coordinator enforces on worker-supplied strings, so a
 // pathological worker cannot bloat coordinator logs, Status output or

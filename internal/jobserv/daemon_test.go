@@ -158,6 +158,11 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Frontend: "no-such-frontend"},
 		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Sched: "no-such-sched"},
 		{Kind: KindSweep, Sweep: "stride", Frontend: "no-such-frontend"},
+		// Grids that compile to no runnable job: refused before they
+		// take a slot.
+		{Kind: KindSweep, Sweep: "mshr", Bench: hmccoal.Benchmarks()[0], Entries: []int{0}},
+		{Kind: KindSweep, Sweep: "fault", Bench: hmccoal.Benchmarks()[0], BERs: []float64{2}},
+		{Kind: KindSweep, Sweep: "fault", Bench: hmccoal.Benchmarks()[0], Backend: "ddr"},
 	}
 	for _, spec := range bad {
 		if _, err := d.Submit("t", 0, spec); err == nil {

@@ -19,6 +19,7 @@ package jobserv
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"hmccoal"
@@ -73,8 +74,8 @@ type Spec struct {
 	Ops  int   `json:"ops,omitempty"`
 	Seed int64 `json:"seed,omitempty"`
 
-	// Bench is the benchmark of single jobs and of the timeout/mshr/fault
-	// sweeps.
+	// Bench is the benchmark of single jobs and of one-benchmark sweeps
+	// (timeout, mshr, fault).
 	Bench string `json:"bench,omitempty"`
 	// Backend names the memory backend ("" = hmc).
 	Backend string `json:"backend,omitempty"`
@@ -84,8 +85,9 @@ type Spec struct {
 	Frontend string `json:"frontend,omitempty"`
 	Sched    string `json:"sched,omitempty"`
 
-	// Sweep selects the grid of KindSweep jobs: runall, fig14, timeout,
-	// mshr, speedup, fault or stride.
+	// Sweep names the preset grid of KindSweep jobs (see
+	// hmccoal.LookupPreset); Timeouts, Entries and BERs replace the
+	// defaults of its timeout, mshr and ber axes.
 	Sweep    string    `json:"sweep,omitempty"`
 	Timeouts []uint64  `json:"timeouts,omitempty"`
 	Entries  []int     `json:"entries,omitempty"`
@@ -98,14 +100,9 @@ type Spec struct {
 	Runs int `json:"runs,omitempty"`
 }
 
-// sweepKinds maps the Spec.Sweep tokens to validity.
-var sweepKinds = map[string]bool{
-	"runall": true, "fig14": true, "timeout": true,
-	"mshr": true, "speedup": true, "fault": true, "stride": true,
-}
-
 // Validate rejects malformed specs at admission, so the queue only ever
-// holds runnable jobs.
+// holds runnable jobs. A sweep's grid compiles here, so a job no cell of
+// which could run never takes a slot.
 func (s Spec) Validate() error {
 	if s.CPUs < 0 || s.Ops < 0 {
 		return fmt.Errorf("jobserv: cpus and ops must be ≥ 0")
@@ -113,23 +110,15 @@ func (s Spec) Validate() error {
 	if _, _, _, err := hmccoal.ParseSimAxes(s.Backend, s.Frontend, s.Sched); err != nil {
 		return fmt.Errorf("jobserv: %w", err)
 	}
-	checkBench := func() error {
-		for _, n := range hmccoal.Benchmarks() {
-			if n == s.Bench {
-				return nil
-			}
-		}
-		return fmt.Errorf("jobserv: unknown benchmark %q", s.Bench)
-	}
 	switch s.Kind {
 	case KindSingle:
-		return checkBench()
-	case KindSweep:
-		if !sweepKinds[s.Sweep] {
-			return fmt.Errorf("jobserv: unknown sweep %q (valid: runall, fig14, timeout, mshr, speedup, fault, stride)", s.Sweep)
+		if !slices.Contains(hmccoal.Benchmarks(), s.Bench) {
+			return fmt.Errorf("jobserv: unknown benchmark %q", s.Bench)
 		}
-		if s.Sweep == "timeout" || s.Sweep == "mshr" || s.Sweep == "fault" {
-			return checkBench()
+		return nil
+	case KindSweep:
+		if _, _, _, err := s.sweep(); err != nil {
+			return fmt.Errorf("jobserv: %w", err)
 		}
 		return nil
 	case KindSoak:
@@ -140,6 +129,25 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("jobserv: unknown job kind %q", s.Kind)
 	}
+}
+
+// sweep resolves a sweep job's preset and compiles its grid: the job's
+// timeouts, entries and bers replace the defaults of the preset's axis of
+// that name. The options carry the grid's settings; the executor adds how
+// to run it.
+func (s Spec) sweep() (*hmccoal.Preset, hmccoal.SweepSpec, hmccoal.SweepOptions, error) {
+	var opt hmccoal.SweepOptions
+	pr, err := hmccoal.LookupPreset(s.Sweep)
+	if err != nil {
+		return nil, hmccoal.SweepSpec{}, opt, err
+	}
+	if opt.Backend, opt.Frontend, opt.Sched, err = hmccoal.ParseSimAxes(s.Backend, s.Frontend, s.Sched); err != nil {
+		return nil, hmccoal.SweepSpec{}, opt, err
+	}
+	opt.Batch = s.Batch
+	spec, err := pr.Spec(s.Bench, s.params(), opt,
+		hmccoal.AxisOf("timeout", s.Timeouts), hmccoal.AxisOf("mshr", s.Entries), hmccoal.AxisOf("ber", s.BERs))
+	return pr, spec, opt, err
 }
 
 // params assembles the spec's trace parameters, defaulting zero fields.

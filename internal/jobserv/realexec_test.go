@@ -3,6 +3,8 @@ package jobserv
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -197,6 +199,92 @@ func TestFrontendJobsRunToDone(t *testing.T) {
 	for i := range specs {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Errorf("spec %+v results differ across daemons", specs[i])
+		}
+	}
+}
+
+// sweepResult runs one sweep job to done on a fresh daemon and decodes its
+// result.
+func sweepResult(t *testing.T, spec Spec) map[string]json.RawMessage {
+	t.Helper()
+	d := newTestDaemon(t, Options{Slots: 1, SweepWorkers: 2})
+	id := mustSubmit(t, d, "t", 0, spec)
+	waitDone(t, d, id, 120*time.Second)
+	raw, err := d.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestMSHRSweepReportsEfficiency pins the mshr job's result: one
+// coalescing efficiency per entry count, equal to
+// Result.CoalescingEfficiency of the grid's own cells.
+func TestMSHRSweepReportsEfficiency(t *testing.T) {
+	spec := Spec{Kind: KindSweep, Sweep: "mshr", Bench: "FT", CPUs: 2, Ops: 120, Entries: []int{4, 16}}
+	var got []float64
+	if err := json.Unmarshal(sweepResult(t, spec)["efficiency"], &got); err != nil {
+		t.Fatal(err)
+	}
+
+	_, grid, _, err := spec.sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := hmccoal.NewSweepRunner().RunGroup(context.Background(), raw, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []float64
+	for _, c := range cells {
+		var cell hmccoal.SweepCell
+		if err := json.Unmarshal(c, &cell); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, cell.Res.CoalescingEfficiency())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mshr job efficiency = %v, cells' CoalescingEfficiency = %v", got, want)
+	}
+}
+
+// TestSweepJobsMatchCLI pins that sweep jobs with their seed unset render
+// the tables hmccoal -fig 14 and -fig fault print at the same parameters
+// (hmccoal's default seed is the job default, 3). The fault table is
+// built with the trace seed as explicit fault seed, as perfbench does, so
+// a job whose fault seed drifts from its trace seed fails.
+func TestSweepJobsMatchCLI(t *testing.T) {
+	ctx := context.Background()
+	p := hmccoal.TraceParams{CPUs: 2, OpsPerCPU: 100, Seed: 3}
+	fig14, err := hmccoal.Figure14TableContext(ctx, p, nil, hmccoal.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := hmccoal.FaultSweepContext(ctx, "STREAM", p, uint64(p.Seed), nil, hmccoal.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec      Spec
+		key, want string
+	}{
+		{Spec{Kind: KindSweep, Sweep: "fig14", CPUs: 2, Ops: 100}, "figure14", fig14},
+		{Spec{Kind: KindSweep, Sweep: "fault", Bench: "STREAM", CPUs: 2, Ops: 100}, "table", hmccoal.FaultSweepTable(rows)},
+	} {
+		var got string
+		if err := json.Unmarshal(sweepResult(t, c.spec)[c.key], &got); err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s job table:\n%s\nhmccoal prints:\n%s", c.spec.Sweep, got, c.want)
 		}
 	}
 }

@@ -117,94 +117,21 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 	}
 }
 
-// execSweep runs one evaluation sweep grid through the public drivers.
-// Every attempt — first run, post-preemption resume, post-crash re-run —
+// execSweep runs one evaluation sweep grid through its preset. Every
+// attempt — first run, post-preemption resume, post-crash re-run —
 // executes with the same per-job checkpoint file, so completed groups
 // restore instead of recomputing and the final output is byte-identical
 // across any interruption history.
 func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
-	backend, fe, sched, err := hmccoal.ParseSimAxes(spec.Backend, spec.Frontend, spec.Sched)
+	pr, grid, opt, err := spec.sweep()
 	if err != nil {
 		return execOutcome{err: err}
 	}
-	opt := hmccoal.SweepOptions{
-		Workers:    d.opt.SweepWorkers,
-		Batch:      spec.Batch,
-		Backend:    backend,
-		Frontend:   fe,
-		Sched:      sched,
-		Dispatch:   d.opt.Dispatch,
-		Progress:   ctl.progress,
-		Checkpoint: filepath.Join(ctl.dir, "ckpt", id+"."+spec.Sweep),
-	}
-	p := spec.params()
-	ctx := ctl.ctx
-
-	var payload map[string]any
-	switch spec.Sweep {
-	case "runall":
-		runs, rerr := hmccoal.RunAllContext(ctx, p, opt)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		payload = map[string]any{
-			"runs":     runs,
-			"figure8":  hmccoal.Figure8Table(runs),
-			"figure15": hmccoal.Figure15Table(runs),
-		}
-	case "fig14":
-		table, rerr := hmccoal.Figure14TableContext(ctx, p, spec.Timeouts, opt)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		payload = map[string]any{"figure14": table}
-	case "timeout":
-		lat, rerr := hmccoal.TimeoutSweepContext(ctx, spec.Bench, p, spec.Timeouts, opt)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		payload = map[string]any{"bench": spec.Bench, "latencies_ns": lat}
-	case "mshr":
-		lat, rerr := hmccoal.MSHRSweepContext(ctx, spec.Bench, p, spec.Entries, opt)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		payload = map[string]any{"bench": spec.Bench, "latencies_ns": lat}
-	case "speedup":
-		table, rerr := hmccoal.SpeedupTableContext(ctx, p, opt)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		payload = map[string]any{"speedup": table}
-	case "fault":
-		rows, rerr := hmccoal.FaultSweepContext(ctx, spec.Bench, p, uint64(spec.Seed), spec.BERs, opt)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		payload = map[string]any{
-			"bench": spec.Bench,
-			"rows":  rows,
-			"table": hmccoal.FaultSweepTable(rows),
-		}
-	case "stride":
-		runs, rerr := hmccoal.StrideLadderContext(ctx, p, opt)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		payload = map[string]any{
-			"runs":  runs,
-			"table": hmccoal.StrideLadderTable(runs),
-		}
-	default:
-		err = fmt.Errorf("jobserv: unknown sweep %q", spec.Sweep)
-	}
+	opt.Workers = d.opt.SweepWorkers
+	opt.Dispatch = d.opt.Dispatch
+	opt.Progress = ctl.progress
+	opt.Checkpoint = filepath.Join(ctl.dir, "ckpt", id+"."+spec.Sweep)
+	payload, err := pr.Run(ctl.ctx, grid, opt)
 	if err != nil {
 		return execOutcome{err: err} // finish converts park-caused errors
 	}

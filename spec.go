@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"hmccoal/internal/cache"
@@ -24,71 +26,122 @@ import (
 // alike execute groups through SweepRunner.RunGroup, which is what makes
 // the distributed output byte-identical to -workers 1 by construction.
 
-// SweepKind enumerates the distributable sweep grids.
-type SweepKind string
-
-// The sweep grids of the evaluation pipeline.
-const (
-	// SweepRunAll is the (benchmark × {3 architectures, payload analysis})
-	// grid behind Figures 8–13 and 15.
-	SweepRunAll SweepKind = "runall"
-	// SweepFig14 is the (benchmark × timeout) grid of Figure 14.
-	SweepFig14 SweepKind = "fig14"
-	// SweepTimeout is one benchmark's timeout sweep.
-	SweepTimeout SweepKind = "timeout"
-	// SweepMSHR is one benchmark's MSHR-entries sweep.
-	SweepMSHR SweepKind = "mshr"
-	// SweepSpeedup is the (benchmark × {MSHR-based, two-phase}) grid of
-	// the backend-attributed speedup study.
-	SweepSpeedup SweepKind = "speedup"
-	// SweepFault is one benchmark's (error rate × 3 architectures) grid.
-	SweepFault SweepKind = "fault"
-	// SweepStride is the (stride microbenchmark × {front-end × scheduler})
-	// grid of the front-end efficiency ladder.
-	SweepStride SweepKind = "stride"
-)
-
-// SweepSpec is the serializable description of one sweep grid. It is the
-// unit the dsweep wire protocol ships: JSON-encoded, it travels inside
-// every job message, and (spec, index) fully determines a job on any
-// process — same trace generator seed, same configuration, same batch
-// lane width.
+// SweepSpec is the serializable description of one sweep grid: a list of
+// benchmarks × an ordered list of axes. It is the unit the dsweep wire
+// protocol ships: JSON-encoded, it travels inside every job message, and
+// (spec, index) fully determines a job on any process — same trace
+// generator seed, same configuration, same batch lane width.
 type SweepSpec struct {
-	Kind   SweepKind   `json:"kind"`
 	Params TraceParams `json:"params"`
-	// Bench is the single benchmark of SweepTimeout/SweepMSHR/SweepFault
-	// grids; Benches the benchmark axis of multi-benchmark grids. They
-	// are carried explicitly so a worker never depends on its own
-	// binary's benchmark list ordering.
-	Bench    string    `json:"bench,omitempty"`
-	Benches  []string  `json:"benches,omitempty"`
-	Timeouts []uint64  `json:"timeouts,omitempty"`
-	Entries  []int     `json:"entries,omitempty"`
-	BERs     []float64 `json:"bers,omitempty"`
-	// Seed is the fault-injection seed of SweepFault grids.
+	// Benches is the grid's outermost axis. It is carried explicitly so a
+	// worker never depends on its own binary's benchmark list ordering.
+	Benches []string `json:"benches"`
+	// Axes are the grid's other dimensions; the last varies fastest.
+	Axes []Axis `json:"axes"`
+	// Seed is the fault-injection seed of a grid with a ber axis; 0 takes
+	// Params.Seed.
 	Seed uint64 `json:"seed,omitempty"`
 	// Checks enables the runtime invariant checker in every job.
 	Checks bool `json:"checks,omitempty"`
 	// Backend names the memory backend ("" is the default HMC).
 	Backend string `json:"backend,omitempty"`
 	// Frontend and Sched name the coalescing front-end and its issue
-	// policy ("" are the two-phase / FR-FCFS defaults). SweepStride grids
-	// sweep both axes themselves and ignore these.
+	// policy ("" are the two-phase / FR-FCFS defaults). A frontend or
+	// sched axis overrides them.
 	Frontend string `json:"frontend,omitempty"`
 	Sched    string `json:"sched,omitempty"`
 	// Batch is the lockstep lane width each executor runs its groups on.
 	Batch int `json:"batch,omitempty"`
 }
 
+// Axis is one dimension of a sweep grid: the name of a row of the axis
+// table and the values it takes, in grid order, in their text form.
+type Axis struct {
+	Name   string   `json:"name"`
+	Values []string `json:"values"`
+}
+
+// AxisOf builds an axis from typed values (timeouts, entry counts, error
+// rates, modes), formatting each as the axis table parses it.
+func AxisOf[T any](name string, values []T) Axis {
+	a := Axis{Name: name}
+	for _, v := range values {
+		a.Values = append(a.Values, fmt.Sprint(v))
+	}
+	return a
+}
+
+// payloadCell is the mode-axis value of the payload-granularity analysis
+// job, which runs no simulation.
+const payloadCell = "payload"
+
+// axisValue is one compiled axis value: its part of a job name and its
+// change to the job's configuration (nil for the payload analysis).
+type axisValue struct {
+	label string
+	apply func(*Config)
+}
+
+// axisDef is one row of the axis table.
+type axisDef struct {
+	// parse compiles a value of the axis in a grid with base
+	// configuration base.
+	parse func(s SweepSpec, base Config, v string) (axisValue, error)
+	// fixed marks an axis whose values shape how a preset renders, so a
+	// caller may not override them.
+	fixed bool
+	// unset clears the spec field the axis sweeps over, so every call of
+	// a preset sweeping it has one fingerprint.
+	unset func(*SweepSpec)
+}
+
+// axisTable defines every axis a sweep grid can have.
+var axisTable = map[string]axisDef{
+	"mode": {fixed: true, parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
+		if v == payloadCell {
+			return axisValue{label: v}, nil
+		}
+		for _, m := range []Mode{ModeBaseline, ModeDMCOnly, ModeTwoPhase} {
+			if v == m.String() {
+				return axisValue{v, func(c *Config) { c.Mode = m }}, nil
+			}
+		}
+		return axisValue{}, fmt.Errorf("unknown mode %q", v)
+	}},
+	"timeout": {parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
+		t, err := strconv.ParseUint(v, 10, 64)
+		return axisValue{fmt.Sprintf("T=%d", t), func(c *Config) { c.Coalescer.TimeoutCycles = t }}, err
+	}},
+	"mshr": {parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
+		n, err := strconv.Atoi(v)
+		return axisValue{fmt.Sprintf("mshr=%d", n), func(c *Config) { c.Coalescer.MSHR.Entries = n }}, err
+	}},
+	"ber": {parse: func(s SweepSpec, base Config, v string) (axisValue, error) {
+		ber, err := strconv.ParseFloat(v, 64)
+		if err == nil && ber != 0 && base.Backend != BackendHMC {
+			err = fmt.Errorf("error rate %g on the %v backend: fault injection is HMC-only", ber, base.Backend)
+		}
+		seed := s.Seed
+		if seed == 0 {
+			seed = uint64(s.Params.Seed)
+		}
+		return axisValue{fmt.Sprintf("ber=%g", ber), func(c *Config) { c.HMC.Fault.Seed, c.HMC.Fault.BER = seed, ber }}, err
+	}},
+	"frontend": {fixed: true, unset: func(s *SweepSpec) { s.Frontend = "" }, parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
+		fe, err := ParseFrontend(v)
+		return axisValue{fe.String(), func(c *Config) { c.Frontend = fe }}, err
+	}},
+	"sched": {fixed: true, unset: func(s *SweepSpec) { s.Sched = "" }, parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
+		sc, err := ParseSched(v)
+		return axisValue{sc.String(), func(c *Config) { c.Sched = sc }}, err
+	}},
+}
+
 // fingerprint is the checkpoint tag of the spec's grid: a short hex hash
-// of its canonical JSON with the fields that cannot change a result
-// zeroed — Batch and Checks on every grid, plus Frontend and Sched on the
-// stride grid, which sweeps both axes itself.
+// of its canonical JSON with Batch and Checks, which cannot change a
+// result, zeroed.
 func (s SweepSpec) fingerprint() (string, error) {
 	s.Batch, s.Checks = 0, false
-	if s.Kind == SweepStride {
-		s.Frontend, s.Sched = "", ""
-	}
 	raw, err := json.Marshal(s)
 	if err != nil {
 		return "", fmt.Errorf("hmccoal: sweep spec fingerprint: %w", err)
@@ -107,35 +160,63 @@ type Dispatcher interface {
 }
 
 // SweepCell is the universal per-job result of a sweep grid: the
-// simulation Result, or the payload analysis for the RunAll grid's
-// analysis jobs. It is what crosses the dsweep wire and what checkpoint
-// lines of the RunAll grid store.
+// simulation Result, or the payload analysis of a payload-analysis job.
+// It is what crosses the dsweep wire and what checkpoint lines store.
 type SweepCell struct {
 	Res Result          `json:"res"`
 	Pay PayloadAnalysis `json:"pay"`
 }
 
-// sweepGrid is a compiled SweepSpec: the validated job count plus
-// non-failing per-job accessors. cfg and name must only be called for
-// non-payload indices.
+// sweepGrid is a compiled SweepSpec. Its index is mixed-radix:
+// benchmark outermost, then the axes in order, the last fastest.
 type sweepGrid struct {
 	base     Config
 	benches  []string
 	perBench int // jobs per benchmark; job i runs benchmark i/perBench
-	cfg      func(i int) Config
-	name     func(i int) string
-	payload  func(i int) bool // nil: no payload-analysis jobs in this grid
+	axes     [][]axisValue
 }
 
 // n is the grid's total job count.
 func (g *sweepGrid) n() int { return len(g.benches) * g.perBench }
 
-func (g *sweepGrid) isPayload(i int) bool { return g.payload != nil && g.payload(i) }
+// values returns job i's value on every axis, in axis order.
+func (g *sweepGrid) values(i int) []axisValue {
+	vs := make([]axisValue, len(g.axes))
+	r := i % g.perBench
+	for k := len(g.axes) - 1; k >= 0; k-- {
+		vs[k] = g.axes[k][r%len(g.axes[k])]
+		r /= len(g.axes[k])
+	}
+	return vs
+}
 
-// compile validates a spec and returns its grid. The switch below is the
-// single definition of every grid's geometry — the local drivers and the
-// remote workers both run jobs through it, so their configurations cannot
-// diverge.
+func (g *sweepGrid) isPayload(i int) bool {
+	return slices.ContainsFunc(g.values(i), func(v axisValue) bool { return v.apply == nil })
+}
+
+// cfg is the configuration of job i, which must not be a payload
+// analysis.
+func (g *sweepGrid) cfg(i int) Config {
+	cfg := g.base
+	for _, v := range g.values(i) {
+		v.apply(&cfg)
+	}
+	return cfg
+}
+
+// name is the display name of job i: its benchmark and axis labels.
+func (g *sweepGrid) name(i int) string {
+	parts := []string{g.benches[i/g.perBench]}
+	for _, v := range g.values(i) {
+		parts = append(parts, v.label)
+	}
+	return strings.Join(parts, "/")
+}
+
+// compile validates a spec and returns its grid: every axis value parses,
+// and every simulation job's configuration passes Config.Validate. The
+// local drivers and the remote workers both run jobs through it, so their
+// configurations cannot diverge.
 func (s SweepSpec) compile() (*sweepGrid, error) {
 	backend, fe, sched, err := ParseSimAxes(s.Backend, s.Frontend, s.Sched)
 	if err != nil {
@@ -148,89 +229,34 @@ func (s SweepSpec) compile() (*sweepGrid, error) {
 	base.Frontend = fe
 	base.Sched = sched
 
-	g := &sweepGrid{base: base}
-	one := func() []string { return []string{s.Bench} }
-	switch s.Kind {
-	case SweepRunAll:
-		g.benches, g.perBench = s.Benches, runAllKinds
-		g.cfg = func(i int) Config {
-			cfg := base
-			cfg.Mode = runAllModes[i%runAllKinds]
-			return cfg
+	g := &sweepGrid{base: base, benches: s.Benches, perBench: 1}
+	for _, a := range s.Axes {
+		def, ok := axisTable[a.Name]
+		if !ok {
+			return nil, fmt.Errorf("hmccoal: sweep spec: unknown axis %q", a.Name)
 		}
-		g.name = func(i int) string {
-			return fmt.Sprintf("%s/%v", g.benches[i/runAllKinds], runAllModes[i%runAllKinds])
+		vs := make([]axisValue, len(a.Values))
+		for k, v := range a.Values {
+			if vs[k], err = def.parse(s, base, v); err != nil {
+				return nil, fmt.Errorf("hmccoal: sweep spec: %s axis: %w", a.Name, err)
+			}
 		}
-		g.payload = func(i int) bool { return i%runAllKinds == runAllKinds-1 }
-	case SweepFig14, SweepTimeout:
-		if s.Kind == SweepFig14 {
-			g.benches = s.Benches
-		} else {
-			g.benches = one()
-		}
-		g.perBench = len(s.Timeouts)
-		g.cfg = func(i int) Config {
-			cfg := base
-			cfg.Coalescer.TimeoutCycles = s.Timeouts[i%g.perBench]
-			return cfg
-		}
-		g.name = func(i int) string {
-			return fmt.Sprintf("%s/T=%d", g.benches[i/g.perBench], s.Timeouts[i%g.perBench])
-		}
-	case SweepMSHR:
-		g.benches, g.perBench = one(), len(s.Entries)
-		g.cfg = func(i int) Config {
-			cfg := base
-			cfg.Coalescer.MSHR.Entries = s.Entries[i%g.perBench]
-			return cfg
-		}
-		g.name = func(i int) string {
-			return fmt.Sprintf("%s/mshr=%d", g.benches[i/g.perBench], s.Entries[i%g.perBench])
-		}
-	case SweepSpeedup:
-		g.benches, g.perBench = s.Benches, len(speedupModes)
-		g.cfg = func(i int) Config {
-			cfg := base
-			cfg.Mode = speedupModes[i%g.perBench]
-			return cfg
-		}
-		g.name = func(i int) string {
-			return fmt.Sprintf("%s/%v", g.benches[i/g.perBench], speedupModes[i%g.perBench])
-		}
-	case SweepFault:
-		nModes := len(runAllModes)
-		g.benches, g.perBench = one(), len(s.BERs)*nModes
-		g.cfg = func(i int) Config {
-			cfg := base
-			cfg.HMC.Fault.Seed = s.Seed
-			cfg.HMC.Fault.BER = s.BERs[(i%g.perBench)/nModes]
-			cfg.Mode = runAllModes[i%nModes]
-			return cfg
-		}
-		g.name = func(i int) string {
-			return fmt.Sprintf("%s/ber=%g/%v", g.benches[i/g.perBench], s.BERs[(i%g.perBench)/nModes], runAllModes[i%nModes])
-		}
-	case SweepStride:
-		g.benches, g.perBench = s.Benches, len(strideCombos)
-		g.cfg = func(i int) Config {
-			cfg := base
-			c := strideCombos[i%g.perBench]
-			cfg.Frontend, cfg.Sched = c.fe, c.sched
-			return cfg
-		}
-		g.name = func(i int) string {
-			c := strideCombos[i%g.perBench]
-			return fmt.Sprintf("%s/%v/%v", g.benches[i/g.perBench], c.fe, c.sched)
-		}
-	default:
-		return nil, fmt.Errorf("hmccoal: sweep spec: unknown kind %q", s.Kind)
+		g.axes = append(g.axes, vs)
+		g.perBench *= len(vs)
 	}
-	if len(g.benches) == 0 || g.perBench == 0 {
-		return nil, fmt.Errorf("hmccoal: sweep spec: empty %s grid", s.Kind)
+	if g.n() == 0 {
+		return nil, fmt.Errorf("hmccoal: sweep spec: empty grid")
 	}
-	for _, b := range g.benches {
-		if b == "" {
-			return nil, fmt.Errorf("hmccoal: sweep spec: empty benchmark name in %s grid", s.Kind)
+	if slices.Contains(g.benches, "") {
+		return nil, fmt.Errorf("hmccoal: sweep spec: empty benchmark name")
+	}
+	// A job's configuration does not depend on its benchmark.
+	for i := 0; i < g.perBench; i++ {
+		if g.isPayload(i) {
+			continue
+		}
+		if err := g.cfg(i).Validate(); err != nil {
+			return nil, fmt.Errorf("hmccoal: sweep spec: job %s: %w", g.name(i), err)
 		}
 	}
 	return g, nil
@@ -475,7 +501,7 @@ func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([
 	}
 	for _, i := range idxs {
 		if i < 0 || i >= g.n() {
-			return nil, fmt.Errorf("hmccoal: job index %d outside the %d-job %s grid", i, g.n(), spec.Kind)
+			return nil, fmt.Errorf("hmccoal: job index %d outside the %d-job grid", i, g.n())
 		}
 	}
 	held, release := r.cache.hold(string(rawSpec), g, spec.Params, idxs)

@@ -21,13 +21,13 @@ func TestStrideLadderDeterminism(t *testing.T) {
 	}
 	p := sweepTestParams()
 
-	serial, err := StrideLadderContext(context.Background(), p, SweepOptions{Workers: 1})
+	serial, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(serial)
 
-	parallel, err := StrideLadderContext(context.Background(), p, SweepOptions{Workers: 4})
+	parallel, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestStrideLadderDeterminism(t *testing.T) {
 		t.Fatal("workers=4 stride ladder differs from serial")
 	}
 
-	batched, err := StrideLadderContext(context.Background(), p, SweepOptions{Workers: 2, Batch: 8})
+	batched, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Workers: 2, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestStrideLadderDeterminism(t *testing.T) {
 
 	coord, addr := startTestCoordinator(t, dsweep.Options{})
 	startTestWorkers(t, addr, 2)
-	dist, err := StrideLadderContext(context.Background(), p, SweepOptions{Batch: 2, Dispatch: coord})
+	dist, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Batch: 2, Dispatch: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStrideLadderDeterminism(t *testing.T) {
 			t.Errorf("run %d named %q, want %q", i, r.Name, names[i])
 		}
 	}
-	for k := range strideCombos {
+	for k := range serial[0].Results {
 		if eff := serial[0].Results[k].CoalescingEfficiency(); eff <= 0 {
 			t.Errorf("stride1 combo %d coalescing efficiency = %v, want > 0", k, eff)
 		}
@@ -98,15 +98,15 @@ func TestSweepOptionsFrontend(t *testing.T) {
 	timeouts := []uint64{16, 28}
 	warpOpt := SweepOptions{Workers: 1, Frontend: FrontendWarp, Sched: SchedHetero}
 
-	def, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts, SweepOptions{Workers: 1})
+	def, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, SweepOptions{Workers: 1}, AxisOf("timeout", timeouts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warp, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts, warpOpt)
+	warp, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, warpOpt, AxisOf("timeout", timeouts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts, warpOpt)
+	again, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, warpOpt, AxisOf("timeout", timeouts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestSweepOptionsFrontend(t *testing.T) {
 // returns instead of panicking on a malformed wire spec.
 func TestSweepSpecFrontendValidation(t *testing.T) {
 	for _, spec := range []SweepSpec{
-		{Kind: SweepTimeout, Bench: "SG", Timeouts: []uint64{16}, Frontend: "gpu"},
-		{Kind: SweepTimeout, Bench: "SG", Timeouts: []uint64{16}, Sched: "lifo"},
+		{Benches: []string{"SG"}, Axes: []Axis{AxisOf("timeout", []uint64{16})}, Frontend: "gpu"},
+		{Benches: []string{"SG"}, Axes: []Axis{AxisOf("timeout", []uint64{16})}, Sched: "lifo"},
 	} {
 		raw, err := json.Marshal(spec)
 		if err != nil {

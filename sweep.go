@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"hmccoal/internal/metrics"
 	"hmccoal/internal/sweep"
 	"hmccoal/internal/workloads"
 )
 
-// SweepOptions tunes the parallel evaluation sweeps (RunAllContext,
-// Figure14TableContext, …).
+// SweepOptions tunes the parallel evaluation sweeps (Preset.Run and the
+// drivers built on it).
 type SweepOptions struct {
 	// Workers is the simulation worker-pool size. 0 uses every core
 	// (GOMAXPROCS); 1 reproduces the old strictly serial pipeline. The
@@ -47,8 +50,7 @@ type SweepOptions struct {
 	Backend BackendKind
 	// Frontend and Sched select the coalescing front-end and its issue
 	// policy for every simulation of the sweep (see Config.Frontend,
-	// Config.Sched). The StrideLadder grid sweeps both axes itself and
-	// ignores these.
+	// Config.Sched). A preset that sweeps either axis ignores its option.
 	Frontend FrontendKind
 	Sched    SchedKind
 	// Dispatch, when non-nil, runs every job group instead of an
@@ -77,9 +79,10 @@ func (o SweepOptions) engine(spec SweepSpec) (sweep.Options, error) {
 	return opt, err
 }
 
-// spec is the serializable description of one of this option set's grids.
-func (o SweepOptions) spec(kind SweepKind, p TraceParams) SweepSpec {
-	s := SweepSpec{Kind: kind, Params: p, Checks: o.Checks, Batch: o.Batch}
+// spec is the serializable description of one of this option set's grids,
+// without its benchmarks and axes.
+func (o SweepOptions) spec(p TraceParams) SweepSpec {
+	s := SweepSpec{Params: p, Checks: o.Checks, Batch: o.Batch}
 	if o.Backend != BackendHMC {
 		s.Backend = o.Backend.String()
 	}
@@ -130,11 +133,10 @@ func runMode(name string, m Mode, cfg Config, accs []Access) (Result, error) {
 // mapSpec fans a sweep grid across the engine: each group of grid indices
 // goes to opt.Dispatch — or, when that is nil, to a SweepRunner built for
 // this sweep — as a (spec, indices) pair and comes back as JSON cells,
-// which post maps to the driver's own type on the calling process. Local,
-// batched and distributed runs share this one path, so the checkpoint
-// format, the progress cadence and the final output are identical across
-// them.
-func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post func(i int, c SweepCell) T) ([]T, error) {
+// returned in index order on the calling process. Local, batched and
+// distributed runs share this one path, so the checkpoint format, the
+// progress cadence and the final output are identical across them.
+func mapSpec(ctx context.Context, spec SweepSpec, opt SweepOptions) ([]SweepCell, error) {
 	g, err := spec.compile()
 	if err != nil {
 		return nil, err
@@ -157,7 +159,7 @@ func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post 
 		defer r.cache.whole(string(raw), g, spec.Params)()
 	}
 	return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
-		func(ctx context.Context, idxs []int) ([]T, error) {
+		func(ctx context.Context, idxs []int) ([]SweepCell, error) {
 			cells, err := d.RunGroup(ctx, raw, idxs)
 			if err != nil {
 				return nil, err
@@ -165,155 +167,256 @@ func mapSpec[T any](ctx context.Context, spec SweepSpec, opt SweepOptions, post 
 			if len(cells) != len(idxs) {
 				return nil, fmt.Errorf("hmccoal: dispatcher returned %d cells for %d jobs", len(cells), len(idxs))
 			}
-			out := make([]T, len(idxs))
+			out := make([]SweepCell, len(idxs))
 			for k, i := range idxs {
-				var c SweepCell
-				if err := json.Unmarshal(cells[k], &c); err != nil {
+				if err := json.Unmarshal(cells[k], &out[k]); err != nil {
 					return nil, fmt.Errorf("hmccoal: decode cell %d: %w", i, err)
 				}
-				out[k] = post(i, c)
 			}
 			return out, nil
 		})
 }
 
-// The RunAll grid runs four independent jobs per benchmark: the three
-// architectures of Figure 8 plus the payload-granularity analysis.
-const runAllKinds = 4
+// Preset is a named sweep grid of the evaluation: its benchmarks, its
+// axes with default values, and how its finished cells render. The preset
+// table is the one definition of every grid; hmccoal -fig, hmcservd sweep
+// jobs and the sweep drivers all run through it.
+type Preset struct {
+	name string
+	// benches lists the grid's benchmarks; nil means one benchmark the
+	// caller names.
+	benches func() []string
+	axes    []Axis
+	// render maps the grid's cells, in index order, to its named results.
+	render func(s SweepSpec, cells []SweepCell) map[string]any
+}
 
-var runAllModes = [3]Mode{ModeBaseline, ModeDMCOnly, ModeTwoPhase}
+// modes is a mode axis over the three architectures of Figure 8.
+var modes = Axis{"mode", []string{"MSHR-based", "DMC-only", "two-phase"}}
 
-// RunAllContext executes every benchmark under all three architectures on
-// a worker pool, fanning the (benchmark × mode) and (benchmark × payload
-// analysis) jobs across opt.Workers goroutines — batched onto shared
-// engine lanes when opt.Batch is set, or shipped to distributed workers
-// when opt.Dispatch is. Each benchmark's trace is generated and
-// CSR-bucketed once per executor and shared by its four jobs. Results are
-// in figure order regardless of completion order; a cancelled ctx or the
-// first job error aborts the sweep.
-func RunAllContext(ctx context.Context, p TraceParams, opt SweepOptions) ([]BenchmarkRun, error) {
-	names := Benchmarks()
-	spec := opt.spec(SweepRunAll, p)
-	spec.Benches = names
-	cells, err := mapSpec(ctx, spec, opt, func(_ int, c SweepCell) SweepCell { return c })
+// strideAxes is the stride ladder's front-end × scheduler grid in display
+// order: both issue policies under the paper's two-phase coalescer, then
+// under the GPU-style warp coalescing unit.
+var strideAxes = []Axis{{"frontend", []string{"two-phase", "warp"}}, {"sched", []string{"frfcfs", "hetero"}}}
+
+// presets is the preset table.
+var presets = []*Preset{
+	// The (benchmark × {3 architectures, payload analysis}) grid behind
+	// Figures 8–13 and 15.
+	{name: "runall", benches: Benchmarks,
+		axes: []Axis{{"mode", append(slices.Clip(modes.Values), payloadCell)}},
+		render: func(s SweepSpec, c []SweepCell) map[string]any {
+			runs := make([]BenchmarkRun, len(s.Benches))
+			for b, name := range s.Benches {
+				r := c[4*b:]
+				runs[b] = BenchmarkRun{Name: name, Baseline: r[0].Res, DMCOnly: r[1].Res, TwoPhase: r[2].Res, Payload: r[3].Pay}
+			}
+			return map[string]any{"runs": runs, "figure8": Figure8Table(runs), "figure15": Figure15Table(runs)}
+		}},
+	// The (benchmark × timeout) grid of Figure 14: average coalescer
+	// latency per timeout.
+	{name: "fig14", benches: Benchmarks, axes: []Axis{timeouts},
+		render: func(s SweepSpec, c []SweepCell) map[string]any {
+			header := []string{"benchmark"}
+			for _, v := range s.Axes[0].Values {
+				header = append(header, "T="+v)
+			}
+			rows := [][]string{header}
+			n, lat := len(s.Axes[0].Values), cellValues(c, latencyNs)
+			for b, name := range s.Benches {
+				row := []string{name}
+				for _, ns := range lat[b*n : (b+1)*n] {
+					row = append(row, metrics.Ns(ns))
+				}
+				rows = append(rows, row)
+			}
+			return map[string]any{"figure14": rows2(rows)}
+		}},
+	// One benchmark's timeout sweep.
+	{name: "timeout", axes: []Axis{timeouts},
+		render: func(_ SweepSpec, c []SweepCell) map[string]any {
+			return map[string]any{"latencies_ns": cellValues(c, latencyNs)}
+		}},
+	// One benchmark's MSHR-entries sweep: coalescing efficiency per file
+	// size, the CRQ resized in lockstep as §3.2.2 requires.
+	{name: "mshr", axes: []Axis{{"mshr", []string{"8", "16", "32", "64"}}},
+		render: func(_ SweepSpec, c []SweepCell) map[string]any {
+			return map[string]any{"efficiency": cellValues(c, Result.CoalescingEfficiency)}
+		}},
+	// The Figure 15 runtime-improvement study on the spec's backend: the
+	// conventional MHA against the full coalescer, with a backend column
+	// so ddr/ideal runs compare against the HMC rows side by side.
+	{name: "speedup", benches: Benchmarks, axes: []Axis{{"mode", []string{"MSHR-based", "two-phase"}}},
+		render: func(s SweepSpec, c []SweepCell) map[string]any {
+			backend, _ := ParseBackend(s.Backend)
+			rows := [][]string{{"benchmark", "backend", "MSHR-based", "two-phase", "improvement"}}
+			var sum float64
+			for b, name := range s.Benches {
+				r := BenchmarkRun{Baseline: c[2*b].Res, TwoPhase: c[2*b+1].Res}
+				rows = append(rows, []string{
+					name,
+					backend.String(),
+					fmt.Sprintf("%d cyc", r.Baseline.RuntimeCycles),
+					fmt.Sprintf("%d cyc", r.TwoPhase.RuntimeCycles),
+					metrics.Pct(r.Speedup()),
+				})
+				sum += r.Speedup()
+			}
+			rows = append(rows, []string{"average", backend.String(), "", "", metrics.Pct(sum / float64(len(s.Benches)))})
+			return map[string]any{"speedup": rows2(rows)}
+		}},
+	// One benchmark's (error rate × 3 architectures) grid. Fault decisions
+	// are keyed by (seed, link, packet serial), so the rows are
+	// byte-identical at any worker count and batch width.
+	{name: "fault", axes: []Axis{{"ber", []string{"0", "1e-07", "1e-06", "1e-05", "0.0001"}}, modes},
+		render: func(s SweepSpec, c []SweepCell) map[string]any {
+			rows := make([]FaultSweepRow, len(s.Axes[0].Values))
+			for b, v := range s.Axes[0].Values {
+				ber, _ := strconv.ParseFloat(v, 64)
+				r := c[3*b:]
+				rows[b] = FaultSweepRow{BER: ber, Baseline: r[0].Res, DMCOnly: r[1].Res, TwoPhase: r[2].Res}
+			}
+			return map[string]any{"rows": rows, "table": FaultSweepTable(rows)}
+		}},
+	// The stride microbenchmark ladder (stride1 … stride32) under every
+	// front-end × scheduler combination: the GPU memory-coalescing
+	// efficiency staircase, measured on both front-ends with each issue
+	// policy.
+	{name: "stride", benches: workloads.StrideNames, axes: strideAxes,
+		render: func(s SweepSpec, c []SweepCell) map[string]any {
+			n := len(c) / len(s.Benches)
+			runs := make([]StrideRun, len(s.Benches))
+			for b, name := range s.Benches {
+				runs[b] = StrideRun{Name: name, Results: cellValues(c[b*n:(b+1)*n], func(r Result) Result { return r })}
+			}
+			return map[string]any{"runs": runs, "table": StrideLadderTable(runs)}
+		}},
+}
+
+// timeouts is the Figure 14 timeout axis.
+var timeouts = Axis{"timeout", []string{"16", "20", "24", "28"}}
+
+// latencyNs is the timeout sweeps' metric.
+func latencyNs(r Result) float64 { return r.Coalescer.AvgRequestLatencyNs(r.ClockGHz) }
+
+// cellValues maps each cell's simulation result through f.
+func cellValues[T any](cells []SweepCell, f func(Result) T) []T {
+	out := make([]T, len(cells))
+	for i, c := range cells {
+		out[i] = f(c.Res)
+	}
+	return out
+}
+
+// LookupPreset returns the named preset: runall, fig14, timeout, mshr,
+// speedup, fault or stride.
+func LookupPreset(name string) (*Preset, error) {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		if p.name == name {
+			return p, nil
+		}
+		names[i] = p.name
+	}
+	return nil, fmt.Errorf("hmccoal: unknown sweep %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// Spec builds the preset's grid at trace parameters p under opt's
+// Checks, Batch, Backend, Frontend and Sched. bench names the benchmark
+// of a one-benchmark preset; the others ignore it. An override with
+// values replaces the defaults of the preset's axis of the same name; one
+// for an axis the preset does not sweep is ignored. The spec is compiled,
+// so a bad grid fails here rather than after it starts.
+func (pr *Preset) Spec(bench string, p TraceParams, opt SweepOptions, override ...Axis) (SweepSpec, error) {
+	s := opt.spec(p)
+	if pr.benches != nil {
+		s.Benches = pr.benches()
+	} else if _, err := DescribeBenchmark(bench); err != nil {
+		return s, err
+	} else {
+		s.Benches = []string{bench}
+	}
+	for _, a := range pr.axes {
+		def := axisTable[a.Name]
+		for _, o := range override {
+			if o.Name != a.Name || len(o.Values) == 0 {
+				continue
+			}
+			if def.fixed {
+				return s, fmt.Errorf("hmccoal: the %s sweep fixes its %s axis", pr.name, a.Name)
+			}
+			a.Values = o.Values
+		}
+		if def.unset != nil {
+			def.unset(&s)
+		}
+		s.Axes = append(s.Axes, a)
+	}
+	_, err := s.compile()
+	return s, err
+}
+
+// Run executes a spec built by Spec and renders its cells: the named
+// results of the grid, plus "bench" for a one-benchmark preset. A
+// cancelled ctx or the first job error aborts the sweep.
+func (pr *Preset) Run(ctx context.Context, s SweepSpec, opt SweepOptions) (map[string]any, error) {
+	cells, err := mapSpec(ctx, s, opt)
 	if err != nil {
 		return nil, err
 	}
-	runs := make([]BenchmarkRun, len(names))
-	for b, name := range names {
-		runs[b] = BenchmarkRun{
-			Name:     name,
-			Baseline: cells[b*runAllKinds+0].Res,
-			DMCOnly:  cells[b*runAllKinds+1].Res,
-			TwoPhase: cells[b*runAllKinds+2].Res,
-			Payload:  cells[b*runAllKinds+3].Pay,
-		}
+	out := pr.render(s, cells)
+	if pr.benches == nil {
+		out["bench"] = s.Benches[0]
 	}
-	return runs, nil
+	return out, nil
 }
 
-// latencyCell maps a sweep cell to the timeout sweeps' metric.
-func latencyCell(_ int, c SweepCell) float64 {
-	return c.Res.Coalescer.AvgRequestLatencyNs(c.Res.ClockGHz)
-}
-
-// TimeoutSweepContext is TimeoutSweep on a worker pool: the benchmark's
-// trace is generated and bucketed once and the per-timeout runs fan out
-// in parallel (batched onto shared lanes when opt.Batch is set).
-func TimeoutSweepContext(ctx context.Context, name string, p TraceParams, timeouts []uint64, opt SweepOptions) ([]float64, error) {
-	if len(timeouts) == 0 {
-		timeouts = defaultTimeouts()
+// RunPreset builds the named preset's grid with Spec and runs it.
+func RunPreset(ctx context.Context, name, bench string, p TraceParams, opt SweepOptions, override ...Axis) (map[string]any, error) {
+	pr, err := LookupPreset(name)
+	if err != nil {
+		return nil, err
 	}
-	spec := opt.spec(SweepTimeout, p)
-	spec.Bench, spec.Timeouts = name, timeouts
-	return mapSpec(ctx, spec, opt, latencyCell)
+	s, err := pr.Spec(bench, p, opt, override...)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Run(ctx, s, opt)
 }
 
-// Figure14TableContext renders the timeout sweep for every benchmark,
-// fanning the full (benchmark × timeout) grid across the worker pool with
-// one shared trace per benchmark.
+// RunAllContext executes every benchmark under all three architectures
+// plus the payload analysis: the runall preset's runs, in figure order.
+func RunAllContext(ctx context.Context, p TraceParams, opt SweepOptions) ([]BenchmarkRun, error) {
+	out, err := RunPreset(ctx, "runall", "", p, opt)
+	runs, _ := out["runs"].([]BenchmarkRun)
+	return runs, err
+}
+
+// Figure14TableContext renders the fig14 preset's timeout sweep for every
+// benchmark; nil timeouts use the default grid.
 func Figure14TableContext(ctx context.Context, p TraceParams, timeouts []uint64, opt SweepOptions) (string, error) {
-	if len(timeouts) == 0 {
-		timeouts = defaultTimeouts()
-	}
-	names := Benchmarks()
-	spec := opt.spec(SweepFig14, p)
-	spec.Benches, spec.Timeouts = names, timeouts
-	lat, err := mapSpec(ctx, spec, opt, latencyCell)
+	out, err := RunPreset(ctx, "fig14", "", p, opt, AxisOf("timeout", timeouts))
+	table, _ := out["figure14"].(string)
+	return table, err
+}
+
+// FaultSweepContext runs the fault preset: one benchmark across injected
+// link error rates (nil bers uses the default grid) under all three
+// architectures, with fault seed seed (0 takes p.Seed).
+func FaultSweepContext(ctx context.Context, name string, p TraceParams, seed uint64, bers []float64, opt SweepOptions) ([]FaultSweepRow, error) {
+	pr, err := LookupPreset("fault")
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	header := []string{"benchmark"}
-	for _, to := range timeouts {
-		header = append(header, fmt.Sprintf("T=%d", to))
-	}
-	rows := [][]string{header}
-	for b, name := range names {
-		row := []string{name}
-		for t := range timeouts {
-			row = append(row, metrics.Ns(lat[b*len(timeouts)+t]))
-		}
-		rows = append(rows, row)
-	}
-	return rows2(rows), nil
-}
-
-// speedupModes is the SpeedupTable grid: the conventional MHA against the
-// full coalescer.
-var speedupModes = [2]Mode{ModeBaseline, ModeTwoPhase}
-
-// SpeedupTableContext renders the Figure 15 runtime-improvement study on a
-// chosen memory backend: every benchmark under the conventional MHA and
-// the two-phase coalescer, with runtimes and the relative improvement. The
-// (benchmark × mode) grid fans across the worker pool with one shared
-// trace per benchmark. Unlike Figure15Table it carries a backend column,
-// so ddr/ideal runs are comparable against the HMC rows side by side.
-func SpeedupTableContext(ctx context.Context, p TraceParams, opt SweepOptions) (string, error) {
-	names := Benchmarks()
-	nModes := len(speedupModes)
-	spec := opt.spec(SweepSpeedup, p)
-	spec.Benches = names
-	cells, err := mapSpec(ctx, spec, opt, func(_ int, c SweepCell) Result { return c.Res })
+	s, err := pr.Spec(name, p, opt, AxisOf("ber", bers))
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	rows := [][]string{{"benchmark", "backend", "MSHR-based", "two-phase", "improvement"}}
-	var sum float64
-	for b, name := range names {
-		base, two := cells[b*nModes+0], cells[b*nModes+1]
-		r := BenchmarkRun{Baseline: base, TwoPhase: two}
-		rows = append(rows, []string{
-			name,
-			opt.Backend.String(),
-			fmt.Sprintf("%d cyc", base.RuntimeCycles),
-			fmt.Sprintf("%d cyc", two.RuntimeCycles),
-			metrics.Pct(r.Speedup()),
-		})
-		sum += r.Speedup()
-	}
-	if len(names) > 0 {
-		rows = append(rows, []string{"average", opt.Backend.String(), "", "", metrics.Pct(sum / float64(len(names)))})
-	}
-	return rows2(rows), nil
+	s.Seed = seed
+	out, err := pr.Run(ctx, s, opt)
+	rows, _ := out["rows"].([]FaultSweepRow)
+	return rows, err
 }
-
-// SpeedupTable is SpeedupTableContext without cancellation.
-func SpeedupTable(p TraceParams, opt SweepOptions) (string, error) {
-	return SpeedupTableContext(context.Background(), p, opt)
-}
-
-// MSHRSweepContext is MSHRSweep on a worker pool.
-func MSHRSweepContext(ctx context.Context, name string, p TraceParams, entries []int, opt SweepOptions) ([]float64, error) {
-	if len(entries) == 0 {
-		entries = []int{8, 16, 32, 64}
-	}
-	spec := opt.spec(SweepMSHR, p)
-	spec.Bench, spec.Entries = name, entries
-	return mapSpec(ctx, spec, opt, func(_ int, c SweepCell) float64 { return c.Res.CoalescingEfficiency() })
-}
-
-// defaultTimeouts is the Figure 14 sweep grid.
-func defaultTimeouts() []uint64 { return []uint64{16, 20, 24, 28} }
 
 // FaultSweepRow is one injected-error-rate point of a fault sweep: the
 // same trace replayed under all three architectures with the same fault
@@ -341,89 +444,9 @@ func (r FaultSweepRow) Speedup() float64 {
 // restored or aborted sweep), so ratios over it are meaningless.
 func (r FaultSweepRow) HasData() bool { return r.Baseline.RuntimeCycles != 0 }
 
-// defaultBERs is the fault sweep grid: clean link up to one error per
-// ~10^4 bits.
-func defaultBERs() []float64 { return []float64{0, 1e-7, 1e-6, 1e-5, 1e-4} }
-
-// FaultSweep runs one benchmark across injected link error rates under all
-// three architectures; see FaultSweepContext.
-func FaultSweep(name string, p TraceParams, seed uint64, bers []float64) ([]FaultSweepRow, error) {
-	return FaultSweepContext(context.Background(), name, p, seed, bers, SweepOptions{})
-}
-
-// FaultSweepContext fans the (error rate × mode) grid across the worker
-// pool. Fault decisions are keyed by (seed, link, packet serial), so the
-// rows are byte-identical at any worker count and batch width. A nil bers
-// uses the default grid.
-func FaultSweepContext(ctx context.Context, name string, p TraceParams, seed uint64, bers []float64, opt SweepOptions) ([]FaultSweepRow, error) {
-	if len(bers) == 0 {
-		bers = defaultBERs()
-	}
-	nModes := len(runAllModes)
-	spec := opt.spec(SweepFault, p)
-	spec.Bench, spec.BERs, spec.Seed = name, bers, seed
-	cells, err := mapSpec(ctx, spec, opt, func(_ int, c SweepCell) Result { return c.Res })
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]FaultSweepRow, len(bers))
-	for b := range bers {
-		rows[b] = FaultSweepRow{
-			BER:      bers[b],
-			Baseline: cells[b*nModes+0],
-			DMCOnly:  cells[b*nModes+1],
-			TwoPhase: cells[b*nModes+2],
-		}
-	}
-	return rows, nil
-}
-
-// strideCombos is the front-end × scheduler axis of the stride-ladder
-// grid, in display order: both issue policies under the paper's two-phase
-// coalescer, then under the GPU-style warp coalescing unit.
-var strideCombos = [4]struct {
-	fe    FrontendKind
-	sched SchedKind
-}{
-	{FrontendTwoPhase, SchedFRFCFS},
-	{FrontendTwoPhase, SchedHetero},
-	{FrontendWarp, SchedFRFCFS},
-	{FrontendWarp, SchedHetero},
-}
-
 // StrideRun is one stride microbenchmark replayed under every front-end ×
-// scheduler combination, results in strideCombos order.
+// scheduler combination, results in strideAxes grid order.
 type StrideRun struct {
 	Name    string
-	Results [len(strideCombos)]Result
-}
-
-// StrideLadderContext runs the stride microbenchmark ladder (stride1 …
-// stride32) under every {front-end × scheduler} combination: the classic
-// GPU memory-coalescing efficiency staircase, measured on both the
-// two-phase coalescer and the warp coalescing unit with each issue
-// policy. The (stride × combination) grid fans across the worker pool
-// with one shared trace per stride, and like every sweep the rows are
-// byte-identical at any worker count, batch width or under distributed
-// dispatch.
-func StrideLadderContext(ctx context.Context, p TraceParams, opt SweepOptions) ([]StrideRun, error) {
-	names := workloads.StrideNames()
-	spec := opt.spec(SweepStride, p)
-	spec.Benches = names
-	cells, err := mapSpec(ctx, spec, opt, func(_ int, c SweepCell) Result { return c.Res })
-	if err != nil {
-		return nil, err
-	}
-	n := len(strideCombos)
-	runs := make([]StrideRun, len(names))
-	for b, name := range names {
-		runs[b].Name = name
-		copy(runs[b].Results[:], cells[b*n:(b+1)*n])
-	}
-	return runs, nil
-}
-
-// StrideLadder is StrideLadderContext without cancellation.
-func StrideLadder(p TraceParams, opt SweepOptions) ([]StrideRun, error) {
-	return StrideLadderContext(context.Background(), p, opt)
+	Results []Result
 }

@@ -13,6 +13,14 @@ func sweepTestParams() TraceParams {
 	return TraceParams{CPUs: 2, OpsPerCPU: 150, Seed: 7}
 }
 
+// presetOut runs the named preset through RunPreset, the entry point the
+// binaries use, and returns its result under key.
+func presetOut[T any](name, key, bench string, p TraceParams, opt SweepOptions, override ...Axis) (T, error) {
+	out, err := RunPreset(context.Background(), name, bench, p, opt, override...)
+	v, _ := out[key].(T)
+	return v, err
+}
+
 // TestParallelSweepDeterminism is the tentpole's correctness contract: the
 // parallel sweep must produce byte-identical Results to the serial
 // (-workers 1) pipeline, at any worker count.
@@ -51,11 +59,11 @@ func TestParallelTimeoutSweepDeterminism(t *testing.T) {
 	}
 	p := sweepTestParams()
 	timeouts := []uint64{16, 28}
-	serial, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts, SweepOptions{Workers: 1})
+	serial, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, SweepOptions{Workers: 1}, AxisOf("timeout", timeouts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := TimeoutSweepContext(context.Background(), "SG", p, timeouts, SweepOptions{Workers: 4})
+	parallel, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, SweepOptions{Workers: 4}, AxisOf("timeout", timeouts))
 	if err != nil {
 		t.Fatal(err)
 	}
