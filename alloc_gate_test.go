@@ -1,0 +1,72 @@
+//go:build !race
+
+// Race instrumentation allocates on its own, so the exact counts below
+// hold only in a non-race build. Run the gate alone, on one P:
+//
+//	GOMAXPROCS=1 go test -run TestAllocationGate -count=1 .
+
+package hmccoal
+
+import (
+	"runtime"
+	"runtime/debug"
+	"testing"
+)
+
+// TestAllocationGate pins the exact heap allocation count of NewSystem and
+// of one Start→Finish run at the default hierarchy, for every
+// miss-handling architecture under both front-ends, on one fixed seeded
+// HPCG trace (the BenchmarkSim workload). Allocation counts are
+// deterministic, so any change fails here: if it is intended, re-measure
+// and update the table in the same change, and say why.
+func TestAllocationGate(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	accs, err := GenerateTrace("HPCG", benchParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		mode       Mode
+		fe         FrontendKind
+		build, run float64
+	}{
+		{ModeBaseline, FrontendTwoPhase, 184, 222},
+		{ModeDMCOnly, FrontendTwoPhase, 184, 154},
+		{ModeTwoPhase, FrontendTwoPhase, 184, 154},
+		{ModeBaseline, FrontendWarp, 133, 222},
+		{ModeDMCOnly, FrontendWarp, 133, 183},
+		{ModeTwoPhase, FrontendWarp, 133, 183},
+	}
+	const runs = 3
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		cfg.Mode, cfg.Frontend = tc.mode, tc.fe
+		build := testing.AllocsPerRun(runs, func() {
+			if _, err := NewSystem(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// A System is single-use: build one per measured run (plus the
+		// warm-up call AllocsPerRun makes) before counting.
+		systems := make([]*System, runs+1)
+		for i := range systems {
+			if systems[i], err = NewSystem(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		run := testing.AllocsPerRun(runs, func() {
+			sys := systems[next]
+			next++
+			if _, err := sys.Run(accs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if build != tc.build || run != tc.run {
+			t.Errorf("%v/%v: NewSystem %v allocs, Start→Finish %v; want %v and %v",
+				tc.mode, tc.fe, build, run, tc.build, tc.run)
+		}
+		systems = nil
+		runtime.GC() // GC is off: free this case's systems before the next
+	}
+}

@@ -38,9 +38,9 @@ func (c Config) validate() error {
 	return nil
 }
 
+// line is one tag entry: 16 bytes, so a 16-way set scan reads 256 B.
 type line struct {
 	tag   uint64
-	lru   uint64 // recency counter; used only when ways > lruStackWays
 	gen   uint32 // generation stamp: the line is valid iff gen == Cache.gen
 	dirty bool
 }
@@ -78,11 +78,16 @@ const lruStackWays = 16
 // is what lets a sweep engine recycle cache levels across runs at zero
 // cost. The per-set recency stacks are re-initialized lazily the first
 // time a set is touched in a new generation (orderGen).
+//
+// Wider caches fall back to counter LRU: lru, parallel to lines, holds each
+// way's last-touch clock. It is allocated only for such caches, so the
+// tag entries themselves stay 16 bytes.
 type Cache struct {
 	cfg       Config
 	lines     []line   // sets × ways, set-major
 	order     []uint64 // packed per-set recency stacks (ways <= lruStackWays)
 	orderGen  []uint32 // generation of each set's recency stack
+	lru       []uint64 // per-line recency clocks (ways > lruStackWays)
 	setMask   uint64   // numSets - 1
 	tagBits   uint     // log2(numSets): tag = lineNum >> tagBits
 	ways      int
@@ -120,6 +125,8 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Ways <= lruStackWays {
 		c.order = make([]uint64, numSets)
 		c.orderGen = make([]uint32, numSets)
+	} else {
+		c.lru = make([]uint64, len(c.lines))
 	}
 	return c, nil
 }
@@ -181,7 +188,7 @@ func (c *Cache) AccessValue(lineNum uint64, write bool) (hit bool, writeBack uin
 			if c.order != nil {
 				c.touch(set, i)
 			} else {
-				ways[i].lru = c.clock
+				c.lru[base+uint64(i)] = c.clock
 			}
 			if write {
 				ways[i].dirty = true
@@ -206,12 +213,13 @@ func (c *Cache) AccessValue(lineNum uint64, write bool) (hit bool, writeBack uin
 			}
 		}
 	} else {
+		lru := c.lru[base : base+uint64(c.ways)]
 		for i := range ways {
 			if ways[i].gen != c.gen {
 				victim = i
 				break
 			}
-			if ways[i].lru < ways[victim].lru {
+			if lru[i] < lru[victim] {
 				victim = i
 			}
 		}
@@ -221,9 +229,11 @@ func (c *Cache) AccessValue(lineNum uint64, write bool) (hit bool, writeBack uin
 		writeBack = ways[victim].tag<<c.tagBits | set
 		hasWriteBack = true
 	}
-	ways[victim] = line{tag: tag, dirty: write, lru: c.clock, gen: c.gen}
+	ways[victim] = line{tag: tag, dirty: write, gen: c.gen}
 	if c.order != nil {
 		c.touch(set, victim)
+	} else {
+		c.lru[base+uint64(victim)] = c.clock
 	}
 	return false, writeBack, hasWriteBack
 }

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -151,5 +153,112 @@ func TestStreamingThrashes(t *testing.T) {
 	}
 	if mr := c.Stats().MissRate(); mr < 0.9 {
 		t.Errorf("streaming over tiny cache has miss rate %v, want ≈1", mr)
+	}
+}
+
+// refLRU is a naive reference LRU cache: each set is a recency-ordered
+// list of resident lines, most recent first.
+type refLRU struct {
+	ways    int
+	setMask uint64
+	sets    [][]refLine
+}
+
+type refLine struct {
+	line  uint64
+	dirty bool
+}
+
+func newRefLRU(sets, ways int) *refLRU {
+	return &refLRU{ways: ways, setMask: uint64(sets - 1), sets: make([][]refLine, sets)}
+}
+
+// access returns hit, the evicted line (if the set was full) and whether
+// that victim was dirty.
+func (r *refLRU) access(ln uint64, write bool) (hit bool, victim uint64, evicted, dirty bool) {
+	s := r.sets[ln&r.setMask]
+	for i, l := range s {
+		if l.line == ln {
+			l.dirty = l.dirty || write
+			copy(s[1:i+1], s[:i])
+			s[0] = l
+			return true, 0, false, false
+		}
+	}
+	if len(s) == r.ways {
+		v := s[len(s)-1]
+		s = s[:len(s)-1]
+		victim, evicted, dirty = v.line, true, v.dirty
+	}
+	r.sets[ln&r.setMask] = append([]refLine{{line: ln, dirty: write}}, s...)
+	return false, victim, evicted, dirty
+}
+
+// flush empties the model and returns its dirty lines.
+func (r *refLRU) flush() map[uint64]bool {
+	dirty := map[uint64]bool{}
+	for i, s := range r.sets {
+		for _, l := range s {
+			if l.dirty {
+				dirty[l.line] = true
+			}
+		}
+		r.sets[i] = nil
+	}
+	return dirty
+}
+
+// TestLRUMatchesReference drives caches on either side of lruStackWays —
+// the packed recency stack and, at 32 ways, the counter LRU with its
+// per-cache recency clocks — with a seeded random line stream and checks
+// hit/miss, the victim and the write-back line of every access against a
+// naive LRU model. The stream crosses a Reset, a Flush and a
+// SaveState/RestoreState into a fresh cache.
+func TestLRUMatchesReference(t *testing.T) {
+	const sets = 4
+	for _, ways := range []int{4, 16, 32} {
+		t.Run(fmt.Sprintf("ways%d", ways), func(t *testing.T) {
+			cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
+			c := mustNew(t, cfg)
+			ref := newRefLRU(sets, ways)
+			rng := rand.New(rand.NewSource(int64(ways)))
+			span := uint64(sets * ways * 3 / 2) // working set 1.5× capacity
+			step := func(phase string, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					ln, write := rng.Uint64()%span, rng.Intn(3) == 0
+					hit, wb, hasWB := c.AccessValue(ln, write)
+					rhit, victim, evicted, dirty := ref.access(ln, write)
+					if hit != rhit || hasWB != dirty || (dirty && wb != victim) {
+						t.Fatalf("%s access %d (line %d): hit=%v wb=%d/%v, reference hit=%v victim=%d dirty=%v",
+							phase, i, ln, hit, wb, hasWB, rhit, victim, dirty)
+					}
+					if evicted && c.Contains(victim) {
+						t.Fatalf("%s access %d (line %d): reference victim %d still resident", phase, i, ln, victim)
+					}
+				}
+			}
+
+			step("cold", 2000)
+			c.Reset()
+			ref = newRefLRU(sets, ways)
+			step("after Reset", 2000)
+
+			got := map[uint64]bool{}
+			for _, ln := range c.Flush() {
+				got[ln] = true
+			}
+			if want := ref.flush(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Flush dirty lines %v, reference %v", got, want)
+			}
+			step("after Flush", 2000)
+
+			fresh := mustNew(t, cfg)
+			if err := fresh.RestoreState(c.SaveState()); err != nil {
+				t.Fatal(err)
+			}
+			c = fresh
+			step("after RestoreState", 2000)
+		})
 	}
 }

@@ -3,13 +3,15 @@ package cache
 import "fmt"
 
 // State is an opaque deep copy of one cache level's mutable state: the tag
-// arrays, the packed recency stacks, the access clock and the statistics.
+// arrays, the packed recency stacks or recency clocks, the access clock and
+// the statistics.
 // Geometry (set mask, ways, tag split) is configuration-derived and not
 // captured; a snapshot only restores into a cache of identical geometry.
 type State struct {
 	lines    []line
 	order    []uint64
 	orderGen []uint32
+	lru      []uint64
 	gen      uint32
 	clock    uint64
 	stats    Stats
@@ -23,6 +25,7 @@ func (c *Cache) SaveState() *State {
 		lines:    append([]line(nil), c.lines...),
 		order:    append([]uint64(nil), c.order...),
 		orderGen: append([]uint32(nil), c.orderGen...),
+		lru:      append([]uint64(nil), c.lru...),
 		gen:      c.gen,
 		clock:    c.clock,
 		stats:    c.stats,
@@ -39,6 +42,7 @@ func (c *Cache) RestoreState(st *State) error {
 	copy(c.lines, st.lines)
 	copy(c.order, st.order)
 	copy(c.orderGen, st.orderGen)
+	copy(c.lru, st.lru)
 	c.gen = st.gen
 	c.clock = st.clock
 	c.stats = st.stats

@@ -1,6 +1,7 @@
 package coalescer
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -313,5 +314,86 @@ func TestGatherSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs[KindWarp] > allocs[KindTwoPhase] {
 		t.Errorf("steady-state allocs per loop: warp %v > two-phase %v", allocs[KindWarp], allocs[KindTwoPhase])
+	}
+}
+
+// laneScanExpiry is the earliest open-warp expiry by a full lane scan, the
+// reference for warpGather's cached next.
+func laneScanExpiry(g *warpGather) uint64 {
+	next := ^uint64(0)
+	for _, l := range g.lanes {
+		if len(l.reqs) > 0 {
+			next = min(next, l.since+g.c.cfg.TimeoutCycles)
+		}
+	}
+	return next
+}
+
+// TestWarpNextExpiryMatchesLaneScan drives a warp coalescer with a seeded
+// random mix of pushes across lanes, Advances and Fences, and checks after
+// every call that the cached earliest expiry equals a full lane scan —
+// including after each RestoreState into a fresh coalescer that had open
+// warps of its own. Every other phase of 1000 calls is a burst at (almost)
+// one tick, so warps also close on width, not only on timeout and fence.
+func TestWarpNextExpiryMatchesLaneScan(t *testing.T) {
+	for _, sched := range []Sched{SchedFRFCFS, SchedHetero} {
+		t.Run(sched.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			cb := combo{KindWarp, sched}
+			f := cb.build(t, &fakeMem{})
+			now, token := uint64(0), uint64(0)
+			push := func(f *Coalescer) {
+				token++
+				f.Push(now, Request{
+					Line: uint64(rng.Intn(256)), Write: rng.Intn(4) == 0, Payload: 8,
+					Token: token, CPU: uint8(rng.Intn(testLanes)),
+				})
+			}
+			check := func(i int, op string, f *Coalescer) {
+				t.Helper()
+				g := f.gather.(*warpGather)
+				if got, want := g.nextExpiry(), laneScanExpiry(g); got != want {
+					t.Fatalf("op %d (%s) at tick %d: nextExpiry %d, lane scan %d", i, op, now, got, want)
+				}
+			}
+			for i := 0; i < 6000; i++ {
+				gap := 4
+				if i/1000%2 == 1 {
+					gap = 1
+				}
+				switch r := rng.Intn(100); {
+				case r < 70:
+					now += uint64(rng.Intn(gap))
+					push(f)
+					check(i, "push", f)
+				case r < 95:
+					now += uint64(rng.Intn(gap * 8))
+					f.Advance(now)
+					check(i, "Advance", f)
+				case r < 98:
+					now += uint64(rng.Intn(4))
+					f.Fence(now)
+					check(i, "Fence", f)
+				default:
+					snap, err := f.SaveState()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh := cb.build(t, &fakeMem{})
+					for j := 0; j < 3; j++ {
+						push(fresh) // open warps the snapshot must replace
+					}
+					if err := fresh.RestoreState(snap); err != nil {
+						t.Fatal(err)
+					}
+					f = fresh
+					check(i, "RestoreState", f)
+				}
+			}
+			if st := f.Stats(); st.FullFlushes == 0 || st.TimeoutFlushes == 0 || st.FenceFlushes == 0 {
+				t.Fatalf("stream missed a close cause: %d full, %d timeout, %d fence flushes",
+					st.FullFlushes, st.TimeoutFlushes, st.FenceFlushes)
+			}
+		})
 	}
 }

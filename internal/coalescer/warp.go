@@ -21,6 +21,11 @@ import (
 type warpGather struct {
 	c     *Coalescer
 	lanes []warpLane
+	// next is the earliest expiry tick of an open warp, or ^0 when every
+	// lane is empty: a push into an empty lane lowers it, and closeWarp
+	// and restore rescan the lanes. expire and nextExpiry read it instead
+	// of scanning every lane on each call.
+	next uint64
 	// groups is closeWarp's working set, reused across closes.
 	groups []warpGroup
 }
@@ -46,7 +51,7 @@ func newWarpGather(c *Coalescer, lanes int) *warpGather {
 	if lanes < 1 {
 		lanes = 1
 	}
-	return &warpGather{c: c, lanes: make([]warpLane, lanes)}
+	return &warpGather{c: c, lanes: make([]warpLane, lanes), next: ^uint64(0)}
 }
 
 // push lands the request in its lane's open warp, which closes when it
@@ -56,6 +61,7 @@ func (g *warpGather) push(now uint64, r Request) {
 	l := &g.lanes[lane]
 	if len(l.reqs) == 0 {
 		l.since = now
+		g.next = min(g.next, now+g.c.cfg.TimeoutCycles)
 	}
 	l.reqs = append(l.reqs, pendingReq{Request: r, pushTick: now})
 	if len(l.reqs) >= g.c.cfg.Width {
@@ -81,7 +87,7 @@ func (g *warpGather) closeAll(now uint64, cause flushCause) {
 // expire closes every warp whose timeout fell due, in (expiry tick, lane
 // index) order so multi-lane expiries are deterministic.
 func (g *warpGather) expire(now uint64) {
-	for {
+	for now >= g.next {
 		best, bestT := -1, uint64(0)
 		for i := range g.lanes {
 			l := &g.lanes[i]
@@ -99,15 +105,17 @@ func (g *warpGather) expire(now uint64) {
 	}
 }
 
-func (g *warpGather) nextExpiry() uint64 {
-	next := ^uint64(0)
+func (g *warpGather) nextExpiry() uint64 { return g.next }
+
+// scanExpiry recomputes next from the lanes.
+func (g *warpGather) scanExpiry() {
+	g.next = ^uint64(0)
 	for i := range g.lanes {
 		l := &g.lanes[i]
-		if len(l.reqs) > 0 && l.since+g.c.cfg.TimeoutCycles < next {
-			next = l.since + g.c.cfg.TimeoutCycles
+		if len(l.reqs) > 0 {
+			g.next = min(g.next, l.since+g.c.cfg.TimeoutCycles)
 		}
 	}
-	return next
 }
 
 func (g *warpGather) buffered() int {
@@ -133,6 +141,7 @@ func (g *warpGather) restore(st *State) error {
 		g.lanes[i].reqs = append(g.lanes[i].reqs[:0], st.lanes[i].reqs...)
 		g.lanes[i].since = st.lanes[i].since
 	}
+	g.scanExpiry()
 	return nil
 }
 
@@ -148,6 +157,7 @@ func (g *warpGather) closeWarp(closeTick uint64, lane int, cause flushCause) {
 	if m == 0 {
 		return
 	}
+	g.scanExpiry()
 	c.stats.countFlush(m, cause)
 
 	// Burst counting: one group per distinct (block, type) pair, built in

@@ -119,12 +119,21 @@ func DefaultConfig() Config {
 }
 
 // File is the dynamic MSHR file.
+//
+// keys is a dense match-key array parallel to entries: a valid entry's key
+// is matchKey of its (HMC block, T bit), a free entry's is 0. An entry
+// never crosses a block, so only entries whose key equals the request's
+// can cover one of its lines; lookup compares all keys — the software
+// form of §3.5's simultaneous comparators — and touches an Entry only on a
+// key match.
 type File struct {
-	cfg     Config
-	entries []Entry
-	free    int
-	stats   Stats
-	check   *invariant.Checker
+	cfg           Config
+	entries       []Entry
+	keys          []uint64
+	linesPerBlock uint64
+	free          int
+	stats         Stats
+	check         *invariant.Checker
 
 	// Scratch buffers reused across Insert calls so the steady state
 	// allocates nothing. keptBuf backs the unmerged-target working set;
@@ -179,11 +188,21 @@ func NewFile(cfg Config) (*File, error) {
 	if cfg.MaxSubentries == 0 {
 		cfg.MaxSubentries = 8
 	}
-	f := &File{cfg: cfg, entries: make([]Entry, cfg.Entries), free: cfg.Entries}
+	f := &File{
+		cfg:           cfg,
+		entries:       make([]Entry, cfg.Entries),
+		keys:          make([]uint64, cfg.Entries),
+		linesPerBlock: uint64(cfg.BlockBytes / cfg.LineBytes),
+		free:          cfg.Entries,
+	}
+	// Fixed subentry backing, reused across the entry's lifetimes: one
+	// array for the whole file, capped per entry so an append never spills
+	// into a neighbour.
+	m := cfg.MaxSubentries
+	subs := make([]Sub, cfg.Entries*m)
 	for i := range f.entries {
 		f.entries[i].index = i
-		// Fixed subentry backing, reused across the entry's lifetimes.
-		f.entries[i].subs = make([]Sub, 0, cfg.MaxSubentries)
+		f.entries[i].subs = subs[i*m : i*m : (i+1)*m]
 	}
 	return f, nil
 }
@@ -237,8 +256,7 @@ func (f *File) Insert(baseLine uint64, lines int, write bool, targets []Target) 
 	if lines <= 0 || lines > MaxLines {
 		return Outcome{}, fmt.Errorf("mshr: invalid line count %d", lines)
 	}
-	linesPerBlock := uint64(f.cfg.BlockBytes / f.cfg.LineBytes)
-	if baseLine/linesPerBlock != (baseLine+uint64(lines)-1)/linesPerBlock {
+	if baseLine/f.linesPerBlock != (baseLine+uint64(lines)-1)/f.linesPerBlock {
 		return Outcome{}, fmt.Errorf("mshr: request [%d,%d) crosses HMC block boundary", baseLine, baseLine+uint64(lines))
 	}
 	for _, t := range targets {
@@ -257,10 +275,11 @@ func (f *File) Insert(baseLine uint64, lines int, write bool, targets []Target) 
 	// hardware; sequentially scanning is equivalent.
 	anyMerged := false
 	kept := f.keptBuf[:0]
+	key := f.matchKey(baseLine, write)
 	for _, t := range remaining {
 		var e *Entry
 		if !f.cfg.DisableMerge {
-			e = f.lookup(t.Line, write)
+			e = f.lookup(key, t.Line)
 		}
 		if e == nil {
 			kept = append(kept, t)
@@ -308,7 +327,7 @@ func (f *File) Insert(baseLine uint64, lines int, write bool, targets []Target) 
 				f.unplacedBuf = out.Unplaced
 				return out, nil
 			}
-			e := f.alloc(chunk.base, chunk.len, write)
+			e := f.alloc(key, chunk.base, chunk.len, write)
 			if e == nil {
 				// free > 0 yet no invalid entry exists: the free counter
 				// disagrees with the valid bits. Report the corruption as a
@@ -343,29 +362,36 @@ func placed(out Outcome, t Target) bool {
 	return false
 }
 
-// lookup finds a valid entry of matching type covering the line. Matching
-// includes the T bit: with the §3.4 address extension a load never merges
-// into a store entry.
-func (f *File) lookup(line uint64, write bool) *Entry {
-	for i := range f.entries {
-		e := &f.entries[i]
-		if e.covers(line) && e.write == write {
-			return e
+// matchKey is the nonzero match key of the (HMC block, T bit) holding line.
+func (f *File) matchKey(line uint64, write bool) uint64 {
+	k := (line / f.linesPerBlock) << 1
+	if write {
+		k |= 1
+	}
+	return k + 1
+}
+
+// lookup returns the first entry, in index order, whose match key is key
+// (the line's block and T bit) and that covers the line. Matching includes
+// the T bit: with the §3.4 address extension a load never merges into a
+// store entry.
+func (f *File) lookup(key, line uint64) *Entry {
+	for i, k := range f.keys {
+		if k == key && f.entries[i].covers(line) {
+			return &f.entries[i]
 		}
 	}
 	return nil
 }
 
-// LookupLine returns the valid entry covering the line with the given type,
-// or nil. Exposed for the coalescer's bypass path.
-func (f *File) LookupLine(line uint64, write bool) *Entry { return f.lookup(line, write) }
-
-// alloc claims an invalid entry, or returns nil if — despite the free
-// counter — none exists (accounting corruption the caller reports).
-func (f *File) alloc(baseLine uint64, lines int, write bool) *Entry {
+// alloc claims an invalid entry for a chunk whose match key is key, or
+// returns nil if — despite the free counter — none exists (accounting
+// corruption the caller reports).
+func (f *File) alloc(key, baseLine uint64, lines int, write bool) *Entry {
 	for i := range f.entries {
 		e := &f.entries[i]
 		if !e.valid {
+			f.keys[i] = key
 			// Field-wise reset keeps the entry's fixed subentry backing.
 			e.valid = true
 			e.write = write
@@ -393,6 +419,7 @@ func (f *File) Complete(e *Entry) ([]Sub, error) {
 			"Complete on invalid entry %d", e.index))
 	}
 	subs := e.subs
+	f.keys[e.index] = 0
 	e.valid = false
 	e.write = false
 	e.baseLine = 0

@@ -416,14 +416,15 @@ func TestLookupLine(t *testing.T) {
 	if _, err := f.Insert(8, 2, true, []Target{{Line: 8}, {Line: 9}}); err != nil {
 		t.Fatal(err)
 	}
-	if f.LookupLine(9, true) == nil {
-		t.Error("LookupLine missed covered store line")
+	lookup := func(line uint64, write bool) *Entry { return f.lookup(f.matchKey(line, write), line) }
+	if lookup(9, true) == nil {
+		t.Error("lookup missed covered store line")
 	}
-	if f.LookupLine(9, false) != nil {
-		t.Error("LookupLine matched across T bit")
+	if lookup(9, false) != nil {
+		t.Error("lookup matched across T bit")
 	}
-	if f.LookupLine(10, true) != nil {
-		t.Error("LookupLine matched uncovered line")
+	if lookup(10, true) != nil {
+		t.Error("lookup matched uncovered line")
 	}
 }
 
@@ -603,4 +604,168 @@ func TestFruitlessInsertRepeats(t *testing.T) {
 		t.Fatalf("property exercised %d times on a packed file and %d on full subentries; want both", packed, subFull)
 	}
 	t.Logf("fruitless inserts checked: %d packed file, %d full subentries", packed, subFull)
+}
+
+// bruteLookup is the reference for lookup: the first entry, in index
+// order, that covers the line with the given T bit.
+func bruteLookup(f *File, line uint64, write bool) *Entry {
+	for i := range f.entries {
+		if e := &f.entries[i]; e.covers(line) && e.write == write {
+			return e
+		}
+	}
+	return nil
+}
+
+// checkKeys asserts the match-key invariant and compares lookup against
+// bruteLookup for every line of block, under both T bits.
+func checkKeys(t *testing.T, op int, f *File, block uint64) {
+	t.Helper()
+	for i := range f.entries {
+		e, want := &f.entries[i], uint64(0)
+		if e.valid {
+			want = f.matchKey(e.baseLine, e.write)
+		}
+		if f.keys[i] != want {
+			t.Fatalf("op %d: entry %d (valid=%v) has key %d, want %d", op, i, e.valid, f.keys[i], want)
+		}
+	}
+	for line := block * f.linesPerBlock; line < (block+1)*f.linesPerBlock; line++ {
+		for _, write := range []bool{false, true} {
+			if got, want := f.lookup(f.matchKey(line, write), line), bruteLookup(f, line, write); got != want {
+				t.Fatalf("op %d: lookup(line %d, write %v) = %v, covers scan %v", op, line, write, got, want)
+			}
+		}
+	}
+}
+
+// describe renders an Insert outcome by entry index, so outcomes of two
+// files can be compared.
+func describe(out Outcome) string {
+	var b strings.Builder
+	for _, e := range out.Issued {
+		fmt.Fprintf(&b, "issued[%d: line=%d lines=%d write=%v subs=%v] ", e.index, e.baseLine, e.lines, e.write, e.subs)
+	}
+	fmt.Fprintf(&b, "merged=%d unplaced=%v split=%v", out.MergedTargets, out.Unplaced, out.Split)
+	return b.String()
+}
+
+// TestLookupMatchesCoversScan runs a seeded random mix of Insert, Complete
+// and SaveState/RestoreState on a small file. After every call the match
+// keys must mirror the entries and lookup must return what a brute-force
+// covers scan returns for every line of the touched block. Each restore
+// goes into a fresh file with live entries of its own, and the restored
+// file then runs in lockstep with the original: every Insert outcome, every
+// Complete and the statistics must agree.
+func TestLookupMatchesCoversScan(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Entries = 6
+	cfg.MaxSubentries = 3
+	newFile := func() *File {
+		f, err := NewFile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	rng := rand.New(rand.NewSource(29))
+	token := uint64(0)
+	// insert makes one random request in a small address space, so merges,
+	// Case-B splits, full subentry lists and a packed file are all common.
+	insert := func() (base uint64, lines int, write bool, targets []Target) {
+		lines = []int{1, 2, 3, 4}[rng.Intn(4)]
+		base = uint64(rng.Intn(5))*4 + uint64(rng.Intn(4-lines+1))
+		targets = make([]Target, 1+rng.Intn(5))
+		for j := range targets {
+			targets[j] = Target{Line: base + uint64(rng.Intn(lines)), Token: token, Payload: 8}
+			token++
+		}
+		return base, lines, rng.Intn(3) == 0, targets
+	}
+	files := []*File{newFile()} // files[0] is the original, files[1] its restored copy
+	var merged, restores int
+	for op := 0; op < 20000; op++ {
+		f := files[len(files)-1]
+		switch r := rng.Intn(100); {
+		case r < 55:
+			base, lines, write, targets := insert()
+			var want string
+			for k, g := range files {
+				out, err := g.Insert(base, lines, write, targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				merged += out.MergedTargets
+				if got := describe(out); k == 0 {
+					want = got
+				} else if got != want {
+					t.Fatalf("op %d: restored file Insert %s, original %s", op, got, want)
+				}
+				checkKeys(t, op, g, base/4)
+			}
+		case r < 98:
+			var live []int
+			for i := range f.entries {
+				if f.entries[i].valid {
+					live = append(live, i)
+				}
+			}
+			if len(live) == 0 {
+				continue
+			}
+			i := live[rng.Intn(len(live))]
+			block := f.entries[i].baseLine / 4
+			for _, g := range files {
+				if _, err := g.Complete(g.EntryAt(i)); err != nil {
+					t.Fatal(err)
+				}
+				checkKeys(t, op, g, block)
+			}
+		default:
+			snap := f.SaveState()
+			fresh := newFile()
+			for j := 0; j < 3; j++ {
+				base, lines, write, targets := insert()
+				if _, err := fresh.Insert(base, lines, write, targets); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fresh.RestoreState(snap); err != nil {
+				t.Fatal(err)
+			}
+			files = []*File{f, fresh}
+			restores++
+			for block := uint64(0); block < 5; block++ {
+				checkKeys(t, op, fresh, block)
+			}
+		}
+		if len(files) == 2 && files[0].Stats() != files[1].Stats() {
+			t.Fatalf("op %d: restored file stats %+v, original %+v", op, files[1].Stats(), files[0].Stats())
+		}
+	}
+	if merged == 0 || restores == 0 {
+		t.Fatalf("stream exercised %d merges and %d restores; want both", merged, restores)
+	}
+}
+
+// TestRestoreGrownSubentries pins that a snapshot restores into a fresh
+// file even when a fresh allocation took more waiters than MaxSubentries
+// (its chunk's whole target list), growing the entry's backing as the
+// original did.
+func TestRestoreGrownSubentries(t *testing.T) {
+	f := newFile(t)
+	var targets []Target
+	for i := 0; i < 2*f.Config().MaxSubentries; i++ {
+		targets = append(targets, Target{Line: 8 + uint64(i%4), Token: uint64(i)})
+	}
+	if _, err := f.Insert(8, 4, false, targets); err != nil {
+		t.Fatal(err)
+	}
+	g := newFile(t)
+	if err := g.RestoreState(f.SaveState()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%+v", g.Entries()), fmt.Sprintf("%+v", f.Entries()); got != want {
+		t.Fatalf("restored entries %s, want %s", got, want)
+	}
 }

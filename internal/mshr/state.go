@@ -44,24 +44,26 @@ func (f *File) SaveState() *FileState {
 
 // RestoreState replays a snapshot into the file. The file must have the
 // same entry count as the one that produced the snapshot. Each entry's
-// fixed subentry backing array and index are preserved, so the restored
-// file is allocation-identical to the original.
+// subentry backing array and index are preserved; an entry whose snapshot
+// holds more subentries than its backing fits (a fresh allocation takes
+// every waiter of its chunk, past MaxSubentries) grows it, as the
+// original's append did.
 func (f *File) RestoreState(st *FileState) error {
 	if len(st.entries) != len(f.entries) {
 		return fmt.Errorf("mshr: snapshot has %d entries, file %d", len(st.entries), len(f.entries))
 	}
 	for i := range f.entries {
 		e, se := &f.entries[i], &st.entries[i]
-		if len(se.subs) > cap(e.subs) {
-			return fmt.Errorf("mshr: snapshot entry %d has %d subentries, file caps at %d",
-				i, len(se.subs), cap(e.subs))
-		}
 		e.valid = se.valid
 		e.write = se.write
 		e.baseLine = se.baseLine
 		e.lines = se.lines
 		e.subs = append(e.subs[:0], se.subs...)
 		e.payload = se.payload
+		f.keys[i] = 0
+		if e.valid {
+			f.keys[i] = f.matchKey(e.baseLine, e.write)
+		}
 	}
 	f.free = st.free
 	f.stats = st.stats
