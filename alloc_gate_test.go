@@ -16,14 +16,24 @@ import (
 // TestAllocationGate pins the exact heap allocation count of NewSystem and
 // of one Start→Finish run at the default hierarchy, for every
 // miss-handling architecture under both front-ends, on one fixed seeded
-// HPCG trace (the BenchmarkSim workload). Allocation counts are
-// deterministic, so any change fails here: if it is intended, re-measure
-// and update the table in the same change, and say why.
+// HPCG trace (the BenchmarkSim workload), and of generating that trace.
+// Allocation counts are deterministic, so any change fails here: if it is
+// intended, re-measure and update the counts in the same change, and say
+// why.
 func TestAllocationGate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	accs, err := GenerateTrace("HPCG", benchParams())
 	if err != nil {
 		t.Fatal(err)
+	}
+	const genAllocs = 63
+	gen := testing.AllocsPerRun(3, func() {
+		if _, err := GenerateTrace("HPCG", benchParams()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if gen != genAllocs {
+		t.Errorf("GenerateTrace(HPCG) %v allocs, want %v", gen, genAllocs)
 	}
 	cases := []struct {
 		mode       Mode

@@ -73,9 +73,9 @@ type (
 	// scheduler. The zero value is FR-FCFS.
 	SchedKind = coalescer.Sched
 	// SystemSnapshot is a deterministic mid-run snapshot of a System
-	// (System.Snapshot / System.Restore): restoring it into a fresh system
-	// built from the same Config and stepping to completion reproduces the
-	// uninterrupted run byte-for-byte.
+	// (System.Snapshot / System.Restore): restoring it into a fresh or
+	// Reset system with the same Config and stepping to completion
+	// reproduces the uninterrupted run byte-for-byte.
 	SystemSnapshot = sim.Snapshot
 )
 

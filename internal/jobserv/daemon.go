@@ -118,6 +118,7 @@ type Daemon struct {
 	pending  []*Job // queued and parked jobs awaiting a slot
 	running  map[string]*runningJob
 	tenants  map[string]*tenant
+	idle     []*hmccoal.System // reusable single-run Systems, oldest first (runner.go)
 	nextSeq  uint64
 	draining bool
 	closed   bool

@@ -68,6 +68,94 @@ func TestPreemptResumeEqualsUninterrupted(t *testing.T) {
 	}
 }
 
+// TestReusedSystemsMatchFreshDaemon runs 4- and 8-CPU single jobs (and
+// one 2-CPU job) on two slots, so their Systems are Reset and reused across hierarchies: one job
+// is preempted and resumes into a reused System, one is cancelled mid-run
+// (its System is dropped). Every finished result must equal the same spec
+// run alone on a fresh daemon, and the idle list must never hold more than
+// one System per slot.
+func TestReusedSystemsMatchFreshDaemon(t *testing.T) {
+	bench := hmccoal.Benchmarks()
+	parked := Spec{Kind: KindSingle, Bench: bench[0], CPUs: 4, Ops: 3000, Seed: 11}
+	canceled := Spec{Kind: KindSingle, Bench: bench[2], CPUs: 8, Ops: 20000, Seed: 2}
+	urgent := Spec{Kind: KindSingle, Bench: bench[1], CPUs: 8, Ops: 300, Seed: 5}
+	later := []Spec{
+		{Kind: KindSingle, Bench: bench[7], CPUs: 4, Ops: 400, Seed: 3},
+		{Kind: KindSingle, Bench: bench[3], CPUs: 8, Ops: 300, Seed: 4},
+		{Kind: KindSingle, Bench: bench[0], CPUs: 4, Ops: 3000, Seed: 11},
+		// A third hierarchy: the idle list must drop its oldest System.
+		{Kind: KindSingle, Bench: bench[4], CPUs: 2, Ops: 300, Seed: 6},
+	}
+
+	d := newTestDaemon(t, Options{Slots: 2})
+	stop := make(chan struct{})
+	maxIdle := make(chan int)
+	go func() {
+		tick := time.NewTicker(100 * time.Microsecond)
+		defer tick.Stop()
+		most := 0
+		for {
+			d.mu.Lock()
+			most = max(most, len(d.idle))
+			d.mu.Unlock()
+			select {
+			case <-stop:
+				maxIdle <- most
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+
+	// Two slots busy; the urgent arrival preempts the lower-priority one.
+	p := mustSubmit(t, d, "batch", 0, parked)
+	c := mustSubmit(t, d, "batch", 1, canceled)
+	waitFor(t, d, p, "running", func(v JobView) bool { return v.State == StateRunning })
+	waitFor(t, d, c, "running", func(v JobView) bool { return v.State == StateRunning })
+	u := mustSubmit(t, d, "urgent", 9, urgent)
+	waitFor(t, d, p, "preempted", func(v JobView) bool { return v.Preemptions >= 1 })
+	if err := d.Cancel(c); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	if v, _ := d.WaitJob(c, 60*time.Second); v.State != StateCanceled {
+		t.Fatalf("canceled job ended %s", v.State)
+	}
+	ids := map[string]Spec{p: parked, u: urgent}
+	for _, spec := range later {
+		ids[mustSubmit(t, d, "batch", 0, spec)] = spec
+	}
+	for id := range ids {
+		waitDone(t, d, id, 120*time.Second)
+	}
+	close(stop)
+	if most := <-maxIdle; most > d.opt.slots() {
+		t.Errorf("idle list held %d Systems, slots = %d", most, d.opt.slots())
+	}
+	d.mu.Lock()
+	idle := len(d.idle)
+	d.mu.Unlock()
+	if idle != d.opt.slots() {
+		t.Errorf("idle list holds %d Systems after the campaign, want %d", idle, d.opt.slots())
+	}
+
+	for id, spec := range ids {
+		got, err := d.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newTestDaemon(t, Options{Slots: 1})
+		rid := mustSubmit(t, ref, "batch", 0, spec)
+		waitDone(t, ref, rid, 120*time.Second)
+		want, err := ref.Result(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%+v: reused-System result differs from a fresh daemon's:\n%.300s\nvs\n%.300s", spec, got, want)
+		}
+	}
+}
+
 // drainLoadSpecs is the mixed-kind campaign the drain test runs: one job of
 // every kind in flight plus queued stragglers.
 func drainLoadSpecs() []Spec {

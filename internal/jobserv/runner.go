@@ -6,14 +6,15 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"hmccoal"
 	"hmccoal/internal/soak"
 )
 
 // parkState is the in-memory resume state of a preempted single-run job:
-// the simulator snapshot plus everything needed to rebuild the system it
-// restores into. Sweep and soak jobs leave it empty — their resume state
+// the simulator snapshot plus everything needed to restore it into a fresh
+// or reset System. Sweep and soak jobs leave it empty — their resume state
 // is the durable JSONL checkpoint. parkState never leaves the process; a
 // crashed daemon re-runs single jobs from scratch, which is byte-identical
 // by the simulator's determinism contract.
@@ -47,23 +48,16 @@ func (d *Daemon) realExec(ctl execCtl, id string, spec Spec) execOutcome {
 // for preemption every parkCheckInterval steps. A park request snapshots
 // the live simulation — the paper pipeline's Snapshot/Restore — so the
 // resumed attempt continues from the exact tick with zero recompute and a
-// summary byte-identical to an uninterrupted run.
+// summary byte-identical to an uninterrupted run. Both first runs and
+// resumes take their System from the daemon's idle list (takeSystem) and
+// hand it back once finished or parked; one that errors, is cancelled or
+// times out is dropped.
 func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
-	var sys *hmccoal.System
 	var cfg hmccoal.Config
 	var accs []hmccoal.Access
-
-	if ctl.park != nil && ctl.park.snap != nil {
-		// Resume: rebuild the system and restore the parked snapshot.
+	resume := ctl.park != nil && ctl.park.snap != nil
+	if resume {
 		cfg, accs = ctl.park.cfg, ctl.park.accs
-		restored, err := hmccoal.NewSystem(cfg)
-		if err != nil {
-			return execOutcome{err: err}
-		}
-		if err := restored.Restore(ctl.park.snap); err != nil {
-			return execOutcome{err: err}
-		}
-		sys = restored
 	} else {
 		backend, fe, sched, err := hmccoal.ParseSimAxes(spec.Backend, spec.Frontend, spec.Sched)
 		if err != nil {
@@ -77,12 +71,18 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 		cfg.Mode = hmccoal.ModeTwoPhase
 		cfg.Backend, cfg.Frontend, cfg.Sched = backend, fe, sched
 		cfg.Hierarchy.CPUs = spec.params().CPUs
-		if sys, err = hmccoal.NewSystem(cfg); err != nil {
-			return execOutcome{err: err}
-		}
-		if err := sys.Start(accs); err != nil {
-			return execOutcome{err: err}
-		}
+	}
+	sys, err := d.takeSystem(cfg)
+	if err != nil {
+		return execOutcome{err: err}
+	}
+	if resume {
+		err = sys.Restore(ctl.park.snap)
+	} else {
+		err = sys.Start(accs)
+	}
+	if err != nil {
+		return execOutcome{err: err}
 	}
 
 	for {
@@ -96,25 +96,63 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 				if err != nil {
 					return execOutcome{err: err}
 				}
-				return marshalResult(map[string]any{
+				out := marshalResult(map[string]any{
 					"kind":    KindSingle,
 					"result":  res,
 					"summary": res.Summary(),
 				})
+				d.putSystem(sys)
+				return out
 			}
 		}
 		if err := ctl.ctx.Err(); err != nil {
 			cause := context.Cause(ctl.ctx)
 			if errors.Is(cause, errPark) || errors.Is(cause, errDrainPark) {
-				snap, serr := sys.Snapshot()
+				snap, serr := sys.Snapshot() // a deep copy: sys is free again
 				if serr != nil {
 					return execOutcome{err: serr}
 				}
+				d.putSystem(sys)
 				return execOutcome{park: &parkState{snap: snap, cfg: cfg, accs: accs}}
 			}
 			return execOutcome{err: cause}
 		}
 	}
+}
+
+// takeSystem returns a System ready for cfg: the newest idle one built for
+// the same cache hierarchy, Reset to cfg, or else a new one. Nothing is
+// built ahead of the first job, so daemon start stays cheap.
+func (d *Daemon) takeSystem(cfg hmccoal.Config) (*hmccoal.System, error) {
+	d.mu.Lock()
+	var sys *hmccoal.System
+	for i := len(d.idle) - 1; i >= 0; i-- {
+		if d.idle[i].Config().Hierarchy == cfg.Hierarchy {
+			sys = d.idle[i]
+			d.idle = slices.Delete(d.idle, i, i+1)
+			break
+		}
+	}
+	d.mu.Unlock()
+	if sys == nil {
+		return hmccoal.NewSystem(cfg)
+	}
+	if err := sys.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// putSystem returns a System no job uses any more to the idle list. The
+// list holds at most one System per slot; when it is full the oldest is
+// dropped.
+func (d *Daemon) putSystem(sys *hmccoal.System) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.idle) == d.opt.slots() {
+		d.idle = slices.Delete(d.idle, 0, 1)
+	}
+	d.idle = append(d.idle, sys)
 }
 
 // execSweep runs one evaluation sweep grid through its preset. Every

@@ -305,14 +305,16 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Reset returns a finished (or unused) System to the freshly built state
-// for cfg, recycling the cache hierarchy's multi-megabyte tag arrays and
-// the token ring in place instead of rebuilding them through the
-// allocator. cfg must keep the Hierarchy the System was built with;
-// everything else — mode, backend, coalescer tuning, fault plan, checks —
-// may change between runs. A reset System produces byte-identical results
-// to one built fresh from the same cfg: this is what lets the batch engine
-// retire a lane and refill it without paying NewSystem per job.
+// Reset returns a finished, abandoned mid-run or unused System to the
+// freshly built state for cfg, recycling the cache hierarchy's
+// multi-megabyte tag arrays and the token ring in place instead of
+// rebuilding them through the allocator. cfg must keep the Hierarchy the
+// System was built with; everything else — mode, backend, coalescer
+// tuning, fault plan, checks — may change between runs. A reset System
+// produces byte-identical results to one built fresh from the same cfg,
+// and restores snapshots identically: this is what lets the batch engine
+// retire a lane and refill it, and the job daemon reuse a slot's System,
+// without paying NewSystem per job.
 func (s *System) Reset(cfg Config) error {
 	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {

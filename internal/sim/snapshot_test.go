@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -230,6 +231,71 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			}
 			diffResults(t, want, finishStepping(t, again), sc.name+"/restored-twice")
 		})
+	}
+}
+
+// TestResetAfterAbandonedRun is the reuse contract a job daemon relies on:
+// a System that ran part of another trace (under the other front-end) and
+// was abandoned mid-run must, after Reset, restore a snapshot exactly as a
+// fresh System does and run a trace exactly as a fresh System does.
+func TestResetAfterAbandonedRun(t *testing.T) {
+	other := snapshotScenario{bench: "SSCA2", ops: 600}.trace(t)
+	accs := snapshotScenario{bench: "FT", ops: 600}.trace(t)
+	for _, fe := range []coalescer.Kind{coalescer.KindTwoPhase, coalescer.KindWarp} {
+		for _, mode := range []Mode{Baseline, DMCOnly, TwoPhase} {
+			cfg := DefaultConfig()
+			cfg.Mode, cfg.Frontend = mode, fe
+			otherCfg := DefaultConfig()
+			if fe == coalescer.KindTwoPhase {
+				otherCfg.Frontend = coalescer.KindWarp
+			}
+			t.Run(fmt.Sprintf("%v/%v", fe, mode), func(t *testing.T) {
+				abandoned := func() *System {
+					s := mustSystem(t, otherCfg)
+					if err := s.Start(other); err != nil {
+						t.Fatal(err)
+					}
+					if stepUntil(t, s, 10_000) {
+						t.Fatal("other trace drained before tick 10k")
+					}
+					if err := s.Reset(cfg); err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+
+				want, err := mustSystem(t, cfg).Run(accs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := abandoned().Run(accs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffResults(t, want, got, "reset/run")
+
+				src := mustSystem(t, cfg)
+				if err := src.Start(accs); err != nil {
+					t.Fatal(err)
+				}
+				if stepUntil(t, src, 10_000) {
+					t.Fatal("trace drained before tick 10k")
+				}
+				snap, err := src.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := mustSystem(t, cfg)
+				if err := fresh.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				reused := abandoned()
+				if err := reused.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				diffResults(t, finishStepping(t, fresh), finishStepping(t, reused), "reset/restore")
+			})
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // staged tick loop's scheduling state, every cache level, the full
 // coalescer (CRQ, MSHRs, in-flight and retry heaps), the memory backend
 // (including the packet serial counter that keys fault injection) and the
-// token ledger. Restoring it into a fresh System built from the same
+// token ledger. Restoring it into a fresh or Reset System with the same
 // Config and stepping to completion produces byte-identical results to the
 // uninterrupted run — including under fault injection, because the fault
 // injector is a pure function of restored counters.
@@ -101,13 +101,13 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	}, nil
 }
 
-// Restore replays a snapshot into a fresh System built from the same
-// Config (compared exactly — geometry, timing, mode, backend and fault
-// setup must all match). The snapshot itself is not consumed: it deep
-// copies into the system and can be restored again.
+// Restore replays a snapshot into an unstarted System — built fresh, or
+// Reset — with the same Config (compared exactly — geometry, timing, mode,
+// backend and fault setup must all match). The snapshot itself is not
+// consumed: it deep copies into the system and can be restored again.
 func (s *System) Restore(snap *Snapshot) error {
 	if s.ts.started {
-		return fmt.Errorf("sim: restore into a used System (build a fresh one)")
+		return fmt.Errorf("sim: restore into a used System (build a fresh one or Reset it)")
 	}
 	if s.cfg != snap.cfg {
 		return fmt.Errorf("sim: snapshot configuration differs from system configuration")

@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -68,15 +69,62 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// Merge interleaves several traces into one, ordered by tick (stable across
-// inputs, so per-source program order is preserved).
+// Merge interleaves several traces into one, ordered by tick. It is
+// stable: accesses with equal ticks come out by source index, then in
+// source order, so per-source program order is preserved. A source not
+// already in tick order is stable-sorted into a copy first; the inputs are
+// never modified. The merge itself scans the source heads for the lowest
+// (tick, source index) and copies that source's run of equal-tick
+// accesses; a linear scan needs no heap at the at most 256 per-core
+// streams of a generated trace.
 func Merge(traces ...[]Access) []Access {
-	var out []Access
+	srcs := make([][]Access, 0, len(traces))
+	n := 0
 	for _, t := range traces {
-		out = append(out, t...)
+		if len(t) == 0 {
+			continue
+		}
+		if !ticksOrdered(t) {
+			t = slices.Clone(t)
+			slices.SortStableFunc(t, func(a, b Access) int { return cmp.Compare(a.Tick, b.Tick) })
+		}
+		srcs = append(srcs, t)
+		n += len(t)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Tick < out[j].Tick })
+	if n == 0 {
+		return nil
+	}
+	out := make([]Access, 0, n)
+	for len(srcs) > 0 {
+		best := 0 // the first source holding the lowest head tick
+		for i := 1; i < len(srcs); i++ {
+			if srcs[i][0].Tick < srcs[best][0].Tick {
+				best = i
+			}
+		}
+		src := srcs[best]
+		run := 1
+		for run < len(src) && src[run].Tick == src[0].Tick {
+			run++
+		}
+		out = append(out, src[:run]...)
+		if run == len(src) {
+			srcs = slices.Delete(srcs, best, best+1) // keeps source order
+		} else {
+			srcs[best] = src[run:]
+		}
+	}
 	return out
+}
+
+// ticksOrdered reports whether accs is in non-decreasing tick order.
+func ticksOrdered(accs []Access) bool {
+	for i := 1; i < len(accs); i++ {
+		if accs[i].Tick < accs[i-1].Tick {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks the invariants the simulator relies on: ticks

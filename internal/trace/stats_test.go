@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -75,5 +78,68 @@ func TestValidate(t *testing.T) {
 		if err := Validate(accs); err == nil {
 			t.Errorf("case %d: invalid trace accepted", i)
 		}
+	}
+}
+
+// stableSortMerge is the reference Merge: concatenate, then stable-sort by
+// tick.
+func stableSortMerge(traces ...[]Access) []Access {
+	var out []Access
+	for _, t := range traces {
+		out = append(out, t...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Tick < out[j].Tick })
+	return out
+}
+
+// TestMergeMatchesStableSort checks Merge against the stable-sort
+// reference on random sources: sorted and unsorted, empty, all on one
+// tick, and from 1 to 300 sources. The inputs must come back unmodified.
+func TestMergeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 400; iter++ {
+		nsrc := 1 + rng.Intn(300)
+		if iter%2 == 0 {
+			nsrc = 1 + rng.Intn(8)
+		}
+		ticks := 1 + rng.Intn(50) // small tick ranges force ties
+		if iter%10 == 0 {
+			ticks = 1 // every access on one tick
+		}
+		srcs := make([][]Access, nsrc)
+		for s := range srcs {
+			n := rng.Intn(40)
+			if rng.Intn(5) == 0 {
+				n = 0
+			}
+			src := make([]Access, n)
+			for i := range src {
+				// Addr numbers each access so equal-tick order shows.
+				src[i] = Access{Addr: uint64(s)<<20 | uint64(i), Size: 8, CPU: uint8(s), Tick: uint64(rng.Intn(ticks))}
+			}
+			if rng.Intn(3) != 0 {
+				sort.SliceStable(src, func(i, j int) bool { return src[i].Tick < src[j].Tick })
+			}
+			srcs[s] = src
+		}
+		orig := make([][]Access, nsrc)
+		for s := range srcs {
+			orig[s] = slices.Clone(srcs[s])
+		}
+		got := Merge(srcs...)
+		if want := stableSortMerge(orig...); !slices.Equal(got, want) {
+			t.Fatalf("iter %d (%d sources, %d ticks): Merge differs from the stable sort", iter, nsrc, ticks)
+		}
+		for s := range srcs {
+			if !slices.Equal(srcs[s], orig[s]) {
+				t.Fatalf("iter %d: Merge modified source %d", iter, s)
+			}
+		}
+	}
+	if got := Merge(); got != nil {
+		t.Errorf("Merge() = %v, want nil", got)
+	}
+	if got := Merge(nil, []Access{}); got != nil {
+		t.Errorf("Merge of empty sources = %v, want nil", got)
 	}
 }

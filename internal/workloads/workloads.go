@@ -17,8 +17,8 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
 
 	"hmccoal/internal/trace"
 )
@@ -34,7 +34,8 @@ type Params struct {
 	Seed int64
 	// ThinkScale multiplies every generator's compute think time; 0 means
 	// 1.0 (the calibrated balance). Below 1 pushes the system toward
-	// memory saturation, above 1 toward compute-bound operation.
+	// memory saturation, above 1 toward compute-bound operation. It must
+	// be finite and non-negative.
 	ThinkScale float64
 }
 
@@ -49,6 +50,10 @@ func (p Params) validate() error {
 	}
 	if p.OpsPerCPU <= 0 {
 		return fmt.Errorf("workloads: OpsPerCPU %d must be positive", p.OpsPerCPU)
+	}
+	// A negative scale would wrap a core's uint64 clock backwards.
+	if p.ThinkScale < 0 || math.IsNaN(p.ThinkScale) || math.IsInf(p.ThinkScale, 0) {
+		return fmt.Errorf("workloads: ThinkScale %v must be finite and non-negative", p.ThinkScale)
 	}
 	return nil
 }
@@ -147,7 +152,9 @@ func (c *core) think(cycles uint64) {
 }
 
 // build runs fn once per CPU and merges the per-core streams into one
-// trace ordered by tick (ties broken by CPU for determinism).
+// trace ordered by tick, ties broken by CPU: each core's stream is already
+// in tick order (validate rejects the think scales that could wrap a
+// core's clock), so trace.Merge only interleaves them.
 func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -156,9 +163,11 @@ func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access,
 	if scale == 0 {
 		scale = 1
 	}
-	var all []trace.Access
-	for cpu := 0; cpu < p.CPUs; cpu++ {
+	cores := make([][]trace.Access, p.CPUs)
+	hint := 0 // cores emit similar volumes: size each from its predecessor
+	for cpu := range cores {
 		c := &core{
+			accs:       make([]trace.Access, 0, hint),
 			cpu:        uint8(cpu),
 			rng:        rand.New(rand.NewSource(p.Seed ^ seedSalt ^ int64(cpu)*0x9E3779B9)),
 			thinkScale: scale,
@@ -166,15 +175,10 @@ func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access,
 		// Desynchronize the cores slightly, as real threads are.
 		c.tick = uint64(c.rng.Intn(64))
 		fn(c, p.OpsPerCPU)
-		all = append(all, c.accs...)
+		cores[cpu] = c.accs
+		hint = len(c.accs) + len(c.accs)/8
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Tick != all[j].Tick {
-			return all[i].Tick < all[j].Tick
-		}
-		return all[i].CPU < all[j].CPU
-	})
-	return all, nil
+	return trace.Merge(cores...), nil
 }
 
 // Address-space layout: each logical array lives in its own 1 GiB region so

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math"
 	"testing"
 
 	"hmccoal/internal/trace"
@@ -60,6 +61,9 @@ func TestParamsValidation(t *testing.T) {
 		{CPUs: 0, OpsPerCPU: 100},
 		{CPUs: 4, OpsPerCPU: 0},
 		{CPUs: 1000, OpsPerCPU: 100},
+		{CPUs: 4, OpsPerCPU: 100, ThinkScale: -1},
+		{CPUs: 4, OpsPerCPU: 100, ThinkScale: math.NaN()},
+		{CPUs: 4, OpsPerCPU: 100, ThinkScale: math.Inf(1)},
 	} {
 		if _, err := (ftGen{}).Generate(p); err == nil {
 			t.Errorf("params %+v accepted", p)
