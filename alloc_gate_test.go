@@ -11,12 +11,15 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"hmccoal/internal/sim"
 )
 
 // TestAllocationGate pins the exact heap allocation count of NewSystem and
 // of one Start→Finish run at the default hierarchy, for every
 // miss-handling architecture under both front-ends, on one fixed seeded
-// HPCG trace (the BenchmarkSim workload), and of generating that trace.
+// HPCG trace (the BenchmarkSim workload); of a pooled run, the sweep
+// path, under both front-ends; and of generating that trace.
 // Allocation counts are deterministic, so any change fails here: if it is
 // intended, re-measure and update the counts in the same change, and say
 // why.
@@ -56,8 +59,8 @@ func TestAllocationGate(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// A System is single-use: build one per measured run (plus the
-		// warm-up call AllocsPerRun makes) before counting.
+		// A System runs once per Start: build one per measured run (plus
+		// the warm-up call AllocsPerRun makes) before counting.
 		systems := make([]*System, runs+1)
 		for i := range systems {
 			if systems[i], err = NewSystem(cfg); err != nil {
@@ -78,5 +81,33 @@ func TestAllocationGate(t *testing.T) {
 		}
 		systems = nil
 		runtime.GC() // GC is off: free this case's systems before the next
+	}
+
+	// The path every sweep job takes: Get of a Reset System from a pool,
+	// then StartIndexed→Finish over a shared trace index.
+	idx, err := NewTraceIndex(accs, DefaultConfig().Hierarchy.CPUs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fe     FrontendKind
+		pooled float64
+	}{{FrontendTwoPhase, 216}, {FrontendWarp, 194}} {
+		cfg := DefaultConfig()
+		cfg.Mode, cfg.Frontend = ModeTwoPhase, tc.fe
+		var pool sim.Pool
+		pooled := testing.AllocsPerRun(runs, func() {
+			sys, err := pool.Get(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.RunIndexed(idx); err != nil {
+				t.Fatal(err)
+			}
+			pool.Put(sys, 1)
+		})
+		if pooled != tc.pooled {
+			t.Errorf("%v: pooled Get→Start→Finish %v allocs, want %v", tc.fe, pooled, tc.pooled)
+		}
 	}
 }

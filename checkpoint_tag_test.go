@@ -84,8 +84,8 @@ func (d failDispatcher) RunGroup(context.Context, []byte, []int) ([]json.RawMess
 }
 
 // TestCheckpointFingerprintIgnoresExecutionKnobs pins the other side of
-// the fingerprint: knobs that cannot change a result — Batch, Checks,
-// Workers, distributed dispatch — do not change a grid's identity, so a
+// the fingerprint: knobs that cannot change a result — Checks, Workers,
+// distributed dispatch — do not change a grid's identity, so a
 // checkpoint written under one setting restores every job under any
 // other with zero recompute.
 func TestCheckpointFingerprintIgnoresExecutionKnobs(t *testing.T) {
@@ -98,7 +98,6 @@ func TestCheckpointFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	}
 	size := ckptSize(t, ckpt)
 	for name, opt := range map[string]SweepOptions{
-		"batch":    {Workers: 1, Batch: 4},
 		"checks":   {Workers: 1, Checks: true},
 		"workers":  {Workers: 3},
 		"dispatch": {Workers: 2, Dispatch: failDispatcher{t}},
@@ -141,5 +140,61 @@ func TestStrideCheckpointIgnoresFrontendOptions(t *testing.T) {
 	}
 	if s := ckptSize(t, ckpt); s != size {
 		t.Errorf("checkpoint grew from %d to %d bytes: stride jobs were recomputed", size, s)
+	}
+}
+
+// TestFingerprintsStable pins preset fingerprints as the batch engine's
+// checkpoints carried them: its Batch width never entered the hash, so
+// removing the field leaves every fingerprint — and every checkpoint
+// written before — unchanged.
+func TestFingerprintsStable(t *testing.T) {
+	for name, want := range map[string]string{
+		"runall": "50f1670904193d89",
+		"fig14":  "d08eba91b9c023b2",
+		"fault":  "a6051b5e84bd6fa0",
+	} {
+		pr, err := LookupPreset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := pr.Spec("STREAM", DefaultTraceParams(), SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.fingerprint(); err != nil || got != want {
+			t.Errorf("%s fingerprint %s (err %v), want %s", name, got, err, want)
+		}
+	}
+}
+
+// TestBatchedCheckpointRestores resumes from testdata/batch2_fault.ckpt,
+// the checkpoint of a STREAM fault sweep (bers 0 and 1e-5) that the batch
+// engine wrote at -batch 2: every job restores, none is recomputed, and
+// the rows equal a cold run's.
+func TestBatchedCheckpointRestores(t *testing.T) {
+	p := sweepTestParams()
+	bers := []float64{0, 1e-5}
+	raw, err := os.ReadFile(filepath.Join("testdata", "batch2_fault.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "fault.ckpt")
+	if err := os.WriteFile(ckpt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := FaultSweepContext(context.Background(), "STREAM", p, 3, bers,
+		SweepOptions{Workers: 1, Checkpoint: ckpt, Dispatch: failDispatcher{t}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := FaultSweepContext(context.Background(), "STREAM", p, 3, bers, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("rows restored from the -batch 2 checkpoint differ from a cold run")
+	}
+	if s := ckptSize(t, ckpt); s != int64(len(raw)) {
+		t.Errorf("checkpoint grew from %d to %d bytes: jobs were recomputed", len(raw), s)
 	}
 }

@@ -138,7 +138,6 @@ func run(argv []string) int {
 		list    = fs.Bool("list", false, "list benchmarks and exit")
 		chart   = fs.Bool("chart", false, "append ASCII bar charts to figures 8 and 15")
 		workers = fs.Int("workers", 0, "simulation worker pool size (0 = all cores, 1 = serial)")
-		batch   = fs.Int("batch", 0, "simulations advanced in lockstep per worker (0/1 = one at a time)")
 		replay  = fs.String("trace", "", "replay a binary trace file (from tracegen/rvsim) instead of running the benchmark suite")
 		asJSON  = fs.Bool("json", false, "with -trace: emit the full results as JSON")
 
@@ -164,9 +163,6 @@ func run(argv []string) int {
 	}
 	if *workers < 0 {
 		return usageErr(fmt.Errorf("-workers must be ≥ 0, got %d", *workers))
-	}
-	if *batch < 0 {
-		return usageErr(fmt.Errorf("-batch must be ≥ 0, got %d", *batch))
 	}
 	if err := serve.Validate(); err != nil {
 		return usageErr(err)
@@ -267,7 +263,7 @@ func run(argv []string) int {
 	}
 
 	opts := func(tag string) hmccoal.SweepOptions {
-		opt := sweepOptions(*workers, *batch, *checks, *checkpoint, tag, kind)
+		opt := sweepOptions(*workers, *checks, *checkpoint, tag, kind)
 		opt.Frontend, opt.Sched = feKind, schedKind
 		opt.Dispatch = dispatch
 		return opt
@@ -450,15 +446,14 @@ func runViaSnapshot(sys *hmccoal.System, cfg hmccoal.Config, accs []hmccoal.Acce
 	}
 }
 
-// sweepOptions wires the worker count, the lockstep batch width, the
-// invariant-checker toggle and a stderr progress meter into a parallel
-// sweep. Progress goes to stderr only, so stdout stays byte-identical at
-// any worker count or batch width. Each sweep grid gets its own checkpoint
-// file (<base>.<tag>) so resumes never mix grids.
-func sweepOptions(workers, batch int, checks bool, checkpoint, tag string, backend hmccoal.BackendKind) hmccoal.SweepOptions {
+// sweepOptions wires the worker count, the invariant-checker toggle and
+// a stderr progress meter into a parallel sweep. Progress goes to stderr
+// only, so stdout stays byte-identical at any worker count. Each sweep
+// grid gets its own checkpoint file (<base>.<tag>) so resumes never mix
+// grids.
+func sweepOptions(workers int, checks bool, checkpoint, tag string, backend hmccoal.BackendKind) hmccoal.SweepOptions {
 	opt := hmccoal.SweepOptions{
 		Workers: workers,
-		Batch:   batch,
 		Checks:  checks,
 		Backend: backend,
 		Progress: func(done, total int) {

@@ -8,7 +8,7 @@ import "testing"
 func TestFlagValidation(t *testing.T) {
 	for name, argv := range map[string][]string{
 		"negative workers": {"-workers", "-1", "-list"},
-		"negative batch":   {"-batch", "-4", "-list"},
+		"removed batch":    {"-batch", "2", "-list"},
 		"zero lease":       {"-lease", "0s", "-list"},
 		"negative lease":   {"-lease", "-1m", "-list"},
 		"bad serve addr":   {"-serve", "no-such-host-xyz:0:0", "-list"},

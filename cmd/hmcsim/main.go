@@ -57,7 +57,6 @@ func run(argv []string) int {
 		requests  = fs.Int("n", 100000, "number of requests")
 		seed      = fs.Int64("seed", 1, "random seed")
 		workers   = fs.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
-		batch     = fs.Int("batch", 0, "sweep points grouped per worker job (0/1 = one at a time)")
 		backend   = fs.String("backend", "hmc", "memory backend: hmc, ddr or ideal")
 		frontendF = fs.String("frontend", "", "route the pattern through a coalescing front-end before the device: two-phase or warp ('' = raw device traffic)")
 		schedF    = fs.String("sched", "", "with -frontend: issue policy inside the front-end, frfcfs or hetero")
@@ -75,9 +74,6 @@ func run(argv []string) int {
 	}
 	if *workers < 0 {
 		return usageErr(fmt.Errorf("-workers must be ≥ 0, got %d", *workers))
-	}
-	if *batch < 0 {
-		return usageErr(fmt.Errorf("-batch must be ≥ 0, got %d", *batch))
 	}
 
 	faultCfg, err := fault.ParseFlag(*faults)
@@ -144,18 +140,8 @@ func run(argv []string) int {
 			return fmt.Sprintf("%7dB %8s %12d %12.1f %14.2f %11.2f%%",
 				sz, kind, s.Requests, us, gbps, 100*s.BandwidthEfficiency()), nil
 		}
-		rows, err := sweep.MapBatch(context.Background(), len(sizes), *batch, sweep.Options{Workers: *workers},
-			func(_ context.Context, idxs []int) ([]string, error) {
-				out := make([]string, 0, len(idxs))
-				for _, i := range idxs {
-					row, err := point(sizes[i])
-					if err != nil {
-						return nil, err
-					}
-					out = append(out, row)
-				}
-				return out, nil
-			})
+		rows, err := sweep.Map(context.Background(), len(sizes), sweep.Options{Workers: *workers},
+			func(_ context.Context, i int) (string, error) { return point(sizes[i]) })
 		if err != nil {
 			return runErr(err)
 		}

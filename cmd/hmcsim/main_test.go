@@ -7,7 +7,7 @@ import "testing"
 func TestFlagValidation(t *testing.T) {
 	for name, argv := range map[string][]string{
 		"negative workers": {"-workers", "-1", "-sweep"},
-		"negative batch":   {"-batch", "-2", "-sweep"},
+		"removed batch":    {"-batch", "2", "-sweep"},
 		"bad size":         {"-size", "17"},
 		"bad backend":      {"-backend", "sram"},
 		"bad pattern":      {"-pattern", "zigzag", "-n", "1"},

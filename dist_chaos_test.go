@@ -84,9 +84,9 @@ func TestChaosSweepDeterminism(t *testing.T) {
 	}
 	chaosWorkers(t, ln.Addr().String(), 2, workInj)
 
-	// Batch 0 dispatches every job as its own group — the most protocol
+	// Every job is its own dispatch group — the most protocol
 	// round-trips, so the soak exercises the wire as hard as the grid
-	// allows (Batch 2 would fold this small grid into one group).
+	// allows.
 	ckpt := t.TempDir() + "/chaos.jsonl"
 	rows, err := FaultSweepContext(context.Background(), "FT", p, 3, bers,
 		SweepOptions{Dispatch: coord, Checkpoint: ckpt})
@@ -99,7 +99,7 @@ func TestChaosSweepDeterminism(t *testing.T) {
 		t.Fatal("chaos-soaked fault sweep differs from the serial run")
 	}
 	table, err := Figure14TableContext(context.Background(), p, []uint64{16, 28},
-		SweepOptions{Batch: 2, Dispatch: coord})
+		SweepOptions{Dispatch: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		return runner.RunGroup(ctx, spec, idxs)
 	}, dsweep.WorkOptions{Name: "doomed-era"})
 
-	// Batch 0 keeps every job its own dispatch group, so the single-slot
-	// worker completes exactly one job before the gate holds the rest.
+	// Every job is its own dispatch group, so the single-slot worker
+	// completes exactly one job before the gate holds the rest.
 	sctx, scancel := context.WithCancel(context.Background())
 	defer scancel()
 	_, err = FaultSweepContext(sctx, "FT", p, 3, bers, SweepOptions{
@@ -203,7 +203,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	coordB, addrB := startTestCoordinator(t, dsweep.Options{})
 	startTestWorkers(t, addrB, 1)
 	rows, err := FaultSweepContext(context.Background(), "FT", p, 3, bers,
-		SweepOptions{Batch: 2, Dispatch: coordB, Checkpoint: ckpt})
+		SweepOptions{Dispatch: coordB, Checkpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestBadTokenWorkerDoesNotDisturbCampaign(t *testing.T) {
 	}()
 
 	rows, err := FaultSweepContext(context.Background(), "FT", p, 3, bers,
-		SweepOptions{Batch: 2, Dispatch: coord})
+		SweepOptions{Dispatch: coord})
 	if err != nil {
 		t.Fatal(err)
 	}

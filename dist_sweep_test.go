@@ -67,7 +67,7 @@ func TestDistributedSweepDeterminism(t *testing.T) {
 
 	coord, addr := startTestCoordinator(t, dsweep.Options{})
 	startTestWorkers(t, addr, 2)
-	opt := SweepOptions{Batch: 2, Dispatch: coord}
+	opt := SweepOptions{Dispatch: coord}
 
 	distRows, err := FaultSweepContext(context.Background(), "FT", p, 3, bers, opt)
 	if err != nil {
@@ -139,9 +139,9 @@ func TestDistributedWorkerKillLosesNoJobs(t *testing.T) {
 
 	coord, addr := startTestCoordinator(t, dsweep.Options{})
 	ckpt := t.TempDir() + "/dist.jsonl"
-	opt := SweepOptions{Batch: 2, Dispatch: coord, Checkpoint: ckpt}
+	opt := SweepOptions{Dispatch: coord, Checkpoint: ckpt}
 
-	// The first worker to connect takes the whole batch group and dies;
+	// The first worker to connect takes a job and dies;
 	// the healthy worker started after it must pick up the requeue.
 	done := make(chan struct{})
 	go func() {

@@ -60,7 +60,13 @@ func TestFaultSweepDegradesWithBER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := runMode("STREAM", ModeTwoPhase, DefaultConfig(), accs)
+	cfg := DefaultConfig()
+	cfg.Mode, cfg.Hierarchy.CPUs = ModeTwoPhase, p.CPUs
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sys.Run(accs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package hmccoal
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -26,32 +27,24 @@ func (r BenchmarkRun) Speedup() float64 {
 	return 1 - float64(r.TwoPhase.RuntimeCycles)/float64(r.Baseline.RuntimeCycles)
 }
 
-// RunBenchmark executes the named benchmark at the given scale under all
-// three architectures.
+// RunBenchmark executes the named benchmark at the given scale, on
+// p.CPUs cores, under all three architectures plus the payload analysis:
+// a one-benchmark runall sweep.
 func RunBenchmark(name string, p TraceParams) (BenchmarkRun, error) {
-	accs, err := GenerateTrace(name, p)
+	pr, err := LookupPreset("runall")
 	if err != nil {
 		return BenchmarkRun{}, err
 	}
-	run := BenchmarkRun{Name: name}
-	for _, m := range []struct {
-		mode Mode
-		dst  *Result
-	}{
-		{ModeBaseline, &run.Baseline},
-		{ModeDMCOnly, &run.DMCOnly},
-		{ModeTwoPhase, &run.TwoPhase},
-	} {
-		*m.dst, err = runMode(name, m.mode, DefaultConfig(), accs)
-		if err != nil {
-			return run, err
-		}
-	}
-	run.Payload, err = AnalyzePayload(DefaultConfig(), accs)
+	s, err := pr.Spec("", p, SweepOptions{})
 	if err != nil {
-		return run, err
+		return BenchmarkRun{}, err
 	}
-	return run, nil
+	s.Benches = []string{name}
+	out, err := pr.Run(context.Background(), s, SweepOptions{})
+	if err != nil {
+		return BenchmarkRun{}, err
+	}
+	return out["runs"].([]BenchmarkRun)[0], nil
 }
 
 // Figure1Table renders the analytic bandwidth-efficiency series.

@@ -44,7 +44,7 @@ type (
 	// Result carries a run's metrics; see its methods for the paper's
 	// derived figures (coalescing efficiency, bandwidth efficiency, …).
 	Result = sim.Result
-	// System is a single-use runnable machine.
+	// System is a runnable machine; Reset it to run it again.
 	System = sim.System
 	// Mode selects the miss-handling architecture (Figure 8 series).
 	Mode = sim.Mode
@@ -161,32 +161,19 @@ func ParseFaultFlag(s string) (FaultConfig, error) { return fault.ParseFlag(s) }
 // 16 LLC MSHRs, sequence width 16, 8 GB HMC with 256 B blocks.
 func DefaultConfig() Config { return sim.DefaultConfig() }
 
-// NewSystem builds a simulated system. Systems are single-use: build a
-// fresh one per Run (or recycle a finished one with System.Reset).
+// NewSystem builds a simulated system. A System runs once per Start:
+// Reset it (System.Reset) to run it again.
 func NewSystem(cfg Config) (*System, error) { return sim.NewSystem(cfg) }
 
-// Batch engine API, re-exported from internal/sim.
-type (
-	// TraceIndex is a shared, read-only CSR bucketing of a trace by CPU.
-	// Runs replaying the same trace share one index instead of each
-	// re-bucketing it (System.StartIndexed, BatchJob.Index).
-	TraceIndex = sim.TraceIndex
-	// BatchJob is one run of a RunBatch batch: a named configuration
-	// replaying a trace, optionally through a shared TraceIndex.
-	BatchJob = sim.BatchJob
-)
+// TraceIndex is a shared, read-only CSR bucketing of a trace by CPU. Runs
+// replaying the same trace share one index instead of each re-bucketing
+// it (System.StartIndexed, System.RunIndexed).
+type TraceIndex = sim.TraceIndex
 
 // NewTraceIndex buckets a trace for systems with cpus cores; the index is
 // immutable and safely shared across concurrent runs.
 func NewTraceIndex(accs []Access, cpus int) (*TraceIndex, error) {
 	return sim.NewTraceIndex(accs, cpus)
-}
-
-// RunBatch advances up to width independent simulations in lockstep
-// through the staged tick loop, retiring and refilling lanes as runs
-// complete. Results are per-job byte-identical to running each job alone.
-func RunBatch(jobs []BatchJob, width int) ([]Result, error) {
-	return sim.RunBatch(jobs, width)
 }
 
 // DefaultTraceParams returns the 12-CPU laptop-scale workload sizing.

@@ -1,6 +1,6 @@
 // Package dsweep distributes sweep job groups across processes: a
-// coordinator owns the grid and hands batch-aligned index groups to
-// worker processes over a TCP protocol of length-prefixed, CRC32-framed
+// coordinator owns the grid and hands index groups to worker
+// processes over a TCP protocol of length-prefixed, CRC32-framed
 // messages (the framing idiom of internal/hmc's packet codec).
 //
 // The coordinator side plugs into the sweep engine as a blocking group
@@ -76,8 +76,8 @@ func (t MsgType) String() string {
 const (
 	frameHeaderBytes  = 12
 	frameTrailerBytes = 4
-	// MaxPayload bounds one frame's payload: large enough for a batch
-	// group of full simulation results, small enough that a corrupt
+	// MaxPayload bounds one frame's payload: large enough for a group
+	// of full simulation results, small enough that a corrupt
 	// length field cannot make the reader allocate gigabytes.
 	MaxPayload = 16 << 20
 )

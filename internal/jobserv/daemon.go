@@ -12,6 +12,7 @@ import (
 
 	"hmccoal"
 	"hmccoal/internal/durable"
+	"hmccoal/internal/sim"
 )
 
 // Options tunes a Daemon.
@@ -111,6 +112,8 @@ type runningJob struct {
 type Daemon struct {
 	opt Options
 	led *ledger
+	// pool keeps finished single-run Systems, at most Slots (runner.go).
+	pool sim.Pool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -118,7 +121,6 @@ type Daemon struct {
 	pending  []*Job // queued and parked jobs awaiting a slot
 	running  map[string]*runningJob
 	tenants  map[string]*tenant
-	idle     []*hmccoal.System // reusable single-run Systems, oldest first (runner.go)
 	nextSeq  uint64
 	draining bool
 	closed   bool

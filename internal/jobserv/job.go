@@ -92,8 +92,6 @@ type Spec struct {
 	Timeouts []uint64  `json:"timeouts,omitempty"`
 	Entries  []int     `json:"entries,omitempty"`
 	BERs     []float64 `json:"bers,omitempty"`
-	// Batch is the lockstep lane width of sweep jobs.
-	Batch int `json:"batch,omitempty"`
 
 	// Runs is the scenario count of KindSoak jobs (soak seed rides in
 	// Seed).
@@ -144,7 +142,6 @@ func (s Spec) sweep() (*hmccoal.Preset, hmccoal.SweepSpec, hmccoal.SweepOptions,
 	if opt.Backend, opt.Frontend, opt.Sched, err = hmccoal.ParseSimAxes(s.Backend, s.Frontend, s.Sched); err != nil {
 		return nil, hmccoal.SweepSpec{}, opt, err
 	}
-	opt.Batch = s.Batch
 	spec, err := pr.Spec(s.Bench, s.params(), opt,
 		hmccoal.AxisOf("timeout", s.Timeouts), hmccoal.AxisOf("mshr", s.Entries), hmccoal.AxisOf("ber", s.BERs))
 	return pr, spec, opt, err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -95,9 +97,7 @@ func TestReusedSystemsMatchFreshDaemon(t *testing.T) {
 		defer tick.Stop()
 		most := 0
 		for {
-			d.mu.Lock()
-			most = max(most, len(d.idle))
-			d.mu.Unlock()
+			most = max(most, d.pool.Len())
 			select {
 			case <-stop:
 				maxIdle <- most
@@ -131,10 +131,7 @@ func TestReusedSystemsMatchFreshDaemon(t *testing.T) {
 	if most := <-maxIdle; most > d.opt.slots() {
 		t.Errorf("idle list held %d Systems, slots = %d", most, d.opt.slots())
 	}
-	d.mu.Lock()
-	idle := len(d.idle)
-	d.mu.Unlock()
-	if idle != d.opt.slots() {
+	if idle := d.pool.Len(); idle != d.opt.slots() {
 		t.Errorf("idle list holds %d Systems after the campaign, want %d", idle, d.opt.slots())
 	}
 
@@ -374,5 +371,39 @@ func TestSweepJobsMatchCLI(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s job table:\n%s\nhmccoal prints:\n%s", c.spec.Sweep, got, c.want)
 		}
+	}
+}
+
+// TestBatchedSpecFromLedgerRuns replays a ledger written when sweep specs
+// still carried the batch engine's lane width: the "batch" field decodes
+// away, and the adopted job runs to the same result as the spec submitted
+// without it.
+func TestBatchedSpecFromLedgerRuns(t *testing.T) {
+	const spec = `{"kind":"sweep","cpus":2,"ops":150,"seed":7,"bench":"FT","sweep":"mshr","entries":[8,16],"batch":2}`
+	dir := t.TempDir()
+	line := `{"type":"submit","id":"j-000001","tenant":"batch","spec":` + spec + "}\n"
+	if err := os.WriteFile(filepath.Join(dir, "ledger.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := newTestDaemon(t, Options{Dir: dir})
+	waitDone(t, d, "j-000001", 60*time.Second)
+	got, err := d.Result("j-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var s Spec
+	if err := json.Unmarshal([]byte(spec), &s); err != nil {
+		t.Fatal(err)
+	}
+	ref := newTestDaemon(t, Options{})
+	id := mustSubmit(t, ref, "batch", 0, s)
+	waitDone(t, ref, id, 60*time.Second)
+	want, err := ref.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("adopted -batch spec's result differs from a fresh submit:\n%.300s\nvs\n%.300s", got, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 
 	"hmccoal"
 	"hmccoal/internal/soak"
@@ -49,9 +48,9 @@ func (d *Daemon) realExec(ctl execCtl, id string, spec Spec) execOutcome {
 // the live simulation — the paper pipeline's Snapshot/Restore — so the
 // resumed attempt continues from the exact tick with zero recompute and a
 // summary byte-identical to an uninterrupted run. Both first runs and
-// resumes take their System from the daemon's idle list (takeSystem) and
-// hand it back once finished or parked; one that errors, is cancelled or
-// times out is dropped.
+// resumes take their System from the daemon's pool and hand it back once
+// finished or parked; one that errors, is cancelled or times out is
+// dropped.
 func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 	var cfg hmccoal.Config
 	var accs []hmccoal.Access
@@ -72,7 +71,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 		cfg.Backend, cfg.Frontend, cfg.Sched = backend, fe, sched
 		cfg.Hierarchy.CPUs = spec.params().CPUs
 	}
-	sys, err := d.takeSystem(cfg)
+	sys, err := d.pool.Get(cfg)
 	if err != nil {
 		return execOutcome{err: err}
 	}
@@ -101,7 +100,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 					"result":  res,
 					"summary": res.Summary(),
 				})
-				d.putSystem(sys)
+				d.pool.Put(sys, d.opt.slots())
 				return out
 			}
 		}
@@ -112,47 +111,12 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 				if serr != nil {
 					return execOutcome{err: serr}
 				}
-				d.putSystem(sys)
+				d.pool.Put(sys, d.opt.slots())
 				return execOutcome{park: &parkState{snap: snap, cfg: cfg, accs: accs}}
 			}
 			return execOutcome{err: cause}
 		}
 	}
-}
-
-// takeSystem returns a System ready for cfg: the newest idle one built for
-// the same cache hierarchy, Reset to cfg, or else a new one. Nothing is
-// built ahead of the first job, so daemon start stays cheap.
-func (d *Daemon) takeSystem(cfg hmccoal.Config) (*hmccoal.System, error) {
-	d.mu.Lock()
-	var sys *hmccoal.System
-	for i := len(d.idle) - 1; i >= 0; i-- {
-		if d.idle[i].Config().Hierarchy == cfg.Hierarchy {
-			sys = d.idle[i]
-			d.idle = slices.Delete(d.idle, i, i+1)
-			break
-		}
-	}
-	d.mu.Unlock()
-	if sys == nil {
-		return hmccoal.NewSystem(cfg)
-	}
-	if err := sys.Reset(cfg); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
-// putSystem returns a System no job uses any more to the idle list. The
-// list holds at most one System per slot; when it is full the oldest is
-// dropped.
-func (d *Daemon) putSystem(sys *hmccoal.System) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.idle) == d.opt.slots() {
-		d.idle = slices.Delete(d.idle, 0, 1)
-	}
-	d.idle = append(d.idle, sys)
 }
 
 // execSweep runs one evaluation sweep grid through its preset. Every

@@ -68,14 +68,19 @@ func AnalyzePayload(hier cache.HierarchyConfig, accs []trace.Access, width int) 
 	if err != nil {
 		return PayloadAnalysis{Hist: make(map[uint32]uint64)}, err
 	}
-	return AnalyzePayloadWith(h, accs, width)
+	return analyzePayload(h, accs, width)
 }
 
-// AnalyzePayloadWith is AnalyzePayload on a caller-supplied hierarchy,
-// which it resets before walking the trace. Dense sweeps reuse one
-// hierarchy — megabytes of tag arrays — across analyses instead of
-// rebuilding it per call; the result is identical to a fresh build.
-func AnalyzePayloadWith(h *cache.Hierarchy, accs []trace.Access, width int) (PayloadAnalysis, error) {
+// AnalyzePayload is the package-level AnalyzePayload on the System's own
+// cache hierarchy, which it resets before walking the trace, so a sweep
+// runs its analyses on pooled Systems instead of building megabytes of
+// tag arrays per call; the result is identical to a fresh build. The
+// System must be Reset before its next run (Pool.Get does).
+func (s *System) AnalyzePayload(accs []trace.Access, width int) (PayloadAnalysis, error) {
+	return analyzePayload(s.hierarchy, accs, width)
+}
+
+func analyzePayload(h *cache.Hierarchy, accs []trace.Access, width int) (PayloadAnalysis, error) {
 	h.Reset()
 	res := PayloadAnalysis{Hist: make(map[uint32]uint64)}
 	if width <= 0 {

@@ -312,9 +312,8 @@ func NewSystem(cfg Config) (*System, error) {
 // System was built with; everything else — mode, backend, coalescer
 // tuning, fault plan, checks — may change between runs. A reset System
 // produces byte-identical results to one built fresh from the same cfg,
-// and restores snapshots identically: this is what lets the batch engine
-// retire a lane and refill it, and the job daemon reuse a slot's System,
-// without paying NewSystem per job.
+// and restores snapshots identically: this is what lets a Pool hand one
+// System to job after job without paying NewSystem per job.
 func (s *System) Reset(cfg Config) error {
 	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {
@@ -463,8 +462,8 @@ func (s *System) Config() Config { return s.cfg }
 // Run replays the trace to completion and returns the run's metrics: it
 // arms the staged tick loop (Start), steps it until the trace has fully
 // issued, and drains the memory system (Finish). The trace must be ordered
-// by tick (as produced by internal/workloads). A System is single-use:
-// build a fresh one per run, or recycle a finished one with Reset.
+// by tick (as produced by internal/workloads). A System runs once per
+// Start: Reset it, or take one from a Pool, to run again.
 //
 // Each Step interleaves two event sources in global time order: the
 // per-CPU access cursors (merged through a heap on effective issue tick)
@@ -477,6 +476,20 @@ func (s *System) Run(accs []trace.Access) (Result, error) {
 	if err := s.Start(accs); err != nil {
 		return Result{}, err
 	}
+	return s.runToEnd()
+}
+
+// RunIndexed is Run over a pre-bucketed trace (see StartIndexed).
+func (s *System) RunIndexed(idx *TraceIndex) (Result, error) {
+	if err := s.StartIndexed(idx); err != nil {
+		return Result{}, err
+	}
+	return s.runToEnd()
+}
+
+// runToEnd steps a started System until its trace has fully issued, then
+// drains it.
+func (s *System) runToEnd() (Result, error) {
 	for {
 		done, err := s.Step()
 		if err != nil {

@@ -44,11 +44,11 @@ type tickState struct {
 }
 
 // Start validates and buckets the trace and arms the tick loop. The trace
-// must be ordered by tick (as produced by internal/workloads). A System is
-// single-use: build a fresh one per run, or recycle one with Reset.
+// must be ordered by tick (as produced by internal/workloads). A System
+// runs once per Start: Reset it, or take one from a Pool, to run again.
 func (s *System) Start(accs []trace.Access) error {
 	if s.ts.started {
-		return fmt.Errorf("sim: Start called twice (a System is single-use)")
+		return fmt.Errorf("sim: Start called twice (Reset the System to run it again)")
 	}
 	// The index stays on the stack: StartIndexed copies its slices into the
 	// tick state and never retains the pointer.
@@ -61,12 +61,11 @@ func (s *System) Start(accs []trace.Access) error {
 
 // StartIndexed arms the tick loop over a pre-bucketed trace. The index may
 // be shared read-only by any number of concurrent or sequential runs, so a
-// sweep replaying one trace under several configurations buckets it once
-// (the batch engine's fast path). It must have been built for this
-// system's CPU count.
+// sweep replaying one trace under several configurations buckets it once.
+// It must have been built for this system's CPU count.
 func (s *System) StartIndexed(idx *TraceIndex) error {
 	if s.ts.started {
-		return fmt.Errorf("sim: Start called twice (a System is single-use)")
+		return fmt.Errorf("sim: Start called twice (Reset the System to run it again)")
 	}
 	if idx == nil {
 		return fmt.Errorf("sim: StartIndexed with nil index")

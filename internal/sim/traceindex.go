@@ -8,9 +8,9 @@ import (
 
 // TraceIndex is the CSR bucketing of a trace by CPU: streamOff[c] ..
 // streamOff[c+1] delimits CPU c's access indices within streamIdx. It is
-// read-only after construction, so runs replaying the same trace — the
-// batch engine's common case of several modes/configs over one workload —
-// share a single index instead of each re-bucketing the trace.
+// read-only after construction, so runs replaying the same trace — a
+// sweep's common case of several modes/configs over one workload — share
+// a single index instead of each re-bucketing the trace.
 type TraceIndex struct {
 	accs      []trace.Access
 	streamOff []int32

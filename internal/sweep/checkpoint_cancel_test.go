@@ -11,7 +11,7 @@ import (
 
 // TestCheckpointFlushedOnCancellation pins the write-through contract of
 // the checkpoint writer: a job that completed before the context was
-// cancelled is on disk when MapBatch returns — cancellation (or a crash
+// cancelled is on disk when Map returns — cancellation (or a crash
 // right after it) can never lose finished work to a buffer.
 func TestCheckpointFlushedOnCancellation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
@@ -20,19 +20,15 @@ func TestCheckpointFlushedOnCancellation(t *testing.T) {
 
 	const n = 6
 	completed := 0
-	_, err := MapBatch(ctx, n, 2, Options{Workers: 1, Checkpoint: path},
-		func(_ context.Context, idxs []int) ([]int, error) {
-			out := make([]int, len(idxs))
-			for k, i := range idxs {
-				out[k] = i * 11
-			}
-			completed += len(idxs)
+	_, err := Map(ctx, n, Options{Workers: 1, Checkpoint: path},
+		func(_ context.Context, i int) (int, error) {
+			completed++
 			if completed >= 4 {
-				// Cancel mid-sweep, right after this group finishes: the
-				// group's results must still reach the checkpoint.
+				// Cancel mid-sweep, right after this job finishes: its
+				// result must still reach the checkpoint.
 				cancel()
 			}
-			return out, nil
+			return i * 11, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -52,14 +48,10 @@ func TestCheckpointFlushedOnCancellation(t *testing.T) {
 
 	// And a resumed sweep must skip exactly those jobs.
 	reran := 0
-	res, err := MapBatch(context.Background(), n, 2, Options{Workers: 1, Checkpoint: path},
-		func(_ context.Context, idxs []int) ([]int, error) {
-			out := make([]int, len(idxs))
-			for k, i := range idxs {
-				out[k] = i * 11
-			}
-			reran += len(idxs)
-			return out, nil
+	res, err := Map(context.Background(), n, Options{Workers: 1, Checkpoint: path},
+		func(_ context.Context, i int) (int, error) {
+			reran++
+			return i * 11, nil
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -42,6 +42,32 @@ func TestMapPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
+// TestMapBatchPanicNamesGroup: on a single worker that runs the grid
+// in order, a panic part-way through is attributed to the job that
+// panicked, not to the first job the worker ran, and the sweep survives
+// to finish the jobs after it.
+func TestMapBatchPanicNamesGroup(t *testing.T) {
+	got, err := Map(context.Background(), 9, Options{Workers: 1, KeepGoing: true},
+		func(_ context.Context, i int) (int, error) {
+			if i == 3 {
+				panic("job blew up")
+			}
+			return i + 1, nil
+		})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %v, want a PanicError", err)
+	}
+	if pe.Job != 3 {
+		t.Errorf("panic attributed to job %d, want 3", pe.Job)
+	}
+	for i, v := range got {
+		if i != 3 && v != i+1 {
+			t.Errorf("result[%d] = %d, want %d", i, v, i+1)
+		}
+	}
+}
+
 // TestMapPanicKeepGoingFinishesGrid proves the other workers keep draining
 // the grid after a panic when KeepGoing is set.
 func TestMapPanicKeepGoingFinishesGrid(t *testing.T) {
@@ -307,24 +333,20 @@ func TestMapCheckpointBackendTag(t *testing.T) {
 // mid-grid (a coordinator crash, a cancelled campaign) leaves a
 // checkpoint from which a second Remote sweep finishes the grid without
 // re-dispatching restored jobs — and without duplicating any line, even
-// though the abort's cancellation echoes through every in-flight group.
+// though the abort's cancellation echoes through every in-flight job.
 func TestRemoteAbortLeavesResumableCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "remote.jsonl")
 	const n = 12
 
-	// First pass: a "dispatcher" that completes 4 groups, then reports
-	// the transport loss a dead coordinator produces.
+	// First pass: a "dispatcher" that completes 8 jobs, then reports the
+	// transport loss a dead coordinator produces.
 	var served atomic.Int64
-	_, err := MapBatch(context.Background(), n, 2, Options{Remote: true, Workers: 1, Checkpoint: ckpt},
-		func(_ context.Context, idxs []int) ([]int, error) {
-			if served.Add(1) > 4 {
-				return nil, errors.New("dsweep: coordinator closed")
+	_, err := Map(context.Background(), n, Options{Remote: true, Workers: 1, Checkpoint: ckpt},
+		func(_ context.Context, i int) (int, error) {
+			if served.Add(1) > 8 {
+				return 0, errors.New("dsweep: coordinator closed")
 			}
-			out := make([]int, len(idxs))
-			for k, i := range idxs {
-				out[k] = i * i
-			}
-			return out, nil
+			return i * i, nil
 		})
 	if err == nil || !strings.Contains(err.Error(), "coordinator closed") {
 		t.Fatalf("aborted sweep returned %v", err)
@@ -341,26 +363,22 @@ func TestRemoteAbortLeavesResumableCheckpoint(t *testing.T) {
 			lines++
 		}
 	}
-	if lines != 8 { // 4 groups × 2 jobs
+	if lines != 8 {
 		t.Fatalf("aborted checkpoint holds %d lines, want 8", lines)
 	}
 
-	// Second pass: a healthy dispatcher sees only the remaining groups.
-	var resumedGroups atomic.Int64
-	got, err := MapBatch(context.Background(), n, 2, Options{Remote: true, Checkpoint: ckpt},
-		func(_ context.Context, idxs []int) ([]int, error) {
-			resumedGroups.Add(1)
-			out := make([]int, len(idxs))
-			for k, i := range idxs {
-				out[k] = i * i
-			}
-			return out, nil
+	// Second pass: a healthy dispatcher sees only the remaining jobs.
+	var resumed atomic.Int64
+	got, err := Map(context.Background(), n, Options{Remote: true, Checkpoint: ckpt},
+		func(_ context.Context, i int) (int, error) {
+			resumed.Add(1)
+			return i * i, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := resumedGroups.Load(); g != 2 { // (12-8)/2 groups left
-		t.Fatalf("resume dispatched %d groups, want 2", g)
+	if r := resumed.Load(); r != 4 {
+		t.Fatalf("resume dispatched %d jobs, want 4", r)
 	}
 	for i, v := range got {
 		if v != i*i {

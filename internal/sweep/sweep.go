@@ -64,10 +64,10 @@ type Options struct {
 	// the returned error; soak harnesses use this to collect every
 	// violation in a grid rather than just the first.
 	KeepGoing bool
-	// Remote marks a sweep whose groups block on external executors (a
+	// Remote marks a sweep whose jobs block on external executors (a
 	// distributed dispatcher) instead of computing locally. The pool is
 	// then sized to keep every executor fed — one goroutine per pending
-	// group, capped — rather than to the local core count, which would
+	// job, capped — rather than to the local core count, which would
 	// starve a many-worker cluster from a small coordinator machine.
 	Remote bool
 	// Tag is the identity of the sweep's results: every checkpoint line
@@ -103,18 +103,18 @@ func (e *PanicError) Error() string {
 }
 
 // remotePoolCap bounds the dispatch goroutines of a Remote sweep: enough
-// in-flight groups to saturate any plausible worker fleet, small enough
-// that a huge grid does not spawn a goroutine per group up front.
+// in-flight jobs to saturate any plausible worker fleet, small enough
+// that a huge grid does not spawn a goroutine per job up front.
 const remotePoolCap = 1024
 
-// workers resolves the effective pool size for n groups.
+// workers resolves the effective pool size for n pending jobs.
 func (o Options) workers(n int) int {
 	w := o.Workers
 	if o.Remote {
 		// Dispatch goroutines only block on the network; offer every
-		// pending group concurrently (up to the cap) so work-stealing
+		// pending job concurrently (up to the cap) so work-stealing
 		// executors are never starved, regardless of local core count. An
-		// explicit Workers still bounds the in-flight groups.
+		// explicit Workers still bounds the in-flight jobs.
 		if w <= 0 || w > n {
 			w = n
 		}
@@ -159,35 +159,9 @@ type checkpointLine struct {
 // Options.JobTimeout as a *JobError wrapping context.DeadlineExceeded.
 // Both name the job index, so a grid failure is replayable in isolation.
 func Map[T any](ctx context.Context, n int, opts Options, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapBatch(ctx, n, 1, opts, func(ctx context.Context, idxs []int) ([]T, error) {
-		r, err := fn(ctx, idxs[0])
-		if err != nil {
-			return nil, err
-		}
-		return []T{r}, nil
-	})
-}
-
-// MapBatch is Map with the grid handed to fn in batch-aligned groups of
-// up to batch consecutive indices: fn(ctx, idxs) must return one result
-// per index, in order. Workers pull whole groups, so a group is the unit
-// of scheduling (and of JobTimeout and panic attribution — both name the
-// group's first index) while checkpointing and progress remain per job:
-// every completed job appends its own checkpoint line in the same format
-// Map writes, so batched and unbatched sweeps restore from each other's
-// checkpoints, and Options.Progress still counts single jobs.
-//
-// Groups are aligned to batch boundaries of the full grid (restored jobs
-// are filtered out of their group), so a sweep's group membership is a
-// pure function of (n, batch). batch < 1 is treated as 1; Map is exactly
-// MapBatch with batch 1.
-func MapBatch[T any](ctx context.Context, n, batch int, opts Options, fn func(ctx context.Context, idxs []int) ([]T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, ctx.Err()
-	}
-	if batch < 1 {
-		batch = 1
 	}
 
 	restored := make([]bool, n)
@@ -207,17 +181,10 @@ func MapBatch[T any](ctx context.Context, n, batch int, opts Options, fn func(ct
 		}
 	}
 
-	// Batch-aligned groups of still-pending indices.
-	var groups [][]int
-	for base := 0; base < n; base += batch {
-		var g []int
-		for i := base; i < base+batch && i < n; i++ {
-			if !restored[i] {
-				g = append(g, i)
-			}
-		}
-		if len(g) > 0 {
-			groups = append(groups, g)
+	var pending []int
+	for i, r := range restored {
+		if !r {
+			pending = append(pending, i)
 		}
 	}
 
@@ -226,20 +193,15 @@ func MapBatch[T any](ctx context.Context, n, batch int, opts Options, fn func(ct
 
 	var (
 		mu   sync.Mutex
-		done int
+		done = n - len(pending)
 		errs []error
 	)
-	for _, r := range restored {
-		if r {
-			done++
-		}
-	}
-	// finish serializes group completion: error aggregation and abort,
-	// checkpoint append, then one progress tick per job in the group. A
-	// context.Canceled after the sweep has already aborted is the
-	// cancellation echoing through the remaining in-flight groups, not a
-	// distinct failure — it is not recorded.
-	finish := func(jobs int, err error, record func() error) {
+	// finish serializes job completion: error aggregation and abort,
+	// checkpoint append, then a progress tick. A context.Canceled after
+	// the sweep has already aborted is the cancellation echoing through
+	// the remaining in-flight jobs, not a distinct failure — it is not
+	// recorded.
+	finish := func(err error, record func() error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -261,46 +223,39 @@ func MapBatch[T any](ctx context.Context, n, batch int, opts Options, fn func(ct
 				return
 			}
 		}
-		for ; jobs > 0; jobs-- {
-			done++
-			if opts.Progress != nil {
-				opts.Progress(done, n)
-			}
+		done++
+		if opts.Progress != nil {
+			opts.Progress(done, n)
 		}
 	}
 
-	work := make(chan []int)
+	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := opts.workers(len(groups)); w > 0; w-- {
+	for w := opts.workers(len(pending)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for g := range work {
+			for i := range work {
 				if ctx.Err() != nil {
 					return
 				}
-				rs, err := runGroup(ctx, g, opts, fn)
-				if err == nil && len(rs) != len(g) {
-					err = fmt.Errorf("sweep: group at job %d returned %d results for %d jobs", g[0], len(rs), len(g))
-				}
+				r, err := runJob(ctx, i, opts, fn)
 				if err != nil {
-					finish(0, err, nil)
+					finish(err, nil)
 					continue
 				}
-				for k, i := range g {
-					results[i] = rs[k]
-				}
-				finish(len(g), nil, func() error {
-					return appendCheckpoint(ckpt, g, n, opts, rs)
+				results[i] = r
+				finish(nil, func() error {
+					return appendCheckpoint(ckpt, i, n, opts, r)
 				})
 			}
 		}()
 	}
 
 feed:
-	for _, g := range groups {
+	for _, i := range pending {
 		select {
-		case work <- g:
+		case work <- i:
 		case <-ctx.Done():
 			break feed
 		}
@@ -318,19 +273,17 @@ feed:
 	}
 }
 
-// runGroup executes one group with panic recovery and the optional
-// timeout. On timeout the group's goroutine is abandoned — only
-// runGroup's caller ever writes result slots, so a late finisher cannot
-// race the sweep. Panics and timeouts are attributed to the group's first
-// job index.
-func runGroup[T any](ctx context.Context, idxs []int, opts Options, fn func(ctx context.Context, idxs []int) ([]T, error)) ([]T, error) {
-	call := func(ctx context.Context) (r []T, err error) {
+// runJob executes one job with panic recovery and the optional timeout.
+// On timeout the job's goroutine is abandoned — only runJob's caller ever
+// writes result slots, so a late finisher cannot race the sweep.
+func runJob[T any](ctx context.Context, i int, opts Options, fn func(ctx context.Context, i int) (T, error)) (T, error) {
+	call := func(ctx context.Context) (r T, err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				err = &PanicError{Job: idxs[0], Value: p, Stack: debug.Stack()}
+				err = &PanicError{Job: i, Value: p, Stack: debug.Stack()}
 			}
 		}()
-		return fn(ctx, idxs)
+		return fn(ctx, i)
 	}
 	if opts.JobTimeout <= 0 {
 		return call(ctx)
@@ -338,10 +291,10 @@ func runGroup[T any](ctx context.Context, idxs []int, opts Options, fn func(ctx 
 	tctx, tcancel := context.WithTimeout(ctx, opts.JobTimeout)
 	defer tcancel()
 	type outcome struct {
-		r   []T
+		r   T
 		err error
 	}
-	ch := make(chan outcome, 1) // buffered: an abandoned group's send never blocks
+	ch := make(chan outcome, 1) // buffered: an abandoned job's send never blocks
 	go func() {
 		r, err := call(tctx)
 		ch <- outcome{r, err}
@@ -350,7 +303,8 @@ func runGroup[T any](ctx context.Context, idxs []int, opts Options, fn func(ctx 
 	case o := <-ch:
 		return o.r, o.err
 	case <-tctx.Done():
-		return nil, &JobError{Job: idxs[0], Err: tctx.Err()}
+		var zero T
+		return zero, &JobError{Job: i, Err: tctx.Err()}
 	}
 }
 
@@ -388,33 +342,28 @@ func restoreCheckpoint[T any](path string, n int, opts Options, results []T, res
 	return count, nil
 }
 
-// appendCheckpoint writes one completed group's jobs to the checkpoint as
-// a single durable.Append — one JSONL line per job, one Write and one
-// Sync — so a group recorded by finish is on disk before the sweep moves
-// on. There is no deferred flush to lose: cancellation (or a crash) after
-// a group's append costs nothing, and mid-append it tears at most the
-// final line, which restore skips and the next OpenAppend terminates. A
-// power loss can only take the lines after the last sync — never reorder
-// a complete, acknowledged line behind a torn one. Does nothing when
-// checkpointing is off.
-func appendCheckpoint[T any](f *os.File, idxs []int, n int, opts Options, rs []T) error {
+// appendCheckpoint writes one completed job to the checkpoint as a
+// single durable.Append — one JSONL line, one Write and one Sync — so a
+// job recorded by finish is on disk before the sweep moves on. There is
+// no deferred flush to lose: cancellation (or a crash) after a job's
+// append costs nothing, and mid-append it tears only that line, which
+// restore skips and the next OpenAppend terminates. A power loss can only
+// take the lines after the last sync — never reorder a complete,
+// acknowledged line behind a torn one. Does nothing when checkpointing is
+// off.
+func appendCheckpoint[T any](f *os.File, i, n int, opts Options, r T) error {
 	if f == nil {
 		return nil
 	}
-	var buf []byte
-	for k, i := range idxs {
-		raw, err := json.Marshal(rs[k])
-		if err != nil {
-			return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
-		}
-		line, err := json.Marshal(checkpointLine{Job: i, N: n, Tag: opts.Tag, Result: raw})
-		if err != nil {
-			return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
-		}
-		buf = append(append(buf, line...), '\n')
+	raw, err := json.Marshal(r)
+	if err == nil {
+		raw, err = json.Marshal(checkpointLine{Job: i, N: n, Tag: opts.Tag, Result: raw})
 	}
-	if err := durable.Append(f, buf); err != nil {
-		return fmt.Errorf("sweep: checkpoint group at job %d: %w", idxs[0], err)
+	if err != nil {
+		return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
+	}
+	if err := durable.Append(f, append(raw, '\n')); err != nil {
+		return fmt.Errorf("sweep: checkpoint job %d: %w", i, err)
 	}
 	return nil
 }

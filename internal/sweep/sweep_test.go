@@ -103,6 +103,35 @@ func TestMapProgressSerializedAndComplete(t *testing.T) {
 	}
 }
 
+// TestMapBatchProgressPerJob: however many workers drain the grid,
+// progress ticks once per job in +1 steps with the grid size as its
+// total — never once per batch of jobs a worker has finished.
+func TestMapBatchProgressPerJob(t *testing.T) {
+	const n = 10
+	for _, workers := range []int{1, 4} {
+		var last, calls int
+		_, err := Map(context.Background(), n, Options{
+			Workers: workers,
+			Progress: func(done, total int) { // serialized by contract
+				if done != last+1 {
+					t.Errorf("workers=%d: progress jumped from %d to %d", workers, last, done)
+				}
+				if total != n {
+					t.Errorf("workers=%d: progress total %d, want %d", workers, total, n)
+				}
+				last = done
+				calls++
+			},
+		}, func(_ context.Context, i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != n {
+			t.Errorf("workers=%d: progress called %d times, want %d", workers, calls, n)
+		}
+	}
+}
+
 func TestOptionsWorkerResolution(t *testing.T) {
 	cases := []struct {
 		workers, jobs, wantMax int

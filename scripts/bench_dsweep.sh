@@ -31,14 +31,14 @@ now_ms() { date +%s%3N; }
 
 # run_single FILE — the full grid in one process, one worker.
 run_single() {
-  "$work/hmccoal" -fig all -ops "$ops" -batch 2 -workers 1 >"$1" 2>/dev/null
+  "$work/hmccoal" -fig all -ops "$ops" -workers 1 >"$1" 2>/dev/null
 }
 
 # run_dist NWORKERS FILE — coordinator on an ephemeral port plus
 # NWORKERS single-slot worker processes.
 run_dist() {
   local n=$1 outfile=$2 errfile="$work/coord.$1.err" addr= pid i
-  "$work/hmccoal" -fig all -ops "$ops" -batch 2 -serve 127.0.0.1:0 \
+  "$work/hmccoal" -fig all -ops "$ops" -serve 127.0.0.1:0 \
     >"$outfile" 2>"$errfile" &
   pid=$!
   for i in $(seq 100); do
@@ -71,7 +71,7 @@ ratio() { awk "BEGIN{printf \"%.2f\", $2/$1}"; }
 cores=$(nproc)
 cat >"$out" <<JSON
 {
-  "method": "full figure grid (-fig all -ops $ops -batch 2), wall clock; distributed runs use one coordinator plus N single-slot hmcsweepd processes; stdout verified byte-identical to the single-process run",
+  "method": "full figure grid (-fig all -ops $ops), wall clock; distributed runs use one coordinator plus N single-slot hmcsweepd processes; stdout verified byte-identical to the single-process run",
   "cores": $cores,
   "ops": $ops,
   "seconds": {

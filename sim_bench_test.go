@@ -26,8 +26,9 @@ func simBenchTrace(b *testing.B, name string) []Access {
 
 // BenchmarkSim measures one full System.Run per iteration for each
 // miss-handling architecture. The per-iteration cost includes NewSystem
-// (a run is single-use by contract); steady-state allocations are the
-// optimization target, so allocs/op is reported.
+// (each iteration builds its System, the cost a run pays without a
+// pool); steady-state allocations are the optimization target, so
+// allocs/op is reported.
 func BenchmarkSim(b *testing.B) {
 	accs := simBenchTrace(b, "HPCG")
 	for _, mode := range []Mode{ModeBaseline, ModeDMCOnly, ModeTwoPhase} {

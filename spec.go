@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 
-	"hmccoal/internal/cache"
 	"hmccoal/internal/sim"
 )
 
@@ -30,7 +29,7 @@ import (
 // benchmarks × an ordered list of axes. It is the unit the dsweep wire
 // protocol ships: JSON-encoded, it travels inside every job message, and
 // (spec, index) fully determines a job on any process — same trace
-// generator seed, same configuration, same batch lane width.
+// generator seed, same configuration.
 type SweepSpec struct {
 	Params TraceParams `json:"params"`
 	// Benches is the grid's outermost axis. It is carried explicitly so a
@@ -50,8 +49,6 @@ type SweepSpec struct {
 	// sched axis overrides them.
 	Frontend string `json:"frontend,omitempty"`
 	Sched    string `json:"sched,omitempty"`
-	// Batch is the lockstep lane width each executor runs its groups on.
-	Batch int `json:"batch,omitempty"`
 }
 
 // Axis is one dimension of a sweep grid: the name of a row of the axis
@@ -138,10 +135,10 @@ var axisTable = map[string]axisDef{
 }
 
 // fingerprint is the checkpoint tag of the spec's grid: a short hex hash
-// of its canonical JSON with Batch and Checks, which cannot change a
-// result, zeroed.
+// of its canonical JSON with Checks, which cannot change a result,
+// zeroed.
 func (s SweepSpec) fingerprint() (string, error) {
-	s.Batch, s.Checks = 0, false
+	s.Checks = false
 	raw, err := json.Marshal(s)
 	if err != nil {
 		return "", fmt.Errorf("hmccoal: sweep spec fingerprint: %w", err)
@@ -260,18 +257,6 @@ func (s SweepSpec) compile() (*sweepGrid, error) {
 		}
 	}
 	return g, nil
-}
-
-// batchLanes is the lockstep lane width for a group of n jobs under a
-// requested batch width.
-func batchLanes(batch, n int) int {
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > n {
-		batch = n
-	}
-	return batch
 }
 
 // traceKey identifies one generated trace+index pair; the index is built
@@ -450,9 +435,11 @@ func (c *traceCache) evictLocked() {
 	}
 }
 
-// load returns the entry's trace and index, generating both on first use.
-func (e *traceEntry) load() ([]Access, *TraceIndex, error) {
+// load returns the entry's trace and index, generating both on first use
+// after calling beforeGen.
+func (e *traceEntry) load(beforeGen func()) ([]Access, *TraceIndex, error) {
 	e.once.Do(func() {
+		beforeGen()
 		e.accs, e.err = GenerateTrace(e.key.bench, e.key.p)
 		if e.err == nil {
 			e.idx, e.err = NewTraceIndex(e.accs, e.key.p.CPUs)
@@ -468,13 +455,16 @@ func (e *traceEntry) load() ([]Access, *TraceIndex, error) {
 // the Result protocol (dsweep.WorkOptions.CacheStats).
 type SweepRunner struct {
 	cache traceCache
+	// pool keeps finished Systems for the next jobs, at most as many as
+	// the runner has ever run groups at once (cache.peak).
+	pool sim.Pool
 }
 
 // NewSweepRunner builds a group executor. RunGroup decodes the SweepSpec,
 // regenerates the group's benchmark traces (shared with concurrent and
 // consecutive groups on the same benchmark, so an in-process sweep pays
-// each generation once), runs the simulation jobs on the spec's lockstep
-// lanes and returns one JSON-encoded SweepCell per index. Errors are
+// each generation once), runs the jobs one after another on pooled
+// Systems and returns one JSON-encoded SweepCell per index. Errors are
 // deterministic job failures; the coordinator fails the group rather than
 // retrying them elsewhere.
 func NewSweepRunner() *SweepRunner { return &SweepRunner{} }
@@ -487,9 +477,9 @@ func (r *SweepRunner) CacheStats() TraceCacheStats {
 	return r.cache.stats
 }
 
-// RunGroup executes one sweep job group: simulation jobs run together on
-// the spec's batch lockstep lanes, payload-analysis jobs on one shared
-// (reset per analysis) hierarchy.
+// RunGroup executes one sweep job group, its jobs in index order, each on
+// a System from the runner's pool: a simulation job replays its trace, a
+// payload-analysis job walks it through the System's cache hierarchy.
 func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([]json.RawMessage, error) {
 	var spec SweepSpec
 	if err := json.Unmarshal(rawSpec, &spec); err != nil {
@@ -507,44 +497,51 @@ func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([
 	held, release := r.cache.hold(string(rawSpec), g, spec.Params, idxs)
 	defer release()
 
-	cells := make([]SweepCell, len(idxs))
-	var jobs []BatchJob
-	var jobCell []int
-	var payHier *cache.Hierarchy
+	raw := make([]json.RawMessage, len(idxs))
 	for k, i := range idxs {
-		accs, idx, err := held[i/g.perBench].load()
+		cell, err := r.runJob(g, held[i/g.perBench], i)
+		if err == nil {
+			raw[k], err = json.Marshal(cell)
+		}
 		if err != nil {
-			return nil, err
-		}
-		if g.isPayload(i) {
-			if payHier == nil {
-				if payHier, err = cache.NewHierarchy(g.base.Hierarchy); err != nil {
-					return nil, err
-				}
-			}
-			pay, err := sim.AnalyzePayloadWith(payHier, accs, g.base.Coalescer.Width)
-			if err != nil {
-				return nil, err
-			}
-			cells[k] = SweepCell{Pay: pay}
-			continue
-		}
-		jobs = append(jobs, BatchJob{Name: g.name(i), Cfg: g.cfg(i), Accs: accs, Index: idx})
-		jobCell = append(jobCell, k)
-	}
-	res, err := RunBatch(jobs, batchLanes(spec.Batch, len(jobs)))
-	if err != nil {
-		return nil, err
-	}
-	for k := range res {
-		cells[jobCell[k]].Res = res[k]
-	}
-
-	raw := make([]json.RawMessage, len(cells))
-	for k := range cells {
-		if raw[k], err = json.Marshal(cells[k]); err != nil {
-			return nil, fmt.Errorf("hmccoal: encode cell %d: %w", idxs[k], err)
+			return nil, fmt.Errorf("hmccoal: job %d (%s): %w", i, g.name(i), err)
 		}
 	}
 	return raw, nil
+}
+
+// runJob runs grid job i on a pooled System and returns the System to the
+// pool once the job succeeds. A trace generation empties the pool first:
+// it briefly holds the trace twice (per-core streams and their merge), a
+// sweep's largest transient, and idle Systems — megabytes of cache tags
+// each — on top of it would raise the heap's peak and so the GC's target.
+// The workers then build one System each per generated trace.
+func (r *SweepRunner) runJob(g *sweepGrid, e *traceEntry, i int) (SweepCell, error) {
+	accs, idx, err := e.load(r.pool.Clear)
+	if err != nil {
+		return SweepCell{}, err
+	}
+	pay := g.isPayload(i)
+	cfg := g.base
+	if !pay {
+		cfg = g.cfg(i)
+	}
+	sys, err := r.pool.Get(cfg)
+	if err != nil {
+		return SweepCell{}, err
+	}
+	var cell SweepCell
+	if pay {
+		cell.Pay, err = sys.AnalyzePayload(accs, cfg.Coalescer.Width)
+	} else {
+		cell.Res, err = sys.RunIndexed(idx)
+	}
+	if err != nil {
+		return SweepCell{}, err
+	}
+	r.cache.mu.Lock()
+	limit := r.cache.peak
+	r.cache.mu.Unlock()
+	r.pool.Put(sys, limit)
+	return cell, nil
 }

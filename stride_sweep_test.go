@@ -13,8 +13,7 @@ import (
 
 // TestStrideLadderDeterminism is the new grid's acceptance contract: the
 // (stride × {front-end × scheduler}) sweep produces byte-identical results
-// at any worker count, at any lockstep batch width, and under distributed
-// dispatch to remote workers.
+// at any worker count and under distributed dispatch to remote workers.
 func TestStrideLadderDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
@@ -35,17 +34,9 @@ func TestStrideLadderDeterminism(t *testing.T) {
 		t.Fatal("workers=4 stride ladder differs from serial")
 	}
 
-	batched, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Workers: 2, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := json.Marshal(batched); !bytes.Equal(want, got) {
-		t.Fatal("batch=8 stride ladder differs from serial")
-	}
-
 	coord, addr := startTestCoordinator(t, dsweep.Options{})
 	startTestWorkers(t, addr, 2)
-	dist, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Batch: 2, Dispatch: coord})
+	dist, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Dispatch: coord})
 	if err != nil {
 		t.Fatal(err)
 	}

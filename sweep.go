@@ -19,15 +19,9 @@ type SweepOptions struct {
 	// Workers is the simulation worker-pool size. 0 uses every core
 	// (GOMAXPROCS); 1 reproduces the old strictly serial pipeline. The
 	// results are byte-identical at any worker count — only wall-clock
-	// changes.
+	// changes. Jobs reuse finished Systems (System.Reset), so a sweep
+	// builds about one System per worker per benchmark, not one per job.
 	Workers int
-	// Batch is the number of simulations one batch engine advances in
-	// lockstep (sim.RunBatch lanes). 0 or 1 keeps the one-job-one-system
-	// path; at K ≥ 2 each worker pulls groups of jobs and runs them on K
-	// reusable lanes, so a dense sweep pays system construction per lane
-	// instead of per job. Results are byte-identical at any batch width —
-	// like Workers, Batch only changes wall-clock.
-	Batch int
 	// Progress, when non-nil, is called after each simulation job
 	// completes with the number of finished jobs and the grid size.
 	// Calls are serialized across workers.
@@ -41,9 +35,9 @@ type SweepOptions struct {
 	// file so an interrupted sweep resumes without recomputing (see
 	// sweep.Options.Checkpoint). Every line is tagged with a fingerprint
 	// of the grid's SweepSpec — everything that can change a result, but
-	// not Batch or Checks — so a checkpoint only restores into a sweep
-	// with the same inputs; batched, unbatched, checked and distributed
-	// runs of one grid resume from each other's checkpoints.
+	// not Checks — so a checkpoint only restores into a sweep with the
+	// same inputs; checked, unchecked, local and distributed runs of one
+	// grid resume from each other's checkpoints.
 	Checkpoint string
 	// Backend selects the memory device for every simulation of the sweep
 	// (see Config.Backend). The zero value is the default HMC model.
@@ -82,7 +76,7 @@ func (o SweepOptions) engine(spec SweepSpec) (sweep.Options, error) {
 // spec is the serializable description of one of this option set's grids,
 // without its benchmarks and axes.
 func (o SweepOptions) spec(p TraceParams) SweepSpec {
-	s := SweepSpec{Params: p, Checks: o.Checks, Batch: o.Batch}
+	s := SweepSpec{Params: p, Checks: o.Checks}
 	if o.Backend != BackendHMC {
 		s.Backend = o.Backend.String()
 	}
@@ -95,45 +89,10 @@ func (o SweepOptions) spec(p TraceParams) SweepSpec {
 	return s
 }
 
-// batchLaneJobs is how many jobs each batch lane serves on average: a
-// batched sweep hands each engine invocation Batch×batchLaneJobs jobs on
-// Batch lanes, so every lane retires and refills several times — that
-// refill (System.Reset instead of NewSystem) is where the batch engine's
-// throughput comes from. Fresh builds per group equal the lane count, so
-// the reuse fraction is 1-1/batchLaneJobs; eight keeps seven of every
-// eight jobs on recycled systems while a group stays small enough that a
-// failed group forfeits only a modest slice of checkpoint progress — and,
-// distributed, a lost worker forfeits only one group's recompute.
-const batchLaneJobs = 8
-
-// groupSize is the number of grid jobs handed to one engine invocation —
-// local batch group or remote dispatch unit alike.
-func (o SweepOptions) groupSize() int {
-	if o.Batch <= 1 {
-		return 1
-	}
-	return o.Batch * batchLaneJobs
-}
-
-// runMode builds a fresh system (sim.System is single-use) and replays the
-// trace under the given miss-handling architecture.
-func runMode(name string, m Mode, cfg Config, accs []Access) (Result, error) {
-	cfg.Mode = m
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sys.Run(accs)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s/%v: %w", name, m, err)
-	}
-	return res, nil
-}
-
-// mapSpec fans a sweep grid across the engine: each group of grid indices
-// goes to opt.Dispatch — or, when that is nil, to a SweepRunner built for
-// this sweep — as a (spec, indices) pair and comes back as JSON cells,
-// returned in index order on the calling process. Local, batched and
+// mapSpec fans a sweep grid across the engine: each grid index goes to
+// opt.Dispatch — or, when that is nil, to a SweepRunner built for this
+// sweep — as a one-index (spec, indices) group and comes back as a JSON
+// cell, returned in index order on the calling process. Local and
 // distributed runs share this one path, so the checkpoint format, the
 // progress cadence and the final output are identical across them.
 func mapSpec(ctx context.Context, spec SweepSpec, opt SweepOptions) ([]SweepCell, error) {
@@ -158,23 +117,20 @@ func mapSpec(ctx context.Context, spec SweepSpec, opt SweepOptions) ([]SweepCell
 		// trace until that benchmark's last job has run.
 		defer r.cache.whole(string(raw), g, spec.Params)()
 	}
-	return sweep.MapBatch(ctx, g.n(), opt.groupSize(), eng,
-		func(ctx context.Context, idxs []int) ([]SweepCell, error) {
-			cells, err := d.RunGroup(ctx, raw, idxs)
-			if err != nil {
-				return nil, err
-			}
-			if len(cells) != len(idxs) {
-				return nil, fmt.Errorf("hmccoal: dispatcher returned %d cells for %d jobs", len(cells), len(idxs))
-			}
-			out := make([]SweepCell, len(idxs))
-			for k, i := range idxs {
-				if err := json.Unmarshal(cells[k], &out[k]); err != nil {
-					return nil, fmt.Errorf("hmccoal: decode cell %d: %w", i, err)
-				}
-			}
-			return out, nil
-		})
+	return sweep.Map(ctx, g.n(), eng, func(ctx context.Context, i int) (SweepCell, error) {
+		var cell SweepCell
+		cells, err := d.RunGroup(ctx, raw, []int{i})
+		if err != nil {
+			return cell, err
+		}
+		if len(cells) != 1 {
+			return cell, fmt.Errorf("hmccoal: dispatcher returned %d cells for job %d", len(cells), i)
+		}
+		if err := json.Unmarshal(cells[0], &cell); err != nil {
+			return cell, fmt.Errorf("hmccoal: decode cell %d: %w", i, err)
+		}
+		return cell, nil
+	})
 }
 
 // Preset is a named sweep grid of the evaluation: its benchmarks, its
@@ -267,7 +223,7 @@ var presets = []*Preset{
 		}},
 	// One benchmark's (error rate × 3 architectures) grid. Fault decisions
 	// are keyed by (seed, link, packet serial), so the rows are
-	// byte-identical at any worker count and batch width.
+	// byte-identical at any worker count.
 	{name: "fault", axes: []Axis{{"ber", []string{"0", "1e-07", "1e-06", "1e-05", "0.0001"}}, modes},
 		render: func(s SweepSpec, c []SweepCell) map[string]any {
 			rows := make([]FaultSweepRow, len(s.Axes[0].Values))
@@ -322,7 +278,7 @@ func LookupPreset(name string) (*Preset, error) {
 }
 
 // Spec builds the preset's grid at trace parameters p under opt's
-// Checks, Batch, Backend, Frontend and Sched. bench names the benchmark
+// Checks, Backend, Frontend and Sched. bench names the benchmark
 // of a one-benchmark preset; the others ignore it. An override with
 // values replaces the defaults of the preset's axis of the same name; one
 // for an axis the preset does not sweep is ignored. The spec is compiled,

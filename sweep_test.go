@@ -129,14 +129,14 @@ func TestSweepErrorAborts(t *testing.T) {
 // TestRunAllGeneratesEachTraceOnce runs RunAll through an explicit
 // SweepRunner dispatcher — the executor every in-process sweep uses — and
 // checks the grid's benchmark-by-benchmark walk pays one trace generation
-// per benchmark, serial or with groups in flight, batched or not. That
+// per benchmark, serial or with groups in flight. That
 // holds by construction because the sweep marks its walk whole on the
 // runner, which the progress hook checks while the sweep runs.
 func TestRunAllGeneratesEachTraceOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark sweep")
 	}
-	for _, opt := range []SweepOptions{{Workers: 1}, {Workers: 2}, {Workers: 12}, {Workers: 2, Batch: 2}} {
+	for _, opt := range []SweepOptions{{Workers: 1}, {Workers: 2}, {Workers: 12}} {
 		r := NewSweepRunner()
 		opt.Dispatch = r
 		wholeWalks := 0
@@ -154,10 +154,10 @@ func TestRunAllGeneratesEachTraceOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wholeWalks != 1 {
-			t.Errorf("workers=%d batch=%d: %d whole walks during the sweep, want 1", opt.Workers, opt.Batch, wholeWalks)
+			t.Errorf("workers=%d: %d whole walks during the sweep, want 1", opt.Workers, wholeWalks)
 		}
 		if s := r.CacheStats(); s.Misses != uint64(len(Benchmarks())) {
-			t.Errorf("workers=%d batch=%d: %+v; want one miss per benchmark (%d)", opt.Workers, opt.Batch, s, len(Benchmarks()))
+			t.Errorf("workers=%d: %+v; want one miss per benchmark (%d)", opt.Workers, s, len(Benchmarks()))
 		}
 	}
 }
