@@ -19,7 +19,8 @@ import (
 // of one Start→Finish run at the default hierarchy, for every
 // miss-handling architecture under both front-ends, on one fixed seeded
 // HPCG trace (the BenchmarkSim workload); of a pooled run, the sweep
-// path, under both front-ends; and of generating that trace.
+// path, under both front-ends; of a sweep's payload analysis of that
+// trace; and of generating it.
 // Allocation counts are deterministic, so any change fails here: if it is
 // intended, re-measure and update the counts in the same change, and say
 // why.
@@ -29,7 +30,7 @@ func TestAllocationGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const genAllocs = 63
+	const genAllocs = 53
 	gen := testing.AllocsPerRun(3, func() {
 		if _, err := GenerateTrace("HPCG", benchParams()); err != nil {
 			t.Fatal(err)
@@ -109,5 +110,30 @@ func TestAllocationGate(t *testing.T) {
 		if pooled != tc.pooled {
 			t.Errorf("%v: pooled Get→Start→Finish %v allocs, want %v", tc.fe, pooled, tc.pooled)
 		}
+	}
+
+	// A payload-analysis job: the generated streams walked in tick order
+	// through a pooled System's hierarchy.
+	st, err := generateStreams("HPCG", benchParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidx, err := sim.NewStreamIndex(st, DefaultConfig().Hierarchy.CPUs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const payAllocs = 20
+	cfg := DefaultConfig()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pay := testing.AllocsPerRun(runs, func() {
+		if _, err := sys.AnalyzePayload(sidx, cfg.Coalescer.Width); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if pay != payAllocs {
+		t.Errorf("AnalyzePayload %v allocs, want %v", pay, payAllocs)
 	}
 }

@@ -165,7 +165,7 @@ func DefaultConfig() Config { return sim.DefaultConfig() }
 // Reset it (System.Reset) to run it again.
 func NewSystem(cfg Config) (*System, error) { return sim.NewSystem(cfg) }
 
-// TraceIndex is a shared, read-only CSR bucketing of a trace by CPU. Runs
+// TraceIndex is a shared, read-only layout of a trace by CPU. Runs
 // replaying the same trace share one index instead of each re-bucketing
 // it (System.StartIndexed, System.RunIndexed).
 type TraceIndex = sim.TraceIndex
@@ -182,11 +182,18 @@ func DefaultTraceParams() TraceParams { return workloads.DefaultParams() }
 // Benchmarks lists the 12 evaluation benchmark names in figure order.
 func Benchmarks() []string { return workloads.Names() }
 
-// GenerateTrace synthesizes the named benchmark's multi-core access trace.
+// GenerateTrace synthesizes the named benchmark's multi-core access trace,
+// ordered by tick, equal ticks by CPU.
 func GenerateTrace(name string, p TraceParams) ([]Access, error) {
+	st, err := generateStreams(name, p)
+	return st.Flatten(), err
+}
+
+// generateStreams synthesizes the named benchmark's per-core streams.
+func generateStreams(name string, p TraceParams) (trace.Streams, error) {
 	g, ok := workloads.ByName(name)
 	if !ok {
-		return nil, fmt.Errorf("hmccoal: unknown benchmark %q (have %v)", name, workloads.Names())
+		return trace.Streams{}, fmt.Errorf("hmccoal: unknown benchmark %q (have %v)", name, workloads.Names())
 	}
 	return g.Generate(p)
 }

@@ -244,9 +244,16 @@ func (c *Cache) AccessValue(lineNum uint64, write bool) (hit bool, writeBack uin
 // recency stacks reboot lazily on first touch. A reset cache behaves
 // identically to one just returned by New, at no allocation and no
 // memset: sweep engines recycle cache levels across runs instead of
-// re-zeroing megabytes per job.
+// re-zeroing megabytes per job. Once every 2^32 resets the generation
+// wraps to 0, the stamp of zeroed lines, so the tags and recency stamps
+// are cleared once and the count restarts at 1.
 func (c *Cache) Reset() {
 	c.gen++
+	if c.gen == 0 {
+		clear(c.lines)
+		clear(c.orderGen)
+		c.gen = 1
+	}
 	c.clock = 0
 	c.stats = Stats{}
 }

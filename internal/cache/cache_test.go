@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -260,5 +261,43 @@ func TestLRUMatchesReference(t *testing.T) {
 			c = fresh
 			step("after RestoreState", 2000)
 		})
+	}
+}
+
+// TestResetGenerationWrap resets a cache whose generation is about to
+// wrap. Lines filled in generation 1 and in the last generation must both
+// be gone, and the cache must then behave exactly like a fresh one.
+func TestResetGenerationWrap(t *testing.T) {
+	for _, ways := range []int{4, 32} { // recency stack and counter LRU
+		cfg := Config{SizeBytes: uint64(4 * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
+		c := mustNew(t, cfg)
+		c.Access(5, true) // stamped generation 1
+		c.gen = math.MaxUint32
+		for ln := uint64(1); ln < 40; ln++ {
+			c.Access(ln, ln%3 == 0)
+		}
+		c.Reset()
+		if c.gen != 1 {
+			t.Fatalf("ways %d: generation %d after the wrap, want 1", ways, c.gen)
+		}
+		for ln := uint64(0); ln < 40; ln++ {
+			if c.Contains(ln) {
+				t.Fatalf("ways %d: line %d resident after Reset", ways, ln)
+			}
+		}
+		fresh := mustNew(t, cfg)
+		rng := rand.New(rand.NewSource(int64(ways)))
+		for i := 0; i < 3000; i++ {
+			ln, write := rng.Uint64()%uint64(6*ways), rng.Intn(3) == 0
+			hit, wb, hasWB := c.AccessValue(ln, write)
+			fhit, fwb, fhasWB := fresh.AccessValue(ln, write)
+			if hit != fhit || wb != fwb || hasWB != fhasWB {
+				t.Fatalf("ways %d access %d (line %d): hit=%v wb=%d/%v, fresh hit=%v wb=%d/%v",
+					ways, i, ln, hit, wb, hasWB, fhit, fwb, fhasWB)
+			}
+		}
+		if c.Stats() != fresh.Stats() {
+			t.Errorf("ways %d: stats %+v, fresh %+v", ways, c.Stats(), fresh.Stats())
+		}
 	}
 }

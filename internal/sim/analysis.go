@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hmccoal/internal/cache"
 	"hmccoal/internal/hmc"
@@ -68,19 +69,23 @@ func AnalyzePayload(hier cache.HierarchyConfig, accs []trace.Access, width int) 
 	if err != nil {
 		return PayloadAnalysis{Hist: make(map[uint32]uint64)}, err
 	}
-	return analyzePayload(h, accs, width)
+	m := trace.NewMerger([][]trace.Access{accs})
+	return analyzePayload(h, &m, width)
 }
 
-// AnalyzePayload is the package-level AnalyzePayload on the System's own
-// cache hierarchy, which it resets before walking the trace, so a sweep
-// runs its analyses on pooled Systems instead of building megabytes of
-// tag arrays per call; the result is identical to a fresh build. The
-// System must be Reset before its next run (Pool.Get does).
-func (s *System) AnalyzePayload(accs []trace.Access, width int) (PayloadAnalysis, error) {
-	return analyzePayload(s.hierarchy, accs, width)
+// AnalyzePayload is the package-level AnalyzePayload over an indexed
+// trace, walked in its tick order (the shared LLC sees the cores'
+// accesses interleaved), on the System's own cache hierarchy, which it
+// resets first. A sweep so runs its analyses on pooled Systems instead of
+// building megabytes of tag arrays per call; the result is identical to a
+// fresh build. The System must be Reset before its next run (Pool.Get
+// does).
+func (s *System) AnalyzePayload(idx *TraceIndex, width int) (PayloadAnalysis, error) {
+	m := idx.Merged()
+	return analyzePayload(s.hierarchy, &m, width)
 }
 
-func analyzePayload(h *cache.Hierarchy, accs []trace.Access, width int) (PayloadAnalysis, error) {
+func analyzePayload(h *cache.Hierarchy, m *trace.Merger, width int) (PayloadAnalysis, error) {
 	h.Reset()
 	res := PayloadAnalysis{Hist: make(map[uint32]uint64)}
 	if width <= 0 {
@@ -95,20 +100,22 @@ func analyzePayload(h *cache.Hierarchy, accs []trace.Access, width int) (Payload
 		payload uint32
 	}
 	var misses []missRec
-	for _, a := range accs {
-		if a.Kind == trace.FenceOp {
-			continue
-		}
-		_, ms, err := h.Access(a)
-		if err != nil {
-			return res, fmt.Errorf("sim: %w", err)
-		}
-		for _, m := range ms {
-			if m.WriteBack {
-				continue // write-backs are full-line by definition; excluded
+	for run := m.Next(); run != nil; run = m.Next() {
+		for _, a := range run {
+			if a.Kind == trace.FenceOp {
+				continue
 			}
-			misses = append(misses, missRec{line: m.Line, write: m.Write, payload: m.Payload})
-			res.PayloadBytes += uint64(m.Payload)
+			_, ms, err := h.Access(a)
+			if err != nil {
+				return res, fmt.Errorf("sim: %w", err)
+			}
+			for _, miss := range ms {
+				if miss.WriteBack {
+					continue // write-backs are full-line by definition; excluded
+				}
+				misses = append(misses, missRec{line: miss.Line, write: miss.Write, payload: miss.Payload})
+				res.PayloadBytes += uint64(miss.Payload)
+			}
 		}
 	}
 
@@ -121,12 +128,15 @@ func analyzePayload(h *cache.Hierarchy, accs []trace.Access, width int) (Payload
 		if end > len(misses) {
 			end = len(misses)
 		}
-		batch := append([]missRec(nil), misses[start:end]...)
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].write != batch[j].write {
-				return !batch[i].write
+		batch := misses[start:end]
+		slices.SortFunc(batch, func(a, b missRec) int {
+			if a.write != b.write {
+				if a.write {
+					return 1
+				}
+				return -1
 			}
-			return batch[i].line < batch[j].line
+			return cmp.Compare(a.line, b.line)
 		})
 		i := 0
 		for i < len(batch) {

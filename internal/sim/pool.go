@@ -53,13 +53,6 @@ func (p *Pool) Put(sys *System, limit int) {
 	}
 }
 
-// Clear drops every idle System.
-func (p *Pool) Clear() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.idle = nil
-}
-
 // Len is the number of idle Systems.
 func (p *Pool) Len() int {
 	p.mu.Lock()

@@ -169,7 +169,7 @@ func TestPoolBadConfig(t *testing.T) {
 
 // TestPool pins the idle list itself: Get hands out the newest idle
 // System built for the job's hierarchy and builds one otherwise, Put
-// drops the oldest beyond the limit, Clear drops them all, and a System
+// drops the oldest beyond the limit, and a System
 // abandoned mid-run comes back clean.
 func TestPool(t *testing.T) {
 	cfg := DefaultConfig()
@@ -214,10 +214,6 @@ func TestPool(t *testing.T) {
 		t.Error("a full pool kept its oldest System")
 	}
 	p.Put(a, 2)
-	p.Clear()
-	if p.Len() != 0 {
-		t.Errorf("%d idle Systems after Clear", p.Len())
-	}
 
 	// Abandoned mid-run, on another trace under the other front-end.
 	other := genTrace(t, "SSCA2", 300)

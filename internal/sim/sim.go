@@ -479,7 +479,7 @@ func (s *System) Run(accs []trace.Access) (Result, error) {
 	return s.runToEnd()
 }
 
-// RunIndexed is Run over a pre-bucketed trace (see StartIndexed).
+// RunIndexed is Run over an indexed trace (see StartIndexed).
 func (s *System) RunIndexed(idx *TraceIndex) (Result, error) {
 	if err := s.StartIndexed(idx); err != nil {
 		return Result{}, err

@@ -14,11 +14,11 @@ func genTrace(t *testing.T, name string, ops int) []trace.Access {
 	if !ok {
 		t.Fatalf("no workload %s", name)
 	}
-	accs, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: ops, Seed: 3})
+	st, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: ops, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return accs
+	return st.Flatten()
 }
 
 func runMode(t *testing.T, accs []trace.Access, mode Mode) Result {
@@ -266,11 +266,11 @@ func TestCalibrationShape(t *testing.T) {
 	}
 	eff := map[string]float64{}
 	for _, g := range workloads.All() {
-		accs, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: 1200, Seed: 3})
+		st, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: 1200, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runMode(t, accs, TwoPhase)
+		res := runMode(t, st.Flatten(), TwoPhase)
 		eff[g.Name()] = res.CoalescingEfficiency()
 	}
 	// Streaming benchmarks coalesce heavily…
@@ -298,11 +298,11 @@ func TestPayloadAnalysisInvariants(t *testing.T) {
 	for _, name := range []string{"FT", "SSCA2", "HPCG", "Sort"} {
 		for seed := int64(1); seed <= 3; seed++ {
 			g, _ := workloads.ByName(name)
-			accs, err := g.Generate(workloads.Params{CPUs: 6, OpsPerCPU: 600, Seed: seed})
+			st, err := g.Generate(workloads.Params{CPUs: 6, OpsPerCPU: 600, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := AnalyzePayload(DefaultConfig().Hierarchy, accs, 16)
+			a, err := AnalyzePayload(DefaultConfig().Hierarchy, st.Flatten(), 16)
 			if err != nil {
 				t.Fatal(err)
 			}

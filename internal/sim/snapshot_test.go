@@ -79,11 +79,11 @@ func (sc snapshotScenario) trace(t *testing.T) []trace.Access {
 	if !ok {
 		t.Fatalf("no workload %s", sc.bench)
 	}
-	accs, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: sc.ops, Seed: 3})
+	st, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: sc.ops, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return accs
+	return st.Flatten()
 }
 
 func mustSystem(t *testing.T, cfg Config) *System {

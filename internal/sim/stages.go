@@ -9,14 +9,15 @@ import (
 )
 
 // tickState is the explicit per-run scheduling state of the staged tick
-// loop: the CSR-bucketed trace, the cursor heap merging per-CPU streams,
+// loop: the trace laid out by CPU, the cursor heap merging per-CPU streams,
 // the parked-core bookkeeping and the high-water tick. Making it a named
 // struct (instead of Run-local variables) is what lets the simulator be
 // snapshotted mid-run and stepped one event at a time.
 type tickState struct {
-	// accs is the caller's trace; the CSR index slices below point into it
-	// instead of copying the accesses. streamOff[c]..streamOff[c+1]
-	// delimits CPU c's indices within streamIdx.
+	// accs, streamOff and streamIdx are the run's TraceIndex, shared by
+	// reference: streamOff[c]..streamOff[c+1] delimits CPU c's stream,
+	// stored in accs directly or, for a bucketed tick-ordered trace,
+	// through the positions in streamIdx (see streamAt).
 	accs      []trace.Access
 	streamOff []int32
 	streamIdx []int32
@@ -44,7 +45,8 @@ type tickState struct {
 }
 
 // Start validates and buckets the trace and arms the tick loop. The trace
-// must be ordered by tick (as produced by internal/workloads). A System
+// must be ordered by tick (as returned by GenerateTrace); it is indexed
+// in place, not copied. A System
 // runs once per Start: Reset it, or take one from a Pool, to run again.
 func (s *System) Start(accs []trace.Access) error {
 	if s.ts.started {
@@ -59,9 +61,9 @@ func (s *System) Start(accs []trace.Access) error {
 	return s.StartIndexed(&idx)
 }
 
-// StartIndexed arms the tick loop over a pre-bucketed trace. The index may
+// StartIndexed arms the tick loop over an indexed trace. The index may
 // be shared read-only by any number of concurrent or sequential runs, so a
-// sweep replaying one trace under several configurations buckets it once.
+// sweep replaying one trace under several configurations lays it out once.
 // It must have been built for this system's CPU count.
 func (s *System) StartIndexed(idx *TraceIndex) error {
 	if s.ts.started {
@@ -102,7 +104,11 @@ func (s *System) streamLen(cpu uint8) int32 {
 
 // streamAt is CPU cpu's p-th access.
 func (s *System) streamAt(cpu uint8, p int32) *trace.Access {
-	return &s.ts.accs[s.ts.streamIdx[s.ts.streamOff[cpu]+p]]
+	i := s.ts.streamOff[cpu] + p
+	if s.ts.streamIdx != nil {
+		i = s.ts.streamIdx[i]
+	}
+	return &s.ts.accs[i]
 }
 
 // wake moves parked CPUs whose condition now holds back into the cursor

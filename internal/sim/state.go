@@ -7,7 +7,6 @@ import (
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/invariant"
 	"hmccoal/internal/membackend"
-	"hmccoal/internal/trace"
 )
 
 // Snapshot is an opaque deep copy of a running System, taken between Steps:
@@ -23,8 +22,7 @@ import (
 // The trace is captured by reference: accesses are read-only to the
 // simulator, so snapshot and original safely share it.
 type Snapshot struct {
-	cfg  Config
-	accs []trace.Access
+	cfg Config
 
 	outstanding []int
 	nextToken   uint64
@@ -48,8 +46,8 @@ type Snapshot struct {
 	ledger  *invariant.TokenLedgerState
 }
 
-// copyTickState deep-copies the scheduling state. The trace and the CSR
-// index slices into it are immutable after Start and shared by reference.
+// copyTickState deep-copies the scheduling state. The trace and its index
+// slices are immutable after Start and shared by reference.
 func copyTickState(ts *tickState) tickState {
 	out := *ts
 	out.pos = append([]int32(nil), ts.pos...)
@@ -80,7 +78,6 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	}
 	return &Snapshot{
 		cfg:         s.cfg,
-		accs:        s.ts.accs,
 		outstanding: append([]int(nil), s.outstanding...),
 		nextToken:   s.nextToken,
 		tokenCPU:    append([]uint8(nil), s.tokenCPU...),

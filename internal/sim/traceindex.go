@@ -6,21 +6,24 @@ import (
 	"hmccoal/internal/trace"
 )
 
-// TraceIndex is the CSR bucketing of a trace by CPU: streamOff[c] ..
-// streamOff[c+1] delimits CPU c's access indices within streamIdx. It is
-// read-only after construction, so runs replaying the same trace — a
-// sweep's common case of several modes/configs over one workload — share
-// a single index instead of each re-bucketing the trace.
+// TraceIndex is a trace laid out for the tick loop, CPU by CPU:
+// streamOff[c] .. streamOff[c+1] delimits CPU c's accesses. A generated
+// trace (NewStreamIndex) is already stored stream by stream, so the
+// offsets index accs directly. A tick-ordered trace (NewTraceIndex) stays
+// where the caller keeps it, and streamIdx maps each stream position to
+// an access in accs instead of copying the accesses. It is read-only
+// after construction, so runs replaying the same trace — a sweep's common
+// case of several modes/configs over one workload — share a single index.
 type TraceIndex struct {
 	accs      []trace.Access
 	streamOff []int32
-	streamIdx []int32
+	streamIdx []int32 // nil when accs is stored stream by stream
 	cpus      int
 }
 
 // NewTraceIndex validates and buckets accs for a system with cpus cores.
-// The trace must be ordered by tick (as produced by internal/workloads);
-// every access must name a CPU below cpus.
+// The trace must be ordered by tick (as returned by GenerateTrace); every
+// access must name a CPU below cpus.
 func NewTraceIndex(accs []trace.Access, cpus int) (*TraceIndex, error) {
 	idx := &TraceIndex{}
 	if err := idx.init(accs, cpus); err != nil {
@@ -29,9 +32,35 @@ func NewTraceIndex(accs []trace.Access, cpus int) (*TraceIndex, error) {
 	return idx, nil
 }
 
+// NewStreamIndex wraps per-CPU streams, as internal/workloads generates
+// them, for a system with cpus cores, without copying them. There must be
+// one stream per core, each holding only its own CPU's accesses in tick
+// order.
+func NewStreamIndex(st trace.Streams, cpus int) (*TraceIndex, error) {
+	if cpus <= 0 || len(st.Off) != cpus+1 || st.Off[0] != 0 || int(st.Off[cpus]) != len(st.Accs) {
+		return nil, fmt.Errorf("sim: %d stream offsets over %d accesses do not delimit %d CPUs", len(st.Off), len(st.Accs), cpus)
+	}
+	for c := 0; c < cpus; c++ {
+		if st.Off[c] > st.Off[c+1] {
+			return nil, fmt.Errorf("sim: stream offsets decrease at CPU %d", c)
+		}
+		var prev uint64
+		for _, a := range st.Accs[st.Off[c]:st.Off[c+1]] {
+			if int(a.CPU) != c {
+				return nil, fmt.Errorf("sim: access from CPU %d in CPU %d's stream", a.CPU, c)
+			}
+			if a.Tick < prev {
+				return nil, fmt.Errorf("sim: CPU %d's stream goes back from tick %d to %d", c, prev, a.Tick)
+			}
+			prev = a.Tick
+		}
+	}
+	return &TraceIndex{accs: st.Accs, streamOff: st.Off, cpus: cpus}, nil
+}
+
 // init buckets accs into idx. Split from NewTraceIndex so Start can build
 // a stack-local index without the extra heap allocation (the single-run
-// allocation count is pinned by the Sim benchmarks).
+// allocation count is pinned by TestAllocationGate).
 func (idx *TraceIndex) init(accs []trace.Access, cpus int) error {
 	if cpus <= 0 {
 		return fmt.Errorf("sim: trace index needs at least one CPU")
@@ -67,3 +96,12 @@ func (idx *TraceIndex) CPUs() int { return idx.cpus }
 
 // Len returns the number of accesses in the indexed trace.
 func (idx *TraceIndex) Len() int { return len(idx.accs) }
+
+// Merged returns the trace's tick-ordered view (equal ticks by CPU for
+// generated streams; the caller's order for a bucketed trace).
+func (idx *TraceIndex) Merged() trace.Merger {
+	if idx.streamIdx != nil {
+		return trace.NewMerger([][]trace.Access{idx.accs})
+	}
+	return trace.Streams{Accs: idx.accs, Off: idx.streamOff}.Merged()
+}

@@ -1,0 +1,113 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+
+	"hmccoal/internal/coalescer"
+	"hmccoal/internal/trace"
+	"hmccoal/internal/workloads"
+)
+
+// genStreams generates a benchmark's per-core streams at 12 CPUs.
+func genStreams(t *testing.T, name string, ops int) trace.Streams {
+	t.Helper()
+	g, ok := workloads.ByName(name)
+	if !ok {
+		t.Fatalf("no workload %s", name)
+	}
+	st, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: ops, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestStreamIndexMatchesStart holds the sweep path — a run over the
+// generated streams as they are — to the path of every other caller, Start
+// on the tick-ordered trace, under both front-ends: the result, a
+// snapshot restored into a fresh System mid-run, and the payload analysis
+// must all be the same.
+func TestStreamIndexMatchesStart(t *testing.T) {
+	for _, bench := range []string{"FT", "SSCA2", "Sort"} {
+		st := genStreams(t, bench, 400)
+		accs := st.Flatten()
+		idx, err := NewStreamIndex(st, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fe := range []coalescer.Kind{coalescer.KindTwoPhase, coalescer.KindWarp} {
+			cfg := DefaultConfig()
+			cfg.Frontend = fe
+			want := soloRun(t, cfg, accs)
+			if got, err := mustSystem(t, cfg).RunIndexed(idx); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%v: RunIndexed over the streams differs from Start (err %v)", bench, fe, err)
+			}
+
+			s := mustSystem(t, cfg)
+			if err := s.StartIndexed(idx); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3000; i++ {
+				if done, err := s.Step(); err != nil || done {
+					t.Fatalf("%s/%v: run ended before the snapshot (done %v, err %v)", bench, fe, done, err)
+				}
+			}
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := mustSystem(t, cfg)
+			if err := r.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.runToEnd(); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%v: a restored stream-index run differs from Start (err %v)", bench, fe, err)
+			}
+		}
+		want, err := AnalyzePayload(DefaultConfig().Hierarchy, accs, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := mustSystem(t, DefaultConfig()).AnalyzePayload(idx, 16); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: payload analysis over the streams differs from the tick-ordered trace (err %v)", bench, err)
+		}
+	}
+}
+
+// TestStreamIndexValidation covers NewStreamIndex's error paths: offsets
+// that do not delimit one stream per CPU, an access in another CPU's
+// stream or from a CPU the system lacks, and a stream out of tick order.
+func TestStreamIndexValidation(t *testing.T) {
+	acc := func(cpu uint8, tick uint64) trace.Access {
+		return trace.Access{Addr: 64 * tick, Size: 8, CPU: cpu, Tick: tick}
+	}
+	good := trace.Streams{
+		Accs: []trace.Access{acc(0, 1), acc(0, 4), acc(1, 2)},
+		Off:  []int32{0, 2, 3},
+	}
+	if idx, err := NewStreamIndex(good, 2); err != nil || idx.CPUs() != 2 || idx.Len() != 3 {
+		t.Fatalf("well-formed streams: index %v, err %v", idx, err)
+	}
+	for name, tc := range map[string]struct {
+		st   trace.Streams
+		cpus int
+	}{
+		"no CPUs":            {trace.Streams{Off: []int32{0}}, 0},
+		"too few offsets":    {good, 3},
+		"too many offsets":   {good, 1},
+		"short last offset":  {trace.Streams{Accs: good.Accs, Off: []int32{0, 2, 2}}, 2},
+		"nonzero first":      {trace.Streams{Accs: good.Accs, Off: []int32{1, 2, 3}}, 2},
+		"decreasing":         {trace.Streams{Accs: good.Accs, Off: []int32{0, 3, 2, 3}}, 3},
+		"other CPU's access": {trace.Streams{Accs: []trace.Access{acc(1, 1), acc(0, 2)}, Off: []int32{0, 1, 2}}, 2},
+		"CPU beyond system":  {trace.Streams{Accs: []trace.Access{acc(0, 1), acc(2, 2)}, Off: []int32{0, 1, 2}}, 2},
+		"out of tick order":  {trace.Streams{Accs: []trace.Access{acc(0, 5), acc(0, 4)}, Off: []int32{0, 2}}, 1},
+	} {
+		if _, err := NewStreamIndex(tc.st, tc.cpus); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := NewTraceIndex([]trace.Access{acc(0, 1), acc(2, 2)}, 2); err == nil {
+		t.Error("NewTraceIndex accepted an access from a CPU the system lacks")
+	}
+}

@@ -147,9 +147,10 @@ func (sc Scenario) Trace() ([]trace.Access, error) {
 	if !ok {
 		return nil, fmt.Errorf("soak: unknown workload %q", sc.Workload)
 	}
-	return gen.Generate(workloads.Params{
+	st, err := gen.Generate(workloads.Params{
 		CPUs: sc.CPUs, OpsPerCPU: sc.OpsPerCPU, Seed: sc.TraceSeed,
 	})
+	return st.Flatten(), err
 }
 
 // Config assembles the simulator configuration for the scenario, checker

@@ -73,10 +73,7 @@ func (s Stats) String() string {
 // stable: accesses with equal ticks come out by source index, then in
 // source order, so per-source program order is preserved. A source not
 // already in tick order is stable-sorted into a copy first; the inputs are
-// never modified. The merge itself scans the source heads for the lowest
-// (tick, source index) and copies that source's run of equal-tick
-// accesses; a linear scan needs no heap at the at most 256 per-core
-// streams of a generated trace.
+// never modified.
 func Merge(traces ...[]Access) []Access {
 	srcs := make([][]Access, 0, len(traces))
 	n := 0
@@ -91,28 +88,84 @@ func Merge(traces ...[]Access) []Access {
 		srcs = append(srcs, t)
 		n += len(t)
 	}
+	m := NewMerger(srcs)
+	return m.collect(n)
+}
+
+// Streams is a multi-core trace held stream by stream in one CPU-ordered
+// array: CPU c's accesses, in tick order, are Accs[Off[c]:Off[c+1]].
+// Readers that need the global order walk it with Merged; the simulator's
+// tick loop reads the streams directly.
+type Streams struct {
+	Accs []Access
+	Off  []int32
+}
+
+// Merged returns the streams' tick-ordered view, equal ticks by CPU.
+func (s Streams) Merged() Merger {
+	srcs := make([][]Access, 0, len(s.Off))
+	for c := 0; c+1 < len(s.Off); c++ {
+		srcs = append(srcs, s.Accs[s.Off[c]:s.Off[c+1]])
+	}
+	return NewMerger(srcs)
+}
+
+// Flatten materializes the tick-ordered view as one trace (nil when empty).
+func (s Streams) Flatten() []Access {
+	m := s.Merged()
+	return m.collect(len(s.Accs))
+}
+
+// Merger walks tick-ordered sources in global tick order, lowest (tick,
+// source index) first, one run of equal-tick accesses of one source per
+// Next. It scans the source heads linearly: no heap is needed at the at
+// most 256 per-core streams of a generated trace.
+type Merger struct{ srcs [][]Access }
+
+// NewMerger merges srcs, each of which must be in tick order. The Merger
+// owns srcs and drops its empty sources in place.
+func NewMerger(srcs [][]Access) Merger {
+	return Merger{slices.DeleteFunc(srcs, func(s []Access) bool { return len(s) == 0 })}
+}
+
+// Next returns the next run of accesses, aliasing its source, or nil once
+// every source is exhausted. The last source left comes back whole.
+func (m *Merger) Next() []Access {
+	switch len(m.srcs) {
+	case 0:
+		return nil
+	case 1:
+		run := m.srcs[0]
+		m.srcs = nil
+		return run
+	}
+	best := 0 // the first source holding the lowest head tick
+	for i := 1; i < len(m.srcs); i++ {
+		if m.srcs[i][0].Tick < m.srcs[best][0].Tick {
+			best = i
+		}
+	}
+	src := m.srcs[best]
+	run := 1
+	for run < len(src) && src[run].Tick == src[0].Tick {
+		run++
+	}
+	if run == len(src) {
+		m.srcs = slices.Delete(m.srcs, best, best+1) // keeps source order
+	} else {
+		m.srcs[best] = src[run:]
+	}
+	return src[:run]
+}
+
+// collect copies the n accesses left in m into one exact-length trace.
+func (m *Merger) collect(n int) []Access {
 	if n == 0 {
 		return nil
 	}
 	out := make([]Access, 0, n)
-	for len(srcs) > 0 {
-		best := 0 // the first source holding the lowest head tick
-		for i := 1; i < len(srcs); i++ {
-			if srcs[i][0].Tick < srcs[best][0].Tick {
-				best = i
-			}
-		}
-		src := srcs[best]
-		run := 1
-		for run < len(src) && src[run].Tick == src[0].Tick {
-			run++
-		}
-		out = append(out, src[:run]...)
-		if run == len(src) {
-			srcs = slices.Delete(srcs, best, best+1) // keeps source order
-		} else {
-			srcs[best] = src[run:]
-		}
+	for run := m.Next(); run != nil; run = m.Next() {
+		out = append(out, run...)
 	}
 	return out
 }

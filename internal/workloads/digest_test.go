@@ -18,7 +18,8 @@ var digestParams = []Params{
 }
 
 // traceDigests pins the SHA-256 of every generator's output over all of
-// digestParams, in order, each access encoded as its five fields in
+// digestParams, in order: the access count, then each access of the
+// tick-ordered view (trace.Streams.Merged) encoded as its five fields in
 // little-endian. A generator, merge or validation change that moves a
 // single simulated byte fails here.
 var traceDigests = map[string]string{
@@ -48,19 +49,22 @@ func TestTraceDigests(t *testing.T) {
 	for _, g := range gens {
 		h := sha256.New()
 		for _, p := range digestParams {
-			accs, err := g.Generate(p)
+			st, err := g.Generate(p)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", g.Name(), p, err)
 			}
-			binary.LittleEndian.PutUint64(buf[:], uint64(len(accs)))
+			binary.LittleEndian.PutUint64(buf[:], uint64(len(st.Accs)))
 			h.Write(buf[:8])
-			for _, a := range accs {
-				binary.LittleEndian.PutUint64(buf[0:], a.Addr)
-				binary.LittleEndian.PutUint32(buf[8:], a.Size)
-				buf[12] = byte(a.Kind)
-				buf[13] = a.CPU
-				binary.LittleEndian.PutUint64(buf[14:], a.Tick)
-				h.Write(buf[:])
+			m := st.Merged()
+			for run := m.Next(); run != nil; run = m.Next() {
+				for _, a := range run {
+					binary.LittleEndian.PutUint64(buf[0:], a.Addr)
+					binary.LittleEndian.PutUint32(buf[8:], a.Size)
+					buf[12] = byte(a.Kind)
+					buf[13] = a.CPU
+					binary.LittleEndian.PutUint64(buf[14:], a.Tick)
+					h.Write(buf[:])
+				}
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != traceDigests[g.Name()] {

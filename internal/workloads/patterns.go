@@ -17,7 +17,7 @@ func (sgGen) Name() string { return "SG" }
 func (sgGen) Description() string {
 	return "scatter/gather: sequential index stream + 128 B record gathers from a 512 MiB table"
 }
-func (sgGen) Generate(p Params) ([]trace.Access, error) {
+func (sgGen) Generate(p Params) (trace.Streams, error) {
 	idxBase, dataBase := regionBase(1), regionBase(2)
 	const table = 512 << 20
 	return build(p, 0x5601, func(c *core, ops int) {
@@ -52,7 +52,7 @@ func (streamGen) Name() string { return "STREAM" }
 func (streamGen) Description() string {
 	return "STREAM triad: three sequential streams in 256 B unrolled chunks"
 }
-func (streamGen) Generate(p Params) ([]trace.Access, error) {
+func (streamGen) Generate(p Params) (trace.Streams, error) {
 	aBase, bBase, cBase := regionBase(1), regionBase(2), regionBase(3)
 	return build(p, 0x57E4, func(c *core, ops int) {
 		ops = ops * 3 / 2 // STREAM is pure memory traffic
@@ -81,7 +81,7 @@ func (hpcgGen) Name() string { return "HPCG" }
 func (hpcgGen) Description() string {
 	return "HPCG SpMV: 16 B value/index streams + banded x-vector gathers"
 }
-func (hpcgGen) Generate(p Params) ([]trace.Access, error) {
+func (hpcgGen) Generate(p Params) (trace.Streams, error) {
 	valBase, colBase, xBase := regionBase(1), regionBase(2), regionBase(3)
 	const band = 24 << 20 // x-vector working band: misses often
 	return build(p, 0x4647, func(c *core, ops int) {
@@ -117,7 +117,7 @@ func (ssca2Gen) Name() string { return "SSCA2" }
 func (ssca2Gen) Description() string {
 	return "SSCA2 graph kernel: random 8 B vertex/edge chasing over a 1 GiB graph"
 }
-func (ssca2Gen) Generate(p Params) ([]trace.Access, error) {
+func (ssca2Gen) Generate(p Params) (trace.Streams, error) {
 	vtxBase, adjBase, visBase := regionBase(1), regionBase(2), regionBase(3)
 	const verts = 1 << 27 // 128 M vertices × 8 B = 1 GiB
 	return build(p, 0x55CA, func(c *core, ops int) {
@@ -149,7 +149,7 @@ func (sparseLUGen) Name() string { return "SparseLU" }
 func (sparseLUGen) Description() string {
 	return "BOTS SparseLU: 256 B row-segment streams over random 32 KiB blocks"
 }
-func (sparseLUGen) Generate(p Params) ([]trace.Access, error) {
+func (sparseLUGen) Generate(p Params) (trace.Streams, error) {
 	matBase := regionBase(1)
 	const blocks = 16384 // 16384 × 32 KiB = 512 MiB matrix
 	return build(p, 0x5B10, func(c *core, ops int) {
@@ -179,7 +179,7 @@ func (sortGen) Name() string { return "Sort" }
 func (sortGen) Description() string {
 	return "BOTS Sort: two alternating sequential read runs merged into one write stream"
 }
-func (sortGen) Generate(p Params) ([]trace.Access, error) {
+func (sortGen) Generate(p Params) (trace.Streams, error) {
 	aBase, bBase, oBase := regionBase(1), regionBase(2), regionBase(3)
 	return build(p, 0x50FF, func(c *core, ops int) {
 		a := chunk(aBase, 64<<20, c.cpu)
@@ -212,7 +212,7 @@ func (healthGen) Name() string { return "Health" }
 func (healthGen) Description() string {
 	return "BOTS Health: 32 B node chases with in-place updates across a 768 MiB arena"
 }
-func (healthGen) Generate(p Params) ([]trace.Access, error) {
+func (healthGen) Generate(p Params) (trace.Streams, error) {
 	arena := regionBase(1)
 	const nodes = 24 << 20 // 24 M × 32 B = 768 MiB
 	return build(p, 0x4EA1, func(c *core, ops int) {
@@ -252,7 +252,7 @@ func (ftGen) Name() string { return "FT" }
 func (ftGen) Description() string {
 	return "NAS FT transpose: 256 B complex-group copies, load+store streams"
 }
-func (ftGen) Generate(p Params) ([]trace.Access, error) {
+func (ftGen) Generate(p Params) (trace.Streams, error) {
 	srcBase, dstBase := regionBase(1), regionBase(2)
 	return build(p, 0xF77, func(c *core, ops int) {
 		ops = ops * 2 // FT moves a lot of data
@@ -286,7 +286,7 @@ func (epGen) Name() string { return "EP" }
 func (epGen) Description() string {
 	return "NAS EP: compute-bound with rare isolated 16 B table misses"
 }
-func (epGen) Generate(p Params) ([]trace.Access, error) {
+func (epGen) Generate(p Params) (trace.Streams, error) {
 	tblBase, accBase := regionBase(1), regionBase(2)
 	const tbl = 256 << 20
 	return build(p, 0xE9, func(c *core, ops int) {
@@ -319,7 +319,7 @@ func (spGen) Name() string { return "SP" }
 func (spGen) Description() string {
 	return "NAS SP: multi-stream plane sweeps, 160 B row segments, highest volume"
 }
-func (spGen) Generate(p Params) ([]trace.Access, error) {
+func (spGen) Generate(p Params) (trace.Streams, error) {
 	gridBase, rhsBase := regionBase(1), regionBase(2)
 	return build(p, 0x59, func(c *core, ops int) {
 		ops = ops * 6 // SP's traffic dwarfs the other benchmarks
@@ -346,7 +346,7 @@ func (luGen) Name() string { return "LU" }
 func (luGen) Description() string {
 	return "NAS LU: 320 B SSOR row sweeps, read-modify-write, highest volume"
 }
-func (luGen) Generate(p Params) ([]trace.Access, error) {
+func (luGen) Generate(p Params) (trace.Streams, error) {
 	uBase, fBase := regionBase(1), regionBase(2)
 	return build(p, 0x117, func(c *core, ops int) {
 		ops = ops * 6
@@ -372,7 +372,7 @@ func (cgGen) Name() string { return "CG" }
 func (cgGen) Description() string {
 	return "NAS CG: 128 B value streams + random 8 B gathers over a 512 MiB vector"
 }
-func (cgGen) Generate(p Params) ([]trace.Access, error) {
+func (cgGen) Generate(p Params) (trace.Streams, error) {
 	valBase, xBase := regionBase(1), regionBase(2)
 	const vec = 512 << 20
 	return build(p, 0xC6, func(c *core, ops int) {

@@ -48,7 +48,7 @@ func (g strideGen) Description() string {
 	return fmt.Sprintf("stride ladder: per-core load walk touching every %d-th cache line", g.lines)
 }
 
-func (g strideGen) Generate(p Params) ([]trace.Access, error) {
+func (g strideGen) Generate(p Params) (trace.Streams, error) {
 	return build(p, 0x51AD<<8|int64(g.lines), func(c *core, ops int) {
 		a := chunk(regionBase(3), 1<<24, c.cpu)
 		step := uint64(g.lines) * 64

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"hmccoal/internal/trace"
 )
@@ -64,8 +65,8 @@ type Generator interface {
 	Name() string
 	// Description summarizes the access pattern being modeled.
 	Description() string
-	// Generate builds the interleaved multi-core trace.
-	Generate(p Params) ([]trace.Access, error)
+	// Generate builds one access stream per core.
+	Generate(p Params) (trace.Streams, error)
 }
 
 // All returns the 12 paper benchmarks in figure order.
@@ -151,23 +152,23 @@ func (c *core) think(cycles uint64) {
 	c.tick += uint64(float64(span) * c.thinkScale)
 }
 
-// build runs fn once per CPU and merges the per-core streams into one
-// trace ordered by tick, ties broken by CPU: each core's stream is already
-// in tick order (validate rejects the think scales that could wrap a
-// core's clock), so trace.Merge only interleaves them.
-func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access, error) {
+// build runs fn once per CPU, one core after another, appending every
+// core's stream to one shared array. Each stream is in tick order
+// (validate rejects the think scales that could wrap a core's clock), so
+// the trace is ready for the tick loop as it stands; readers that need the
+// global order merge the streams on the fly (trace.Streams.Merged).
+func build(p Params, seedSalt int64, fn func(c *core, ops int)) (trace.Streams, error) {
 	if err := p.validate(); err != nil {
-		return nil, err
+		return trace.Streams{}, err
 	}
 	scale := p.ThinkScale
 	if scale == 0 {
 		scale = 1
 	}
-	cores := make([][]trace.Access, p.CPUs)
-	hint := 0 // cores emit similar volumes: size each from its predecessor
-	for cpu := range cores {
+	st := trace.Streams{Off: make([]int32, p.CPUs+1)}
+	for cpu := 0; cpu < p.CPUs; cpu++ {
 		c := &core{
-			accs:       make([]trace.Access, 0, hint),
+			accs:       st.Accs,
 			cpu:        uint8(cpu),
 			rng:        rand.New(rand.NewSource(p.Seed ^ seedSalt ^ int64(cpu)*0x9E3779B9)),
 			thinkScale: scale,
@@ -175,10 +176,13 @@ func build(p Params, seedSalt int64, fn func(c *core, ops int)) ([]trace.Access,
 		// Desynchronize the cores slightly, as real threads are.
 		c.tick = uint64(c.rng.Intn(64))
 		fn(c, p.OpsPerCPU)
-		cores[cpu] = c.accs
-		hint = len(c.accs) + len(c.accs)/8
+		st.Accs = c.accs
+		if cpu == 0 { // cores emit similar volumes: size the array from core 0
+			st.Accs = slices.Grow(st.Accs, len(st.Accs)*(p.CPUs-1)+len(st.Accs)*p.CPUs/8)
+		}
+		st.Off[cpu+1] = int32(len(st.Accs))
 	}
-	return trace.Merge(cores...), nil
+	return st, nil
 }
 
 // Address-space layout: each logical array lives in its own 1 GiB region so

@@ -74,7 +74,7 @@ func TestParamsValidation(t *testing.T) {
 func TestTracesWellFormed(t *testing.T) {
 	p := smallParams()
 	for _, g := range All() {
-		accs, err := g.Generate(p)
+		accs, err := generate(g, p)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
@@ -113,11 +113,11 @@ func TestTracesWellFormed(t *testing.T) {
 func TestDeterministicBySeed(t *testing.T) {
 	p := smallParams()
 	for _, g := range All() {
-		a, err := g.Generate(p)
+		a, err := generate(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := g.Generate(p)
+		b, err := generate(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +138,8 @@ func TestSeedChangesTrace(t *testing.T) {
 	p2.Seed = 8
 	for _, name := range []string{"SSCA2", "Health", "SG"} { // random-heavy
 		g, _ := ByName(name)
-		a, _ := g.Generate(p)
-		b, _ := g.Generate(p2)
+		a, _ := generate(g, p)
+		b, _ := generate(g, p2)
 		same := len(a) == len(b)
 		if same {
 			for i := range a {
@@ -162,7 +162,7 @@ func TestStoreMix(t *testing.T) {
 		if !ok {
 			t.Fatalf("no generator %s", name)
 		}
-		accs, err := g.Generate(p)
+		accs, err := generate(g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,8 +191,8 @@ func TestEPIsComputeBound(t *testing.T) {
 	p := smallParams()
 	ep, _ := ByName("EP")
 	ft, _ := ByName("FT")
-	a, _ := ep.Generate(p)
-	b, _ := ft.Generate(p)
+	a, _ := generate(ep, p)
+	b, _ := generate(ft, p)
 	// EP emits far fewer accesses and moves far less data than FT.
 	if len(a)*4 > len(b) {
 		t.Errorf("EP accesses %d not ≪ FT %d", len(a), len(b))
@@ -212,13 +212,13 @@ func TestEPIsComputeBound(t *testing.T) {
 func TestThinkScaleStretchesTrace(t *testing.T) {
 	p := smallParams()
 	g, _ := ByName("FT")
-	base, err := g.Generate(p)
+	base, err := generate(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := p
 	p2.ThinkScale = 3
-	slow, err := g.Generate(p2)
+	slow, err := generate(g, p2)
 	if err != nil {
 		t.Fatal(err)
 	}

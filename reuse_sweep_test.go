@@ -281,19 +281,19 @@ func TestTraceCacheRetention(t *testing.T) {
 	c = new(traceCache)
 	a, ga := walkSpec(AxisOf("timeout", []int{16}))
 	first := hold(a, ga, 0)
-	generated := false
-	accs, idx, err := first.held[0].load(func() { generated = true })
-	if err != nil || len(accs) == 0 || idx == nil || !generated {
-		t.Fatalf("load returned no trace (err %v) or skipped beforeGen (%v)", err, generated)
+	idx, err := first.held[0].load()
+	if err != nil || idx == nil || idx.Len() == 0 || c.stats.Misses != 1 {
+		t.Fatalf("load returned no trace (err %v) or missed %d times, want once", err, c.stats.Misses)
 	}
 	for i := 1; i < 4; i++ {
 		release(hold(a, ga, i))
 	}
 	wantResident("after newer misses", map[string]bool{"STREAM": true, "EP": false, "FT": false, "CG": true})
 	furthest := hold(a, ga, 3)
+	before := c.stats
 	again := hold(a, ga, 0)
-	if accs2, idx2, _ := again.held[0].load(func() { t.Error("a hit generated the trace") }); &accs2[0] != &accs[0] || idx2 != idx {
-		t.Fatal("a hit rebuilt the trace instead of sharing it")
+	if idx2, _ := again.held[0].load(); idx2 != idx || c.stats.Misses != before.Misses || c.stats.Hits != before.Hits+1 {
+		t.Fatalf("a hit rebuilt the trace instead of sharing it (stats %+v, then %+v)", before, c.stats)
 	}
 	release(again)
 	wantResident("while another group holds it", map[string]bool{"STREAM": true})

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"hmccoal/internal/sim"
+	"hmccoal/internal/trace"
 )
 
 // This file is the executing half of the sweep layer: a sweep grid as a
@@ -325,7 +326,6 @@ type traceEntry struct {
 	users int    // groups holding the entry; guarded by traceCache.mu
 	born  uint64 // clock at the miss that created the entry
 	once  sync.Once
-	accs  []Access
 	idx   *TraceIndex
 	err   error
 }
@@ -435,17 +435,17 @@ func (c *traceCache) evictLocked() {
 	}
 }
 
-// load returns the entry's trace and index, generating both on first use
-// after calling beforeGen.
-func (e *traceEntry) load(beforeGen func()) ([]Access, *TraceIndex, error) {
+// load returns the entry's trace index, generating it on first use as
+// per-core streams that the index wraps as they are.
+func (e *traceEntry) load() (*TraceIndex, error) {
 	e.once.Do(func() {
-		beforeGen()
-		e.accs, e.err = GenerateTrace(e.key.bench, e.key.p)
+		var st trace.Streams
+		st, e.err = generateStreams(e.key.bench, e.key.p)
 		if e.err == nil {
-			e.idx, e.err = NewTraceIndex(e.accs, e.key.p.CPUs)
+			e.idx, e.err = sim.NewStreamIndex(st, e.key.p.CPUs)
 		}
 	})
-	return e.accs, e.idx, e.err
+	return e.idx, e.err
 }
 
 // SweepRunner executes sweep job groups against a trace cache. It is the
@@ -511,13 +511,9 @@ func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([
 }
 
 // runJob runs grid job i on a pooled System and returns the System to the
-// pool once the job succeeds. A trace generation empties the pool first:
-// it briefly holds the trace twice (per-core streams and their merge), a
-// sweep's largest transient, and idle Systems — megabytes of cache tags
-// each — on top of it would raise the heap's peak and so the GC's target.
-// The workers then build one System each per generated trace.
+// pool once the job succeeds.
 func (r *SweepRunner) runJob(g *sweepGrid, e *traceEntry, i int) (SweepCell, error) {
-	accs, idx, err := e.load(r.pool.Clear)
+	idx, err := e.load()
 	if err != nil {
 		return SweepCell{}, err
 	}
@@ -532,7 +528,7 @@ func (r *SweepRunner) runJob(g *sweepGrid, e *traceEntry, i int) (SweepCell, err
 	}
 	var cell SweepCell
 	if pay {
-		cell.Pay, err = sys.AnalyzePayload(accs, cfg.Coalescer.Width)
+		cell.Pay, err = sys.AnalyzePayload(idx, cfg.Coalescer.Width)
 	} else {
 		cell.Res, err = sys.RunIndexed(idx)
 	}
