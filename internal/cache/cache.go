@@ -154,22 +154,12 @@ func (c *Cache) touch(set uint64, w int) {
 
 // Access touches lineNum (an absolute cache line number). write marks the
 // line dirty on hit or after fill. It returns whether the access hit and,
-// on a miss that evicted a dirty victim, the victim's line number.
+// on a miss that evicted a dirty victim, the victim's line number with
+// hasWriteBack set — by value, so the hot path never heap-allocates.
 //
 // A miss installs the line immediately (the timing of the fill is the
 // simulator's concern), so a subsequent access to the same line hits.
-func (c *Cache) Access(lineNum uint64, write bool) (hit bool, writeBack *uint64) {
-	hit, wb, dirty := c.AccessValue(lineNum, write)
-	if dirty {
-		writeBack = &wb
-	}
-	return hit, writeBack
-}
-
-// AccessValue is Access without the pointer in the return: the write-back
-// line is returned by value with a validity flag, so the hot path never
-// heap-allocates. The simulator's hierarchy walk uses this form.
-func (c *Cache) AccessValue(lineNum uint64, write bool) (hit bool, writeBack uint64, hasWriteBack bool) {
+func (c *Cache) Access(lineNum uint64, write bool) (hit bool, writeBack uint64, hasWriteBack bool) {
 	c.clock++
 	c.stats.Accesses++
 	set := lineNum & c.setMask
@@ -256,6 +246,20 @@ func (c *Cache) Reset() {
 	}
 	c.clock = 0
 	c.stats = Stats{}
+}
+
+// CopyFrom makes c an exact copy of src — tag array, recency stacks or
+// clocks, generation, access clock and statistics — writing into c's own
+// arrays. src must have been built from the same Config. The generation
+// is copied along with the tags, since line validity is relative to it.
+func (c *Cache) CopyFrom(src *Cache) {
+	copy(c.lines, src.lines)
+	copy(c.order, src.order)
+	copy(c.orderGen, src.orderGen)
+	copy(c.lru, src.lru)
+	c.gen = src.gen
+	c.clock = src.clock
+	c.stats = src.stats
 }
 
 // Contains reports whether the line is present (no LRU update).

@@ -39,10 +39,10 @@ func TestConfigValidation(t *testing.T) {
 
 func TestColdMissThenHit(t *testing.T) {
 	c := small(t)
-	if hit, _ := c.Access(10, false); hit {
+	if hit, _, _ := c.Access(10, false); hit {
 		t.Error("cold access hit")
 	}
-	if hit, _ := c.Access(10, false); !hit {
+	if hit, _, _ := c.Access(10, false); !hit {
 		t.Error("second access missed")
 	}
 	s := c.Stats()
@@ -69,9 +69,9 @@ func TestDirtyEvictionProducesWriteBack(t *testing.T) {
 	c := small(t)
 	c.Access(0, true) // dirty
 	c.Access(4, false)
-	_, wb := c.Access(8, false) // evicts dirty line 0
-	if wb == nil || *wb != 0 {
-		t.Fatalf("writeback = %v, want line 0", wb)
+	_, wb, ok := c.Access(8, false) // evicts dirty line 0
+	if !ok || wb != 0 {
+		t.Fatalf("writeback = %d/%v, want line 0", wb, ok)
 	}
 	if c.Stats().WriteBacks != 1 {
 		t.Errorf("WriteBacks = %d, want 1", c.Stats().WriteBacks)
@@ -80,8 +80,8 @@ func TestDirtyEvictionProducesWriteBack(t *testing.T) {
 	c2 := small(t)
 	c2.Access(0, false)
 	c2.Access(4, false)
-	if _, wb := c2.Access(8, false); wb != nil {
-		t.Errorf("clean eviction produced writeback %v", *wb)
+	if _, wb, ok := c2.Access(8, false); ok {
+		t.Errorf("clean eviction produced writeback %d", wb)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestWriteHitSetsDirty(t *testing.T) {
 	c.Access(0, false) // fill clean
 	c.Access(0, true)  // dirty it via hit
 	c.Access(4, false)
-	if _, wb := c.Access(8, false); wb == nil {
+	if _, _, ok := c.Access(8, false); !ok {
 		t.Error("dirtied-on-hit line evicted without writeback")
 	}
 }
@@ -141,7 +141,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	}
 	for i := 0; i < 10000; i++ {
 		ln := rng.Uint64() % lines
-		if hit, _ := c.Access(ln, false); !hit {
+		if hit, _, _ := c.Access(ln, false); !hit {
 			t.Fatalf("capacity miss on resident working set, line %d", ln)
 		}
 	}
@@ -213,8 +213,8 @@ func (r *refLRU) flush() map[uint64]bool {
 // the packed recency stack and, at 32 ways, the counter LRU with its
 // per-cache recency clocks — with a seeded random line stream and checks
 // hit/miss, the victim and the write-back line of every access against a
-// naive LRU model. The stream crosses a Reset, a Flush and a
-// SaveState/RestoreState into a fresh cache.
+// naive LRU model. The stream crosses a Reset, a Flush and a CopyFrom
+// into a fresh cache.
 func TestLRUMatchesReference(t *testing.T) {
 	const sets = 4
 	for _, ways := range []int{4, 16, 32} {
@@ -228,7 +228,7 @@ func TestLRUMatchesReference(t *testing.T) {
 				t.Helper()
 				for i := 0; i < n; i++ {
 					ln, write := rng.Uint64()%span, rng.Intn(3) == 0
-					hit, wb, hasWB := c.AccessValue(ln, write)
+					hit, wb, hasWB := c.Access(ln, write)
 					rhit, victim, evicted, dirty := ref.access(ln, write)
 					if hit != rhit || hasWB != dirty || (dirty && wb != victim) {
 						t.Fatalf("%s access %d (line %d): hit=%v wb=%d/%v, reference hit=%v victim=%d dirty=%v",
@@ -255,11 +255,9 @@ func TestLRUMatchesReference(t *testing.T) {
 			step("after Flush", 2000)
 
 			fresh := mustNew(t, cfg)
-			if err := fresh.RestoreState(c.SaveState()); err != nil {
-				t.Fatal(err)
-			}
+			fresh.CopyFrom(c)
 			c = fresh
-			step("after RestoreState", 2000)
+			step("after CopyFrom", 2000)
 		})
 	}
 }
@@ -289,8 +287,8 @@ func TestResetGenerationWrap(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(ways)))
 		for i := 0; i < 3000; i++ {
 			ln, write := rng.Uint64()%uint64(6*ways), rng.Intn(3) == 0
-			hit, wb, hasWB := c.AccessValue(ln, write)
-			fhit, fwb, fhasWB := fresh.AccessValue(ln, write)
+			hit, wb, hasWB := c.Access(ln, write)
+			fhit, fwb, fhasWB := fresh.Access(ln, write)
 			if hit != fhit || wb != fwb || hasWB != fhasWB {
 				t.Fatalf("ways %d access %d (line %d): hit=%v wb=%d/%v, fresh hit=%v wb=%d/%v",
 					ways, i, ln, hit, wb, hasWB, fhit, fwb, fhasWB)

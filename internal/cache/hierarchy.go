@@ -112,6 +112,16 @@ func (h *Hierarchy) Reset() {
 	h.missBuf = h.missBuf[:0]
 }
 
+// CopyFrom makes h an exact copy of src, level by level, writing into h's
+// own tag arrays. src must have been built from the same HierarchyConfig.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	for i := range h.l1 {
+		h.l1[i].CopyFrom(src.l1[i])
+		h.l2[i].CopyFrom(src.l2[i])
+	}
+	h.llc.CopyFrom(src.llc)
+}
+
 // LineBytes returns the common cache line size.
 func (h *Hierarchy) LineBytes() uint32 { return h.cfg.LLC.LineBytes }
 
@@ -152,18 +162,18 @@ func (h *Hierarchy) Access(a trace.Access) (latency uint64, misses []Miss, err e
 		payload := uint32(hi - lo)
 
 		latency += h.cfg.L1.HitLatency
-		if hit, _, _ := h.l1[a.CPU].AccessValue(ln, write); hit {
+		if hit, _, _ := h.l1[a.CPU].Access(ln, write); hit {
 			continue
 		}
 		// L1 victims are clean toward L2 in this model (L2 is inclusive
 		// enough for the traffic shapes we simulate); only LLC-level dirty
 		// evictions generate memory traffic.
 		latency += h.cfg.L2.HitLatency
-		if hit, _, _ := h.l2[a.CPU].AccessValue(ln, write); hit {
+		if hit, _, _ := h.l2[a.CPU].Access(ln, write); hit {
 			continue
 		}
 		latency += h.cfg.LLC.HitLatency
-		hit, wb, hasWB := h.llc.AccessValue(ln, write)
+		hit, wb, hasWB := h.llc.Access(ln, write)
 		if hit {
 			continue
 		}

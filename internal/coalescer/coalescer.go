@@ -16,8 +16,7 @@
 // coalesced request queue (CRQ) into the dynamic MSHRs (second-phase
 // coalescing) and on to memory: issue scheduling (strict FR-FCFS or the
 // heterogeneity-aware policy), span-level retry with backoff, degraded
-// mode, the dropped-response watchdog, the conservation checks and the
-// snapshot codec.
+// mode, the dropped-response watchdog and the conservation checks.
 //
 // The coalescer is tick-driven and single-threaded: the system simulator
 // pushes LLC misses in non-decreasing tick order and the coalescer reports
@@ -28,6 +27,7 @@ package coalescer
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hmccoal/internal/enum"
 	"hmccoal/internal/invariant"
@@ -281,7 +281,7 @@ type Coalescer struct {
 	// that Insert merged and issued nothing, else 0. Until the next entry
 	// release every retry would repeat it exactly, so drainCRQ only counts
 	// the stalls. Derived state: cleared whenever the file or the head
-	// changes, never saved.
+	// changes.
 	headStalls uint64
 
 	// laneBytes is the heterogeneity-aware scheduler's per-lane issued-byte
@@ -327,10 +327,9 @@ type gather interface {
 	nextExpiry() uint64
 	// buffered counts the requests waiting in open sequences.
 	buffered() int
-	// save and restore copy the gather's part of a State; restore
-	// validates before it mutates anything.
-	save(st *State)
-	restore(st *State) error
+	// copyFrom makes the gather an exact copy of src, a gather of the
+	// same kind, writing into its own buffers.
+	copyFrom(src gather)
 }
 
 // pendingReq is an input-buffer slot: the request plus its arrival tick,
@@ -426,6 +425,58 @@ func New(cfg Config, kind Kind, sched Sched, lanes int, issue IssueFunc, complet
 		c.laneBytes = make([]uint64, 256) // full uint8 lane space
 	}
 	return c, nil
+}
+
+// CopyFrom makes c an exact copy of src's mutable state, writing into c's
+// own buffers: the gather stage (the two-phase input buffer with its
+// sorter, bypass and timeout state, or the warp lane buffers), the CRQ,
+// the MSHR file, the in-flight and retry heaps in verbatim array order (so
+// future pops break ties exactly as src's would), the degraded-mode
+// machinery and every statistic. In-flight completions are re-pointed by
+// entry index into c's own file. c keeps its callbacks and checker; the
+// target pool is working storage and is not copied. src must be of the
+// same kind, which is checked, and built from the same configuration,
+// which is not. A coalescer that has latched a conservation violation is
+// untrustworthy by definition and is not copied.
+func (c *Coalescer) CopyFrom(src *Coalescer) error {
+	if src.viol != nil {
+		return fmt.Errorf("coalescer: cannot copy after violation: %w", src.viol)
+	}
+	if src.kind != c.kind {
+		return fmt.Errorf("coalescer: cannot copy a %v coalescer into a %v coalescer", src.kind, c.kind)
+	}
+	c.gather.copyFrom(src.gather)
+	c.file.CopyFrom(src.file)
+	c.crqBuf = append(c.crqBuf[:0], src.crqBuf...)
+	for i := range c.crqBuf {
+		c.crqBuf[i].targets = slices.Clone(c.crqBuf[i].targets)
+	}
+	c.crqHead, c.crqLen = src.crqHead, src.crqLen
+	c.inflight = c.inflight[:0]
+	for _, it := range src.inflight {
+		it.entry = c.file.EntryAt(it.entry.Index())
+		c.inflight = append(c.inflight, it)
+	}
+	c.retryQ = c.retryQ[:0]
+	for _, p := range src.retryQ {
+		p.targets = slices.Clone(p.targets)
+		c.retryQ = append(c.retryQ, p)
+	}
+	c.freedAt = src.freedAt
+	c.lastIssue = src.lastIssue
+	c.lastAdvance = src.lastAdvance
+	c.fillStart = src.fillStart
+	c.fillCount = src.fillCount
+	c.stats = src.stats
+	c.headStalls = src.headStalls
+	copy(c.laneBytes, src.laneBytes)
+	c.retrySeq = src.retrySeq
+	c.faultWin = slices.Clone(src.faultWin) // nil until src saw a link error
+	c.faultPos = src.faultPos
+	c.faultCnt = src.faultCnt
+	c.degraded = src.degraded
+	c.degradedAt = src.degradedAt
+	return nil
 }
 
 // getTargets hands out an empty target slice, recycled when possible.

@@ -151,23 +151,14 @@ func (g *sortGather) nextExpiry() uint64 {
 
 func (g *sortGather) buffered() int { return len(g.pending) }
 
-func (g *sortGather) save(st *State) {
-	st.pending = append([]pendingReq(nil), g.pending...)
-	st.pendingSince = g.pendingSince
-	st.sortFree = g.sortFree
-	st.curTimeout = g.curTimeout
-	st.bypassOn = g.bypassOn
-	st.idleSince = g.idleSince
-}
-
-func (g *sortGather) restore(st *State) error {
-	g.pending = append(g.pending[:0], st.pending...)
-	g.pendingSince = st.pendingSince
-	g.sortFree = st.sortFree
-	g.curTimeout = st.curTimeout
-	g.bypassOn = st.bypassOn
-	g.idleSince = st.idleSince
-	return nil
+func (g *sortGather) copyFrom(src gather) {
+	s := src.(*sortGather)
+	g.pending = append(g.pending[:0], s.pending...)
+	g.pendingSince = s.pendingSince
+	g.sortFree = s.sortFree
+	g.curTimeout = s.curTimeout
+	g.bypassOn = s.bypassOn
+	g.idleSince = s.idleSince
 }
 
 // adaptTimeout folds one sequence's coalescing cost (sorting + DMC cycles)

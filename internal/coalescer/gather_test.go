@@ -211,8 +211,8 @@ func TestDeterministicAndConserving(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip pins SaveState/RestoreState: a restored coalescer
-// replays the suffix of the run byte-identically to the original.
+// TestSnapshotRoundTrip pins CopyFrom: a copied coalescer replays the
+// suffix of the run byte-identically to the original.
 func TestSnapshotRoundTrip(t *testing.T) {
 	const half = 150
 	for _, cb := range allCombos() {
@@ -240,15 +240,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				now += 2
 				a.Advance(now)
 			}
-			snap, err := a.SaveState()
-			if err != nil {
-				t.Fatalf("SaveState: %v", err)
-			}
-
 			memB := &fakeMem{}
 			b := cb.build(t, memB)
-			if err := b.RestoreState(snap); err != nil {
-				t.Fatalf("RestoreState: %v", err)
+			if err := b.CopyFrom(a); err != nil {
+				t.Fatalf("CopyFrom: %v", err)
 			}
 
 			sa := suffix(a, memA, now)
@@ -257,10 +252,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			ta := sa.tokens[len(sa.tokens)-half:]
 			tb := sb.tokens[len(sb.tokens)-half:]
 			if !reflect.DeepEqual(ta, tb) {
-				t.Fatalf("restored coalescer diverged on the suffix")
+				t.Fatalf("copied coalescer diverged on the suffix")
 			}
 			if asr, bsr := a.Stats(), b.Stats(); asr != bsr {
-				t.Fatalf("post-restore stats diverge:\n%+v\n%+v", asr, bsr)
+				t.Fatalf("post-copy stats diverge:\n%+v\n%+v", asr, bsr)
 			}
 		})
 	}
@@ -268,22 +263,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestRestoreKindMismatch(t *testing.T) {
 	kinds := []Kind{KindTwoPhase, KindWarp}
-	snaps := make([]*State, len(kinds))
+	srcs := make([]*Coalescer, len(kinds))
 	for i, k := range kinds {
-		var err error
-		if snaps[i], err = (combo{k, SchedFRFCFS}).build(t, &fakeMem{}).SaveState(); err != nil {
-			t.Fatal(err)
-		}
+		srcs[i] = (combo{k, SchedFRFCFS}).build(t, &fakeMem{})
 	}
 	for i, k := range kinds {
 		f := (combo{k, SchedFRFCFS}).build(t, &fakeMem{})
 		for j := range kinds {
-			err := f.RestoreState(snaps[j])
+			err := f.CopyFrom(srcs[j])
 			if (i == j) != (err == nil) {
-				t.Errorf("restore %v snapshot into %v coalescer: err = %v", kinds[j], k, err)
+				t.Errorf("copy %v coalescer into %v coalescer: err = %v", kinds[j], k, err)
 			}
 			if i != j && err != nil && !strings.Contains(err.Error(), kinds[j].String()) {
-				t.Errorf("mismatch error %q does not name the snapshot kind %v", err, kinds[j])
+				t.Errorf("mismatch error %q does not name the source kind %v", err, kinds[j])
 			}
 		}
 	}
@@ -332,7 +324,7 @@ func laneScanExpiry(g *warpGather) uint64 {
 // TestWarpNextExpiryMatchesLaneScan drives a warp coalescer with a seeded
 // random mix of pushes across lanes, Advances and Fences, and checks after
 // every call that the cached earliest expiry equals a full lane scan —
-// including after each RestoreState into a fresh coalescer that had open
+// including after each CopyFrom into a fresh coalescer that had open
 // warps of its own. Every other phase of 1000 calls is a burst at (almost)
 // one tick, so warps also close on width, not only on timeout and fence.
 func TestWarpNextExpiryMatchesLaneScan(t *testing.T) {
@@ -375,19 +367,15 @@ func TestWarpNextExpiryMatchesLaneScan(t *testing.T) {
 					f.Fence(now)
 					check(i, "Fence", f)
 				default:
-					snap, err := f.SaveState()
-					if err != nil {
-						t.Fatal(err)
-					}
 					fresh := cb.build(t, &fakeMem{})
 					for j := 0; j < 3; j++ {
-						push(fresh) // open warps the snapshot must replace
+						push(fresh) // open warps the copy must replace
 					}
-					if err := fresh.RestoreState(snap); err != nil {
+					if err := fresh.CopyFrom(f); err != nil {
 						t.Fatal(err)
 					}
 					f = fresh
-					check(i, "RestoreState", f)
+					check(i, "CopyFrom", f)
 				}
 			}
 			if st := f.Stats(); st.FullFlushes == 0 || st.TimeoutFlushes == 0 || st.FenceFlushes == 0 {

@@ -1,10 +1,6 @@
 package coalescer
 
-import (
-	"fmt"
-
-	"hmccoal/internal/mshr"
-)
+import "hmccoal/internal/mshr"
 
 // warpGather is the GPU-style gather stage: instead of one shared input
 // buffer feeding a sorting network, each request lane (CPU) keeps an open
@@ -23,8 +19,8 @@ type warpGather struct {
 	lanes []warpLane
 	// next is the earliest expiry tick of an open warp, or ^0 when every
 	// lane is empty: a push into an empty lane lowers it, and closeWarp
-	// and restore rescan the lanes. expire and nextExpiry read it instead
-	// of scanning every lane on each call.
+	// rescans the lanes. expire and nextExpiry read it instead of scanning
+	// every lane on each call.
 	next uint64
 	// groups is closeWarp's working set, reused across closes.
 	groups []warpGroup
@@ -126,23 +122,13 @@ func (g *warpGather) buffered() int {
 	return n
 }
 
-func (g *warpGather) save(st *State) {
-	st.lanes = make([]warpLane, len(g.lanes))
-	for i, l := range g.lanes {
-		st.lanes[i] = warpLane{reqs: append([]pendingReq(nil), l.reqs...), since: l.since}
-	}
-}
-
-func (g *warpGather) restore(st *State) error {
-	if len(st.lanes) != len(g.lanes) {
-		return fmt.Errorf("coalescer: snapshot has %d lanes, warp has %d", len(st.lanes), len(g.lanes))
-	}
+func (g *warpGather) copyFrom(src gather) {
+	s := src.(*warpGather)
 	for i := range g.lanes {
-		g.lanes[i].reqs = append(g.lanes[i].reqs[:0], st.lanes[i].reqs...)
-		g.lanes[i].since = st.lanes[i].since
+		g.lanes[i].reqs = append(g.lanes[i].reqs[:0], s.lanes[i].reqs...)
+		g.lanes[i].since = s.lanes[i].since
 	}
-	g.scanExpiry()
-	return nil
+	g.next = s.next
 }
 
 // closeWarp runs one lane's buffered requests through block-granularity

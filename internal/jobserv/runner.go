@@ -107,7 +107,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 		if err := ctl.ctx.Err(); err != nil {
 			cause := context.Cause(ctl.ctx)
 			if errors.Is(cause, errPark) || errors.Is(cause, errDrainPark) {
-				snap, serr := sys.Snapshot() // a deep copy: sys is free again
+				snap, serr := sys.Snapshot() // a copy into a twin System: sys is free again
 				if serr != nil {
 					return execOutcome{err: serr}
 				}

@@ -34,15 +34,6 @@ type ddrBank struct {
 	rowValid  bool
 }
 
-// ddrSnapshot deep-copies a ddrBackend's mutable state.
-type ddrSnapshot struct {
-	banks []ddrBank
-	bus   uint64
-	core  statsCoreState
-}
-
-func (ddrSnapshot) backendSnapshot() {}
-
 func newDDR(cfg hmc.Config) (Backend, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -131,27 +122,14 @@ func (b *ddrBackend) Reset() {
 	b.core.reset()
 }
 
-func (b *ddrBackend) Snapshot() Snapshot {
-	return ddrSnapshot{
-		banks: append([]ddrBank(nil), b.banks...),
-		bus:   b.bus,
-		core:  b.core.save(),
-	}
-}
-
-func (b *ddrBackend) Restore(s Snapshot) error {
-	ds, ok := s.(ddrSnapshot)
+func (b *ddrBackend) CopyFrom(src Backend) error {
+	s, ok := src.(*ddrBackend)
 	if !ok {
-		return fmt.Errorf("membackend: %v snapshot restored into ddr backend", kindOf(s))
+		return kindMismatch(src, KindDDR)
 	}
-	if len(ds.banks) != len(b.banks) {
-		return fmt.Errorf("membackend: snapshot has %d banks, ddr backend %d", len(ds.banks), len(b.banks))
-	}
-	if err := b.core.restore(ds.core); err != nil {
-		return err
-	}
-	copy(b.banks, ds.banks)
-	b.bus = ds.bus
+	copy(b.banks, s.banks)
+	b.bus = s.bus
+	b.core.copyFrom(&s.core)
 	return nil
 }
 

@@ -17,14 +17,6 @@ type idealBackend struct {
 	core statsCore
 }
 
-// idealSnapshot deep-copies an idealBackend's mutable state (which is all
-// statistics; the device itself keeps no timing horizons).
-type idealSnapshot struct {
-	core statsCoreState
-}
-
-func (idealSnapshot) backendSnapshot() {}
-
 func newIdeal(cfg hmc.Config) (Backend, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -67,14 +59,15 @@ func (b *idealBackend) Stats() hmc.Stats { return b.core.statsCopy() }
 
 func (b *idealBackend) Reset() { b.core.reset() }
 
-func (b *idealBackend) Snapshot() Snapshot { return idealSnapshot{core: b.core.save()} }
-
-func (b *idealBackend) Restore(s Snapshot) error {
-	is, ok := s.(idealSnapshot)
+// CopyFrom copies the statistics, the backend's only mutable state: the
+// ideal device keeps no timing horizons.
+func (b *idealBackend) CopyFrom(src Backend) error {
+	s, ok := src.(*idealBackend)
 	if !ok {
-		return fmt.Errorf("membackend: %v snapshot restored into ideal backend", kindOf(s))
+		return kindMismatch(src, KindIdeal)
 	}
-	return b.core.restore(is.core)
+	b.core.copyFrom(&s.core)
+	return nil
 }
 
 func (b *idealBackend) DebugLinks() string { return "ideal{}" }

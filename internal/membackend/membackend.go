@@ -15,7 +15,9 @@
 // maintain the same statistics shape (hmc.Stats), so every metric and table
 // in the evaluation renders identically whichever backend is plugged in.
 // Fault injection is an HMC link property: the ddr and ideal backends
-// reject configurations that enable it.
+// reject configurations that enable it. Each backend can also make itself
+// an exact copy of another of its kind (CopyFrom): that is all a system
+// snapshot needs from the memory device.
 package membackend
 
 import (
@@ -56,10 +58,6 @@ func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
 // Kinds lists the recognized backend names for usage messages.
 func Kinds() []string { return kinds.List() }
 
-// Snapshot is an opaque deep copy of one backend's mutable state. It can
-// only be restored into a backend of the same kind and configuration.
-type Snapshot interface{ backendSnapshot() }
-
 // Backend is the memory device under the coalescer. Implementations are
 // single-goroutine, tick-driven and deterministic: the same submission
 // sequence produces the same completions and statistics.
@@ -76,10 +74,10 @@ type Backend interface {
 	Stats() hmc.Stats
 	// Reset clears all device state and statistics.
 	Reset()
-	// Snapshot deep-copies the backend's mutable state; Restore replays a
-	// snapshot into a backend of identical kind and configuration.
-	Snapshot() Snapshot
-	Restore(Snapshot) error
+	// CopyFrom makes the backend an exact copy of src's mutable state,
+	// writing into its own arrays. src must be of the same kind, which is
+	// checked, and built from the same configuration, which is not.
+	CopyFrom(src Backend) error
 	// DebugLinks renders the transport state for watchdog diagnostics.
 	DebugLinks() string
 	// SetChecker attaches a runtime invariant checker (nil disables).
@@ -108,16 +106,11 @@ func New(kind Kind, cfg hmc.Config) (Backend, error) {
 }
 
 // hmcBackend adapts *hmc.Device to the Backend interface. It is a pure
-// forwarder; hmc cannot implement Backend itself without importing this
-// package for the Snapshot type.
+// forwarder, kept only because Kind returns this package's Kind: hmc
+// cannot import this package, which imports hmc.
 type hmcBackend struct {
 	dev *hmc.Device
 }
-
-// hmcSnapshot wraps the device's own state type.
-type hmcSnapshot struct{ st *hmc.DeviceState }
-
-func (hmcSnapshot) backendSnapshot() {}
 
 func (b *hmcBackend) Kind() Kind { return KindHMC }
 
@@ -133,14 +126,13 @@ func (b *hmcBackend) Stats() hmc.Stats { return b.dev.Stats() }
 
 func (b *hmcBackend) Reset() { b.dev.Reset() }
 
-func (b *hmcBackend) Snapshot() Snapshot { return hmcSnapshot{st: b.dev.Snapshot()} }
-
-func (b *hmcBackend) Restore(s Snapshot) error {
-	hs, ok := s.(hmcSnapshot)
+func (b *hmcBackend) CopyFrom(src Backend) error {
+	s, ok := src.(*hmcBackend)
 	if !ok {
-		return fmt.Errorf("membackend: %v snapshot restored into hmc backend", kindOf(s))
+		return kindMismatch(src, KindHMC)
 	}
-	return b.dev.Restore(hs.st)
+	b.dev.CopyFrom(s.dev)
+	return nil
 }
 
 func (b *hmcBackend) DebugLinks() string { return b.dev.DebugLinks() }
@@ -149,31 +141,9 @@ func (b *hmcBackend) SetChecker(c *invariant.Checker) { b.dev.SetChecker(c) }
 
 func (b *hmcBackend) CheckConservation(tick uint64) error { return b.dev.CheckConservation(tick) }
 
-// Device exposes the wrapped HMC device for callers that need HMC-only
-// surface (fault statistics, link inspection).
-func (b *hmcBackend) Device() *hmc.Device { return b.dev }
-
-// HMCDevice unwraps a Backend to its *hmc.Device when the backend is the
-// HMC model, for callers needing HMC-only surface.
-func HMCDevice(b Backend) (*hmc.Device, bool) {
-	hb, ok := b.(*hmcBackend)
-	if !ok {
-		return nil, false
-	}
-	return hb.dev, true
-}
-
-// kindOf names a snapshot's origin kind for mismatch diagnostics.
-func kindOf(s Snapshot) Kind {
-	switch s.(type) {
-	case hmcSnapshot:
-		return KindHMC
-	case ddrSnapshot:
-		return KindDDR
-	case idealSnapshot:
-		return KindIdeal
-	}
-	return Kind(-1)
+// kindMismatch is CopyFrom's error for a source of another kind.
+func kindMismatch(src Backend, into Kind) error {
+	return fmt.Errorf("membackend: cannot copy a %v backend into a %v backend", src.Kind(), into)
 }
 
 // validateRequest applies the packet-interface rules every backend shares:

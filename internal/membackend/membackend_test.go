@@ -203,36 +203,39 @@ func TestDDRSlowerThanIdeal(t *testing.T) {
 	}
 }
 
+// newBackend builds a default-configured backend of kind k.
+func newBackend(t *testing.T, k Kind) Backend {
+	t.Helper()
+	b, err := New(k, hmc.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for _, k := range []Kind{KindHMC, KindDDR, KindIdeal} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			a, err := New(k, hmc.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := newBackend(t, k)
 			submitPattern(t, a, 100)
-			snap := a.Snapshot()
-			// Continue the original past the snapshot point, then restore a
-			// fresh backend and replay the identical suffix on both.
-			fresh, err := New(k, hmc.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.Restore(snap); err != nil {
-				t.Fatalf("Restore: %v", err)
+			// Continue the original past the copy point, then replay the
+			// identical suffix on the copy.
+			fresh := newBackend(t, k)
+			if err := fresh.CopyFrom(a); err != nil {
+				t.Fatalf("CopyFrom: %v", err)
 			}
 			da := submitPattern(t, a, 100)
 			df := submitPattern(t, fresh, 100)
 			if !reflect.DeepEqual(da, df) {
-				t.Fatalf("%v: post-restore completions diverge", k)
+				t.Fatalf("%v: post-copy completions diverge", k)
 			}
 			sa, sf := a.Stats(), fresh.Stats()
 			if !reflect.DeepEqual(sa, sf) {
-				t.Fatalf("%v: post-restore stats diverge:\n%+v\n%+v", k, sa, sf)
+				t.Fatalf("%v: post-copy stats diverge:\n%+v\n%+v", k, sa, sf)
 			}
 			if fmt.Sprintf("%v", a.DebugLinks()) != fmt.Sprintf("%v", fresh.DebugLinks()) {
-				t.Fatalf("%v: DebugLinks diverge after restore:\n%s\n%s", k, a.DebugLinks(), fresh.DebugLinks())
+				t.Fatalf("%v: DebugLinks diverge after copy:\n%s\n%s", k, a.DebugLinks(), fresh.DebugLinks())
 			}
 		})
 	}
@@ -240,62 +243,38 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	for _, k := range []Kind{KindHMC, KindDDR, KindIdeal} {
-		b, err := New(k, hmc.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := newBackend(t, k)
 		submitPattern(t, b, 50)
-		snap := b.Snapshot()
+		snap := newBackend(t, k)
+		if err := snap.CopyFrom(b); err != nil {
+			t.Fatalf("%v: CopyFrom: %v", k, err)
+		}
 		before := b.Stats()
-		submitPattern(t, b, 50) // mutate past the snapshot
-		if err := b.Restore(snap); err != nil {
-			t.Fatalf("%v: Restore: %v", k, err)
+		submitPattern(t, b, 50) // mutate past the copy
+		if err := b.CopyFrom(snap); err != nil {
+			t.Fatalf("%v: CopyFrom back: %v", k, err)
 		}
 		after := b.Stats()
 		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("%v: snapshot aliased live state:\n%+v\n%+v", k, before, after)
+			t.Fatalf("%v: copy aliased live state:\n%+v\n%+v", k, before, after)
 		}
 	}
 }
 
 func TestRestoreKindMismatch(t *testing.T) {
 	kinds := []Kind{KindHMC, KindDDR, KindIdeal}
-	snaps := make([]Snapshot, len(kinds))
+	srcs := make([]Backend, len(kinds))
 	for i, k := range kinds {
-		b, err := New(k, hmc.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps[i] = b.Snapshot()
+		srcs[i] = newBackend(t, k)
 	}
 	for i, k := range kinds {
-		b, err := New(k, hmc.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := newBackend(t, k)
 		for j := range kinds {
-			err := b.Restore(snaps[j])
+			err := b.CopyFrom(srcs[j])
 			if (i == j) != (err == nil) {
-				t.Errorf("restore %v snapshot into %v backend: err = %v", kinds[j], k, err)
+				t.Errorf("copy %v backend into %v backend: err = %v", kinds[j], k, err)
 			}
 		}
-	}
-}
-
-func TestHMCDeviceUnwrap(t *testing.T) {
-	b, err := New(KindHMC, hmc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev, ok := HMCDevice(b); !ok || dev == nil {
-		t.Errorf("HMCDevice failed to unwrap the hmc backend")
-	}
-	d, err := New(KindDDR, hmc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := HMCDevice(d); ok {
-		t.Errorf("HMCDevice unwrapped a ddr backend")
 	}
 }
 

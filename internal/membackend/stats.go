@@ -21,14 +21,6 @@ type statsCore struct {
 	chkDeliveredB uint64
 }
 
-// statsCoreState is the snapshot form of a statsCore.
-type statsCoreState struct {
-	sizeHist      []uint64
-	stats         hmc.Stats
-	chkIssuedB    uint64
-	chkDeliveredB uint64
-}
-
 func (s *statsCore) init(cfg hmc.Config) {
 	s.sizeHist = make([]uint64, cfg.BlockBytes/hmc.FlitBytes+1)
 	s.stats = hmc.Stats{VaultRequests: make([]uint64, 1)}
@@ -88,26 +80,15 @@ func (s *statsCore) reset() {
 	s.chkIssuedB, s.chkDeliveredB = 0, 0
 }
 
-func (s *statsCore) save() statsCoreState {
-	st := statsCoreState{
-		sizeHist:      append([]uint64(nil), s.sizeHist...),
-		stats:         s.stats,
-		chkIssuedB:    s.chkIssuedB,
-		chkDeliveredB: s.chkDeliveredB,
-	}
-	st.stats.VaultRequests = append([]uint64(nil), s.stats.VaultRequests...)
-	return st
-}
-
-func (s *statsCore) restore(st statsCoreState) error {
-	copy(s.sizeHist, st.sizeHist)
+// copyFrom copies src's counters into s's own arrays; the checker stays s's.
+func (s *statsCore) copyFrom(src *statsCore) {
+	copy(s.sizeHist, src.sizeHist)
 	vaults := s.stats.VaultRequests
-	s.stats = st.stats
+	s.stats = src.stats
 	s.stats.VaultRequests = vaults
-	copy(s.stats.VaultRequests, st.stats.VaultRequests)
-	s.chkIssuedB = st.chkIssuedB
-	s.chkDeliveredB = st.chkDeliveredB
-	return nil
+	copy(vaults, src.stats.VaultRequests)
+	s.chkIssuedB = src.chkIssuedB
+	s.chkDeliveredB = src.chkDeliveredB
 }
 
 // checkConservation audits that every issued byte was delivered — these

@@ -651,11 +651,10 @@ func describe(out Outcome) string {
 }
 
 // TestLookupMatchesCoversScan runs a seeded random mix of Insert, Complete
-// and SaveState/RestoreState on a small file. After every call the match
-// keys must mirror the entries and lookup must return what a brute-force
-// covers scan returns for every line of the touched block. Each restore
-// goes into a fresh file with live entries of its own, and the restored
-// file then runs in lockstep with the original: every Insert outcome, every
+// and CopyFrom on a small file. After every call the match keys must
+// mirror the entries and lookup must return what a brute-force covers scan
+// returns for every line of the touched block. Each copy goes into a fresh
+// file with live entries of its own, and the copy then runs in lockstep with the original: every Insert outcome, every
 // Complete and the statistics must agree.
 func TestLookupMatchesCoversScan(t *testing.T) {
 	cfg := DefaultConfig()
@@ -722,7 +721,6 @@ func TestLookupMatchesCoversScan(t *testing.T) {
 				checkKeys(t, op, g, block)
 			}
 		default:
-			snap := f.SaveState()
 			fresh := newFile()
 			for j := 0; j < 3; j++ {
 				base, lines, write, targets := insert()
@@ -730,9 +728,7 @@ func TestLookupMatchesCoversScan(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := fresh.RestoreState(snap); err != nil {
-				t.Fatal(err)
-			}
+			fresh.CopyFrom(f)
 			files = []*File{f, fresh}
 			restores++
 			for block := uint64(0); block < 5; block++ {
@@ -748,8 +744,8 @@ func TestLookupMatchesCoversScan(t *testing.T) {
 	}
 }
 
-// TestRestoreGrownSubentries pins that a snapshot restores into a fresh
-// file even when a fresh allocation took more waiters than MaxSubentries
+// TestRestoreGrownSubentries pins that CopyFrom into a fresh file copies
+// every entry even when a fresh allocation took more waiters than MaxSubentries
 // (its chunk's whole target list), growing the entry's backing as the
 // original did.
 func TestRestoreGrownSubentries(t *testing.T) {
@@ -762,9 +758,7 @@ func TestRestoreGrownSubentries(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := newFile(t)
-	if err := g.RestoreState(f.SaveState()); err != nil {
-		t.Fatal(err)
-	}
+	g.CopyFrom(f)
 	if got, want := fmt.Sprintf("%+v", g.Entries()), fmt.Sprintf("%+v", f.Entries()); got != want {
 		t.Fatalf("restored entries %s, want %s", got, want)
 	}

@@ -164,16 +164,6 @@ func analyzePayload(h *cache.Hierarchy, m *trace.Merger, width int) (PayloadAnal
 	return res, nil
 }
 
-// PayloadDistribution returns only the Figure 10 histogram; see
-// AnalyzePayload for the full study.
-func PayloadDistribution(hier cache.HierarchyConfig, accs []trace.Access, width int) (map[uint32]uint64, error) {
-	a, err := AnalyzePayload(hier, accs, width)
-	if err != nil {
-		return nil, err
-	}
-	return a.Hist, nil
-}
-
 func roundUp16(b uint32) uint32 {
 	if b == 0 {
 		return 16

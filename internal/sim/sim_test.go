@@ -180,10 +180,11 @@ func TestStallAccounting(t *testing.T) {
 
 func TestPayloadDistribution(t *testing.T) {
 	accs := genTrace(t, "HPCG", 2000)
-	hist, err := PayloadDistribution(DefaultConfig().Hierarchy, accs, 16)
+	a, err := AnalyzePayload(DefaultConfig().Hierarchy, accs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hist := a.Hist
 	if len(hist) == 0 {
 		t.Fatal("empty distribution")
 	}
@@ -213,7 +214,7 @@ func TestPayloadDistribution(t *testing.T) {
 func TestPayloadDistributionValidation(t *testing.T) {
 	cfg := DefaultConfig().Hierarchy
 	cfg.CPUs = 0
-	if _, err := PayloadDistribution(cfg, nil, 16); err == nil {
+	if _, err := AnalyzePayload(cfg, nil, 16); err == nil {
 		t.Fatal("bad hierarchy accepted")
 	}
 }
