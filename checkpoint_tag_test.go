@@ -131,7 +131,7 @@ func TestStrideCheckpointIgnoresFrontendOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := ckptSize(t, ckpt)
-	got, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Checkpoint: ckpt, Frontend: FrontendWarp, Sched: SchedHetero})
+	got, err := presetOut[[]StrideRun]("stride", "runs", "", p, SweepOptions{Checkpoint: ckpt, Variant: Variant{Frontend: FrontendWarp, Sched: SchedHetero}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,7 @@ import (
 	"hmccoal"
 	"hmccoal/internal/dsweep"
 	"hmccoal/internal/profiling"
+	"hmccoal/internal/sim"
 	"hmccoal/internal/trace"
 )
 
@@ -146,13 +147,12 @@ func run(argv []string) int {
 		exectrace  = fs.String("exectrace", "", "write a runtime execution trace to this file (-trace is taken by replay)")
 		checks     = fs.Bool("checks", false, "enable the runtime invariant checker in every simulation (results identical; violations become errors)")
 		checkpoint = fs.String("checkpoint", "", "JSONL checkpoint base path: each sweep persists completed jobs to <base>.<sweep> and resumes from it")
-		backend    = fs.String("backend", "hmc", "memory backend behind the coalescer: hmc, ddr or ideal")
-		frontendF  = fs.String("frontend", "two-phase", "coalescing front-end between the LLC and the backend: two-phase or warp")
-		sched      = fs.String("sched", "frfcfs", "issue policy inside the front-end: frfcfs or hetero")
 		runBench   = fs.String("run", "", "run one benchmark once (two-phase) and print its summary; combines with -backend, -faults and -snapshot-at")
 		snapshotAt = fs.Uint64("snapshot-at", 0, "with -run: snapshot at this tick, restore into a fresh system, and finish from the snapshot — the summary is byte-identical to the uninterrupted run")
 		faults     = fs.String("faults", "", "with -run: link fault injection (hmc backend only), e.g. seed=1,ber=1e-6[,drop=1e-7][,retries=3]")
 	)
+	var v hmccoal.Variant
+	sim.RegisterVariantFlags(fs, &v)
 	var serve dsweep.ServeFlags
 	serve.Register(fs, "coordinate distributed sweeps: listen on this TCP address and ship sweep job groups to hmcsweepd workers instead of simulating locally")
 	if err := fs.Parse(argv); err != nil {
@@ -179,11 +179,6 @@ func run(argv []string) int {
 	// stops handing out groups.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	kind, feKind, schedKind, err := hmccoal.ParseSimAxes(*backend, *frontendF, *sched)
-	if err != nil {
-		return usageErr(err)
-	}
 
 	var dispatch hmccoal.Dispatcher
 	// Coordinator chatter goes to stderr, keeping stdout byte-identical to
@@ -216,11 +211,11 @@ func run(argv []string) int {
 		if err != nil {
 			return usageErr(fmt.Errorf("-faults: %w", err))
 		}
-		if kind != hmccoal.BackendHMC && faultCfg.Enabled() {
-			return usageErr(fmt.Errorf("fault injection is HMC-only; -backend must be hmc, not %v", kind))
+		if v.Backend != hmccoal.BackendHMC && faultCfg.Enabled() {
+			return usageErr(fmt.Errorf("fault injection is HMC-only; -backend must be hmc, not %v", v.Backend))
 		}
 		p := hmccoal.TraceParams{CPUs: *cpus, OpsPerCPU: *ops, Seed: *seed}
-		if err := runOnce(*runBench, p, kind, feKind, schedKind, faultCfg, *checks, *snapshotAt); err != nil {
+		if err := runOnce(*runBench, p, v, faultCfg, *checks, *snapshotAt); err != nil {
 			return runErr(err)
 		}
 		return 0
@@ -231,7 +226,7 @@ func run(argv []string) int {
 		if err != nil {
 			return usageErr(err)
 		}
-		if err := replayTrace(accs, *cpus, *checks, *asJSON); err != nil {
+		if err := replayTrace(accs, *cpus, v, *checks, *asJSON); err != nil {
 			return runErr(err)
 		}
 		return 0
@@ -263,8 +258,7 @@ func run(argv []string) int {
 	}
 
 	opts := func(tag string) hmccoal.SweepOptions {
-		opt := sweepOptions(*workers, *checks, *checkpoint, tag, kind)
-		opt.Frontend, opt.Sched = feKind, schedKind
+		opt := sweepOptions(*workers, *checks, *checkpoint, tag, v)
 		opt.Dispatch = dispatch
 		return opt
 	}
@@ -292,7 +286,7 @@ func run(argv []string) int {
 	}
 
 	outs := map[string]map[string]any{}
-	title := strings.NewReplacer("{bench}", *bench, "{backend}", kind.String())
+	title := strings.NewReplacer("{bench}", *bench, "{backend}", v.Backend.String())
 	for _, f := range figs {
 		if f.preset != "" && outs[f.preset] == nil {
 			out, err := presets[f.preset].Run(ctx, specs[f.preset], opts(f.preset))
@@ -323,9 +317,9 @@ func loadTrace(path string) ([]trace.Access, error) {
 	return trace.Merge(accs), nil // captured traces may be loosely ordered
 }
 
-// replayTrace runs a captured trace under the conventional MHA and the
-// memory coalescer and prints both summaries.
-func replayTrace(accs []trace.Access, cpus int, checks, asJSON bool) error {
+// replayTrace runs a captured trace on machine v under the conventional
+// MHA and the memory coalescer and prints both summaries.
+func replayTrace(accs []trace.Access, cpus int, v hmccoal.Variant, checks, asJSON bool) error {
 	if !asJSON {
 		fmt.Println(trace.Summarize(accs))
 	}
@@ -334,6 +328,7 @@ func replayTrace(accs []trace.Access, cpus int, checks, asJSON bool) error {
 		cfg := hmccoal.DefaultConfig()
 		cfg.Hierarchy.CPUs = cpus
 		cfg.Mode = mode
+		cfg.Variant = v
 		cfg.Checks = checks
 		sys, err := hmccoal.NewSystem(cfg)
 		if err != nil {
@@ -359,13 +354,12 @@ func replayTrace(accs []trace.Access, cpus int, checks, asJSON bool) error {
 	return nil
 }
 
-// runOnce runs one benchmark once under the two-phase coalescer on the
-// chosen backend and prints its summary. With snapAt > 0 the run is
-// snapshotted at that tick, restored into a fresh system, and finished
-// from the snapshot — stdout is byte-identical to the uninterrupted run
-// (snapshot details go to stderr), which is exactly what the CI
-// determinism check diffs.
-func runOnce(bench string, p hmccoal.TraceParams, kind hmccoal.BackendKind, fe hmccoal.FrontendKind, sched hmccoal.SchedKind, faultCfg hmccoal.FaultConfig, checks bool, snapAt uint64) error {
+// runOnce runs one benchmark once in two-phase mode on machine v and
+// prints its summary. With snapAt > 0 the run is snapshotted at that
+// tick, restored into a fresh system, and finished from the snapshot —
+// stdout is byte-identical to the uninterrupted run (snapshot details go
+// to stderr), which is exactly what the CI determinism check diffs.
+func runOnce(bench string, p hmccoal.TraceParams, v hmccoal.Variant, faultCfg hmccoal.FaultConfig, checks bool, snapAt uint64) error {
 	accs, err := hmccoal.GenerateTrace(bench, p)
 	if err != nil {
 		return err
@@ -373,9 +367,7 @@ func runOnce(bench string, p hmccoal.TraceParams, kind hmccoal.BackendKind, fe h
 	cfg := hmccoal.DefaultConfig()
 	cfg.Hierarchy.CPUs = p.CPUs
 	cfg.Mode = hmccoal.ModeTwoPhase
-	cfg.Backend = kind
-	cfg.Frontend = fe
-	cfg.Sched = sched
+	cfg.Variant = v
 	cfg.Checks = checks
 	cfg.HMC.Fault = faultCfg
 	sys, err := hmccoal.NewSystem(cfg)
@@ -397,9 +389,9 @@ func runOnce(bench string, p hmccoal.TraceParams, kind hmccoal.BackendKind, fe h
 	}
 	// The default front-end keeps the historical title, so determinism
 	// checks diffing default-run stdout stay byte-identical.
-	title := fmt.Sprintf("%s on the %v backend (two-phase)", bench, kind)
-	if fe != hmccoal.FrontendTwoPhase || sched != hmccoal.SchedFRFCFS {
-		title = fmt.Sprintf("%s on the %v backend (%v front-end, %v)", bench, kind, fe, sched)
+	title := fmt.Sprintf("%s on the %v backend (two-phase)", bench, v.Backend)
+	if v.Frontend != hmccoal.FrontendTwoPhase || v.Sched != hmccoal.SchedFRFCFS {
+		title = fmt.Sprintf("%s on the %v backend (%v front-end, %v)", bench, v.Backend, v.Frontend, v.Sched)
 	}
 	section(title)
 	fmt.Print(res.Summary())
@@ -446,16 +438,16 @@ func runViaSnapshot(sys *hmccoal.System, cfg hmccoal.Config, accs []hmccoal.Acce
 	}
 }
 
-// sweepOptions wires the worker count, the invariant-checker toggle and
-// a stderr progress meter into a parallel sweep. Progress goes to stderr
-// only, so stdout stays byte-identical at any worker count. Each sweep
-// grid gets its own checkpoint file (<base>.<tag>) so resumes never mix
-// grids.
-func sweepOptions(workers int, checks bool, checkpoint, tag string, backend hmccoal.BackendKind) hmccoal.SweepOptions {
+// sweepOptions wires the worker count, the invariant-checker toggle, the
+// machine and a stderr progress meter into a parallel sweep. Progress goes
+// to stderr only, so stdout stays byte-identical at any worker count. Each
+// sweep grid gets its own checkpoint file (<base>.<tag>) so resumes never
+// mix grids.
+func sweepOptions(workers int, checks bool, checkpoint, tag string, v hmccoal.Variant) hmccoal.SweepOptions {
 	opt := hmccoal.SweepOptions{
 		Workers: workers,
 		Checks:  checks,
-		Backend: backend,
+		Variant: v,
 		Progress: func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d simulations", done, total)
 		},

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hmccoal"
+	"hmccoal/internal/trace"
 )
 
 // TestFlagValidation pins the usage exit code for malformed parallelism
@@ -51,23 +56,92 @@ func TestFigureGridDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole figure grid")
 	}
+	text := runStdout(t, "-fig", "all", "-ops", "600", "-cpus", "4")
+	if sum := sha256.Sum256(text); hex.EncodeToString(sum[:]) != figureGridDigest {
+		t.Errorf("-fig all digest %x, want %s; output:\n%s", sum, figureGridDigest, text)
+	}
+}
+
+// runStdout runs the command and returns its stdout; stderr, where the
+// progress meter goes, is discarded. A non-zero exit fails the test.
+func runStdout(t *testing.T, argv ...string) []byte {
+	t.Helper()
 	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
 	stdout, stderr := os.Stdout, os.Stderr
-	os.Stdout, os.Stderr = out, nil // the progress meter goes to stderr
-	code := run([]string{"-fig", "all", "-ops", "600", "-cpus", "4"})
+	os.Stdout, os.Stderr = out, nil
+	code := run(argv)
 	os.Stdout, os.Stderr = stdout, stderr
 	if code != 0 {
-		t.Fatalf("exit %d", code)
+		t.Fatalf("%v: exit %d", argv, code)
 	}
 	text, err := os.ReadFile(out.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := sha256.Sum256(text); hex.EncodeToString(sum[:]) != figureGridDigest {
-		t.Errorf("-fig all digest %x, want %s; output:\n%s", sum, figureGridDigest, text)
+	return text
+}
+
+// TestReplayHonoursVariant replays one captured trace with and without
+// -backend/-frontend/-sched: each -json output must be System.Run's
+// results on that machine, so the two replays differ.
+func TestReplayHonoursVariant(t *testing.T) {
+	accs, err := hmccoal.GenerateTrace("FT", hmccoal.TraceParams{CPUs: 4, OpsPerCPU: 300, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ft.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := trace.NewWriter(f)
+	if err := w.WriteAll(accs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if accs, err = loadTrace(path); err != nil {
+		t.Fatal(err)
+	}
+	want := func(v hmccoal.Variant) []byte {
+		results := map[string]hmccoal.Result{}
+		for _, mode := range []hmccoal.Mode{hmccoal.ModeBaseline, hmccoal.ModeTwoPhase} {
+			cfg := hmccoal.DefaultConfig()
+			cfg.Hierarchy.CPUs = 4
+			cfg.Mode = mode
+			cfg.Variant = v
+			sys, err := hmccoal.NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if results[mode.String()], err = sys.Run(accs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(results); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	def := runStdout(t, "-trace", path, "-cpus", "4", "-json")
+	alt := runStdout(t, "-trace", path, "-cpus", "4", "-json", "-backend", "ddr", "-frontend", "warp", "-sched", "hetero")
+	if !bytes.Equal(def, want(hmccoal.Variant{})) {
+		t.Error("default replay differs from System.Run on the default machine")
+	}
+	if !bytes.Equal(alt, want(hmccoal.Variant{Backend: hmccoal.BackendDDR, Frontend: hmccoal.FrontendWarp, Sched: hmccoal.SchedHetero})) {
+		t.Error("ddr/warp/hetero replay differs from System.Run on that machine")
+	}
+	if bytes.Equal(def, alt) {
+		t.Error("ddr/warp/hetero replay is byte-identical to the default: the flags are not reaching the replay")
 	}
 }

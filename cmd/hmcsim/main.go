@@ -57,7 +57,6 @@ func run(argv []string) int {
 		requests  = fs.Int("n", 100000, "number of requests")
 		seed      = fs.Int64("seed", 1, "random seed")
 		workers   = fs.Int("workers", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
-		backend   = fs.String("backend", "hmc", "memory backend: hmc, ddr or ideal")
 		frontendF = fs.String("frontend", "", "route the pattern through a coalescing front-end before the device: two-phase or warp ('' = raw device traffic)")
 		schedF    = fs.String("sched", "", "with -frontend: issue policy inside the front-end, frfcfs or hetero")
 		faults    = fs.String("faults", "", "link fault injection (hmc backend only), e.g. seed=1,ber=1e-6[,drop=1e-7][,retries=3]")
@@ -66,6 +65,8 @@ func run(argv []string) int {
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 		exectrace  = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
+	var kind membackend.Kind
+	fs.TextVar(&kind, "backend", kind, "memory backend: hmc, ddr or ideal")
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -80,21 +81,17 @@ func run(argv []string) int {
 	if err != nil {
 		return usageErr(fmt.Errorf("-faults: %w", err))
 	}
-	kind, err := membackend.ParseKind(*backend)
-	if err != nil {
-		return usageErr(err)
-	}
 	if *frontendF == "" && *schedF != "" {
 		return usageErr(errors.New("-sched only applies with -frontend"))
 	}
 	if *frontendF != "" && *sizeSweep {
 		return usageErr(errors.New("-frontend only applies to pattern runs, not -sweep"))
 	}
-	feKind, err := coalescer.ParseKind(*frontendF)
+	fe, err := coalescer.ParseKind(*frontendF)
 	if err != nil {
 		return usageErr(err)
 	}
-	schedKind, err := coalescer.ParseSched(*schedF)
+	sched, err := coalescer.ParseSched(*schedF)
 	if err != nil {
 		return usageErr(err)
 	}
@@ -168,7 +165,7 @@ func run(argv []string) int {
 	}
 	var drv *coalescedDriver
 	if *frontendF != "" {
-		drv, err = newCoalescedDriver(feKind, schedKind, dev)
+		drv, err = newCoalescedDriver(fe, sched, dev)
 		if err != nil {
 			return usageErr(err)
 		}
@@ -206,7 +203,7 @@ func run(argv []string) int {
 		last = max(last, drv.last)
 		fs := drv.fr.Stats()
 		fmt.Printf("front-end %v (%v): %d line requests -> %d memory packets (%.2f%% coalescing efficiency)\n",
-			feKind, schedKind, fs.Requests, fs.HMCRequests, 100*fs.CoalescingEfficiency())
+			fe, sched, fs.Requests, fs.HMCRequests, 100*fs.CoalescingEfficiency())
 	}
 
 	s := dev.Stats()

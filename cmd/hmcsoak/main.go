@@ -22,8 +22,7 @@ import (
 	"os/signal"
 	"time"
 
-	"hmccoal/internal/coalescer"
-	"hmccoal/internal/membackend"
+	"hmccoal/internal/sim"
 	"hmccoal/internal/soak"
 )
 
@@ -39,19 +38,18 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("hmcsoak", flag.ContinueOnError)
 	var (
-		seed      = fs.Int64("seed", 1, "soak seed; the whole scenario grid is a pure function of it")
-		runs      = fs.Int("runs", 50, "number of scenarios to run")
-		workers   = fs.Int("workers", 0, "worker pool size (0 = all cores)")
-		timeout   = fs.Duration("timeout", 2*time.Minute, "per-scenario wall-clock budget (0 = unbounded)")
-		reproDir  = fs.String("repro-dir", "testdata/repros", "directory for shrunken repro files ('' disables)")
-		budget    = fs.Int("shrink-budget", soak.DefaultShrinkBudget, "max re-runs the shrinker may spend per failure")
-		replay    = fs.String("replay", "", "replay a repro JSON file instead of soaking")
-		ckpt      = fs.String("checkpoint", "", "JSONL checkpoint file: completed scenarios persist and an interrupted campaign resumes from it")
-		backend   = fs.String("backend", "hmc", "memory backend to soak: hmc, ddr or ideal")
-		frontendF = fs.String("frontend", "two-phase", "coalescing front-end to soak: two-phase or warp")
-		sched     = fs.String("sched", "frfcfs", "issue policy inside the front-end: frfcfs or hetero")
-		verbose   = fs.Bool("v", false, "print per-scenario progress")
+		seed     = fs.Int64("seed", 1, "soak seed; the whole scenario grid is a pure function of it")
+		runs     = fs.Int("runs", 50, "number of scenarios to run")
+		workers  = fs.Int("workers", 0, "worker pool size (0 = all cores)")
+		timeout  = fs.Duration("timeout", 2*time.Minute, "per-scenario wall-clock budget (0 = unbounded)")
+		reproDir = fs.String("repro-dir", "testdata/repros", "directory for shrunken repro files ('' disables)")
+		budget   = fs.Int("shrink-budget", soak.DefaultShrinkBudget, "max re-runs the shrinker may spend per failure")
+		replay   = fs.String("replay", "", "replay a repro JSON file instead of soaking")
+		ckpt     = fs.String("checkpoint", "", "JSONL checkpoint file: completed scenarios persist and an interrupted campaign resumes from it")
+		verbose  = fs.Bool("v", false, "print per-scenario progress")
 	)
+	var v sim.Variant
+	sim.RegisterVariantFlags(fs, &v)
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -76,26 +74,10 @@ func run(argv []string) int {
 		return exitUsage
 	}
 
-	kind, err := membackend.ParseKind(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
-		return exitUsage
-	}
-	feKind, err := coalescer.ParseKind(*frontendF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
-		return exitUsage
-	}
-	schedKind, err := coalescer.ParseSched(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hmcsoak:", err)
-		return exitUsage
-	}
-
 	opts := soak.Options{
 		Seed: *seed, Runs: *runs, Workers: *workers,
 		JobTimeout: *timeout, ReproDir: *reproDir, ShrinkBudget: *budget,
-		Backend: kind, Frontend: feKind, Sched: schedKind, Checkpoint: *ckpt,
+		Variant: v, Checkpoint: *ckpt,
 	}
 	if *verbose {
 		opts.Progress = func(done, total int) {

@@ -59,6 +59,11 @@ type (
 	// (Config.HMC.Fault): seeded bit error rate, drop rate and retry
 	// budget. The zero value disables injection entirely.
 	FaultConfig = fault.Config
+	// Variant selects the simulated machine beyond the paper's knobs
+	// (Config.Variant): memory backend, coalescing front-end and issue
+	// policy. Each field spells itself as its CLI flag does in JSON and
+	// flag.TextVar; the zero value is the paper's machine.
+	Variant = sim.Variant
 	// BackendKind selects the memory device behind the coalescer
 	// (Config.Backend): the HMC model, a DDR-like single-channel baseline,
 	// or an ideal zero-contention device. The zero value is the HMC.
@@ -116,42 +121,6 @@ const (
 	// SchedHetero favors criticality-hinted requests and starved lanes.
 	SchedHetero = coalescer.SchedHetero
 )
-
-// ParseBackend resolves a backend name ("hmc", "ddr", "ideal"; "" is the
-// HMC default) for CLI flags.
-func ParseBackend(s string) (BackendKind, error) { return membackend.ParseKind(s) }
-
-// Backends lists the selectable backend names.
-func Backends() []string { return membackend.Kinds() }
-
-// ParseFrontend resolves a front-end name ("two-phase", "warp"; "" is the
-// two-phase default) for CLI flags.
-func ParseFrontend(s string) (FrontendKind, error) { return coalescer.ParseKind(s) }
-
-// Frontends lists the selectable front-end names.
-func Frontends() []string { return coalescer.Kinds() }
-
-// ParseSched resolves a scheduler name ("frfcfs", "hetero"; "" is the
-// FR-FCFS default) for CLI flags.
-func ParseSched(s string) (SchedKind, error) { return coalescer.ParseSched(s) }
-
-// Scheds lists the selectable scheduler names.
-func Scheds() []string { return coalescer.Scheds() }
-
-// ParseSimAxes resolves a run's backend, front-end and scheduler names,
-// in that order ("" selects each default), and returns the first error.
-func ParseSimAxes(backend, frontend, sched string) (BackendKind, FrontendKind, SchedKind, error) {
-	b, err := ParseBackend(backend)
-	if err != nil {
-		return b, 0, 0, err
-	}
-	f, err := ParseFrontend(frontend)
-	if err != nil {
-		return b, f, 0, err
-	}
-	s, err := ParseSched(sched)
-	return b, f, s, err
-}
 
 // ParseFaultFlag decodes the shared -faults CLI syntax ("seed=1,ber=1e-6,
 // drop=1e-7,retries=3"); an empty string disables injection.

@@ -63,6 +63,11 @@ func (k Kind) String() string { return kinds.String(k) }
 // Validate rejects kinds no gather stage exists for.
 func (k Kind) Validate() error { return kinds.Validate(k) }
 
+// MarshalText and UnmarshalText spell the kind as the -frontend flag
+// does, for JSON and flag.TextVar; "" parses as the two-phase default.
+func (k Kind) MarshalText() ([]byte, error)     { return kinds.MarshalText(k) }
+func (k *Kind) UnmarshalText(text []byte) error { return kinds.UnmarshalText(k, text) }
+
 // ParseKind maps a -frontend flag value to a Kind. The empty string means
 // the default two-phase coalescer.
 func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
@@ -97,6 +102,11 @@ func (s Sched) String() string { return scheds.String(s) }
 
 // Validate rejects scheduler values no issue path exists for.
 func (s Sched) Validate() error { return scheds.Validate(s) }
+
+// MarshalText and UnmarshalText spell the scheduler as the -sched flag
+// does, for JSON and flag.TextVar; "" parses as the FR-FCFS default.
+func (s Sched) MarshalText() ([]byte, error)     { return scheds.MarshalText(s) }
+func (s *Sched) UnmarshalText(text []byte) error { return scheds.UnmarshalText(s, text) }
 
 // ParseSched maps a -sched flag value to a Sched. The empty string means
 // the default FR-FCFS policy.

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hmccoal/internal/splitmix"
 )
 
 // GroupRunner executes one sweep job group on the worker: spec is the
@@ -373,25 +375,16 @@ func backoffJitter(seed uint64, attempt int, base time.Duration) time.Duration {
 	if base <= 1 {
 		return 0
 	}
-	return time.Duration(splitmix64(seed^uint64(attempt)) % uint64(base/2))
+	return time.Duration(splitmix.Hash(seed^uint64(attempt)) % uint64(base/2))
 }
 
 // slotSeed hashes a slot name into its jitter seed.
 func slotSeed(name string) uint64 {
 	h := uint64(len(name))
 	for i := 0; i < len(name); i++ {
-		h = splitmix64(h ^ uint64(name[i]))
+		h = splitmix.Hash(h ^ uint64(name[i]))
 	}
 	return h
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator — the same
-// cheap hash internal/fault and internal/netchaos draw from.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // enableKeepAlive turns on TCP keepalives so a half-open peer (machine

@@ -54,3 +54,22 @@ func (t Table[T]) Parse(s string) (T, error) {
 
 // List returns a copy of the names for usage messages.
 func (t Table[T]) List() []string { return append([]string(nil), t.Names...) }
+
+// MarshalText spells v for JSON and flag.TextVar; a value with no name is
+// an error.
+func (t Table[T]) MarshalText(v T) ([]byte, error) {
+	if err := t.Validate(v); err != nil {
+		return nil, err
+	}
+	return []byte(t.Names[v]), nil
+}
+
+// UnmarshalText parses a spelling into *v, which a rejected spelling
+// leaves unchanged.
+func (t Table[T]) UnmarshalText(v *T, text []byte) error {
+	p, err := t.Parse(string(text))
+	if err == nil {
+		*v = p
+	}
+	return err
+}

@@ -38,3 +38,19 @@ func TestTable(t *testing.T) {
 		t.Error("List exposed the table's backing array")
 	}
 }
+
+func TestTableText(t *testing.T) {
+	if b, err := colors.MarshalText(1); err != nil || string(b) != "green" {
+		t.Errorf("MarshalText(1) = %q, %v", b, err)
+	}
+	if _, err := colors.MarshalText(2); err == nil {
+		t.Error("MarshalText(2) spelled an unnamed value")
+	}
+	v := color(1)
+	if err := colors.UnmarshalText(&v, []byte("blue")); err == nil || v != 1 {
+		t.Errorf("UnmarshalText(blue) = %v, left %v; want an error and 1 kept", err, v)
+	}
+	if err := colors.UnmarshalText(&v, nil); err != nil || v != 0 {
+		t.Errorf("UnmarshalText(empty) = %v, %v; want the zero value", v, err)
+	}
+}

@@ -3,9 +3,9 @@
 //
 // Decisions are counter-based rather than stream-based: every draw is a
 // pure function of (seed, link, packet serial, leg, attempt) hashed through
-// splitmix64, so a given packet corrupts or survives identically no matter
-// how many other packets ran before it, which worker of an
-// internal/sweep pool executed the run, or how many times the run is
+// SplitMix64 (internal/splitmix), so a given packet corrupts or survives
+// identically no matter how many other packets ran before it, which worker
+// of an internal/sweep pool executed the run, or how many times the run is
 // repeated. That property is what makes fault sweeps byte-reproducible.
 //
 // Probabilities are pre-baked into 64-bit compare thresholds at injector
@@ -17,6 +17,8 @@ package fault
 import (
 	"fmt"
 	"math"
+
+	"hmccoal/internal/splitmix"
 )
 
 // Default retry-protocol parameters, applied when the corresponding Config
@@ -118,9 +120,9 @@ func NewInjector(cfg Config) Injector {
 	if !in.enabled {
 		return in
 	}
-	in.drop = threshold(cfg.DropRate)
+	in.drop = splitmix.Threshold(cfg.DropRate)
 	for f := 1; f <= maxFlits; f++ {
-		in.corrupt[f] = threshold(1 - math.Pow(1-cfg.BER, float64(f)*128))
+		in.corrupt[f] = splitmix.Threshold(1 - math.Pow(1-cfg.BER, float64(f)*128))
 	}
 	return in
 }
@@ -155,29 +157,7 @@ func (in *Injector) Drop(link int, serial uint64) bool {
 
 // draw hashes the packet identity into a uniform 64-bit value.
 func (in *Injector) draw(link int, serial uint64, leg uint8, attempt int) uint64 {
-	h := splitmix64(in.seed ^ serial)
-	h = splitmix64(h ^ (uint64(link)<<16 | uint64(leg)<<8 | uint64(attempt)))
+	h := splitmix.Hash(in.seed ^ serial)
+	h = splitmix.Hash(h ^ (uint64(link)<<16 | uint64(leg)<<8 | uint64(attempt)))
 	return h
-}
-
-// threshold maps a probability to the 64-bit value below which a uniform
-// draw counts as a hit.
-func threshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	v := math.Ldexp(p, 64)
-	if v >= math.Ldexp(1, 64) {
-		return math.MaxUint64
-	}
-	return uint64(v)
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
-// well-mixed 64-bit hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,21 +156,81 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSweep, Sweep: "timeout", Bench: "no-such-bench"},
 		{Kind: KindSoak},
 		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Ops: -1},
-		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Backend: "no-such-backend"},
-		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Frontend: "no-such-frontend"},
-		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Sched: "no-such-sched"},
-		{Kind: KindSweep, Sweep: "stride", Frontend: "no-such-frontend"},
+		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Variant: hmccoal.Variant{Backend: 7}},
+		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Variant: hmccoal.Variant{Frontend: -1}},
+		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], Variant: hmccoal.Variant{Sched: 2}},
 		// Grids that compile to no runnable job: refused before they
 		// take a slot.
 		{Kind: KindSweep, Sweep: "mshr", Bench: hmccoal.Benchmarks()[0], Entries: []int{0}},
 		{Kind: KindSweep, Sweep: "fault", Bench: hmccoal.Benchmarks()[0], BERs: []float64{2}},
-		{Kind: KindSweep, Sweep: "fault", Bench: hmccoal.Benchmarks()[0], Backend: "ddr"},
+		{Kind: KindSweep, Sweep: "fault", Bench: hmccoal.Benchmarks()[0], Variant: hmccoal.Variant{Backend: hmccoal.BackendDDR}},
 	}
 	for _, spec := range bad {
 		if _, err := d.Submit("t", 0, spec); err == nil {
 			t.Fatalf("bad spec admitted: %+v", spec)
 		} else {
 			wantAdmitCode(t, err, CodeBadSpec)
+		}
+	}
+	// An unknown name cannot reach Submit: the request body fails to
+	// decode, which the server refuses as a bad spec too.
+	srv := httptest.NewServer(NewServer(d))
+	defer srv.Close()
+	bench := hmccoal.Benchmarks()[0]
+	for _, spec := range []string{
+		`{"kind":"single","bench":"` + bench + `","backend":"no-such-backend"}`,
+		`{"kind":"single","bench":"` + bench + `","frontend":"no-such-frontend"}`,
+		`{"kind":"single","bench":"` + bench + `","sched":"no-such-sched"}`,
+		`{"kind":"sweep","frontend":"no-such-frontend","sweep":"stride"}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(`{"tenant":"t","spec":`+spec+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := decodeJSON[map[string]*AdmitError](t, resp)["error"]; resp.StatusCode != http.StatusBadRequest || e == nil || e.Code != CodeBadSpec {
+			t.Fatalf("bad spec %s: status %d, error %+v", spec, resp.StatusCode, e)
+		}
+	}
+}
+
+// TestSpecWireBytes pins the JSON a job spec with a non-default machine
+// encodes to — the submit body and the ledger's submit record — as the
+// string-field spec wrote it, so ledgers written before the typed Variant
+// replay unchanged.
+func TestSpecWireBytes(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		raw  string
+	}{
+		{Spec{Kind: KindSingle, CPUs: 2, Ops: 120, Bench: "FT",
+			Variant: hmccoal.Variant{Backend: hmccoal.BackendDDR, Frontend: hmccoal.FrontendWarp, Sched: hmccoal.SchedHetero}},
+			`{"kind":"single","cpus":2,"ops":120,"bench":"FT","backend":"ddr","frontend":"warp","sched":"hetero"}`},
+		{Spec{Kind: KindSweep, Sweep: "timeout", Bench: "FT", Timeouts: []uint64{16, 24},
+			Variant: hmccoal.Variant{Backend: hmccoal.BackendIdeal, Sched: hmccoal.SchedHetero}},
+			`{"kind":"sweep","bench":"FT","backend":"ideal","sched":"hetero","sweep":"timeout","timeouts":[16,24]}`},
+	} {
+		raw, err := json.Marshal(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != c.raw {
+			t.Errorf("spec encodes to\n %s\nwant\n %s", raw, c.raw)
+		}
+		var back Spec
+		if err := json.Unmarshal([]byte(c.raw), &back); err != nil {
+			t.Fatal(err)
+		}
+		if back.Variant != c.spec.Variant {
+			t.Errorf("%s decodes to %+v", c.raw, back.Variant)
+		}
+	}
+	for _, backend := range []string{`""`, `"hmc"`} {
+		var s Spec
+		if err := json.Unmarshal([]byte(`{"kind":"single","bench":"FT","backend":`+backend+`}`), &s); err != nil {
+			t.Fatalf("backend %s: %v", backend, err)
+		}
+		if s.Variant != (hmccoal.Variant{}) {
+			t.Errorf("backend %s decodes to %+v, want the default", backend, s.Variant)
 		}
 	}
 }

@@ -77,13 +77,9 @@ type Spec struct {
 	// Bench is the benchmark of single jobs and of one-benchmark sweeps
 	// (timeout, mshr, fault).
 	Bench string `json:"bench,omitempty"`
-	// Backend names the memory backend ("" = hmc).
-	Backend string `json:"backend,omitempty"`
-	// Frontend and Sched name the coalescing front-end and its issue
-	// policy ("" are the two-phase / FR-FCFS defaults). The stride sweep
-	// grids both axes itself and ignores them.
-	Frontend string `json:"frontend,omitempty"`
-	Sched    string `json:"sched,omitempty"`
+	// Variant is the machine the job simulates. The stride sweep grids
+	// the front-end and scheduler itself and ignores them.
+	hmccoal.Variant
 
 	// Sweep names the preset grid of KindSweep jobs (see
 	// hmccoal.LookupPreset); Timeouts, Entries and BERs replace the
@@ -105,7 +101,7 @@ func (s Spec) Validate() error {
 	if s.CPUs < 0 || s.Ops < 0 {
 		return fmt.Errorf("jobserv: cpus and ops must be ≥ 0")
 	}
-	if _, _, _, err := hmccoal.ParseSimAxes(s.Backend, s.Frontend, s.Sched); err != nil {
+	if err := s.Variant.Validate(); err != nil {
 		return fmt.Errorf("jobserv: %w", err)
 	}
 	switch s.Kind {
@@ -134,12 +130,9 @@ func (s Spec) Validate() error {
 // that name. The options carry the grid's settings; the executor adds how
 // to run it.
 func (s Spec) sweep() (*hmccoal.Preset, hmccoal.SweepSpec, hmccoal.SweepOptions, error) {
-	var opt hmccoal.SweepOptions
+	opt := hmccoal.SweepOptions{Variant: s.Variant}
 	pr, err := hmccoal.LookupPreset(s.Sweep)
 	if err != nil {
-		return nil, hmccoal.SweepSpec{}, opt, err
-	}
-	if opt.Backend, opt.Frontend, opt.Sched, err = hmccoal.ParseSimAxes(s.Backend, s.Frontend, s.Sched); err != nil {
 		return nil, hmccoal.SweepSpec{}, opt, err
 	}
 	spec, err := pr.Spec(s.Bench, s.params(), opt,

@@ -263,7 +263,7 @@ func TestDrainUnderLoad(t *testing.T) {
 // both finish, and each reruns byte-identically on a fresh daemon.
 func TestFrontendJobsRunToDone(t *testing.T) {
 	specs := []Spec{
-		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], CPUs: 2, Ops: 120, Frontend: "warp", Sched: "hetero"},
+		{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], CPUs: 2, Ops: 120, Variant: hmccoal.Variant{Frontend: hmccoal.FrontendWarp, Sched: hmccoal.SchedHetero}},
 		{Kind: KindSweep, Sweep: "stride", CPUs: 2, Ops: 100},
 	}
 	run := func(d *Daemon) [][]byte {

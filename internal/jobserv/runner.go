@@ -58,17 +58,14 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 	if resume {
 		cfg, accs = ctl.park.cfg, ctl.park.accs
 	} else {
-		backend, fe, sched, err := hmccoal.ParseSimAxes(spec.Backend, spec.Frontend, spec.Sched)
-		if err != nil {
-			return execOutcome{err: err}
-		}
+		var err error
 		accs, err = hmccoal.GenerateTrace(spec.Bench, spec.params())
 		if err != nil {
 			return execOutcome{err: err}
 		}
 		cfg = hmccoal.DefaultConfig()
 		cfg.Mode = hmccoal.ModeTwoPhase
-		cfg.Backend, cfg.Frontend, cfg.Sched = backend, fe, sched
+		cfg.Variant = spec.Variant
 		cfg.Hierarchy.CPUs = spec.params().CPUs
 	}
 	sys, err := d.pool.Get(cfg)
@@ -146,17 +143,11 @@ func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {
 // classified scenario durable, so interruptions only recompute scenarios
 // that had not been classified yet.
 func (d *Daemon) execSoak(ctl execCtl, id string, spec Spec) execOutcome {
-	backend, fe, sched, err := hmccoal.ParseSimAxes(spec.Backend, spec.Frontend, spec.Sched)
-	if err != nil {
-		return execOutcome{err: err}
-	}
 	rep, err := soak.Soak(ctl.ctx, soak.Options{
 		Seed:       spec.Seed,
 		Runs:       spec.Runs,
 		Workers:    d.opt.SweepWorkers,
-		Backend:    backend,
-		Frontend:   fe,
-		Sched:      sched,
+		Variant:    spec.Variant,
 		ReproDir:   filepath.Join(ctl.dir, "repros"),
 		Progress:   ctl.progress,
 		Checkpoint: filepath.Join(ctl.dir, "ckpt", id+".soak"),

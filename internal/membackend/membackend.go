@@ -51,6 +51,11 @@ func (k Kind) String() string { return kinds.String(k) }
 // Validate rejects kinds no factory case exists for.
 func (k Kind) Validate() error { return kinds.Validate(k) }
 
+// MarshalText and UnmarshalText spell the kind as the -backend flag does,
+// for JSON and flag.TextVar; "" parses as the HMC default.
+func (k Kind) MarshalText() ([]byte, error)     { return kinds.MarshalText(k) }
+func (k *Kind) UnmarshalText(text []byte) error { return kinds.UnmarshalText(k, text) }
+
 // ParseKind maps a -backend flag value to a Kind. The empty string means
 // the default HMC device.
 func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }

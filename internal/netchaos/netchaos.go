@@ -10,12 +10,13 @@
 //
 // Decisions are counter-based, mirroring internal/fault: every draw is a
 // pure function of (seed, connection serial, operation counter, fault
-// kind) hashed through splitmix64, so a given connection's fault sequence
-// replays identically for a fixed seed regardless of wall-clock timing.
-// (Across a whole campaign the mapping of connections to serials depends
-// on accept/dial order, so chaos runs are reproducible per connection —
-// the campaign's *output* is identical for a different reason: the sweep
-// plane delivers every grid index exactly once under any fault pattern.)
+// kind) hashed through SplitMix64 (internal/splitmix), so a given
+// connection's fault sequence replays identically for a fixed seed
+// regardless of wall-clock timing. (Across a whole campaign the mapping
+// of connections to serials depends on accept/dial order, so chaos runs
+// are reproducible per connection — the campaign's *output* is identical
+// for a different reason: the sweep plane delivers every grid index
+// exactly once under any fault pattern.)
 package netchaos
 
 import (
@@ -26,6 +27,8 @@ import (
 	"net"
 	"sync/atomic"
 	"time"
+
+	"hmccoal/internal/splitmix"
 )
 
 // Config parameterizes chaos injection. The zero value injects nothing.
@@ -143,10 +146,10 @@ func New(cfg Config) (*Injector, error) {
 		seed:       cfg.Seed,
 		enabled:    cfg.Enabled(),
 		delayMax:   cfg.Delay,
-		dialFail:   threshold(cfg.DialFail),
-		reset:      threshold(cfg.Reset),
-		shortWrite: threshold(cfg.ShortWrite),
-		corrupt:    threshold(cfg.Corrupt),
+		dialFail:   splitmix.Threshold(cfg.DialFail),
+		reset:      splitmix.Threshold(cfg.Reset),
+		shortWrite: splitmix.Threshold(cfg.ShortWrite),
+		corrupt:    splitmix.Threshold(cfg.Corrupt),
 	}
 	return in, nil
 }
@@ -291,28 +294,7 @@ func (in *Injector) hit(thresh, connID, op, kind uint64) bool {
 // draw hashes an operation's identity into a uniform 64-bit value, the
 // same counter-based construction as internal/fault.
 func (in *Injector) draw(connID, op, kind uint64) uint64 {
-	h := splitmix64(in.seed ^ connID)
-	h = splitmix64(h ^ op<<8 ^ kind)
+	h := splitmix.Hash(in.seed ^ connID)
+	h = splitmix.Hash(h ^ op<<8 ^ kind)
 	return h
-}
-
-// threshold maps a probability to the 64-bit value below which a uniform
-// draw counts as a hit.
-func threshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	v := math.Ldexp(p, 64)
-	if v >= math.Ldexp(1, 64) {
-		return math.MaxUint64
-	}
-	return uint64(v)
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -23,7 +23,9 @@ var fuzzHierarchy = cache.HierarchyConfig{
 
 // fuzzConfig decodes a system configuration on fuzzHierarchy from bits:
 // mode, front-end, scheduler, backend, link faults (HMC only), checks,
-// sorter timeout and MSHR count. A small miss budget makes cores stall.
+// sorter timeout, MSHR count and, with faults, a one-retry link budget
+// that sends many spans to the coalescer's retry heap. A small miss
+// budget makes cores stall.
 func fuzzConfig(bits uint32) Config {
 	pick := func(n uint32) uint32 {
 		v := bits % n
@@ -43,6 +45,9 @@ func fuzzConfig(bits uint32) Config {
 	cfg.Checks = pick(2) == 1
 	cfg.Coalescer.TimeoutCycles = []uint64{16, 24, 28}[pick(3)]
 	cfg.Coalescer.MSHR.Entries = []int{4, 8, 16}[pick(3)]
+	if cfg.HMC.Fault.BER > 0 {
+		cfg.HMC.Fault.MaxRetries = []int{0, 1}[pick(2)]
+	}
 	return cfg
 }
 
@@ -91,6 +96,12 @@ func FuzzResetEquivalence(f *testing.F) {
 	f.Add(uint32(1234), uint32(99), uint8(1), uint8(4), uint8(3), uint16(500))
 	f.Add(uint32(5), uint32(1234), uint8(3), uint8(0), uint8(3), uint16(150))
 	f.Add(uint32(22), uint32(8), uint8(4), uint8(2), uint8(2), uint16(900))
+	// Parks a DMC-only run at BER 1e-3 (bits 7021) with one link retry
+	// (+10368, the product of the radices before it) while three failed
+	// spans wait in the retry heap, and a later failure falls due on the
+	// same tick as one of them: restored without its retry sequence
+	// counter, the coalescer re-issues them in the wrong order.
+	f.Add(uint32(7021+10368), uint32(0), uint8(2), uint8(0), uint8(3), uint16(660))
 
 	f.Fuzz(func(t *testing.T, bitsA, bitsB uint32, seedA, seedB, fate uint8, steps uint16) {
 		cfgA, cfgB := fuzzConfig(bitsA), fuzzConfig(bitsB)

@@ -12,6 +12,8 @@
 package sim
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"strings"
 
@@ -65,26 +67,50 @@ type Config struct {
 	MaxOutstanding int
 	// Mode selects the miss-handling architecture.
 	Mode Mode
-	// Backend selects the memory device under the coalescer: the HMC
-	// model (the zero value, so existing configurations are unchanged), a
-	// DDR-like single-channel baseline, or an ideal zero-contention
-	// device. The HMC config's geometry and timing fields parameterize
-	// every backend; fault injection is HMC-only.
-	Backend membackend.Kind
-	// Frontend selects the coalescing front-end between the LLC and the
-	// memory backend: the paper's two-phase coalescer (the zero value, so
-	// existing configurations are unchanged) or the GPU-style warp
-	// coalescing unit. Sched selects the issue policy inside the
-	// front-end: strict FR-FCFS (the zero value) or the
-	// heterogeneity-aware scheduler.
-	Frontend coalescer.Kind
-	Sched    coalescer.Sched
+	// Variant selects the machine beyond the paper's knobs: memory
+	// backend, coalescing front-end and issue policy. Its zero value is
+	// the paper's HMC with the two-phase coalescer under FR-FCFS.
+	Variant
 	// Checks enables the runtime invariant checker across every layer
 	// (token ledger, MSHR leak audit, device byte conservation, clock
 	// monotonicity). Off by default: the checked quantities are identical
 	// either way, so enabling Checks never changes simulation results —
 	// it only spends extra bookkeeping to prove the conservation laws.
 	Checks bool
+}
+
+// Variant is the choice of simulated machine that the paper holds fixed:
+// one comparable value that flags, sweep specs, job specs, soak scenarios
+// and Config all carry as is. Each field is an enum that spells itself as
+// its CLI flag does, in JSON and flag.TextVar alike; structs embed Variant
+// so its fields keep their JSON keys, and a zero field is omitted, so
+// specs written before a field existed still decode to its default.
+type Variant struct {
+	// Backend selects the memory device under the coalescer: the HMC
+	// model (the zero value), a DDR-like single-channel baseline, or an
+	// ideal zero-contention device. The HMC config's geometry and timing
+	// fields parameterize every backend; fault injection is HMC-only.
+	Backend membackend.Kind `json:"backend,omitempty"`
+	// Frontend selects the coalescing front-end between the LLC and the
+	// memory backend: the paper's two-phase coalescer (the zero value) or
+	// the GPU-style warp coalescing unit.
+	Frontend coalescer.Kind `json:"frontend,omitempty"`
+	// Sched selects the issue policy inside the front-end: strict
+	// FR-FCFS (the zero value) or the heterogeneity-aware scheduler.
+	Sched coalescer.Sched `json:"sched,omitempty"`
+}
+
+// Validate rejects a field with no named value.
+func (v Variant) Validate() error {
+	return errors.Join(v.Backend.Validate(), v.Frontend.Validate(), v.Sched.Validate())
+}
+
+// RegisterVariantFlags binds -backend, -frontend and -sched on fs to v's
+// fields, each defaulting to its current value.
+func RegisterVariantFlags(fs *flag.FlagSet, v *Variant) {
+	fs.TextVar(&v.Backend, "backend", v.Backend, "memory backend behind the coalescer: "+strings.Join(membackend.Kinds(), ", "))
+	fs.TextVar(&v.Frontend, "frontend", v.Frontend, "coalescing front-end between the LLC and the backend: "+strings.Join(coalescer.Kinds(), ", "))
+	fs.TextVar(&v.Sched, "sched", v.Sched, "issue policy inside the front-end: "+strings.Join(coalescer.Scheds(), ", "))
 }
 
 // DefaultConfig returns the paper's evaluation system: 12 CPUs at 3.3 GHz,
@@ -123,13 +149,7 @@ func (c Config) Validate() error {
 	if err := c.HMC.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if err := c.Backend.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if err := c.Frontend.Validate(); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	if err := c.Sched.Validate(); err != nil {
+	if err := c.Variant.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil

@@ -44,17 +44,14 @@ func (s *System) Snapshot() (*Snapshot, error) {
 
 // Restore copies a snapshot into an unstarted System — built fresh, or
 // Reset — with the same Config (compared exactly — geometry, timing, mode,
-// backend and fault setup must all match). The snapshot itself is not
-// consumed: it can be restored again.
+// Variant, fault setup and invariant checking must all match). The
+// snapshot itself is not consumed: it can be restored again.
 func (s *System) Restore(snap *Snapshot) error {
 	if s.ts.started {
 		return fmt.Errorf("sim: restore into a used System (build a fresh one or Reset it)")
 	}
 	if s.cfg != snap.twin.cfg {
 		return fmt.Errorf("sim: snapshot configuration differs from system configuration")
-	}
-	if (snap.twin.ledger == nil) != (s.ledger == nil) {
-		return fmt.Errorf("sim: snapshot and system disagree on invariant checking")
 	}
 	return s.copyFrom(snap.twin)
 }

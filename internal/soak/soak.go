@@ -51,15 +51,10 @@ type Scenario struct {
 	TimeoutCycles   uint64 `json:"timeout_cycles"`
 	AdaptiveTimeout bool   `json:"adaptive_timeout"`
 
-	// Backend names the memory backend ("" or "hmc" is the HMC model;
-	// "ddr", "ideal" select the alternatives). Omitted on legacy repro
-	// files, which therefore keep replaying against the HMC.
-	Backend string `json:"backend,omitempty"`
-	// Frontend and Sched name the coalescing front-end and issue policy
-	// ("" are the two-phase / FR-FCFS defaults), omitted on legacy repro
-	// files for the same reason.
-	Frontend string `json:"frontend,omitempty"`
-	Sched    string `json:"sched,omitempty"`
+	// Variant is the soaked machine. Its fields are omitted on legacy
+	// repro files, which therefore keep replaying against the paper's
+	// machine; an unknown name fails the read.
+	sim.Variant
 }
 
 // String names the scenario compactly for logs.
@@ -67,45 +62,16 @@ func (sc Scenario) String() string {
 	s := fmt.Sprintf("run %d: %s cpus=%d ops=%d mode=%v ber=%g drop=%g timeout=%d adaptive=%v",
 		sc.Index, sc.Workload, sc.CPUs, sc.OpsPerCPU, sim.Mode(sc.Mode),
 		sc.BER, sc.DropRate, sc.TimeoutCycles, sc.AdaptiveTimeout)
-	if sc.Backend != "" {
-		s += " backend=" + sc.Backend
+	if sc.Backend != membackend.KindHMC {
+		s += " backend=" + sc.Backend.String()
 	}
-	if sc.Frontend != "" {
-		s += " frontend=" + sc.Frontend
+	if sc.Frontend != coalescer.KindTwoPhase {
+		s += " frontend=" + sc.Frontend.String()
 	}
-	if sc.Sched != "" {
-		s += " sched=" + sc.Sched
+	if sc.Sched != coalescer.SchedFRFCFS {
+		s += " sched=" + sc.Sched.String()
 	}
 	return s
-}
-
-// backendKind resolves the scenario's backend. An unknown name resolves
-// to an invalid kind, so building the system fails loudly instead of
-// silently soaking the wrong device.
-func (sc Scenario) backendKind() membackend.Kind {
-	k, err := membackend.ParseKind(sc.Backend)
-	if err != nil {
-		return membackend.Kind(-1)
-	}
-	return k
-}
-
-// frontendKind and schedKind resolve the scenario's front-end axes with
-// the same fail-loudly convention as backendKind.
-func (sc Scenario) frontendKind() coalescer.Kind {
-	k, err := coalescer.ParseKind(sc.Frontend)
-	if err != nil {
-		return coalescer.Kind(-1)
-	}
-	return k
-}
-
-func (sc Scenario) schedKind() coalescer.Sched {
-	k, err := coalescer.ParseSched(sc.Sched)
-	if err != nil {
-		return coalescer.Sched(-1)
-	}
-	return k
 }
 
 // scenario dimension grids. Drop rates are kept low enough that retries
@@ -161,9 +127,7 @@ func (sc Scenario) Config() sim.Config {
 	cfg.Coalescer.TimeoutCycles = sc.TimeoutCycles
 	cfg.Coalescer.AdaptiveTimeout = sc.AdaptiveTimeout
 	cfg.HMC.Fault = fault.Config{Seed: sc.FaultSeed, BER: sc.BER, DropRate: sc.DropRate}
-	cfg.Backend = sc.backendKind()
-	cfg.Frontend = sc.frontendKind()
-	cfg.Sched = sc.schedKind()
+	cfg.Variant = sc.Variant
 	if cfg.Backend != membackend.KindHMC {
 		// Link fault injection is HMC-only: the alternative backends have
 		// no serial links, so their scenarios soak the fault-free paths.
@@ -214,7 +178,7 @@ func Classify(sc Scenario, err error) Outcome {
 	if _, ok := invariant.As(err); ok {
 		return Failed
 	}
-	if errors.Is(err, coalescer.ErrWatchdog) && sc.DropRate > 0 && sc.backendKind() == membackend.KindHMC {
+	if errors.Is(err, coalescer.ErrWatchdog) && sc.DropRate > 0 && sc.Backend == membackend.KindHMC {
 		return Expected
 	}
 	return Failed
@@ -241,16 +205,11 @@ type Options struct {
 	Run RunFunc
 	// Progress, when non-nil, receives sweep progress.
 	Progress func(done, total int)
-	// Backend soaks every scenario on this memory backend instead of the
-	// HMC model (fault dimensions are neutralized for the link-less
-	// backends). The zero value keeps the legacy HMC grid untouched.
-	Backend membackend.Kind
-	// Frontend and Sched soak every scenario on this coalescing front-end
-	// and issue policy. Like Backend they are campaign-wide overrides, not
-	// random dimensions, so the zero values keep legacy scenario
-	// derivations — and old repro indices — bit-identical.
-	Frontend coalescer.Kind
-	Sched    coalescer.Sched
+	// Variant soaks every scenario on this machine (fault dimensions are
+	// neutralized for the link-less backends). It is a campaign-wide
+	// override, not a random dimension, so the zero value keeps legacy
+	// scenario derivations — and old repro indices — bit-identical.
+	sim.Variant
 	// Checkpoint, when non-empty, persists every classified scenario to a
 	// JSONL file (see sweep.Options.Checkpoint) so an interrupted campaign
 	// resumes without re-running completed scenarios — the serving layer's
@@ -259,20 +218,12 @@ type Options struct {
 	Checkpoint string
 }
 
-// scenario derives run i of the campaign and applies the campaign-wide
-// backend override. The HMC default leaves scenarios identical to the
-// legacy grid, so old repro indices stay reproducible.
+// scenario derives run i of the campaign on the campaign's machine. The
+// default machine leaves scenarios identical to the legacy grid, so old
+// repro indices stay reproducible.
 func (o Options) scenario(i int) Scenario {
 	sc := MakeScenario(o.Seed, i)
-	if o.Backend != membackend.KindHMC {
-		sc.Backend = o.Backend.String()
-	}
-	if o.Frontend != coalescer.KindTwoPhase {
-		sc.Frontend = o.Frontend.String()
-	}
-	if o.Sched != coalescer.SchedFRFCFS {
-		sc.Sched = o.Sched.String()
-	}
+	sc.Variant = o.Variant
 	return sc
 }
 

@@ -2,8 +2,10 @@ package soak
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +13,8 @@ import (
 
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/invariant"
+	"hmccoal/internal/membackend"
+	"hmccoal/internal/sim"
 	"hmccoal/internal/trace"
 )
 
@@ -25,6 +29,44 @@ func TestScenarioDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(MakeScenario(42, 0), MakeScenario(43, 0)) {
 		t.Error("different seeds produced identical scenarios")
+	}
+}
+
+// TestScenarioWireBytes pins a non-default machine's scenario as the
+// string-field scenario encoded and printed it, so repro files written
+// before the typed Variant replay unchanged; a file naming an unknown
+// machine fails to read.
+func TestScenarioWireBytes(t *testing.T) {
+	o := Options{Seed: 1}
+	o.Variant = sim.Variant{Backend: membackend.KindIdeal, Frontend: coalescer.KindWarp, Sched: coalescer.SchedHetero}
+	sc := o.scenario(5)
+	const want = `{"index":5,"seed":1,"workload":"CG","cpus":8,"ops_per_cpu":80,"trace_seed":2580964887241856397,"mode":2,"ber":0,"drop_rate":0.0001,"fault_seed":13724892769774616931,"timeout_cycles":16,"adaptive_timeout":false,"backend":"ideal","frontend":"warp","sched":"hetero"}`
+	if raw, err := json.Marshal(sc); err != nil || string(raw) != want {
+		t.Errorf("scenario encodes to\n %s (%v)\nwant\n %s", raw, err, want)
+	}
+	if got := sc.String(); got != "run 5: CG cpus=8 ops=80 mode=two-phase ber=0 drop=0.0001 timeout=16 adaptive=false backend=ideal frontend=warp sched=hetero" {
+		t.Errorf("scenario prints as %q", got)
+	}
+
+	dir := t.TempDir()
+	for _, c := range []struct {
+		backend string
+		want    membackend.Kind
+	}{{`""`, membackend.KindHMC}, {`"hmc"`, membackend.KindHMC}, {`"ideal"`, membackend.KindIdeal}, {`"sram"`, -1}} {
+		path := filepath.Join(dir, "repro.json")
+		raw := strings.Replace(want, `"backend":"ideal"`, `"backend":`+c.backend, 1)
+		if err := os.WriteFile(path, []byte(`{"scenario":`+raw+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadRepro(path)
+		switch {
+		case c.want < 0 && err == nil:
+			t.Errorf("backend %s: repro read", c.backend)
+		case c.want >= 0 && err != nil:
+			t.Errorf("backend %s: %v", c.backend, err)
+		case c.want >= 0 && r.Scenario.Backend != c.want:
+			t.Errorf("backend %s reads as %v, want %v", c.backend, r.Scenario.Backend, c.want)
+		}
 	}
 }
 
@@ -290,10 +332,10 @@ func TestRegressionDroppedTokenWrap(t *testing.T) {
 // over the live slot instead of reissuing it (ring overflow).
 func TestRegressionHeteroDeferredTokenWrap(t *testing.T) {
 	t.Parallel()
-	for _, fe := range []string{"", "warp"} {
+	for _, fe := range []coalescer.Kind{coalescer.KindTwoPhase, coalescer.KindWarp} {
 		for _, idx := range []int{123, 501, 809, 885} {
 			sc := MakeScenario(1, idx)
-			sc.Frontend, sc.Sched = fe, "hetero"
+			sc.Frontend, sc.Sched = fe, coalescer.SchedHetero
 			accs, err := sc.Trace()
 			if err != nil {
 				t.Fatalf("run %d: trace: %v", idx, err)

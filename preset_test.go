@@ -83,7 +83,7 @@ func TestPresetSpecRejectsBadGrids(t *testing.T) {
 	}{
 		{"mshr", "FT", SweepOptions{}, AxisOf("mshr", []int{0}), "mshr=0"},
 		{"fault", "FT", SweepOptions{}, AxisOf("ber", []float64{2}), "outside [0,1]"},
-		{"fault", "FT", SweepOptions{Backend: BackendDDR}, Axis{}, "HMC-only"},
+		{"fault", "FT", SweepOptions{Variant: Variant{Backend: BackendDDR}}, Axis{}, "HMC-only"},
 		{"timeout", "FT", SweepOptions{}, Axis{"timeout", []string{"-1"}}, "timeout axis"},
 		{"timeout", "nope", SweepOptions{}, Axis{}, "unknown benchmark"},
 		{"runall", "", SweepOptions{}, Axis{"mode", []string{"two-phase"}}, "fixes its mode axis"},

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -43,13 +44,9 @@ type SweepSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Checks enables the runtime invariant checker in every job.
 	Checks bool `json:"checks,omitempty"`
-	// Backend names the memory backend ("" is the default HMC).
-	Backend string `json:"backend,omitempty"`
-	// Frontend and Sched name the coalescing front-end and its issue
-	// policy ("" are the two-phase / FR-FCFS defaults). A frontend or
-	// sched axis overrides them.
-	Frontend string `json:"frontend,omitempty"`
-	Sched    string `json:"sched,omitempty"`
+	// Variant is every job's machine; an axis over one of its fields
+	// overrides that field.
+	Variant
 }
 
 // Axis is one dimension of a sweep grid: the name of a row of the axis
@@ -93,6 +90,20 @@ type axisDef struct {
 	unset func(*SweepSpec)
 }
 
+// variantAxis is the row of an axis over the Variant field that field
+// points at, its values spelled as the field's flag spells them.
+func variantAxis[T fmt.Stringer, P interface {
+	*T
+	encoding.TextUnmarshaler
+}](field func(*Variant) P) axisDef {
+	return axisDef{fixed: true, unset: func(s *SweepSpec) { *field(&s.Variant) = *new(T) },
+		parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
+			var k T
+			err := P(&k).UnmarshalText([]byte(v))
+			return axisValue{k.String(), func(c *Config) { *field(&c.Variant) = k }}, err
+		}}
+}
+
 // axisTable defines every axis a sweep grid can have.
 var axisTable = map[string]axisDef{
 	"mode": {fixed: true, parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
@@ -125,14 +136,8 @@ var axisTable = map[string]axisDef{
 		}
 		return axisValue{fmt.Sprintf("ber=%g", ber), func(c *Config) { c.HMC.Fault.Seed, c.HMC.Fault.BER = seed, ber }}, err
 	}},
-	"frontend": {fixed: true, unset: func(s *SweepSpec) { s.Frontend = "" }, parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
-		fe, err := ParseFrontend(v)
-		return axisValue{fe.String(), func(c *Config) { c.Frontend = fe }}, err
-	}},
-	"sched": {fixed: true, unset: func(s *SweepSpec) { s.Sched = "" }, parse: func(_ SweepSpec, _ Config, v string) (axisValue, error) {
-		sc, err := ParseSched(v)
-		return axisValue{sc.String(), func(c *Config) { c.Sched = sc }}, err
-	}},
+	"frontend": variantAxis(func(v *Variant) *FrontendKind { return &v.Frontend }),
+	"sched":    variantAxis(func(v *Variant) *SchedKind { return &v.Sched }),
 }
 
 // fingerprint is the checkpoint tag of the spec's grid: a short hex hash
@@ -216,16 +221,10 @@ func (g *sweepGrid) name(i int) string {
 // local drivers and the remote workers both run jobs through it, so their
 // configurations cannot diverge.
 func (s SweepSpec) compile() (*sweepGrid, error) {
-	backend, fe, sched, err := ParseSimAxes(s.Backend, s.Frontend, s.Sched)
-	if err != nil {
-		return nil, fmt.Errorf("hmccoal: sweep spec: %w", err)
-	}
 	base := DefaultConfig()
 	base.Hierarchy.CPUs = s.Params.CPUs
 	base.Checks = s.Checks
-	base.Backend = backend
-	base.Frontend = fe
-	base.Sched = sched
+	base.Variant = s.Variant
 
 	g := &sweepGrid{base: base, benches: s.Benches, perBench: 1}
 	for _, a := range s.Axes {
@@ -235,6 +234,7 @@ func (s SweepSpec) compile() (*sweepGrid, error) {
 		}
 		vs := make([]axisValue, len(a.Values))
 		for k, v := range a.Values {
+			var err error
 			if vs[k], err = def.parse(s, base, v); err != nil {
 				return nil, fmt.Errorf("hmccoal: sweep spec: %s axis: %w", a.Name, err)
 			}

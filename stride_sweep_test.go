@@ -87,7 +87,7 @@ func TestSweepOptionsFrontend(t *testing.T) {
 	}
 	p := sweepTestParams()
 	timeouts := []uint64{16, 28}
-	warpOpt := SweepOptions{Workers: 1, Frontend: FrontendWarp, Sched: SchedHetero}
+	warpOpt := SweepOptions{Workers: 1, Variant: Variant{Frontend: FrontendWarp, Sched: SchedHetero}}
 
 	def, err := presetOut[[]float64]("timeout", "latencies_ns", "SG", p, SweepOptions{Workers: 1}, AxisOf("timeout", timeouts))
 	if err != nil {
@@ -115,18 +115,14 @@ func TestSweepOptionsFrontend(t *testing.T) {
 // unknown front-end and scheduler names — the error a dsweep worker
 // returns instead of panicking on a malformed wire spec.
 func TestSweepSpecFrontendValidation(t *testing.T) {
-	for _, spec := range []SweepSpec{
-		{Benches: []string{"SG"}, Axes: []Axis{AxisOf("timeout", []uint64{16})}, Frontend: "gpu"},
-		{Benches: []string{"SG"}, Axes: []Axis{AxisOf("timeout", []uint64{16})}, Sched: "lifo"},
+	for _, spec := range []string{
+		`{"benches":["SG"],"axes":[{"name":"timeout","values":["16"]}],"frontend":"gpu"}`,
+		`{"benches":["SG"],"axes":[{"name":"timeout","values":["16"]}],"sched":"lifo"}`,
 	} {
-		raw, err := json.Marshal(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := NewSweepRunner().RunGroup(context.Background(), raw, []int{0}); err == nil {
-			t.Errorf("spec %+v accepted", spec)
+		if _, err := NewSweepRunner().RunGroup(context.Background(), []byte(spec), []int{0}); err == nil {
+			t.Errorf("spec %s accepted", spec)
 		} else if !strings.Contains(err.Error(), "sweep spec") {
-			t.Errorf("spec %+v error %q does not name the sweep spec", spec, err)
+			t.Errorf("spec %s error %q does not name the sweep spec", spec, err)
 		}
 	}
 }

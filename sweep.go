@@ -39,14 +39,10 @@ type SweepOptions struct {
 	// same inputs; checked, unchecked, local and distributed runs of one
 	// grid resume from each other's checkpoints.
 	Checkpoint string
-	// Backend selects the memory device for every simulation of the sweep
-	// (see Config.Backend). The zero value is the default HMC model.
-	Backend BackendKind
-	// Frontend and Sched select the coalescing front-end and its issue
-	// policy for every simulation of the sweep (see Config.Frontend,
-	// Config.Sched). A preset that sweeps either axis ignores its option.
-	Frontend FrontendKind
-	Sched    SchedKind
+	// Variant selects the machine every simulation of the sweep runs on
+	// (see Config.Variant). A preset that sweeps a field of it ignores
+	// that field.
+	Variant
 	// Dispatch, when non-nil, runs every job group instead of an
 	// in-process SweepRunner — the distributed sweep path (see Dispatcher
 	// and internal/dsweep). Workers then bounds in-flight groups rather
@@ -71,22 +67,6 @@ func (o SweepOptions) engine(spec SweepSpec) (sweep.Options, error) {
 		opt.Tag, err = spec.fingerprint()
 	}
 	return opt, err
-}
-
-// spec is the serializable description of one of this option set's grids,
-// without its benchmarks and axes.
-func (o SweepOptions) spec(p TraceParams) SweepSpec {
-	s := SweepSpec{Params: p, Checks: o.Checks}
-	if o.Backend != BackendHMC {
-		s.Backend = o.Backend.String()
-	}
-	if o.Frontend != FrontendTwoPhase {
-		s.Frontend = o.Frontend.String()
-	}
-	if o.Sched != SchedFRFCFS {
-		s.Sched = o.Sched.String()
-	}
-	return s
 }
 
 // mapSpec fans a sweep grid across the engine: each grid index goes to
@@ -204,21 +184,20 @@ var presets = []*Preset{
 	// so ddr/ideal runs compare against the HMC rows side by side.
 	{name: "speedup", benches: Benchmarks, axes: []Axis{{"mode", []string{"MSHR-based", "two-phase"}}},
 		render: func(s SweepSpec, c []SweepCell) map[string]any {
-			backend, _ := ParseBackend(s.Backend)
 			rows := [][]string{{"benchmark", "backend", "MSHR-based", "two-phase", "improvement"}}
 			var sum float64
 			for b, name := range s.Benches {
 				r := BenchmarkRun{Baseline: c[2*b].Res, TwoPhase: c[2*b+1].Res}
 				rows = append(rows, []string{
 					name,
-					backend.String(),
+					s.Backend.String(),
 					fmt.Sprintf("%d cyc", r.Baseline.RuntimeCycles),
 					fmt.Sprintf("%d cyc", r.TwoPhase.RuntimeCycles),
 					metrics.Pct(r.Speedup()),
 				})
 				sum += r.Speedup()
 			}
-			rows = append(rows, []string{"average", backend.String(), "", "", metrics.Pct(sum / float64(len(s.Benches)))})
+			rows = append(rows, []string{"average", s.Backend.String(), "", "", metrics.Pct(sum / float64(len(s.Benches)))})
 			return map[string]any{"speedup": rows2(rows)}
 		}},
 	// One benchmark's (error rate × 3 architectures) grid. Fault decisions
@@ -277,14 +256,14 @@ func LookupPreset(name string) (*Preset, error) {
 	return nil, fmt.Errorf("hmccoal: unknown sweep %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
-// Spec builds the preset's grid at trace parameters p under opt's
-// Checks, Backend, Frontend and Sched. bench names the benchmark
-// of a one-benchmark preset; the others ignore it. An override with
-// values replaces the defaults of the preset's axis of the same name; one
-// for an axis the preset does not sweep is ignored. The spec is compiled,
-// so a bad grid fails here rather than after it starts.
+// Spec builds the preset's grid at trace parameters p under opt's Checks
+// and Variant. bench names the benchmark of a one-benchmark preset; the
+// others ignore it. An override with values replaces the defaults of the
+// preset's axis of the same name; one for an axis the preset does not
+// sweep is ignored. The spec is compiled, so a bad grid fails here rather
+// than after it starts.
 func (pr *Preset) Spec(bench string, p TraceParams, opt SweepOptions, override ...Axis) (SweepSpec, error) {
-	s := opt.spec(p)
+	s := SweepSpec{Params: p, Checks: opt.Checks, Variant: opt.Variant}
 	if pr.benches != nil {
 		s.Benches = pr.benches()
 	} else if _, err := DescribeBenchmark(bench); err != nil {
