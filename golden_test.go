@@ -69,6 +69,22 @@ func renderGoldenMetrics(t *testing.T) string {
 			writeGoldenSection(t, &b, fmt.Sprintf("%s/%v/%v", bench, cfg.Frontend, cfg.Sched), cfg, accs)
 		}
 	}
+	// The flat timing models: one regular and one irregular trace behind
+	// each front-end, so the ddr bank/bus and ideal service paths are held
+	// to the same bytes as the HMC's.
+	for _, bench := range []string{"HPCG", "SSCA2"} {
+		accs, err := GenerateTrace(bench, TraceParams{CPUs: 12, OpsPerCPU: 900, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range []BackendKind{BackendDDR, BackendIdeal} {
+			for _, fe := range []FrontendKind{FrontendTwoPhase, FrontendWarp} {
+				cfg := DefaultConfig()
+				cfg.Backend, cfg.Frontend = be, fe
+				writeGoldenSection(t, &b, fmt.Sprintf("%s/%v/%v", bench, be, fe), cfg, accs)
+			}
+		}
+	}
 	return b.String()
 }
 
