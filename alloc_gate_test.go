@@ -44,12 +44,12 @@ func TestAllocationGate(t *testing.T) {
 		fe         FrontendKind
 		build, run float64
 	}{
-		{ModeBaseline, FrontendTwoPhase, 184, 222},
-		{ModeDMCOnly, FrontendTwoPhase, 184, 154},
-		{ModeTwoPhase, FrontendTwoPhase, 184, 154},
-		{ModeBaseline, FrontendWarp, 133, 222},
-		{ModeDMCOnly, FrontendWarp, 133, 183},
-		{ModeTwoPhase, FrontendWarp, 133, 183},
+		{ModeBaseline, FrontendTwoPhase, 183, 222},
+		{ModeDMCOnly, FrontendTwoPhase, 183, 154},
+		{ModeTwoPhase, FrontendTwoPhase, 183, 154},
+		{ModeBaseline, FrontendWarp, 132, 222},
+		{ModeDMCOnly, FrontendWarp, 132, 183},
+		{ModeTwoPhase, FrontendWarp, 132, 183},
 	}
 	const runs = 3
 	for _, tc := range cases {
@@ -93,7 +93,7 @@ func TestAllocationGate(t *testing.T) {
 	for _, tc := range []struct {
 		fe     FrontendKind
 		pooled float64
-	}{{FrontendTwoPhase, 216}, {FrontendWarp, 194}} {
+	}{{FrontendTwoPhase, 215}, {FrontendWarp, 193}} {
 		cfg := DefaultConfig()
 		cfg.Mode, cfg.Frontend = ModeTwoPhase, tc.fe
 		var pool sim.Pool

@@ -1,7 +1,9 @@
-// Command hmcsim drives the HMC device model directly with synthetic
-// traffic, reproducing the §2.2 packet-economics arguments on the simulated
-// device: request-size sweeps, bank-conflict behaviour of scattered versus
-// coalesced access, and Equation-1 bandwidth efficiency.
+// Command hmcsim drives the memory device model (internal/hmc) directly
+// with synthetic traffic, reproducing the §2.2 packet-economics arguments
+// on the simulated device: request-size sweeps, bank-conflict behaviour of
+// scattered versus coalesced access, and Equation-1 bandwidth efficiency.
+// -backend picks the device's timing model: the HMC (default), the
+// DDR-like single channel or the ideal zero-contention memory.
 //
 // Usage:
 //
@@ -9,6 +11,7 @@
 //	hmcsim -pattern seq -size 64        # one traffic pattern
 //	hmcsim -pattern scatter16           # the 16×16 B motivating example
 //	hmcsim -pattern scatter16 -frontend two-phase # same, coalesced first
+//	hmcsim -pattern scatter16 -backend ddr        # same, on the DDR model
 //
 // With -frontend the pattern's requests are routed through a coalescing
 // front-end (the paper's two-phase coalescer or the GPU-style warp unit,
@@ -31,7 +34,6 @@ import (
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
 	"hmccoal/internal/hmc"
-	"hmccoal/internal/membackend"
 	"hmccoal/internal/mshr"
 	"hmccoal/internal/profiling"
 	"hmccoal/internal/sweep"
@@ -65,7 +67,7 @@ func run(argv []string) int {
 		memprofile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 		exectrace  = fs.String("trace", "", "write a runtime execution trace to this file")
 	)
-	var kind membackend.Kind
+	var kind hmc.Kind
 	fs.TextVar(&kind, "backend", kind, "memory backend: hmc, ddr or ideal")
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -112,7 +114,7 @@ func run(argv []string) int {
 		// completion order.
 		sizes := []uint32{16, 32, 64, 128, 256}
 		point := func(sz uint32) (string, error) {
-			dev, err := membackend.New(kind, hmc.DefaultConfig())
+			dev, err := hmc.NewDevice(kind, hmc.DefaultConfig())
 			if err != nil {
 				return "", err
 			}
@@ -243,7 +245,7 @@ const (
 	driverLanes      = 16
 )
 
-func newCoalescedDriver(fe coalescer.Kind, sched coalescer.Sched, dev membackend.Backend) (*coalescedDriver, error) {
+func newCoalescedDriver(fe coalescer.Kind, sched coalescer.Sched, dev *hmc.Device) (*coalescedDriver, error) {
 	d := &coalescedDriver{}
 	fr, err := coalescer.New(coalescer.DefaultConfig(), fe, sched, driverLanes,
 		func(tick uint64, e *mshr.Entry) coalescer.IssueResult {
@@ -321,18 +323,18 @@ func (d *coalescedDriver) finish() error {
 	return d.fr.CheckDrained(end)
 }
 
-// newBackend builds the selected memory backend; fault injection is
-// rejected by the factory for the link-less ddr/ideal models.
-func newBackend(kind membackend.Kind, f fault.Config) (membackend.Backend, error) {
+// newBackend builds the device on the selected timing model; NewDevice
+// rejects fault injection on the link-less ddr/ideal models.
+func newBackend(kind hmc.Kind, f fault.Config) (*hmc.Device, error) {
 	cfg := hmc.DefaultConfig()
 	cfg.Fault = f
-	return membackend.New(kind, cfg)
+	return hmc.NewDevice(kind, cfg)
 }
 
 // submit issues one request and returns its completion tick. A dropped
 // response (fault injection) completes never; callers track the last
 // real tick, so NeverTick is simply ignored by the max.
-func submit(dev membackend.Backend, addr uint64, size uint32) (uint64, error) {
+func submit(dev *hmc.Device, addr uint64, size uint32) (uint64, error) {
 	comp, err := dev.SubmitPacket(0, hmc.Request{Addr: addr, PacketBytes: size, RequestedBytes: size})
 	if err != nil {
 		return 0, err

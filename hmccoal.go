@@ -31,7 +31,7 @@ import (
 
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/membackend"
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/sim"
 	"hmccoal/internal/trace"
 	"hmccoal/internal/workloads"
@@ -64,10 +64,11 @@ type (
 	// policy. Each field spells itself as its CLI flag does in JSON and
 	// flag.TextVar; the zero value is the paper's machine.
 	Variant = sim.Variant
-	// BackendKind selects the memory device behind the coalescer
-	// (Config.Backend): the HMC model, a DDR-like single-channel baseline,
-	// or an ideal zero-contention device. The zero value is the HMC.
-	BackendKind = membackend.Kind
+	// BackendKind selects the timing model of the memory device behind
+	// the coalescer (Config.Backend): the HMC model, a DDR-like
+	// single-channel baseline, or an ideal zero-contention device. The
+	// zero value is the HMC.
+	BackendKind = hmc.Kind
 	// FrontendKind selects the coalescing front-end between the LLC and
 	// the memory backend (Config.Frontend): the paper's two-phase
 	// coalescer or a GPU-style warp coalescing unit. The zero value is
@@ -95,14 +96,14 @@ const (
 	ModeTwoPhase = sim.TwoPhase
 )
 
-// Memory backends selectable via Config.Backend.
+// Memory-device timing models selectable via Config.Backend.
 const (
 	// BackendHMC is the full HMC 2.1 device model (the default).
-	BackendHMC = membackend.KindHMC
+	BackendHMC = hmc.KindHMC
 	// BackendDDR is the DDR-like single-channel banked baseline.
-	BackendDDR = membackend.KindDDR
+	BackendDDR = hmc.KindDDR
 	// BackendIdeal is the zero-contention ideal memory.
-	BackendIdeal = membackend.KindIdeal
+	BackendIdeal = hmc.KindIdeal
 )
 
 // Coalescing front-ends selectable via Config.Frontend.

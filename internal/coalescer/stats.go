@@ -90,14 +90,6 @@ func (s Stats) CoalescingEfficiency() float64 {
 	return 1 - float64(s.HMCRequests)/float64(s.Requests)
 }
 
-// AvgBatchSize returns the mean sorter sequence occupancy.
-func (s Stats) AvgBatchSize() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchRequests) / float64(s.Batches)
-}
-
 // AvgDMCLatencyNs returns the Figure 12 metric: mean DMC-unit coalescing
 // time per sequence, in nanoseconds at the given clock.
 func (s Stats) AvgDMCLatencyNs(clockGHz float64) float64 {

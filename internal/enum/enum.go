@@ -16,7 +16,7 @@ type Table[T ~int] struct {
 	// "Kind" for "Kind(7)".
 	Type string
 	// Unknown prefixes the rejection errors, e.g.
-	// "membackend: unknown backend".
+	// "hmc: unknown backend".
 	Unknown string
 	Names   []string
 }

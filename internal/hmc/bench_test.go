@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkSubmit measures the device's busy-until request path with a
 // vault-spreading address stream of mixed packet sizes.
 func BenchmarkSubmit(b *testing.B) {
-	d, err := NewDevice(DefaultConfig())
+	d, err := NewDevice(KindHMC, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

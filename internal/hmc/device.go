@@ -5,9 +5,51 @@ import (
 	"sort"
 	"strings"
 
+	"hmccoal/internal/enum"
 	"hmccoal/internal/fault"
 	"hmccoal/internal/invariant"
 )
+
+// Kind selects the device's timing model. Every kind speaks the same
+// packet interface and keeps the same statistics, so every metric renders
+// identically whichever model serves the packets; only the service time of
+// a packet differs. The zero value is the HMC.
+type Kind int
+
+// Timing models.
+const (
+	// KindHMC is the full HMC 2.1 model: vaults, banks, serial links,
+	// token flow control and link fault injection.
+	KindHMC Kind = iota
+	// KindDDR is a conventional-DIMM baseline: open-page banks behind one
+	// shared data bus, the "conventional memory" side of the paper's
+	// comparison.
+	KindDDR
+	// KindIdeal is a zero-contention device: fixed latency, unlimited
+	// parallelism, the upper bound any coalescing scheme could reach.
+	KindIdeal
+)
+
+// kinds spells every Kind, in iota order, as the CLI -backend flag does.
+var kinds = enum.Table[Kind]{Type: "Kind", Unknown: "hmc: unknown backend", Names: []string{"hmc", "ddr", "ideal"}}
+
+// String names the kind as the CLI -backend flag spells it.
+func (k Kind) String() string { return kinds.String(k) }
+
+// Validate rejects kinds with no timing model.
+func (k Kind) Validate() error { return kinds.Validate(k) }
+
+// MarshalText and UnmarshalText spell the kind as the -backend flag does,
+// for JSON and flag.TextVar; "" parses as the HMC default.
+func (k Kind) MarshalText() ([]byte, error)     { return kinds.MarshalText(k) }
+func (k *Kind) UnmarshalText(text []byte) error { return kinds.UnmarshalText(k, text) }
+
+// ParseKind maps a -backend flag value to a Kind. The empty string means
+// the HMC.
+func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
+
+// Kinds lists the recognized timing-model names for usage messages.
+func Kinds() []string { return kinds.List() }
 
 // NeverTick marks a completion that will never happen: the response was
 // dropped on the link and no amount of waiting delivers it. It sorts after
@@ -141,13 +183,16 @@ type Completion struct {
 	Retries int
 }
 
-// Device is the simulated HMC. It is not safe for concurrent use; the
-// simulator owns it from a single goroutine.
+// Device is the simulated memory device, timed by one of the models Kind
+// names. It is not safe for concurrent use; the simulator owns it from a
+// single goroutine.
 type Device struct {
+	kind  Kind
 	cfg   Config
-	banks []bankState // flat [vault*BanksPerVault+bank]
-	links []duplex    // per-link ingress/egress busy-until
+	banks []bankState // HMC: flat [vault*BanksPerVault+bank]; ddr: one channel's banks
+	links []duplex    // per-link ingress/egress busy-until; nil for the flat models
 	next  int         // round-robin link cursor
+	bus   uint64      // ddr: shared data bus busy-until horizon
 	// sizeHist counts requests per packet size, indexed by size/FlitBytes;
 	// Stats materializes it into the exported map form on demand.
 	sizeHist []uint64
@@ -190,22 +235,37 @@ type duplex struct {
 	tokens []uint64
 }
 
-// NewDevice builds a Device from a fully specified cfg. Start from
-// DefaultConfig and adjust fields as needed.
-func NewDevice(cfg Config) (*Device, error) {
+// NewDevice builds a Device of the given timing model from a fully
+// specified cfg. Start from DefaultConfig and adjust fields as needed.
+// Every kind honors the geometry and timing fields it models; only the HMC
+// has serial links, so only it accepts fault injection.
+func NewDevice(kind Kind, cfg Config) (*Device, error) {
+	if err := kind.Validate(); err != nil {
+		return nil, err
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Device{cfg: cfg}
-	d.banks = make([]bankState, cfg.Vaults*cfg.BanksPerVault)
-	d.links = make([]duplex, cfg.Links)
-	if cfg.LinkTokens > 0 {
-		for i := range d.links {
-			d.links[i].tokens = make([]uint64, cfg.LinkTokens)
+	d := &Device{kind: kind, cfg: cfg}
+	switch kind {
+	case KindHMC:
+		d.banks = make([]bankState, cfg.Vaults*cfg.BanksPerVault)
+		d.links = make([]duplex, cfg.Links)
+		if cfg.LinkTokens > 0 {
+			for i := range d.links {
+				d.links[i].tokens = make([]uint64, cfg.LinkTokens)
+			}
+		}
+	default:
+		if cfg.Fault.Enabled() {
+			return nil, fmt.Errorf("hmc: fault injection is HMC-only (%v backend has no serial links)", kind)
+		}
+		if kind == KindDDR {
+			d.banks = make([]bankState, cfg.BanksPerVault)
 		}
 	}
 	d.sizeHist = make([]uint64, cfg.BlockBytes/FlitBytes+1)
-	d.stats.VaultRequests = make([]uint64, cfg.Vaults)
+	d.stats.VaultRequests = make([]uint64, d.vaultBuckets())
 	d.inj = fault.NewInjector(cfg.Fault)
 	if d.inj.Enabled() {
 		d.consecErr = make([]int, cfg.Links)
@@ -213,6 +273,18 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	return d, nil
 }
+
+// vaultBuckets is the length of Stats.VaultRequests: one per vault for the
+// HMC, a single bucket for the one-channel flat models.
+func (d *Device) vaultBuckets() int {
+	if d.kind == KindHMC {
+		return d.cfg.Vaults
+	}
+	return 1
+}
+
+// Kind returns the device's timing model.
+func (d *Device) Kind() Kind { return d.kind }
 
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
@@ -298,9 +370,10 @@ func (d *Device) Submit(tick uint64, req Request) (uint64, error) {
 // and returns a Completion describing when — and whether — the response
 // reaches the host. Requests must respect the packet interface:
 // FLIT-aligned payload in [16, BlockBytes] that does not cross a block
-// boundary.
+// boundary. The flat models serve the packet in serveFlat; the rest of
+// this comment describes the HMC.
 //
-// The model is busy-until based: each bank and each link direction is a
+// The HMC model is busy-until based: each bank and each link direction is a
 // resource with a scalar horizon. Closed-page policy: every request pays
 // activate + column + burst and leaves the bank busy through precharge, so
 // k small requests to one block cost k row activations where one coalesced
@@ -327,7 +400,11 @@ func (d *Device) SubmitPacket(tick uint64, req Request) (Completion, error) {
 	if req.RequestedBytes > req.PacketBytes {
 		return Completion{}, fmt.Errorf("hmc: requested bytes %d exceed packet %d", req.RequestedBytes, req.PacketBytes)
 	}
-	addr := req.Addr % c.CapacityBytes
+	req.Addr %= c.CapacityBytes
+	if d.kind != KindHMC {
+		return d.serveFlat(tick, req), nil
+	}
+	addr := req.Addr
 	serial := d.serial
 	d.serial++
 
@@ -376,17 +453,7 @@ func (d *Device) SubmitPacket(tick uint64, req Request) (Completion, error) {
 
 	// Accounting shared by every outcome: the request was presented and
 	// its packet serialized at least once.
-	d.stats.Requests++
-	if req.Write {
-		d.stats.Writes++
-	} else {
-		d.stats.Reads++
-	}
-	d.sizeHist[req.PacketBytes/FlitBytes]++
-	d.stats.TransferredBytes += reqFlits * FlitBytes
-	if d.check != nil {
-		d.chkIssuedB += uint64(req.PacketBytes)
-	}
+	d.noteRequest(req)
 
 	if reqPoisoned {
 		// The request never entered the device intact: no vault sees it.
@@ -400,12 +467,9 @@ func (d *Device) SubmitPacket(tick uint64, req Request) (Completion, error) {
 		outStart := max64(link.in+2*c.TSerDes, link.out)
 		link.out = outStart + c.TFlit
 		comp.Done = link.out + c.TSerDes
-		d.stats.TransferredBytes += FlitBytes
+		d.noteResponse(comp.Done, 1)
 		if tokenSlot >= 0 {
 			link.tokens[tokenSlot] = comp.Done
-		}
-		if comp.Done > d.stats.LastDone {
-			d.stats.LastDone = comp.Done
 		}
 		return comp, nil
 	}
@@ -480,7 +544,7 @@ func (d *Device) SubmitPacket(tick uint64, req Request) (Completion, error) {
 		link.tokens[tokenSlot] = comp.Done // token returns with the response
 	}
 
-	d.stats.TransferredBytes += respFlits * FlitBytes
+	d.noteResponse(comp.Done, respFlits)
 	if respPoisoned {
 		// The response arrives, but as a poison marker: its data FLITs
 		// were exhausted on the link, so no useful bytes were delivered.
@@ -490,16 +554,44 @@ func (d *Device) SubmitPacket(tick uint64, req Request) (Completion, error) {
 			d.chkPoisonedB += uint64(req.PacketBytes)
 		}
 	} else {
-		d.stats.PacketBytes += uint64(req.PacketBytes)
-		d.stats.RequestedBytes += uint64(req.RequestedBytes)
-		if d.check != nil {
-			d.chkDeliveredB += uint64(req.PacketBytes)
-		}
-	}
-	if comp.Done > d.stats.LastDone {
-		d.stats.LastDone = comp.Done
+		d.noteDelivered(req)
 	}
 	return comp, nil
+}
+
+// noteRequest records the accounting every presented packet pays up front:
+// the request counters and the request packet's serialization on the link.
+func (d *Device) noteRequest(req Request) {
+	d.stats.Requests++
+	if req.Write {
+		d.stats.Writes++
+	} else {
+		d.stats.Reads++
+	}
+	d.sizeHist[req.PacketBytes/FlitBytes]++
+	d.stats.TransferredBytes += uint64(RequestFlits(req.Write, req.PacketBytes)) * FlitBytes
+	if d.check != nil {
+		d.chkIssuedB += uint64(req.PacketBytes)
+	}
+}
+
+// noteResponse records a response packet of respFlits FLITs that reaches
+// the host at done, whether it carries data or poison.
+func (d *Device) noteResponse(done, respFlits uint64) {
+	d.stats.TransferredBytes += respFlits * FlitBytes
+	if done > d.stats.LastDone {
+		d.stats.LastDone = done
+	}
+}
+
+// noteDelivered records a response that carried its data: the payload and
+// requested byte totals that feed the efficiency metrics.
+func (d *Device) noteDelivered(req Request) {
+	d.stats.PacketBytes += uint64(req.PacketBytes)
+	d.stats.RequestedBytes += uint64(req.RequestedBytes)
+	if d.check != nil {
+		d.chkDeliveredB += uint64(req.PacketBytes)
+	}
 }
 
 // retryLeg runs the HMC link-retry protocol for one packet transmission
@@ -545,8 +637,15 @@ func (d *Device) poison(li int) {
 }
 
 // DebugLinks renders the per-link horizon and fault state for watchdog and
-// deadlock diagnostics. The format is stable and deterministic.
+// deadlock diagnostics, or the flat models' own transport state. The
+// format is stable and deterministic.
 func (d *Device) DebugLinks() string {
+	switch d.kind {
+	case KindDDR:
+		return fmt.Sprintf("ddr{bus=%d banks=%d}", d.bus, len(d.banks))
+	case KindIdeal:
+		return "ideal{}"
+	}
 	var b strings.Builder
 	for i := range d.links {
 		if i > 0 {
@@ -603,6 +702,7 @@ func (d *Device) Reset() {
 		}
 	}
 	d.next = 0
+	d.bus = 0
 	d.serial = 0
 	for i := range d.consecErr {
 		d.consecErr[i] = 0
@@ -613,23 +713,28 @@ func (d *Device) Reset() {
 	for i := range d.sizeHist {
 		d.sizeHist[i] = 0
 	}
-	d.stats = Stats{VaultRequests: make([]uint64, d.cfg.Vaults)}
+	d.stats = Stats{VaultRequests: make([]uint64, d.vaultBuckets())}
 	d.chkIssuedB, d.chkDeliveredB, d.chkPoisonedB, d.chkDroppedB, d.chkStarvedPkts = 0, 0, 0, 0, 0
 }
 
-// CopyFrom makes d an exact copy of src's mutable state — bank and link
-// horizons, flow-control tokens, the packet serial counter that keys fault
-// injection, and every statistic — writing into d's own arrays. src must
-// have been built from the same Config. The fault injector is a pure
-// function of the serial counter, so the copy replays src's exact fault
-// sequence. The attached checker is d's own and is not copied.
-func (d *Device) CopyFrom(src *Device) {
+// CopyFrom makes d an exact copy of src's mutable state — bank, link and
+// bus horizons, flow-control tokens, the packet serial counter that keys
+// fault injection, and every statistic — writing into d's own arrays. src
+// must be of d's kind, which is checked, and built from the same Config,
+// which is not. The fault injector is a pure function of the serial
+// counter, so the copy replays src's exact fault sequence. The attached
+// checker is d's own and is not copied.
+func (d *Device) CopyFrom(src *Device) error {
+	if src.kind != d.kind {
+		return fmt.Errorf("hmc: cannot copy a %v device into a %v device", src.kind, d.kind)
+	}
 	copy(d.banks, src.banks)
 	for i := range d.links {
 		d.links[i].in, d.links[i].out = src.links[i].in, src.links[i].out
 		copy(d.links[i].tokens, src.links[i].tokens)
 	}
 	d.next = src.next
+	d.bus = src.bus
 	copy(d.sizeHist, src.sizeHist)
 	vaults := d.stats.VaultRequests
 	d.stats = src.stats
@@ -643,6 +748,7 @@ func (d *Device) CopyFrom(src *Device) {
 	d.chkPoisonedB = src.chkPoisonedB
 	d.chkDroppedB = src.chkDroppedB
 	d.chkStarvedPkts = src.chkStarvedPkts
+	return nil
 }
 
 // LinkFaultStats breaks the fault counters down per link.

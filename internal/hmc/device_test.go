@@ -8,7 +8,7 @@ import (
 
 func testDevice(t *testing.T) *Device {
 	t.Helper()
-	d, err := NewDevice(DefaultConfig())
+	d, err := NewDevice(KindHMC, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
 		mutate(&cfg)
-		if _, err := NewDevice(cfg); err == nil {
+		if _, err := NewDevice(KindHMC, cfg); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
@@ -315,7 +315,7 @@ func TestRandomTrafficInvariants(t *testing.T) {
 func TestOpenPageRowHits(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OpenPage = true
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestOpenPageRowHits(t *testing.T) {
 func TestOpenPageRowConflict(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OpenPage = true
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestVaultAccountingAndImbalance(t *testing.T) {
 func TestLinkTokenFlowControl(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkTokens = 1 // one outstanding transaction per link
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

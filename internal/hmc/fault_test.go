@@ -28,11 +28,11 @@ func submitN(t *testing.T, d *Device, n int) []Completion {
 // flags. This is the "faults disabled must be provably free" contract at
 // the device layer.
 func TestNoFaultMatchesLegacySubmit(t *testing.T) {
-	a, err := NewDevice(DefaultConfig())
+	a, err := NewDevice(KindHMC, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDevice(DefaultConfig())
+	b, err := NewDevice(KindHMC, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestFaultsDeterministic(t *testing.T) {
 	mk := func() *Device {
 		cfg := DefaultConfig()
 		cfg.Fault = fault.Config{Seed: 11, BER: 2e-4, DropRate: 1e-3}
-		d, err := NewDevice(cfg)
+		d, err := NewDevice(KindHMC, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,13 +94,13 @@ func TestFaultsDeterministic(t *testing.T) {
 // TestRetryAddsLatencyAndBytes: a run under injected CRC errors finishes
 // no earlier than a clean run and moves strictly more link bytes.
 func TestRetryAddsLatencyAndBytes(t *testing.T) {
-	clean, err := NewDevice(DefaultConfig())
+	clean, err := NewDevice(KindHMC, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
 	cfg.Fault = fault.Config{Seed: 5, BER: 1e-3}
-	faulty, err := NewDevice(cfg)
+	faulty, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRetryAddsLatencyAndBytes(t *testing.T) {
 func TestPoisonOnRetryExhaustion(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = fault.Config{Seed: 1, BER: 1, MaxRetries: 2}
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestPoisonOnRetryExhaustion(t *testing.T) {
 func TestDroppedResponse(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = fault.Config{Seed: 3, DropRate: 1}
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestDroppedResponse(t *testing.T) {
 func TestResetClearsFaultState(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = fault.Config{Seed: 7, BER: 5e-4, DropRate: 1e-3}
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestResetClearsFaultState(t *testing.T) {
 func TestValidateRejectsBadFaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault.BER = 2
-	if _, err := NewDevice(cfg); err == nil {
+	if _, err := NewDevice(KindHMC, cfg); err == nil {
 		t.Fatal("NewDevice accepted BER=2")
 	}
 	cfg = DefaultConfig()
@@ -237,7 +237,7 @@ func TestValidateRejectsBadFaultConfig(t *testing.T) {
 func TestResetAfterFaultsMatchesFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = fault.Config{Seed: 9, BER: 1e-4, DropRate: 1e-4, MaxRetries: 2}
-	used, err := NewDevice(cfg)
+	used, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestResetAfterFaultsMatchesFresh(t *testing.T) {
 	}
 
 	used.Reset()
-	fresh, err := NewDevice(cfg)
+	fresh, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,12 @@
 //     (Equation 1).
 //
 // Timing is cycle-approximate and expressed in core clock cycles so it
-// composes directly with the rest of the simulator.
+// composes directly with the rest of the simulator. The same Device also
+// serves packets under two flat timing models (Kind): a DDR-like
+// single-channel baseline and an ideal zero-contention memory, so the
+// evaluation can swap the memory technology under the coalescer while
+// every statistic keeps its shape.
 package hmc
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-)
 
 // FLIT and packet constants from the HMC 2.1 specification (§2.2).
 const (
@@ -103,127 +100,4 @@ func ControlBytesForVolume(totalBytes uint64, requestBytes uint32) uint64 {
 	}
 	packets := (totalBytes + uint64(requestBytes) - 1) / uint64(requestBytes)
 	return packets * ControlBytes
-}
-
-// Wire codec
-//
-// The simulator's layers exchange Requests as Go structs, but traces and
-// repro artifacts need a stable on-the-wire form, and a byte-level decoder
-// is what gives the fuzzer a surface to attack. The format is a fixed
-// 32-byte little-endian frame — deliberately two FLITs, echoing a
-// header+tail control FLIT pair:
-//
-//	[0:4)   magic "HMCP"
-//	[4]     version (currently 1)
-//	[5]     flags: bit 0 = write; all other bits reserved, must be zero
-//	[6:8)   packet payload bytes  (uint16)
-//	[8:16)  physical byte address (uint64, low 52 bits significant)
-//	[16:18) requested useful bytes (uint16)
-//	[18:20) reserved, must be zero
-//	[20:24) CRC-32 (IEEE) over bytes [0:20)
-//	[24:32) zero padding, must be zero
-//
-// DecodePacket enforces both the framing (magic, version, CRC, reserved
-// bits) and the HMC semantic rules that SubmitPacket would reject anyway
-// (FLIT alignment, size bounds, block-boundary crossing, requested ≤
-// packet), so a decoded packet is always submittable.
-
-// PacketWireBytes is the size of one encoded request frame.
-const PacketWireBytes = 32
-
-// packetMagic identifies an encoded request frame.
-var packetMagic = [4]byte{'H', 'M', 'C', 'P'}
-
-// packetVersion is the current wire-format version.
-const packetVersion = 1
-
-// ErrBadPacket reports a frame DecodePacket rejected; errors.Is matches it
-// for every framing and semantic failure.
-var ErrBadPacket = errors.New("hmc: bad packet")
-
-// addrBits is the significant physical address width (trace model: 52-bit
-// physical addresses, paper §3.4).
-const addrBits = 52
-
-// crcHeader computes the frame checksum over the header bytes [0:20).
-func crcHeader(buf []byte) uint32 {
-	return crc32.ChecksumIEEE(buf[:20])
-}
-
-// EncodePacket serializes a request into its 32-byte wire frame. It
-// rejects requests DecodePacket would refuse to round-trip, so every
-// encoded frame decodes back to the identical Request.
-func EncodePacket(req Request) ([]byte, error) {
-	if err := validateWire(req); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, PacketWireBytes)
-	copy(buf[0:4], packetMagic[:])
-	buf[4] = packetVersion
-	if req.Write {
-		buf[5] = 1
-	}
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(req.PacketBytes))
-	binary.LittleEndian.PutUint64(buf[8:16], req.Addr)
-	binary.LittleEndian.PutUint16(buf[16:18], uint16(req.RequestedBytes))
-	binary.LittleEndian.PutUint32(buf[20:24], crcHeader(buf))
-	return buf, nil
-}
-
-// DecodePacket parses and validates one 32-byte wire frame. Every reject
-// wraps ErrBadPacket.
-func DecodePacket(buf []byte) (Request, error) {
-	var req Request
-	if len(buf) != PacketWireBytes {
-		return req, fmt.Errorf("%w: length %d, want %d", ErrBadPacket, len(buf), PacketWireBytes)
-	}
-	if [4]byte(buf[0:4]) != packetMagic {
-		return req, fmt.Errorf("%w: magic %q", ErrBadPacket, buf[0:4])
-	}
-	if buf[4] != packetVersion {
-		return req, fmt.Errorf("%w: version %d, want %d", ErrBadPacket, buf[4], packetVersion)
-	}
-	if buf[5]&^1 != 0 {
-		return req, fmt.Errorf("%w: reserved flag bits %#x set", ErrBadPacket, buf[5]&^1)
-	}
-	if buf[18] != 0 || buf[19] != 0 {
-		return req, fmt.Errorf("%w: reserved bytes set", ErrBadPacket)
-	}
-	if got, want := binary.LittleEndian.Uint32(buf[20:24]), crcHeader(buf); got != want {
-		return req, fmt.Errorf("%w: CRC %#x, computed %#x", ErrBadPacket, got, want)
-	}
-	for _, b := range buf[24:] {
-		if b != 0 {
-			return req, fmt.Errorf("%w: nonzero padding", ErrBadPacket)
-		}
-	}
-	req = Request{
-		Addr:           binary.LittleEndian.Uint64(buf[8:16]),
-		PacketBytes:    uint32(binary.LittleEndian.Uint16(buf[6:8])),
-		RequestedBytes: uint32(binary.LittleEndian.Uint16(buf[16:18])),
-		Write:          buf[5]&1 != 0,
-	}
-	if err := validateWire(req); err != nil {
-		return Request{}, err
-	}
-	return req, nil
-}
-
-// validateWire applies the semantic rules shared by encode and decode: the
-// same constraints SubmitPacket enforces at the default 256 B block size,
-// plus the 52-bit address bound of the trace model.
-func validateWire(req Request) error {
-	switch {
-	case req.PacketBytes < MinRequestBytes || req.PacketBytes > MaxRequestBytes:
-		return fmt.Errorf("%w: packet size %d outside [%d,%d]", ErrBadPacket, req.PacketBytes, MinRequestBytes, MaxRequestBytes)
-	case req.PacketBytes%FlitBytes != 0:
-		return fmt.Errorf("%w: packet size %d not FLIT aligned", ErrBadPacket, req.PacketBytes)
-	case req.Addr >= 1<<addrBits:
-		return fmt.Errorf("%w: address %#x exceeds %d bits", ErrBadPacket, req.Addr, addrBits)
-	case req.Addr/MaxRequestBytes != (req.Addr+uint64(req.PacketBytes)-1)/MaxRequestBytes:
-		return fmt.Errorf("%w: request %#x+%d crosses a %d B block boundary", ErrBadPacket, req.Addr, req.PacketBytes, MaxRequestBytes)
-	case req.RequestedBytes > req.PacketBytes:
-		return fmt.Errorf("%w: requested bytes %d exceed packet %d", ErrBadPacket, req.RequestedBytes, req.PacketBytes)
-	}
-	return nil
 }

@@ -20,7 +20,7 @@ func tokenConfig(tokens int) Config {
 // serialize, so completions are strictly ordered and the waiting shows up
 // in TokenWait.
 func TestTokenStarvationOrdering(t *testing.T) {
-	d, err := NewDevice(tokenConfig(1))
+	d, err := NewDevice(KindHMC, tokenConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestTokenStarvationOrdering(t *testing.T) {
 		t.Fatal("a saturated one-token link recorded no token wait")
 	}
 	// With two tokens the same workload waits strictly less.
-	d2, err := NewDevice(tokenConfig(2))
+	d2, err := NewDevice(KindHMC, tokenConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTokenStarvationOrdering(t *testing.T) {
 // transaction's response is fully received — a request arriving at that
 // tick does not wait.
 func TestTokenReleaseOnResponse(t *testing.T) {
-	d, err := NewDevice(tokenConfig(1))
+	d, err := NewDevice(KindHMC, tokenConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTokenReleaseOnResponse(t *testing.T) {
 func TestRetriedPacketTokenAccounting(t *testing.T) {
 	cfg := tokenConfig(2)
 	cfg.Fault = fault.Config{Seed: 9, BER: 5e-3} // heavy but recoverable
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRetriedPacketTokenAccounting(t *testing.T) {
 func TestDroppedResponseLeaksTokenAndStarves(t *testing.T) {
 	cfg := tokenConfig(1)
 	cfg.Fault = fault.Config{Seed: 2, DropRate: 1}
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestDroppedResponseLeaksTokenAndStarves(t *testing.T) {
 // is warm, Submit must not allocate at all, faults disabled being provably
 // free.
 func TestNoFaultSubmitZeroAlloc(t *testing.T) {
-	d, err := NewDevice(DefaultConfig())
+	d, err := NewDevice(KindHMC, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestNoFaultSubmitZeroAlloc(t *testing.T) {
 func TestFaultedSubmitZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = fault.Config{Seed: 4, BER: 1e-3, DropRate: 1e-3}
-	d, err := NewDevice(cfg)
+	d, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

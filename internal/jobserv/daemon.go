@@ -313,10 +313,11 @@ func (d *Daemon) maybePreemptLocked() {
 	if len(d.running) < d.opt.slots() {
 		return
 	}
-	best := d.bestPendingLocked()
-	if best == nil {
+	i := d.bestPendingLocked()
+	if i < 0 {
 		return
 	}
+	best := d.pending[i]
 	var victim *runningJob
 	for _, r := range d.running {
 		if r.job.preempting {

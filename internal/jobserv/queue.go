@@ -76,21 +76,10 @@ func (tn *tenant) admit(q Quota, tenantName string, now time.Time) *AdmitError {
 	return nil
 }
 
-// popLocked removes and returns the best schedulable pending job: highest
-// priority first, admission order within a priority, skipping tenants at
-// their max-running quota. Returns nil when nothing is schedulable.
-// Caller holds d.mu.
+// popLocked removes and returns the best schedulable pending job, or nil
+// when nothing is schedulable. Caller holds d.mu.
 func (d *Daemon) popLocked() *Job {
-	best := -1
-	for i, j := range d.pending {
-		if q := d.opt.Quota.MaxRunning; q > 0 && d.tenantLocked(j.Tenant).running >= q {
-			continue
-		}
-		if best < 0 || j.Priority > d.pending[best].Priority ||
-			(j.Priority == d.pending[best].Priority && j.order < d.pending[best].order) {
-			best = i
-		}
-	}
+	best := d.bestPendingLocked()
 	if best < 0 {
 		return nil
 	}
@@ -99,16 +88,20 @@ func (d *Daemon) popLocked() *Job {
 	return j
 }
 
-// bestPendingLocked peeks the job popLocked would return.
-func (d *Daemon) bestPendingLocked() *Job {
-	var best *Job
-	for _, j := range d.pending {
+// bestPendingLocked is the one job-pick rule, shared by dispatch
+// (popLocked) and preemption: it returns the index in d.pending of the
+// best schedulable job — highest priority first, admission order within
+// a priority, skipping tenants at their max-running quota — or -1 when
+// nothing is schedulable. Caller holds d.mu.
+func (d *Daemon) bestPendingLocked() int {
+	best := -1
+	for i, j := range d.pending {
 		if q := d.opt.Quota.MaxRunning; q > 0 && d.tenantLocked(j.Tenant).running >= q {
 			continue
 		}
-		if best == nil || j.Priority > best.Priority ||
-			(j.Priority == best.Priority && j.order < best.order) {
-			best = j
+		if best < 0 || j.Priority > d.pending[best].Priority ||
+			(j.Priority == d.pending[best].Priority && j.order < d.pending[best].order) {
+			best = i
 		}
 	}
 	return best

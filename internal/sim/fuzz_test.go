@@ -7,7 +7,7 @@ import (
 	"hmccoal/internal/cache"
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/membackend"
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/trace"
 	"hmccoal/internal/workloads"
 )
@@ -38,8 +38,8 @@ func fuzzConfig(bits uint32) Config {
 	cfg.Mode = Mode(pick(3))
 	cfg.Frontend = coalescer.Kind(pick(2))
 	cfg.Sched = coalescer.Sched(pick(2))
-	cfg.Backend = membackend.Kind(pick(3))
-	if ber := pick(4); ber > 0 && cfg.Backend == membackend.KindHMC {
+	cfg.Backend = hmc.Kind(pick(3))
+	if ber := pick(4); ber > 0 && cfg.Backend == hmc.KindHMC {
 		cfg.HMC.Fault = fault.Config{Seed: uint64(pick(4)) + 1, BER: []float64{1e-5, 1e-4, 1e-3}[ber-1]}
 	}
 	cfg.Checks = pick(2) == 1

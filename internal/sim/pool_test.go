@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hmccoal/internal/hmc"
 	"reflect"
 	"runtime"
 	"strings"
@@ -8,7 +9,6 @@ import (
 
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/membackend"
 	"hmccoal/internal/trace"
 )
 
@@ -74,7 +74,7 @@ func TestPoolMatchesSolo(t *testing.T) {
 	var names []string
 	var cfgs []Config
 	for _, mode := range []Mode{Baseline, DMCOnly, TwoPhase} {
-		for _, kind := range []membackend.Kind{membackend.KindHMC, membackend.KindDDR, membackend.KindIdeal} {
+		for _, kind := range []hmc.Kind{hmc.KindHMC, hmc.KindDDR, hmc.KindIdeal} {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
 			cfg.Backend = kind
@@ -93,7 +93,7 @@ func TestPoolFrontendMatrix(t *testing.T) {
 	var cfgs []Config
 	for _, fe := range []coalescer.Kind{coalescer.KindTwoPhase, coalescer.KindWarp} {
 		for _, sched := range []coalescer.Sched{coalescer.SchedFRFCFS, coalescer.SchedHetero} {
-			for _, kind := range []membackend.Kind{membackend.KindHMC, membackend.KindDDR, membackend.KindIdeal} {
+			for _, kind := range []hmc.Kind{hmc.KindHMC, hmc.KindDDR, hmc.KindIdeal} {
 				cfg := DefaultConfig()
 				cfg.Frontend = fe
 				cfg.Sched = sched
@@ -270,7 +270,7 @@ func TestSystemReset(t *testing.T) {
 	// fresh build.
 	cfg2 := DefaultConfig()
 	cfg2.Mode = Baseline
-	cfg2.Backend = membackend.KindDDR
+	cfg2.Backend = hmc.KindDDR
 	if err := s.Reset(cfg2); err != nil {
 		t.Fatal(err)
 	}

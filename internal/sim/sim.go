@@ -21,7 +21,6 @@ import (
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/hmc"
 	"hmccoal/internal/invariant"
-	"hmccoal/internal/membackend"
 	"hmccoal/internal/mshr"
 	"hmccoal/internal/trace"
 )
@@ -90,7 +89,7 @@ type Variant struct {
 	// model (the zero value), a DDR-like single-channel baseline, or an
 	// ideal zero-contention device. The HMC config's geometry and timing
 	// fields parameterize every backend; fault injection is HMC-only.
-	Backend membackend.Kind `json:"backend,omitempty"`
+	Backend hmc.Kind `json:"backend,omitempty"`
 	// Frontend selects the coalescing front-end between the LLC and the
 	// memory backend: the paper's two-phase coalescer (the zero value) or
 	// the GPU-style warp coalescing unit.
@@ -108,7 +107,7 @@ func (v Variant) Validate() error {
 // RegisterVariantFlags binds -backend, -frontend and -sched on fs to v's
 // fields, each defaulting to its current value.
 func RegisterVariantFlags(fs *flag.FlagSet, v *Variant) {
-	fs.TextVar(&v.Backend, "backend", v.Backend, "memory backend behind the coalescer: "+strings.Join(membackend.Kinds(), ", "))
+	fs.TextVar(&v.Backend, "backend", v.Backend, "memory backend behind the coalescer: "+strings.Join(hmc.Kinds(), ", "))
 	fs.TextVar(&v.Frontend, "frontend", v.Frontend, "coalescing front-end between the LLC and the backend: "+strings.Join(coalescer.Kinds(), ", "))
 	fs.TextVar(&v.Sched, "sched", v.Sched, "issue policy inside the front-end: "+strings.Join(coalescer.Scheds(), ", "))
 }
@@ -253,7 +252,7 @@ func (r Result) RuntimeNs() float64 {
 type System struct {
 	cfg       Config
 	hierarchy *cache.Hierarchy
-	device    membackend.Backend
+	device    *hmc.Device
 	coal      *coalescer.Coalescer
 
 	outstanding []int    // demand misses in flight per CPU
@@ -352,7 +351,7 @@ func (s *System) Reset(cfg Config) error {
 // flat arrays (token ring, fetch table, per-CPU accounting) are reused
 // when their required size is unchanged.
 func (s *System) init(cfg Config) error {
-	d, err := membackend.New(cfg.Backend, cfg.HMC)
+	d, err := hmc.NewDevice(cfg.Backend, cfg.HMC)
 	if err != nil {
 		return err
 	}

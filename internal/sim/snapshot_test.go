@@ -8,7 +8,7 @@ import (
 
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
-	"hmccoal/internal/membackend"
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/trace"
 	"hmccoal/internal/workloads"
 )
@@ -21,7 +21,7 @@ type snapshotScenario struct {
 	bench   string
 	ops     int
 	mode    Mode
-	backend membackend.Kind
+	backend hmc.Kind
 	fe      coalescer.Kind
 	sched   coalescer.Sched
 	ber     float64 // >0 enables deterministic link fault injection
@@ -35,16 +35,16 @@ func snapshotScenarios() []snapshotScenario {
 		{name: "ft/two-phase", bench: "FT", ops: 600, mode: TwoPhase},
 		{name: "hpcg/baseline", bench: "HPCG", ops: 600, mode: Baseline},
 		{name: "ft/dmc-only", bench: "FT", ops: 600, mode: DMCOnly},
-		{name: "hpcg/ddr", bench: "HPCG", ops: 400, mode: TwoPhase, backend: membackend.KindDDR},
-		{name: "ft/ideal", bench: "FT", ops: 400, mode: TwoPhase, backend: membackend.KindIdeal},
+		{name: "hpcg/ddr", bench: "HPCG", ops: 400, mode: TwoPhase, backend: hmc.KindDDR},
+		{name: "ft/ideal", bench: "FT", ops: 400, mode: TwoPhase, backend: hmc.KindIdeal},
 		{name: "hpcg/faulty", bench: "HPCG", ops: 600, mode: TwoPhase, ber: 1e-5},
 		{name: "ft/faulty-checked", bench: "FT", ops: 600, mode: TwoPhase, ber: 1e-5, checks: true},
 		{name: "hpcg/checked", bench: "HPCG", ops: 400, mode: TwoPhase, checks: true},
 		// The front-end axis: the warp coalescing unit and the hetero issue
 		// policy across every backend and under link faults.
 		{name: "hpcg/warp", bench: "HPCG", ops: 600, mode: TwoPhase, fe: coalescer.KindWarp},
-		{name: "ft/warp-ddr", bench: "FT", ops: 400, mode: TwoPhase, fe: coalescer.KindWarp, backend: membackend.KindDDR},
-		{name: "hpcg/warp-ideal", bench: "HPCG", ops: 400, mode: TwoPhase, fe: coalescer.KindWarp, backend: membackend.KindIdeal},
+		{name: "ft/warp-ddr", bench: "FT", ops: 400, mode: TwoPhase, fe: coalescer.KindWarp, backend: hmc.KindDDR},
+		{name: "hpcg/warp-ideal", bench: "HPCG", ops: 400, mode: TwoPhase, fe: coalescer.KindWarp, backend: hmc.KindIdeal},
 		{name: "ft/warp-faulty", bench: "FT", ops: 600, mode: TwoPhase, fe: coalescer.KindWarp, ber: 1e-5},
 		{name: "hpcg/warp-hetero", bench: "HPCG", ops: 600, mode: TwoPhase, fe: coalescer.KindWarp, sched: coalescer.SchedHetero},
 		{name: "ft/hetero", bench: "FT", ops: 600, mode: TwoPhase, sched: coalescer.SchedHetero},
@@ -331,7 +331,7 @@ func TestSnapshotAPIErrors(t *testing.T) {
 		t.Error("Restore with differing config accepted")
 	}
 	otherBackend := DefaultConfig()
-	otherBackend.Backend = membackend.KindIdeal
+	otherBackend.Backend = hmc.KindIdeal
 	if err := mustSystem(t, otherBackend).Restore(snap); err == nil {
 		t.Error("Restore into a different backend accepted")
 	}

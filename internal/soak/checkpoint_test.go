@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"hmccoal/internal/coalescer"
-	"hmccoal/internal/membackend"
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/trace"
 )
 
@@ -67,7 +67,7 @@ func TestSoakCheckpointCampaignIdentity(t *testing.T) {
 	}
 	for name, mod := range map[string]func(*Options){
 		"seed":     func(o *Options) { o.Seed = 8 },
-		"backend":  func(o *Options) { o.Backend = membackend.KindIdeal },
+		"backend":  func(o *Options) { o.Backend = hmc.KindIdeal },
 		"frontend": func(o *Options) { o.Frontend = coalescer.KindWarp },
 		"sched":    func(o *Options) { o.Sched = coalescer.SchedHetero },
 	} {

@@ -18,8 +18,8 @@ import (
 
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/fault"
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/invariant"
-	"hmccoal/internal/membackend"
 	"hmccoal/internal/sim"
 	"hmccoal/internal/sweep"
 	"hmccoal/internal/trace"
@@ -62,7 +62,7 @@ func (sc Scenario) String() string {
 	s := fmt.Sprintf("run %d: %s cpus=%d ops=%d mode=%v ber=%g drop=%g timeout=%d adaptive=%v",
 		sc.Index, sc.Workload, sc.CPUs, sc.OpsPerCPU, sim.Mode(sc.Mode),
 		sc.BER, sc.DropRate, sc.TimeoutCycles, sc.AdaptiveTimeout)
-	if sc.Backend != membackend.KindHMC {
+	if sc.Backend != hmc.KindHMC {
 		s += " backend=" + sc.Backend.String()
 	}
 	if sc.Frontend != coalescer.KindTwoPhase {
@@ -128,7 +128,7 @@ func (sc Scenario) Config() sim.Config {
 	cfg.Coalescer.AdaptiveTimeout = sc.AdaptiveTimeout
 	cfg.HMC.Fault = fault.Config{Seed: sc.FaultSeed, BER: sc.BER, DropRate: sc.DropRate}
 	cfg.Variant = sc.Variant
-	if cfg.Backend != membackend.KindHMC {
+	if cfg.Backend != hmc.KindHMC {
 		// Link fault injection is HMC-only: the alternative backends have
 		// no serial links, so their scenarios soak the fault-free paths.
 		cfg.HMC.Fault = fault.Config{}
@@ -178,7 +178,7 @@ func Classify(sc Scenario, err error) Outcome {
 	if _, ok := invariant.As(err); ok {
 		return Failed
 	}
-	if errors.Is(err, coalescer.ErrWatchdog) && sc.DropRate > 0 && sc.Backend == membackend.KindHMC {
+	if errors.Is(err, coalescer.ErrWatchdog) && sc.DropRate > 0 && sc.Backend == hmc.KindHMC {
 		return Expected
 	}
 	return Failed

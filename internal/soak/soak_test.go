@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"hmccoal/internal/coalescer"
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/invariant"
-	"hmccoal/internal/membackend"
 	"hmccoal/internal/sim"
 	"hmccoal/internal/trace"
 )
@@ -38,7 +38,7 @@ func TestScenarioDeterministic(t *testing.T) {
 // machine fails to read.
 func TestScenarioWireBytes(t *testing.T) {
 	o := Options{Seed: 1}
-	o.Variant = sim.Variant{Backend: membackend.KindIdeal, Frontend: coalescer.KindWarp, Sched: coalescer.SchedHetero}
+	o.Variant = sim.Variant{Backend: hmc.KindIdeal, Frontend: coalescer.KindWarp, Sched: coalescer.SchedHetero}
 	sc := o.scenario(5)
 	const want = `{"index":5,"seed":1,"workload":"CG","cpus":8,"ops_per_cpu":80,"trace_seed":2580964887241856397,"mode":2,"ber":0,"drop_rate":0.0001,"fault_seed":13724892769774616931,"timeout_cycles":16,"adaptive_timeout":false,"backend":"ideal","frontend":"warp","sched":"hetero"}`
 	if raw, err := json.Marshal(sc); err != nil || string(raw) != want {
@@ -51,8 +51,8 @@ func TestScenarioWireBytes(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {
 		backend string
-		want    membackend.Kind
-	}{{`""`, membackend.KindHMC}, {`"hmc"`, membackend.KindHMC}, {`"ideal"`, membackend.KindIdeal}, {`"sram"`, -1}} {
+		want    hmc.Kind
+	}{{`""`, hmc.KindHMC}, {`"hmc"`, hmc.KindHMC}, {`"ideal"`, hmc.KindIdeal}, {`"sram"`, -1}} {
 		path := filepath.Join(dir, "repro.json")
 		raw := strings.Replace(want, `"backend":"ideal"`, `"backend":`+c.backend, 1)
 		if err := os.WriteFile(path, []byte(`{"scenario":`+raw+`}`), 0o644); err != nil {

@@ -92,9 +92,6 @@ func (net *Network) Comparators() int {
 // slice must not be modified.
 func (net *Network) Step(i int) []Comparator { return net.steps[i] }
 
-// StageOfStep returns the 0-based merge stage that step i belongs to.
-func (net *Network) StageOfStep(i int) int { return net.stage[i] }
-
 // StepsOfStage returns how many parallel steps merge stage s (0-based)
 // contains. For odd–even mergesort this is always s+1.
 func (net *Network) StepsOfStage(s int) int {
