@@ -3,6 +3,7 @@ package coalescer
 import (
 	"testing"
 
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/mshr"
 )
 
@@ -11,7 +12,9 @@ import (
 func benchCoalescer(b *testing.B, cfg Config, latency uint64) *Coalescer {
 	b.Helper()
 	c, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1,
-		func(tick uint64, e *mshr.Entry) IssueResult { return IssueResult{Done: tick + latency} },
+		func(tick uint64, _ hmc.Request) (hmc.Completion, error) {
+			return hmc.Completion{Done: tick + latency}, nil
+		},
 		func(tick uint64, subs []mshr.Sub, fault bool) {})
 	if err != nil {
 		b.Fatal(err)

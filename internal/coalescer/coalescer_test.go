@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/mshr"
 )
 
@@ -24,13 +25,20 @@ type issueRecord struct {
 	write    bool
 }
 
+// issueOf records a dispatched packet in cache lines of the default
+// geometry.
+func issueOf(tick uint64, req hmc.Request) issueRecord {
+	line := uint64(DefaultConfig().LineBytes)
+	return issueRecord{tick, req.Addr / line, int(uint64(req.PacketBytes) / line), req.Write}
+}
+
 func newHarness(t *testing.T, kind Kind, cfg Config) *harness {
 	t.Helper()
 	h := &harness{memLatency: 400, completed: map[uint64]uint64{}}
 	c, err := New(cfg, kind, SchedFRFCFS, testLanes,
-		func(tick uint64, e *mshr.Entry) IssueResult {
-			h.issues = append(h.issues, issueRecord{tick, e.BaseLine(), e.Lines(), e.Write()})
-			return IssueResult{Done: tick + h.memLatency}
+		func(tick uint64, req hmc.Request) (hmc.Completion, error) {
+			h.issues = append(h.issues, issueOf(tick, req))
+			return hmc.Completion{Done: tick + h.memLatency}, nil
 		},
 		func(tick uint64, subs []mshr.Sub, fault bool) {
 			for _, s := range subs {
@@ -65,7 +73,7 @@ func noBypass() Config {
 }
 
 func TestNewValidation(t *testing.T) {
-	cb := func(uint64, *mshr.Entry) IssueResult { return IssueResult{} }
+	cb := func(uint64, hmc.Request) (hmc.Completion, error) { return hmc.Completion{}, nil }
 	cc := func(uint64, []mshr.Sub, bool) {}
 	if _, err := New(DefaultConfig(), KindTwoPhase, SchedFRFCFS, 1, nil, cc); err == nil {
 		t.Error("nil issue accepted")

@@ -57,28 +57,38 @@ type sortGather struct {
 	padSwap   func(i, j int)
 }
 
-// init builds the sorter for c's configuration.
-func (g *sortGather) init(c *Coalescer) error {
-	net, err := sortnet.New(c.cfg.Width)
-	if err != nil {
-		return err
+// reset returns the sorter to its boot state for c's configuration. The
+// sorting network and the Width-sized working arrays are kept while Width
+// is unchanged, and the input buffer always is.
+func (g *sortGather) reset(c *Coalescer) error {
+	net := g.net
+	if net == nil || net.Width() != c.cfg.Width {
+		var err error
+		if net, err = sortnet.New(c.cfg.Width); err != nil {
+			return err
+		}
 	}
 	pipe, err := sortnet.NewPipeline(net, c.cfg.Fold, c.cfg.StepCycles)
 	if err != nil {
 		return err
 	}
+	keys, pad, padSwap := g.flushKeys, g.flushPad, g.padSwap
+	if len(keys) != c.cfg.Width {
+		keys, pad = make([]uint64, c.cfg.Width), make([]pendingReq, c.cfg.Width)
+		padSwap = func(i, j int) { pad[i], pad[j] = pad[j], pad[i] }
+	}
 	*g = sortGather{
 		c:          c,
 		net:        net,
 		pipe:       pipe,
+		pending:    g.pending[:0],
 		curTimeout: c.cfg.TimeoutCycles,
 		bypassOn:   true,       // §4.2: the bypass is armed at boot
 		idleSince:  ^uint64(0), // not in an idle span until proven so
-		flushKeys:  make([]uint64, c.cfg.Width),
-		flushPad:   make([]pendingReq, c.cfg.Width),
+		flushKeys:  keys,
+		flushPad:   pad,
+		padSwap:    padSwap,
 	}
-	pad := g.flushPad
-	g.padSwap = func(i, j int) { pad[i], pad[j] = pad[j], pad[i] }
 	return nil
 }
 

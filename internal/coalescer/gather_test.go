@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/mshr"
 )
 
@@ -111,9 +112,9 @@ type fakeMem struct {
 	ticks  []uint64
 }
 
-func (m *fakeMem) issue(tick uint64, e *mshr.Entry) IssueResult {
+func (m *fakeMem) issue(tick uint64, req hmc.Request) (hmc.Completion, error) {
 	m.issued++
-	return IssueResult{Done: tick + 40 + 4*uint64(e.Lines())}
+	return hmc.Completion{Done: tick + 40 + 4*uint64(issueOf(tick, req).lines)}, nil
 }
 
 func (m *fakeMem) complete(tick uint64, subs []mshr.Sub, fault bool) {

@@ -1,6 +1,7 @@
 package coalescer
 
 import (
+	"hmccoal/internal/hmc"
 	"hmccoal/internal/invariant"
 	"hmccoal/internal/mshr"
 )
@@ -124,20 +125,29 @@ func (c *Coalescer) drainCRQ(now uint64) {
 		}
 		for _, e := range out.Issued {
 			c.stats.HMCRequests++
-			res := c.issue(t, e)
+			res, err := c.issue(t, c.request(e))
+			if err != nil {
+				// The device rejected a packet the coalescer built. Latch the
+				// violation for the event loop's next poll and treat the
+				// packet as completed at t so the bookkeeping stays conserved
+				// until the run aborts.
+				c.setViol(invariant.Violatef(invariant.RuleIllegalPacket, t, c.DebugState(),
+					"illegal HMC request from coalescer: %v", err))
+				res = hmc.Completion{Done: t}
+			}
 			c.noteIssue(t, res)
 			c.stats.LinkRetryRounds += uint64(res.Retries)
 			if res.Dropped {
 				c.stats.DroppedPackets++
-				res.Done = NeverTick // normalize whatever the callback set
-			} else if res.Fault {
+				res.Done = hmc.NeverTick // normalize whatever the callback set
+			} else if res.Poisoned {
 				c.stats.PoisonedPackets++
 			}
 			if c.laneBytes != nil {
 				c.laneBytes[p.cpu] += uint64(e.Lines()) * uint64(c.cfg.LineBytes)
 			}
 			c.inflight = completionPush(c.inflight, completion{
-				tick: res.Done, entry: e, issuedAt: t, fault: res.Fault, attempt: p.attempt,
+				tick: res.Done, entry: e, issuedAt: t, fault: res.Poisoned, attempt: p.attempt,
 				cpu: p.cpu, critical: p.critical,
 			})
 		}
@@ -155,6 +165,18 @@ func (c *Coalescer) drainCRQ(now uint64) {
 			return
 		}
 		c.crqPop()
+	}
+}
+
+// request builds the HMC packet for an allocated MSHR entry: its lines,
+// with the useful bytes its waiters asked for.
+func (c *Coalescer) request(e *mshr.Entry) hmc.Request {
+	packet := uint32(e.Lines()) * c.cfg.LineBytes
+	return hmc.Request{
+		Addr:           e.BaseLine() * uint64(c.cfg.LineBytes),
+		PacketBytes:    packet,
+		RequestedBytes: min(uint32(e.Payload()), packet),
+		Write:          e.Write(),
 	}
 }
 

@@ -43,11 +43,17 @@ type warpGroup struct {
 	targets  []mshr.Target
 }
 
-func newWarpGather(c *Coalescer, lanes int) *warpGather {
-	if lanes < 1 {
-		lanes = 1
+// reset empties every lane for a run with the given lane count, keeping
+// the lane buffers while the count is unchanged.
+func (g *warpGather) reset(lanes int) {
+	lanes = max(lanes, 1)
+	if len(g.lanes) != lanes {
+		g.lanes = make([]warpLane, lanes)
 	}
-	return &warpGather{c: c, lanes: make([]warpLane, lanes), next: ^uint64(0)}
+	for i := range g.lanes {
+		g.lanes[i] = warpLane{reqs: g.lanes[i].reqs[:0]}
+	}
+	g.next = ^uint64(0)
 }
 
 // push lands the request in its lane's open warp, which closes when it

@@ -1,6 +1,7 @@
 package hmc
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -240,38 +241,55 @@ type duplex struct {
 // Every kind honors the geometry and timing fields it models; only the HMC
 // has serial links, so only it accepts fault injection.
 func NewDevice(kind Kind, cfg Config) (*Device, error) {
-	if err := kind.Validate(); err != nil {
+	d := &Device{}
+	if err := d.Reset(kind, cfg); err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	return d, nil
+}
+
+// Reset returns d to exactly the device NewDevice(kind, cfg) builds,
+// reusing its bank, link-token and statistics arrays where their shape
+// fits. The attached checker is detached.
+func (d *Device) Reset(kind Kind, cfg Config) error {
+	if err := errors.Join(kind.Validate(), cfg.Validate()); err != nil {
+		return err
 	}
-	d := &Device{kind: kind, cfg: cfg}
+	if kind != KindHMC && cfg.Fault.Enabled() {
+		return fmt.Errorf("hmc: fault injection is HMC-only (%v backend has no serial links)", kind)
+	}
+	nBanks, nLinks := 0, 0
 	switch kind {
 	case KindHMC:
-		d.banks = make([]bankState, cfg.Vaults*cfg.BanksPerVault)
-		d.links = make([]duplex, cfg.Links)
-		if cfg.LinkTokens > 0 {
-			for i := range d.links {
-				d.links[i].tokens = make([]uint64, cfg.LinkTokens)
-			}
-		}
-	default:
-		if cfg.Fault.Enabled() {
-			return nil, fmt.Errorf("hmc: fault injection is HMC-only (%v backend has no serial links)", kind)
-		}
-		if kind == KindDDR {
-			d.banks = make([]bankState, cfg.BanksPerVault)
-		}
+		nBanks, nLinks = cfg.Vaults*cfg.BanksPerVault, cfg.Links
+	case KindDDR:
+		nBanks = cfg.BanksPerVault
 	}
-	d.sizeHist = make([]uint64, cfg.BlockBytes/FlitBytes+1)
-	d.stats.VaultRequests = make([]uint64, d.vaultBuckets())
-	d.inj = fault.NewInjector(cfg.Fault)
+	// The links keep their token arrays: each is resized in place below.
+	links := d.links
+	if cap(links) < nLinks {
+		links = make([]duplex, nLinks)
+	}
+	*d = Device{
+		kind:     kind,
+		cfg:      cfg,
+		banks:    append(d.banks[:0], make([]bankState, nBanks)...),
+		links:    links[:nLinks],
+		sizeHist: append(d.sizeHist[:0], make([]uint64, cfg.BlockBytes/FlitBytes+1)...),
+		stats:    Stats{VaultRequests: d.stats.VaultRequests},
+		inj:      fault.NewInjector(cfg.Fault),
+	}
+	for i := range d.links {
+		l := &d.links[i]
+		l.in, l.out = 0, 0
+		l.tokens = append(l.tokens[:0], make([]uint64, cfg.LinkTokens)...)
+	}
+	d.stats.VaultRequests = append(d.stats.VaultRequests[:0], make([]uint64, d.vaultBuckets())...)
 	if d.inj.Enabled() {
 		d.consecErr = make([]int, cfg.Links)
 		d.linkFaults = make([]LinkFaultStats, cfg.Links)
 	}
-	return d, nil
+	return nil
 }
 
 // vaultBuckets is the length of Stats.VaultRequests: one per vault for the
@@ -688,33 +706,6 @@ func (d *Device) Stats() Stats {
 		s.LinkFaults = append([]LinkFaultStats(nil), d.linkFaults...)
 	}
 	return s
-}
-
-// Reset clears the device state and statistics.
-func (d *Device) Reset() {
-	for i := range d.banks {
-		d.banks[i] = bankState{}
-	}
-	for i := range d.links {
-		d.links[i] = duplex{}
-		if d.cfg.LinkTokens > 0 {
-			d.links[i].tokens = make([]uint64, d.cfg.LinkTokens)
-		}
-	}
-	d.next = 0
-	d.bus = 0
-	d.serial = 0
-	for i := range d.consecErr {
-		d.consecErr[i] = 0
-	}
-	for i := range d.linkFaults {
-		d.linkFaults[i] = LinkFaultStats{}
-	}
-	for i := range d.sizeHist {
-		d.sizeHist[i] = 0
-	}
-	d.stats = Stats{VaultRequests: make([]uint64, d.vaultBuckets())}
-	d.chkIssuedB, d.chkDeliveredB, d.chkPoisonedB, d.chkDroppedB, d.chkStarvedPkts = 0, 0, 0, 0, 0
 }
 
 // CopyFrom makes d an exact copy of src's mutable state — bank, link and

@@ -125,7 +125,7 @@ func TestVaultParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Reset()
+	d.Reset(d.Kind(), d.Config())
 	c := d.Config()
 	var last uint64
 	const k = 16
@@ -228,7 +228,7 @@ func TestResetClearsState(t *testing.T) {
 	if _, err := d.Submit(0, Request{Addr: 0, PacketBytes: 64, RequestedBytes: 64}); err != nil {
 		t.Fatal(err)
 	}
-	d.Reset()
+	d.Reset(d.Kind(), d.Config())
 	s := d.Stats()
 	if s.Requests != 0 || s.TransferredBytes != 0 || len(s.SizeHist) != 0 {
 		t.Errorf("stats not cleared: %+v", s)
@@ -403,7 +403,7 @@ func TestVaultAccountingAndImbalance(t *testing.T) {
 		t.Errorf("VaultImbalance = %v, want %d (all in one vault)", got, d.Config().Vaults)
 	}
 	// Spread traffic: one request per vault.
-	d.Reset()
+	d.Reset(d.Kind(), d.Config())
 	for i := uint64(0); i < uint64(d.Config().Vaults); i++ {
 		if _, err := d.Submit(0, Request{Addr: i * uint64(d.Config().BlockBytes), PacketBytes: 64, RequestedBytes: 64}); err != nil {
 			t.Fatal(err)

@@ -206,7 +206,7 @@ func TestResetClearsFaultState(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := submitN(t, d, 500)
-	d.Reset()
+	d.Reset(d.Kind(), d.Config())
 	second := submitN(t, d, 500)
 	for i := range first {
 		if first[i] != second[i] {
@@ -252,7 +252,7 @@ func TestResetAfterFaultsMatchesFresh(t *testing.T) {
 		t.Fatal("fault profile injected nothing; raise the rates")
 	}
 
-	used.Reset()
+	used.Reset(used.Kind(), used.Config())
 	fresh, err := NewDevice(KindHMC, cfg)
 	if err != nil {
 		t.Fatal(err)

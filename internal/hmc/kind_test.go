@@ -288,7 +288,7 @@ func TestResetClearsBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		submitPattern(t, b, 100)
-		b.Reset()
+		b.Reset(b.Kind(), b.Config())
 		if got, want := b.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%v: Reset left stats dirty:\n%+v\nwant fresh:\n%+v", k, got, want)
 		}

@@ -77,7 +77,7 @@ func TestTokenReleaseOnResponse(t *testing.T) {
 		t.Fatalf("request arriving at the release tick waited %d cycles", w)
 	}
 	// Arriving one tick before it: exactly one cycle of wait.
-	d.Reset()
+	d.Reset(d.Kind(), d.Config())
 	done, err = d.Submit(0, Request{Addr: 0, PacketBytes: 64, RequestedBytes: 64})
 	if err != nil {
 		t.Fatal(err)

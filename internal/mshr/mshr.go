@@ -182,29 +182,51 @@ func (cfg Config) Validate() error {
 
 // NewFile builds an MSHR file.
 func NewFile(cfg Config) (*File, error) {
-	if err := cfg.Validate(); err != nil {
+	f := &File{}
+	if err := f.Reset(cfg); err != nil {
 		return nil, err
+	}
+	return f, nil
+}
+
+// Reset returns f to exactly the file NewFile(cfg) builds. The entries,
+// match keys and subentry backing are kept when cfg has the same Entries
+// and MaxSubentries; the Insert scratch buffers always are. The attached
+// checker is detached.
+func (f *File) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.MaxSubentries == 0 {
 		cfg.MaxSubentries = 8
 	}
-	f := &File{
+	entries, keys := f.entries, f.keys
+	if len(entries) != cfg.Entries || f.cfg.MaxSubentries != cfg.MaxSubentries {
+		entries, keys = make([]Entry, cfg.Entries), make([]uint64, cfg.Entries)
+		// Fixed subentry backing, reused across the entry's lifetimes: one
+		// array for the whole file, capped per entry so an append never
+		// spills into a neighbour.
+		m := cfg.MaxSubentries
+		subs := make([]Sub, cfg.Entries*m)
+		for i := range entries {
+			entries[i].subs = subs[i*m : i*m : (i+1)*m]
+		}
+	}
+	for i := range entries {
+		entries[i] = Entry{subs: entries[i].subs[:0], index: i}
+	}
+	clear(keys)
+	*f = File{
 		cfg:           cfg,
-		entries:       make([]Entry, cfg.Entries),
-		keys:          make([]uint64, cfg.Entries),
+		entries:       entries,
+		keys:          keys,
 		linesPerBlock: uint64(cfg.BlockBytes / cfg.LineBytes),
 		free:          cfg.Entries,
+		keptBuf:       f.keptBuf,
+		issuedBuf:     f.issuedBuf,
+		unplacedBuf:   f.unplacedBuf,
 	}
-	// Fixed subentry backing, reused across the entry's lifetimes: one
-	// array for the whole file, capped per entry so an append never spills
-	// into a neighbour.
-	m := cfg.MaxSubentries
-	subs := make([]Sub, cfg.Entries*m)
-	for i := range f.entries {
-		f.entries[i].index = i
-		f.entries[i].subs = subs[i*m : i*m : (i+1)*m]
-	}
-	return f, nil
+	return nil
 }
 
 // CopyFrom makes f an exact copy of src's entries, match keys, free count

@@ -307,7 +307,8 @@ const sameCoreWindow = 48
 
 const writeBackToken = ^uint64(0)
 
-// NewSystem builds a system from cfg.
+// NewSystem builds a system from cfg and wires its layers once: the
+// coalescer hands its packets straight to the device's SubmitPacket.
 func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {
@@ -317,22 +318,29 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{hierarchy: h}
-	if err := s.init(cfg); err != nil {
+	d, err := hmc.NewDevice(cfg.Backend, cfg.HMC)
+	if err != nil {
 		return nil, err
 	}
+	s := &System{hierarchy: h, device: d}
+	if s.coal, err = coalescer.New(cfg.Coalescer, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs, d.SubmitPacket, s.complete); err != nil {
+		return nil, err
+	}
+	s.init(cfg)
 	return s, nil
 }
 
 // Reset returns a finished, abandoned mid-run or unused System to the
-// freshly built state for cfg, recycling the cache hierarchy's
-// multi-megabyte tag arrays and the token ring in place instead of
-// rebuilding them through the allocator. cfg must keep the Hierarchy the
-// System was built with; everything else — mode, backend, coalescer
-// tuning, fault plan, checks — may change between runs. A reset System
-// produces byte-identical results to one built fresh from the same cfg,
-// and restores snapshots identically: this is what lets a Pool hand one
-// System to job after job without paying NewSystem per job.
+// freshly built state for cfg. Every layer resets in place — the cache
+// hierarchy's multi-megabyte tag arrays, the device, the coalescer with
+// its MSHR file, and the token ring — instead of being rebuilt through the
+// allocator. cfg must keep the Hierarchy the System was built with;
+// everything else — mode, backend, coalescer tuning, fault plan, checks —
+// may change between runs. A reset System produces byte-identical results
+// to one built fresh from the same cfg, and restores snapshots
+// identically: this is what lets a Pool hand one System to job after job
+// without paying NewSystem per job. After an error the System must not be
+// used again.
 func (s *System) Reset(cfg Config) error {
 	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {
@@ -342,21 +350,22 @@ func (s *System) Reset(cfg Config) error {
 		return fmt.Errorf("sim: Reset with a different hierarchy (build a fresh System)")
 	}
 	s.hierarchy.Reset()
-	return s.init(cfg)
-}
-
-// init wires every component except the cache hierarchy (built once by
-// NewSystem, reset in place by Reset) and zeroes the run state. The small
-// mutable components — device, coalescer — are rebuilt fresh; the large
-// flat arrays (token ring, fetch table, per-CPU accounting) are reused
-// when their required size is unchanged.
-func (s *System) init(cfg Config) error {
-	d, err := hmc.NewDevice(cfg.Backend, cfg.HMC)
-	if err != nil {
+	if err := s.device.Reset(cfg.Backend, cfg.HMC); err != nil {
 		return err
 	}
+	if err := s.coal.Reset(cfg.Coalescer, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs); err != nil {
+		return err
+	}
+	s.init(cfg)
+	return nil
+}
+
+// init zeroes the run state around the layers NewSystem built and Reset
+// returned to their built state, and attaches the invariant checker. The
+// flat arrays (token ring, fetch table, per-CPU accounting) are reused
+// when their required size is unchanged.
+func (s *System) init(cfg Config) {
 	s.cfg = cfg
-	s.device = d
 	if len(s.outstanding) == cfg.Hierarchy.CPUs {
 		clear(s.outstanding)
 		clear(s.stall)
@@ -364,73 +373,6 @@ func (s *System) init(cfg Config) error {
 		s.outstanding = make([]int, cfg.Hierarchy.CPUs)
 		s.stall = make([]uint64, cfg.Hierarchy.CPUs)
 	}
-	lineBytes := uint64(cfg.Coalescer.LineBytes)
-	c, err := coalescer.New(cfg.Coalescer, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs,
-		func(tick uint64, e *mshr.Entry) coalescer.IssueResult {
-			packet := uint32(e.Lines()) * cfg.Coalescer.LineBytes
-			requested := uint32(e.Payload())
-			if requested > packet {
-				requested = packet
-			}
-			comp, err := d.SubmitPacket(tick, hmc.Request{
-				Addr:           e.BaseLine() * lineBytes,
-				PacketBytes:    packet,
-				RequestedBytes: requested,
-				Write:          e.Write(),
-			})
-			if err != nil {
-				// The coalescer built a packet the device interface rejects.
-				// Latch the violation for the event loop's next poll and
-				// pretend the packet completed instantly so the bookkeeping
-				// stays conserved until the run aborts.
-				v := invariant.Violatef(invariant.RuleIllegalPacket, tick,
-					d.DebugLinks(), "illegal HMC request from coalescer: %v", err)
-				s.check.Record(v)
-				if s.runErr == nil {
-					s.runErr = v
-				}
-				return coalescer.IssueResult{Done: tick}
-			}
-			return coalescer.IssueResult{
-				Done:    comp.Done,
-				Fault:   comp.Poisoned,
-				Dropped: comp.Dropped,
-				Retries: comp.Retries,
-			}
-		},
-		func(tick uint64, subs []mshr.Sub, fault bool) {
-			for _, sub := range subs {
-				if sub.Token == writeBackToken {
-					continue
-				}
-				idx := sub.Token % uint64(len(s.tokenCPU))
-				if s.ledger != nil {
-					if v := s.ledger.Complete(idx, tick); v != nil {
-						s.check.Record(v)
-						if s.runErr == nil {
-							s.runErr = v
-						}
-					}
-				}
-				s.outstanding[s.tokenCPU[idx]]--
-				s.doneTok++
-				if fault {
-					// The retry budget ran out and the waiter got an error
-					// response instead of data. The core still unblocks (the
-					// fault is delivered, not dropped) but the failure is
-					// accounted.
-					s.failedTok++
-				}
-				// The line's fill has arrived: stamping the token's ring slot
-				// invalidates the line's fetch-table entry (if this token owns
-				// it) without touching the table itself.
-				s.tokenLine[idx] = fetchDone
-			}
-		})
-	if err != nil {
-		return err
-	}
-	s.coal = c
 	// Token ring: bounded by the maximum number of simultaneously live
 	// demand misses (MLP budget × CPUs, plus coalescer buffering slack).
 	// The ring length is semantic (token slots are indexed modulo it), so
@@ -467,7 +409,38 @@ func (s *System) init(cfg Config) error {
 		s.coal.SetChecker(s.check)
 		s.device.SetChecker(s.check)
 	}
-	return nil
+}
+
+// complete is the coalescer's CompleteFunc: it returns each demand
+// waiter's token to its core, skipping write-backs.
+func (s *System) complete(tick uint64, subs []mshr.Sub, fault bool) {
+	for _, sub := range subs {
+		if sub.Token == writeBackToken {
+			continue
+		}
+		idx := sub.Token % uint64(len(s.tokenCPU))
+		if s.ledger != nil {
+			if v := s.ledger.Complete(idx, tick); v != nil {
+				s.check.Record(v)
+				if s.runErr == nil {
+					s.runErr = v
+				}
+			}
+		}
+		s.outstanding[s.tokenCPU[idx]]--
+		s.doneTok++
+		if fault {
+			// The retry budget ran out and the waiter got an error
+			// response instead of data. The core still unblocks (the
+			// fault is delivered, not dropped) but the failure is
+			// accounted.
+			s.failedTok++
+		}
+		// The line's fill has arrived: stamping the token's ring slot
+		// invalidates the line's fetch-table entry (if this token owns
+		// it) without touching the table itself.
+		s.tokenLine[idx] = fetchDone
+	}
 }
 
 // Checker returns the attached invariant checker, or nil when
