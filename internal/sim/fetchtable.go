@@ -18,6 +18,9 @@ type fetchTable struct {
 	slots []fetchSlot
 	mask  uint64
 	used  int // occupied slots, live or stale
+	// spare is the array the last rehash moved off, reused by the next
+	// rehash that keeps the size.
+	spare []fetchSlot
 }
 
 // fetchSlot holds one outstanding-line record.
@@ -107,7 +110,8 @@ func (s *System) fetchInsert(line, token uint64, cpu uint8, tick uint64) {
 // fetchRehash rebuilds the table carrying only live slots over. The new
 // size keeps the *live* load under 50%: when most occupied slots are stale
 // (completed fills the inserts never recycled) the table stays the same
-// size and simply sheds them, so churn cannot grow it without bound.
+// size and simply sheds them, so churn cannot grow it without bound. A
+// same-size rehash fills the spare array, cleared, instead of allocating.
 func (s *System) fetchRehash() {
 	old := s.fetching.slots
 	live := 0
@@ -120,7 +124,13 @@ func (s *System) fetchRehash() {
 	for live*2 >= size {
 		size *= 2
 	}
-	next := fetchTable{slots: make([]fetchSlot, size), mask: uint64(size - 1)}
+	slots := s.fetching.spare
+	if len(slots) == size {
+		clear(slots)
+	} else {
+		slots = make([]fetchSlot, size)
+	}
+	next := fetchTable{slots: slots, mask: uint64(size - 1), spare: old}
 	for i := range old {
 		sl := &old[i]
 		if !sl.inUse || !s.fetchLive(sl) {

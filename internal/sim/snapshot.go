@@ -80,6 +80,7 @@ func (s *System) copyFrom(src *System) error {
 		slots: append(s.fetching.slots[:0], src.fetching.slots...),
 		mask:  src.fetching.mask,
 		used:  src.fetching.used,
+		spare: s.fetching.spare,
 	}
 	s.lastClock = src.lastClock
 	ts := s.ts
