@@ -24,8 +24,12 @@ var fuzzHierarchy = cache.HierarchyConfig{
 // fuzzConfig decodes a system configuration on fuzzHierarchy from bits:
 // mode, front-end, scheduler, backend, link faults (HMC only), checks,
 // sorter timeout, MSHR count and, with faults, a one-retry link budget
-// that sends many spans to the coalescer's retry heap. A small miss
-// budget makes cores stall.
+// that sends many spans to the coalescer's retry heap; then the shapes a
+// Reset keeps or rebuilds — sorter width, link flow-control tokens, MSHR
+// subentries — and, with faults, dropped responses that leak those
+// tokens. Every pick's index 0 is the value earlier picks left, so a seed
+// decodes to the same configuration however many picks follow. A small
+// miss budget makes cores stall.
 func fuzzConfig(bits uint32) Config {
 	pick := func(n uint32) uint32 {
 		v := bits % n
@@ -47,6 +51,12 @@ func fuzzConfig(bits uint32) Config {
 	cfg.Coalescer.MSHR.Entries = []int{4, 8, 16}[pick(3)]
 	if cfg.HMC.Fault.BER > 0 {
 		cfg.HMC.Fault.MaxRetries = []int{0, 1}[pick(2)]
+	}
+	cfg.Coalescer.Width = []int{16, 8, 32}[pick(3)]
+	cfg.HMC.LinkTokens = []int{0, 4}[pick(2)]
+	cfg.Coalescer.MSHR.MaxSubentries = []int{8, 4}[pick(2)]
+	if cfg.HMC.Fault.BER > 0 {
+		cfg.HMC.Fault.DropRate = []float64{0, 1e-2}[pick(2)]
 	}
 	return cfg
 }
@@ -102,6 +112,17 @@ func FuzzResetEquivalence(f *testing.F) {
 	// same tick as one of them: restored without its retry sequence
 	// counter, the coalescer re-issues them in the wrong order.
 	f.Add(uint32(7021+10368), uint32(0), uint8(2), uint8(0), uint8(3), uint16(660))
+	// A two-phase run abandoned mid-trace, then a warp run: the pooled
+	// coalescer switches gather stages with the sorter's buffers still full.
+	f.Add(uint32(1730), uint32(1733), uint8(0), uint8(1), uint8(2), uint16(300))
+	// Sorter width 16, then 32 (+2×2592, the product of the fault-free
+	// radices before the width pick): the pooled sorter network and its
+	// working arrays must be rebuilt, not reused.
+	f.Add(uint32(1730), uint32(1730+2*2592), uint8(1), uint8(0), uint8(0), uint16(0))
+	// A run at BER 1e-3 whose dropped responses leak link tokens (4 per
+	// link), then a clean run with tokens on (+3×2592): every token must
+	// start free.
+	f.Add(uint32(318062), uint32(1730+3*2592), uint8(0), uint8(0), uint8(0), uint16(0))
 
 	f.Fuzz(func(t *testing.T, bitsA, bitsB uint32, seedA, seedB, fate uint8, steps uint16) {
 		cfgA, cfgB := fuzzConfig(bitsA), fuzzConfig(bitsB)
