@@ -39,10 +39,14 @@ type Options struct {
 	// Logf, when non-nil, receives daemon lifecycle chatter.
 	Logf func(format string, args ...any)
 
-	// now and exec are test seams: a fake clock makes rate-limit tests
-	// deterministic, a fake executor makes scheduling tests instant.
-	now  func() time.Time
-	exec execFunc
+	// now, exec and parkCheck are test seams: a fake clock makes
+	// rate-limit tests deterministic, a fake executor makes scheduling
+	// tests instant, and parkCheck, called by a single-run job at each
+	// preemption check before it reads ctx, lets a test hold the job there
+	// until a park or cancel is in place.
+	now       func() time.Time
+	exec      execFunc
+	parkCheck func(ctx context.Context, spec Spec)
 }
 
 // DefaultMaxQueue is the default daemon-wide pending cap.

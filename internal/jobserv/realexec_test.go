@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,6 +32,27 @@ func waitDone(t *testing.T, d *Daemon, id string, timeout time.Duration) {
 	}
 }
 
+// holdFirst returns a parkCheck seam that holds the first job of each
+// listed spec at its first preemption check until the job's context ends:
+// it is preempted, canceled or drained. Such a job cannot finish before
+// the test acts on it, however slow the host.
+func holdFirst(specs ...Spec) func(context.Context, Spec) {
+	var mu sync.Mutex
+	held := make([]bool, len(specs))
+	return func(ctx context.Context, spec Spec) {
+		mu.Lock()
+		i := slices.IndexFunc(specs, func(s Spec) bool { return reflect.DeepEqual(s, spec) })
+		hold := i >= 0 && !held[i]
+		if hold {
+			held[i] = true
+		}
+		mu.Unlock()
+		if hold {
+			<-ctx.Done()
+		}
+	}
+}
+
 // TestPreemptResumeEqualsUninterrupted preempts a real single-run job mid-
 // simulation via Snapshot/Restore and pins that the resumed run's result
 // bytes equal an uninterrupted run of the same spec.
@@ -38,7 +61,8 @@ func TestPreemptResumeEqualsUninterrupted(t *testing.T) {
 	highSpec := Spec{Kind: KindSingle, Bench: hmccoal.Benchmarks()[1], CPUs: 2, Ops: 60, Seed: 5}
 
 	// Interrupted daemon: one slot, so the high-priority arrival preempts.
-	d1 := newTestDaemon(t, Options{Slots: 1})
+	// The low job waits at its first preemption check for that.
+	d1 := newTestDaemon(t, Options{Slots: 1, parkCheck: holdFirst(lowSpec)})
 	low := mustSubmit(t, d1, "batch", 0, lowSpec)
 	waitFor(t, d1, low, "running", func(v JobView) bool { return v.State == StateRunning })
 	high := mustSubmit(t, d1, "urgent", 9, highSpec)
@@ -89,7 +113,9 @@ func TestReusedSystemsMatchFreshDaemon(t *testing.T) {
 		{Kind: KindSingle, Bench: bench[4], CPUs: 2, Ops: 300, Seed: 6},
 	}
 
-	d := newTestDaemon(t, Options{Slots: 2})
+	// The parked job waits at its first preemption check for the urgent
+	// arrival, and the canceled one for its cancel.
+	d := newTestDaemon(t, Options{Slots: 2, parkCheck: holdFirst(parked, canceled)})
 	stop := make(chan struct{})
 	maxIdle := make(chan int)
 	go func() {

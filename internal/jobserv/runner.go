@@ -101,6 +101,9 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 				return out
 			}
 		}
+		if d.opt.parkCheck != nil {
+			d.opt.parkCheck(ctl.ctx, spec)
+		}
 		if err := ctl.ctx.Err(); err != nil {
 			cause := context.Cause(ctl.ctx)
 			if errors.Is(cause, errPark) || errors.Is(cause, errDrainPark) {
