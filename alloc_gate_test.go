@@ -15,17 +15,20 @@ import (
 	"hmccoal/internal/sim"
 )
 
-// TestAllocationGate pins the exact heap allocation count of NewSystem and
-// of one Start→Finish run at the default hierarchy, for every
-// miss-handling architecture under both front-ends, on one fixed seeded
-// HPCG trace (the BenchmarkSim workload); of a pooled run, the sweep
-// path, under both front-ends; of a sweep's payload analysis of that
-// trace; and of generating it.
-// Allocation counts are deterministic, so any change fails here: if it is
-// intended, re-measure and update the counts in the same change, and say
-// why.
+// TestAllocationGate pins the exact heap allocation count and allocated
+// bytes of NewSystem, and the count of one Start→Finish run, at the
+// default hierarchy, for every miss-handling architecture under both
+// front-ends, on one fixed seeded HPCG trace (the BenchmarkSim workload);
+// of a pooled run, the sweep path, under both front-ends; of a sweep's
+// payload analysis of that trace; and of generating it.
+// Allocation counts and bytes are deterministic, so any change fails
+// here: if it is intended, re-measure and update the pins in the same
+// change, and say why.
 func TestAllocationGate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// On one P no migration can start a second tiny-allocator block
+	// mid-call, which would move the byte count by 16.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	accs, err := GenerateTrace("HPCG", benchParams())
 	if err != nil {
 		t.Fatal(err)
@@ -43,19 +46,25 @@ func TestAllocationGate(t *testing.T) {
 		mode       Mode
 		fe         FrontendKind
 		build, run float64
+		buildBytes uint64
 	}{
-		{ModeBaseline, FrontendTwoPhase, 181, 213},
-		{ModeDMCOnly, FrontendTwoPhase, 181, 146},
-		{ModeTwoPhase, FrontendTwoPhase, 181, 146},
-		{ModeBaseline, FrontendWarp, 130, 213},
-		{ModeDMCOnly, FrontendWarp, 130, 175},
-		{ModeTwoPhase, FrontendWarp, 130, 175},
+		{ModeBaseline, FrontendTwoPhase, 156, 213, 2977896},
+		{ModeDMCOnly, FrontendTwoPhase, 156, 146, 2977896},
+		{ModeTwoPhase, FrontendTwoPhase, 156, 146, 2977896},
+		{ModeBaseline, FrontendWarp, 105, 213, 2973376},
+		{ModeDMCOnly, FrontendWarp, 105, 175, 2973376},
+		{ModeTwoPhase, FrontendWarp, 105, 175, 2973376},
 	}
 	const runs = 3
 	for _, tc := range cases {
 		cfg := DefaultConfig()
 		cfg.Mode, cfg.Frontend = tc.mode, tc.fe
 		build := testing.AllocsPerRun(runs, func() {
+			if _, err := NewSystem(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		buildBytes := allocBytes(func() {
 			if _, err := NewSystem(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -79,6 +88,9 @@ func TestAllocationGate(t *testing.T) {
 		if build != tc.build || run != tc.run {
 			t.Errorf("%v/%v: NewSystem %v allocs, Start→Finish %v; want %v and %v",
 				tc.mode, tc.fe, build, run, tc.build, tc.run)
+		}
+		if buildBytes != tc.buildBytes {
+			t.Errorf("%v/%v: NewSystem allocates %d bytes, want %d", tc.mode, tc.fe, buildBytes, tc.buildBytes)
 		}
 		systems = nil
 		runtime.GC() // GC is off: free this case's systems before the next
@@ -136,4 +148,22 @@ func TestAllocationGate(t *testing.T) {
 	if pay != payAllocs {
 		t.Errorf("AnalyzePayload %v allocs, want %v", pay, payAllocs)
 	}
+}
+
+// allocBytes returns the heap bytes one call of f allocates, as the
+// smallest MemStats.TotalAlloc delta over a few calls after a warm-up
+// call. A goroutine left over from an earlier test can allocate during a
+// call and only add to its delta, so the smallest delta is f's own: with
+// GC off it is as deterministic as an allocation count.
+func allocBytes(f func()) uint64 {
+	f()
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hmccoal/internal/trace"
+	"hmccoal/internal/workloads"
 )
 
 // BenchmarkCacheAccess measures the single-level tag/LRU path: a strided
@@ -36,5 +37,41 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 			Tick: uint64(i),
 		}
 		h.Access(a)
+	}
+}
+
+// BenchmarkHierarchyReplay times the cache layer on its own: a seeded
+// 12-CPU × 5000-op trace replayed in tick order through the default
+// hierarchy, reset to empty caches before each replay, reported as
+// ns/access. SSCA2 and CG miss far beyond the LLC; FT and STREAM stream
+// through it.
+func BenchmarkHierarchyReplay(b *testing.B) {
+	for _, bench := range []string{"SSCA2", "CG", "FT", "STREAM"} {
+		b.Run(bench, func(b *testing.B) {
+			g, ok := workloads.ByName(bench)
+			if !ok {
+				b.Fatalf("no workload %s", bench)
+			}
+			st, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: 5000, Seed: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			accs := st.Flatten()
+			h, err := NewHierarchy(DefaultHierarchyConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Reset()
+				for _, a := range accs {
+					if _, _, err := h.Access(a); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
+		})
 	}
 }

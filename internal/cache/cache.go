@@ -35,14 +35,23 @@ func (c Config) validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	if sets*uint64(c.LineBytes) < 4 {
+		return fmt.Errorf("cache: %d set(s) of %d-byte lines cannot tag every 64-bit address", sets, c.LineBytes)
+	}
 	return nil
 }
 
-// line is one tag entry: 16 bytes, so a 16-way set scan reads 256 B.
-type line struct {
-	tag   uint64
-	gen   uint32 // generation stamp: the line is valid iff gen == Cache.gen
-	dirty bool
+// A tag word holds one cache way: (tag+1)<<1 | dirty, so 0 is an invalid
+// way and a 16-way set scan reads 128 B. validate asks for LineBytes × sets
+// >= 4, so the tag of any 64-bit byte address is at most 2^62-1 and the
+// word is exact.
+const dirtyBit = 1
+
+// setHeader is the per-set state beside the tag words: the packed recency
+// stack and the generation that owns the set's ways.
+type setHeader struct {
+	order uint64 // packed recency stack (ways <= lruStackWays)
+	gen   uint32 // the ways are valid iff gen == Cache.gen
 }
 
 // Stats counts per-level activity.
@@ -63,35 +72,35 @@ func (s Stats) MissRate() float64 {
 const lruStackWays = 16
 
 // Cache is one set-associative, write-back, write-allocate cache level with
-// LRU replacement. It is line-granular: callers present line numbers.
+// LRU replacement. It is line-granular: callers present line numbers, a
+// byte address divided by LineBytes.
 //
-// The tag store is one contiguous slice (sets × ways) indexed by
-// shift/mask, and for associativities up to 16 the LRU state of a set is a
-// packed recency stack: nibble r of order[set] holds the way at recency
-// rank r (rank 0 = MRU, rank ways-1 = LRU). Promoting a way to MRU and
-// picking a victim are then register-only word operations instead of
+// The tag store is one contiguous slice of tag words (sets × ways) indexed
+// by shift/mask, and for associativities up to 16 the LRU state of a set is
+// a packed recency stack: nibble r of its header's order holds the way at
+// recency rank r (rank 0 = MRU, rank ways-1 = LRU). Promoting a way to MRU
+// and picking a victim are then register-only word operations instead of
 // counter scans, and victim selection is identical to counter LRU: invalid
 // ways are consumed in index order, then the least recently touched way.
-// Line validity is generational: a line is valid only while its gen stamp
-// matches the cache's. Reset then invalidates the whole array by bumping
-// gen — O(1), no matter how many megabytes of tags the level holds — which
-// is what lets a sweep engine recycle cache levels across runs at zero
-// cost. The per-set recency stacks are re-initialized lazily the first
-// time a set is touched in a new generation (orderGen).
+// Validity is generational and per set: a set's ways count only while its
+// header's gen matches the cache's. Reset then invalidates the whole array
+// by bumping gen — O(1), no matter how many megabytes of tags the level
+// holds — which is what lets a sweep engine recycle cache levels across
+// runs at zero cost. The first touch of a set in a new generation reboots
+// its recency stack and clears its ways.
 //
-// Wider caches fall back to counter LRU: lru, parallel to lines, holds each
+// Wider caches fall back to counter LRU: lru, parallel to tags, holds each
 // way's last-touch clock. It is allocated only for such caches, so the
-// tag entries themselves stay 16 bytes.
+// tag words themselves stay 8 bytes.
 type Cache struct {
 	cfg       Config
-	lines     []line   // sets × ways, set-major
-	order     []uint64 // packed per-set recency stacks (ways <= lruStackWays)
-	orderGen  []uint32 // generation of each set's recency stack
-	lru       []uint64 // per-line recency clocks (ways > lruStackWays)
-	setMask   uint64   // numSets - 1
-	tagBits   uint     // log2(numSets): tag = lineNum >> tagBits
+	tags      []uint64    // sets × ways tag words, set-major
+	sets      []setHeader // per-set recency stack and generation
+	lru       []uint64    // per-way recency clocks (ways > lruStackWays)
+	setMask   uint64      // numSets - 1
+	tagBits   uint        // log2(numSets): tag = lineNum >> tagBits
 	ways      int
-	gen       uint32 // current generation (starts at 1; zeroed lines are stale)
+	gen       uint32 // current generation (starts at 1; zeroed headers are stale)
 	bootOrder uint64 // initialOrder(ways), the stack a fresh set starts from
 	clock     uint64
 	stats     Stats
@@ -115,18 +124,16 @@ func New(cfg Config) (*Cache, error) {
 	numSets := cfg.SizeBytes / uint64(cfg.LineBytes) / uint64(cfg.Ways)
 	c := &Cache{
 		cfg:       cfg,
-		lines:     make([]line, numSets*uint64(cfg.Ways)),
+		tags:      make([]uint64, numSets*uint64(cfg.Ways)),
+		sets:      make([]setHeader, numSets),
 		setMask:   numSets - 1,
 		tagBits:   uint(bits.TrailingZeros64(numSets)),
 		ways:      cfg.Ways,
 		gen:       1,
 		bootOrder: initialOrder(cfg.Ways),
 	}
-	if cfg.Ways <= lruStackWays {
-		c.order = make([]uint64, numSets)
-		c.orderGen = make([]uint32, numSets)
-	} else {
-		c.lru = make([]uint64, len(c.lines))
+	if cfg.Ways > lruStackWays {
+		c.lru = make([]uint64, len(c.tags))
 	}
 	return c, nil
 }
@@ -137,19 +144,35 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// touch promotes way w of set to MRU in the packed recency stack.
-func (c *Cache) touch(set uint64, w int) {
-	o := c.order[set]
+// touch promotes way w of a set to MRU in its packed recency stack.
+func touch(h *setHeader, w int) {
+	o := h.order
 	// Find the rank holding w, then shift every younger nibble up one rank
 	// and install w at rank 0.
 	for r := 0; ; r++ {
 		if int(o>>(4*r))&0xf == w {
 			low := o & (1<<(4*r) - 1)
 			keep := o &^ (1<<(4*(r+1)) - 1)
-			c.order[set] = keep | low<<4 | uint64(w)
+			h.order = keep | low<<4 | uint64(w)
 			return
 		}
 	}
+}
+
+// word is lineNum's clean tag word.
+func (c *Cache) word(lineNum uint64) uint64 { return (lineNum>>c.tagBits + 1) << 1 }
+
+// lineOf decodes the line number a valid tag word w of set s holds.
+func (c *Cache) lineOf(w, s uint64) uint64 { return (w>>1-1)<<c.tagBits | s }
+
+// current returns set s's tag words if the set belongs to the current
+// generation, else nil: a stale set holds no lines.
+func (c *Cache) current(s uint64) []uint64 {
+	if c.sets[s].gen != c.gen {
+		return nil
+	}
+	base := s * uint64(c.ways)
+	return c.tags[base : base+uint64(c.ways)]
 }
 
 // Access touches lineNum (an absolute cache line number). write marks the
@@ -163,49 +186,45 @@ func (c *Cache) Access(lineNum uint64, write bool) (hit bool, writeBack uint64, 
 	c.clock++
 	c.stats.Accesses++
 	set := lineNum & c.setMask
+	h := &c.sets[set]
 	base := set * uint64(c.ways)
-	ways := c.lines[base : base+uint64(c.ways)]
-	tag := lineNum >> c.tagBits
-	if c.order != nil && c.orderGen[set] != c.gen {
-		// First touch of this set in the current generation: its recency
-		// stack still describes the previous run, so reboot it.
-		c.order[set] = c.bootOrder
-		c.orderGen[set] = c.gen
+	ways := c.tags[base : base+uint64(c.ways)]
+	if h.gen != c.gen {
+		// First touch of this set in the current generation: its ways and
+		// recency stack still describe an earlier run, so reboot them.
+		clear(ways)
+		h.order = c.bootOrder
+		h.gen = c.gen
 	}
-	for i := range ways {
-		if ways[i].gen == c.gen && ways[i].tag == tag {
+	var dirty uint64
+	if write {
+		dirty = dirtyBit
+	}
+	key := c.word(lineNum)
+	for i, w := range ways {
+		if w&^dirtyBit == key {
 			c.stats.Hits++
-			if c.order != nil {
-				c.touch(set, i)
+			if c.lru == nil {
+				touch(h, i)
 			} else {
 				c.lru[base+uint64(i)] = c.clock
 			}
-			if write {
-				ways[i].dirty = true
-			}
+			ways[i] = w | dirty
 			return true, 0, false
 		}
 	}
 	c.stats.Misses++
-	// Choose a victim: an invalid (stale-generation) way, else the least
-	// recently used. With the packed stack both cases collapse to the
-	// stack's LRU rank (invalid ways sit at the cold end in index order by
-	// construction).
+	// Choose a victim: an invalid way in index order, else the least
+	// recently used. With the packed stack both are the stack's LRU rank:
+	// a set's never-filled ways keep the cold end in index order from the
+	// boot stack on, since only fills and hits move a way to MRU.
 	victim := 0
-	if c.order != nil {
-		victim = int(c.order[set]>>(4*(c.ways-1))) & 0xf
-		if ways[victim].gen == c.gen {
-			for i := range ways {
-				if ways[i].gen != c.gen {
-					victim = i
-					break
-				}
-			}
-		}
+	if c.lru == nil {
+		victim = int(h.order>>(4*(c.ways-1))) & 0xf
 	} else {
 		lru := c.lru[base : base+uint64(c.ways)]
-		for i := range ways {
-			if ways[i].gen != c.gen {
+		for i, w := range ways {
+			if w == 0 {
 				victim = i
 				break
 			}
@@ -214,14 +233,14 @@ func (c *Cache) Access(lineNum uint64, write bool) (hit bool, writeBack uint64, 
 			}
 		}
 	}
-	if ways[victim].gen == c.gen && ways[victim].dirty {
+	if v := ways[victim]; v&dirtyBit != 0 {
 		c.stats.WriteBacks++
-		writeBack = ways[victim].tag<<c.tagBits | set
+		writeBack = c.lineOf(v, set)
 		hasWriteBack = true
 	}
-	ways[victim] = line{tag: tag, dirty: write, gen: c.gen}
-	if c.order != nil {
-		c.touch(set, victim)
+	ways[victim] = key | dirty
+	if c.lru == nil {
+		touch(h, victim)
 	} else {
 		c.lru[base+uint64(victim)] = c.clock
 	}
@@ -230,33 +249,40 @@ func (c *Cache) Access(lineNum uint64, write bool) (hit bool, writeBack uint64, 
 
 // Reset returns the level to its freshly built state — every line invalid,
 // recency stacks at boot order, clock and counters zero — in O(1):
-// bumping the generation invalidates the whole tag array at once, and the
-// recency stacks reboot lazily on first touch. A reset cache behaves
-// identically to one just returned by New, at no allocation and no
-// memset: sweep engines recycle cache levels across runs instead of
-// re-zeroing megabytes per job. Once every 2^32 resets the generation
-// wraps to 0, the stamp of zeroed lines, so the tags and recency stamps
-// are cleared once and the count restarts at 1.
+// bumping the generation invalidates every set at once, and each set
+// reboots on its first touch. A reset cache behaves identically to one
+// just returned by New, at no allocation and no memset: sweep engines
+// recycle cache levels across runs instead of re-zeroing megabytes per
+// job. Once every 2^32 resets the generation wraps to 0, the stamp of
+// zeroed headers, so the headers are cleared once and the count restarts
+// at 1.
 func (c *Cache) Reset() {
 	c.gen++
 	if c.gen == 0 {
-		clear(c.lines)
-		clear(c.orderGen)
+		clear(c.sets)
 		c.gen = 1
 	}
 	c.clock = 0
 	c.stats = Stats{}
 }
 
-// CopyFrom makes c an exact copy of src — tag array, recency stacks or
-// clocks, generation, access clock and statistics — writing into c's own
-// arrays. src must have been built from the same Config. The generation
-// is copied along with the tags, since line validity is relative to it.
+// CopyFrom makes c an exact copy of src — tag words, set headers, clocks,
+// generation, access clock and statistics — writing into c's own arrays.
+// src must have been built from the same Config. Only sets of src's
+// current generation carry lines; every other set is copied as stale.
 func (c *Cache) CopyFrom(src *Cache) {
-	copy(c.lines, src.lines)
-	copy(c.order, src.order)
-	copy(c.orderGen, src.orderGen)
-	copy(c.lru, src.lru)
+	for s := range src.sets {
+		if src.sets[s].gen != src.gen {
+			c.sets[s] = setHeader{} // gen 0: stale in every generation
+			continue
+		}
+		c.sets[s] = src.sets[s]
+		base := s * c.ways
+		copy(c.tags[base:base+c.ways], src.tags[base:base+c.ways])
+		if c.lru != nil {
+			copy(c.lru[base:base+c.ways], src.lru[base:base+c.ways])
+		}
+	}
 	c.gen = src.gen
 	c.clock = src.clock
 	c.stats = src.stats
@@ -264,12 +290,9 @@ func (c *Cache) CopyFrom(src *Cache) {
 
 // Contains reports whether the line is present (no LRU update).
 func (c *Cache) Contains(lineNum uint64) bool {
-	set := lineNum & c.setMask
-	base := set * uint64(c.ways)
-	ways := c.lines[base : base+uint64(c.ways)]
-	tag := lineNum >> c.tagBits
-	for i := range ways {
-		if ways[i].gen == c.gen && ways[i].tag == tag {
+	key := c.word(lineNum)
+	for _, w := range c.current(lineNum & c.setMask) {
+		if w&^dirtyBit == key {
 			return true
 		}
 	}
@@ -280,20 +303,13 @@ func (c *Cache) Contains(lineNum uint64) bool {
 // unspecified order.
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	numSets := c.setMask + 1
-	for s := uint64(0); s < numSets; s++ {
-		base := s * uint64(c.ways)
-		for w := 0; w < c.ways; w++ {
-			l := &c.lines[base+uint64(w)]
-			if l.gen == c.gen && l.dirty {
-				dirty = append(dirty, l.tag<<c.tagBits|s)
+	for s := range c.sets {
+		for _, w := range c.current(uint64(s)) {
+			if w&dirtyBit != 0 {
+				dirty = append(dirty, c.lineOf(w, uint64(s)))
 			}
-			*l = line{} // gen 0: stale in every generation
 		}
-		if c.order != nil {
-			c.order[s] = c.bootOrder
-			c.orderGen[s] = c.gen
-		}
+		c.sets[s] = setHeader{} // gen 0: reboots on its next touch
 	}
 	return dirty
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -29,6 +30,7 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 500, Ways: 2, LineBytes: 64},
 		{SizeBytes: 0, Ways: 2, LineBytes: 64},
 		{SizeBytes: 3 * 64 * 2, Ways: 2, LineBytes: 64}, // 3 sets
+		{SizeBytes: 2 * 2, Ways: 2, LineBytes: 2},       // 1 set of 2-byte lines: 2^63 tags
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -214,50 +216,163 @@ func (r *refLRU) flush() map[uint64]bool {
 // per-cache recency clocks — with a seeded random line stream and checks
 // hit/miss, the victim and the write-back line of every access against a
 // naive LRU model. The stream crosses a Reset, a Flush and a CopyFrom
-// into a fresh cache.
+// into a fresh cache. It runs at the bottom of the line-number space,
+// across 2^58 (the top line of a 64-bit address space at 64-byte lines)
+// and at the top of the 64-bit line-number space, where the tag word's
+// (tag+1)<<1 encoding has the least room.
 func TestLRUMatchesReference(t *testing.T) {
 	const sets = 4
 	for _, ways := range []int{4, 16, 32} {
 		t.Run(fmt.Sprintf("ways%d", ways), func(t *testing.T) {
-			cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
-			c := mustNew(t, cfg)
-			ref := newRefLRU(sets, ways)
-			rng := rand.New(rand.NewSource(int64(ways)))
 			span := uint64(sets * ways * 3 / 2) // working set 1.5× capacity
-			step := func(phase string, n int) {
-				t.Helper()
-				for i := 0; i < n; i++ {
-					ln, write := rng.Uint64()%span, rng.Intn(3) == 0
-					hit, wb, hasWB := c.Access(ln, write)
-					rhit, victim, evicted, dirty := ref.access(ln, write)
-					if hit != rhit || hasWB != dirty || (dirty && wb != victim) {
-						t.Fatalf("%s access %d (line %d): hit=%v wb=%d/%v, reference hit=%v victim=%d dirty=%v",
-							phase, i, ln, hit, wb, hasWB, rhit, victim, dirty)
-					}
-					if evicted && c.Contains(victim) {
-						t.Fatalf("%s access %d (line %d): reference victim %d still resident", phase, i, ln, victim)
-					}
+			for _, base := range []uint64{0, 1<<58 - span/2, math.MaxUint64 - span + 1} {
+				t.Run(fmt.Sprintf("base%#x", base), func(t *testing.T) {
+					matchReference(t, sets, ways, base, span)
+				})
+			}
+		})
+	}
+}
+
+// matchReference is one TestLRUMatchesReference case: lines
+// base..base+span-1 on a sets × ways cache.
+func matchReference(t *testing.T, sets, ways int, base, span uint64) {
+	cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
+	c := mustNew(t, cfg)
+	ref := newRefLRU(sets, ways)
+	rng := rand.New(rand.NewSource(int64(ways)))
+	step := func(phase string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			ln, write := base+rng.Uint64()%span, rng.Intn(3) == 0
+			hit, wb, hasWB := c.Access(ln, write)
+			rhit, victim, evicted, dirty := ref.access(ln, write)
+			if hit != rhit || hasWB != dirty || (dirty && wb != victim) {
+				t.Fatalf("%s access %d (line %#x): hit=%v wb=%#x/%v, reference hit=%v victim=%#x dirty=%v",
+					phase, i, ln, hit, wb, hasWB, rhit, victim, dirty)
+			}
+			if evicted && c.Contains(victim) {
+				t.Fatalf("%s access %d (line %#x): reference victim %#x still resident", phase, i, ln, victim)
+			}
+		}
+	}
+
+	step("cold", 2000)
+	c.Reset()
+	ref = newRefLRU(sets, ways)
+	step("after Reset", 2000)
+
+	got := map[uint64]bool{}
+	for _, ln := range c.Flush() {
+		got[ln] = true
+	}
+	if want := ref.flush(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Flush dirty lines %v, reference %v", got, want)
+	}
+	step("after Flush", 2000)
+
+	fresh := mustNew(t, cfg)
+	fresh.CopyFrom(c)
+	c = fresh
+	step("after CopyFrom", 2000)
+}
+
+// sameBehaviour drives got and want with one seeded line stream over
+// lines 0..span-1 and fails at the first access they answer differently.
+// Before the stream, every line must be resident in both or in neither.
+func sameBehaviour(t *testing.T, what string, got, want *Cache, span uint64, seed int64) {
+	t.Helper()
+	for ln := uint64(0); ln < span; ln++ {
+		if g, w := got.Contains(ln), want.Contains(ln); g != w {
+			t.Fatalf("%s: Contains(%d) = %v, want %v", what, ln, g, w)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 3000; i++ {
+		ln, write := rng.Uint64()%span, rng.Intn(3) == 0
+		hit, wb, hasWB := got.Access(ln, write)
+		whit, wwb, whasWB := want.Access(ln, write)
+		if hit != whit || wb != wwb || hasWB != whasWB {
+			t.Fatalf("%s: access %d (line %d): hit=%v wb=%d/%v, want hit=%v wb=%d/%v",
+				what, i, ln, hit, wb, hasWB, whit, wwb, whasWB)
+		}
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: stats %+v, want %+v", what, got.Stats(), want.Stats())
+	}
+}
+
+// TestStaleSets covers the sets a generation has not touched, on the
+// packed recency stack and on the 32-way counter LRU: after a Reset they
+// hold nothing for Contains or Flush, a Flush then a Reset leaves a fresh
+// cache, and CopyFrom from a cache in another generation copies the
+// stale sets as stale.
+func TestStaleSets(t *testing.T) {
+	const sets = 8
+	for _, ways := range []int{4, 16, 32} {
+		t.Run(fmt.Sprintf("ways%d", ways), func(t *testing.T) {
+			cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
+			span := uint64(2 * sets * ways)
+			// fill writes every line of 0..n-1, so every way of the first
+			// min(n, sets) sets holds a dirty line.
+			fill := func(c *Cache, n uint64) {
+				for ln := uint64(0); ln < n; ln++ {
+					c.Access(ln, true)
 				}
 			}
 
-			step("cold", 2000)
+			c := mustNew(t, cfg)
+			fill(c, span)
 			c.Reset()
-			ref = newRefLRU(sets, ways)
-			step("after Reset", 2000)
-
-			got := map[uint64]bool{}
-			for _, ln := range c.Flush() {
-				got[ln] = true
+			c.Access(2, true) // one set current, the rest untouched since Reset
+			for ln := uint64(0); ln < span; ln++ {
+				if got := c.Contains(ln); got != (ln == 2) {
+					t.Fatalf("after Reset: Contains(%d) = %v", ln, got)
+				}
 			}
-			if want := ref.flush(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Flush dirty lines %v, reference %v", got, want)
+			if dirty := c.Flush(); !reflect.DeepEqual(dirty, []uint64{2}) {
+				t.Fatalf("Flush after Reset returned %v, want [2]", dirty)
 			}
-			step("after Flush", 2000)
 
-			fresh := mustNew(t, cfg)
-			fresh.CopyFrom(c)
-			c = fresh
-			step("after CopyFrom", 2000)
+			c = mustNew(t, cfg)
+			fill(c, span)
+			c.Flush()
+			c.Reset()
+			if dirty := c.Flush(); len(dirty) != 0 {
+				t.Fatalf("Flush, Reset, Flush returned %v", dirty)
+			}
+			c.Reset()
+			sameBehaviour(t, "Flush then Reset", c, mustNew(t, cfg), span, 1)
+
+			// src's current generation touches only sets 0-2 (lines 0-2);
+			// its earlier generation filled every set. dst holds lines in
+			// every set, once in src's generation and once in an older one.
+			for _, dstResets := range []int{3, 1} {
+				copied := func() (dst, src *Cache) {
+					src = mustNew(t, cfg)
+					fill(src, span)
+					for i := 0; i < 3; i++ {
+						src.Reset()
+					}
+					fill(src, 3)
+					dst = mustNew(t, cfg)
+					for i := 0; i < dstResets; i++ {
+						dst.Reset()
+					}
+					fill(dst, span)
+					dst.CopyFrom(src)
+					return dst, src
+				}
+				what := fmt.Sprintf("CopyFrom at generation 4 into generation %d", dstResets+1)
+				dst, src := copied()
+				got, want := dst.Flush(), src.Flush()
+				slices.Sort(got)
+				if !reflect.DeepEqual(got, []uint64{0, 1, 2}) || !reflect.DeepEqual(want, []uint64{0, 1, 2}) {
+					t.Fatalf("%s: Flush found dirty lines %v, src %v, want [0 1 2]", what, got, want)
+				}
+				dst, src = copied()
+				sameBehaviour(t, what, dst, src, span, 2)
+			}
 		})
 	}
 }

@@ -198,7 +198,10 @@ func TestDrainUnderLoad(t *testing.T) {
 	specs := drainLoadSpecs()
 	dir := t.TempDir()
 
-	d1, err := NewDaemon(Options{Dir: dir, Slots: 3, SweepWorkers: 2})
+	// The 3000-op single waits at its first preemption check for the
+	// drain, so it cannot finish and let the queue empty before the slots
+	// are seen full.
+	d1, err := NewDaemon(Options{Dir: dir, Slots: 3, SweepWorkers: 2, parkCheck: holdFirst(specs[0])})
 	if err != nil {
 		t.Fatalf("NewDaemon: %v", err)
 	}

@@ -85,10 +85,43 @@ func outcome(res Result, err error) string {
 	return fmt.Sprintf("%+v\n%s", res, res.Summary())
 }
 
+// stepsPerAccess bounds the Steps a fuzzed run may take per trace access:
+// nearly four times the most seen over 7500 random configurations and
+// traces (4.2 per access).
+const stepsPerAccess = 16
+
+// runBudgeted is runToEnd for a started System running n accesses, failing
+// the test once the run has taken stepsPerAccess×n Steps. A reset defect
+// that stops progress between Steps, such as a stale timer that is due
+// forever, then fails with its input instead of hanging.
+func runBudgeted(t *testing.T, s *System, n int) (Result, error) {
+	t.Helper()
+	for i := 0; i < stepsPerAccess*n; i++ {
+		done, err := s.Step()
+		if err != nil {
+			return Result{}, err
+		}
+		if done {
+			return s.Finish()
+		}
+	}
+	t.Fatalf("run of %d accesses unfinished after %d steps", n, stepsPerAccess*n)
+	return Result{}, nil
+}
+
+// runOutcome starts s on accs and renders its budgeted run.
+func runOutcome(t *testing.T, s *System, accs []trace.Access) string {
+	t.Helper()
+	if err := s.Start(accs); err != nil {
+		return outcome(Result{}, err)
+	}
+	return outcome(runBudgeted(t, s, len(accs)))
+}
+
 // freshOutcome runs accs on a System built fresh from cfg.
 func freshOutcome(t *testing.T, cfg Config, accs []trace.Access) string {
 	t.Helper()
-	return outcome(mustSystem(t, cfg).Run(accs))
+	return runOutcome(t, mustSystem(t, cfg), accs)
 }
 
 // FuzzResetEquivalence holds System reuse to a fresh System for any pair
@@ -136,7 +169,7 @@ func FuzzResetEquivalence(f *testing.F) {
 		var parked string
 		switch fate % 4 {
 		case 0:
-			_, _ = a.Run(accsA) // a faulty run may end in a watchdog error
+			runOutcome(t, a, accsA) // a faulty run may end in a watchdog error
 		case 1:
 			idx, err := NewTraceIndex(accsA, fuzzHierarchy.CPUs)
 			if err != nil {
@@ -168,7 +201,7 @@ func FuzzResetEquivalence(f *testing.F) {
 		if b != a {
 			t.Fatal("pool built a new System instead of reusing A's")
 		}
-		if got, want := outcome(b.Run(accsB)), freshOutcome(t, cfgB, accsB); got != want {
+		if got, want := runOutcome(t, b, accsB), freshOutcome(t, cfgB, accsB); got != want {
 			t.Fatalf("pooled run diverges from a fresh one:\n got: %s\nwant: %s", got, want)
 		}
 		if snap == nil {
@@ -186,7 +219,7 @@ func FuzzResetEquivalence(f *testing.F) {
 		if got := r.coal.DebugState(); got != parked {
 			t.Fatalf("restored coalescer %s, parked %s", got, parked)
 		}
-		if got, want := outcome(r.runToEnd()), freshOutcome(t, cfgA, accsA); got != want {
+		if got, want := outcome(runBudgeted(t, r, len(accsA))), freshOutcome(t, cfgA, accsA); got != want {
 			t.Fatalf("restored run diverges from an uninterrupted one:\n got: %s\nwant: %s", got, want)
 		}
 	})
