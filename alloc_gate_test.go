@@ -134,7 +134,7 @@ func TestAllocationGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const payAllocs = 20
+	const payAllocs = 4
 	cfg := DefaultConfig()
 	sys, err := NewSystem(cfg)
 	if err != nil {

@@ -65,7 +65,7 @@ func run(argv []string, outw, errw io.Writer) int {
 	fs.SetOutput(errw)
 	var (
 		listen       = fs.String("listen", "127.0.0.1:7444", "HTTP listen address for the job API")
-		state        = fs.String("state", "", "state directory: job ledger, results, checkpoints (required)")
+		state        = fs.String("state", "", "state directory: job ledger (with each finished job's result), checkpoints (required)")
 		slots        = fs.Int("slots", 2, "jobs executing concurrently")
 		sweepWorkers = fs.Int("sweep-workers", 0, "per-sweep-job simulation pool size (0 = all cores)")
 		maxQueue     = fs.Int("max-queue", 0, "daemon-wide pending-job cap (0 = default)")

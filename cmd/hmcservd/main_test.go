@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hmccoal"
+	"hmccoal/internal/durable"
 	"hmccoal/internal/jobserv"
 )
 
@@ -279,28 +280,28 @@ func TestKillTheDaemon(t *testing.T) {
 }
 
 // ledgerCounts tallies ledger events per (id, type) without importing
-// jobserv internals — the file format is the public contract.
+// jobserv internals — the file format is the public contract. It reads
+// through durable.Scan, which takes lines up to durable.MaxLine: a done
+// record carries its job's result, so a sweep's line is far longer than
+// bufio.Scanner's default token limit.
 func ledgerCounts(t *testing.T, path string) map[string]map[string]int {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("open ledger: %v", err)
+	type ledgerEvent struct {
+		Type string `json:"type"`
+		ID   string `json:"id"`
 	}
-	defer f.Close()
 	counts := make(map[string]map[string]int)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var ev struct {
-			Type string `json:"type"`
-			ID   string `json:"id"`
-		}
-		if json.Unmarshal(sc.Bytes(), &ev) != nil || ev.Type == "" || ev.ID == "" {
-			continue // torn line from the kill — legal
+	err := durable.Scan(path, func(ev ledgerEvent, _ int64, _ int) {
+		if ev.Type == "" || ev.ID == "" {
+			return // torn line from the kill — legal
 		}
 		if counts[ev.ID] == nil {
 			counts[ev.ID] = make(map[string]int)
 		}
 		counts[ev.ID][ev.Type]++
+	})
+	if err != nil {
+		t.Fatalf("read ledger: %v", err)
 	}
 	return counts
 }

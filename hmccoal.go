@@ -159,6 +159,18 @@ func GenerateTrace(name string, p TraceParams) ([]Access, error) {
 	return st.Flatten(), err
 }
 
+// GenerateIndex synthesizes the named benchmark's trace as per-core
+// streams and indexes them as they are for systems with p.CPUs cores, for
+// System.StartIndexed. It skips GenerateTrace's tick-order merge and the
+// re-bucketing Start does after it; the simulated results are the same.
+func GenerateIndex(name string, p TraceParams) (*TraceIndex, error) {
+	st, err := generateStreams(name, p)
+	if err != nil {
+		return nil, err
+	}
+	return sim.NewStreamIndex(st, p.CPUs)
+}
+
 // generateStreams synthesizes the named benchmark's per-core streams.
 func generateStreams(name string, p TraceParams) (trace.Streams, error) {
 	g, ok := workloads.ByName(name)

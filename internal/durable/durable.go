@@ -1,6 +1,6 @@
 // Package durable owns the on-disk discipline of the repository's
-// append-only JSONL files — sweep checkpoints and the job service's
-// ledger — plus the atomic whole-file write behind job results.
+// append-only JSONL files: sweep checkpoints and the job service's
+// ledger, whose done records carry each job's result.
 //
 // The contract has three parts. A file is born whole: creation goes
 // through a temp file, a rename and a directory fsync, so a crash leaves
@@ -10,7 +10,8 @@
 // undecodable and oversized lines individually and keeps going, and
 // OpenAppend terminates a torn tail before the first new append, so the
 // fragment stays its own skipped line instead of swallowing the next
-// record.
+// record. Scan also reports where each line lies, so a reader can keep a
+// record's offset instead of its bytes and read it back with ReadAt.
 package durable
 
 import (
@@ -33,11 +34,7 @@ const MaxLine = 1 << 24
 // a crash — one newline is written and synced before returning.
 func OpenAppend(path string) (*os.File, error) {
 	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		tmp, err := createTemp(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := commit(tmp, path); err != nil {
+		if err := createEmpty(path); err != nil {
 			return nil, err
 		}
 	}
@@ -80,10 +77,12 @@ func Append(f *os.File, p []byte) error {
 }
 
 // Scan decodes every line of path as a JSON T and hands it to fn, in
-// file order. Empty lines, lines that do not decode and lines longer than
-// MaxLine are skipped, and the scan continues past them. A missing file
-// scans as empty.
-func Scan[T any](path string, fn func(T)) error {
+// file order, with the line's byte offset in the file and its length,
+// newline included, so a caller can read one line back later with ReadAt.
+// Empty lines, lines that do not decode and lines longer than MaxLine are
+// skipped, and the scan continues past them; offsets still count every
+// byte. A missing file scans as empty.
+func Scan[T any](path string, fn func(v T, off int64, n int)) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -95,12 +94,14 @@ func Scan[T any](path string, fn func(T)) error {
 	return scan(f, fn)
 }
 
-func scan[T any](r io.Reader, fn func(T)) error {
+func scan[T any](r io.Reader, fn func(v T, off int64, n int)) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var line []byte
+	var start, pos int64 // the current line's first byte; bytes read so far
 	tooLong := false
 	for {
 		chunk, err := br.ReadSlice('\n')
+		pos += int64(len(chunk))
 		if !tooLong && len(line)+len(chunk) > MaxLine {
 			tooLong, line = true, line[:0]
 		}
@@ -112,9 +113,9 @@ func scan[T any](r io.Reader, fn func(T)) error {
 		}
 		var v T
 		if !tooLong && len(line) > 0 && json.Unmarshal(line, &v) == nil {
-			fn(v)
+			fn(v, start, int(pos-start))
 		}
-		line, tooLong = line[:0], false
+		line, tooLong, start = line[:0], false, pos
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -124,35 +125,15 @@ func scan[T any](r io.Reader, fn func(T)) error {
 	}
 }
 
-// WriteFileAtomic writes data under path via temp file + fsync + rename +
-// directory fsync: readers see the old content or the complete new
-// content, never a torn file.
-func WriteFileAtomic(path string, data []byte) error {
-	tmp, err := createTemp(path)
+// createEmpty creates an empty file at path: a temp file beside it,
+// renamed into place, then a directory sync so the new entry survives
+// power loss. The temp file is removed on failure.
+func createEmpty(path string) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	return commit(tmp, path)
-}
-
-// createTemp opens a fresh temp file beside path.
-func createTemp(path string) (*os.File, error) {
-	return os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-}
-
-// commit closes tmp, renames it to path and syncs the directory so the
-// new entry survives power loss. The temp file is removed on failure.
-func commit(tmp *os.File, path string) error {
-	err := tmp.Close()
+	err = tmp.Close()
 	if err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}

@@ -11,13 +11,14 @@ import (
 	"time"
 
 	"hmccoal"
-	"hmccoal/internal/durable"
 	"hmccoal/internal/sim"
 )
 
 // Options tunes a Daemon.
 type Options struct {
-	// Dir is the state directory: ledger.jsonl, results/, ckpt/, repros/.
+	// Dir is the state directory: ledger.jsonl, whose done records hold
+	// the results, plus ckpt/ and repros/. A results/ directory is only
+	// read, for jobs a daemon that stored results as files finished.
 	Dir string
 	// Slots is the number of jobs executing concurrently. 0 means 1.
 	Slots int
@@ -92,7 +93,7 @@ type execCtl struct {
 }
 
 // execOutcome is one execution attempt's verdict: exactly one of result
-// (terminal success), park (interrupted, resumable) or err.
+// (terminal success, JSON), park (interrupted, resumable) or err.
 type execOutcome struct {
 	result []byte
 	park   *parkState
@@ -142,7 +143,7 @@ func NewDaemon(opt Options) (*Daemon, error) {
 	if opt.Dir == "" {
 		return nil, errors.New("jobserv: Options.Dir is required")
 	}
-	for _, sub := range []string{"", "results", "ckpt", "repros"} {
+	for _, sub := range []string{"", "ckpt", "repros"} {
 		if err := os.MkdirAll(filepath.Join(opt.Dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("jobserv: state dir: %w", err)
 		}
@@ -180,16 +181,12 @@ func (d *Daemon) logf(format string, args ...any) {
 
 // recover rebuilds the in-memory queue from the ledger.
 func (d *Daemon) recover() error {
-	evs, err := replayLedger(filepath.Join(d.opt.Dir, "ledger.jsonl"))
-	if err != nil {
-		return err
-	}
-	for _, ev := range evs {
+	err := replayLedger(filepath.Join(d.opt.Dir, "ledger.jsonl"), func(ev event, at span) {
 		j := d.jobs[ev.ID]
 		switch ev.Type {
 		case evSubmit:
 			if j != nil || ev.Spec == nil {
-				continue
+				return
 			}
 			d.nextSeq++
 			d.jobs[ev.ID] = &Job{
@@ -213,6 +210,7 @@ func (d *Daemon) recover() error {
 		case evDone:
 			if j != nil {
 				j.state = StateDone
+				j.done = at
 			}
 		case evFail:
 			if j != nil {
@@ -224,6 +222,9 @@ func (d *Daemon) recover() error {
 				j.state = StateCanceled
 			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 	// Jobs the dead process was running restart as queued: their durable
 	// checkpoints carry completed work, and any in-memory snapshot died
@@ -280,7 +281,7 @@ func (d *Daemon) Submit(tenantName string, priority int, spec Spec) (string, err
 		state:    StateQueued,
 		order:    d.nextSeq,
 	}
-	if err := d.led.append(event{Type: evSubmit, ID: j.ID, Tenant: j.Tenant, Priority: j.Priority, Spec: &j.Spec}); err != nil {
+	if _, err := d.led.append(event{Type: evSubmit, ID: j.ID, Tenant: j.Tenant, Priority: j.Priority, Spec: &j.Spec}); err != nil {
 		return "", &AdmitError{Code: "ledger_error", Message: err.Error(), Tenant: tenantName}
 	}
 	d.jobs[j.ID] = j
@@ -347,7 +348,7 @@ func (d *Daemon) startLocked(j *Job) bool {
 	if j.state == StateParked {
 		evType = evResume
 	}
-	if err := d.led.append(event{Type: evType, ID: j.ID}); err != nil {
+	if _, err := d.led.append(event{Type: evType, ID: j.ID}); err != nil {
 		// An unwritable ledger cannot record the attempt; leave the job
 		// queued rather than run work the ledger does not know about.
 		d.logf("jobserv: %s: %v", j.ID, err)
@@ -388,9 +389,9 @@ func (d *Daemon) startLocked(j *Job) bool {
 }
 
 // finish settles one execution attempt: park causes re-queue the job,
-// everything else is terminal. The durability order is load-bearing —
-// result file before done record, every record fsync'd before the state
-// change becomes visible.
+// everything else is terminal. Every record is fsync'd before the state
+// change becomes visible; a finished job's result rides in its done
+// record, so storing it is that one append.
 func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 	if r.watchdog != nil {
 		r.watchdog.Stop()
@@ -422,16 +423,22 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 		ev = event{Type: evFail, ID: j.ID, Error: out.err.Error()}
 		state = StateFailed
 	default:
-		// The result file is complete before its done record exists.
-		if err := durable.WriteFileAtomic(d.resultPath(j.ID), out.result); err != nil {
-			ev = event{Type: evFail, ID: j.ID, Error: fmt.Sprintf("write result: %v", err)}
-			state = StateFailed
-			break
-		}
 		ev = event{Type: evDone, ID: j.ID}
 		state = StateDone
 	}
-	if err := d.led.append(ev); err != nil {
+	var rec any = ev
+	if state == StateDone {
+		rec = doneRecord{event: ev, Result: out.result}
+	}
+	at, err := d.led.append(rec)
+	if err != nil && state == StateDone {
+		// A result the ledger cannot hold fails the job: an oversized
+		// record is refused before any write, so no done line exists.
+		ev = event{Type: evFail, ID: j.ID, Error: fmt.Sprintf("store result: %v", err)}
+		state = StateFailed
+		_, err = d.led.append(ev)
+	}
+	if err != nil {
 		d.logf("jobserv: %s: %v", j.ID, err)
 	}
 
@@ -441,6 +448,8 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 	tn.running--
 	j.state = state
 	switch state {
+	case StateDone:
+		j.done = at
 	case StateParked:
 		j.park = out.park
 		j.preemptions++
@@ -452,10 +461,6 @@ func (d *Daemon) finish(j *Job, r *runningJob, out execOutcome) {
 	d.scheduleLocked()
 	d.cond.Broadcast()
 	d.mu.Unlock()
-}
-
-func (d *Daemon) resultPath(id string) string {
-	return filepath.Join(d.opt.Dir, "results", id+".json")
 }
 
 // Get returns the client view of one job.
@@ -488,13 +493,16 @@ func (d *Daemon) List(tenant string) []JobView {
 	return views
 }
 
-// Result returns a completed job's result bytes.
+// Result returns a completed job's result bytes, read back from its done
+// record. A done record without a result was written by a daemon that
+// kept results in results/<id>.json, which is read instead.
 func (d *Daemon) Result(id string) ([]byte, error) {
 	d.mu.Lock()
 	j, ok := d.jobs[id]
 	var state State
+	var at span
 	if ok {
-		state = j.state
+		state, at = j.state, j.done
 	}
 	d.mu.Unlock()
 	if !ok {
@@ -503,7 +511,11 @@ func (d *Daemon) Result(id string) ([]byte, error) {
 	if state != StateDone {
 		return nil, fmt.Errorf("jobserv: job %s is %s, not done", id, state)
 	}
-	return os.ReadFile(d.resultPath(id))
+	raw, err := d.led.result(id, at)
+	if err == nil && raw == nil {
+		return os.ReadFile(filepath.Join(d.opt.Dir, "results", id+".json"))
+	}
+	return raw, err
 }
 
 // Cancel removes a queued job or interrupts a running one. Terminal jobs
@@ -523,7 +535,7 @@ func (d *Daemon) Cancel(id string) error {
 		j.park = nil
 		d.cond.Broadcast()
 		d.mu.Unlock()
-		if err := d.led.append(event{Type: evCancel, ID: id}); err != nil {
+		if _, err := d.led.append(event{Type: evCancel, ID: id}); err != nil {
 			d.logf("jobserv: %s: %v", id, err)
 		}
 		return nil

@@ -457,16 +457,15 @@ func copyDir(t *testing.T, src, dst string) {
 // ledgerEventCounts tallies events per (id, type) from a ledger file.
 func ledgerEventCounts(t *testing.T, dir string) map[string]map[string]int {
 	t.Helper()
-	evs, err := replayLedger(filepath.Join(dir, "ledger.jsonl"))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
 	counts := make(map[string]map[string]int)
-	for _, ev := range evs {
+	err := replayLedger(filepath.Join(dir, "ledger.jsonl"), func(ev event, _ span) {
 		if counts[ev.ID] == nil {
 			counts[ev.ID] = make(map[string]int)
 		}
 		counts[ev.ID][ev.Type]++
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 	return counts
 }

@@ -49,7 +49,7 @@ const (
 	StateRunning State = "running"
 	// StateParked: preempted or drained mid-run; waiting to resume.
 	StateParked State = "parked"
-	// StateDone: completed; the result file exists.
+	// StateDone: completed; the ledger's done record holds the result.
 	StateDone State = "done"
 	// StateFailed: terminal failure (job error or watchdog timeout).
 	StateFailed State = "failed"
@@ -170,6 +170,9 @@ type Job struct {
 	preemptions   int
 	progressDone  int
 	progressTotal int
+	// done is where the job's done record lies in the ledger: its result
+	// is read back from there, never kept in memory.
+	done span
 
 	// park is the in-memory resume state of a preempted single-run job
 	// (the simulator snapshot). It does not survive the process — after a

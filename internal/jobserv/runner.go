@@ -12,15 +12,15 @@ import (
 )
 
 // parkState is the in-memory resume state of a preempted single-run job:
-// the simulator snapshot plus everything needed to restore it into a fresh
-// or reset System. Sweep and soak jobs leave it empty — their resume state
-// is the durable JSONL checkpoint. parkState never leaves the process; a
-// crashed daemon re-runs single jobs from scratch, which is byte-identical
-// by the simulator's determinism contract.
+// the simulator snapshot, which holds the trace by reference, and the
+// Config a System must have to restore it. Sweep and soak jobs leave it
+// empty — their resume state is the durable JSONL checkpoint. parkState
+// never leaves the process; a crashed daemon re-runs single jobs from
+// scratch, which is byte-identical by the simulator's determinism
+// contract.
 type parkState struct {
 	snap *hmccoal.SystemSnapshot
 	cfg  hmccoal.Config
-	accs []hmccoal.Access
 }
 
 // parkCheckInterval is how many simulator steps a single-run job advances
@@ -43,23 +43,23 @@ func (d *Daemon) realExec(ctl execCtl, id string, spec Spec) execOutcome {
 	}
 }
 
-// execSingle runs one benchmark under the two-phase coalescer, checking
-// for preemption every parkCheckInterval steps. A park request snapshots
-// the live simulation — the paper pipeline's Snapshot/Restore — so the
-// resumed attempt continues from the exact tick with zero recompute and a
-// summary byte-identical to an uninterrupted run. Both first runs and
-// resumes take their System from the daemon's pool and hand it back once
-// finished or parked; one that errors, is cancelled or times out is
-// dropped.
+// execSingle runs one benchmark under the two-phase coalescer over its
+// per-core streams (hmccoal.GenerateIndex), checking for preemption every
+// parkCheckInterval steps. A park request snapshots the live simulation —
+// the paper pipeline's Snapshot/Restore — so the resumed attempt continues
+// from the exact tick with zero recompute and a summary byte-identical to
+// an uninterrupted run. Both first runs and resumes take their System from
+// the daemon's pool and hand it back once finished or parked; one that
+// errors, is cancelled or times out is dropped.
 func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 	var cfg hmccoal.Config
-	var accs []hmccoal.Access
+	var idx *hmccoal.TraceIndex
 	resume := ctl.park != nil && ctl.park.snap != nil
 	if resume {
-		cfg, accs = ctl.park.cfg, ctl.park.accs
+		cfg = ctl.park.cfg
 	} else {
 		var err error
-		accs, err = hmccoal.GenerateTrace(spec.Bench, spec.params())
+		idx, err = hmccoal.GenerateIndex(spec.Bench, spec.params())
 		if err != nil {
 			return execOutcome{err: err}
 		}
@@ -75,7 +75,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 	if resume {
 		err = sys.Restore(ctl.park.snap)
 	} else {
-		err = sys.Start(accs)
+		err = sys.StartIndexed(idx)
 	}
 	if err != nil {
 		return execOutcome{err: err}
@@ -112,7 +112,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 					return execOutcome{err: serr}
 				}
 				d.pool.Put(sys, d.opt.slots())
-				return execOutcome{park: &parkState{snap: snap, cfg: cfg, accs: accs}}
+				return execOutcome{park: &parkState{snap: snap, cfg: cfg}}
 			}
 			return execOutcome{err: cause}
 		}

@@ -94,12 +94,9 @@ func analyzePayload(h *cache.Hierarchy, m *trace.Merger, width int) (PayloadAnal
 	lineBytes := uint64(h.LineBytes())
 	linesPerBlock := hmc.MaxRequestBytes / lineBytes
 
-	type missRec struct {
-		line    uint64
-		write   bool
-		payload uint32
-	}
-	var misses []missRec
+	// The miss stream is batched as the sorter would batch it, one
+	// width-sized batch at a time, so memory does not grow with the trace.
+	batch := make([]payloadMiss, 0, width)
 	for run := m.Next(); run != nil; run = m.Next() {
 		for _, a := range run {
 			if a.Kind == trace.FenceOp {
@@ -113,55 +110,62 @@ func analyzePayload(h *cache.Hierarchy, m *trace.Merger, width int) (PayloadAnal
 				if miss.WriteBack {
 					continue // write-backs are full-line by definition; excluded
 				}
-				misses = append(misses, missRec{line: miss.Line, write: miss.Write, payload: miss.Payload})
+				batch = append(batch, payloadMiss{line: miss.Line, write: miss.Write, payload: miss.Payload})
 				res.PayloadBytes += uint64(miss.Payload)
-			}
-		}
-	}
-
-	// Batch the miss stream as the sorter would and coalesce line-adjacent
-	// same-type misses; each coalesced packet moves the FLIT-rounded
-	// payloads of its members and one 32 B control pair, and may not span
-	// more than one HMC block.
-	for start := 0; start < len(misses); start += width {
-		end := start + width
-		if end > len(misses) {
-			end = len(misses)
-		}
-		batch := misses[start:end]
-		slices.SortFunc(batch, func(a, b missRec) int {
-			if a.write != b.write {
-				if a.write {
-					return 1
+				if len(batch) == width {
+					coalesceBatch(&res, batch, linesPerBlock)
+					batch = batch[:0]
 				}
-				return -1
 			}
-			return cmp.Compare(a.line, b.line)
-		})
-		i := 0
-		for i < len(batch) {
-			cur := batch[i]
-			size := roundUp16(cur.payload)
-			first := cur.line
-			j := i + 1
-			for j < len(batch) &&
-				batch[j].write == cur.write &&
-				(batch[j].line == batch[j-1].line || batch[j].line == batch[j-1].line+1) &&
-				batch[j].line-first < linesPerBlock {
-				size += roundUp16(batch[j].payload)
-				j++
-			}
-			if size > hmc.MaxRequestBytes {
-				size = hmc.MaxRequestBytes
-			}
-			res.Hist[size]++
-			res.CoalescedBytes += uint64(size) + hmc.ControlBytes
-			i = j
 		}
 	}
-	res.Misses = uint64(len(misses))
+	coalesceBatch(&res, batch, linesPerBlock)
 	res.RawBytes = res.Misses * (lineBytes + hmc.ControlBytes)
 	return res, nil
+}
+
+// payloadMiss is one demand miss of the payload study.
+type payloadMiss struct {
+	line    uint64
+	write   bool
+	payload uint32
+}
+
+// coalesceBatch counts one batch of the miss stream into res: it sorts the
+// batch as the sorter would and coalesces line-adjacent same-type misses.
+// Each coalesced packet moves the FLIT-rounded payloads of its members and
+// one 32 B control pair, and may not span more than one HMC block.
+func coalesceBatch(res *PayloadAnalysis, batch []payloadMiss, linesPerBlock uint64) {
+	res.Misses += uint64(len(batch))
+	slices.SortFunc(batch, func(a, b payloadMiss) int {
+		if a.write != b.write {
+			if a.write {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(a.line, b.line)
+	})
+	i := 0
+	for i < len(batch) {
+		cur := batch[i]
+		size := roundUp16(cur.payload)
+		first := cur.line
+		j := i + 1
+		for j < len(batch) &&
+			batch[j].write == cur.write &&
+			(batch[j].line == batch[j-1].line || batch[j].line == batch[j-1].line+1) &&
+			batch[j].line-first < linesPerBlock {
+			size += roundUp16(batch[j].payload)
+			j++
+		}
+		if size > hmc.MaxRequestBytes {
+			size = hmc.MaxRequestBytes
+		}
+		res.Hist[size]++
+		res.CoalescedBytes += uint64(size) + hmc.ControlBytes
+		i = j
+	}
 }
 
 func roundUp16(b uint32) uint32 {

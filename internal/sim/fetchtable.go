@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // fetchTable is the open-addressed hash table tracking cache lines whose
 // fill is still in flight. It replaces a map[uint64]fetchInfo on the
 // simulator's hottest lookup path (every line of every access probes it).
@@ -112,6 +114,9 @@ func (s *System) fetchInsert(line, token uint64, cpu uint8, tick uint64) {
 // (completed fills the inserts never recycled) the table stays the same
 // size and simply sheds them, so churn cannot grow it without bound. A
 // same-size rehash fills the spare array, cleared, instead of allocating.
+// A probe that finds no free slot in a whole lap of the new table can only
+// mean a bug (the new table starts empty and is at most half full), so it
+// panics with the table's shape instead of spinning.
 func (s *System) fetchRehash() {
 	old := s.fetching.slots
 	live := 0
@@ -137,7 +142,11 @@ func (s *System) fetchRehash() {
 			continue
 		}
 		j := fetchHash(sl.line) & next.mask
-		for next.slots[j].inUse {
+		for probes := 0; next.slots[j].inUse; probes++ {
+			if probes == size {
+				panic(fmt.Sprintf("sim: fetch table rehash from %d to %d slots found no free slot: %d live, %d placed",
+					len(old), size, live, next.used))
+			}
 			j = (j + 1) & next.mask
 		}
 		next.slots[j] = *sl

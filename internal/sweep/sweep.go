@@ -322,7 +322,7 @@ func runJob[T any](ctx context.Context, i int, opts Options, fn func(ctx context
 // restored once, and only a line whose payload decodes can supersede.
 func restoreCheckpoint[T any](path string, n int, opts Options, results []T, restored []bool) (int, error) {
 	count := 0
-	err := durable.Scan(path, func(line checkpointLine) {
+	err := durable.Scan(path, func(line checkpointLine, _ int64, _ int) {
 		if line.N != n || line.Tag != opts.Tag || line.Job < 0 || line.Job >= n {
 			return
 		}

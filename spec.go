@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"hmccoal/internal/sim"
-	"hmccoal/internal/trace"
 )
 
 // This file is the executing half of the sweep layer: a sweep grid as a
@@ -438,13 +437,7 @@ func (c *traceCache) evictLocked() {
 // load returns the entry's trace index, generating it on first use as
 // per-core streams that the index wraps as they are.
 func (e *traceEntry) load() (*TraceIndex, error) {
-	e.once.Do(func() {
-		var st trace.Streams
-		st, e.err = generateStreams(e.key.bench, e.key.p)
-		if e.err == nil {
-			e.idx, e.err = sim.NewStreamIndex(st, e.key.p.CPUs)
-		}
-	})
+	e.once.Do(func() { e.idx, e.err = GenerateIndex(e.key.bench, e.key.p) })
 	return e.idx, e.err
 }
 
