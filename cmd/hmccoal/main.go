@@ -11,7 +11,6 @@
 //	hmccoal -fig all -checks         # same figures, invariant checker on
 //	hmccoal -fig speedup -backend ddr # runtime improvement on another backend
 //	hmccoal -run FT -backend ideal   # one benchmark, one summary
-//	hmccoal -run FT -snapshot-at 1000000 # snapshot/restore mid-run, same summary
 //	hmccoal -list                    # list the benchmarks
 //	hmccoal -fig all -serve :7333    # distribute the sweeps to hmcsweepd workers
 //	hmccoal -fig all -serve :7333 -token secret # only authenticated workers
@@ -147,8 +146,7 @@ func run(argv []string) int {
 		exectrace  = fs.String("exectrace", "", "write a runtime execution trace to this file (-trace is taken by replay)")
 		checks     = fs.Bool("checks", false, "enable the runtime invariant checker in every simulation (results identical; violations become errors)")
 		checkpoint = fs.String("checkpoint", "", "JSONL checkpoint base path: each sweep persists completed jobs to <base>.<sweep> and resumes from it")
-		runBench   = fs.String("run", "", "run one benchmark once (two-phase) and print its summary; combines with -backend, -faults and -snapshot-at")
-		snapshotAt = fs.Uint64("snapshot-at", 0, "with -run: snapshot at this tick, restore into a fresh system, and finish from the snapshot — the summary is byte-identical to the uninterrupted run")
+		runBench   = fs.String("run", "", "run one benchmark once (two-phase) and print its summary; combines with -backend and -faults")
 		faults     = fs.String("faults", "", "with -run: link fault injection (hmc backend only), e.g. seed=1,ber=1e-6[,drop=1e-7][,retries=3]")
 	)
 	var v hmccoal.Variant
@@ -215,7 +213,7 @@ func run(argv []string) int {
 			return usageErr(fmt.Errorf("fault injection is HMC-only; -backend must be hmc, not %v", v.Backend))
 		}
 		p := hmccoal.TraceParams{CPUs: *cpus, OpsPerCPU: *ops, Seed: *seed}
-		if err := runOnce(*runBench, p, v, faultCfg, *checks, *snapshotAt); err != nil {
+		if err := runOnce(*runBench, p, v, faultCfg, *checks); err != nil {
 			return runErr(err)
 		}
 		return 0
@@ -355,11 +353,8 @@ func replayTrace(accs []trace.Access, cpus int, v hmccoal.Variant, checks, asJSO
 }
 
 // runOnce runs one benchmark once in two-phase mode on machine v and
-// prints its summary. With snapAt > 0 the run is snapshotted at that
-// tick, restored into a fresh system, and finished from the snapshot —
-// stdout is byte-identical to the uninterrupted run (snapshot details go
-// to stderr), which is exactly what the CI determinism check diffs.
-func runOnce(bench string, p hmccoal.TraceParams, v hmccoal.Variant, faultCfg hmccoal.FaultConfig, checks bool, snapAt uint64) error {
+// prints its summary.
+func runOnce(bench string, p hmccoal.TraceParams, v hmccoal.Variant, faultCfg hmccoal.FaultConfig, checks bool) error {
 	accs, err := hmccoal.GenerateTrace(bench, p)
 	if err != nil {
 		return err
@@ -374,18 +369,9 @@ func runOnce(bench string, p hmccoal.TraceParams, v hmccoal.Variant, faultCfg hm
 	if err != nil {
 		return err
 	}
-
-	var res hmccoal.Result
-	if snapAt == 0 {
-		res, err = sys.Run(accs)
-		if err != nil {
-			return err
-		}
-	} else {
-		res, err = runViaSnapshot(sys, cfg, accs, snapAt)
-		if err != nil {
-			return err
-		}
+	res, err := sys.Run(accs)
+	if err != nil {
+		return err
 	}
 	// The default front-end keeps the historical title, so determinism
 	// checks diffing default-run stdout stay byte-identical.
@@ -396,46 +382,6 @@ func runOnce(bench string, p hmccoal.TraceParams, v hmccoal.Variant, faultCfg hm
 	section(title)
 	fmt.Print(res.Summary())
 	return nil
-}
-
-// runViaSnapshot steps sys to snapAt, snapshots it, and finishes the run
-// on a fresh system restored from the snapshot. A run that drains before
-// snapAt finishes normally with a note on stderr.
-func runViaSnapshot(sys *hmccoal.System, cfg hmccoal.Config, accs []hmccoal.Access, snapAt uint64) (hmccoal.Result, error) {
-	if err := sys.Start(accs); err != nil {
-		return hmccoal.Result{}, err
-	}
-	for sys.Tick() < snapAt {
-		done, err := sys.Step()
-		if err != nil {
-			return hmccoal.Result{}, err
-		}
-		if done {
-			fmt.Fprintf(os.Stderr, "hmccoal: run drained before tick %d; finishing without a snapshot\n", snapAt)
-			return sys.Finish()
-		}
-	}
-	snap, err := sys.Snapshot()
-	if err != nil {
-		return hmccoal.Result{}, err
-	}
-	restored, err := hmccoal.NewSystem(cfg)
-	if err != nil {
-		return hmccoal.Result{}, err
-	}
-	if err := restored.Restore(snap); err != nil {
-		return hmccoal.Result{}, err
-	}
-	fmt.Fprintf(os.Stderr, "hmccoal: snapshotted at tick %d, finishing from the restored copy\n", sys.Tick())
-	for {
-		done, err := restored.Step()
-		if err != nil {
-			return hmccoal.Result{}, err
-		}
-		if done {
-			return restored.Finish()
-		}
-	}
 }
 
 // sweepOptions wires the worker count, the invariant-checker toggle, the

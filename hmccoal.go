@@ -78,11 +78,6 @@ type (
 	// (Config.Sched): strict FR-FCFS or the heterogeneity-aware
 	// scheduler. The zero value is FR-FCFS.
 	SchedKind = coalescer.Sched
-	// SystemSnapshot is a deterministic mid-run snapshot of a System
-	// (System.Snapshot / System.Restore): restoring it into a fresh or
-	// Reset system with the same Config and stepping to completion
-	// reproduces the uninterrupted run byte-for-byte.
-	SystemSnapshot = sim.Snapshot
 )
 
 // Miss-handling architectures under evaluation.

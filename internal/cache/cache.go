@@ -266,28 +266,6 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 }
 
-// CopyFrom makes c an exact copy of src — tag words, set headers, clocks,
-// generation, access clock and statistics — writing into c's own arrays.
-// src must have been built from the same Config. Only sets of src's
-// current generation carry lines; every other set is copied as stale.
-func (c *Cache) CopyFrom(src *Cache) {
-	for s := range src.sets {
-		if src.sets[s].gen != src.gen {
-			c.sets[s] = setHeader{} // gen 0: stale in every generation
-			continue
-		}
-		c.sets[s] = src.sets[s]
-		base := s * c.ways
-		copy(c.tags[base:base+c.ways], src.tags[base:base+c.ways])
-		if c.lru != nil {
-			copy(c.lru[base:base+c.ways], src.lru[base:base+c.ways])
-		}
-	}
-	c.gen = src.gen
-	c.clock = src.clock
-	c.stats = src.stats
-}
-
 // Contains reports whether the line is present (no LRU update).
 func (c *Cache) Contains(lineNum uint64) bool {
 	key := c.word(lineNum)

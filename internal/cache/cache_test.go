@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -215,8 +214,7 @@ func (r *refLRU) flush() map[uint64]bool {
 // the packed recency stack and, at 32 ways, the counter LRU with its
 // per-cache recency clocks — with a seeded random line stream and checks
 // hit/miss, the victim and the write-back line of every access against a
-// naive LRU model. The stream crosses a Reset, a Flush and a CopyFrom
-// into a fresh cache. It runs at the bottom of the line-number space,
+// naive LRU model. The stream crosses a Reset and a Flush. It runs at the bottom of the line-number space,
 // across 2^58 (the top line of a 64-bit address space at 64-byte lines)
 // and at the top of the 64-bit line-number space, where the tag word's
 // (tag+1)<<1 encoding has the least room.
@@ -270,11 +268,6 @@ func matchReference(t *testing.T, sets, ways int, base, span uint64) {
 		t.Fatalf("Flush dirty lines %v, reference %v", got, want)
 	}
 	step("after Flush", 2000)
-
-	fresh := mustNew(t, cfg)
-	fresh.CopyFrom(c)
-	c = fresh
-	step("after CopyFrom", 2000)
 }
 
 // sameBehaviour drives got and want with one seeded line stream over
@@ -304,9 +297,8 @@ func sameBehaviour(t *testing.T, what string, got, want *Cache, span uint64, see
 
 // TestStaleSets covers the sets a generation has not touched, on the
 // packed recency stack and on the 32-way counter LRU: after a Reset they
-// hold nothing for Contains or Flush, a Flush then a Reset leaves a fresh
-// cache, and CopyFrom from a cache in another generation copies the
-// stale sets as stale.
+// hold nothing for Contains or Flush, and a Flush then a Reset leaves a
+// fresh cache.
 func TestStaleSets(t *testing.T) {
 	const sets = 8
 	for _, ways := range []int{4, 16, 32} {
@@ -343,36 +335,6 @@ func TestStaleSets(t *testing.T) {
 			}
 			c.Reset()
 			sameBehaviour(t, "Flush then Reset", c, mustNew(t, cfg), span, 1)
-
-			// src's current generation touches only sets 0-2 (lines 0-2);
-			// its earlier generation filled every set. dst holds lines in
-			// every set, once in src's generation and once in an older one.
-			for _, dstResets := range []int{3, 1} {
-				copied := func() (dst, src *Cache) {
-					src = mustNew(t, cfg)
-					fill(src, span)
-					for i := 0; i < 3; i++ {
-						src.Reset()
-					}
-					fill(src, 3)
-					dst = mustNew(t, cfg)
-					for i := 0; i < dstResets; i++ {
-						dst.Reset()
-					}
-					fill(dst, span)
-					dst.CopyFrom(src)
-					return dst, src
-				}
-				what := fmt.Sprintf("CopyFrom at generation 4 into generation %d", dstResets+1)
-				dst, src := copied()
-				got, want := dst.Flush(), src.Flush()
-				slices.Sort(got)
-				if !reflect.DeepEqual(got, []uint64{0, 1, 2}) || !reflect.DeepEqual(want, []uint64{0, 1, 2}) {
-					t.Fatalf("%s: Flush found dirty lines %v, src %v, want [0 1 2]", what, got, want)
-				}
-				dst, src = copied()
-				sameBehaviour(t, what, dst, src, span, 2)
-			}
 		})
 	}
 }

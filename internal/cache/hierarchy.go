@@ -112,16 +112,6 @@ func (h *Hierarchy) Reset() {
 	h.missBuf = h.missBuf[:0]
 }
 
-// CopyFrom makes h an exact copy of src, level by level, writing into h's
-// own tag arrays. src must have been built from the same HierarchyConfig.
-func (h *Hierarchy) CopyFrom(src *Hierarchy) {
-	for i := range h.l1 {
-		h.l1[i].CopyFrom(src.l1[i])
-		h.l2[i].CopyFrom(src.l2[i])
-	}
-	h.llc.CopyFrom(src.llc)
-}
-
 // LineBytes returns the common cache line size.
 func (h *Hierarchy) LineBytes() uint32 { return h.cfg.LLC.LineBytes }
 

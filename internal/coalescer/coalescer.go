@@ -28,7 +28,6 @@ package coalescer
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"hmccoal/internal/enum"
 	"hmccoal/internal/hmc"
@@ -322,9 +321,6 @@ type gather interface {
 	nextExpiry() uint64
 	// buffered counts the requests waiting in open sequences.
 	buffered() int
-	// copyFrom makes the gather an exact copy of src, a gather of the
-	// same kind, writing into its own buffers.
-	copyFrom(src gather)
 }
 
 // pendingReq is an input-buffer slot: the request plus its arrival tick,
@@ -437,58 +433,6 @@ func (c *Coalescer) Reset(cfg Config, kind Kind, sched Sched, lanes int) error {
 	if sched == SchedHetero {
 		c.laneBytes = append(laneBytes[:0], make([]uint64, 256)...) // full uint8 lane space
 	}
-	return nil
-}
-
-// CopyFrom makes c an exact copy of src's mutable state, writing into c's
-// own buffers: the gather stage (the two-phase input buffer with its
-// sorter, bypass and timeout state, or the warp lane buffers), the CRQ,
-// the MSHR file, the in-flight and retry heaps in verbatim array order (so
-// future pops break ties exactly as src's would), the degraded-mode
-// machinery and every statistic. In-flight completions are re-pointed by
-// entry index into c's own file. c keeps its callbacks and checker; the
-// target pool is working storage and is not copied. src must be of the
-// same kind, which is checked, and built from the same configuration,
-// which is not. A coalescer that has latched a conservation violation is
-// untrustworthy by definition and is not copied.
-func (c *Coalescer) CopyFrom(src *Coalescer) error {
-	if src.viol != nil {
-		return fmt.Errorf("coalescer: cannot copy after violation: %w", src.viol)
-	}
-	if src.kind != c.kind {
-		return fmt.Errorf("coalescer: cannot copy a %v coalescer into a %v coalescer", src.kind, c.kind)
-	}
-	c.gather.copyFrom(src.gather)
-	c.file.CopyFrom(&src.file)
-	c.crqBuf = append(c.crqBuf[:0], src.crqBuf...)
-	for i := range c.crqBuf {
-		c.crqBuf[i].targets = slices.Clone(c.crqBuf[i].targets)
-	}
-	c.crqHead, c.crqLen = src.crqHead, src.crqLen
-	c.inflight = c.inflight[:0]
-	for _, it := range src.inflight {
-		it.entry = c.file.EntryAt(it.entry.Index())
-		c.inflight = append(c.inflight, it)
-	}
-	c.retryQ = c.retryQ[:0]
-	for _, p := range src.retryQ {
-		p.targets = slices.Clone(p.targets)
-		c.retryQ = append(c.retryQ, p)
-	}
-	c.freedAt = src.freedAt
-	c.lastIssue = src.lastIssue
-	c.lastAdvance = src.lastAdvance
-	c.fillStart = src.fillStart
-	c.fillCount = src.fillCount
-	c.stats = src.stats
-	c.headStalls = src.headStalls
-	copy(c.laneBytes, src.laneBytes)
-	c.retrySeq = src.retrySeq
-	c.faultWin = slices.Clone(src.faultWin) // nil until src saw a link error
-	c.faultPos = src.faultPos
-	c.faultCnt = src.faultCnt
-	c.degraded = src.degraded
-	c.degradedAt = src.degradedAt
 	return nil
 }
 

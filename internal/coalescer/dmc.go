@@ -161,16 +161,6 @@ func (g *sortGather) nextExpiry() uint64 {
 
 func (g *sortGather) buffered() int { return len(g.pending) }
 
-func (g *sortGather) copyFrom(src gather) {
-	s := src.(*sortGather)
-	g.pending = append(g.pending[:0], s.pending...)
-	g.pendingSince = s.pendingSince
-	g.sortFree = s.sortFree
-	g.curTimeout = s.curTimeout
-	g.bypassOn = s.bypassOn
-	g.idleSince = s.idleSince
-}
-
 // adaptTimeout folds one sequence's coalescing cost (sorting + DMC cycles)
 // into the adaptive timeout.
 func (g *sortGather) adaptTimeout(cost uint64) {

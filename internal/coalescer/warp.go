@@ -128,15 +128,6 @@ func (g *warpGather) buffered() int {
 	return n
 }
 
-func (g *warpGather) copyFrom(src gather) {
-	s := src.(*warpGather)
-	for i := range g.lanes {
-		g.lanes[i].reqs = append(g.lanes[i].reqs[:0], s.lanes[i].reqs...)
-		g.lanes[i].since = s.lanes[i].since
-	}
-	g.next = s.next
-}
-
 // closeWarp runs one lane's buffered requests through block-granularity
 // merging and queues the resulting packets. closeTick is when the warp
 // closed; the packets become ready once the grouping cost has elapsed.

@@ -708,40 +708,6 @@ func (d *Device) Stats() Stats {
 	return s
 }
 
-// CopyFrom makes d an exact copy of src's mutable state — bank, link and
-// bus horizons, flow-control tokens, the packet serial counter that keys
-// fault injection, and every statistic — writing into d's own arrays. src
-// must be of d's kind, which is checked, and built from the same Config,
-// which is not. The fault injector is a pure function of the serial
-// counter, so the copy replays src's exact fault sequence. The attached
-// checker is d's own and is not copied.
-func (d *Device) CopyFrom(src *Device) error {
-	if src.kind != d.kind {
-		return fmt.Errorf("hmc: cannot copy a %v device into a %v device", src.kind, d.kind)
-	}
-	copy(d.banks, src.banks)
-	for i := range d.links {
-		d.links[i].in, d.links[i].out = src.links[i].in, src.links[i].out
-		copy(d.links[i].tokens, src.links[i].tokens)
-	}
-	d.next = src.next
-	d.bus = src.bus
-	copy(d.sizeHist, src.sizeHist)
-	vaults := d.stats.VaultRequests
-	d.stats = src.stats
-	d.stats.VaultRequests = vaults
-	copy(vaults, src.stats.VaultRequests)
-	d.serial = src.serial
-	copy(d.consecErr, src.consecErr)
-	copy(d.linkFaults, src.linkFaults)
-	d.chkIssuedB = src.chkIssuedB
-	d.chkDeliveredB = src.chkDeliveredB
-	d.chkPoisonedB = src.chkPoisonedB
-	d.chkDroppedB = src.chkDroppedB
-	d.chkStarvedPkts = src.chkStarvedPkts
-	return nil
-}
-
 // LinkFaultStats breaks the fault counters down per link.
 type LinkFaultStats struct {
 	// Retries is the number of link retransmission rounds on this link.

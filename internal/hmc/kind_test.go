@@ -1,7 +1,6 @@
 package hmc
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -210,71 +209,6 @@ func newBackend(t *testing.T, k Kind) *Device {
 		t.Fatal(err)
 	}
 	return b
-}
-
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	for _, k := range []Kind{KindHMC, KindDDR, KindIdeal} {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			a := newBackend(t, k)
-			submitPattern(t, a, 100)
-			// Continue the original past the copy point, then replay the
-			// identical suffix on the copy.
-			fresh := newBackend(t, k)
-			if err := fresh.CopyFrom(a); err != nil {
-				t.Fatalf("CopyFrom: %v", err)
-			}
-			da := submitPattern(t, a, 100)
-			df := submitPattern(t, fresh, 100)
-			if !reflect.DeepEqual(da, df) {
-				t.Fatalf("%v: post-copy completions diverge", k)
-			}
-			sa, sf := a.Stats(), fresh.Stats()
-			if !reflect.DeepEqual(sa, sf) {
-				t.Fatalf("%v: post-copy stats diverge:\n%+v\n%+v", k, sa, sf)
-			}
-			if fmt.Sprintf("%v", a.DebugLinks()) != fmt.Sprintf("%v", fresh.DebugLinks()) {
-				t.Fatalf("%v: DebugLinks diverge after copy:\n%s\n%s", k, a.DebugLinks(), fresh.DebugLinks())
-			}
-		})
-	}
-}
-
-func TestSnapshotIsDeepCopy(t *testing.T) {
-	for _, k := range []Kind{KindHMC, KindDDR, KindIdeal} {
-		b := newBackend(t, k)
-		submitPattern(t, b, 50)
-		snap := newBackend(t, k)
-		if err := snap.CopyFrom(b); err != nil {
-			t.Fatalf("%v: CopyFrom: %v", k, err)
-		}
-		before := b.Stats()
-		submitPattern(t, b, 50) // mutate past the copy
-		if err := b.CopyFrom(snap); err != nil {
-			t.Fatalf("%v: CopyFrom back: %v", k, err)
-		}
-		after := b.Stats()
-		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("%v: copy aliased live state:\n%+v\n%+v", k, before, after)
-		}
-	}
-}
-
-func TestRestoreKindMismatch(t *testing.T) {
-	kinds := []Kind{KindHMC, KindDDR, KindIdeal}
-	srcs := make([]*Device, len(kinds))
-	for i, k := range kinds {
-		srcs[i] = newBackend(t, k)
-	}
-	for i, k := range kinds {
-		b := newBackend(t, k)
-		for j := range kinds {
-			err := b.CopyFrom(srcs[j])
-			if (i == j) != (err == nil) {
-				t.Errorf("copy %v backend into %v backend: err = %v", kinds[j], k, err)
-			}
-		}
-	}
 }
 
 func TestResetClearsBackends(t *testing.T) {

@@ -204,18 +204,6 @@ func NewTokenLedger(ring int) *TokenLedger {
 	return &TokenLedger{live: make([]bool, ring)}
 }
 
-// CopyFrom makes l an exact copy of src, writing into l's own ring. Like
-// every ledger method it is nil-safe: with checks off both are nil.
-func (l *TokenLedger) CopyFrom(src *TokenLedger) {
-	if l == nil {
-		return
-	}
-	copy(l.live, src.live)
-	l.issued = src.issued
-	l.completed = src.completed
-	l.forfeited = src.forfeited
-}
-
 // Issue marks slot live and returns a violation if it already was.
 func (l *TokenLedger) Issue(slot, tick uint64) *Violation {
 	if l == nil {

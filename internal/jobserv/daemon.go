@@ -227,8 +227,8 @@ func (d *Daemon) recover() error {
 		return err
 	}
 	// Jobs the dead process was running restart as queued: their durable
-	// checkpoints carry completed work, and any in-memory snapshot died
-	// with the process.
+	// checkpoints carry completed work, and any parked System died with
+	// the process.
 	var adopted []*Job
 	for _, j := range d.jobs {
 		if j.state == StateRunning {

@@ -9,10 +9,10 @@
 // done/failed/canceled); sweep and soak jobs additionally persist their
 // completed work in the sweep layer's JSONL checkpoints, so a job that
 // restarts after a crash recomputes only its unfinished groups and still
-// produces byte-identical results. Single-run jobs are preempted through
-// the simulator's in-memory Snapshot/Restore — zero recompute while the
-// daemon lives — and re-run deterministically from scratch after a crash,
-// which yields the same bytes by the simulator's core determinism
+// produces byte-identical results. A preempted single-run job keeps its
+// stopped System in memory and resumes stepping it — zero recompute while
+// the daemon lives — and re-runs deterministically from scratch after a
+// crash, which yields the same bytes by the simulator's core determinism
 // contract.
 package jobserv
 
@@ -175,7 +175,7 @@ type Job struct {
 	done span
 
 	// park is the in-memory resume state of a preempted single-run job
-	// (the simulator snapshot). It does not survive the process — after a
+	// (its stopped System). It does not survive the process — after a
 	// crash the job re-runs from scratch, deterministically.
 	park *parkState
 	// preempting marks a running job already asked to park, so the

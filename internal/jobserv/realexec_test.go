@@ -16,7 +16,7 @@ import (
 )
 
 // These tests run the production executors (realExec) end to end: real
-// simulations, real checkpoints, real Snapshot/Restore preemption. They pin
+// simulations, real checkpoints, real parking of a stopped System. They pin
 // the service's headline guarantee — results are byte-identical across any
 // interruption history.
 
@@ -54,49 +54,66 @@ func holdFirst(specs ...Spec) func(context.Context, Spec) {
 }
 
 // TestPreemptResumeEqualsUninterrupted preempts a real single-run job mid-
-// simulation via Snapshot/Restore and pins that the resumed run's result
-// bytes equal an uninterrupted run of the same spec.
+// simulation on every machine — the paper's, the warp front-end under the
+// heterogeneity-aware scheduler, and the ddr and ideal backends — and pins
+// that the parked System, resumed, finishes with result bytes equal to an
+// uninterrupted run of the same spec.
 func TestPreemptResumeEqualsUninterrupted(t *testing.T) {
-	lowSpec := Spec{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], CPUs: 4, Ops: 3000, Seed: 11}
-	highSpec := Spec{Kind: KindSingle, Bench: hmccoal.Benchmarks()[1], CPUs: 2, Ops: 60, Seed: 5}
+	for _, c := range []struct {
+		name    string
+		variant hmccoal.Variant
+	}{
+		{"default", hmccoal.Variant{}},
+		{"warp-hetero", hmccoal.Variant{Frontend: hmccoal.FrontendWarp, Sched: hmccoal.SchedHetero}},
+		{"ddr", hmccoal.Variant{Backend: hmccoal.BackendDDR}},
+		{"ideal", hmccoal.Variant{Backend: hmccoal.BackendIdeal}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			lowSpec := Spec{Kind: KindSingle, Bench: hmccoal.Benchmarks()[0], CPUs: 4, Ops: 3000, Seed: 11, Variant: c.variant}
+			highSpec := Spec{Kind: KindSingle, Bench: hmccoal.Benchmarks()[1], CPUs: 4, Ops: 60, Seed: 5, Variant: c.variant}
 
-	// Interrupted daemon: one slot, so the high-priority arrival preempts.
-	// The low job waits at its first preemption check for that.
-	d1 := newTestDaemon(t, Options{Slots: 1, parkCheck: holdFirst(lowSpec)})
-	low := mustSubmit(t, d1, "batch", 0, lowSpec)
-	waitFor(t, d1, low, "running", func(v JobView) bool { return v.State == StateRunning })
-	high := mustSubmit(t, d1, "urgent", 9, highSpec)
+			// Interrupted daemon: one slot, so the high-priority arrival
+			// preempts. The low job waits at its first preemption check
+			// for that. Both jobs have the same hierarchy, so a parked
+			// System handed back to the pool would be the one the high
+			// job runs on.
+			d1 := newTestDaemon(t, Options{Slots: 1, parkCheck: holdFirst(lowSpec)})
+			low := mustSubmit(t, d1, "batch", 0, lowSpec)
+			waitFor(t, d1, low, "running", func(v JobView) bool { return v.State == StateRunning })
+			high := mustSubmit(t, d1, "urgent", 9, highSpec)
 
-	waitFor(t, d1, low, "preempted", func(v JobView) bool { return v.Preemptions >= 1 })
-	waitDone(t, d1, high, 60*time.Second)
-	waitDone(t, d1, low, 120*time.Second)
-	v, _ := d1.Get(low)
-	if v.Attempts < 2 {
-		t.Fatalf("low job attempts = %d, want ≥ 2 (one park, one resume)", v.Attempts)
-	}
-	interrupted, err := d1.Result(low)
-	if err != nil {
-		t.Fatalf("result: %v", err)
-	}
+			waitFor(t, d1, low, "preempted", func(v JobView) bool { return v.Preemptions >= 1 })
+			waitDone(t, d1, high, 60*time.Second)
+			waitDone(t, d1, low, 120*time.Second)
+			v, _ := d1.Get(low)
+			if v.Attempts < 2 {
+				t.Fatalf("low job attempts = %d, want ≥ 2 (one park, one resume)", v.Attempts)
+			}
+			interrupted, err := d1.Result(low)
+			if err != nil {
+				t.Fatalf("result: %v", err)
+			}
 
-	// Reference daemon: same spec, never interrupted.
-	d2 := newTestDaemon(t, Options{Slots: 1})
-	ref := mustSubmit(t, d2, "batch", 0, lowSpec)
-	waitDone(t, d2, ref, 120*time.Second)
-	uninterrupted, err := d2.Result(ref)
-	if err != nil {
-		t.Fatalf("reference result: %v", err)
-	}
+			// Reference daemon: same spec, never interrupted.
+			d2 := newTestDaemon(t, Options{Slots: 1})
+			ref := mustSubmit(t, d2, "batch", 0, lowSpec)
+			waitDone(t, d2, ref, 120*time.Second)
+			uninterrupted, err := d2.Result(ref)
+			if err != nil {
+				t.Fatalf("reference result: %v", err)
+			}
 
-	if !bytes.Equal(interrupted, uninterrupted) {
-		t.Fatalf("preempt+resume changed the result:\n%s\nvs uninterrupted:\n%s",
-			interrupted, uninterrupted)
+			if !bytes.Equal(interrupted, uninterrupted) {
+				t.Fatalf("preempt+resume changed the result:\n%s\nvs uninterrupted:\n%s",
+					interrupted, uninterrupted)
+			}
+		})
 	}
 }
 
 // TestReusedSystemsMatchFreshDaemon runs 4- and 8-CPU single jobs (and
 // one 2-CPU job) on two slots, so their Systems are Reset and reused across hierarchies: one job
-// is preempted and resumes into a reused System, one is cancelled mid-run
+// is preempted and resumes its own parked System, one is cancelled mid-run
 // (its System is dropped). Every finished result must equal the same spec
 // run alone on a fresh daemon, and the idle list must never hold more than
 // one System per slot.

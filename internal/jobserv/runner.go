@@ -12,15 +12,13 @@ import (
 )
 
 // parkState is the in-memory resume state of a preempted single-run job:
-// the simulator snapshot, which holds the trace by reference, and the
-// Config a System must have to restore it. Sweep and soak jobs leave it
-// empty — their resume state is the durable JSONL checkpoint. parkState
-// never leaves the process; a crashed daemon re-runs single jobs from
-// scratch, which is byte-identical by the simulator's determinism
-// contract.
+// its own started System, stopped between Steps, which holds the trace by
+// reference. Sweep and soak jobs leave it empty — their resume state is
+// the durable JSONL checkpoint. parkState never leaves the process; a
+// crashed daemon re-runs single jobs from scratch, which is
+// byte-identical by the simulator's determinism contract.
 type parkState struct {
-	snap *hmccoal.SystemSnapshot
-	cfg  hmccoal.Config
+	sys *hmccoal.System
 }
 
 // parkCheckInterval is how many simulator steps a single-run job advances
@@ -45,40 +43,31 @@ func (d *Daemon) realExec(ctl execCtl, id string, spec Spec) execOutcome {
 
 // execSingle runs one benchmark under the two-phase coalescer over its
 // per-core streams (hmccoal.GenerateIndex), checking for preemption every
-// parkCheckInterval steps. A park request snapshots the live simulation —
-// the paper pipeline's Snapshot/Restore — so the resumed attempt continues
-// from the exact tick with zero recompute and a summary byte-identical to
-// an uninterrupted run. Both first runs and resumes take their System from
-// the daemon's pool and hand it back once finished or parked; one that
-// errors, is cancelled or times out is dropped.
+// parkCheckInterval steps. A park request keeps the stopped System in the
+// job's parkState, and the resumed attempt steps that same System on from
+// the exact tick, with zero recompute and a summary byte-identical to an
+// uninterrupted run. A first run takes its System from the daemon's pool;
+// the System goes back once the job finishes, and one that errors, is
+// cancelled (running or parked) or times out is dropped.
 func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
-	var cfg hmccoal.Config
-	var idx *hmccoal.TraceIndex
-	resume := ctl.park != nil && ctl.park.snap != nil
-	if resume {
-		cfg = ctl.park.cfg
+	var sys *hmccoal.System
+	if ctl.park != nil && ctl.park.sys != nil {
+		sys = ctl.park.sys
 	} else {
-		var err error
-		idx, err = hmccoal.GenerateIndex(spec.Bench, spec.params())
+		idx, err := hmccoal.GenerateIndex(spec.Bench, spec.params())
 		if err != nil {
 			return execOutcome{err: err}
 		}
-		cfg = hmccoal.DefaultConfig()
+		cfg := hmccoal.DefaultConfig()
 		cfg.Mode = hmccoal.ModeTwoPhase
 		cfg.Variant = spec.Variant
 		cfg.Hierarchy.CPUs = spec.params().CPUs
-	}
-	sys, err := d.pool.Get(cfg)
-	if err != nil {
-		return execOutcome{err: err}
-	}
-	if resume {
-		err = sys.Restore(ctl.park.snap)
-	} else {
-		err = sys.StartIndexed(idx)
-	}
-	if err != nil {
-		return execOutcome{err: err}
+		if sys, err = d.pool.Get(cfg); err != nil {
+			return execOutcome{err: err}
+		}
+		if err := sys.StartIndexed(idx); err != nil {
+			return execOutcome{err: err}
+		}
 	}
 
 	for {
@@ -107,12 +96,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 		if err := ctl.ctx.Err(); err != nil {
 			cause := context.Cause(ctl.ctx)
 			if errors.Is(cause, errPark) || errors.Is(cause, errDrainPark) {
-				snap, serr := sys.Snapshot() // a copy into a twin System: sys is free again
-				if serr != nil {
-					return execOutcome{err: serr}
-				}
-				d.pool.Put(sys, d.opt.slots())
-				return execOutcome{park: &parkState{snap: snap, cfg: cfg}}
+				return execOutcome{park: &parkState{sys: sys}}
 			}
 			return execOutcome{err: cause}
 		}

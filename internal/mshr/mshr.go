@@ -229,28 +229,6 @@ func (f *File) Reset(cfg Config) error {
 	return nil
 }
 
-// CopyFrom makes f an exact copy of src's entries, match keys, free count
-// and statistics. src must have been built from the same Config. Each
-// entry keeps its own subentry backing, which grows where src's entry
-// holds more subentries than it fits (a fresh allocation takes every
-// waiter of its chunk, past MaxSubentries), as src's append did. The
-// scratch buffers behind Outcome views are working storage and are not
-// copied.
-func (f *File) CopyFrom(src *File) {
-	for i := range f.entries {
-		subs := append(f.entries[i].subs[:0], src.entries[i].subs...)
-		f.entries[i] = src.entries[i]
-		f.entries[i].subs = subs
-	}
-	copy(f.keys, src.keys)
-	f.free = src.free
-	f.stats = src.stats
-}
-
-// EntryAt returns the entry at index i (the value Entry.Index reports), so
-// a copy can re-point references to src's entries at its own.
-func (f *File) EntryAt(i int) *Entry { return &f.entries[i] }
-
 // Config returns the file configuration.
 func (f *File) Config() Config { return f.cfg }
 

@@ -650,116 +650,58 @@ func describe(out Outcome) string {
 	return b.String()
 }
 
-// TestLookupMatchesCoversScan runs a seeded random mix of Insert, Complete
-// and CopyFrom on a small file. After every call the match keys must
-// mirror the entries and lookup must return what a brute-force covers scan
-// returns for every line of the touched block. Each copy goes into a fresh
-// file with live entries of its own, and the copy then runs in lockstep with the original: every Insert outcome, every
-// Complete and the statistics must agree.
+// TestLookupMatchesCoversScan runs a seeded random mix of Insert and
+// Complete on a small file. After every call the match keys must mirror
+// the entries and lookup must return what a brute-force covers scan
+// returns for every line of the touched block.
 func TestLookupMatchesCoversScan(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Entries = 6
 	cfg.MaxSubentries = 3
-	newFile := func() *File {
-		f, err := NewFile(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+	f, err := NewFile(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(29))
 	token := uint64(0)
-	// insert makes one random request in a small address space, so merges,
-	// Case-B splits, full subentry lists and a packed file are all common.
-	insert := func() (base uint64, lines int, write bool, targets []Target) {
-		lines = []int{1, 2, 3, 4}[rng.Intn(4)]
-		base = uint64(rng.Intn(5))*4 + uint64(rng.Intn(4-lines+1))
-		targets = make([]Target, 1+rng.Intn(5))
-		for j := range targets {
-			targets[j] = Target{Line: base + uint64(rng.Intn(lines)), Token: token, Payload: 8}
-			token++
-		}
-		return base, lines, rng.Intn(3) == 0, targets
-	}
-	files := []*File{newFile()} // files[0] is the original, files[1] its restored copy
-	var merged, restores int
+	var merged int
 	for op := 0; op < 20000; op++ {
-		f := files[len(files)-1]
-		switch r := rng.Intn(100); {
-		case r < 55:
-			base, lines, write, targets := insert()
-			var want string
-			for k, g := range files {
-				out, err := g.Insert(base, lines, write, targets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				merged += out.MergedTargets
-				if got := describe(out); k == 0 {
-					want = got
-				} else if got != want {
-					t.Fatalf("op %d: restored file Insert %s, original %s", op, got, want)
-				}
-				checkKeys(t, op, g, base/4)
+		if rng.Intn(100) < 55 {
+			// One random request in a small address space, so merges,
+			// Case-B splits, full subentry lists and a packed file are
+			// all common.
+			lines := []int{1, 2, 3, 4}[rng.Intn(4)]
+			base := uint64(rng.Intn(5))*4 + uint64(rng.Intn(4-lines+1))
+			targets := make([]Target, 1+rng.Intn(5))
+			for j := range targets {
+				targets[j] = Target{Line: base + uint64(rng.Intn(lines)), Token: token, Payload: 8}
+				token++
 			}
-		case r < 98:
-			var live []int
-			for i := range f.entries {
-				if f.entries[i].valid {
-					live = append(live, i)
-				}
+			out, err := f.Insert(base, lines, rng.Intn(3) == 0, targets)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(live) == 0 {
-				continue
-			}
-			i := live[rng.Intn(len(live))]
-			block := f.entries[i].baseLine / 4
-			for _, g := range files {
-				if _, err := g.Complete(g.EntryAt(i)); err != nil {
-					t.Fatal(err)
-				}
-				checkKeys(t, op, g, block)
-			}
-		default:
-			fresh := newFile()
-			for j := 0; j < 3; j++ {
-				base, lines, write, targets := insert()
-				if _, err := fresh.Insert(base, lines, write, targets); err != nil {
-					t.Fatal(err)
-				}
-			}
-			fresh.CopyFrom(f)
-			files = []*File{f, fresh}
-			restores++
-			for block := uint64(0); block < 5; block++ {
-				checkKeys(t, op, fresh, block)
+			merged += out.MergedTargets
+			checkKeys(t, op, f, base/4)
+			continue
+		}
+		var live []int
+		for i := range f.entries {
+			if f.entries[i].valid {
+				live = append(live, i)
 			}
 		}
-		if len(files) == 2 && files[0].Stats() != files[1].Stats() {
-			t.Fatalf("op %d: restored file stats %+v, original %+v", op, files[1].Stats(), files[0].Stats())
+		if len(live) == 0 {
+			continue
 		}
+		i := live[rng.Intn(len(live))]
+		block := f.entries[i].baseLine / 4
+		if _, err := f.Complete(&f.entries[i]); err != nil {
+			t.Fatal(err)
+		}
+		checkKeys(t, op, f, block)
 	}
-	if merged == 0 || restores == 0 {
-		t.Fatalf("stream exercised %d merges and %d restores; want both", merged, restores)
-	}
-}
-
-// TestRestoreGrownSubentries pins that CopyFrom into a fresh file copies
-// every entry even when a fresh allocation took more waiters than MaxSubentries
-// (its chunk's whole target list), growing the entry's backing as the
-// original did.
-func TestRestoreGrownSubentries(t *testing.T) {
-	f := newFile(t)
-	var targets []Target
-	for i := 0; i < 2*f.Config().MaxSubentries; i++ {
-		targets = append(targets, Target{Line: 8 + uint64(i%4), Token: uint64(i)})
-	}
-	if _, err := f.Insert(8, 4, false, targets); err != nil {
-		t.Fatal(err)
-	}
-	g := newFile(t)
-	g.CopyFrom(f)
-	if got, want := fmt.Sprintf("%+v", g.Entries()), fmt.Sprintf("%+v", f.Entries()); got != want {
-		t.Fatalf("restored entries %s, want %s", got, want)
+	if merged == 0 {
+		t.Fatal("stream exercised no merges")
 	}
 }

@@ -41,8 +41,9 @@ func (p *Pool) Get(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// Put hands back a System no run uses any more — finished, snapshotted or
-// abandoned mid-run. The pool keeps at most limit Systems, the owner's
+// Put hands back a System no run uses any more — finished or abandoned
+// mid-run. A System stopped to be resumed later is not handed back: its
+// owner keeps stepping it. The pool keeps at most limit Systems, the owner's
 // concurrency; when it is full the oldest is dropped.
 func (p *Pool) Put(sys *System, limit int) {
 	p.mu.Lock()

@@ -337,8 +337,7 @@ func NewSystem(cfg Config) (*System, error) {
 // allocator. cfg must keep the Hierarchy the System was built with;
 // everything else — mode, backend, coalescer tuning, fault plan, checks —
 // may change between runs. A reset System produces byte-identical results
-// to one built fresh from the same cfg, and restores snapshots
-// identically: this is what lets a Pool hand one System to job after job
+// to one built fresh from the same cfg: this is what lets a Pool hand one System to job after job
 // without paying NewSystem per job. After an error the System must not be
 // used again.
 func (s *System) Reset(cfg Config) error {

@@ -11,8 +11,8 @@ import (
 // tickState is the explicit per-run scheduling state of the staged tick
 // loop: the trace laid out by CPU, the cursor heap merging per-CPU streams,
 // the parked-core bookkeeping and the high-water tick. Making it a named
-// struct (instead of Run-local variables) is what lets the simulator be
-// snapshotted mid-run and stepped one event at a time.
+// struct (instead of Run-local variables) is what lets the simulator stop
+// between any two events and be stepped one event at a time.
 type tickState struct {
 	// accs, streamOff and streamIdx are the run's TraceIndex, shared by
 	// reference: streamOff[c]..streamOff[c+1] delimits CPU c's stream,
@@ -433,5 +433,5 @@ func (s *System) Finish() (Result, error) {
 
 // Tick is the staged loop's high-water tick: the latest point at which a
 // core issued or the memory system made unaccompanied progress. Callers
-// stepping manually use it to decide when to snapshot.
+// stepping manually use it to decide when to stop.
 func (s *System) Tick() uint64 { return s.ts.last }
