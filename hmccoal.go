@@ -132,11 +132,13 @@ func NewSystem(cfg Config) (*System, error) { return sim.NewSystem(cfg) }
 
 // TraceIndex is a shared, read-only layout of a trace by CPU. Runs
 // replaying the same trace share one index instead of each re-bucketing
-// it (System.StartIndexed, System.RunIndexed).
+// it (System.StartIndexed, System.RunIndexed), and one walk of the trace
+// through the private L1 and L2 per (L1, L2) pair, which the first such
+// run makes under the index's lock.
 type TraceIndex = sim.TraceIndex
 
 // NewTraceIndex buckets a trace for systems with cpus cores; the index is
-// immutable and safely shared across concurrent runs.
+// safely shared across concurrent runs.
 func NewTraceIndex(accs []Access, cpus int) (*TraceIndex, error) {
 	return sim.NewTraceIndex(accs, cpus)
 }

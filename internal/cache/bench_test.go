@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 
 	"hmccoal/internal/trace"
@@ -20,49 +21,72 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkHierarchyAccess measures the full three-level walk including
-// miss-record generation, the hot call of the system simulator.
-func BenchmarkHierarchyAccess(b *testing.B) {
-	h, err := NewHierarchy(DefaultHierarchyConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a := trace.Access{
-			Addr: uint64(i*53) % (1 << 26) * 8,
-			Size: 16,
-			Kind: trace.Kind(i & 1), // alternate load/store
-			CPU:  uint8(i % 12),
-			Tick: uint64(i),
-		}
-		h.Access(a)
-	}
-}
-
-// BenchmarkHierarchyReplay times the cache layer on its own: a seeded
-// 12-CPU × 5000-op trace replayed in tick order through the default
-// hierarchy, reset to empty caches before each replay, reported as
-// ns/access. SSCA2 and CG miss far beyond the LLC; FT and STREAM stream
-// through it.
+// BenchmarkHierarchyReplay times the cache layer on its own, one pass at
+// a time, over a seeded 12-CPU × 5000-op trace on the default hierarchy,
+// reported as ns/access:
+//
+//   - filter: the private-level pass a trace pays once, every CPU's stream
+//     walked through its L1 and L2 (FilterPrivate);
+//   - llc: the shared-LLC replay every run pays, the flagged lines walked
+//     in tick order through an LLC reset before each replay (ReplayLLC);
+//   - full: the three-level walk per access that the two replace (the
+//     tests' oracle), caches reset before each replay.
+//
+// SSCA2 and CG miss far beyond the LLC; FT and STREAM stream through it.
 func BenchmarkHierarchyReplay(b *testing.B) {
 	for _, bench := range []string{"SSCA2", "CG", "FT", "STREAM"} {
-		b.Run(bench, func(b *testing.B) {
-			g, ok := workloads.ByName(bench)
-			if !ok {
-				b.Fatalf("no workload %s", bench)
+		g, ok := workloads.ByName(bench)
+		if !ok {
+			b.Fatalf("no workload %s", bench)
+		}
+		st, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: 5000, Seed: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The tick-ordered trace, and each access's stream position.
+		var accs []trace.Access
+		var pos []int
+		next := slices.Clone(st.Off)
+		m := st.Merged()
+		for run := m.Next(); run != nil; run = m.Next() {
+			for _, a := range run {
+				pos = append(pos, int(next[a.CPU]))
+				next[a.CPU]++
+				accs = append(accs, a)
 			}
-			st, err := g.Generate(workloads.Params{CPUs: 12, OpsPerCPU: 5000, Seed: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			accs := st.Flatten()
-			h, err := NewHierarchy(DefaultHierarchyConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
+		}
+		h, err := NewHierarchy(DefaultHierarchyConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		perAccess := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
+		}
+		b.Run(bench+"/filter", func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := h.FilterPrivate(st.Accs, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perAccess(b)
+		})
+		f, err := h.FilterPrivate(st.Accs, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bench+"/llc", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.llc.Reset()
+				for k := range accs {
+					h.ReplayLLC(&f, pos[k], &accs[k])
+				}
+			}
+			perAccess(b)
+		})
+		b.Run(bench+"/full", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h.Reset()
 				for _, a := range accs {
@@ -71,7 +95,7 @@ func BenchmarkHierarchyReplay(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
+			perAccess(b)
 		})
 	}
 }

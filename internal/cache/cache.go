@@ -7,6 +7,19 @@
 // latencies. Miss *timing* is not resolved here: the hierarchy reports the
 // line-granular miss stream and the system simulator (internal/sim) charges
 // memory latency through the coalescer, MSHRs and HMC device.
+//
+// The private levels are pure functions of the trace. A core's L1 and L2
+// see only that core's accesses, in its program order, whatever the
+// memory timing; their victims are clean toward the next level and make
+// no memory traffic, and nothing reaches back into them (no
+// back-invalidation from the LLC, no coherence between cores). So which
+// lines of an access miss both L1 and L2 depends on the trace and the two
+// configs alone, not on how the cores interleave at the LLC. The hierarchy
+// therefore walks a trace through the private levels once
+// (Hierarchy.FilterPrivate, giving a PrivateFilter) and each run replays
+// only the shared LLC (Hierarchy.ReplayLLC), the one level that sees the
+// cores interleaved. FuzzPrivateFilter holds that split to the full
+// three-level walk per access, which the tests keep as their oracle.
 package cache
 
 import (

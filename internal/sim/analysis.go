@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"hmccoal/internal/cache"
@@ -69,25 +68,33 @@ func AnalyzePayload(hier cache.HierarchyConfig, accs []trace.Access, width int) 
 	if err != nil {
 		return PayloadAnalysis{Hist: make(map[uint32]uint64)}, err
 	}
-	m := trace.NewMerger([][]trace.Access{accs})
-	return analyzePayload(h, &m, width)
+	idx, err := NewTraceIndex(accs, hier.CPUs)
+	if err != nil {
+		return PayloadAnalysis{Hist: make(map[uint32]uint64)}, err
+	}
+	return analyzePayload(h, idx, width)
 }
 
 // AnalyzePayload is the package-level AnalyzePayload over an indexed
-// trace, walked in its tick order (the shared LLC sees the cores'
-// accesses interleaved), on the System's own cache hierarchy, which it
-// resets first. A sweep so runs its analyses on pooled Systems instead of
-// building megabytes of tag arrays per call; the result is identical to a
+// trace, on the System's own cache hierarchy, which it resets first. A
+// sweep so runs its analyses on pooled Systems instead of building
+// megabytes of tag arrays per call, and shares the index's private-level
+// filter with the trace's simulation runs; the result is identical to a
 // fresh build. The System must be Reset before its next run (Pool.Get
 // does).
 func (s *System) AnalyzePayload(idx *TraceIndex, width int) (PayloadAnalysis, error) {
-	m := idx.Merged()
-	return analyzePayload(s.hierarchy, &m, width)
+	return analyzePayload(s.hierarchy, idx, width)
 }
 
-func analyzePayload(h *cache.Hierarchy, m *trace.Merger, width int) (PayloadAnalysis, error) {
+// analyzePayload walks the trace's private-level misses through h's LLC
+// in tick order: the shared LLC sees the cores' accesses interleaved.
+func analyzePayload(h *cache.Hierarchy, idx *TraceIndex, width int) (PayloadAnalysis, error) {
 	h.Reset()
 	res := PayloadAnalysis{Hist: make(map[uint32]uint64)}
+	f, err := idx.privateFilter(h)
+	if err != nil {
+		return res, err
+	}
 	if width <= 0 {
 		width = 16
 	}
@@ -97,16 +104,17 @@ func analyzePayload(h *cache.Hierarchy, m *trace.Merger, width int) (PayloadAnal
 	// The miss stream is batched as the sorter would batch it, one
 	// width-sized batch at a time, so memory does not grow with the trace.
 	batch := make([]payloadMiss, 0, width)
+	// The merge keeps each CPU's program order, so CPU c's k-th access is
+	// at stream position streamOff[c]+k, the filter's index. A uint8 names
+	// the CPU, so streams past the 256th are empty.
+	var next [256]int32
+	copy(next[:], idx.streamOff[:min(idx.cpus, len(next))])
+	m := idx.Merged()
 	for run := m.Next(); run != nil; run = m.Next() {
-		for _, a := range run {
-			if a.Kind == trace.FenceOp {
-				continue
-			}
-			_, ms, err := h.Access(a)
-			if err != nil {
-				return res, fmt.Errorf("sim: %w", err)
-			}
-			for _, miss := range ms {
+		for i := range run {
+			p := next[run[i].CPU]
+			next[run[i].CPU]++
+			for _, miss := range h.ReplayLLC(f, int(p), &run[i]) {
 				if miss.WriteBack {
 					continue // write-backs are full-line by definition; excluded
 				}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"hmccoal/internal/cache"
 	"hmccoal/internal/coalescer"
 	"hmccoal/internal/invariant"
 	"hmccoal/internal/trace"
@@ -22,6 +23,11 @@ type tickState struct {
 	streamOff []int32
 	streamIdx []int32
 	pos       []int32 // per-CPU position within its stream
+
+	// filter is the index's private-level filter for this System's L1 and
+	// L2, indexed by stream position: only the lines it flags reach the
+	// LLC, and Finish reports its L1 and L2 totals.
+	filter *cache.PrivateFilter
 
 	// cursors is a hand-inlined min-heap on (tick, cpu) merging the
 	// runnable CPUs' next accesses in global time order.
@@ -62,9 +68,12 @@ func (s *System) Start(accs []trace.Access) error {
 }
 
 // StartIndexed arms the tick loop over an indexed trace. The index may
-// be shared read-only by any number of concurrent or sequential runs, so a
-// sweep replaying one trace under several configurations lays it out once.
-// It must have been built for this system's CPU count.
+// be shared by any number of concurrent or sequential runs, so a sweep
+// replaying one trace under several configurations lays it out once, and
+// walks it through the private L1 and L2 once per (L1, L2) pair: the first
+// run on a pair builds the index's filter on this System's own private
+// levels, and every run replays only the shared LLC. The index must have
+// been built for this system's CPU count.
 func (s *System) StartIndexed(idx *TraceIndex) error {
 	if s.ts.started {
 		return fmt.Errorf("sim: Start called twice (Reset the System to run it again)")
@@ -76,7 +85,12 @@ func (s *System) StartIndexed(idx *TraceIndex) error {
 	if idx.cpus != cpus {
 		return fmt.Errorf("sim: trace index bucketed for %d CPUs, system has %d", idx.cpus, cpus)
 	}
+	f, err := idx.privateFilter(s.hierarchy)
+	if err != nil {
+		return err
+	}
 	ts := &s.ts
+	ts.filter = f
 	ts.accs = idx.accs
 	ts.streamOff = idx.streamOff
 	ts.streamIdx = idx.streamIdx
@@ -220,9 +234,7 @@ func (s *System) Step() (bool, error) {
 		s.park(cpu, effTick, false)
 		return false, nil
 	default:
-		if err := s.stageTraceFeed(a, effTick); err != nil {
-			return false, err
-		}
+		s.stageTraceFeed(a, ts.streamOff[cpu]+ts.pos[cpu], effTick)
 	}
 	if effTick > ts.last {
 		ts.last = effTick
@@ -259,18 +271,14 @@ func (s *System) stageFence(cpu uint8, effTick uint64) bool {
 	return false
 }
 
-// stageTraceFeed runs one access through the cache hierarchy and pushes
-// its LLC misses (and write-backs) into the coalescer's front end, then
-// regenerates re-touch misses for lines still in flight.
-func (s *System) stageTraceFeed(a *trace.Access, effTick uint64) error {
+// stageTraceFeed runs access a, at stream position p, through the shared
+// LLC — only the lines the private-level filter flags reach it — and
+// pushes its LLC misses (and write-backs) into the coalescer's front end,
+// then regenerates re-touch misses for lines still in flight.
+func (s *System) stageTraceFeed(a *trace.Access, p int32, effTick uint64) {
 	s.clockAdvance(effTick)
 	s.coal.Advance(effTick)
-	_, misses, err := s.hierarchy.Access(trace.Access{
-		Addr: a.Addr, Size: a.Size, Kind: a.Kind, CPU: a.CPU, Tick: effTick,
-	})
-	if err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
+	misses := s.hierarchy.ReplayLLC(s.ts.filter, int(p), a)
 	var missedLines [8]uint64 // lines missed by THIS access (small fixed buffer)
 	nMissed := 0
 	for _, m := range misses {
@@ -296,7 +304,6 @@ func (s *System) stageTraceFeed(a *trace.Access, effTick uint64) error {
 		})
 	}
 	s.stageRetouch(a, effTick, &missedLines, nMissed)
-	return nil
 }
 
 // stageRetouch regenerates the LLC misses hidden by instant tag-array
@@ -417,7 +424,7 @@ func (s *System) Finish() (Result, error) {
 		ClockGHz:      s.cfg.ClockGHz,
 		LineBytes:     s.cfg.Coalescer.LineBytes,
 	}
-	res.L1, res.L2 = s.hierarchy.LevelStats()
+	res.L1, res.L2 = ts.filter.L1Stats, ts.filter.L2Stats
 	ms := s.coal.MSHRStats()
 	res.MSHR.Allocations = ms.Allocations
 	res.MSHR.MergedTargets = ms.MergedTargets

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
+	"hmccoal/internal/cache"
 	"hmccoal/internal/trace"
 )
 
@@ -11,14 +13,27 @@ import (
 // trace (NewStreamIndex) is already stored stream by stream, so the
 // offsets index accs directly. A tick-ordered trace (NewTraceIndex) stays
 // where the caller keeps it, and streamIdx maps each stream position to
-// an access in accs instead of copying the accesses. It is read-only
-// after construction, so runs replaying the same trace — a sweep's common
-// case of several modes/configs over one workload — share a single index.
+// an access in accs instead of copying the accesses. The layout is
+// read-only after construction, so runs replaying the same trace — a
+// sweep's common case of several modes/configs over one workload — share
+// a single index.
+//
+// The index also carries the trace's private-level filters
+// (cache.PrivateFilter), one per (L1, L2) config pair, indexed by stream
+// position. The first run on each pair builds its filter under mu, walking
+// every CPU's stream through that run's own L1 and L2; every later run of
+// the trace, concurrent or not, replays only the shared LLC.
 type TraceIndex struct {
 	accs      []trace.Access
 	streamOff []int32
 	streamIdx []int32 // nil when accs is stored stream by stream
 	cpus      int
+
+	mu sync.Mutex
+	// filters holds one filter per (L1, L2) pair, built on first use. An
+	// entry never changes once appended, so a pointer into an array that
+	// a later append outgrew still reads the same filter.
+	filters []cache.PrivateFilter
 }
 
 // NewTraceIndex validates and buckets accs for a system with cpus cores.
@@ -96,6 +111,27 @@ func (idx *TraceIndex) CPUs() int { return idx.cpus }
 
 // Len returns the number of accesses in the indexed trace.
 func (idx *TraceIndex) Len() int { return len(idx.accs) }
+
+// privateFilter returns the trace's filter for h's L1 and L2 configs,
+// building it on first use by walking each CPU's stream, in stream order,
+// through h's private levels (which it leaves holding the walk's end
+// state). Concurrent callers wait for one build.
+func (idx *TraceIndex) privateFilter(h *cache.Hierarchy) (*cache.PrivateFilter, error) {
+	cfg := h.Config()
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	for i := range idx.filters {
+		if f := &idx.filters[i]; f.L1 == cfg.L1 && f.L2 == cfg.L2 {
+			return f, nil
+		}
+	}
+	f, err := h.FilterPrivate(idx.accs, idx.streamIdx)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	idx.filters = append(idx.filters, f)
+	return &idx.filters[len(idx.filters)-1], nil
+}
 
 // Merged returns the trace's tick-ordered view (equal ticks by CPU for
 // generated streams; the caller's order for a bucketed trace).

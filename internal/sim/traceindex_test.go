@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"hmccoal/internal/coalescer"
@@ -87,5 +88,65 @@ func TestStreamIndexValidation(t *testing.T) {
 	}
 	if _, err := NewTraceIndex([]trace.Access{acc(0, 1), acc(2, 2)}, 2); err == nil {
 		t.Error("NewTraceIndex accepted an access from a CPU the system lacks")
+	}
+}
+
+// TestSharedIndexConcurrentFilters runs one TraceIndex concurrently on
+// Systems with the default L1 and with a 16 KiB L1, two runs of each,
+// beside a payload analysis, over Health: its in-place updates leave
+// dirty lines that only the smaller L1 evicts. The index keeps one
+// private-level filter per (L1, L2) pair, built under its lock by
+// whichever run comes first, so each Result must equal a fresh System's
+// run on its own fresh index, and the two L1s must see different totals.
+// Run it under -race.
+func TestSharedIndexConcurrentFilters(t *testing.T) {
+	accs := genTrace(t, "Health", 300)
+	small := DefaultConfig()
+	small.Hierarchy.L1.SizeBytes = 16 << 10
+	cfgs := []Config{DefaultConfig(), small, DefaultConfig(), small}
+	idx, err := NewTraceIndex(accs, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := make([]*System, len(cfgs)+1)
+	for i := range systems {
+		systems[i] = mustSystem(t, DefaultConfig())
+		if i < len(cfgs) {
+			systems[i] = mustSystem(t, cfgs[i])
+		}
+	}
+	got := make([]string, len(cfgs))
+	var pay PayloadAnalysis
+	var payErr error
+	var wg sync.WaitGroup
+	for i := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i == len(cfgs) {
+				pay, payErr = systems[i].AnalyzePayload(idx, 16)
+				return
+			}
+			got[i] = outcome(systems[i].RunIndexed(idx))
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		fresh, err := NewTraceIndex(accs, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := outcome(mustSystem(t, cfg).RunIndexed(fresh)); got[i] != want {
+			t.Errorf("run %d (L1 %d B) on the shared index:\n got %s\nwant %s", i, cfg.Hierarchy.L1.SizeBytes, got[i], want)
+		}
+	}
+	if got[0] == got[1] {
+		t.Error("the 32 KiB and 16 KiB L1 runs agree: the index does not key its filters by L1")
+	}
+	if want, err := AnalyzePayload(DefaultConfig().Hierarchy, accs, 16); payErr != nil || err != nil || !reflect.DeepEqual(pay, want) {
+		t.Errorf("payload analysis on the shared index differs from a fresh one (errors %v, %v)", payErr, err)
+	}
+	if len(idx.filters) != 2 {
+		t.Errorf("index holds %d filters, want one per L1 size", len(idx.filters))
 	}
 }

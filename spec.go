@@ -472,7 +472,8 @@ func (r *SweepRunner) CacheStats() TraceCacheStats {
 
 // RunGroup executes one sweep job group, its jobs in index order, each on
 // a System from the runner's pool: a simulation job replays its trace, a
-// payload-analysis job walks it through the System's cache hierarchy.
+// payload-analysis job replays its private-level misses through the
+// System's LLC.
 func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([]json.RawMessage, error) {
 	var spec SweepSpec
 	if err := json.Unmarshal(rawSpec, &spec); err != nil {
