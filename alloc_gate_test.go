@@ -48,12 +48,12 @@ func TestAllocationGate(t *testing.T) {
 		build, run float64
 		buildBytes uint64
 	}{
-		{ModeBaseline, FrontendTwoPhase, 156, 216, 2977896},
-		{ModeDMCOnly, FrontendTwoPhase, 156, 149, 2977896},
-		{ModeTwoPhase, FrontendTwoPhase, 156, 149, 2977896},
-		{ModeBaseline, FrontendWarp, 105, 216, 2973376},
-		{ModeDMCOnly, FrontendWarp, 105, 178, 2973376},
-		{ModeTwoPhase, FrontendWarp, 105, 178, 2973376},
+		{ModeBaseline, FrontendTwoPhase, 73, 222, 2419624},
+		{ModeDMCOnly, FrontendTwoPhase, 73, 155, 2419624},
+		{ModeTwoPhase, FrontendTwoPhase, 73, 155, 2419624},
+		{ModeBaseline, FrontendWarp, 22, 222, 2415104},
+		{ModeDMCOnly, FrontendWarp, 22, 184, 2415104},
+		{ModeTwoPhase, FrontendWarp, 22, 184, 2415104},
 	}
 	const runs = 3
 	for _, tc := range cases {
@@ -72,9 +72,10 @@ func TestAllocationGate(t *testing.T) {
 		// A System runs once per Start: build one per measured run (plus
 		// the warm-up call AllocsPerRun makes) before counting. Each Run
 		// indexes the trace afresh, so it also builds the index's
-		// private-level filter: 3 of the run's allocations are that index
-		// (on the heap, as its filter lock escapes), the filter and its
-		// per-access miss array.
+		// private-level filter: 9 of the run's allocations are that index
+		// (on the heap, as its filter lock escapes), the filter, its
+		// per-access miss array, and the L1/L2 pair the filter walks the
+		// streams through (3 per cache, dropped when the walk ends).
 		systems := make([]*System, runs+1)
 		for i := range systems {
 			if systems[i], err = NewSystem(cfg); err != nil {

@@ -11,7 +11,7 @@ import (
 // BenchmarkCacheAccess measures the single-level tag/LRU path: a strided
 // footprint larger than the cache so hits and misses interleave.
 func BenchmarkCacheAccess(b *testing.B) {
-	c, err := New(Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64, HitLatency: 1})
+	c, err := New(Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 // reported as ns/access:
 //
 //   - filter: the private-level pass a trace pays once, every CPU's stream
-//     walked through its L1 and L2 (FilterPrivate);
+//     walked through one L1/L2 pair reset between streams (FilterPrivate);
 //   - llc: the shared-LLC replay every run pays, the flagged lines walked
 //     in tick order through an LLC reset before each replay (ReplayLLC);
 //   - full: the three-level walk per access that the two replace (the
@@ -55,42 +55,48 @@ func BenchmarkHierarchyReplay(b *testing.B) {
 				accs = append(accs, a)
 			}
 		}
-		h, err := NewHierarchy(DefaultHierarchyConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cfg := DefaultHierarchyConfig()
 		perAccess := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(accs)), "ns/access")
 		}
 		b.Run(bench+"/filter", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := h.FilterPrivate(st.Accs, nil); err != nil {
+				if _, err := FilterPrivate(cfg, st.Accs, st.Off, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			perAccess(b)
 		})
-		f, err := h.FilterPrivate(st.Accs, nil)
+		f, err := FilterPrivate(cfg, st.Accs, st.Off, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		llc, err := New(cfg.LLC)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(bench+"/llc", func(b *testing.B) {
 			b.ReportAllocs()
+			var misses []Miss
 			for i := 0; i < b.N; i++ {
-				h.llc.Reset()
+				llc.Reset()
 				for k := range accs {
-					h.ReplayLLC(&f, pos[k], &accs[k])
+					misses = llc.ReplayLLC(&f, pos[k], &accs[k], misses[:0])
 				}
 			}
 			perAccess(b)
 		})
+		o, err := newOracle(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(bench+"/full", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				h.Reset()
+				o.reset()
 				for _, a := range accs {
-					if _, _, err := h.Access(a); err != nil {
+					if _, err := o.Access(a); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -3,10 +3,10 @@
 // level cache (LLC). Every LLC miss — load miss, store miss or dirty
 // write-back — becomes a candidate request for the coalescer (paper §3.1).
 //
-// The model is a state-accurate tag/LRU simulation with fixed per-level hit
-// latencies. Miss *timing* is not resolved here: the hierarchy reports the
-// line-granular miss stream and the system simulator (internal/sim) charges
-// memory latency through the coalescer, MSHRs and HMC device.
+// The model is a state-accurate tag/LRU simulation. Miss *timing* is not
+// resolved here: the caches report the line-granular miss stream and the
+// system simulator (internal/sim) charges memory latency through the
+// coalescer, MSHRs and HMC device.
 //
 // The private levels are pure functions of the trace. A core's L1 and L2
 // see only that core's accesses, in its program order, whatever the
@@ -14,12 +14,13 @@
 // no memory traffic, and nothing reaches back into them (no
 // back-invalidation from the LLC, no coherence between cores). So which
 // lines of an access miss both L1 and L2 depends on the trace and the two
-// configs alone, not on how the cores interleave at the LLC. The hierarchy
-// therefore walks a trace through the private levels once
-// (Hierarchy.FilterPrivate, giving a PrivateFilter) and each run replays
-// only the shared LLC (Hierarchy.ReplayLLC), the one level that sees the
-// cores interleaved. FuzzPrivateFilter holds that split to the full
-// three-level walk per access, which the tests keep as their oracle.
+// configs alone, not on how the cores interleave at the LLC. A trace is
+// therefore walked through the private levels once (FilterPrivate, giving
+// a PrivateFilter), on one short-lived L1/L2 pair reset before each
+// core's stream, and each run replays only the shared LLC
+// (Cache.ReplayLLC), the one level that sees the cores interleaved.
+// FuzzPrivateFilter holds that split to the full three-level walk per
+// access, which the tests keep as their oracle.
 package cache
 
 import (
@@ -29,10 +30,9 @@ import (
 
 // Config describes one cache level.
 type Config struct {
-	SizeBytes  uint64
-	Ways       int
-	LineBytes  uint32
-	HitLatency uint64 // cycles charged per access served at this level
+	SizeBytes uint64
+	Ways      int
+	LineBytes uint32
 }
 
 func (c Config) validate() error {

@@ -19,7 +19,7 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 
 func small(t *testing.T) *Cache {
 	// 4 sets × 2 ways × 64 B lines = 512 B.
-	return mustNew(t, Config{SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatency: 1})
+	return mustNew(t, Config{SizeBytes: 512, Ways: 2, LineBytes: 64})
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -134,7 +134,7 @@ func TestMissRate(t *testing.T) {
 }
 
 func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
-	c := mustNew(t, Config{SizeBytes: 64 << 10, Ways: 8, LineBytes: 64, HitLatency: 1})
+	c := mustNew(t, Config{SizeBytes: 64 << 10, Ways: 8, LineBytes: 64})
 	lines := uint64(64 << 10 / 64)
 	rng := rand.New(rand.NewSource(3))
 	for i := uint64(0); i < lines; i++ {
@@ -235,7 +235,7 @@ func TestLRUMatchesReference(t *testing.T) {
 // matchReference is one TestLRUMatchesReference case: lines
 // base..base+span-1 on a sets × ways cache.
 func matchReference(t *testing.T, sets, ways int, base, span uint64) {
-	cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
+	cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64}
 	c := mustNew(t, cfg)
 	ref := newRefLRU(sets, ways)
 	rng := rand.New(rand.NewSource(int64(ways)))
@@ -303,7 +303,7 @@ func TestStaleSets(t *testing.T) {
 	const sets = 8
 	for _, ways := range []int{4, 16, 32} {
 		t.Run(fmt.Sprintf("ways%d", ways), func(t *testing.T) {
-			cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
+			cfg := Config{SizeBytes: uint64(sets * ways * 64), Ways: ways, LineBytes: 64}
 			span := uint64(2 * sets * ways)
 			// fill writes every line of 0..n-1, so every way of the first
 			// min(n, sets) sets holds a dirty line.
@@ -344,7 +344,7 @@ func TestStaleSets(t *testing.T) {
 // be gone, and the cache must then behave exactly like a fresh one.
 func TestResetGenerationWrap(t *testing.T) {
 	for _, ways := range []int{4, 32} { // recency stack and counter LRU
-		cfg := Config{SizeBytes: uint64(4 * ways * 64), Ways: ways, LineBytes: 64, HitLatency: 1}
+		cfg := Config{SizeBytes: uint64(4 * ways * 64), Ways: ways, LineBytes: 64}
 		c := mustNew(t, cfg)
 		c.Access(5, true) // stamped generation 1
 		c.gen = math.MaxUint32

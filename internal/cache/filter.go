@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"math/bits"
 
 	"hmccoal/internal/trace"
@@ -47,88 +46,91 @@ func lineSpan(a *trace.Access, shift int) (first, n uint64) {
 	return first, last - first + 1
 }
 
-// FilterPrivate walks a trace through h's private L1 and L2 levels, which
-// it resets first, and returns the trace's PrivateFilter. Walk position p
+// FilterPrivate walks a trace through the private L1 and L2 levels of
+// cfg and returns its PrivateFilter. CPU c's stream is walk positions
+// streamOff[c] .. streamOff[c+1]-1, in its program order; walk position p
 // is accs[order[p]], or accs[p] when order is nil, and the filter is
-// indexed by p. Each core's accesses must come in its program order; how
-// the cores interleave does not matter. The walk allocates no tag arrays:
-// it leaves h's private levels holding the trace's end state, and the LLC
-// untouched. An access naming a CPU outside h is an error, as traces are
-// user input.
-func (h *Hierarchy) FilterPrivate(accs []trace.Access, order []int32) (PrivateFilter, error) {
-	for i := range h.l1 {
-		h.l1[i].Reset()
-		h.l2[i].Reset()
+// indexed by p. Cores never share a private line, so one L1/L2 pair,
+// reset before each stream, gives every core's outcome; the pair lives
+// only for the walk.
+func FilterPrivate(cfg HierarchyConfig, accs []trace.Access, streamOff, order []int32) (PrivateFilter, error) {
+	if err := cfg.Validate(); err != nil {
+		return PrivateFilter{}, err
 	}
-	n := len(accs)
-	if order != nil {
-		n = len(order)
+	l1, err := New(cfg.L1)
+	if err != nil {
+		return PrivateFilter{}, err
 	}
-	f := PrivateFilter{L1: h.cfg.L1, L2: h.cfg.L2, miss: make([]uint8, n)}
-	shift := bits.TrailingZeros32(h.LineBytes())
-	for p := range n {
-		a := &accs[p]
-		if order != nil {
-			a = &accs[order[p]]
-		}
-		if a.Kind == trace.FenceOp {
-			continue
-		}
-		if int(a.CPU) >= h.cfg.CPUs {
-			return PrivateFilter{}, fmt.Errorf("cache: access from CPU %d, hierarchy has %d", a.CPU, h.cfg.CPUs)
-		}
-		l1, l2 := h.l1[a.CPU], h.l2[a.CPU]
-		write := a.Kind == trace.Store
-		first, lines := lineSpan(a, shift)
-		var mask []uint64 // the wide mask, for accesses past narrowLines
-		if lines > narrowLines {
-			mask = make([]uint64, (lines+63)/64)
-		}
-		for k := uint64(0); k < lines; k++ {
-			// L1 victims are clean toward L2 in this model (L2 is
-			// inclusive enough for the traffic shapes we simulate), and
-			// private dirty evictions make no memory traffic: only LLC
-			// victims are written back.
-			if hit, _, _ := l1.Access(first+k, write); hit {
+	l2, err := New(cfg.L2)
+	if err != nil {
+		return PrivateFilter{}, err
+	}
+	var n int32
+	if len(streamOff) > 0 {
+		n = streamOff[len(streamOff)-1]
+	}
+	f := PrivateFilter{L1: cfg.L1, L2: cfg.L2, miss: make([]uint8, n)}
+	shift := bits.TrailingZeros32(cfg.L1.LineBytes)
+	for c := 0; c+1 < len(streamOff); c++ {
+		l1.Reset()
+		l2.Reset()
+		for p := int(streamOff[c]); p < int(streamOff[c+1]); p++ {
+			a := &accs[p]
+			if order != nil {
+				a = &accs[order[p]]
+			}
+			if a.Kind == trace.FenceOp {
 				continue
 			}
-			if hit, _, _ := l2.Access(first+k, write); hit {
-				continue
+			write := a.Kind == trace.Store
+			first, lines := lineSpan(a, shift)
+			var mask []uint64 // the wide mask, for accesses past narrowLines
+			if lines > narrowLines {
+				mask = make([]uint64, (lines+63)/64)
 			}
-			if mask == nil {
-				f.miss[p] |= 1 << k
-			} else {
-				mask[k/64] |= 1 << (k % 64)
-				f.miss[p] = 1
+			for k := uint64(0); k < lines; k++ {
+				// L1 victims are clean toward L2 in this model (L2 is
+				// inclusive enough for the traffic shapes we simulate),
+				// and private dirty evictions make no memory traffic:
+				// only LLC victims are written back.
+				if hit, _, _ := l1.Access(first+k, write); hit {
+					continue
+				}
+				if hit, _, _ := l2.Access(first+k, write); hit {
+					continue
+				}
+				if mask == nil {
+					f.miss[p] |= 1 << k
+				} else {
+					mask[k/64] |= 1 << (k % 64)
+					f.miss[p] = 1
+				}
+			}
+			if f.miss[p] != 0 && mask != nil {
+				if f.wide == nil {
+					f.wide = make(map[int][]uint64)
+				}
+				f.wide[p] = mask
 			}
 		}
-		if f.miss[p] != 0 && mask != nil {
-			if f.wide == nil {
-				f.wide = make(map[int][]uint64)
-			}
-			f.wide[p] = mask
-		}
-	}
-	for i := range h.l1 {
-		f.L1Stats.add(h.l1[i].Stats())
-		f.L2Stats.add(h.l2[i].Stats())
+		f.L1Stats.add(l1.Stats())
+		f.L2Stats.add(l2.Stats())
 	}
 	return f, nil
 }
 
-// ReplayLLC runs walk position p of f, access a, through the shared LLC:
-// only the lines f records as missing both private levels reach it, in
-// address order. It returns the LLC-level misses the full three-level walk
-// of a produces — a fetch for each line the LLC misses, each followed by
-// the dirty write-back its fill evicted — so replaying every access of a
-// trace in any order that keeps each core's program order is that walk,
-// and the LLC's counters match it. The returned slice is reused by the
-// next call; callers that need it longer must copy it.
-func (h *Hierarchy) ReplayLLC(f *PrivateFilter, p int, a *trace.Access) []Miss {
+// ReplayLLC runs walk position p of f, access a, through c, the shared
+// LLC: only the lines f records as missing both private levels reach it,
+// in address order. It appends to misses, and returns, the LLC-level
+// misses the full three-level walk of a produces — a fetch for each line
+// the LLC misses, each followed by the dirty write-back its fill evicted —
+// so replaying every access of a trace in any order that keeps each core's
+// program order is that walk, and c's counters match it.
+func (c *Cache) ReplayLLC(f *PrivateFilter, p int, a *trace.Access, misses []Miss) []Miss {
 	if f.miss[p] == 0 {
-		return nil
+		return misses
 	}
-	lineBytes := uint64(h.LineBytes())
+	lineBytes := uint64(c.cfg.LineBytes)
 	first, lines := lineSpan(a, bits.TrailingZeros64(lineBytes))
 	narrow := [1]uint64{uint64(f.miss[p])}
 	words := narrow[:]
@@ -136,11 +138,10 @@ func (h *Hierarchy) ReplayLLC(f *PrivateFilter, p int, a *trace.Access) []Miss {
 		words = f.wide[p]
 	}
 	write := a.Kind == trace.Store
-	misses := h.missBuf[:0]
 	for w, word := range words {
 		for ; word != 0; word &= word - 1 {
 			ln := first + uint64(w*64+bits.TrailingZeros64(word))
-			hit, wb, hasWB := h.llc.Access(ln, write)
+			hit, wb, hasWB := c.Access(ln, write)
 			if hit {
 				continue
 			}
@@ -159,13 +160,12 @@ func (h *Hierarchy) ReplayLLC(f *PrivateFilter, p int, a *trace.Access) []Miss {
 					Addr:      wb * lineBytes,
 					Write:     true,
 					WriteBack: true,
-					Payload:   h.LineBytes(),
+					Payload:   c.cfg.LineBytes,
 					CPU:       a.CPU,
 				})
 			}
 		}
 	}
-	h.missBuf = misses
 	return misses
 }
 

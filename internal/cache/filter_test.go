@@ -15,24 +15,24 @@ import (
 // direct-mapped L1 and 32-byte lines.
 var filterShapes = []HierarchyConfig{
 	{
-		L1:  Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, HitLatency: 4},
-		L2:  Config{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64, HitLatency: 12},
-		LLC: Config{SizeBytes: 32 << 10, Ways: 16, LineBytes: 64, HitLatency: 40},
+		L1:  Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64},
+		L2:  Config{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64},
+		LLC: Config{SizeBytes: 32 << 10, Ways: 16, LineBytes: 64},
 	},
 	{
-		L1:  Config{SizeBytes: 4 << 10, Ways: 32, LineBytes: 64, HitLatency: 4},
-		L2:  Config{SizeBytes: 8 << 10, Ways: 4, LineBytes: 64, HitLatency: 12},
-		LLC: Config{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, HitLatency: 40},
+		L1:  Config{SizeBytes: 4 << 10, Ways: 32, LineBytes: 64},
+		L2:  Config{SizeBytes: 8 << 10, Ways: 4, LineBytes: 64},
+		LLC: Config{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64},
 	},
 	{
-		L1:  Config{SizeBytes: 1 << 10, Ways: 1, LineBytes: 64, HitLatency: 4},
-		L2:  Config{SizeBytes: 16 << 10, Ways: 64, LineBytes: 64, HitLatency: 12},
-		LLC: Config{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64, HitLatency: 40},
+		L1:  Config{SizeBytes: 1 << 10, Ways: 1, LineBytes: 64},
+		L2:  Config{SizeBytes: 16 << 10, Ways: 64, LineBytes: 64},
+		LLC: Config{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64},
 	},
 	{
-		L1:  Config{SizeBytes: 1 << 10, Ways: 2, LineBytes: 32, HitLatency: 4},
-		L2:  Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 32, HitLatency: 12},
-		LLC: Config{SizeBytes: 8 << 10, Ways: 4, LineBytes: 32, HitLatency: 40},
+		L1:  Config{SizeBytes: 1 << 10, Ways: 2, LineBytes: 32},
+		L2:  Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 32},
+		LLC: Config{SizeBytes: 8 << 10, Ways: 4, LineBytes: 32},
 	},
 }
 
@@ -72,12 +72,12 @@ func filterTrace(rng *rand.Rand, cpus int) [][]trace.Access {
 }
 
 // FuzzPrivateFilter holds the private-level filter to the full
-// three-level walk (the oracle Access). The cores' streams are laid out
-// either stream by stream (order nil) or interleaved with an order
-// mapping stream positions to it, as sim.TraceIndex keeps a bucketed
-// trace. Both hierarchies then see the streams in one random
-// interleaving: the oracle walks each access through all three levels,
-// the filtered one replays only the LLC. Every access must produce the
+// three-level walk (the oracle). The cores' streams are laid out either
+// stream by stream (order nil) or interleaved with an order mapping
+// stream positions to it, as sim.TraceIndex keeps a bucketed trace. The
+// oracle and a lone LLC then see the streams in one random interleaving:
+// the oracle walks each access through all three levels, the LLC replays
+// only the lines the filter flags. Every access must produce the
 // same LLC misses, write-backs included, and the filter's L1 and L2 totals
 // and the LLC's counters must match the oracle's.
 func FuzzPrivateFilter(f *testing.F) {
@@ -103,9 +103,9 @@ func FuzzPrivateFilter(f *testing.F) {
 		rng.Shuffle(len(steps), func(i, j int) { steps[i], steps[j] = steps[j], steps[i] })
 
 		// Walk position of each core's first access, and the layout.
-		off := make([]int, cfg.CPUs+1)
+		off := make([]int32, cfg.CPUs+1)
 		for c, s := range streams {
-			off[c+1] = off[c] + len(s)
+			off[c+1] = off[c] + int32(len(s))
 		}
 		var accs []trace.Access
 		var order []int32
@@ -125,44 +125,36 @@ func FuzzPrivateFilter(f *testing.F) {
 			accs = slices.Concat(streams...)
 		}
 
-		oracle, err := NewHierarchy(cfg)
+		oracle, err := newOracle(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := NewHierarchy(cfg)
+		llc, err := New(cfg.LLC)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, err := h.FilterPrivate(accs, order)
+		pf, err := FilterPrivate(cfg, accs, off, order)
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := make([]int, cfg.CPUs)
+		next := make([]int32, cfg.CPUs)
+		var got []Miss
 		for _, c := range steps {
 			p := off[c] + next[c]
 			next[c]++
 			a := streams[c][next[c]-1]
-			_, want, err := oracle.Access(a)
+			want, err := oracle.Access(a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := h.ReplayLLC(&pf, p, &a); !slices.Equal(got, want) {
+			if got = llc.ReplayLLC(&pf, int(p), &a, got[:0]); !slices.Equal(got, want) {
 				t.Fatalf("CPU %d access %d (%+v): LLC misses\n got %+v\nwant %+v", c, p-off[c], a, got, want)
 			}
 		}
-		l1, l2 := oracle.LevelStats()
-		gotStats := fmt.Sprint(pf.L1Stats, pf.L2Stats, h.LLCStats())
-		if wantStats := fmt.Sprint(l1, l2, oracle.LLCStats()); gotStats != wantStats {
+		l1, l2 := oracle.levelStats()
+		gotStats := fmt.Sprint(pf.L1Stats, pf.L2Stats, llc.Stats())
+		if wantStats := fmt.Sprint(l1, l2, oracle.llc.Stats()); gotStats != wantStats {
 			t.Fatalf("L1/L2/LLC stats: got %s, want %s", gotStats, wantStats)
 		}
 	})
-}
-
-// TestFilterPrivateRejectsBadCPU: a trace naming a core the hierarchy
-// lacks is an error, not a panic.
-func TestFilterPrivateRejectsBadCPU(t *testing.T) {
-	h := tinyHierarchy(t)
-	if _, err := h.FilterPrivate([]trace.Access{{Addr: 0, Size: 4, Kind: trace.Load, CPU: 9}}, nil); err == nil {
-		t.Fatal("no error for out-of-range CPU")
-	}
 }

@@ -34,23 +34,14 @@ type HierarchyConfig struct {
 func DefaultHierarchyConfig() HierarchyConfig {
 	return HierarchyConfig{
 		CPUs: 12,
-		L1:   Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64, HitLatency: 4},
-		L2:   Config{SizeBytes: 256 << 10, Ways: 8, LineBytes: 64, HitLatency: 12},
-		LLC:  Config{SizeBytes: 16 << 20, Ways: 16, LineBytes: 64, HitLatency: 40},
+		L1:   Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},
+		L2:   Config{SizeBytes: 256 << 10, Ways: 8, LineBytes: 64},
+		LLC:  Config{SizeBytes: 16 << 20, Ways: 16, LineBytes: 64},
 	}
 }
 
-// Hierarchy is the full cache stack shared by the simulated cores.
-type Hierarchy struct {
-	cfg HierarchyConfig
-	l1  []*Cache
-	l2  []*Cache
-	llc *Cache
-
-	missBuf []Miss // reused across ReplayLLC calls to keep the hot path allocation-free
-}
-
-// Validate checks the hierarchy shape without building it.
+// Validate checks the hierarchy shape: the core count, each level's
+// geometry, and that all levels share one line size.
 func (cfg HierarchyConfig) Validate() error {
 	if cfg.CPUs <= 0 {
 		return fmt.Errorf("cache: need at least one CPU")
@@ -59,57 +50,18 @@ func (cfg HierarchyConfig) Validate() error {
 		// Traces address cores with a uint8.
 		return fmt.Errorf("cache: %d CPUs exceeds the 256-core trace format limit", cfg.CPUs)
 	}
+	if err := cfg.L1.validate(); err != nil {
+		return fmt.Errorf("cache: L1: %w", err)
+	}
+	if err := cfg.L2.validate(); err != nil {
+		return fmt.Errorf("cache: L2: %w", err)
+	}
+	if err := cfg.LLC.validate(); err != nil {
+		return fmt.Errorf("cache: LLC: %w", err)
+	}
 	if cfg.L1.LineBytes != cfg.LLC.LineBytes || cfg.L2.LineBytes != cfg.LLC.LineBytes {
 		return fmt.Errorf("cache: mismatched line sizes %d/%d/%d",
 			cfg.L1.LineBytes, cfg.L2.LineBytes, cfg.LLC.LineBytes)
 	}
 	return nil
 }
-
-// NewHierarchy builds the stack. All levels must share one line size.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	h := &Hierarchy{cfg: cfg}
-	for i := 0; i < cfg.CPUs; i++ {
-		l1, err := New(cfg.L1)
-		if err != nil {
-			return nil, fmt.Errorf("cache: L1: %w", err)
-		}
-		l2, err := New(cfg.L2)
-		if err != nil {
-			return nil, fmt.Errorf("cache: L2: %w", err)
-		}
-		h.l1 = append(h.l1, l1)
-		h.l2 = append(h.l2, l2)
-	}
-	llc, err := New(cfg.LLC)
-	if err != nil {
-		return nil, fmt.Errorf("cache: LLC: %w", err)
-	}
-	h.llc = llc
-	return h, nil
-}
-
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
-// Reset returns every level to its freshly built state in place. The tag
-// arrays — the dominant allocation of the whole simulated system — are
-// reused and invalidated generationally, so a stack reset is O(CPUs)
-// instead of rebuilding (or even re-zeroing) megabytes of tags per run.
-func (h *Hierarchy) Reset() {
-	for i := range h.l1 {
-		h.l1[i].Reset()
-		h.l2[i].Reset()
-	}
-	h.llc.Reset()
-	h.missBuf = h.missBuf[:0]
-}
-
-// LineBytes returns the common cache line size.
-func (h *Hierarchy) LineBytes() uint32 { return h.cfg.LLC.LineBytes }
-
-// LLCStats returns the shared LLC counters.
-func (h *Hierarchy) LLCStats() Stats { return h.llc.Stats() }

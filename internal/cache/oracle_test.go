@@ -6,33 +6,54 @@ import (
 	"hmccoal/internal/trace"
 )
 
-// Access, the full three-level walk of one access, is the oracle that
-// FuzzPrivateFilter and the hierarchy tests hold FilterPrivate and
-// ReplayLLC to. Production code walks the private levels once per trace
-// and replays only the LLC per run.
+// oracle is the full three-level walk, per access, that FuzzPrivateFilter
+// and the hierarchy tests hold FilterPrivate and ReplayLLC to: every core
+// has its own L1 and L2 in front of the shared LLC. Production code walks
+// the private levels once per trace and replays only the LLC per run.
+type oracle struct {
+	cfg    HierarchyConfig
+	l1, l2 []*Cache
+	llc    *Cache
+	buf    []Miss // reused by Access
+}
 
-// Access runs one core access through the stack. It returns the hit
-// latency accumulated walking the levels and the LLC-level misses the
-// access produced (fetch misses for each missing line the access touches,
-// plus any dirty write-backs evicted along the way).
-//
-// Accesses that span cache lines are split per line, as the load/store
-// unit would split them.
-//
-// The returned miss slice is reused by the next Access call; callers that
-// need it longer must copy it.
-//
-// An access naming a CPU outside the configured range is a malformed
-// trace, reported as an error rather than a panic: traces are user input.
-func (h *Hierarchy) Access(a trace.Access) (latency uint64, misses []Miss, err error) {
+// newOracle builds the full stack for cfg.
+func newOracle(cfg HierarchyConfig) (*oracle, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	o := &oracle{cfg: cfg}
+	for range cfg.CPUs {
+		l1, err := New(cfg.L1)
+		if err != nil {
+			return nil, err
+		}
+		l2, err := New(cfg.L2)
+		if err != nil {
+			return nil, err
+		}
+		o.l1, o.l2 = append(o.l1, l1), append(o.l2, l2)
+	}
+	var err error
+	o.llc, err = New(cfg.LLC)
+	return o, err
+}
+
+// Access runs one core access through the stack and returns the
+// LLC-level misses it produced: a fetch for each missing line the access
+// touches, plus any dirty write-backs evicted along the way. Accesses
+// that span cache lines are split per line, as the load/store unit would
+// split them. The returned slice is reused by the next call. An access
+// naming a CPU outside the configured range is an error.
+func (o *oracle) Access(a trace.Access) ([]Miss, error) {
 	if a.Kind == trace.FenceOp {
-		return 0, nil, nil
+		return nil, nil
 	}
-	misses = h.missBuf[:0]
-	if int(a.CPU) >= h.cfg.CPUs {
-		return 0, nil, fmt.Errorf("cache: access from CPU %d, hierarchy has %d", a.CPU, h.cfg.CPUs)
+	if int(a.CPU) >= o.cfg.CPUs {
+		return nil, fmt.Errorf("cache: access from CPU %d, hierarchy has %d", a.CPU, o.cfg.CPUs)
 	}
-	lineBytes := uint64(h.LineBytes())
+	misses := o.buf[:0]
+	lineBytes := uint64(o.cfg.LLC.LineBytes)
 	first := a.Addr / lineBytes
 	last := (a.End() - 1) / lineBytes
 	write := a.Kind == trace.Store
@@ -45,45 +66,48 @@ func (h *Hierarchy) Access(a trace.Access) (latency uint64, misses []Miss, err e
 		if a.End() < hi {
 			hi = a.End()
 		}
-		payload := uint32(hi - lo)
-
-		latency += h.cfg.L1.HitLatency
-		if hit, _, _ := h.l1[a.CPU].Access(ln, write); hit {
+		if hit, _, _ := o.l1[a.CPU].Access(ln, write); hit {
 			continue
 		}
-		// L1 victims are clean toward L2 in this model (L2 is inclusive
-		// enough for the traffic shapes we simulate); only LLC-level dirty
-		// evictions generate memory traffic.
-		latency += h.cfg.L2.HitLatency
-		if hit, _, _ := h.l2[a.CPU].Access(ln, write); hit {
+		// L1 victims are clean toward L2 in this model; only LLC-level
+		// dirty evictions generate memory traffic.
+		if hit, _, _ := o.l2[a.CPU].Access(ln, write); hit {
 			continue
 		}
-		latency += h.cfg.LLC.HitLatency
-		hit, wb, hasWB := h.llc.Access(ln, write)
+		hit, wb, hasWB := o.llc.Access(ln, write)
 		if hit {
 			continue
 		}
-		misses = append(misses, Miss{Line: ln, Addr: lo, Write: write, Payload: payload, CPU: a.CPU})
+		misses = append(misses, Miss{Line: ln, Addr: lo, Write: write, Payload: uint32(hi - lo), CPU: a.CPU})
 		if hasWB {
 			misses = append(misses, Miss{
 				Line:      wb,
 				Addr:      wb * lineBytes,
 				Write:     true,
 				WriteBack: true,
-				Payload:   h.LineBytes(),
+				Payload:   o.cfg.LLC.LineBytes,
 				CPU:       a.CPU,
 			})
 		}
 	}
-	h.missBuf = misses
-	return latency, misses, nil
+	o.buf = misses
+	return misses, nil
 }
 
-// LevelStats aggregates the private levels across cores.
-func (h *Hierarchy) LevelStats() (l1, l2 Stats) {
-	for i := range h.l1 {
-		l1.add(h.l1[i].Stats())
-		l2.add(h.l2[i].Stats())
+// reset returns every level to its freshly built state.
+func (o *oracle) reset() {
+	for i := range o.l1 {
+		o.l1[i].Reset()
+		o.l2[i].Reset()
+	}
+	o.llc.Reset()
+}
+
+// levelStats aggregates the private levels across cores.
+func (o *oracle) levelStats() (l1, l2 Stats) {
+	for i := range o.l1 {
+		l1.add(o.l1[i].Stats())
+		l2.add(o.l2[i].Stats())
 	}
 	return l1, l2
 }

@@ -320,6 +320,29 @@ func TestWorkDialFailure(t *testing.T) {
 	}
 }
 
+// TestDialKeepsCauseOverBudgetTimeout pins dial's error report: when the
+// budget runs out during a final attempt, the failure names why the
+// earlier attempt failed (here a certificate error), not the timeout
+// the cut-off attempt hit.
+func TestDialKeepsCauseOverBudgetTimeout(t *testing.T) {
+	certErr := errors.New("tls: failed to verify certificate: x509: certificate signed by unknown authority")
+	var calls atomic.Int32
+	dialOne := func(ctx context.Context, addr string) (net.Conn, error) {
+		if calls.Add(1) == 1 {
+			return nil, certErr
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	_, err := dial(context.Background(), "coord", dialOne, 300*time.Millisecond, 1)
+	if calls.Load() != 2 {
+		t.Fatalf("dial made %d attempts, want 2", calls.Load())
+	}
+	if !errors.Is(err, certErr) {
+		t.Fatalf("dial reported %v, want the certificate error", err)
+	}
+}
+
 // pipeDialer returns a Dial hook that connects each dial attempt straight
 // to the coordinator through an in-memory pipe, and a kill function that
 // severs the most recent connection (both ends), simulating a transport

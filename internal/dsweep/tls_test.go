@@ -154,8 +154,7 @@ func TestTLSUntrustedCertRejected(t *testing.T) {
 	err = Work(ctx, addr, echoRunner(nil), WorkOptions{
 		Name:       "untrusting",
 		Dial:       TLSDialer(tcpDial, ccfg),
-		DialRetry:  500 * time.Millisecond,
-		Reconnects: -1,
+		Reconnects: -1, // DefaultDialRetry: the budget is not under test
 	})
 	if err == nil {
 		t.Fatal("worker accepted an untrusted certificate")

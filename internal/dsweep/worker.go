@@ -325,13 +325,17 @@ func drainErr(ctx context.Context, err error) error {
 // dial reaches the coordinator, retrying with deterministic per-slot
 // jittered backoff within the budget so worker processes may start
 // before the coordinator's listener is up — and so N slots launched (or
-// reconnecting) together do not re-dial in lockstep.
+// reconnecting) together do not re-dial in lockstep. It reports the last
+// attempt's error, unless that attempt failed only because the budget
+// ran out under it: then the attempt before it says why dialing failed.
 func dial(ctx context.Context, addr string, dialOne func(ctx context.Context, addr string) (net.Conn, error), budget time.Duration, seed uint64) (net.Conn, error) {
 	deadline := time.Now().Add(budget)
 	delay := 50 * time.Millisecond
+	var prev error
 	for attempt := 0; ; attempt++ {
 		dctx, dcancel := context.WithDeadline(ctx, deadline)
 		conn, err := dialOne(dctx, addr)
+		expired := dctx.Err() != nil
 		dcancel()
 		if err == nil {
 			return conn, nil
@@ -339,8 +343,12 @@ func dial(ctx context.Context, addr string, dialOne func(ctx context.Context, ad
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
+		if expired && prev != nil {
+			err = prev
+		}
+		prev = err
 		sleep := delay + backoffJitter(seed, attempt, delay)
-		if time.Now().Add(sleep).After(deadline) {
+		if expired || time.Now().Add(sleep).After(deadline) {
 			return nil, fmt.Errorf("dsweep: dial %s: %w", addr, err)
 		}
 		select {

@@ -62,9 +62,10 @@ func (a PayloadAnalysis) SavedBytes() int64 {
 
 // AnalyzePayload runs the payload-granularity coalescing study over a
 // trace. width is the sorter sequence width used to batch the miss stream
-// (16 in the paper).
+// (16 in the paper). It builds only an LLC: the private levels are the
+// trace's filter.
 func AnalyzePayload(hier cache.HierarchyConfig, accs []trace.Access, width int) (PayloadAnalysis, error) {
-	h, err := cache.NewHierarchy(hier)
+	llc, err := cache.New(hier.LLC)
 	if err != nil {
 		return PayloadAnalysis{Hist: make(map[uint32]uint64)}, err
 	}
@@ -72,33 +73,29 @@ func AnalyzePayload(hier cache.HierarchyConfig, accs []trace.Access, width int) 
 	if err != nil {
 		return PayloadAnalysis{Hist: make(map[uint32]uint64)}, err
 	}
-	return analyzePayload(h, idx, width)
+	// The analysis reads only a System's hierarchy, LLC and miss buffer.
+	return (&System{cfg: Config{Hierarchy: hier}, llc: llc}).AnalyzePayload(idx, width)
 }
 
 // AnalyzePayload is the package-level AnalyzePayload over an indexed
-// trace, on the System's own cache hierarchy, which it resets first. A
-// sweep so runs its analyses on pooled Systems instead of building
+// trace, on the System's own LLC and miss buffer, which it resets first.
+// A sweep so runs its analyses on pooled Systems instead of building
 // megabytes of tag arrays per call, and shares the index's private-level
 // filter with the trace's simulation runs; the result is identical to a
-// fresh build. The System must be Reset before its next run (Pool.Get
-// does).
+// fresh build. It walks the trace's private-level misses through the LLC
+// in tick order: the shared LLC sees the cores' accesses interleaved. The
+// System must be Reset before its next run (Pool.Get does).
 func (s *System) AnalyzePayload(idx *TraceIndex, width int) (PayloadAnalysis, error) {
-	return analyzePayload(s.hierarchy, idx, width)
-}
-
-// analyzePayload walks the trace's private-level misses through h's LLC
-// in tick order: the shared LLC sees the cores' accesses interleaved.
-func analyzePayload(h *cache.Hierarchy, idx *TraceIndex, width int) (PayloadAnalysis, error) {
-	h.Reset()
+	s.llc.Reset()
 	res := PayloadAnalysis{Hist: make(map[uint32]uint64)}
-	f, err := idx.privateFilter(h)
+	f, err := idx.privateFilter(s.cfg.Hierarchy)
 	if err != nil {
 		return res, err
 	}
 	if width <= 0 {
 		width = 16
 	}
-	lineBytes := uint64(h.LineBytes())
+	lineBytes := uint64(s.cfg.Hierarchy.LLC.LineBytes)
 	linesPerBlock := hmc.MaxRequestBytes / lineBytes
 
 	// The miss stream is batched as the sorter would batch it, one
@@ -114,7 +111,8 @@ func analyzePayload(h *cache.Hierarchy, idx *TraceIndex, width int) (PayloadAnal
 		for i := range run {
 			p := next[run[i].CPU]
 			next[run[i].CPU]++
-			for _, miss := range h.ReplayLLC(f, int(p), &run[i]) {
+			s.missBuf = s.llc.ReplayLLC(f, int(p), &run[i], s.missBuf[:0])
+			for _, miss := range s.missBuf {
 				if miss.WriteBack {
 					continue // write-backs are full-line by definition; excluded
 				}

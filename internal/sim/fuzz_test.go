@@ -16,9 +16,9 @@ import (
 // shares, so one Pool System serves them all and a run costs milliseconds.
 var fuzzHierarchy = cache.HierarchyConfig{
 	CPUs: 4,
-	L1:   cache.Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, HitLatency: 4},
-	L2:   cache.Config{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64, HitLatency: 12},
-	LLC:  cache.Config{SizeBytes: 64 << 10, Ways: 16, LineBytes: 64, HitLatency: 40},
+	L1:   cache.Config{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64},
+	L2:   cache.Config{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64},
+	LLC:  cache.Config{SizeBytes: 64 << 10, Ways: 16, LineBytes: 64},
 }
 
 // fuzzConfig decodes a system configuration on fuzzHierarchy from bits:

@@ -6,8 +6,8 @@ import (
 )
 
 // Pool is an idle list of Systems no run uses any more, so a caller
-// running many jobs pays NewSystem's multi-megabyte cache hierarchy once
-// per concurrent run instead of once per job. A System taken from the
+// running many jobs pays NewSystem's multi-megabyte LLC once per
+// concurrent run instead of once per job. A System taken from the
 // pool is Reset, so its results are byte-identical to a fresh one's. The
 // zero Pool is empty and ready; it is safe for concurrent use.
 type Pool struct {

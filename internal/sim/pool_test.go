@@ -368,7 +368,7 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestResetCheapAllocs pins the point of pooled reuse: a Reset+rerun
 // cycle must re-allocate only the per-run machinery (device, coalescer),
-// never the cache hierarchy — the tag arrays, megabytes per system, are
+// never the LLC — its tag array, megabytes per system, is
 // reused generationally. Reuse must cut both the allocation count and,
 // decisively, the allocated bytes.
 func TestResetCheapAllocs(t *testing.T) {

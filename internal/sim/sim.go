@@ -250,10 +250,11 @@ func (r Result) RuntimeNs() float64 {
 
 // System is a runnable simulated machine.
 type System struct {
-	cfg       Config
-	hierarchy *cache.Hierarchy
-	device    *hmc.Device
-	coal      *coalescer.Coalescer
+	cfg     Config
+	llc     *cache.Cache // the shared LLC; the private levels are the trace's PrivateFilter
+	missBuf []cache.Miss // reused by every ReplayLLC, so the hot path is allocation-free
+	device  *hmc.Device
+	coal    *coalescer.Coalescer
 
 	outstanding []int    // demand misses in flight per CPU
 	nextToken   uint64   // demand-miss token allocator
@@ -314,7 +315,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h, err := cache.NewHierarchy(cfg.Hierarchy)
+	llc, err := cache.New(cfg.Hierarchy.LLC)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +323,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{hierarchy: h, device: d}
+	s := &System{llc: llc, device: d}
 	if s.coal, err = coalescer.New(cfg.Coalescer, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs, d.SubmitPacket, s.complete); err != nil {
 		return nil, err
 	}
@@ -331,15 +332,15 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // Reset returns a finished, abandoned mid-run or unused System to the
-// freshly built state for cfg. Every layer resets in place — the cache
-// hierarchy's multi-megabyte tag arrays, the device, the coalescer with
-// its MSHR file, and the token ring — instead of being rebuilt through the
-// allocator. cfg must keep the Hierarchy the System was built with;
-// everything else — mode, backend, coalescer tuning, fault plan, checks —
-// may change between runs. A reset System produces byte-identical results
-// to one built fresh from the same cfg: this is what lets a Pool hand one System to job after job
-// without paying NewSystem per job. After an error the System must not be
-// used again.
+// freshly built state for cfg. Every layer resets in place — the LLC's
+// multi-megabyte tag array, the device, the coalescer with its MSHR file,
+// and the token ring — instead of being rebuilt through the allocator.
+// cfg must keep the Hierarchy the System was built with; everything else
+// — mode, backend, coalescer tuning, fault plan, checks — may change
+// between runs. A reset System produces byte-identical results to one
+// built fresh from the same cfg: this is what lets a Pool hand one System
+// to job after job without paying NewSystem per job. After an error the
+// System must not be used again.
 func (s *System) Reset(cfg Config) error {
 	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {
@@ -348,7 +349,7 @@ func (s *System) Reset(cfg Config) error {
 	if cfg.Hierarchy != s.cfg.Hierarchy {
 		return fmt.Errorf("sim: Reset with a different hierarchy (build a fresh System)")
 	}
-	s.hierarchy.Reset()
+	s.llc.Reset()
 	if err := s.device.Reset(cfg.Backend, cfg.HMC); err != nil {
 		return err
 	}

@@ -71,8 +71,8 @@ func (s *System) Start(accs []trace.Access) error {
 // be shared by any number of concurrent or sequential runs, so a sweep
 // replaying one trace under several configurations lays it out once, and
 // walks it through the private L1 and L2 once per (L1, L2) pair: the first
-// run on a pair builds the index's filter on this System's own private
-// levels, and every run replays only the shared LLC. The index must have
+// run on a pair builds the index's filter, and every run replays only the
+// shared LLC. The index must have
 // been built for this system's CPU count.
 func (s *System) StartIndexed(idx *TraceIndex) error {
 	if s.ts.started {
@@ -85,7 +85,7 @@ func (s *System) StartIndexed(idx *TraceIndex) error {
 	if idx.cpus != cpus {
 		return fmt.Errorf("sim: trace index bucketed for %d CPUs, system has %d", idx.cpus, cpus)
 	}
-	f, err := idx.privateFilter(s.hierarchy)
+	f, err := idx.privateFilter(s.cfg.Hierarchy)
 	if err != nil {
 		return err
 	}
@@ -278,10 +278,10 @@ func (s *System) stageFence(cpu uint8, effTick uint64) bool {
 func (s *System) stageTraceFeed(a *trace.Access, p int32, effTick uint64) {
 	s.clockAdvance(effTick)
 	s.coal.Advance(effTick)
-	misses := s.hierarchy.ReplayLLC(s.ts.filter, int(p), a)
+	s.missBuf = s.llc.ReplayLLC(s.ts.filter, int(p), a, s.missBuf[:0])
 	var missedLines [8]uint64 // lines missed by THIS access (small fixed buffer)
 	nMissed := 0
-	for _, m := range misses {
+	for _, m := range s.missBuf {
 		tok := writeBackToken
 		if !m.WriteBack {
 			tok = s.newToken(m.CPU, m.Line)
@@ -420,7 +420,7 @@ func (s *System) Finish() (Result, error) {
 		FailedLoads:   s.failedTok,
 		Coalescer:     s.coal.Stats(),
 		HMC:           s.device.Stats(),
-		LLC:           s.hierarchy.LLCStats(),
+		LLC:           s.llc.Stats(),
 		ClockGHz:      s.cfg.ClockGHz,
 		LineBytes:     s.cfg.Coalescer.LineBytes,
 	}

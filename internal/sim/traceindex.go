@@ -21,8 +21,9 @@ import (
 // The index also carries the trace's private-level filters
 // (cache.PrivateFilter), one per (L1, L2) config pair, indexed by stream
 // position. The first run on each pair builds its filter under mu, walking
-// every CPU's stream through that run's own L1 and L2; every later run of
-// the trace, concurrent or not, replays only the shared LLC.
+// every CPU's stream through one L1/L2 pair that lives only for the walk;
+// every later run of the trace, concurrent or not, replays only the
+// shared LLC.
 type TraceIndex struct {
 	accs      []trace.Access
 	streamOff []int32
@@ -112,20 +113,19 @@ func (idx *TraceIndex) CPUs() int { return idx.cpus }
 // Len returns the number of accesses in the indexed trace.
 func (idx *TraceIndex) Len() int { return len(idx.accs) }
 
-// privateFilter returns the trace's filter for h's L1 and L2 configs,
+// privateFilter returns the trace's filter for hier's L1 and L2 configs,
 // building it on first use by walking each CPU's stream, in stream order,
-// through h's private levels (which it leaves holding the walk's end
-// state). Concurrent callers wait for one build.
-func (idx *TraceIndex) privateFilter(h *cache.Hierarchy) (*cache.PrivateFilter, error) {
-	cfg := h.Config()
+// through one transient L1/L2 pair (cache.FilterPrivate). Concurrent
+// callers wait for one build.
+func (idx *TraceIndex) privateFilter(hier cache.HierarchyConfig) (*cache.PrivateFilter, error) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	for i := range idx.filters {
-		if f := &idx.filters[i]; f.L1 == cfg.L1 && f.L2 == cfg.L2 {
+		if f := &idx.filters[i]; f.L1 == hier.L1 && f.L2 == hier.L2 {
 			return f, nil
 		}
 	}
-	f, err := h.FilterPrivate(idx.accs, idx.streamIdx)
+	f, err := cache.FilterPrivate(hier, idx.accs, idx.streamOff, idx.streamIdx)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
