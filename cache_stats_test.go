@@ -24,42 +24,43 @@ func timeoutSpec(t *testing.T, bench string) []byte {
 	return raw
 }
 
-// TestSweepRunnerCacheStats pins the trace-cache counter semantics: the
-// first group on a benchmark is a miss, every later group on the same
-// benchmark a hit, and a group counts once per benchmark however many of
-// its jobs replay that trace. Each spec keeps the trace it is on, so a
+// TestSweepRunnerCacheStats pins the trace-cache counter semantics: each
+// job counts one hit or one miss, the first job on a benchmark a miss and
+// every later job on it a hit. Each spec keeps the trace it is on, so a
 // second spec does not evict the first's.
 func TestSweepRunnerCacheStats(t *testing.T) {
 	r := NewSweepRunner()
 	ctx := context.Background()
 	benches := Benchmarks()
 	spec := timeoutSpec(t, benches[0])
-	for g := 0; g < 2; g++ {
-		if _, err := r.RunGroup(ctx, spec, []int{g}); err != nil {
+	for i := range 2 {
+		if _, err := r.RunJob(ctx, spec, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 1, Hits: 1}) {
-		t.Fatalf("after two groups on one benchmark: %+v; want 1 miss, 1 hit, 0 evictions", s)
+		t.Fatalf("after two jobs on one benchmark: %+v; want 1 miss, 1 hit, 0 evictions", s)
 	}
 
-	// One eight-job group over two benchmarks: a hit on the resident
-	// trace and a miss on the other, each counted once.
+	// Eight jobs over two benchmarks: four hits on the resident trace,
+	// then a miss and three hits on the other.
 	raw, err := json.Marshal(SweepSpec{Params: sweepTestParams(), Benches: benches[:2], Axes: []Axis{{"mode", []string{"MSHR-based", "DMC-only", "two-phase", payloadCell}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunGroup(ctx, raw, []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
+	for i := range 8 {
+		if _, err := r.RunJob(ctx, raw, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 2, Hits: 8}) {
+		t.Fatalf("after eight jobs on two benchmarks: %+v; want 2 misses, 8 hits, 0 evictions", s)
+	}
+	if _, err := r.RunJob(ctx, spec, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 2, Hits: 2}) {
-		t.Fatalf("after an 8-job group on two benchmarks: %+v; want 2 misses, 2 hits, 0 evictions", s)
-	}
-	if _, err := r.RunGroup(ctx, spec, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 2, Hits: 3}) {
-		t.Fatalf("back on the first spec: %+v; want its trace still resident (3 hits)", s)
+	if s := r.CacheStats(); s != (TraceCacheStats{Misses: 2, Hits: 9}) {
+		t.Fatalf("back on the first spec: %+v; want its trace still resident (9 hits)", s)
 	}
 }
 
@@ -71,17 +72,11 @@ func TestStatusCarriesCacheCounts(t *testing.T) {
 	runner := NewSweepRunner()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go dsweep.Work(ctx, addr, runner.RunGroup, dsweep.WorkOptions{
-		Name: "cachy",
-		CacheStats: func() dsweep.CacheCounts {
-			s := runner.CacheStats()
-			return dsweep.CacheCounts{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions}
-		},
-	})
+	go dsweep.Work(ctx, addr, runner.RunJob, dsweep.WorkOptions{Name: "cachy", CacheStats: runner.CacheStats})
 
 	spec := timeoutSpec(t, Benchmarks()[0])
-	for g := 0; g < 2; g++ {
-		if _, err := coord.RunGroup(context.Background(), spec, []int{g}); err != nil {
+	for i := range 2 {
+		if _, err := coord.RunJob(context.Background(), spec, i); err != nil {
 			t.Fatal(err)
 		}
 	}

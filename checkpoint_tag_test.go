@@ -74,12 +74,12 @@ func TestCheckpointFingerprintCoversTraceParams(t *testing.T) {
 	}
 }
 
-// failDispatcher fails any group it is handed: a fully restored sweep
-// must never dispatch.
+// failDispatcher fails any job it is handed: a fully restored sweep must
+// never dispatch.
 type failDispatcher struct{ t *testing.T }
 
-func (d failDispatcher) RunGroup(context.Context, []byte, []int) ([]json.RawMessage, error) {
-	d.t.Error("a fully checkpointed sweep dispatched a group")
+func (d failDispatcher) RunJob(context.Context, []byte, int) (json.RawMessage, error) {
+	d.t.Error("a fully checkpointed sweep dispatched a job")
 	return nil, errors.New("unexpected dispatch")
 }
 

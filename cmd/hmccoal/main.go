@@ -16,7 +16,7 @@
 //	hmccoal -fig all -serve :7333 -token secret # only authenticated workers
 //
 // With -serve the process coordinates instead of simulating: it listens
-// for hmcsweepd worker connections and ships sweep job groups to them
+// for hmcsweepd worker connections and ships sweep jobs to them
 // (see internal/dsweep). The printed figures are byte-identical to a
 // local run — only where the simulations execute changes. SIGUSR1 prints
 // a status snapshot (queue depth, leases, per-worker throughput, auth
@@ -152,7 +152,7 @@ func run(argv []string) int {
 	var v hmccoal.Variant
 	sim.RegisterVariantFlags(fs, &v)
 	var serve dsweep.ServeFlags
-	serve.Register(fs, "coordinate distributed sweeps: listen on this TCP address and ship sweep job groups to hmcsweepd workers instead of simulating locally")
+	serve.Register(fs, "coordinate distributed sweeps: listen on this TCP address and ship sweep jobs to hmcsweepd workers instead of simulating locally")
 	if err := fs.Parse(argv); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -172,9 +172,9 @@ func run(argv []string) int {
 	}
 	defer stopProf()
 
-	// SIGTERM drains like Ctrl-C: sweeps stop at the next group boundary
+	// SIGTERM drains like Ctrl-C: sweeps stop at the next job boundary
 	// with every completed job checkpointed, and a serving coordinator
-	// stops handing out groups.
+	// stops handing out jobs.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

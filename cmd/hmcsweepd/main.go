@@ -1,7 +1,7 @@
 // Command hmcsweepd is a distributed-sweep worker: it connects to a sweep
 // coordinator (hmccoal -serve, or hmcservd -serve for the job service's
-// sweep jobs), pulls sweep job groups over the dsweep wire protocol, runs
-// the simulations locally and streams the results back. Start any number
+// sweep jobs), pulls sweep jobs over the dsweep wire protocol, runs the
+// simulations locally and streams the results back. Start any number
 // of workers on any machines that can reach the coordinator;
 // work-stealing dispatch balances the grid across them, and the
 // coordinator's results stay byte-identical to a local run.
@@ -9,22 +9,22 @@
 // Usage:
 //
 //	hmcsweepd -connect host:7333               # one worker, all cores
-//	hmcsweepd -connect host:7333 -slots 2      # two concurrent job groups
+//	hmcsweepd -connect host:7333 -slots 2      # two concurrent jobs
 //	hmcsweepd -connect host:7333 -name rack7   # named in coordinator logs
 //	hmcsweepd -connect host:7333 -token secret # authenticated handshake
 //
 // The worker exits 0 when the coordinator drains it (sweep finished) and
-// on a graceful SIGINT/SIGTERM drain: a job group already running is
-// finished and its result delivered before the process leaves, so
-// stopping a worker never loses completed simulations — the coordinator
-// requeues only groups lost to a real crash.
+// on a graceful SIGINT/SIGTERM drain: a job already running is finished
+// and its result delivered before the process leaves, so stopping a
+// worker never loses completed simulations — the coordinator requeues
+// only jobs lost to a real crash.
 //
 // A connection lost to a transport fault is re-dialed with jittered
 // backoff and the slot resumes pulling, bounded by -reconnects
 // consecutive failures (the counter resets on every successful
-// handshake). A rejected token or protocol mismatch is terminal: the
-// worker exits 2 instead of re-presenting credentials the coordinator
-// already refused.
+// handshake). A rejected token, a protocol mismatch or an untrusted
+// coordinator certificate is terminal: the worker exits 2 instead of
+// retrying what the other end already refused.
 //
 // Exit codes: 0 clean drain, 1 usage/configuration error, 2 worker
 // failure (coordinator unreachable, protocol mismatch, transport loss).
@@ -58,9 +58,9 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("hmcsweepd", flag.ContinueOnError)
 	var (
-		connect    = fs.String("connect", "", "coordinator address (host:port) to pull sweep job groups from (required)")
+		connect    = fs.String("connect", "", "coordinator address (host:port) to pull sweep jobs from (required)")
 		name       = fs.String("name", "", "worker name in coordinator logs (default host/pid)")
-		slots      = fs.Int("slots", 0, "job groups run concurrently (0 = one per core)")
+		slots      = fs.Int("slots", 0, "jobs run concurrently (0 = one per core)")
 		dialRetry  = fs.Duration("dial-retry", dsweep.DefaultDialRetry, "how long to keep retrying the initial coordinator dial (workers may start first)")
 		token      = fs.String("token", "", "shared secret presented in the handshake (must match the coordinator's -token)")
 		reconnects = fs.Int("reconnects", dsweep.DefaultReconnects, "consecutive failed reconnection attempts before a slot gives up (-1 disables reconnection)")
@@ -106,8 +106,8 @@ func run(argv []string) int {
 		*slots = runtime.GOMAXPROCS(0)
 	}
 
-	// SIGINT/SIGTERM drain gracefully: a running job group finishes and
-	// reports before the worker disconnects.
+	// SIGINT/SIGTERM drain gracefully: a running job finishes and reports
+	// before the worker disconnects.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -155,13 +155,10 @@ func run(argv []string) int {
 	}
 
 	runner := hmccoal.NewSweepRunner()
-	opt.CacheStats = func() dsweep.CacheCounts {
-		s := runner.CacheStats()
-		return dsweep.CacheCounts{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions}
-	}
+	opt.CacheStats = runner.CacheStats
 
 	fmt.Fprintf(os.Stderr, "hmcsweepd: %s pulling from %s (%d slots)\n", *name, *connect, *slots)
-	if err := dsweep.Work(ctx, *connect, runner.RunGroup, opt); err != nil {
+	if err := dsweep.Work(ctx, *connect, runner.RunJob, opt); err != nil {
 		fmt.Fprintln(os.Stderr, "hmcsweepd:", err)
 		return exitRun
 	}

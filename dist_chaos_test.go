@@ -29,7 +29,7 @@ func chaosWorkers(t *testing.T, addr string, n int, inj *netchaos.Injector) {
 		return d.DialContext(ctx, "tcp", addr)
 	})
 	for i := 0; i < n; i++ {
-		go dsweep.Work(ctx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{
+		go dsweep.Work(ctx, addr, NewSweepRunner().RunJob, dsweep.WorkOptions{
 			Name:       fmt.Sprintf("chaos-%d", i),
 			Dial:       dial,
 			DialRetry:  30 * time.Second,
@@ -70,9 +70,9 @@ func TestChaosSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chaos multiplies worker losses per group, so the requeue bound must
+	// Chaos multiplies worker losses per job, so the requeue bound must
 	// out-budget the fault rate: attempts are about campaign-killing
-	// determinism (a group that crashes its host), not transient faults.
+	// determinism (a job that crashes its host), not transient faults.
 	coord := dsweep.NewCoordinator(dsweep.Options{MaxAttempts: 100})
 	go coord.Serve(coordInj.Listen(ln))
 	t.Cleanup(func() { coord.Close() })
@@ -84,9 +84,8 @@ func TestChaosSweepDeterminism(t *testing.T) {
 	}
 	chaosWorkers(t, ln.Addr().String(), 2, workInj)
 
-	// Every job is its own dispatch group — the most protocol
-	// round-trips, so the soak exercises the wire as hard as the grid
-	// allows.
+	// Every job is its own dispatch — the most protocol round-trips, so
+	// the soak exercises the wire as hard as the grid allows.
 	ckpt := t.TempDir() + "/chaos.jsonl"
 	rows, err := FaultSweepContext(context.Background(), "FT", p, 3, bers,
 		SweepOptions{Dispatch: coord, Checkpoint: ckpt})
@@ -145,7 +144,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	a, _ := json.Marshal(local)
 	ckpt := t.TempDir() + "/restart.jsonl"
 
-	// First campaign: the worker's runner completes exactly one group and
+	// First campaign: the worker's runner completes exactly one job and
 	// gates the rest, the sweep is cancelled, and the coordinator shuts
 	// down with the grid unfinished — a deterministic mid-campaign crash.
 	coordA, addrA := startTestCoordinator(t, dsweep.Options{})
@@ -158,18 +157,18 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		}
 	}()
 	runner := NewSweepRunner()
-	var groups int32
+	var jobs int32
 	wctx, wcancel := context.WithCancel(context.Background())
 	t.Cleanup(wcancel)
-	go dsweep.Work(wctx, addrA, func(ctx context.Context, spec []byte, idxs []int) ([]json.RawMessage, error) {
-		if atomic.AddInt32(&groups, 1) > 1 {
-			<-gate // hold every group after the first until the test releases them
+	go dsweep.Work(wctx, addrA, func(ctx context.Context, spec []byte, i int) (json.RawMessage, error) {
+		if atomic.AddInt32(&jobs, 1) > 1 {
+			<-gate // hold every job after the first until the test releases them
 		}
-		return runner.RunGroup(ctx, spec, idxs)
+		return runner.RunJob(ctx, spec, i)
 	}, dsweep.WorkOptions{Name: "doomed-era"})
 
-	// Every job is its own dispatch group, so the single-slot worker
-	// completes exactly one job before the gate holds the rest.
+	// The single-slot worker completes exactly one job before the gate
+	// holds the rest.
 	sctx, scancel := context.WithCancel(context.Background())
 	defer scancel()
 	_, err = FaultSweepContext(sctx, "FT", p, 3, bers, SweepOptions{
@@ -238,7 +237,7 @@ func TestBadTokenWorkerDoesNotDisturbCampaign(t *testing.T) {
 	coord, addr := startTestCoordinator(t, dsweep.Options{Token: "s3cret"})
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go dsweep.Work(ctx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{Name: "auth", Token: "s3cret"})
+	go dsweep.Work(ctx, addr, NewSweepRunner().RunJob, dsweep.WorkOptions{Name: "auth", Token: "s3cret"})
 
 	// Intruders: wrong token, then no token, in a loop for the whole
 	// campaign. Each must be turned away with a Bye and a counted reject.
@@ -250,7 +249,7 @@ func TestBadTokenWorkerDoesNotDisturbCampaign(t *testing.T) {
 				return
 			}
 			ictx, icancel := context.WithTimeout(ctx, 5*time.Second)
-			err := dsweep.Work(ictx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{
+			err := dsweep.Work(ictx, addr, NewSweepRunner().RunJob, dsweep.WorkOptions{
 				Name: "intruder", Token: strings.Repeat("x", i), Reconnects: -1,
 			})
 			icancel()

@@ -34,16 +34,16 @@ func startTestWorkers(t *testing.T, addr string, n int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	for i := 0; i < n; i++ {
-		go dsweep.Work(ctx, addr, NewSweepRunner().RunGroup, dsweep.WorkOptions{Name: "test-worker"})
+		go dsweep.Work(ctx, addr, NewSweepRunner().RunJob, dsweep.WorkOptions{Name: "test-worker"})
 	}
 }
 
-// SweepRunner.RunGroup has the GroupRunner signature dsweep.Work expects,
+// SweepRunner.RunJob has the JobRunner signature dsweep.Work expects,
 // and *SweepRunner is the in-process Dispatcher; these assignments pin
 // both contracts at compile time.
 var (
-	_ dsweep.GroupRunner = NewSweepRunner().RunGroup
-	_ Dispatcher         = NewSweepRunner()
+	_ dsweep.JobRunner = NewSweepRunner().RunJob
+	_ Dispatcher       = NewSweepRunner()
 )
 
 // TestDistributedSweepDeterminism is the distribution tentpole's
@@ -92,16 +92,16 @@ func TestDistributedSweepDeterminism(t *testing.T) {
 }
 
 // crashNextWorker connects a protocol-conformant worker that takes one
-// job group and drops dead (connection cut mid-lease), exercising the
+// job and drops dead (connection cut mid-lease), exercising the
 // coordinator's requeue path with the exact wire traffic a killed worker
-// process produces. It returns once the group has been taken.
+// process produces. It returns once the job has been taken.
 func crashNextWorker(t *testing.T, addr string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := json.Marshal(map[string]any{"proto": 2, "name": "crash-test"})
+	hello, err := json.Marshal(map[string]any{"proto": 3, "name": "crash-test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func crashNextWorker(t *testing.T, addr string) {
 	if typ, _, err := dsweep.ReadFrame(conn); err != nil || typ != dsweep.MsgJob {
 		t.Fatalf("expected a job, got (%v, %v)", typ, err)
 	}
-	conn.Close() // crash with the group leased
+	conn.Close() // crash with the job leased
 }
 
-// TestDistributedWorkerKillLosesNoJobs kills a worker mid-group and
-// checks the coordinator's recovery end to end: the group is requeued to
+// TestDistributedWorkerKillLosesNoJobs kills a worker mid-job and
+// checks the coordinator's recovery end to end: the job is requeued to
 // a surviving worker, the final rows match the single-process run
 // byte-for-byte, and the checkpoint holds every job exactly once.
 func TestDistributedWorkerKillLosesNoJobs(t *testing.T) {
@@ -162,7 +162,7 @@ func TestDistributedWorkerKillLosesNoJobs(t *testing.T) {
 	}
 
 	// The checkpoint must hold each grid index exactly once — the killed
-	// worker's forfeited group may not leave conflicting duplicates.
+	// worker's forfeited job may not leave conflicting duplicates.
 	n := len(bers) * 3
 	seen := make(map[int]int)
 	readCheckpointJobs(t, ckpt, n, seen)

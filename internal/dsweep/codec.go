@@ -1,16 +1,16 @@
-// Package dsweep distributes sweep job groups across processes: a
-// coordinator owns the grid and hands index groups to worker
-// processes over a TCP protocol of length-prefixed, CRC32-framed
-// messages (the framing idiom of internal/hmc's packet codec).
+// Package dsweep distributes sweep jobs across processes: a coordinator
+// owns the grid and hands (spec, index) jobs to worker processes over a
+// TCP protocol of length-prefixed, CRC32-framed messages (the framing
+// idiom of internal/hmc's packet codec).
 //
-// The coordinator side plugs into the sweep engine as a blocking group
-// dispatcher: every group it enqueues is pulled by exactly one worker
-// (work stealing — a fast worker simply pulls more groups), executed
-// remotely, and its results delivered back in index order by the sweep
-// layer, so stdout stays byte-identical at any worker topology. A worker
-// that disconnects or goes silent past its lease forfeits the group,
-// which is requeued for the surviving workers; a worker that *reports* a
-// job error does not trigger a requeue — simulation failures are
+// The coordinator side plugs into the sweep engine as a blocking job
+// dispatcher: every job it enqueues is pulled by exactly one worker (work
+// stealing — a fast worker simply pulls more jobs), executed remotely,
+// and its result delivered back in index order by the sweep layer, so
+// stdout stays byte-identical at any worker topology. A worker that
+// disconnects or goes silent past its lease forfeits the job, which is
+// requeued for the surviving workers; a worker that *reports* a job
+// error does not trigger a requeue — simulation failures are
 // deterministic, so retrying them elsewhere would only repeat the error.
 package dsweep
 
@@ -45,10 +45,10 @@ type MsgType uint8
 // Result and Fail flow worker→coordinator; Job and Bye coordinator→worker.
 const (
 	MsgHello  MsgType = 1 + iota // handshake: protocol version + peer name
-	MsgReady                     // worker pulls one job group
-	MsgJob                       // coordinator ships a job group
-	MsgResult                    // worker returns a completed group
-	MsgFail                      // worker reports a group's job error
+	MsgReady                     // worker pulls one job
+	MsgJob                       // coordinator ships a job
+	MsgResult                    // worker returns a completed job
+	MsgFail                      // worker reports a job error
 	MsgBye                       // coordinator drains the worker: no more work
 	msgTypeEnd
 )
@@ -76,9 +76,9 @@ func (t MsgType) String() string {
 const (
 	frameHeaderBytes  = 12
 	frameTrailerBytes = 4
-	// MaxPayload bounds one frame's payload: large enough for a group
-	// of full simulation results, small enough that a corrupt
-	// length field cannot make the reader allocate gigabytes.
+	// MaxPayload bounds one frame's payload: large enough for a full
+	// simulation result, small enough that a corrupt length field cannot
+	// make the reader allocate gigabytes.
 	MaxPayload = 16 << 20
 )
 

@@ -9,6 +9,14 @@ import (
 	"testing"
 )
 
+// wireSpec and wireCell are a real sweep spec (two timeouts on one
+// benchmark) and the shape of a cell, the bodies protocol-3 Job and
+// Result frames carry.
+const (
+	wireSpec = `{"params":{"CPUs":4,"OpsPerCPU":600,"Seed":3,"ThinkScale":0},"benches":["FT"],"axes":[{"name":"timeout","values":["16","28"]}]}`
+	wireCell = `{"res":{},"pay":{}}`
+)
+
 func mustFrame(t testing.TB, typ MsgType, payload []byte) []byte {
 	t.Helper()
 	buf, err := EncodeFrame(typ, payload)
@@ -23,10 +31,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		typ     MsgType
 		payload string
 	}{
-		{MsgHello, `{"proto":1,"name":"w"}`},
+		{MsgHello, `{"proto":3,"name":"w"}`},
 		{MsgReady, ""},
-		{MsgJob, `{"id":7,"spec":{"kind":"fault"},"idxs":[0,1,2]}`},
-		{MsgResult, `{"id":7,"cells":[{},{},{}]}`},
+		{MsgJob, `{"id":7,"spec":` + wireSpec + `,"idx":1}`},
+		{MsgResult, `{"id":7,"cell":` + wireCell + `}`},
 		{MsgFail, `{"id":7,"error":"boom"}`},
 		{MsgBye, ""},
 	} {

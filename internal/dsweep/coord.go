@@ -16,16 +16,16 @@ import (
 
 // Options tunes a Coordinator.
 type Options struct {
-	// Lease bounds how long a worker may hold one job group: a worker
-	// silent for Lease after receiving a group is presumed dead, its
-	// connection is closed and the group is requeued for the surviving
-	// workers. Zero means DefaultLease. Set it above the worst-case group
-	// run time — a healthy-but-slow worker that blows the lease has its
-	// group recomputed elsewhere (correct, but wasted work).
+	// Lease bounds how long a worker may hold one job: a worker silent
+	// for Lease after receiving a job is presumed dead, its connection is
+	// closed and the job is requeued for the surviving workers. Zero
+	// means DefaultLease. Set it above the worst-case job run time — a
+	// healthy-but-slow worker that blows the lease has its job recomputed
+	// elsewhere (correct, but wasted work).
 	Lease time.Duration
-	// MaxAttempts caps how many workers may be lost on one group before
-	// the group is failed instead of requeued, so a group that reliably
-	// crashes its host cannot starve the sweep forever. Zero means
+	// MaxAttempts caps how many workers may be lost on one job before the
+	// job is failed instead of requeued, so a job that reliably crashes
+	// its host cannot starve the sweep forever. Zero means
 	// DefaultMaxAttempts.
 	MaxAttempts int
 	// Token, when non-empty, authenticates workers: a Hello whose token
@@ -72,21 +72,21 @@ func (o Options) ioTimeout() time.Duration {
 	return o.IOTimeout
 }
 
-// groupOutcome is one group's terminal state.
-type groupOutcome struct {
-	cells []json.RawMessage
-	err   error
+// jobOutcome is one job's terminal state.
+type jobOutcome struct {
+	cell json.RawMessage
+	err  error
 }
 
-// group is one enqueued job group. Its lifecycle is queued → leased →
+// job is one enqueued sweep job. Its lifecycle is queued → leased →
 // settled, with leased → queued again on every worker loss (requeue).
-type group struct {
+type job struct {
 	id       uint64
 	spec     []byte
-	idxs     []int
-	attempts int  // workers lost while holding this group
+	idx      int
+	attempts int  // workers lost while holding this job
 	settled  bool // outcome delivered (or caller gone); late outcomes are discarded
-	done     chan groupOutcome
+	done     chan jobOutcome
 }
 
 // workerStats aggregates one worker name's history across connections.
@@ -94,24 +94,23 @@ type workerStats struct {
 	connected  int // live handshaked connections bearing this name
 	connects   uint64
 	reconnects uint64
-	completed  uint64      // groups delivered
-	jobs       uint64      // grid indices delivered
-	fails      uint64      // groups reported as deterministic failures
+	completed  uint64      // jobs delivered
+	fails      uint64      // jobs reported as deterministic failures
 	cache      CacheCounts // last counters reported in a Result frame
 }
 
-// leaseRec is one in-flight group's lease: who holds it and since when.
+// leaseRec is one in-flight job's lease: who holds it and since when.
 type leaseRec struct {
 	worker string
 	since  time.Time
 }
 
-// Coordinator owns a distributed sweep's pending job groups and serves
-// them to worker connections with work-stealing dispatch: every Ready
-// worker pulls the oldest pending group, so fast workers naturally take
-// more of the grid. It implements the sweep layer's Dispatcher contract —
-// RunGroup blocks until some worker completes the group, across any
-// number of requeues.
+// Coordinator owns a distributed sweep's pending jobs and serves them to
+// worker connections with work-stealing dispatch: every Ready worker
+// pulls the oldest pending job, so fast workers naturally take more of
+// the grid. It implements the sweep layer's Dispatcher contract — RunJob
+// blocks until some worker completes the job, across any number of
+// requeues.
 //
 // A Coordinator is safe for concurrent use; one instance serves all of a
 // process's sweeps in sequence (grid identity travels inside the opaque
@@ -121,7 +120,7 @@ type Coordinator struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	queue       []*group // pending groups; requeues go to the front
+	queue       []*job // pending jobs; requeues go to the front
 	nextID      uint64
 	closed      bool
 	listeners   []net.Listener
@@ -151,22 +150,14 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// Workers reports the number of handshaked worker connections.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.workers
-}
-
 // WorkerStatus is one worker name's row in a Status snapshot.
 type WorkerStatus struct {
 	Name       string
 	Connected  bool
 	Connects   uint64 // handshakes, including reconnects
 	Reconnects uint64
-	Completed  uint64      // groups delivered
-	Jobs       uint64      // grid indices delivered (throughput)
-	Fails      uint64      // deterministic group failures reported
+	Completed  uint64      // jobs delivered
+	Fails      uint64      // deterministic job failures reported
 	Cache      CacheCounts // trace-cache counters from the last Result frame
 	LeaseAge   time.Duration
 }
@@ -176,8 +167,8 @@ type WorkerStatus struct {
 // (auth rejects, reconnects, requeues). It is the observability hook a
 // serving daemon fronts; hmccoal -serve prints it on SIGUSR1.
 type Status struct {
-	Queued      int // groups waiting for a puller
-	InFlight    int // groups currently leased
+	Queued      int // jobs waiting for a puller
+	InFlight    int // jobs currently leased
 	Workers     int // connected worker connections
 	AuthRejects uint64
 	Reconnects  uint64
@@ -210,7 +201,6 @@ func (c *Coordinator) Status() Status {
 			Connects:   ws.connects,
 			Reconnects: ws.reconnects,
 			Completed:  ws.completed,
-			Jobs:       ws.jobs,
 			Fails:      ws.fails,
 			Cache:      ws.cache,
 		}
@@ -234,8 +224,8 @@ func (s Status) String() string {
 		if w.Connected {
 			state = "connected"
 		}
-		fmt.Fprintf(&b, "\n  %s: %s, %d connects (%d reconnects), %d groups (%d jobs), %d fails",
-			w.Name, state, w.Connects, w.Reconnects, w.Completed, w.Jobs, w.Fails)
+		fmt.Fprintf(&b, "\n  %s: %s, %d connects (%d reconnects), %d jobs, %d fails",
+			w.Name, state, w.Connects, w.Reconnects, w.Completed, w.Fails)
 		if c := w.Cache; c.Hits+c.Misses+c.Evictions > 0 {
 			fmt.Fprintf(&b, ", trace cache %d hits / %d misses / %d evictions", c.Hits, c.Misses, c.Evictions)
 		}
@@ -275,12 +265,12 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 
 // closeDrainGrace bounds how long Close waits for worker connections to
 // drain their goodbye. Healthy workers Bye within a round-trip; the grace
-// only matters when one is hung or mid-group, and forfeiting its farewell
-// then is fine — any group it held was already requeued or settled.
+// only matters when one is hung or mid-job, and forfeiting its farewell
+// then is fine — any job it held was already requeued or settled.
 const closeDrainGrace = 5 * time.Second
 
-// Close shuts the coordinator down: listeners close, still-queued groups
-// (and their blocked RunGroup callers) fail with a closed-coordinator
+// Close shuts the coordinator down: listeners close, still-queued jobs
+// (and their blocked RunJob callers) fail with a closed-coordinator
 // error, and worker connections drain through the protocol — each
 // handler's next take returns nil, so the worker gets a clean Bye rather
 // than a connection reset. Close waits up to closeDrainGrace for the
@@ -298,8 +288,8 @@ func (c *Coordinator) Close() error {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
-	for _, g := range queued {
-		c.deliver(g, groupOutcome{err: errors.New("dsweep: coordinator closed")})
+	for _, j := range queued {
+		c.deliver(j, jobOutcome{err: errors.New("dsweep: coordinator closed")})
 	}
 	for _, ln := range lns {
 		ln.Close()
@@ -318,98 +308,97 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// RunGroup enqueues one job group and blocks until a worker completes it
+// RunJob enqueues one sweep job and blocks until a worker completes it
 // (across any number of requeues) or ctx is cancelled. It is the sweep
-// layer's remote dispatcher: spec is the opaque JSON grid description,
-// idxs the grid indices to execute, and the result is one JSON cell per
-// index, in index order.
-func (c *Coordinator) RunGroup(ctx context.Context, spec []byte, idxs []int) ([]json.RawMessage, error) {
-	g := &group{spec: spec, idxs: idxs, done: make(chan groupOutcome, 1)}
+// layer's remote dispatcher: spec is the opaque JSON grid description, i
+// the grid index to execute, and the result is the job's JSON cell.
+func (c *Coordinator) RunJob(ctx context.Context, spec []byte, i int) (json.RawMessage, error) {
+	j := &job{spec: spec, idx: i, done: make(chan jobOutcome, 1)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, errors.New("dsweep: coordinator closed")
 	}
 	c.nextID++
-	g.id = c.nextID
-	c.queue = append(c.queue, g)
+	j.id = c.nextID
+	c.queue = append(c.queue, j)
 	c.cond.Signal()
 	c.mu.Unlock()
 
 	select {
-	case o := <-g.done:
-		return o.cells, o.err
+	case o := <-j.done:
+		return o.cell, o.err
 	case <-ctx.Done():
-		// Settle the group so a late worker outcome is discarded; if it
-		// is still queued, pull it before any worker wastes time on it.
+		// Settle the job so a late worker outcome is discarded; if it is
+		// still queued, pull it before any worker wastes time on it.
 		c.mu.Lock()
-		if !g.settled {
-			g.settled = true
-			c.dequeueLocked(g)
+		if !j.settled {
+			j.settled = true
+			c.dequeueLocked(j)
 		}
 		c.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-// dequeueLocked removes g from the pending queue if present.
-func (c *Coordinator) dequeueLocked(g *group) {
+// dequeueLocked removes j from the pending queue if present.
+func (c *Coordinator) dequeueLocked(j *job) {
 	for i, q := range c.queue {
-		if q == g {
+		if q == j {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			return
 		}
 	}
 }
 
-// deliver settles g with its outcome; late outcomes (after a lease
-// requeue already settled the group elsewhere, or after the caller's ctx
-// cancelled) are discarded. Any lease record for g is released.
-func (c *Coordinator) deliver(g *group, o groupOutcome) {
+// deliver settles j with its outcome; late outcomes (after a lease
+// requeue already settled the job elsewhere, or after the caller's ctx
+// cancelled) are discarded. Any lease record for j is released.
+func (c *Coordinator) deliver(j *job, o jobOutcome) {
 	c.mu.Lock()
-	delete(c.inflight, g.id)
-	if g.settled {
+	delete(c.inflight, j.id)
+	if j.settled {
 		c.mu.Unlock()
 		return
 	}
-	g.settled = true
+	j.settled = true
 	c.mu.Unlock()
-	g.done <- o
+	j.done <- o
 }
 
-// requeue returns a group forfeited by a lost worker to the front of the
-// queue — front, so a long-queued group does not also go to the back of
-// the line — failing it once MaxAttempts workers have been lost on it.
-func (c *Coordinator) requeue(g *group, cause error) {
+// requeue returns a job forfeited by a lost worker to the front of the
+// queue — front, so a long-queued job does not also go to the back of the
+// line — failing it once MaxAttempts workers have been lost on it.
+func (c *Coordinator) requeue(j *job, cause error) {
 	c.mu.Lock()
-	delete(c.inflight, g.id)
-	if g.settled || c.closed {
+	delete(c.inflight, j.id)
+	if j.settled || c.closed {
 		c.mu.Unlock()
 		return
 	}
-	g.attempts++
+	j.attempts++
 	c.requeues++
-	if g.attempts >= c.opt.maxAttempts() {
+	if j.attempts >= c.opt.maxAttempts() {
 		c.mu.Unlock()
-		c.deliver(g, groupOutcome{err: fmt.Errorf("dsweep: group %d lost %d workers (last: %v)", g.id, g.attempts, cause)})
+		c.deliver(j, jobOutcome{err: fmt.Errorf("dsweep: job %d lost %d workers (last: %v)", j.id, j.attempts, cause)})
 		return
 	}
-	c.queue = append([]*group{g}, c.queue...)
+	c.queue = append([]*job{j}, c.queue...)
 	c.cond.Signal()
 	c.mu.Unlock()
-	c.logf("dsweep: requeued group %d after worker loss (%v)", g.id, cause)
+	c.logf("dsweep: requeued job %d after worker loss (%v)", j.id, cause)
 }
 
-// lease records g as in flight on the named worker's connection.
-func (c *Coordinator) lease(g *group, worker string) {
+// lease records j as in flight on the named worker's connection.
+func (c *Coordinator) lease(j *job, worker string) {
 	c.mu.Lock()
-	c.inflight[g.id] = &leaseRec{worker: worker, since: time.Now()}
+	c.inflight[j.id] = &leaseRec{worker: worker, since: time.Now()}
 	c.mu.Unlock()
 }
 
-// take blocks until a pending group is available and leases it to the
+// take blocks until a pending job is available and leases it to the
 // caller; it returns nil once the coordinator is closed.
-func (c *Coordinator) take() *group {
+func (c *Coordinator) take() *job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.queue) == 0 && !c.closed {
@@ -418,9 +407,9 @@ func (c *Coordinator) take() *group {
 	if c.closed {
 		return nil
 	}
-	g := c.queue[0]
+	j := c.queue[0]
 	c.queue = c.queue[1:]
-	return g
+	return j
 }
 
 // Handle serves one worker connection until it drains, errors out or
@@ -457,7 +446,7 @@ func (c *Coordinator) checkToken(got string) bool {
 // serveWorker runs the coordinator side of the protocol on one
 // connection: handshake (version, then token), then Ready→Job→Result
 // rounds until the worker disconnects or the queue closes. Any transport
-// or protocol failure while a group is leased requeues the group; every
+// or protocol failure while a job is leased requeues the job; every
 // write and every bounded-expectation read carries a deadline, so a
 // stalled peer costs at most IOTimeout (or the lease), never a handler.
 func (c *Coordinator) serveWorker(conn net.Conn) (string, error) {
@@ -527,46 +516,45 @@ func (c *Coordinator) serveWorker(conn net.Conn) (string, error) {
 			return hello.Name, fmt.Errorf("expected ready, got %v", typ)
 		}
 
-		g := c.take()
-		if g == nil {
+		j := c.take()
+		if j == nil {
 			writeMsgTimeout(conn, iot, MsgBye, nil)
 			return hello.Name, nil
 		}
-		c.lease(g, hello.Name)
-		if err := writeMsgTimeout(conn, iot, MsgJob, jobMsg{ID: g.id, Spec: g.spec, Idxs: g.idxs}); err != nil {
-			c.requeue(g, fmt.Errorf("send to %s: %w", hello.Name, err))
+		c.lease(j, hello.Name)
+		if err := writeMsgTimeout(conn, iot, MsgJob, jobMsg{ID: j.id, Spec: j.spec, Idx: j.idx}); err != nil {
+			c.requeue(j, fmt.Errorf("send to %s: %w", hello.Name, err))
 			return hello.Name, fmt.Errorf("job: %w", err)
 		}
 
-		// The lease: the worker must produce the group's outcome within
-		// the deadline or it is presumed dead and the group is requeued.
+		// The lease: the worker must produce the job's outcome within the
+		// deadline or it is presumed dead and the job is requeued.
 		typ, payload, err := readFrameTimeout(conn, lease)
 		if err != nil {
-			c.requeue(g, fmt.Errorf("worker %s: %w", hello.Name, err))
-			return hello.Name, fmt.Errorf("group %d: %w", g.id, err)
+			c.requeue(j, fmt.Errorf("worker %s: %w", hello.Name, err))
+			return hello.Name, fmt.Errorf("job %d: %w", j.id, err)
 		}
 		switch typ {
 		case MsgResult:
 			var res resultMsg
 			if err := decodeMsg(typ, payload, &res); err != nil {
-				c.requeue(g, err)
+				c.requeue(j, err)
 				return hello.Name, err
 			}
-			if res.ID != g.id {
-				err := fmt.Errorf("result for group %d while %d is leased", res.ID, g.id)
-				c.requeue(g, err)
+			if res.ID != j.id {
+				err := fmt.Errorf("result for job %d while %d is leased", res.ID, j.id)
+				c.requeue(j, err)
 				return hello.Name, err
 			}
-			if len(res.Cells) != len(g.idxs) {
+			if len(res.Cell) == 0 || string(res.Cell) == "null" {
 				// A malformed result is a worker bug, not a crash: fail
-				// the group rather than recompute the same bug elsewhere.
-				c.deliver(g, groupOutcome{err: fmt.Errorf("dsweep: worker %s returned %d cells for %d jobs", hello.Name, len(res.Cells), len(g.idxs))})
+				// the job rather than recompute the same bug elsewhere.
+				c.deliver(j, jobOutcome{err: fmt.Errorf("dsweep: worker %s returned no cell for job %d", hello.Name, j.id)})
 				continue
 			}
-			c.deliver(g, groupOutcome{cells: res.Cells})
+			c.deliver(j, jobOutcome{cell: res.Cell})
 			c.mu.Lock()
 			ws.completed++
-			ws.jobs += uint64(len(g.idxs))
 			if res.Cache != nil {
 				ws.cache = *res.Cache
 			}
@@ -574,17 +562,17 @@ func (c *Coordinator) serveWorker(conn net.Conn) (string, error) {
 		case MsgFail:
 			var fail failMsg
 			if err := decodeMsg(typ, payload, &fail); err != nil {
-				c.requeue(g, err)
+				c.requeue(j, err)
 				return hello.Name, err
 			}
 			// Job errors are deterministic; requeueing would repeat them.
-			c.deliver(g, groupOutcome{err: fmt.Errorf("dsweep: worker %s: %s", hello.Name, truncate(fail.Error, MaxErrorLen))})
+			c.deliver(j, jobOutcome{err: fmt.Errorf("dsweep: worker %s: %s", hello.Name, truncate(fail.Error, MaxErrorLen))})
 			c.mu.Lock()
 			ws.fails++
 			c.mu.Unlock()
 		default:
 			err := fmt.Errorf("expected result, got %v", typ)
-			c.requeue(g, err)
+			c.requeue(j, err)
 			return hello.Name, err
 		}
 	}

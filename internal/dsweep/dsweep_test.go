@@ -26,19 +26,30 @@ func startCoordinator(t *testing.T, opt Options) (*Coordinator, string) {
 	return c, ln.Addr().String()
 }
 
-// echoRunner returns one cell per index holding the index itself, so the
-// test can verify order and coverage end to end.
-func echoRunner(calls *atomic.Int64) GroupRunner {
-	return func(_ context.Context, spec []byte, idxs []int) ([]json.RawMessage, error) {
+// echoRunner returns a cell holding the job's index and spec, so the
+// test can verify coverage end to end.
+func echoRunner(calls *atomic.Int64) JobRunner {
+	return func(_ context.Context, spec []byte, i int) (json.RawMessage, error) {
 		if calls != nil {
 			calls.Add(1)
 		}
-		cells := make([]json.RawMessage, len(idxs))
-		for k, i := range idxs {
-			cells[k] = json.RawMessage(fmt.Sprintf(`{"idx":%d,"spec":%s}`, i, spec))
-		}
-		return cells, nil
+		return json.RawMessage(fmt.Sprintf(`{"idx":%d,"spec":%s}`, i, spec)), nil
 	}
+}
+
+// cellIdx decodes the index an echoRunner cell carries, or reports the
+// cell and returns -1. Tests call it off their own goroutine, so it does
+// not stop the test.
+func cellIdx(t *testing.T, cell json.RawMessage) int {
+	t.Helper()
+	var c struct {
+		Idx int `json:"idx"`
+	}
+	if err := json.Unmarshal(cell, &c); err != nil {
+		t.Errorf("cell %s: %v", cell, err)
+		return -1
+	}
+	return c.Idx
 }
 
 // rawWorker speaks the wire protocol by hand, so tests can misbehave in
@@ -88,15 +99,18 @@ func (w *rawWorker) takeJob() jobMsg {
 	return job
 }
 
-func runGroup(t *testing.T, c *Coordinator, idxs []int) []json.RawMessage {
+// runJob dispatches job i through c and returns the index its cell
+// carries, or reports the failure and returns -1, like cellIdx.
+func runJob(t *testing.T, c *Coordinator, i int) int {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	cells, err := c.RunGroup(ctx, []byte(`{"kind":"test"}`), idxs)
+	cell, err := c.RunJob(ctx, []byte(`{"kind":"test"}`), i)
 	if err != nil {
-		t.Fatal(err)
+		t.Errorf("job %d: %v", i, err)
+		return -1
 	}
-	return cells
+	return cellIdx(t, cell)
 }
 
 func TestCoordinatorRoundTrip(t *testing.T) {
@@ -106,28 +120,15 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- Work(ctx, addr, echoRunner(nil), WorkOptions{Name: "w", Slots: 2}) }()
 
-	// Several groups in flight at once exercise the work-stealing pull.
-	type res struct {
-		idxs  []int
-		cells []json.RawMessage
+	// Several jobs in flight at once exercise the work-stealing pull.
+	type res struct{ want, got int }
+	results := make(chan res, 6)
+	for i := 0; i < 6; i++ {
+		go func() { results <- res{i, runJob(t, c, i)} }()
 	}
-	results := make(chan res, 3)
-	for g := 0; g < 3; g++ {
-		idxs := []int{g * 10, g*10 + 1}
-		go func() { results <- res{idxs, runGroup(t, c, idxs)} }()
-	}
-	for g := 0; g < 3; g++ {
-		r := <-results
-		if len(r.cells) != len(r.idxs) {
-			t.Fatalf("group %v: %d cells", r.idxs, len(r.cells))
-		}
-		for k, i := range r.idxs {
-			var cell struct {
-				Idx int `json:"idx"`
-			}
-			if err := json.Unmarshal(r.cells[k], &cell); err != nil || cell.Idx != i {
-				t.Fatalf("cell %d: %s (%v), want idx %d", k, r.cells[k], err, i)
-			}
+	for range 6 {
+		if r := <-results; r.got != r.want {
+			t.Fatalf("job %d came back with the cell of job %d", r.want, r.got)
 		}
 	}
 
@@ -141,48 +142,47 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 func TestWorkerCrashRequeues(t *testing.T) {
 	c, addr := startCoordinator(t, Options{})
 
-	// The victim takes the group and crashes (connection drops mid-lease).
+	// The victim takes the job and crashes (connection drops mid-lease).
 	victim := dialRaw(t, addr, protoVersion)
 	victim.expect(MsgHello)
-	result := make(chan []json.RawMessage, 1)
-	go func() { result <- runGroup(t, c, []int{4, 5, 6}) }()
+	result := make(chan int, 1)
+	go func() { result <- runJob(t, c, 4) }()
 	job := victim.takeJob()
-	if len(job.Idxs) != 3 {
-		t.Fatalf("job idxs %v", job.Idxs)
+	if job.Idx != 4 {
+		t.Fatalf("job idx %d, want 4", job.Idx)
 	}
 	victim.conn.Close()
 
-	// A healthy worker picks the requeued group up and completes it.
+	// A healthy worker picks the requeued job up and completes it.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
 	go Work(ctx, addr, echoRunner(&calls), WorkOptions{Name: "healthy"})
 
-	cells := <-result
-	if len(cells) != 3 {
-		t.Fatalf("requeued group returned %d cells", len(cells))
+	if i := <-result; i != 4 {
+		t.Fatalf("requeued job returned the cell of job %d", i)
 	}
 	if calls.Load() != 1 {
-		t.Fatalf("healthy worker ran the group %d times", calls.Load())
+		t.Fatalf("healthy worker ran the job %d times", calls.Load())
 	}
 }
 
 func TestLeaseTimeoutRequeues(t *testing.T) {
 	c, addr := startCoordinator(t, Options{Lease: 50 * time.Millisecond})
 
-	// The slow worker takes the group and goes silent without dying.
+	// The slow worker takes the job and goes silent without dying.
 	slow := dialRaw(t, addr, protoVersion)
 	slow.expect(MsgHello)
-	result := make(chan []json.RawMessage, 1)
-	go func() { result <- runGroup(t, c, []int{7}) }()
+	result := make(chan int, 1)
+	go func() { result <- runJob(t, c, 7) }()
 	slow.takeJob() // never answers
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go Work(ctx, addr, echoRunner(nil), WorkOptions{Name: "healthy"})
 
-	if cells := <-result; len(cells) != 1 {
-		t.Fatalf("leased-out group returned %d cells", len(cells))
+	if i := <-result; i != 7 {
+		t.Fatalf("leased-out job returned the cell of job %d", i)
 	}
 }
 
@@ -191,21 +191,49 @@ func TestJobErrorFailsWithoutRequeue(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	go Work(ctx, addr, func(context.Context, []byte, []int) ([]json.RawMessage, error) {
+	go Work(ctx, addr, func(context.Context, []byte, int) (json.RawMessage, error) {
 		calls.Add(1)
 		return nil, errors.New("deterministic sim failure")
 	}, WorkOptions{Name: "failing"})
 
 	rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer rcancel()
-	_, err := c.RunGroup(rctx, []byte(`{}`), []int{0})
+	_, err := c.RunJob(rctx, []byte(`{}`), 0)
 	if err == nil || !strings.Contains(err.Error(), "deterministic sim failure") {
 		t.Fatalf("want the job error, got %v", err)
 	}
-	// The error is final: the group must not bounce to another attempt.
+	// The error is final: the job must not bounce to another attempt.
 	time.Sleep(50 * time.Millisecond)
 	if calls.Load() != 1 {
-		t.Fatalf("failed group ran %d times, want 1", calls.Load())
+		t.Fatalf("failed job ran %d times, want 1", calls.Load())
+	}
+}
+
+// TestEmptyCellFailsWithoutRequeue: a Result frame without a cell is a
+// worker bug, so the coordinator fails the job rather than recompute the
+// same bug elsewhere.
+func TestEmptyCellFailsWithoutRequeue(t *testing.T) {
+	c, addr := startCoordinator(t, Options{})
+	for _, res := range []string{`{"id":%d}`, `{"id":%d,"cell":null}`} {
+		w := dialRaw(t, addr, protoVersion)
+		w.expect(MsgHello)
+		result := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			_, err := c.RunJob(ctx, []byte(`{}`), 0)
+			result <- err
+		}()
+		job := w.takeJob()
+		if err := WriteFrame(w.conn, MsgResult, []byte(fmt.Sprintf(res, job.ID))); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-result; err == nil || !strings.Contains(err.Error(), "no cell") {
+			t.Fatalf("result %s: want a no-cell failure, got %v", res, err)
+		}
+	}
+	if st := c.Status(); st.Requeues != 0 {
+		t.Fatalf("an empty cell requeued its job %d times", st.Requeues)
 	}
 }
 
@@ -215,10 +243,10 @@ func TestMaxAttemptsFailsGroup(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, err := c.RunGroup(ctx, []byte(`{}`), []int{0})
+		_, err := c.RunJob(ctx, []byte(`{}`), 0)
 		result <- err
 	}()
-	// Two consecutive workers crash on the same group.
+	// Two consecutive workers crash on the same job.
 	for i := 0; i < 2; i++ {
 		w := dialRaw(t, addr, protoVersion)
 		w.expect(MsgHello)
@@ -231,19 +259,19 @@ func TestMaxAttemptsFailsGroup(t *testing.T) {
 	}
 }
 
-func TestRunGroupContextCancel(t *testing.T) {
+func TestRunJobContextCancel(t *testing.T) {
 	c, _ := startCoordinator(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.RunGroup(ctx, []byte(`{}`), []int{0}); !errors.Is(err, context.Canceled) {
+	if _, err := c.RunJob(ctx, []byte(`{}`), 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// The cancelled group must not linger for the next worker.
+	// The cancelled job must not linger for the next worker.
 	c.mu.Lock()
 	queued := len(c.queue)
 	c.mu.Unlock()
 	if queued != 0 {
-		t.Fatalf("%d groups still queued after cancellation", queued)
+		t.Fatalf("%d jobs still queued after cancellation", queued)
 	}
 }
 
@@ -259,10 +287,10 @@ func TestCloseFailsQueuedGroups(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, err := c.RunGroup(ctx, []byte(`{}`), []int{0})
+		_, err := c.RunJob(ctx, []byte(`{}`), 0)
 		result <- err
 	}()
-	// Wait until the group is queued, then shut down.
+	// Wait until the job is queued, then shut down.
 	for {
 		c.mu.Lock()
 		n := len(c.queue)
@@ -277,8 +305,8 @@ func TestCloseFailsQueuedGroups(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "coordinator closed") {
 		t.Fatalf("want a closed-coordinator failure, got %v", err)
 	}
-	if _, err := c.RunGroup(context.Background(), []byte(`{}`), []int{0}); err == nil {
-		t.Fatal("RunGroup after Close succeeded")
+	if _, err := c.RunJob(context.Background(), []byte(`{}`), 0); err == nil {
+		t.Fatal("RunJob after Close succeeded")
 	}
 }
 
@@ -288,22 +316,22 @@ func TestGracefulDrainDeliversRunningGroup(t *testing.T) {
 	started := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- Work(ctx, addr, func(_ context.Context, spec []byte, idxs []int) ([]json.RawMessage, error) {
+		done <- Work(ctx, addr, func(_ context.Context, spec []byte, i int) (json.RawMessage, error) {
 			close(started)
-			// The cancellation lands while this group is running; the drain
+			// The cancellation lands while this job is running; the drain
 			// contract says the result is still computed and delivered.
 			time.Sleep(100 * time.Millisecond)
-			return echoRunner(nil)(context.Background(), spec, idxs)
+			return echoRunner(nil)(context.Background(), spec, i)
 		}, WorkOptions{Name: "draining"})
 	}()
 
-	result := make(chan []json.RawMessage, 1)
-	go func() { result <- runGroup(t, c, []int{9}) }()
+	result := make(chan int, 1)
+	go func() { result <- runJob(t, c, 9) }()
 	<-started
-	cancel() // SIGTERM mid-group
+	cancel() // SIGTERM mid-job
 
-	if cells := <-result; len(cells) != 1 {
-		t.Fatalf("drained group returned %d cells", len(cells))
+	if i := <-result; i != 9 {
+		t.Fatalf("drained job returned the cell of job %d", i)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("graceful drain returned %v", err)
@@ -377,12 +405,12 @@ func TestWorkerReconnectsAfterTransportLoss(t *testing.T) {
 	started := make(chan struct{})
 	killed := make(chan struct{})
 	var calls atomic.Int64
-	runner := func(_ context.Context, spec []byte, idxs []int) ([]json.RawMessage, error) {
+	runner := func(_ context.Context, spec []byte, i int) (json.RawMessage, error) {
 		if calls.Add(1) == 1 {
 			close(started)
-			<-killed // hold the group until the test severs the connection
+			<-killed // hold the job until the test severs the connection
 		}
-		return echoRunner(nil)(context.Background(), spec, idxs)
+		return echoRunner(nil)(context.Background(), spec, i)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -392,21 +420,21 @@ func TestWorkerReconnectsAfterTransportLoss(t *testing.T) {
 		done <- Work(ctx, "pipe", runner, WorkOptions{Name: "flaky", Dial: dial, DialRetry: 5 * time.Second})
 	}()
 
-	result := make(chan []json.RawMessage, 1)
-	go func() { result <- runGroup(t, c, []int{1, 2, 3}) }()
+	result := make(chan int, 1)
+	go func() { result <- runJob(t, c, 1) }()
 
-	// Sever the connection while the group runs: the coordinator requeues
+	// Sever the connection while the job runs: the coordinator requeues
 	// it off the broken lease, and the slot's result write fails — a
 	// non-drain transport loss that must trigger a reconnect.
 	<-started
 	kill()
 	close(killed)
 
-	if cells := <-result; len(cells) != 3 {
-		t.Fatalf("group returned %d cells after reconnect", len(cells))
+	if i := <-result; i != 1 {
+		t.Fatalf("job returned the cell of job %d after reconnect", i)
 	}
 	if n := calls.Load(); n != 2 {
-		t.Fatalf("group ran %d times, want 2 (once per era)", n)
+		t.Fatalf("job ran %d times, want 2 (once per era)", n)
 	}
 	st := c.Status()
 	if st.Reconnects != 1 {
@@ -454,8 +482,8 @@ func TestBadTokenRejected(t *testing.T) {
 	wctx, wcancel := context.WithCancel(context.Background())
 	defer wcancel()
 	go Work(wctx, addr, echoRunner(nil), WorkOptions{Name: "legit", Token: "s3cret"})
-	if cells := runGroup(t, c, []int{1}); len(cells) != 1 {
-		t.Fatalf("authenticated worker returned %d cells", len(cells))
+	if i := runJob(t, c, 1); i != 1 {
+		t.Fatalf("authenticated worker returned the cell of job %d", i)
 	}
 
 	// Empty token against a token-bearing coordinator is also rejected.
@@ -507,7 +535,7 @@ func TestStalledPeerCannotWedgeWorker(t *testing.T) {
 
 func TestDrainRaceStillDeliversResult(t *testing.T) {
 	// Cancellation landing between the runner returning and the result
-	// frame going out must not tear the finished group off the wire.
+	// frame going out must not tear the finished job off the wire.
 	c, addr := startCoordinator(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -519,8 +547,8 @@ func TestDrainRaceStillDeliversResult(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() { done <- Work(ctx, addr, echoRunner(nil), WorkOptions{Name: "racer"}) }()
-	if cells := runGroup(t, c, []int{1, 2}); len(cells) != 2 {
-		t.Fatalf("drain-raced group returned %d cells", len(cells))
+	if i := runJob(t, c, 2); i != 2 {
+		t.Fatalf("drain-raced job returned the cell of job %d", i)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("drain-raced worker returned %v", err)
@@ -545,7 +573,7 @@ func TestOversizeFieldsTruncated(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_, err := c.RunGroup(ctx, []byte(`{}`), []int{0})
+		_, err := c.RunJob(ctx, []byte(`{}`), 0)
 		result <- err
 	}()
 	job := w.takeJob()
@@ -554,7 +582,7 @@ func TestOversizeFieldsTruncated(t *testing.T) {
 	}
 	gerr := <-result
 	if gerr == nil {
-		t.Fatal("oversize fail message did not fail the group")
+		t.Fatal("oversize fail message did not fail the job")
 	}
 	if len(gerr.Error()) > MaxErrorLen+128 {
 		t.Fatalf("delivered error is %d bytes; the coordinator did not truncate", len(gerr.Error()))
@@ -577,13 +605,13 @@ func TestStatusSnapshot(t *testing.T) {
 	defer cancel()
 	go Work(ctx, addr, echoRunner(nil), WorkOptions{Name: "obs"})
 
-	for g := 0; g < 3; g++ {
-		runGroup(t, c, []int{g * 2, g*2 + 1})
+	for i := 0; i < 6; i++ {
+		runJob(t, c, i)
 	}
 	var st Status
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		st = c.Status()
-		if st.Workers == 1 && len(st.PerWorker) == 1 && st.PerWorker[0].Completed == 3 {
+		if st.Workers == 1 && len(st.PerWorker) == 1 && st.PerWorker[0].Completed == 6 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -595,7 +623,7 @@ func TestStatusSnapshot(t *testing.T) {
 		t.Fatalf("idle coordinator shows queued=%d inflight=%d", st.Queued, st.InFlight)
 	}
 	w := st.PerWorker[0]
-	if w.Name != "obs" || !w.Connected || w.Jobs != 6 || w.Connects != 1 {
+	if w.Name != "obs" || !w.Connected || w.Completed != 6 || w.Connects != 1 {
 		t.Fatalf("per-worker row: %+v", w)
 	}
 	out := st.String()
@@ -675,8 +703,8 @@ func TestWorkerReconnectsAfterCoordinatorEOF(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if cells := runGroup(t, c, []int{1, 2}); len(cells) != 2 {
-		t.Fatalf("post-EOF group returned %d cells", len(cells))
+	if i := runJob(t, c, 2); i != 2 {
+		t.Fatalf("post-EOF job returned the cell of job %d", i)
 	}
 	cancel()
 	if err := <-done; err != nil {

@@ -13,11 +13,11 @@ import (
 // identical bytes or reject with ErrBadFrame — never panic, never
 // allocate from an untrusted length.
 func FuzzDecodeFrame(f *testing.F) {
-	good := mustFrame(f, MsgJob, []byte(`{"id":3,"spec":{"kind":"runall"},"idxs":[0,1]}`))
+	good := mustFrame(f, MsgJob, []byte(`{"id":3,"spec":`+wireSpec+`,"idx":1}`))
 	f.Add(good)
 	f.Add(mustFrame(f, MsgReady, nil))
-	f.Add(mustFrame(f, MsgHello, []byte(`{"proto":1,"name":"w0"}`)))
-	f.Add(mustFrame(f, MsgResult, []byte(`{"id":3,"cells":[{"res":{}},{"res":{}}]}`)))
+	f.Add(mustFrame(f, MsgHello, []byte(`{"proto":3,"name":"w0"}`)))
+	f.Add(mustFrame(f, MsgResult, []byte(`{"id":3,"cell":`+wireCell+`,"cache":{"hits":1,"misses":1,"evictions":0}}`)))
 
 	// Single-field corruptions of a valid frame.
 	for _, mut := range []struct {

@@ -27,9 +27,9 @@ type ServeFlags struct {
 // which names what the calling tool coordinates.
 func (f *ServeFlags) Register(fs *flag.FlagSet, serveUsage string) {
 	fs.StringVar(&f.addr, "serve", "", serveUsage)
-	fs.DurationVar(&f.lease, "lease", DefaultLease, "with -serve: a worker silent this long after taking a job group is presumed dead and the group is requeued")
+	fs.DurationVar(&f.lease, "lease", DefaultLease, "with -serve: a worker silent this long after taking a job is presumed dead and the job is requeued")
 	fs.StringVar(&f.token, "token", "", "with -serve: shared secret workers must present in their handshake (empty accepts any worker)")
-	fs.IntVar(&f.maxAttempts, "max-attempts", DefaultMaxAttempts, "with -serve: workers that may be lost on one job group before the group fails")
+	fs.IntVar(&f.maxAttempts, "max-attempts", DefaultMaxAttempts, "with -serve: workers that may be lost on one job before the job fails")
 	fs.StringVar(&f.chaosSpec, "chaos", "", "with -serve: deterministic network-fault injection on worker connections, e.g. seed=1,reset=0.02,delay=2ms (testing)")
 	fs.StringVar(&f.tlsCert, "tls-cert", "", "with -serve: PEM certificate; worker connections are TLS-wrapped (requires -tls-key)")
 	fs.StringVar(&f.tlsKey, "tls-key", "", "with -serve: PEM private key for -tls-cert")

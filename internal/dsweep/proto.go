@@ -11,12 +11,13 @@ import (
 // protoVersion is the handshake protocol version, distinct from the frame
 // version: the frame layer rejects byte-level skew, the hello rejects
 // semantic skew (message meanings, job payload contract). Version 2 ships
-// sweep specs as benchmarks × axes instead of one of seven grid kinds, so
-// a version-1 worker is refused at the hello rather than failing every
-// group. Token and Attempt are optional additions — absent fields decode
-// to their zero values, so a pre-auth worker still interoperates with an
-// open (tokenless) coordinator.
-const protoVersion = 2
+// sweep specs as benchmarks × axes instead of one of seven grid kinds;
+// version 3 ships one grid index per Job and one cell per Result instead
+// of lists of them. An older worker is refused at the hello rather than
+// failing every job. Token and Attempt are optional additions — absent
+// fields decode to their zero values, so a pre-auth worker still
+// interoperates with an open (tokenless) coordinator.
+const protoVersion = 3
 
 // Field caps the coordinator enforces on worker-supplied strings, so a
 // pathological worker cannot bloat coordinator logs, Status output or
@@ -53,13 +54,13 @@ type helloMsg struct {
 	Attempt int    `json:"attempt,omitempty"`
 }
 
-// jobMsg ships one sweep job group: the opaque, JSON-encoded sweep spec
-// (the grid's pure description — the worker reconstructs configs and
-// traces from it) plus the grid indices to execute.
+// jobMsg ships one sweep job: the opaque, JSON-encoded sweep spec (the
+// grid's pure description — the worker reconstructs configs and traces
+// from it) plus the grid index to execute.
 type jobMsg struct {
 	ID   uint64          `json:"id"`
 	Spec json.RawMessage `json:"spec"`
-	Idxs []int           `json:"idxs"`
+	Idx  int             `json:"idx"`
 }
 
 // CacheCounts are a worker's monotonic trace-cache counters. Each Result
@@ -73,17 +74,17 @@ type CacheCounts struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// resultMsg returns a completed group: one JSON-encoded cell per index,
-// in index order, plus the worker's current trace-cache counters.
+// resultMsg returns a completed job: its JSON-encoded cell, plus the
+// worker's current trace-cache counters.
 type resultMsg struct {
-	ID    uint64            `json:"id"`
-	Cells []json.RawMessage `json:"cells"`
-	Cache *CacheCounts      `json:"cache,omitempty"`
+	ID    uint64          `json:"id"`
+	Cell  json.RawMessage `json:"cell"`
+	Cache *CacheCounts    `json:"cache,omitempty"`
 }
 
-// failMsg reports a group whose execution failed. The coordinator fails
-// the group without requeueing it: job errors are deterministic, so
-// another worker would only reproduce them.
+// failMsg reports a job whose execution failed. The coordinator fails the
+// job without requeueing it: job errors are deterministic, so another
+// worker would only reproduce them.
 type failMsg struct {
 	ID    uint64 `json:"id"`
 	Error string `json:"error"`

@@ -56,7 +56,8 @@ func ClientTLS(caFile string, skipVerify bool) (*tls.Config, error) {
 // TLSDialer wraps a dial function with a TLS client handshake, deriving
 // ServerName from the dialed address when cfg does not name one. A failed
 // handshake closes the connection and surfaces as a dial error, so the
-// worker's usual retry/backoff budget governs it.
+// worker's usual retry/backoff budget governs it — except a certificate
+// the worker does not trust, which fails the slot at once.
 func TLSDialer(base func(ctx context.Context, addr string) (net.Conn, error), cfg *tls.Config) func(ctx context.Context, addr string) (net.Conn, error) {
 	return func(ctx context.Context, addr string) (net.Conn, error) {
 		conn, err := base(ctx, addr)

@@ -8,7 +8,6 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/json"
 	"encoding/pem"
 	"math/big"
 	"net"
@@ -87,7 +86,7 @@ func tcpDial(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // TestTLSEndToEnd runs a full campaign over an encrypted connection with
-// token auth riding inside it: a CA-pinning worker completes every group
+// token auth riding inside it: a CA-pinning worker completes every job
 // and the results match the plaintext protocol's exactly.
 func TestTLSEndToEnd(t *testing.T) {
 	coord, addr, caPath := startTLSCoordinator(t, Options{Token: "hush"})
@@ -103,20 +102,13 @@ func TestTLSEndToEnd(t *testing.T) {
 		Dial:  TLSDialer(tcpDial, ccfg),
 	})
 
-	for g := 0; g < 3; g++ {
-		cells, err := coord.RunGroup(context.Background(), []byte(`{"g":true}`), []int{2 * g, 2*g + 1})
+	for i := 0; i < 6; i++ {
+		cell, err := coord.RunJob(context.Background(), []byte(`{"g":true}`), i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cells) != 2 {
-			t.Fatalf("group %d: %d cells, want 2", g, len(cells))
-		}
-		var cell struct{ Idx int }
-		if err := json.Unmarshal(cells[0], &cell); err != nil {
-			t.Fatal(err)
-		}
-		if cell.Idx != 2*g {
-			t.Fatalf("group %d: first cell is index %d, want %d", g, cell.Idx, 2*g)
+		if got := cellIdx(t, cell); got != i {
+			t.Fatalf("job %d came back with the cell of job %d", i, got)
 		}
 	}
 	if coord.Status().Workers == 0 {
@@ -135,14 +127,15 @@ func TestTLSSkipVerify(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	go Work(ctx, addr, echoRunner(nil), WorkOptions{Name: "insecure", Dial: TLSDialer(tcpDial, ccfg)})
-	if _, err := coord.RunGroup(context.Background(), []byte(`{}`), []int{0}); err != nil {
+	if _, err := coord.RunJob(context.Background(), []byte(`{}`), 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestTLSUntrustedCertRejected pins the verification contract: a worker
 // that pins no CA (system roots) must refuse the self-signed coordinator,
-// and the failure must read as a certificate problem, not a hang.
+// and the failure must read as a certificate problem, reported at once
+// rather than retried for the whole dial budget.
 func TestTLSUntrustedCertRejected(t *testing.T) {
 	_, addr, _ := startTLSCoordinator(t, Options{})
 	ccfg, err := ClientTLS("", false)
@@ -151,13 +144,18 @@ func TestTLSUntrustedCertRejected(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	t.Cleanup(cancel)
+	start := time.Now()
 	err = Work(ctx, addr, echoRunner(nil), WorkOptions{
-		Name:       "untrusting",
-		Dial:       TLSDialer(tcpDial, ccfg),
-		Reconnects: -1, // DefaultDialRetry: the budget is not under test
+		Name: "untrusting",
+		Dial: TLSDialer(tcpDial, ccfg),
+		// DefaultDialRetry and the default reconnect budget: neither may
+		// be spent on a certificate no retry can make trusted.
 	})
 	if err == nil {
 		t.Fatal("worker accepted an untrusted certificate")
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("worker took %v to report an untrusted certificate", elapsed)
 	}
 	if !strings.Contains(err.Error(), "tls") && !strings.Contains(err.Error(), "certificate") {
 		t.Fatalf("failure does not mention TLS: %v", err)

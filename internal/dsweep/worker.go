@@ -15,26 +15,26 @@ import (
 	"hmccoal/internal/splitmix"
 )
 
-// GroupRunner executes one sweep job group on the worker: spec is the
-// opaque JSON grid description the coordinator shipped, idxs the grid
-// indices to run, and the result is one JSON-encoded cell per index, in
-// index order. An error fails the group on the coordinator without a
-// requeue, so runners should return errors only for deterministic
-// failures — and let genuine crashes crash.
-type GroupRunner func(ctx context.Context, spec []byte, idxs []int) ([]json.RawMessage, error)
+// JobRunner executes one sweep job on the worker: spec is the opaque JSON
+// grid description the coordinator shipped, i the grid index to run, and
+// the result is the job's JSON-encoded cell. An error fails the job on
+// the coordinator without a requeue, so runners should return errors
+// only for deterministic failures — and let genuine crashes crash.
+type JobRunner func(ctx context.Context, spec []byte, i int) (json.RawMessage, error)
 
 // WorkOptions tunes a worker process.
 type WorkOptions struct {
 	// Name identifies the worker in coordinator logs.
 	Name string
-	// Slots is the number of job groups the worker runs concurrently,
-	// each on its own connection (the coordinator treats every connection
+	// Slots is the number of jobs the worker runs concurrently, each on
+	// its own connection (the coordinator treats every connection
 	// as an independent work-stealing puller). 0 means 1.
 	Slots int
 	// DialRetry is the budget for reaching the coordinator: each dial is
 	// retried with jittered backoff until it succeeds or this much time
 	// passes, so workers may be launched before the coordinator's
-	// listener is up. 0 means DefaultDialRetry.
+	// listener is up. A coordinator certificate the worker does not
+	// trust fails at once: no retry can fix it. 0 means DefaultDialRetry.
 	DialRetry time.Duration
 	// Token authenticates the worker to the coordinator: it travels in
 	// the Hello and must match the coordinator's -token (or both must be
@@ -59,7 +59,7 @@ type WorkOptions struct {
 	// Dial overrides a single dial attempt (tests and chaos injection);
 	// nil uses a plain TCP dial. Retry policy stays with the worker.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// CacheStats, when non-nil, is polled after every completed group and
+	// CacheStats, when non-nil, is polled after every completed job and
 	// its counters shipped in the Result frame, surfacing the worker's
 	// trace-cache effectiveness in the coordinator's Status(). It must be
 	// safe for concurrent use (slots share one runner).
@@ -120,27 +120,28 @@ func (o WorkOptions) dialFunc() func(ctx context.Context, addr string) (net.Conn
 }
 
 // terminalError marks a slot failure that reconnecting cannot fix — a
-// rejected handshake (bad token, protocol skew). The slot surfaces it
-// immediately instead of burning its reconnect budget.
+// rejected handshake (bad token, protocol skew) or an untrusted
+// coordinator certificate. The slot surfaces it immediately instead of
+// burning its reconnect budget.
 type terminalError struct{ err error }
 
 func (e *terminalError) Error() string { return e.err.Error() }
 func (e *terminalError) Unwrap() error { return e.err }
 
-// testHookBeforeReport, when non-nil, runs after a group's runner returns
+// testHookBeforeReport, when non-nil, runs after a job's runner returns
 // and before its result frame is written — the window a graceful drain
 // must not tear (see TestDrainRaceStillDeliversResult).
 var testHookBeforeReport func()
 
 // Work runs a sweep worker against the coordinator at addr until the
 // coordinator drains it (an explicit Bye) or ctx is cancelled.
-// Cancellation drains gracefully: a group already running is finished
+// Cancellation drains gracefully: a job already running is finished
 // and its result delivered before the slot disconnects — SIGTERM never
 // forfeits completed work. A slot whose connection is lost to a
 // transport error re-dials with jittered backoff and resumes pulling,
 // bounded by WorkOptions.Reconnects consecutive failures. It returns nil
 // on a clean drain and the first slot failure otherwise.
-func Work(ctx context.Context, addr string, run GroupRunner, opt WorkOptions) error {
+func Work(ctx context.Context, addr string, run JobRunner, opt WorkOptions) error {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
@@ -173,7 +174,7 @@ func Work(ctx context.Context, addr string, run GroupRunner, opt WorkOptions) er
 // handshake resets it, so the budget bounds how long the slot chases a
 // dead coordinator, not how many transient faults a long campaign
 // weathers.
-func workSlot(ctx context.Context, addr string, run GroupRunner, name string, opt WorkOptions) error {
+func workSlot(ctx context.Context, addr string, run JobRunner, name string, opt WorkOptions) error {
 	jitter := slotSeed(name)
 	attempts := 0
 	for {
@@ -204,7 +205,7 @@ func workSlot(ctx context.Context, addr string, run GroupRunner, name string, op
 // slotConn runs one connection era. It reports whether the handshake
 // completed (for the reconnect budget) and returns nil only on a clean
 // drain: an explicit coordinator Bye or graceful cancellation.
-func slotConn(ctx context.Context, addr string, run GroupRunner, name string, era int, opt WorkOptions) (handshaked bool, err error) {
+func slotConn(ctx context.Context, addr string, run JobRunner, name string, era int, opt WorkOptions) (handshaked bool, err error) {
 	conn, err := dial(ctx, addr, opt.dialFunc(), opt.dialRetry(), slotSeed(name)^uint64(era))
 	if err != nil {
 		return false, err
@@ -214,7 +215,7 @@ func slotConn(ctx context.Context, addr string, run GroupRunner, name string, er
 	iot := opt.ioTimeout()
 
 	// busy is false while the slot waits for a job; cancellation then
-	// closes the connection to unblock the read. While a group is running
+	// closes the connection to unblock the read. While a job is running
 	// — or its finished result is still being reported — the connection
 	// stays up so completed work is never torn by a graceful drain.
 	var busy atomic.Bool
@@ -279,21 +280,21 @@ func slotConn(ctx context.Context, addr string, run GroupRunner, name string, er
 			if err := decodeMsg(typ, payload, &job); err != nil {
 				return handshaked, err
 			}
-			// The group runs to completion even under cancellation
+			// The job runs to completion even under cancellation
 			// (graceful drain): context.WithoutCancel keeps the runner's
 			// ctx values without its deadline. busy stays true through
 			// the report write, so a cancellation landing between the
 			// runner returning and the result frame going out cannot
-			// close the connection under the finished group.
+			// close the connection under the finished job.
 			busy.Store(true)
-			cells, rerr := run(context.WithoutCancel(ctx), job.Spec, job.Idxs)
+			cell, rerr := run(context.WithoutCancel(ctx), job.Spec, job.Idx)
 			if testHookBeforeReport != nil {
 				testHookBeforeReport()
 			}
 			if rerr != nil {
 				err = writeMsgTimeout(conn, iot, MsgFail, failMsg{ID: job.ID, Error: rerr.Error()})
 			} else {
-				res := resultMsg{ID: job.ID, Cells: cells}
+				res := resultMsg{ID: job.ID, Cell: cell}
 				if opt.CacheStats != nil {
 					counts := opt.CacheStats()
 					res.Cache = &counts
@@ -302,10 +303,10 @@ func slotConn(ctx context.Context, addr string, run GroupRunner, name string, er
 			}
 			busy.Store(false)
 			if err != nil {
-				return handshaked, drainErr(ctx, fmt.Errorf("dsweep: report group %d: %w", job.ID, err))
+				return handshaked, drainErr(ctx, fmt.Errorf("dsweep: report job %d: %w", job.ID, err))
 			}
 			if ctx.Err() != nil {
-				return handshaked, nil // drained after delivering the running group
+				return handshaked, nil // drained after delivering the running job
 			}
 		default:
 			return handshaked, fmt.Errorf("dsweep: expected job, got %v", typ)
@@ -328,6 +329,8 @@ func drainErr(ctx context.Context, err error) error {
 // reconnecting) together do not re-dial in lockstep. It reports the last
 // attempt's error, unless that attempt failed only because the budget
 // ran out under it: then the attempt before it says why dialing failed.
+// A certificate the worker does not trust ends the dial at once, as a
+// terminalError.
 func dial(ctx context.Context, addr string, dialOne func(ctx context.Context, addr string) (net.Conn, error), budget time.Duration, seed uint64) (net.Conn, error) {
 	deadline := time.Now().Add(budget)
 	delay := 50 * time.Millisecond
@@ -342,6 +345,10 @@ func dial(ctx context.Context, addr string, dialOne func(ctx context.Context, ad
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
+		}
+		var untrusted *tls.CertificateVerificationError // wraps the x509 cause
+		if errors.As(err, &untrusted) {
+			return nil, &terminalError{fmt.Errorf("dsweep: dial %s: %w", addr, err)}
 		}
 		if expired && prev != nil {
 			err = prev

@@ -34,8 +34,8 @@ type Options struct {
 	// SweepWorkers sizes the in-process pool sweep jobs run on (0 = all
 	// cores). With Dispatch set, sweep jobs go to remote workers instead.
 	SweepWorkers int
-	// Dispatch, when non-nil, ships sweep job groups to a distributed
-	// coordinator (the dsweep plane) instead of simulating in-process.
+	// Dispatch, when non-nil, ships each cell of a sweep job to a
+	// distributed coordinator (the dsweep plane) instead of simulating in-process.
 	Dispatch hmccoal.Dispatcher
 	// Logf, when non-nil, receives daemon lifecycle chatter.
 	Logf func(format string, args ...any)
@@ -136,7 +136,7 @@ type Daemon struct {
 // ledger, re-queues every job the previous process left unfinished and
 // starts scheduling. Jobs that were running at the crash are re-run:
 // sweep and soak jobs resume from their JSONL checkpoints (completed
-// groups restore, only pending work recomputes), single runs re-execute
+// cells restore, only pending work recomputes), single runs re-execute
 // from scratch — all byte-identical by the simulator's determinism
 // contract. Completed jobs keep their results and are never re-run.
 func NewDaemon(opt Options) (*Daemon, error) {
@@ -312,7 +312,7 @@ func (d *Daemon) scheduleLocked() {
 // maybePreemptLocked parks the lowest-priority running job when a
 // strictly higher-priority job is waiting with no free slot. The victim's
 // slot frees once its executor acknowledges the park (sweeps at the next
-// group boundary, single runs at the next step-batch boundary), and the
+// cell boundary, single runs at the next step-batch boundary), and the
 // scheduler then starts the waiting job.
 func (d *Daemon) maybePreemptLocked() {
 	if len(d.running) < d.opt.slots() {

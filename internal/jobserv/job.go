@@ -8,7 +8,7 @@
 // truth for job lifecycle (submitted → started → parked/resumed →
 // done/failed/canceled); sweep and soak jobs additionally persist their
 // completed work in the sweep layer's JSONL checkpoints, so a job that
-// restarts after a crash recomputes only its unfinished groups and still
+// restarts after a crash recomputes only its unfinished cells and still
 // produces byte-identical results. A preempted single-run job keeps its
 // stopped System in memory and resumes stepping it — zero recompute while
 // the daemon lives — and re-runs deterministically from scratch after a

@@ -370,12 +370,13 @@ func TestMSHRSweepReportsEfficiency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := hmccoal.NewSweepRunner().RunGroup(context.Background(), raw, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := hmccoal.NewSweepRunner()
 	var want []float64
-	for _, c := range cells {
+	for i := range 2 {
+		c, err := r.RunJob(context.Background(), raw, i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var cell hmccoal.SweepCell
 		if err := json.Unmarshal(c, &cell); err != nil {
 			t.Fatal(err)

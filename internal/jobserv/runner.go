@@ -105,7 +105,7 @@ func (d *Daemon) execSingle(ctl execCtl, spec Spec) execOutcome {
 
 // execSweep runs one evaluation sweep grid through its preset. Every
 // attempt — first run, post-preemption resume, post-crash re-run —
-// executes with the same per-job checkpoint file, so completed groups
+// executes with the same per-job checkpoint file, so completed cells
 // restore instead of recomputing and the final output is byte-identical
 // across any interruption history.
 func (d *Daemon) execSweep(ctl execCtl, id string, spec Spec) execOutcome {

@@ -16,7 +16,7 @@ type Pool struct {
 }
 
 // Get returns a System ready for cfg: the newest idle one built for the
-// same cache hierarchy, Reset to cfg, or else NewSystem(cfg). An invalid
+// same CPU count and LLC, Reset to cfg, or else NewSystem(cfg). An invalid
 // cfg fails without taking a System from the pool.
 func (p *Pool) Get(cfg Config) (*System, error) {
 	if err := cfg.withMode().Validate(); err != nil {
@@ -25,7 +25,7 @@ func (p *Pool) Get(cfg Config) (*System, error) {
 	p.mu.Lock()
 	var sys *System
 	for i := len(p.idle) - 1; i >= 0; i-- {
-		if p.idle[i].cfg.Hierarchy == cfg.Hierarchy {
+		if p.idle[i].fits(cfg) {
 			sys = p.idle[i]
 			p.idle = slices.Delete(p.idle, i, i+1)
 			break

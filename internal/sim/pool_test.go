@@ -168,9 +168,9 @@ func TestPoolBadConfig(t *testing.T) {
 }
 
 // TestPool pins the idle list itself: Get hands out the newest idle
-// System built for the job's hierarchy and builds one otherwise, Put
-// drops the oldest beyond the limit, and a System
-// abandoned mid-run comes back clean.
+// System built for the job's CPU count and LLC and builds one otherwise,
+// Put drops the oldest beyond the limit, a System abandoned mid-run comes
+// back clean, and a System serves any private L1/L2 shape.
 func TestPool(t *testing.T) {
 	cfg := DefaultConfig()
 	small := DefaultConfig()
@@ -237,11 +237,28 @@ func TestPool(t *testing.T) {
 	} else if want := soloRun(t, cfg, accs); !reflect.DeepEqual(got, want) {
 		t.Error("a System abandoned mid-run came back dirty")
 	}
+
+	// Built for the default hierarchy, reused for a 16 KiB L1.
+	p.Put(s, 1)
+	l1 := DefaultConfig()
+	l1.Hierarchy.L1.SizeBytes = 16 << 10
+	want := soloRun(t, l1, other)
+	if reflect.DeepEqual(want, soloRun(t, cfg, other)) {
+		t.Fatal("a 16 KiB L1 does not change the run; the test cannot tell the shapes apart")
+	}
+	if r := get(l1); r != s {
+		t.Error("Get did not reuse the System for a job that differs only in its L1")
+	} else if got, err := r.Run(other); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(got, want) {
+		t.Error("a System reused for a 16 KiB L1 diverges from a fresh one")
+	}
 }
 
 // TestSystemReset checks the pool's recycling primitive directly: a reset
 // system reruns to the exact same result as a fresh one, including across
-// a config change that keeps the hierarchy, and rejects hierarchy changes.
+// config changes that keep the CPU count and LLC (a private level
+// included), and rejects a different CPU count or LLC.
 func TestSystemReset(t *testing.T) {
 	accs := genTrace(t, "FT", 300)
 
@@ -308,11 +325,33 @@ func TestSystemReset(t *testing.T) {
 		t.Error("reset back to the default front-end diverges from the first run")
 	}
 
-	// A different hierarchy cannot be recycled into.
+	// The private levels are not part of the System: a 16 KiB L1 over the
+	// same CPUs and LLC resets in place (on SSCA2, whose run the smaller
+	// L1 changes).
+	cfg5 := DefaultConfig()
+	cfg5.Hierarchy.L1.SizeBytes = 16 << 10
+	if err := s.Reset(cfg5); err != nil {
+		t.Fatal(err)
+	}
+	ssca := genTrace(t, "SSCA2", 300)
+	got, err = s.Run(ssca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := soloRun(t, cfg5, ssca); !reflect.DeepEqual(got, want) {
+		t.Error("reset into a 16 KiB L1 diverges from a fresh system")
+	}
+
+	// A different CPU count or LLC cannot be recycled into.
 	cfg3 := DefaultConfig()
 	cfg3.Hierarchy.CPUs = 4
 	if err := s.Reset(cfg3); err == nil {
-		t.Error("Reset accepted a different hierarchy")
+		t.Error("Reset accepted a different CPU count")
+	}
+	cfg6 := DefaultConfig()
+	cfg6.Hierarchy.LLC.SizeBytes = 8 << 20
+	if err := s.Reset(cfg6); err == nil {
+		t.Error("Reset accepted a different LLC")
 	}
 }
 

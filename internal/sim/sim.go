@@ -335,19 +335,20 @@ func NewSystem(cfg Config) (*System, error) {
 // freshly built state for cfg. Every layer resets in place — the LLC's
 // multi-megabyte tag array, the device, the coalescer with its MSHR file,
 // and the token ring — instead of being rebuilt through the allocator.
-// cfg must keep the Hierarchy the System was built with; everything else
-// — mode, backend, coalescer tuning, fault plan, checks — may change
-// between runs. A reset System produces byte-identical results to one
-// built fresh from the same cfg: this is what lets a Pool hand one System
-// to job after job without paying NewSystem per job. After an error the
-// System must not be used again.
+// cfg must keep the CPU count and LLC the System was built with;
+// everything else — the private L1/L2 shapes, mode, backend, coalescer
+// tuning, fault plan, checks — may change between runs. A reset System
+// produces byte-identical results to one built fresh from the same cfg:
+// this is what lets a Pool hand one System to job after job without
+// paying NewSystem per job. After an error the System must not be used
+// again.
 func (s *System) Reset(cfg Config) error {
 	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.Hierarchy != s.cfg.Hierarchy {
-		return fmt.Errorf("sim: Reset with a different hierarchy (build a fresh System)")
+	if !s.fits(cfg) {
+		return fmt.Errorf("sim: Reset with a different CPU count or LLC (build a fresh System)")
 	}
 	s.llc.Reset()
 	if err := s.device.Reset(cfg.Backend, cfg.HMC); err != nil {
@@ -358,6 +359,13 @@ func (s *System) Reset(cfg Config) error {
 	}
 	s.init(cfg)
 	return nil
+}
+
+// fits reports whether Reset can take the System to cfg: a System holds
+// the shared LLC and per-CPU state, not the private levels, whose filter
+// each run looks up from the cfg Reset installs.
+func (s *System) fits(cfg Config) bool {
+	return cfg.Hierarchy.CPUs == s.cfg.Hierarchy.CPUs && cfg.Hierarchy.LLC == s.cfg.Hierarchy.LLC
 }
 
 // init zeroes the run state around the layers NewSystem built and Reset

@@ -104,12 +104,12 @@ func TestSweepReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.RunGroup(context.Background(), raw, []int{i})
+			got, err := r.RunJob(context.Background(), raw, i)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var cell SweepCell
-			if err := json.Unmarshal(got[0], &cell); err != nil {
+			if err := json.Unmarshal(got, &cell); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(cell, want[k][i]) {
@@ -199,46 +199,46 @@ func TestBatchedTimeoutAndFaultSweeps(t *testing.T) {
 	}
 }
 
-// TestSweepRunnerJobErrorNamesJob: a failing job aborts its group with an
-// error naming the job, and the runner's pool stays usable for the next
-// group.
+// TestSweepRunnerJobErrorNamesJob: a failing job returns an error naming
+// the job, and the runner's pool stays usable for the jobs after it.
 func TestSweepRunnerJobErrorNamesJob(t *testing.T) {
 	s := SweepSpec{Params: sweepTestParams(), Benches: []string{"FT", "NOPE"}, Axes: []Axis{AxisOf("mshr", []int{8, 16})}}
 	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewSweepRunner()
-	_, err = r.RunGroup(context.Background(), raw, []int{0, 1, 2, 3})
-	if err == nil || !strings.Contains(err.Error(), "job 2 (NOPE/mshr=8)") {
-		t.Fatalf("error %v does not name job 2 (NOPE/mshr=8)", err)
-	}
-	got, err := r.RunGroup(context.Background(), raw, []int{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := freshCells(t, SweepSpec{Params: s.Params, Benches: s.Benches[:1], Axes: s.Axes})
-	for k, i := range []int{1, 0} {
+	r := NewSweepRunner()
+	for _, i := range []int{0, 1, 2, 1, 0} {
+		got, err := r.RunJob(context.Background(), raw, i)
+		if i == 2 {
+			if err == nil || !strings.Contains(err.Error(), "job 2 (NOPE/mshr=8)") {
+				t.Fatalf("error %v does not name job 2 (NOPE/mshr=8)", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		var cell SweepCell
-		if err := json.Unmarshal(got[k], &cell); err != nil {
+		if err := json.Unmarshal(got, &cell); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cell, want[i]) {
-			t.Errorf("job %d after the failed group differs from a fresh System", i)
+			t.Errorf("job %d differs from a fresh System", i)
 		}
 	}
 }
 
 // TestTraceCacheRetention pins the trace cache's retention contract. On
 // a walk that is not whole (a dsweep worker's view of a sweep): an entry
-// a group holds survives any number of newer misses, an idle entry is
+// a job holds survives any number of newer misses, an idle entry is
 // evicted once the walk reaches a later benchmark, the walk's furthest
-// trace stays resident as a hit, and a group behind it does not move the
+// trace stays resident as a hit, and a job behind it does not move the
 // walk back. Interleaved walks each keep their own trace, a walk trailing
-// another reuses the traces generated before its latest group, and idle
-// walks beyond the most groups ever run at once are forgotten. A whole
-// walk keeps a trace until every job of its benchmark has run, however
-// late.
+// another reuses the traces generated before its latest job, and idle
+// walks beyond the most jobs ever run at once are forgotten. A whole walk
+// keeps a trace until every job of its benchmark has run, however late.
 func TestTraceCacheRetention(t *testing.T) {
 	benches := []string{"STREAM", "EP", "FT", "CG", "LU"}
 	walkSpec := func(axis Axis) (string, *sweepGrid) {
@@ -259,15 +259,15 @@ func TestTraceCacheRetention(t *testing.T) {
 		defer c.mu.Unlock()
 		return c.m[traceKey{bench: b, p: sweepTestParams()}] != nil
 	}
-	type group struct {
-		held    map[int]*traceEntry
+	type held struct {
+		e       *traceEntry
 		release func()
 	}
-	hold := func(spec string, g *sweepGrid, idxs ...int) group {
-		held, release := c.hold(spec, g, sweepTestParams(), idxs)
-		return group{held, release}
+	hold := func(spec string, g *sweepGrid, i int) held {
+		e, release := c.hold(spec, g, sweepTestParams(), i)
+		return held{e, release}
 	}
-	release := func(gr group) { gr.release() }
+	release := func(h held) { h.release() }
 	wantResident := func(when string, want map[string]bool) {
 		t.Helper()
 		for b, in := range want {
@@ -281,7 +281,7 @@ func TestTraceCacheRetention(t *testing.T) {
 	c = new(traceCache)
 	a, ga := walkSpec(AxisOf("timeout", []int{16}))
 	first := hold(a, ga, 0)
-	idx, err := first.held[0].load()
+	idx, err := first.e.load()
 	if err != nil || idx == nil || idx.Len() == 0 || c.stats.Misses != 1 {
 		t.Fatalf("load returned no trace (err %v) or missed %d times, want once", err, c.stats.Misses)
 	}
@@ -292,21 +292,21 @@ func TestTraceCacheRetention(t *testing.T) {
 	furthest := hold(a, ga, 3)
 	before := c.stats
 	again := hold(a, ga, 0)
-	if idx2, _ := again.held[0].load(); idx2 != idx || c.stats.Misses != before.Misses || c.stats.Hits != before.Hits+1 {
+	if idx2, _ := again.e.load(); idx2 != idx || c.stats.Misses != before.Misses || c.stats.Hits != before.Hits+1 {
 		t.Fatalf("a hit rebuilt the trace instead of sharing it (stats %+v, then %+v)", before, c.stats)
 	}
 	release(again)
-	wantResident("while another group holds it", map[string]bool{"STREAM": true})
+	wantResident("while another job holds it", map[string]bool{"STREAM": true})
 	release(first)
 	release(furthest)
 	wantResident("after release behind the walk", map[string]bool{"STREAM": false, "CG": true})
 	release(hold(a, ga, 1))
-	wantResident("after a late group", map[string]bool{"EP": false, "CG": true})
+	wantResident("after a late job", map[string]bool{"EP": false, "CG": true})
 	if want := (TraceCacheStats{Hits: 2, Misses: 5, Evictions: 4}); c.stats != want {
 		t.Fatalf("stats %+v, want %+v", c.stats, want)
 	}
 
-	// Two walks interleaved one group at a time each keep their trace; a
+	// Two walks interleaved one job at a time each keep their trace; a
 	// third forgets the least recently used.
 	c = new(traceCache)
 	b, gb := walkSpec(AxisOf("timeout", []int{28}))
@@ -322,8 +322,8 @@ func TestTraceCacheRetention(t *testing.T) {
 	}
 
 	// b trails a over the same trace parameters: it reuses a's traces
-	// generated before its latest group, and once it stops getting
-	// groups, a's newer traces go as a moves past them.
+	// generated before its latest job, and once it stops getting jobs,
+	// a's newer traces go as a moves past them.
 	c = new(traceCache)
 	for _, step := range []struct {
 		spec string
@@ -343,14 +343,16 @@ func TestTraceCacheRetention(t *testing.T) {
 	c = new(traceCache)
 	e, ge := walkSpec(Axis{"mode", []string{"MSHR-based", "DMC-only", "two-phase", payloadCell}})
 	end := c.whole(e, ge, sweepTestParams())
-	release(hold(e, ge, 0, 1, 2))
+	for i := range 3 {
+		release(hold(e, ge, i))
+	}
 	release(hold(e, ge, 4))
 	wantResident("before the late job", map[string]bool{"STREAM": true, "EP": true})
 	release(hold(e, ge, 3))
 	wantResident("after the late job", map[string]bool{"STREAM": false, "EP": true})
 	end()
 	wantResident("after the sweep", map[string]bool{"EP": false})
-	if want := (TraceCacheStats{Hits: 1, Misses: 2, Evictions: 2}); c.stats != want {
+	if want := (TraceCacheStats{Hits: 3, Misses: 2, Evictions: 2}); c.stats != want {
 		t.Fatalf("whole-walk stats %+v, want %+v", c.stats, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"hmccoal/internal/dsweep"
 	"hmccoal/internal/sim"
 )
 
@@ -23,8 +24,8 @@ import (
 // on every dsweep worker process, so a worker can reconstruct any job from
 // the spec alone (traces are seeded and regenerate deterministically;
 // nothing bulky crosses the wire). In-process sweeps and remote workers
-// alike execute groups through SweepRunner.RunGroup, which is what makes
-// the distributed output byte-identical to -workers 1 by construction.
+// alike execute jobs through SweepRunner.RunJob, which is what makes the
+// distributed output byte-identical to -workers 1 by construction.
 
 // SweepSpec is the serializable description of one sweep grid: a list of
 // benchmarks × an ordered list of axes. It is the unit the dsweep wire
@@ -152,13 +153,13 @@ func (s SweepSpec) fingerprint() (string, error) {
 	return hex.EncodeToString(sum[:8]), nil
 }
 
-// Dispatcher executes sweep job groups. RunGroup blocks until the group
-// completes somewhere and returns one JSON-encoded SweepCell per index, in
-// index order. SweepRunner executes groups in-process; the dsweep
-// coordinator (internal/dsweep.Coordinator) hands them to worker
-// processes with work-stealing and crash requeue.
+// Dispatcher executes sweep jobs. RunJob blocks until job i of the grid
+// spec describes completes somewhere and returns its JSON-encoded
+// SweepCell. SweepRunner executes jobs in-process; the dsweep coordinator
+// (internal/dsweep.Coordinator) hands them to worker processes with
+// work-stealing and crash requeue.
 type Dispatcher interface {
-	RunGroup(ctx context.Context, spec []byte, idxs []int) ([]json.RawMessage, error)
+	RunJob(ctx context.Context, spec []byte, i int) (json.RawMessage, error)
 }
 
 // SweepCell is the universal per-job result of a sweep grid: the
@@ -266,43 +267,37 @@ type traceKey struct {
 	p     TraceParams
 }
 
-// TraceCacheStats counts a SweepRunner's trace-cache behavior across
-// every group it ran: a hit is a group finding one of its benchmarks'
-// traces already resident (or being generated by a concurrent group), a
-// miss pays a full generation, and an eviction drops a trace that no
-// group holds and no walk needs. Each group counts once per benchmark it
-// touches, however many of its jobs replay that trace. The counters are
-// monotonic over a SweepRunner's lifetime; the dsweep protocol ships them
-// back with every result so the coordinator's Status() can show cache
-// effectiveness per worker.
-type TraceCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-}
+// TraceCacheStats counts a SweepRunner's trace-cache behavior, one hit
+// or miss per job it ran: a hit finds the job's trace already resident
+// (or being generated by a concurrent job), a miss pays a full
+// generation, and an eviction drops a trace that no job holds and no walk
+// needs. The counters are monotonic over a SweepRunner's lifetime; they
+// are the counters a dsweep worker ships back with every result, so the
+// coordinator's Status() shows cache effectiveness per worker.
+type TraceCacheStats = dsweep.CacheCounts
 
-// traceCache shares generated traces across a runner's job groups. A
-// trace stays resident while a group holds it; once idle, only while a
-// walk — the runner's view of one sweep spec, whose grid visits its
-// benchmarks in order — needs it. A whole walk (a sweep mapSpec runs
-// entirely on this runner) needs a benchmark's trace until every job of
-// that benchmark has run here, so the sweep pays one generation per
-// benchmark however late a group arrives; jobs restored from a checkpoint
-// never arrive, so a partly restored benchmark keeps its trace to the
-// end. Any other walk (a dsweep worker sees only some groups of each
-// sweep) needs the trace of the furthest benchmark it has reached; a
-// group behind it regenerates its trace without moving the walk back.
-// Every walk also needs the traces ahead of it generated before its
-// latest group, so a sweep trailing another over the same trace
-// parameters reuses the leader's. Besides the walks with groups running,
-// the runner remembers as many idle walks as it has ever run groups at
-// once, least recently used going first. Distinct benchmarks generate
-// concurrently; same-benchmark callers wait on the entry.
+// traceCache shares generated traces across a runner's jobs. A trace
+// stays resident while a job holds it; once idle, only while a walk — the
+// runner's view of one sweep spec, whose grid visits its benchmarks in
+// order — needs it. A whole walk (a sweep mapSpec runs entirely on this
+// runner) needs a benchmark's trace until every job of that benchmark has
+// run here, so the sweep pays one generation per benchmark however late a
+// job arrives; jobs restored from a checkpoint never arrive, so a partly
+// restored benchmark keeps its trace to the end. Any other walk (a dsweep
+// worker sees only some jobs of each sweep) needs the trace of the
+// furthest benchmark it has reached; a job behind it regenerates its
+// trace without moving the walk back. Every walk also needs the traces
+// ahead of it generated before its latest job, so a sweep trailing
+// another over the same trace parameters reuses the leader's. Besides the
+// walks with jobs running, the runner remembers as many idle walks as it
+// has ever run jobs at once, least recently used going first. Distinct
+// benchmarks generate concurrently; same-benchmark callers wait on the
+// entry.
 type traceCache struct {
 	mu            sync.Mutex
 	m             map[traceKey]*traceEntry
 	walks         map[string]*walk // by raw spec
-	running, peak int              // groups holding entries: now, and at most
+	running, peak int              // jobs holding entries: now, and at most
 	clock         uint64           // counts holds
 	stats         TraceCacheStats
 }
@@ -312,8 +307,8 @@ type walk struct {
 	g       *sweepGrid
 	p       TraceParams
 	whole   int    // mapSpec sweeps running every job of the spec here
-	running int    // groups of the spec holding entries
-	last    uint64 // clock at the spec's latest group
+	running int    // jobs of the spec holding entries
+	last    uint64 // clock at the spec's latest job
 	cursor  int    // furthest benchmark position held; -1 before any
 	seen    []int  // jobs held per benchmark position
 }
@@ -322,7 +317,7 @@ func (w *walk) key(b int) traceKey { return traceKey{bench: w.g.benches[b], p: w
 
 type traceEntry struct {
 	key   traceKey
-	users int    // groups holding the entry; guarded by traceCache.mu
+	users int    // jobs holding the entry; guarded by traceCache.mu
 	born  uint64 // clock at the miss that created the entry
 	once  sync.Once
 	idx   *TraceIndex
@@ -357,11 +352,10 @@ func (c *traceCache) whole(spec string, g *sweepGrid, p TraceParams) (end func()
 	}
 }
 
-// hold holds, until release is called, the trace of every benchmark the
-// group's indices touch, keyed by benchmark position; a trace without an
-// entry is a miss. It forgets the least recently used idle walks beyond
-// peak.
-func (c *traceCache) hold(spec string, g *sweepGrid, p TraceParams, idxs []int) (held map[int]*traceEntry, release func()) {
+// hold holds the trace of job i's benchmark until release is called; a
+// trace without an entry is a miss. It forgets the least recently used
+// idle walks beyond peak.
+func (c *traceCache) hold(spec string, g *sweepGrid, p TraceParams, i int) (e *traceEntry, release func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.walkLocked(spec, g, p)
@@ -370,24 +364,17 @@ func (c *traceCache) hold(spec string, g *sweepGrid, p TraceParams, idxs []int) 
 	c.peak = max(c.peak, c.running)
 	w.last = c.clock
 	w.running++
-	held = make(map[int]*traceEntry)
-	for _, i := range idxs {
-		b := i / g.perBench
-		if w.seen[b]++; held[b] != nil {
-			continue
-		}
-		e := c.m[w.key(b)]
-		if e != nil {
-			c.stats.Hits++
-		} else {
-			c.stats.Misses++
-			e = &traceEntry{key: w.key(b), born: c.clock}
-			c.m[e.key] = e
-		}
-		e.users++
-		held[b] = e
-		w.cursor = max(w.cursor, b)
+	b := i / g.perBench
+	w.seen[b]++
+	w.cursor = max(w.cursor, b)
+	if e = c.m[w.key(b)]; e != nil {
+		c.stats.Hits++
+	} else {
+		c.stats.Misses++
+		e = &traceEntry{key: w.key(b), born: c.clock}
+		c.m[e.key] = e
 	}
+	e.users++
 	var idle []string
 	for s, v := range c.walks {
 		if v.whole == 0 && v.running == 0 {
@@ -399,14 +386,12 @@ func (c *traceCache) hold(spec string, g *sweepGrid, p TraceParams, idxs []int) 
 		delete(c.walks, s)
 	}
 	c.evictLocked()
-	return held, func() {
+	return e, func() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.running--
 		w.running--
-		for _, e := range held {
-			e.users--
-		}
+		e.users--
 		c.evictLocked()
 	}
 }
@@ -441,40 +426,39 @@ func (e *traceEntry) load() (*TraceIndex, error) {
 	return e.idx, e.err
 }
 
-// SweepRunner executes sweep job groups against a trace cache. It is the
+// SweepRunner executes sweep jobs against a trace cache. It is the
 // Dispatcher every in-process sweep runs through, and the function a
-// dsweep worker hands every job it pulls (RunGroup has the
-// dsweep.GroupRunner shape); CacheStats exposes the cache's counters for
-// the Result protocol (dsweep.WorkOptions.CacheStats).
+// dsweep worker hands every job it pulls (RunJob has the dsweep.JobRunner
+// shape); CacheStats exposes the cache's counters for the Result protocol
+// (dsweep.WorkOptions.CacheStats).
 type SweepRunner struct {
 	cache traceCache
 	// pool keeps finished Systems for the next jobs, at most as many as
-	// the runner has ever run groups at once (cache.peak).
+	// the runner has ever run jobs at once (cache.peak).
 	pool sim.Pool
 }
 
-// NewSweepRunner builds a group executor. RunGroup decodes the SweepSpec,
-// regenerates the group's benchmark traces (shared with concurrent and
-// consecutive groups on the same benchmark, so an in-process sweep pays
-// each generation once), runs the jobs one after another on pooled
-// Systems and returns one JSON-encoded SweepCell per index. Errors are
-// deterministic job failures; the coordinator fails the group rather than
-// retrying them elsewhere.
+// NewSweepRunner builds a job executor. RunJob decodes the SweepSpec,
+// regenerates the job's benchmark trace (shared with concurrent and
+// consecutive jobs on the same benchmark, so an in-process sweep pays
+// each generation once), runs the job on a pooled System and returns its
+// JSON-encoded SweepCell. Errors are deterministic job failures; the
+// coordinator fails the job rather than retrying it elsewhere.
 func NewSweepRunner() *SweepRunner { return &SweepRunner{} }
 
 // CacheStats snapshots the runner's trace-cache counters. Safe for
-// concurrent use with RunGroup.
+// concurrent use with RunJob.
 func (r *SweepRunner) CacheStats() TraceCacheStats {
 	r.cache.mu.Lock()
 	defer r.cache.mu.Unlock()
 	return r.cache.stats
 }
 
-// RunGroup executes one sweep job group, its jobs in index order, each on
-// a System from the runner's pool: a simulation job replays its trace, a
+// RunJob executes job i of the grid rawSpec describes on a System from
+// the runner's pool: a simulation job replays its trace, a
 // payload-analysis job replays its private-level misses through the
 // System's LLC.
-func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([]json.RawMessage, error) {
+func (r *SweepRunner) RunJob(_ context.Context, rawSpec []byte, i int) (json.RawMessage, error) {
 	var spec SweepSpec
 	if err := json.Unmarshal(rawSpec, &spec); err != nil {
 		return nil, fmt.Errorf("hmccoal: sweep spec: %w", err)
@@ -483,33 +467,24 @@ func (r *SweepRunner) RunGroup(_ context.Context, rawSpec []byte, idxs []int) ([
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range idxs {
-		if i < 0 || i >= g.n() {
-			return nil, fmt.Errorf("hmccoal: job index %d outside the %d-job grid", i, g.n())
-		}
+	if i < 0 || i >= g.n() {
+		return nil, fmt.Errorf("hmccoal: job index %d outside the %d-job grid", i, g.n())
 	}
-	held, release := r.cache.hold(string(rawSpec), g, spec.Params, idxs)
+	e, release := r.cache.hold(string(rawSpec), g, spec.Params, i)
 	defer release()
-
-	raw := make([]json.RawMessage, len(idxs))
-	for k, i := range idxs {
-		cell, err := r.runJob(g, held[i/g.perBench], i)
-		if err == nil {
-			raw[k], err = json.Marshal(cell)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("hmccoal: job %d (%s): %w", i, g.name(i), err)
-		}
+	raw, err := r.run(g, e, i)
+	if err != nil {
+		return nil, fmt.Errorf("hmccoal: job %d (%s): %w", i, g.name(i), err)
 	}
 	return raw, nil
 }
 
-// runJob runs grid job i on a pooled System and returns the System to the
-// pool once the job succeeds.
-func (r *SweepRunner) runJob(g *sweepGrid, e *traceEntry, i int) (SweepCell, error) {
+// run runs grid job i on a pooled System, returns the System to the pool
+// once the job succeeds, and encodes the job's cell.
+func (r *SweepRunner) run(g *sweepGrid, e *traceEntry, i int) ([]byte, error) {
 	idx, err := e.load()
 	if err != nil {
-		return SweepCell{}, err
+		return nil, err
 	}
 	pay := g.isPayload(i)
 	cfg := g.base
@@ -518,7 +493,7 @@ func (r *SweepRunner) runJob(g *sweepGrid, e *traceEntry, i int) (SweepCell, err
 	}
 	sys, err := r.pool.Get(cfg)
 	if err != nil {
-		return SweepCell{}, err
+		return nil, err
 	}
 	var cell SweepCell
 	if pay {
@@ -527,11 +502,11 @@ func (r *SweepRunner) runJob(g *sweepGrid, e *traceEntry, i int) (SweepCell, err
 		cell.Res, err = sys.RunIndexed(idx)
 	}
 	if err != nil {
-		return SweepCell{}, err
+		return nil, err
 	}
 	r.cache.mu.Lock()
 	limit := r.cache.peak
 	r.cache.mu.Unlock()
 	r.pool.Put(sys, limit)
-	return cell, nil
+	return json.Marshal(cell)
 }

@@ -119,7 +119,7 @@ func TestSweepSpecFrontendValidation(t *testing.T) {
 		`{"benches":["SG"],"axes":[{"name":"timeout","values":["16"]}],"frontend":"gpu"}`,
 		`{"benches":["SG"],"axes":[{"name":"timeout","values":["16"]}],"sched":"lifo"}`,
 	} {
-		if _, err := NewSweepRunner().RunGroup(context.Background(), []byte(spec), []int{0}); err == nil {
+		if _, err := NewSweepRunner().RunJob(context.Background(), []byte(spec), 0); err == nil {
 			t.Errorf("spec %s accepted", spec)
 		} else if !strings.Contains(err.Error(), "sweep spec") {
 			t.Errorf("spec %s error %q does not name the sweep spec", spec, err)

@@ -43,10 +43,10 @@ type SweepOptions struct {
 	// (see Config.Variant). A preset that sweeps a field of it ignores
 	// that field.
 	Variant
-	// Dispatch, when non-nil, runs every job group instead of an
-	// in-process SweepRunner — the distributed sweep path (see Dispatcher
-	// and internal/dsweep). Workers then bounds in-flight groups rather
-	// than local simulation goroutines; checkpointing, progress and result
+	// Dispatch, when non-nil, runs every job instead of an in-process
+	// SweepRunner — the distributed sweep path (see Dispatcher and
+	// internal/dsweep). Workers then bounds in-flight jobs rather than
+	// local simulation goroutines; checkpointing, progress and result
 	// assembly are unchanged, and the output stays byte-identical to the
 	// in-process run.
 	Dispatch Dispatcher
@@ -71,8 +71,8 @@ func (o SweepOptions) engine(spec SweepSpec) (sweep.Options, error) {
 
 // mapSpec fans a sweep grid across the engine: each grid index goes to
 // opt.Dispatch — or, when that is nil, to a SweepRunner built for this
-// sweep — as a one-index (spec, indices) group and comes back as a JSON
-// cell, returned in index order on the calling process. Local and
+// sweep — as a (spec, index) job and comes back as a JSON cell, returned
+// in index order on the calling process. Local and
 // distributed runs share this one path, so the checkpoint format, the
 // progress cadence and the final output are identical across them.
 func mapSpec(ctx context.Context, spec SweepSpec, opt SweepOptions) ([]SweepCell, error) {
@@ -99,14 +99,11 @@ func mapSpec(ctx context.Context, spec SweepSpec, opt SweepOptions) ([]SweepCell
 	}
 	return sweep.Map(ctx, g.n(), eng, func(ctx context.Context, i int) (SweepCell, error) {
 		var cell SweepCell
-		cells, err := d.RunGroup(ctx, raw, []int{i})
+		out, err := d.RunJob(ctx, raw, i)
 		if err != nil {
 			return cell, err
 		}
-		if len(cells) != 1 {
-			return cell, fmt.Errorf("hmccoal: dispatcher returned %d cells for job %d", len(cells), i)
-		}
-		if err := json.Unmarshal(cells[0], &cell); err != nil {
+		if err := json.Unmarshal(out, &cell); err != nil {
 			return cell, fmt.Errorf("hmccoal: decode cell %d: %w", i, err)
 		}
 		return cell, nil

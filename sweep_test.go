@@ -129,8 +129,8 @@ func TestSweepErrorAborts(t *testing.T) {
 // TestRunAllGeneratesEachTraceOnce runs RunAll through an explicit
 // SweepRunner dispatcher — the executor every in-process sweep uses — and
 // checks the grid's benchmark-by-benchmark walk pays one trace generation
-// per benchmark, serial or with groups in flight. That
-// holds by construction because the sweep marks its walk whole on the
+// per benchmark, serial or with jobs in flight. That holds by
+// construction because the sweep marks its walk whole on the
 // runner, which the progress hook checks while the sweep runs.
 func TestRunAllGeneratesEachTraceOnce(t *testing.T) {
 	if testing.Short() {

@@ -61,7 +61,7 @@ func TestVariantWireBytes(t *testing.T) {
 		}
 	}
 	// An unknown name is a sweep-spec error on the worker that decodes it.
-	_, err := NewSweepRunner().RunGroup(context.Background(), []byte(`{"benches":["SG"],"axes":[{"name":"timeout","values":["16"]}],"backend":"sram"}`), []int{0})
+	_, err := NewSweepRunner().RunJob(context.Background(), []byte(`{"benches":["SG"],"axes":[{"name":"timeout","values":["16"]}],"backend":"sram"}`), 0)
 	if err == nil || !strings.Contains(err.Error(), "sweep spec") || !strings.Contains(err.Error(), `"sram"`) {
 		t.Errorf("unknown backend: error %v, want a sweep spec error naming it", err)
 	}
