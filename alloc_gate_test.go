@@ -48,12 +48,12 @@ func TestAllocationGate(t *testing.T) {
 		build, run float64
 		buildBytes uint64
 	}{
-		{ModeBaseline, FrontendTwoPhase, 73, 222, 2419624},
-		{ModeDMCOnly, FrontendTwoPhase, 73, 155, 2419624},
-		{ModeTwoPhase, FrontendTwoPhase, 73, 155, 2419624},
-		{ModeBaseline, FrontendWarp, 22, 222, 2415104},
-		{ModeDMCOnly, FrontendWarp, 22, 184, 2415104},
-		{ModeTwoPhase, FrontendWarp, 22, 184, 2415104},
+		{ModeBaseline, FrontendTwoPhase, 73, 222, 2419368},
+		{ModeDMCOnly, FrontendTwoPhase, 73, 155, 2419368},
+		{ModeTwoPhase, FrontendTwoPhase, 73, 155, 2419368},
+		{ModeBaseline, FrontendWarp, 22, 222, 2414848},
+		{ModeDMCOnly, FrontendWarp, 22, 184, 2414848},
+		{ModeTwoPhase, FrontendWarp, 22, 184, 2414848},
 	}
 	const runs = 3
 	for _, tc := range cases {

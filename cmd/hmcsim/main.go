@@ -239,14 +239,13 @@ type coalescedDriver struct {
 }
 
 const (
-	driverLineBytes  = 64
-	driverBlockBytes = 256
-	driverLanes      = 16
+	driverLineBytes = 64
+	driverLanes     = 16
 )
 
 func newCoalescedDriver(fe coalescer.Kind, sched coalescer.Sched, dev *hmc.Device) (*coalescedDriver, error) {
 	d := &coalescedDriver{}
-	fr, err := coalescer.New(coalescer.DefaultConfig(), fe, sched, driverLanes, dev.SubmitPacket,
+	fr, err := coalescer.New(coalescer.DefaultConfig(), coalescer.TwoPhase, fe, sched, driverLanes, dev.SubmitPacket,
 		func(tick uint64, subs []mshr.Sub, fault bool) {
 			if tick != hmc.NeverTick && tick > d.last {
 				d.last = tick
@@ -273,7 +272,7 @@ func (d *coalescedDriver) step(addr uint64, size uint32) error {
 			Line:    line,
 			Payload: uint32(chunk),
 			Token:   d.token,
-			CPU:     uint8((addr + off) / driverBlockBytes % driverLanes),
+			CPU:     uint8((addr + off) / coalescer.BlockBytes % driverLanes),
 		})
 		d.token++
 		off += chunk

@@ -7,11 +7,12 @@ import (
 	"hmccoal/internal/mshr"
 )
 
-// benchCoalescer builds a two-phase coalescer against a fake memory that
-// answers every request latency cycles after it is issued.
-func benchCoalescer(b *testing.B, cfg Config, latency uint64) *Coalescer {
+// benchCoalescer builds a coalescer with the sorter gather under mode
+// against a fake memory that answers every request latency cycles after it
+// is issued.
+func benchCoalescer(b *testing.B, mode Mode, latency uint64) *Coalescer {
 	b.Helper()
-	c, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1,
+	c, err := New(DefaultConfig(), mode, KindTwoPhase, SchedFRFCFS, 1,
 		func(tick uint64, _ hmc.Request) (hmc.Completion, error) {
 			return hmc.Completion{Done: tick + latency}, nil
 		},
@@ -26,7 +27,7 @@ func benchCoalescer(b *testing.B, cfg Config, latency uint64) *Coalescer {
 // line-adjacent misses flushed through the sorter, the DMC unit, the CRQ
 // and the MSHR file, with time advanced past every completion.
 func BenchmarkPushAdvance(b *testing.B) {
-	c := benchCoalescer(b, DefaultConfig(), 200)
+	c := benchCoalescer(b, TwoPhase, 200)
 	tick := uint64(0)
 	tok := uint64(0)
 	b.ReportAllocs()
@@ -50,7 +51,7 @@ func BenchmarkPushAdvance(b *testing.B) {
 // BenchmarkBaselinePush measures the conventional-MHA path (no sorter):
 // every miss goes straight at the MSHRs.
 func BenchmarkBaselinePush(b *testing.B) {
-	c := benchCoalescer(b, BaselineConfig(), 200)
+	c := benchCoalescer(b, Baseline, 200)
 	tick := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -66,9 +67,8 @@ func BenchmarkBaselinePush(b *testing.B) {
 // MSHR file: every cycle advances time with no response due, so each pass
 // finds the file unchanged and has only the head's stalls to count.
 func BenchmarkBlockedHead(b *testing.B) {
-	cfg := BaselineConfig()
-	c := benchCoalescer(b, cfg, 1<<40) // no response lands during the run
-	n := uint64(cfg.MSHR.Entries)
+	c := benchCoalescer(b, Baseline, 1<<40) // no response lands during the run
+	n := uint64(DefaultConfig().MSHR.Entries)
 	for i := uint64(0); i <= n; i++ {
 		c.Push(0, Request{Line: i * 100, Payload: 8, Token: i}) // scattered
 	}

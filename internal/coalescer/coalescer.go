@@ -116,6 +116,65 @@ func ParseSched(s string) (Sched, error) { return scheds.Parse(s) }
 // Scheds lists the recognized scheduler names for usage messages.
 func Scheds() []string { return scheds.List() }
 
+// Mode selects the miss-handling architecture under test (Figure 8): which
+// of the two coalescing phases run.
+type Mode int
+
+// Evaluation modes.
+const (
+	// Baseline is the conventional MHA: MSHR-based coalescing only, fixed
+	// 64 B requests (the paper's comparison point, and Figure 8's
+	// "MSHR-based" series). Requests skip the gather stage.
+	Baseline Mode = iota
+	// DMCOnly enables the gather stage (first phase) but disables MSHR
+	// merging (Figure 8's "DMC unit" series).
+	DMCOnly
+	// TwoPhase is the full memory coalescer.
+	TwoPhase
+)
+
+// modes names every Mode, in iota order, as Figure 8 does.
+var modes = enum.Table[Mode]{Type: "Mode", Unknown: "coalescer: unknown mode", Names: []string{"MSHR-based", "DMC-only", "two-phase"}}
+
+// String names the mode as in Figure 8.
+func (m Mode) String() string { return modes.String(m) }
+
+// Validate rejects modes with no architecture behind them.
+func (m Mode) Validate() error { return modes.Validate(m) }
+
+// Fixed timing and geometry of the coalescer. The paper evaluates one
+// value of each, so they are constants rather than Config fields.
+const (
+	// StepCycles is τ, the time per comparator step of the sorting
+	// network (§4.1).
+	StepCycles = sortnet.DefaultStepCycles
+	// CompareCycles and MergeCycles price the DMC unit's operations
+	// (§5.3.3: both 2 cycles); the warp gather prices its block lookup
+	// the same way.
+	CompareCycles, MergeCycles = 2, 2
+	// BlockBytes is the largest HMC packet and the boundary a packet may
+	// not cross (HMC 2.1: 256 B).
+	BlockBytes = hmc.MaxRequestBytes
+	// BypassRearmCycles is how long the memory system must stay fully idle
+	// before the stage select re-arms the §4.2 bypass. §4.2 aims the bypass
+	// at program start and blocking calls (I/O, thread communication), not
+	// at sub-microsecond traffic valleys.
+	BypassRearmCycles = 2048
+	// RetryBackoffCycles is the delay before a failed (poisoned) packet's
+	// span is re-issued; it doubles per attempt up to RetryBackoffCap.
+	RetryBackoffCycles, RetryBackoffCap = 64, 4096
+	// MaxPacketRetries bounds re-issues per failed span; a span that still
+	// fails past it completes with its error bit set so waiters are never
+	// stranded.
+	MaxPacketRetries = 8
+	// DegradeWindow and DegradeThreshold govern degraded mode: once
+	// DegradeThreshold of the last DegradeWindow issued packets saw a link
+	// error, packets are capped at one cache line — a retransmitted 256 B
+	// packet costs 17 FLITs, so degradation trades coalescing efficiency for
+	// retry cost. The mode exits when the window holds half as many errors.
+	DegradeWindow, DegradeThreshold = 64, 16
+)
+
 // Config parameterizes the coalescer. The zero value is not valid; start
 // from DefaultConfig.
 type Config struct {
@@ -127,87 +186,34 @@ type Config struct {
 	TimeoutCycles uint64
 	// Fold selects the sorting pipeline organization (§4.1).
 	Fold sortnet.Fold
-	// StepCycles is τ, the time per comparator step (default 4).
-	StepCycles uint64
-	// CompareCycles and MergeCycles price the DMC unit's operations
-	// (§5.3.3: both 2 cycles).
-	CompareCycles, MergeCycles uint64
-	// LineBytes is the cache line size (64 B).
+	// LineBytes is the cache line size (64 B), a power of two no larger
+	// than BlockBytes.
 	LineBytes uint32
-	// BlockBytes is the maximum HMC packet and the boundary a packet may
-	// not cross (256 B).
-	BlockBytes uint32
-	// MSHR configures the dynamic MSHR file (16 entries in the paper; the
-	// CRQ is sized to match).
+	// MSHR sizes the dynamic MSHR file (16 entries in the paper; the CRQ
+	// is sized to match).
 	MSHR mshr.Config
-	// FirstPhase enables the sorting network + DMC unit. When false,
-	// requests flow directly to the MSHRs — the conventional MSHR-based
-	// coalescing baseline of Figure 8.
-	FirstPhase bool
-	// SecondPhase enables MSHR merging. When false every packet allocates
-	// fresh entries — the DMC-only series of Figure 8.
-	SecondPhase bool
 	// Bypass enables the §4.2 idle path: while the CRQ is empty, the input
 	// buffer is empty and MSHRs are free, raw requests skip the sorter and
 	// go straight to the MSHRs.
 	Bypass bool
-	// BypassRearmCycles is how long the memory system must stay fully idle
-	// before the stage select re-arms the bypass. §4.2 aims the bypass at
-	// program start and blocking calls (I/O, thread communication), not at
-	// sub-microsecond traffic valleys. 0 means the default (2048 cycles).
-	BypassRearmCycles uint64
 	// AdaptiveTimeout implements the paper's §5.3.3 conclusion that "it is
 	// ideal to equate the timeout with the average coalescing latency": the
 	// input-buffer timeout tracks an exponential moving average of the
 	// per-sequence coalescing cost (sorting + DMC), clamped to
 	// [TimeoutCycles/2, 4×TimeoutCycles]. TimeoutCycles seeds the average.
 	AdaptiveTimeout bool
-
-	// RetryBackoffCycles is the base delay before a failed (poisoned)
-	// packet's span is re-issued; the backoff doubles per attempt up to
-	// RetryBackoffCap. Zero means the defaults (64 and 4096 cycles).
-	RetryBackoffCycles uint64
-	RetryBackoffCap    uint64
-	// MaxPacketRetries bounds re-issues per failed span; a span that still
-	// fails past the cap completes with its error bit set so waiters are
-	// never stranded. Zero means the default (8).
-	MaxPacketRetries int
-	// DegradeWindow and DegradeThreshold govern degraded mode: over a
-	// sliding window of the last DegradeWindow issued packets, an observed
-	// link error rate at or above DegradeThreshold caps packet size at one
-	// cache line (64 B) — a retransmitted 256 B packet costs 17 FLITs, so
-	// degradation trades coalescing efficiency for retry cost. The mode
-	// exits when the windowed rate falls to half the threshold. Zero means
-	// the defaults (64 packets, 0.25).
-	DegradeWindow    int
-	DegradeThreshold float64
 }
 
-// DefaultConfig returns the paper's evaluation configuration with both
-// phases enabled.
+// DefaultConfig returns the paper's evaluation configuration.
 func DefaultConfig() Config {
 	return Config{
 		Width:         16,
 		TimeoutCycles: 24,
 		Fold:          sortnet.PerStage,
-		StepCycles:    sortnet.DefaultStepCycles,
-		CompareCycles: 2,
-		MergeCycles:   2,
 		LineBytes:     64,
-		BlockBytes:    256,
 		MSHR:          mshr.DefaultConfig(),
-		FirstPhase:    true,
-		SecondPhase:   true,
 		Bypass:        true,
 	}
-}
-
-// BaselineConfig returns the conventional miss-handling architecture:
-// MSHR-based coalescing only, fixed 64 B requests (§2.1).
-func BaselineConfig() Config {
-	cfg := DefaultConfig()
-	cfg.FirstPhase = false
-	return cfg
 }
 
 // Request is one line-granular LLC miss or write-back entering the
@@ -240,6 +246,7 @@ type CompleteFunc func(tick uint64, subs []mshr.Sub, fault bool)
 // issue stage.
 type Coalescer struct {
 	cfg      Config
+	mode     Mode
 	kind     Kind
 	file     mshr.File
 	issue    IssueFunc
@@ -347,39 +354,25 @@ type packet struct {
 // it; embedding configs can call it early so a bad sorter width or MSHR
 // geometry surfaces as an error at construction, never a panic later.
 func (cfg Config) Validate() error {
-	if cfg.LineBytes == 0 || cfg.BlockBytes < cfg.LineBytes {
-		return fmt.Errorf("coalescer: bad line/block sizes %d/%d", cfg.LineBytes, cfg.BlockBytes)
+	if cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 || cfg.LineBytes > BlockBytes {
+		return fmt.Errorf("coalescer: line size %d is not a power of two ≤ %d", cfg.LineBytes, BlockBytes)
 	}
 	if cfg.Width < 2 || cfg.Width&(cfg.Width-1) != 0 {
 		return fmt.Errorf("coalescer: sorter width %d is not a power of two ≥ 2", cfg.Width)
 	}
-	if cfg.MaxPacketRetries < 0 {
-		return fmt.Errorf("coalescer: negative retry cap %d", cfg.MaxPacketRetries)
-	}
-	if cfg.DegradeWindow < 0 {
-		return fmt.Errorf("coalescer: negative degrade window %d", cfg.DegradeWindow)
-	}
-	if cfg.DegradeThreshold < 0 || cfg.DegradeThreshold > 1 {
-		return fmt.Errorf("coalescer: degrade threshold %v outside [0,1]", cfg.DegradeThreshold)
-	}
-	mcfg := cfg.MSHR
-	mcfg.LineBytes = cfg.LineBytes
-	mcfg.BlockBytes = cfg.BlockBytes
-	if err := mcfg.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return cfg.MSHR.Validate()
 }
 
-// New builds a coalescer with the given gather stage and issue policy.
-// lanes is the number of request sources (CPUs); the warp gather keeps one
-// open warp buffer per lane. issue and complete must be non-nil.
-func New(cfg Config, kind Kind, sched Sched, lanes int, issue IssueFunc, complete CompleteFunc) (*Coalescer, error) {
+// New builds a coalescer for the given architecture, gather stage and
+// issue policy. lanes is the number of request sources (CPUs); the warp
+// gather keeps one open warp buffer per lane. issue and complete must be
+// non-nil.
+func New(cfg Config, mode Mode, kind Kind, sched Sched, lanes int, issue IssueFunc, complete CompleteFunc) (*Coalescer, error) {
 	if issue == nil || complete == nil {
 		return nil, fmt.Errorf("coalescer: nil callback")
 	}
 	c := &Coalescer{issue: issue, complete: complete}
-	if err := c.Reset(cfg, kind, sched, lanes); err != nil {
+	if err := c.Reset(cfg, mode, kind, sched, lanes); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -391,21 +384,20 @@ func New(cfg Config, kind Kind, sched Sched, lanes int, issue IssueFunc, complet
 // is unchanged and the warp lane buffers while the kind stays warp. The
 // attached checker is detached. After an error c is unusable until a Reset
 // succeeds.
-func (c *Coalescer) Reset(cfg Config, kind Kind, sched Sched, lanes int) error {
-	if err := errors.Join(cfg.Validate(), kind.Validate(), sched.Validate()); err != nil {
+func (c *Coalescer) Reset(cfg Config, mode Mode, kind Kind, sched Sched, lanes int) error {
+	if err := errors.Join(cfg.Validate(), mode.Validate(), kind.Validate(), sched.Validate()); err != nil {
 		return err
 	}
-	mcfg := cfg.MSHR
-	mcfg.LineBytes = cfg.LineBytes
-	mcfg.BlockBytes = cfg.BlockBytes
-	mcfg.DisableMerge = !cfg.SecondPhase
-	if err := c.file.Reset(mcfg); err != nil {
+	// The file owns second-phase coalescing: it merges unless the mode
+	// leaves MSHR merging out.
+	if err := c.file.Reset(cfg.MSHR, BlockBytes/uint64(cfg.LineBytes), mode != DMCOnly); err != nil {
 		return err
 	}
 	warp, _ := c.gather.(*warpGather)
 	laneBytes := c.laneBytes
 	*c = Coalescer{
 		cfg:        cfg,
+		mode:       mode,
 		kind:       kind,
 		file:       c.file,
 		issue:      c.issue,
@@ -414,7 +406,7 @@ func (c *Coalescer) Reset(cfg Config, kind Kind, sched Sched, lanes int) error {
 		crqBuf:     c.crqBuf,
 		targetPool: c.targetPool,
 		inflight:   c.inflight[:0],
-		linesBlock: uint64(cfg.BlockBytes / cfg.LineBytes),
+		linesBlock: BlockBytes / uint64(cfg.LineBytes),
 		retryQ:     c.retryQ[:0],
 	}
 	switch kind {
@@ -485,9 +477,6 @@ func (c *Coalescer) crqPop() {
 	c.crqHead = (c.crqHead + 1) & (len(c.crqBuf) - 1)
 	c.crqLen--
 }
-
-// Config returns the coalescer configuration.
-func (c *Coalescer) Config() Config { return c.cfg }
 
 // SetChecker attaches a runtime invariant checker to the coalescer and its
 // MSHR file. A nil checker (the default) disables continuous checking.
@@ -561,7 +550,7 @@ func (c *Coalescer) Push(now uint64, r Request) {
 	c.stats.Requests++
 	c.stats.PayloadBytes += uint64(r.Payload)
 
-	if !c.cfg.FirstPhase {
+	if c.mode == Baseline {
 		// Conventional MHA: the miss goes straight at the MSHRs.
 		c.enqueueSingle(now, r)
 		c.drainCRQ(now)
@@ -742,7 +731,7 @@ func (c *Coalescer) completeOne() {
 		return
 	}
 	c.freedAt = item.tick
-	if item.fault && item.attempt < c.maxPacketRetries() {
+	if item.fault && item.attempt < MaxPacketRetries {
 		c.requeueFailed(item.tick, item.attempt, baseLine, lines, write, subs, item.cpu, item.critical)
 	} else {
 		if item.fault {
@@ -753,29 +742,12 @@ func (c *Coalescer) completeOne() {
 	c.drainCRQ(item.tick)
 }
 
-func (c *Coalescer) maxPacketRetries() int {
-	if c.cfg.MaxPacketRetries == 0 {
-		return 8
-	}
-	return c.cfg.MaxPacketRetries
-}
-
 // requeueFailed schedules a failed span for re-issue as a fresh packet —
 // deliberately not re-coalesced: it goes straight back to the CRQ — after
 // a capped exponential backoff.
 func (c *Coalescer) requeueFailed(now uint64, attempt int, baseLine uint64, lines int, write bool, subs []mshr.Sub, cpu uint8, critical bool) {
-	base := c.cfg.RetryBackoffCycles
-	if base == 0 {
-		base = 64
-	}
-	cap := c.cfg.RetryBackoffCap
-	if cap == 0 {
-		cap = 4096
-	}
-	backoff := base << uint(attempt)
-	if backoff > cap || backoff < base { // < base catches shift overflow
-		backoff = cap
-	}
+	// attempt < MaxPacketRetries, so the shift cannot overflow.
+	backoff := min(uint64(RetryBackoffCycles)<<attempt, RetryBackoffCap)
 	c.stats.RetriedPackets++
 	c.stats.RetryBackoffCycles += backoff
 	// subs alias the entry's reusable backing; rebuild durable targets now.
@@ -801,11 +773,7 @@ func (c *Coalescer) noteIssue(now uint64, res hmc.Completion) {
 		if !errored {
 			return
 		}
-		w := c.cfg.DegradeWindow
-		if w == 0 {
-			w = 64
-		}
-		c.faultWin = make([]bool, w)
+		c.faultWin = make([]bool, DegradeWindow)
 	}
 	if c.faultWin[c.faultPos] {
 		c.faultCnt--
@@ -818,20 +786,12 @@ func (c *Coalescer) noteIssue(now uint64, res hmc.Completion) {
 	if c.faultPos == len(c.faultWin) {
 		c.faultPos = 0
 	}
-	thr := c.cfg.DegradeThreshold
-	if thr == 0 {
-		thr = 0.25
-	}
-	enter := int(thr*float64(len(c.faultWin)) + 0.5)
-	if enter < 1 {
-		enter = 1
-	}
 	switch {
-	case !c.degraded && c.faultCnt >= enter:
+	case !c.degraded && c.faultCnt >= DegradeThreshold:
 		c.degraded = true
 		c.degradedAt = now
 		c.stats.DegradedEntries++
-	case c.degraded && c.faultCnt <= enter/2:
+	case c.degraded && c.faultCnt <= DegradeThreshold/2:
 		c.degraded = false
 		c.stats.DegradedCycles += now - c.degradedAt
 	}

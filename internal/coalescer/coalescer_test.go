@@ -32,10 +32,10 @@ func issueOf(tick uint64, req hmc.Request) issueRecord {
 	return issueRecord{tick, req.Addr / line, int(uint64(req.PacketBytes) / line), req.Write}
 }
 
-func newHarness(t *testing.T, kind Kind, cfg Config) *harness {
+func newHarness(t *testing.T, mode Mode, kind Kind, cfg Config) *harness {
 	t.Helper()
 	h := &harness{memLatency: 400, completed: map[uint64]uint64{}}
-	c, err := New(cfg, kind, SchedFRFCFS, testLanes,
+	c, err := New(cfg, mode, kind, SchedFRFCFS, testLanes,
 		func(tick uint64, req hmc.Request) (hmc.Completion, error) {
 			h.issues = append(h.issues, issueOf(tick, req))
 			return hmc.Completion{Done: tick + h.memLatency}, nil
@@ -75,28 +75,35 @@ func noBypass() Config {
 func TestNewValidation(t *testing.T) {
 	cb := func(uint64, hmc.Request) (hmc.Completion, error) { return hmc.Completion{}, nil }
 	cc := func(uint64, []mshr.Sub, bool) {}
-	if _, err := New(DefaultConfig(), KindTwoPhase, SchedFRFCFS, 1, nil, cc); err == nil {
+	if _, err := New(DefaultConfig(), TwoPhase, KindTwoPhase, SchedFRFCFS, 1, nil, cc); err == nil {
 		t.Error("nil issue accepted")
 	}
-	if _, err := New(DefaultConfig(), KindTwoPhase, SchedFRFCFS, 1, cb, nil); err == nil {
+	if _, err := New(DefaultConfig(), TwoPhase, KindTwoPhase, SchedFRFCFS, 1, cb, nil); err == nil {
 		t.Error("nil complete accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Width = 12
-	if _, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
+	if _, err := New(cfg, TwoPhase, KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
 		t.Error("non-power-of-two width accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.LineBytes = 0
-	if _, err := New(cfg, KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
+	if _, err := New(cfg, TwoPhase, KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
 		t.Error("zero line size accepted")
+	}
+	cfg.LineBytes = 2 * BlockBytes
+	if _, err := New(cfg, TwoPhase, KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
+		t.Error("line larger than a block accepted")
+	}
+	if _, err := New(DefaultConfig(), Mode(3), KindTwoPhase, SchedFRFCFS, 1, cb, cc); err == nil {
+		t.Error("unknown mode accepted")
 	}
 }
 
 func TestFullBatchCoalescesContiguousLoads(t *testing.T) {
 	// 16 contiguous line misses span four 256 B blocks → exactly four
 	// 4-line (256 B) packets, i.e. 75% coalescing efficiency.
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
 	}
@@ -125,7 +132,7 @@ func TestFullBatchCoalescesContiguousLoads(t *testing.T) {
 }
 
 func TestScatteredLoadsDontCoalesce(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i * 100, Payload: 8, Token: i})
 	}
@@ -141,7 +148,7 @@ func TestScatteredLoadsDontCoalesce(t *testing.T) {
 func TestTimeoutFlush(t *testing.T) {
 	cfg := noBypass()
 	cfg.TimeoutCycles = 24
-	h := newHarness(t, KindTwoPhase, cfg)
+	h := newHarness(t, TwoPhase, KindTwoPhase, cfg)
 	h.c.Push(100, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(105, Request{Line: 1, Payload: 8, Token: 2})
 	// Nothing flushed yet: the window is open until 124.
@@ -162,7 +169,7 @@ func TestTimeoutFlush(t *testing.T) {
 func TestTypesNeverShareAPacket(t *testing.T) {
 	// Alternating load/store misses on contiguous lines: the type bit
 	// sorts stores after loads, so the DMC forms separate packets.
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i, Write: i%2 == 1, Payload: 8, Token: i})
 	}
@@ -191,7 +198,7 @@ func TestTypesNeverShareAPacket(t *testing.T) {
 }
 
 func TestContiguousStoresCoalesce(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: i, Write: true, Payload: 64, Token: i})
 	}
@@ -205,7 +212,7 @@ func TestContiguousStoresCoalesce(t *testing.T) {
 func TestBlockBoundarySplitsPacket(t *testing.T) {
 	// Lines 2..5 are contiguous but lines 3|4 straddle a 256 B block
 	// boundary: the DMC must emit [2,3] and [4,5].
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for _, ln := range []uint64{2, 3, 4, 5} {
 		h.c.Push(10, Request{Line: ln, Payload: 8, Token: ln})
 	}
@@ -221,7 +228,7 @@ func TestBlockBoundarySplitsPacket(t *testing.T) {
 }
 
 func TestDuplicateLinesAbsorb(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: 7, Payload: 8, Token: i})
 	}
@@ -238,7 +245,7 @@ func TestDuplicateLinesAbsorb(t *testing.T) {
 func TestSecondPhaseMergesAcrossBatches(t *testing.T) {
 	// Batch 1 issues lines 0-3 as one 256 B request. While it is in
 	// flight, batch 2 wants lines 0-1 again: Case A merge, no new request.
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	h.memLatency = 100000 // keep the first request outstanding
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
@@ -263,11 +270,43 @@ func TestSecondPhaseMergesAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestModeSelectsPhases runs one request stream — a 4-line batch, then
+// two of its lines again while the first request is outstanding — under
+// each mode: the mode alone decides which phases coalesce.
+func TestModeSelectsPhases(t *testing.T) {
+	for _, mode := range []Mode{Baseline, DMCOnly, TwoPhase} {
+		t.Run(mode.String(), func(t *testing.T) {
+			h := newHarness(t, mode, KindTwoPhase, noBypass())
+			h.memLatency = 100000
+			for i := uint64(0); i < 4; i++ {
+				h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
+			}
+			h.c.Advance(200)
+			for i := uint64(0); i < 2; i++ {
+				h.c.Push(300, Request{Line: i, Payload: 8, Token: 100 + i})
+			}
+			if _, err := h.c.Drain(600); err != nil {
+				t.Fatal(err)
+			}
+			// Baseline has no first phase and DMCOnly no second; each
+			// enabled phase merges on this stream.
+			if first := h.c.Stats().FirstPhaseMerges; (first > 0) != (mode != Baseline) {
+				t.Errorf("first-phase merges = %d", first)
+			}
+			if second := h.c.MSHRStats().MergedTargets; (second > 0) != (mode != DMCOnly) {
+				t.Errorf("MSHR merged targets = %d", second)
+			}
+			if len(h.completed) != 6 {
+				t.Errorf("completed %d tokens, want 6", len(h.completed))
+			}
+		})
+	}
+}
+
 func TestMSHROnlyMode(t *testing.T) {
-	// FirstPhase off: every miss reaches the MSHRs alone; coalescing only
+	// Baseline: every miss reaches the MSHRs alone; coalescing only
 	// happens when lines overlap outstanding entries.
-	cfg := BaselineConfig()
-	h := newHarness(t, KindTwoPhase, cfg)
+	h := newHarness(t, Baseline, KindTwoPhase, DefaultConfig())
 	h.memLatency = 100000
 	h.c.Push(10, Request{Line: 5, Payload: 8, Token: 1})
 	h.c.Push(11, Request{Line: 5, Payload: 8, Token: 2}) // merges
@@ -287,9 +326,7 @@ func TestMSHROnlyMode(t *testing.T) {
 }
 
 func TestDMCOnlyModeNeverMergesInMSHR(t *testing.T) {
-	cfg := noBypass()
-	cfg.SecondPhase = false
-	h := newHarness(t, KindTwoPhase, cfg)
+	h := newHarness(t, DMCOnly, KindTwoPhase, noBypass())
 	h.memLatency = 100000
 	for i := uint64(0); i < 4; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
@@ -310,7 +347,7 @@ func TestDMCOnlyModeNeverMergesInMSHR(t *testing.T) {
 
 func TestBypassIdlePath(t *testing.T) {
 	cfg := DefaultConfig() // bypass on
-	h := newHarness(t, KindTwoPhase, cfg)
+	h := newHarness(t, TwoPhase, KindTwoPhase, cfg)
 	h.c.Push(10, Request{Line: 42, Payload: 8, Token: 1})
 	// Idle coalescer, free MSHRs: the request must dispatch immediately,
 	// with no sorting latency.
@@ -326,7 +363,7 @@ func TestBypassIdlePath(t *testing.T) {
 func TestBypassStopsWhenMSHRsFull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MSHR.Entries = 2
-	h := newHarness(t, KindTwoPhase, cfg)
+	h := newHarness(t, TwoPhase, KindTwoPhase, cfg)
 	h.memLatency = 100000
 	h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(11, Request{Line: 100, Payload: 8, Token: 2})
@@ -345,7 +382,7 @@ func TestBypassStopsWhenMSHRsFull(t *testing.T) {
 }
 
 func TestFenceFlushesPending(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(11, Request{Line: 1, Payload: 8, Token: 2})
 	h.c.Fence(12)
@@ -364,7 +401,7 @@ func TestFenceFlushesPending(t *testing.T) {
 }
 
 func TestDrainCompletesEverything(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	rng := rand.New(rand.NewSource(2))
 	tokens := 0
 	tick := uint64(0)
@@ -401,7 +438,7 @@ func TestDrainCompletesEverything(t *testing.T) {
 }
 
 func TestLatencyStatsPopulated(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10+i, Request{Line: i, Payload: 8, Token: i})
 	}
@@ -428,7 +465,7 @@ func TestHigherTimeoutRaisesLatency(t *testing.T) {
 	for i, timeout := range []uint64{16, 64, 256} {
 		cfg := noBypass()
 		cfg.TimeoutCycles = timeout
-		h := newHarness(t, KindTwoPhase, cfg)
+		h := newHarness(t, TwoPhase, KindTwoPhase, cfg)
 		tick := uint64(0)
 		for r := uint64(0); r < 400; r++ {
 			tick += 8 // sparse: timeout governs flushing
@@ -447,7 +484,7 @@ func TestCRQFillEpisodes(t *testing.T) {
 	forEachGather(t, func(t *testing.T, kind Kind) {
 		cfg := noBypass()
 		cfg.MSHR.Entries = 4 // CRQ capacity 4
-		h := newHarness(t, kind, cfg)
+		h := newHarness(t, TwoPhase, kind, cfg)
 		h.memLatency = 1 << 40 // nothing completes during pushes
 		// Scattered misses spaced past the timeout: each closes its own
 		// sequence, so packets reach the CRQ one at a time and a fill
@@ -471,7 +508,7 @@ func TestCRQFillEpisodes(t *testing.T) {
 }
 
 func TestPayloadAccounting(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 	h.c.Push(10, Request{Line: 1, Payload: 32, Token: 2})
 	h.c.Drain(10)
@@ -482,7 +519,7 @@ func TestPayloadAccounting(t *testing.T) {
 
 func TestIssueTicksNonDecreasing(t *testing.T) {
 	forEachGather(t, func(t *testing.T, kind Kind) {
-		h := newHarness(t, kind, noBypass())
+		h := newHarness(t, TwoPhase, kind, noBypass())
 		rng := rand.New(rand.NewSource(9))
 		tick := uint64(0)
 		for i := 0; i < 2000; i++ {
@@ -506,7 +543,7 @@ func TestAdaptiveTimeoutTracksCoalescingCost(t *testing.T) {
 	cfg := noBypass()
 	cfg.AdaptiveTimeout = true
 	cfg.TimeoutCycles = 24
-	h := newHarness(t, KindTwoPhase, cfg)
+	h := newHarness(t, TwoPhase, KindTwoPhase, cfg)
 	if h.c.sorter.curTimeout != 24 {
 		t.Fatalf("initial timeout = %d, want seed 24", h.c.sorter.curTimeout)
 	}
@@ -530,7 +567,7 @@ func TestAdaptiveTimeoutTracksCoalescingCost(t *testing.T) {
 }
 
 func TestStaticTimeoutUnchanged(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	for i := uint64(0); i < 64; i++ {
 		h.c.Push(i*10, Request{Line: i, Payload: 8, Token: i})
 	}
@@ -600,9 +637,7 @@ func TestFirstPhaseMatchesOracle(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 200; trial++ {
-		cfg := noBypass()
-		cfg.SecondPhase = false // isolate the first phase
-		h := newHarness(t, KindTwoPhase, cfg)
+		h := newHarness(t, DMCOnly, KindTwoPhase, noBypass()) // isolate the first phase
 		n := 1 + rng.Intn(16)
 		reqs := make([]Request, n)
 		for i := range reqs {
@@ -635,7 +670,7 @@ func TestFirstPhaseMatchesOracle(t *testing.T) {
 func TestWidth32EndToEnd(t *testing.T) {
 	cfg := noBypass()
 	cfg.Width = 32
-	h := newHarness(t, KindTwoPhase, cfg)
+	h := newHarness(t, TwoPhase, KindTwoPhase, cfg)
 	for i := uint64(0); i < 32; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
 	}
@@ -650,7 +685,7 @@ func TestWidth32EndToEnd(t *testing.T) {
 }
 
 func TestFlushCausePartitionsBatches(t *testing.T) {
-	h := newHarness(t, KindTwoPhase, noBypass())
+	h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 	// Full-width flush.
 	for i := uint64(0); i < 16; i++ {
 		h.c.Push(10, Request{Line: i, Payload: 8, Token: i})
@@ -682,7 +717,7 @@ func TestBlockedCRQHeadRetries(t *testing.T) {
 		// order once completions free entries.
 		cfg := noBypass()
 		cfg.MSHR.Entries = 2
-		h := newHarness(t, kind, cfg)
+		h := newHarness(t, TwoPhase, kind, cfg)
 		h.memLatency = 1000
 		const n = 6
 		for i := uint64(0); i < n; i++ {
@@ -781,7 +816,7 @@ func TestFenceMonopolizesPipelineStage(t *testing.T) {
 	// §3.4: a fence occupies an entire pipeline stage, so a batch flushed
 	// right after a fence becomes ready later than without the fence.
 	ready := func(withFence bool) uint64 {
-		h := newHarness(t, KindTwoPhase, noBypass())
+		h := newHarness(t, TwoPhase, KindTwoPhase, noBypass())
 		h.c.Push(10, Request{Line: 0, Payload: 8, Token: 1})
 		if withFence {
 			h.c.Fence(11)

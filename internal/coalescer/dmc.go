@@ -68,7 +68,7 @@ func (g *sortGather) reset(c *Coalescer) error {
 			return err
 		}
 	}
-	pipe, err := sortnet.NewPipeline(net, c.cfg.Fold, c.cfg.StepCycles)
+	pipe, err := sortnet.NewPipeline(net, c.cfg.Fold, StepCycles)
 	if err != nil {
 		return err
 	}
@@ -105,11 +105,7 @@ func (g *sortGather) push(now uint64, r Request) {
 		if g.idleSince == ^uint64(0) {
 			g.idleSince = now
 		}
-		rearm := c.cfg.BypassRearmCycles
-		if rearm == 0 {
-			rearm = 2048
-		}
-		if now-g.idleSince >= rearm {
+		if now-g.idleSince >= BypassRearmCycles {
 			g.bypassOn = true
 		}
 	} else {
@@ -136,7 +132,7 @@ func (g *sortGather) push(now uint64, r Request) {
 // pipeline stage (§3.4).
 func (g *sortGather) fence(now uint64) {
 	g.flush(now, flushFence)
-	if g.c.cfg.FirstPhase {
+	if g.c.mode != Baseline {
 		if g.sortFree < now {
 			g.sortFree = now
 		}
@@ -234,7 +230,7 @@ func (g *sortGather) flush(now uint64, cause flushCause) {
 		blockStart := base.Line / c.linesBlock * c.linesBlock
 		end := base.Line + 1
 		targets := append(c.getTargets(), mshr.Target{Line: base.Line, Token: base.Token, Payload: base.Payload})
-		cost += c.cfg.CompareCycles
+		cost += CompareCycles
 		critical := base.Critical
 		j := i + 1
 		for j < m && sorted[j].Write == base.Write {
@@ -248,7 +244,7 @@ func (g *sortGather) flush(now uint64, cause flushCause) {
 				}
 				end = ln + 1
 			}
-			cost += c.cfg.MergeCycles
+			cost += MergeCycles
 			c.stats.FirstPhaseMerges++
 			critical = critical || sorted[j].Critical
 			targets = append(targets, mshr.Target{Line: ln, Token: sorted[j].Token, Payload: sorted[j].Payload})

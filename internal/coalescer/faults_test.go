@@ -28,7 +28,7 @@ func newFaultHarness(t *testing.T, kind Kind, cfg Config, verdicts []hmc.Complet
 		latency: 400, verdicts: verdicts,
 		completed: map[uint64]uint64{}, faulted: map[uint64]bool{},
 	}
-	c, err := New(cfg, kind, SchedFRFCFS, testLanes,
+	c, err := New(cfg, TwoPhase, kind, SchedFRFCFS, testLanes,
 		func(tick uint64, req hmc.Request) (hmc.Completion, error) {
 			n := len(h.issues)
 			h.issues = append(h.issues, issueOf(tick, req))
@@ -101,20 +101,18 @@ func TestPoisonedPacketRetriesAndSucceeds(t *testing.T) {
 // completes its waiters with the error bit instead of looping forever.
 func TestRetryExhaustionDeliversError(t *testing.T) {
 	forEachGather(t, func(t *testing.T, kind Kind) {
-		cfg := noBypass()
-		cfg.MaxPacketRetries = 3
 		// Enough poison verdicts to outlast the budget.
-		verdicts := make([]hmc.Completion, 10)
+		verdicts := make([]hmc.Completion, MaxPacketRetries+2)
 		for i := range verdicts {
 			verdicts[i] = hmc.Completion{Poisoned: true}
 		}
-		h := newFaultHarness(t, kind, cfg, verdicts)
+		h := newFaultHarness(t, kind, noBypass(), verdicts)
 		h.c.Push(0, Request{Line: 9, Payload: 16, Token: 7})
 		if _, err := h.c.Drain(10); err != nil {
 			t.Fatal(err)
 		}
-		if len(h.issues) != 4 {
-			t.Fatalf("%d dispatches, want 4 (original + 3 retries)", len(h.issues))
+		if len(h.issues) != 9 {
+			t.Fatalf("%d dispatches, want 9 (original + 8 retries)", len(h.issues))
 		}
 		if !h.faulted[7] {
 			t.Fatal("exhausted span did not deliver the error bit")
@@ -123,12 +121,13 @@ func TestRetryExhaustionDeliversError(t *testing.T) {
 		if s.FailedTargets != 1 {
 			t.Fatalf("FailedTargets = %d, want 1", s.FailedTargets)
 		}
-		if s.RetriedPackets != 3 {
-			t.Fatalf("RetriedPackets = %d, want 3", s.RetriedPackets)
+		if s.RetriedPackets != 8 {
+			t.Fatalf("RetriedPackets = %d, want 8", s.RetriedPackets)
 		}
-		// Backoff must grow: total backoff 64+128+256 with the defaults.
-		if s.RetryBackoffCycles != 64+128+256 {
-			t.Fatalf("RetryBackoffCycles = %d, want %d", s.RetryBackoffCycles, 64+128+256)
+		// Backoff doubles from 64 cycles and holds at the 4096-cycle cap.
+		const want = 64 + 128 + 256 + 512 + 1024 + 2048 + 4096 + 4096
+		if s.RetryBackoffCycles != want {
+			t.Fatalf("RetryBackoffCycles = %d, want %d", s.RetryBackoffCycles, want)
 		}
 	})
 }
@@ -163,34 +162,35 @@ func TestRetryPreservesAllWaiters(t *testing.T) {
 }
 
 // TestDegradedModeCapsPacketSize: a run of errored issues pushes the
-// windowed error rate over the threshold; packets queued while degraded
-// are split to one line, and the mode exits (recording its duration) once
-// the errors stop.
+// windowed error count to the threshold; packets queued while degraded are
+// split to one line, and the mode exits (recording its duration) once
+// clean issues have rolled all but half the threshold out of the window.
 func TestDegradedModeCapsPacketSize(t *testing.T) {
 	forEachGather(t, func(t *testing.T, kind Kind) {
-		cfg := noBypass()
-		cfg.DegradeWindow = 8
-		cfg.DegradeThreshold = 0.5
-		// First 4 issues are retried-but-successful: they errored on the link
-		// (Retries > 0) without poisoning, so they trip the window without
-		// triggering span retries.
-		verdicts := make([]hmc.Completion, 4)
+		// The first 16 issues are retried-but-successful: they errored on
+		// the link (Retries > 0) without poisoning, so they fill the window
+		// without triggering span retries.
+		verdicts := make([]hmc.Completion, 16)
 		for i := range verdicts {
 			verdicts[i] = hmc.Completion{Retries: 1}
 		}
-		h := newFaultHarness(t, kind, cfg, verdicts)
+		h := newFaultHarness(t, kind, noBypass(), verdicts)
 
-		// 4 single-line pushes spread over distinct blocks: 4 issues, all
-		// errored → 4/8 ≥ 0.5 → degraded.
+		// Single-line pushes in distinct blocks, one issue each.
 		tick := uint64(0)
-		for i := uint64(0); i < 4; i++ {
-			h.c.Push(tick, Request{Line: i * 64, Payload: 16, Token: i})
+		push := func(line, token uint64) {
+			h.c.Push(tick, Request{Line: line, Payload: 16, Token: token})
 			tick += 100
 			h.c.Advance(tick)
 		}
-		h.c.Advance(tick + 1000)
-		if !h.c.Degraded() {
-			t.Fatalf("4/8 errored issues did not degrade (stats %+v)", h.c.Stats())
+		for i := uint64(0); i < 16; i++ {
+			if h.c.Degraded() {
+				t.Fatalf("degraded after %d errored issues, want 16", i)
+			}
+			push(i*64, i)
+		}
+		if len(h.issues) != 16 || !h.c.Degraded() {
+			t.Fatalf("16 errored issues of 64 did not degrade (%d issues, stats %+v)", len(h.issues), h.c.Stats())
 		}
 
 		// A full contiguous 16-line batch while degraded: normally 4×4-line
@@ -199,9 +199,8 @@ func TestDegradedModeCapsPacketSize(t *testing.T) {
 		for i := uint64(0); i < 16; i++ {
 			h.c.Push(tick, Request{Line: 1000 + i, Payload: 16, Token: 100 + i})
 		}
-		if _, err := h.c.Drain(tick + 10); err != nil {
-			t.Fatal(err)
-		}
+		tick += 1000
+		h.c.Advance(tick)
 		degradedIssues := h.issues[before:]
 		for _, is := range degradedIssues {
 			if is.lines != 1 {
@@ -211,17 +210,27 @@ func TestDegradedModeCapsPacketSize(t *testing.T) {
 		if len(degradedIssues) != 16 {
 			t.Fatalf("%d degraded dispatches, want 16", len(degradedIssues))
 		}
+
+		// Clean issues roll the errored ones out of the 64-issue window: the
+		// mode exits with the 72nd issue, when 8 errored ones remain.
+		for n := len(h.issues); n < 72; n = len(h.issues) {
+			if !h.c.Degraded() {
+				t.Fatalf("left degraded mode after %d issues, want 72", n)
+			}
+			push(uint64(2000+n*64), uint64(200+n))
+		}
+		if h.c.Degraded() {
+			t.Fatal("8 errored issues in the window did not clear degraded mode")
+		}
+		if _, err := h.c.Drain(tick); err != nil {
+			t.Fatal(err)
+		}
 		s := h.c.Stats()
 		if s.DegradedSplits == 0 {
 			t.Fatal("no degraded splits recorded")
 		}
 		if s.DegradedEntries != 1 {
 			t.Fatalf("DegradedEntries = %d, want 1", s.DegradedEntries)
-		}
-		// 16 clean issues flushed the window: degraded mode must have exited
-		// with its duration accounted.
-		if h.c.Degraded() {
-			t.Fatal("16 clean issues did not clear degraded mode")
 		}
 		if s.DegradedCycles == 0 {
 			t.Fatal("time spent degraded not recorded")
@@ -330,7 +339,7 @@ func TestRetryQueueDeterministicOrder(t *testing.T) {
 // reaching the caller as a response.
 func TestDeviceRejectionLatchesViolation(t *testing.T) {
 	forEachGather(t, func(t *testing.T, kind Kind) {
-		c, err := New(noBypass(), kind, SchedFRFCFS, testLanes,
+		c, err := New(noBypass(), TwoPhase, kind, SchedFRFCFS, testLanes,
 			func(uint64, hmc.Request) (hmc.Completion, error) { return hmc.Completion{}, errors.New("rejected") },
 			func(uint64, []mshr.Sub, bool) { t.Fatal("a rejected packet completed its waiters") })
 		if err != nil {
@@ -352,10 +361,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Width = 12 },
 		func(c *Config) { c.Width = 0 },
 		func(c *Config) { c.LineBytes = 0 },
-		func(c *Config) { c.BlockBytes = 16 },
-		func(c *Config) { c.MaxPacketRetries = -1 },
-		func(c *Config) { c.DegradeWindow = -1 },
-		func(c *Config) { c.DegradeThreshold = 1.5 },
+		func(c *Config) { c.LineBytes = 48 },
+		func(c *Config) { c.LineBytes = 2 * BlockBytes },
 		func(c *Config) { c.MSHR.Entries = 0 },
 	}
 	for i, mutate := range bad {

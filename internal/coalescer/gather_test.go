@@ -95,7 +95,7 @@ func (c combo) String() string { return c.kind.String() + "/" + c.sched.String()
 // build makes a coalescer of the combo over the default geometry.
 func (c combo) build(t *testing.T, mem *fakeMem) *Coalescer {
 	t.Helper()
-	co, err := New(DefaultConfig(), c.kind, c.sched, testLanes, mem.issue, mem.complete)
+	co, err := New(DefaultConfig(), TwoPhase, c.kind, c.sched, testLanes, mem.issue, mem.complete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,10 @@ func TestFactoryKinds(t *testing.T) {
 		cb.build(t, &fakeMem{})
 	}
 	mem := &fakeMem{}
-	if _, err := New(DefaultConfig(), Kind(42), SchedFRFCFS, testLanes, mem.issue, mem.complete); err == nil {
+	if _, err := New(DefaultConfig(), TwoPhase, Kind(42), SchedFRFCFS, testLanes, mem.issue, mem.complete); err == nil {
 		t.Errorf("New accepted an unknown frontend kind")
 	}
-	if _, err := New(DefaultConfig(), KindTwoPhase, Sched(42), testLanes, mem.issue, mem.complete); err == nil {
+	if _, err := New(DefaultConfig(), TwoPhase, KindTwoPhase, Sched(42), testLanes, mem.issue, mem.complete); err == nil {
 		t.Errorf("New accepted an unknown scheduler kind")
 	}
 }

@@ -160,7 +160,7 @@ func (g *warpGather) closeWarp(closeTick uint64, lane int, cause flushCause) {
 			}
 		}
 		if gi < 0 {
-			cost += c.cfg.CompareCycles
+			cost += CompareCycles
 			groups = append(groups, warpGroup{
 				block: block, write: r.Write,
 				minLine: r.Line, maxLine: r.Line,
@@ -170,7 +170,7 @@ func (g *warpGather) closeWarp(closeTick uint64, lane int, cause flushCause) {
 			continue
 		}
 		gr := &groups[gi]
-		cost += c.cfg.MergeCycles
+		cost += MergeCycles
 		c.stats.FirstPhaseMerges++
 		gr.minLine = min(gr.minLine, r.Line)
 		gr.maxLine = max(gr.maxLine, r.Line)

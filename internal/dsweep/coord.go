@@ -432,7 +432,12 @@ func (c *Coordinator) Handle(conn net.Conn) {
 	closed := c.closed
 	c.mu.Unlock()
 	if err != nil && !closed {
-		c.logf("dsweep: worker %s: %v", name, err)
+		// Before the handshake completes name is empty; a refusal's error
+		// names the worker itself.
+		if name != "" {
+			err = fmt.Errorf("worker %s: %w", name, err)
+		}
+		c.logf("dsweep: %v", err)
 	}
 }
 

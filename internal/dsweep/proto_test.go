@@ -58,3 +58,39 @@ func TestProtoWireBytes(t *testing.T) {
 		t.Fatalf("refusal %q does not name both protocol versions", msg)
 	}
 }
+
+// TestRefusedHandshakeLog drives Handle through the two refusals a hello
+// can meet and checks the coordinator's log line for each: the refusal
+// names the worker once, with no empty "worker :" prefix.
+func TestRefusedHandshakeLog(t *testing.T) {
+	for _, c := range []struct {
+		hello helloMsg
+		want  string
+	}{
+		{helloMsg{Proto: 2, Name: "old/0", Token: "secret"}, `dsweep: worker "old/0" speaks protocol 2, want 3`},
+		{helloMsg{Proto: protoVersion, Name: "w/0", Token: "guess"}, `dsweep: worker "w/0" presented a bad token`},
+	} {
+		logs := make(chan string, 4)
+		coordinator := NewCoordinator(Options{Token: "secret", Logf: func(format string, args ...any) { logs <- fmt.Sprintf(format, args...) }})
+		worker, conn := net.Pipe()
+		done := make(chan struct{})
+		go func() { coordinator.Handle(conn); close(done) }()
+		if err := writeMsg(worker, MsgHello, c.hello); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := ReadFrame(worker); err != nil || typ != MsgBye {
+			t.Fatalf("%+v answered (%v, %v), want bye", c.hello, typ, err)
+		}
+		<-done
+		worker.Close()
+		coordinator.Close()
+		close(logs)
+		var got []string
+		for l := range logs {
+			got = append(got, l)
+		}
+		if len(got) != 1 || got[0] != c.want {
+			t.Errorf("%+v logged %q, want [%q]", c.hello, got, c.want)
+		}
+	}
+}

@@ -6,7 +6,7 @@ import "testing"
 // state: insert a 4-line packet with four waiters, then complete every
 // issued entry so the file never fills.
 func BenchmarkInsertComplete(b *testing.B) {
-	f, err := NewFile(DefaultConfig())
+	f, err := NewFile(DefaultConfig(), testLinesPerBlock, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func BenchmarkInsertComplete(b *testing.B) {
 // BenchmarkInsertMerge measures the Case-A merge path: waiters landing in
 // an already outstanding entry.
 func BenchmarkInsertMerge(b *testing.B) {
-	f, err := NewFile(DefaultConfig())
+	f, err := NewFile(DefaultConfig(), testLinesPerBlock, true)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -96,26 +96,17 @@ func (e *Entry) covers(line uint64) bool {
 	return e.valid && line >= e.baseLine && line < e.baseLine+uint64(e.lines)
 }
 
-// Config parameterizes the MSHR file.
+// Config sizes the MSHR file.
 type Config struct {
 	// Entries is the number of MSHR entries (paper: 16 in the LLC).
 	Entries int
 	// MaxSubentries bounds waiters per entry; 0 means the paper-typical 8.
 	MaxSubentries int
-	// LineBytes is the cache line size (paper: 64 B).
-	LineBytes uint32
-	// BlockBytes is the HMC block size a request may not cross (256 B).
-	BlockBytes uint32
-	// DisableMerge turns off second-phase coalescing: every insert
-	// allocates fresh entries. Used to evaluate the DMC unit in isolation
-	// (Figure 8's "first phase only" series).
-	DisableMerge bool
 }
 
-// DefaultConfig returns the evaluation setup: 16 entries, 8 subentries,
-// 64 B lines, 256 B HMC blocks.
+// DefaultConfig returns the evaluation setup: 16 entries, 8 subentries.
 func DefaultConfig() Config {
-	return Config{Entries: 16, MaxSubentries: 8, LineBytes: 64, BlockBytes: 256}
+	return Config{Entries: 16, MaxSubentries: 8}
 }
 
 // File is the dynamic MSHR file.
@@ -131,6 +122,7 @@ type File struct {
 	entries       []Entry
 	keys          []uint64
 	linesPerBlock uint64
+	merge         bool // second-phase coalescing on
 	free          int
 	stats         Stats
 	check         *invariant.Checker
@@ -172,30 +164,33 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("mshr: need at least one entry")
 	case cfg.MaxSubentries < 0:
 		return fmt.Errorf("mshr: negative subentry bound %d", cfg.MaxSubentries)
-	case cfg.LineBytes == 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0:
-		return fmt.Errorf("mshr: line size %d not a power of two", cfg.LineBytes)
-	case cfg.BlockBytes < cfg.LineBytes:
-		return fmt.Errorf("mshr: block size %d below line size %d", cfg.BlockBytes, cfg.LineBytes)
 	}
 	return nil
 }
 
-// NewFile builds an MSHR file.
-func NewFile(cfg Config) (*File, error) {
+// NewFile builds an MSHR file whose requests may not cross a block of
+// linesPerBlock cache lines. merge enables second-phase coalescing; without
+// it every insert allocates fresh entries, which evaluates the DMC unit in
+// isolation (Figure 8's "DMC unit" series). The coalescer that owns the
+// file supplies both.
+func NewFile(cfg Config, linesPerBlock uint64, merge bool) (*File, error) {
 	f := &File{}
-	if err := f.Reset(cfg); err != nil {
+	if err := f.Reset(cfg, linesPerBlock, merge); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// Reset returns f to exactly the file NewFile(cfg) builds. The entries,
-// match keys and subentry backing are kept when cfg has the same Entries
-// and MaxSubentries; the Insert scratch buffers always are. The attached
-// checker is detached.
-func (f *File) Reset(cfg Config) error {
+// Reset returns f to exactly the file NewFile builds from the same
+// arguments. The entries, match keys and subentry backing are kept when cfg
+// has the same Entries and MaxSubentries; the Insert scratch buffers always
+// are. The attached checker is detached.
+func (f *File) Reset(cfg Config, linesPerBlock uint64, merge bool) error {
 	if err := cfg.Validate(); err != nil {
 		return err
+	}
+	if linesPerBlock == 0 {
+		return fmt.Errorf("mshr: a block must hold at least one line")
 	}
 	if cfg.MaxSubentries == 0 {
 		cfg.MaxSubentries = 8
@@ -220,7 +215,8 @@ func (f *File) Reset(cfg Config) error {
 		cfg:           cfg,
 		entries:       entries,
 		keys:          keys,
-		linesPerBlock: uint64(cfg.BlockBytes / cfg.LineBytes),
+		linesPerBlock: linesPerBlock,
+		merge:         merge,
 		free:          cfg.Entries,
 		keptBuf:       f.keptBuf,
 		issuedBuf:     f.issuedBuf,
@@ -300,7 +296,7 @@ func (f *File) Insert(baseLine uint64, lines int, write bool, targets []Target) 
 	key := f.matchKey(baseLine, write)
 	for _, t := range remaining {
 		var e *Entry
-		if !f.cfg.DisableMerge {
+		if f.merge {
 			e = f.lookup(key, t.Line)
 		}
 		if e == nil {

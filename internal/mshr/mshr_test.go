@@ -9,9 +9,19 @@ import (
 	"hmccoal/internal/invariant"
 )
 
+// testLinesPerBlock is the paper's geometry: 64 B lines in 256 B HMC
+// blocks.
+const testLinesPerBlock = 4
+
 func newFile(t *testing.T) *File {
 	t.Helper()
-	f, err := NewFile(DefaultConfig())
+	return newFileOf(t, DefaultConfig())
+}
+
+// newFileOf builds a merging file of cfg in the paper's geometry.
+func newFileOf(t *testing.T, cfg Config) *File {
+	t.Helper()
+	f, err := NewFile(cfg, testLinesPerBlock, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,15 +40,16 @@ func tgts(lines ...uint64) []Target {
 
 func TestNewFileValidation(t *testing.T) {
 	bad := []Config{
-		{Entries: 0, LineBytes: 64, BlockBytes: 256},
-		{Entries: 16, LineBytes: 60, BlockBytes: 256},
-		{Entries: 16, LineBytes: 0, BlockBytes: 256},
-		{Entries: 16, LineBytes: 64, BlockBytes: 32}, // block below line size
+		{Entries: 0},
+		{Entries: 16, MaxSubentries: -1},
 	}
 	for i, cfg := range bad {
-		if _, err := NewFile(cfg); err == nil {
+		if _, err := NewFile(cfg, testLinesPerBlock, true); err == nil {
 			t.Errorf("case %d: bad config accepted", i)
 		}
+	}
+	if _, err := NewFile(DefaultConfig(), 0, true); err == nil {
+		t.Error("block of zero lines accepted")
 	}
 }
 
@@ -222,9 +233,7 @@ func TestThreeLineRangeSplitsLegally(t *testing.T) {
 }
 
 func TestDisableMergeAllocatesAlways(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DisableMerge = true
-	f, err := NewFile(cfg)
+	f, err := NewFile(DefaultConfig(), testLinesPerBlock, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +245,7 @@ func TestDisableMergeAllocatesAlways(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.MergedTargets != 0 || len(out.Issued) != 1 {
-		t.Errorf("DisableMerge still merged: %+v", out)
+		t.Errorf("file without merging still merged: %+v", out)
 	}
 }
 
@@ -262,10 +271,7 @@ func TestTypeBitPreventsCrossTypeMerge(t *testing.T) {
 func TestSubentryCapacityStalls(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxSubentries = 2
-	f, err := NewFile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFileOf(t, cfg)
 	if _, err := f.Insert(0, 1, false, tgts(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -287,10 +293,7 @@ func TestSubentryCapacityStalls(t *testing.T) {
 func TestFileFullReturnsUnplaced(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Entries = 2
-	f, err := NewFile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFileOf(t, cfg)
 	if _, err := f.Insert(0, 1, false, tgts(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +434,7 @@ func TestLookupLine(t *testing.T) {
 func TestEquationTwoAddressReconstruction(t *testing.T) {
 	// Equation 2: Subentry.addr = Entry.addr + LineID × LineSize.
 	f := newFile(t)
-	lineBytes := uint64(f.Config().LineBytes)
+	const lineBytes = 64
 	out, err := f.Insert(0xA8, 4, false, tgts(0xAA))
 	if err != nil {
 		t.Fatal(err)
@@ -522,10 +525,7 @@ func TestFruitlessInsertRepeats(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Entries = 4
 	cfg.MaxSubentries = 2
-	f, err := NewFile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFileOf(t, cfg)
 	rng := rand.New(rand.NewSource(23))
 	image := func() string { return fmt.Sprintf("free=%d %+v", f.Free(), f.Entries()) }
 	live := map[int]*Entry{}
@@ -658,10 +658,7 @@ func TestLookupMatchesCoversScan(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Entries = 6
 	cfg.MaxSubentries = 3
-	f, err := NewFile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFileOf(t, cfg)
 	rng := rand.New(rand.NewSource(29))
 	token := uint64(0)
 	var merged int

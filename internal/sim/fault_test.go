@@ -55,7 +55,6 @@ func TestWatchdogMessageStable(t *testing.T) {
 // accounted (as failed), never hanging or leaking tokens.
 func TestFaultedRunCompletes(t *testing.T) {
 	cfg := faultConfig(fault.Config{Seed: 3, BER: 1, MaxRetries: 1})
-	cfg.Coalescer.MaxPacketRetries = 2
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +148,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Hierarchy.CPUs = 0 },
 		func(c *Config) { c.Hierarchy.CPUs = 300 },
 		func(c *Config) { c.Coalescer.Width = 12 },
-		func(c *Config) { c.Coalescer.LineBytes = 128; c.Coalescer.BlockBytes = 512 },
+		func(c *Config) { c.Coalescer.LineBytes = 128 },
+		func(c *Config) { c.Mode = Mode(3) },
 		func(c *Config) { c.HMC.Fault.BER = 2 },
 		func(c *Config) { c.HMC.Fault.MaxRetries = -1 },
 	}

@@ -19,7 +19,7 @@ type Pool struct {
 // same CPU count and LLC, Reset to cfg, or else NewSystem(cfg). An invalid
 // cfg fails without taking a System from the pool.
 func (p *Pool) Get(cfg Config) (*System, error) {
-	if err := cfg.withMode().Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p.mu.Lock()

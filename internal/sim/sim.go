@@ -25,34 +25,22 @@ import (
 	"hmccoal/internal/trace"
 )
 
-// Mode selects the miss-handling architecture under test (Figure 8).
-type Mode int
+// Mode selects the miss-handling architecture under test (Figure 8); the
+// coalescer owns it.
+type Mode = coalescer.Mode
 
 // Evaluation modes.
 const (
 	// Baseline is the conventional MHA: MSHR-based coalescing only, fixed
 	// 64 B requests (the paper's comparison point, and Figure 8's
 	// "MSHR-based" series).
-	Baseline Mode = iota
+	Baseline = coalescer.Baseline
 	// DMCOnly enables the sorting network and DMC unit but disables MSHR
 	// merging (Figure 8's "DMC unit" series).
-	DMCOnly
+	DMCOnly = coalescer.DMCOnly
 	// TwoPhase is the full memory coalescer.
-	TwoPhase
+	TwoPhase = coalescer.TwoPhase
 )
-
-// String names the mode as in Figure 8.
-func (m Mode) String() string {
-	switch m {
-	case Baseline:
-		return "MSHR-based"
-	case DMCOnly:
-		return "DMC-only"
-	case TwoPhase:
-		return "two-phase"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
 
 // Config assembles the simulated system.
 type Config struct {
@@ -142,7 +130,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: coalescer line size %d != LLC line size %d",
 			c.Coalescer.LineBytes, c.Hierarchy.LLC.LineBytes)
 	}
-	if err := c.Coalescer.Validate(); err != nil {
+	if err := errors.Join(c.Coalescer.Validate(), c.Mode.Validate()); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	if err := c.HMC.Validate(); err != nil {
@@ -152,21 +140,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
-}
-
-func (c Config) withMode() Config {
-	switch c.Mode {
-	case Baseline:
-		c.Coalescer.FirstPhase = false
-		c.Coalescer.SecondPhase = true
-	case DMCOnly:
-		c.Coalescer.FirstPhase = true
-		c.Coalescer.SecondPhase = false
-	case TwoPhase:
-		c.Coalescer.FirstPhase = true
-		c.Coalescer.SecondPhase = true
-	}
-	return c
 }
 
 // Result carries everything a run produced.
@@ -311,7 +284,6 @@ const writeBackToken = ^uint64(0)
 // NewSystem builds a system from cfg and wires its layers once: the
 // coalescer hands its packets straight to the device's SubmitPacket.
 func NewSystem(cfg Config) (*System, error) {
-	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -324,7 +296,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{llc: llc, device: d}
-	if s.coal, err = coalescer.New(cfg.Coalescer, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs, d.SubmitPacket, s.complete); err != nil {
+	if s.coal, err = coalescer.New(cfg.Coalescer, cfg.Mode, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs, d.SubmitPacket, s.complete); err != nil {
 		return nil, err
 	}
 	s.init(cfg)
@@ -343,7 +315,6 @@ func NewSystem(cfg Config) (*System, error) {
 // paying NewSystem per job. After an error the System must not be used
 // again.
 func (s *System) Reset(cfg Config) error {
-	cfg = cfg.withMode()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -354,7 +325,7 @@ func (s *System) Reset(cfg Config) error {
 	if err := s.device.Reset(cfg.Backend, cfg.HMC); err != nil {
 		return err
 	}
-	if err := s.coal.Reset(cfg.Coalescer, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs); err != nil {
+	if err := s.coal.Reset(cfg.Coalescer, cfg.Mode, cfg.Frontend, cfg.Sched, cfg.Hierarchy.CPUs); err != nil {
 		return err
 	}
 	s.init(cfg)
@@ -456,7 +427,7 @@ func (s *System) complete(tick uint64, subs []mshr.Sub, fault bool) {
 // failed run.
 func (s *System) Checker() *invariant.Checker { return s.check }
 
-// Config returns the (mode-resolved) system configuration.
+// Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
 // Run replays the trace to completion and returns the run's metrics: it

@@ -49,7 +49,6 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	cfg = DefaultConfig()
 	cfg.Coalescer.LineBytes = 128
-	cfg.Coalescer.BlockBytes = 512
 	if _, err := NewSystem(cfg); err == nil {
 		t.Error("mismatched line sizes accepted")
 	}

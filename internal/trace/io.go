@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Binary trace format: a short magic header followed by one fixed-width
@@ -153,43 +152,4 @@ func WriteText(w io.Writer, accs []Access) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParseText parses the text trace format produced by WriteText. Blank lines
-// and lines starting with '#' are ignored.
-func ParseText(r io.Reader) ([]Access, error) {
-	var out []Access
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var (
-			kind string
-			a    Access
-		)
-		n, err := fmt.Sscanf(line, "%s %v %d %d %d", &kind, &a.Addr, &a.Size, &a.CPU, &a.Tick)
-		if err != nil || n != 5 {
-			return nil, fmt.Errorf("%w: line %d: %q", ErrBadTrace, lineNo, line)
-		}
-		switch kind {
-		case "L":
-			a.Kind = Load
-		case "S":
-			a.Kind = Store
-		case "F":
-			a.Kind = FenceOp
-		default:
-			return nil, fmt.Errorf("%w: line %d: unknown kind %q", ErrBadTrace, lineNo, kind)
-		}
-		out = append(out, a)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
