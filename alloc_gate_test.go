@@ -48,9 +48,9 @@ func TestAllocationGate(t *testing.T) {
 		build, run float64
 		buildBytes uint64
 	}{
-		{ModeBaseline, FrontendTwoPhase, 73, 222, 2419368},
-		{ModeDMCOnly, FrontendTwoPhase, 73, 155, 2419368},
-		{ModeTwoPhase, FrontendTwoPhase, 73, 155, 2419368},
+		{ModeBaseline, FrontendTwoPhase, 73, 222, 2419352},
+		{ModeDMCOnly, FrontendTwoPhase, 73, 155, 2419352},
+		{ModeTwoPhase, FrontendTwoPhase, 73, 155, 2419352},
 		{ModeBaseline, FrontendWarp, 22, 222, 2414848},
 		{ModeDMCOnly, FrontendWarp, 22, 184, 2414848},
 		{ModeTwoPhase, FrontendWarp, 22, 184, 2414848},

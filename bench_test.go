@@ -262,7 +262,7 @@ func BenchmarkAblationPipelineDepth(b *testing.B) {
 				}
 			}
 			net := sortnet.MustNew(16)
-			pipe, _ := sortnet.NewPipeline(net, fold.fold, 0)
+			pipe, _ := sortnet.NewPipeline(net, fold.fold)
 			b.ReportMetric(float64(pipe.Buffers()), "buffers")
 			b.ReportMetric(float64(pipe.ComparatorCost()), "comparators")
 			b.ReportMetric(res.Coalescer.AvgRequestLatencyNs(res.ClockGHz), "req_latency_ns")

@@ -51,6 +51,9 @@ func (c Config) validate() error {
 	if sets*uint64(c.LineBytes) < 4 {
 		return fmt.Errorf("cache: %d set(s) of %d-byte lines cannot tag every 64-bit address", sets, c.LineBytes)
 	}
+	if sets*uint64(c.Ways) > 1<<32 {
+		return fmt.Errorf("cache: %d lines exceed the 2^32 one level can index", sets*uint64(c.Ways))
+	}
 	return nil
 }
 
@@ -114,6 +117,7 @@ type Cache struct {
 	tagBits   uint        // log2(numSets): tag = lineNum >> tagBits
 	ways      int
 	gen       uint32 // current generation (starts at 1; zeroed headers are stale)
+	mru       uint32 // tags index of the way the last Access left at MRU (Rehit)
 	bootOrder uint64 // initialOrder(ways), the stack a fresh set starts from
 	clock     uint64
 	stats     Stats
@@ -157,19 +161,23 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// nibbles has a one in every nibble.
+const nibbles = 0x1111111111111111
+
 // touch promotes way w of a set to MRU in its packed recency stack.
 func touch(h *setHeader, w int) {
 	o := h.order
-	// Find the rank holding w, then shift every younger nibble up one rank
-	// and install w at rank 0.
-	for r := 0; ; r++ {
-		if int(o>>(4*r))&0xf == w {
-			low := o & (1<<(4*r) - 1)
-			keep := o &^ (1<<(4*(r+1)) - 1)
-			h.order = keep | low<<4 | uint64(w)
-			return
-		}
-	}
+	// Find the rank r holding w, then shift every younger nibble up one
+	// rank and install w at rank 0. r is the lowest zero nibble of
+	// x = o ^ w×nibbles: (x-nibbles)&^x sets the top bit of that nibble
+	// and of none below it (a borrow starts only at a zero nibble), and
+	// only the lowest mark is read. Every way sits at a rank below the
+	// unused high nibbles, so the first zero is w's.
+	x := o ^ uint64(w)*nibbles
+	r := bits.TrailingZeros64((x-nibbles)&^x&(8*nibbles)) / 4
+	low := o & (1<<(4*r) - 1)
+	keep := o &^ (1<<(4*(r+1)) - 1)
+	h.order = keep | low<<4 | uint64(w)
 }
 
 // word is lineNum's clean tag word.
@@ -223,6 +231,7 @@ func (c *Cache) Access(lineNum uint64, write bool) (hit bool, writeBack uint64, 
 				c.lru[base+uint64(i)] = c.clock
 			}
 			ways[i] = w | dirty
+			c.mru = uint32(base) + uint32(i)
 			return true, 0, false
 		}
 	}
@@ -252,12 +261,26 @@ func (c *Cache) Access(lineNum uint64, write bool) (hit bool, writeBack uint64, 
 		hasWriteBack = true
 	}
 	ways[victim] = key | dirty
+	c.mru = uint32(base) + uint32(victim)
 	if c.lru == nil {
 		touch(h, victim)
 	} else {
 		c.lru[base+uint64(victim)] = c.clock
 	}
 	return false, writeBack, hasWriteBack
+}
+
+// Rehit is Access of the line the last Access touched, with no Reset
+// between. That Access left the line's way its set's most recent on either
+// LRU path, so the repeat is a hit that leaves the recency order as it
+// is: Rehit counts the hit and marks the line dirty on a write, without
+// searching the set.
+func (c *Cache) Rehit(write bool) {
+	c.stats.Accesses++
+	c.stats.Hits++
+	if write {
+		c.tags[c.mru] |= dirtyBit
+	}
 }
 
 // Reset returns the level to its freshly built state — every line invalid,

@@ -30,6 +30,7 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 0, Ways: 2, LineBytes: 64},
 		{SizeBytes: 3 * 64 * 2, Ways: 2, LineBytes: 64}, // 3 sets
 		{SizeBytes: 2 * 2, Ways: 2, LineBytes: 2},       // 1 set of 2-byte lines: 2^63 tags
+		{SizeBytes: 1 << 39, Ways: 2, LineBytes: 64},    // 2^33 lines
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

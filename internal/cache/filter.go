@@ -74,6 +74,10 @@ func FilterPrivate(cfg HierarchyConfig, accs []trace.Access, streamOff, order []
 	for c := 0; c+1 < len(streamOff); c++ {
 		l1.Reset()
 		l2.Reset()
+		// last is the line of the core's latest L1 access, valid once
+		// touched is set: that access left it at MRU in L1.
+		var last uint64
+		touched := false
 		for p := int(streamOff[c]); p < int(streamOff[c+1]); p++ {
 			a := &accs[p]
 			if order != nil {
@@ -84,6 +88,14 @@ func FilterPrivate(cfg HierarchyConfig, accs []trace.Access, streamOff, order []
 			}
 			write := a.Kind == trace.Store
 			first, lines := lineSpan(a, shift)
+			if lines == 1 && touched && first == last {
+				// A repeat on the line just touched is an L1 hit.
+				l1.Rehit(write)
+				continue
+			}
+			if lines > 0 {
+				last, touched = first+lines-1, true
+			}
 			var mask []uint64 // the wide mask, for accesses past narrowLines
 			if lines > narrowLines {
 				mask = make([]uint64, (lines+63)/64)
@@ -118,6 +130,10 @@ func FilterPrivate(cfg HierarchyConfig, accs []trace.Access, streamOff, order []
 	}
 	return f, nil
 }
+
+// Private reports whether walk position p hits in the private levels on
+// every line it touches, so the shared LLC never sees it.
+func (f *PrivateFilter) Private(p int) bool { return f.miss[p] == 0 }
 
 // ReplayLLC runs walk position p of f, access a, through c, the shared
 // LLC: only the lines f records as missing both private levels reach it,

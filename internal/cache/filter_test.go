@@ -39,13 +39,17 @@ var filterShapes = []HierarchyConfig{
 // filterTrace draws per-CPU streams from rng: loads, stores and fences
 // over a footprint a few times the LLC, with payloads mostly inside a
 // line, some spanning up to 20 lines and a few past 64 lines (a
-// multi-word miss mask).
+// multi-word miss mask). About a third of the accesses start a run of
+// one to four loads and stores, each mostly inside the last line the
+// access before it touched: the repeats FilterPrivate answers with
+// Cache.Rehit. A store repeat after a load fill dirties the line without
+// a set search, which the L1 write-back count then checks.
 func filterTrace(rng *rand.Rand, cpus int) [][]trace.Access {
 	streams := make([][]trace.Access, cpus)
 	for c := range streams {
 		n := rng.Intn(160)
 		var tick uint64
-		for range n {
+		for len(streams[c]) < n {
 			a := trace.Access{CPU: uint8(c), Tick: tick, Kind: trace.Load}
 			switch r := rng.Intn(20); {
 			case r == 0:
@@ -66,9 +70,69 @@ func filterTrace(rng *rand.Rand, cpus int) [][]trace.Access {
 			}
 			streams[c] = append(streams[c], a)
 			tick += uint64(rng.Intn(3))
+			if a.Kind == trace.FenceOp || rng.Intn(3) != 0 {
+				continue
+			}
+			for range 1 + rng.Intn(4) {
+				// Mostly a repeat inside the last line a touched (lines
+				// are 32 or 64 bytes, so an offset and size under 16 stay
+				// inside either), sometimes inside its first line, which
+				// is no repeat when a spans lines, and sometimes spanning
+				// into the next lines.
+				line := (a.End() - 1) &^ 31
+				if rng.Intn(3) == 0 {
+					line = a.Addr &^ 31
+				}
+				r := trace.Access{CPU: uint8(c), Tick: tick, Kind: trace.Load, Addr: line + uint64(rng.Intn(16)), Size: uint32(1 + rng.Intn(16))}
+				if rng.Intn(4) == 0 {
+					r.Size = uint32(1 + rng.Intn(100))
+				}
+				if rng.Intn(2) == 0 {
+					r.Kind = trace.Store
+				}
+				streams[c] = append(streams[c], r)
+				tick += uint64(rng.Intn(3))
+				a = r
+			}
 		}
 	}
 	return streams
+}
+
+// TestRehitMatchesAccess holds Rehit to Access of the line the last
+// Access touched, on the packed-stack path (4 ways) and the counter-LRU
+// path (32 ways): after every operation both caches hold the same lines
+// with the same dirty bits and recency, so the same later misses evict the
+// same victims and write back the same lines.
+func TestRehitMatchesAccess(t *testing.T) {
+	for _, ways := range []int{4, 32} {
+		cfg := Config{SizeBytes: uint64(4 * ways * 64), Ways: ways, LineBytes: 64}
+		rehit, access := mustNew(t, cfg), mustNew(t, cfg)
+		rng := rand.New(rand.NewSource(int64(ways)))
+		span := uint64(8 * ways) // twice the cache's lines
+		for i := 0; i < 4000; i++ {
+			ln, write := uint64(rng.Int63n(int64(span))), rng.Intn(2) == 0
+			hit, wb, hasWB := rehit.Access(ln, write)
+			wantHit, wantWB, wantHasWB := access.Access(ln, write)
+			if hit != wantHit || wb != wantWB || hasWB != wantHasWB {
+				t.Fatalf("%d ways, op %d: Access(%d) = %v %d %v after Rehits, want %v %d %v",
+					ways, i, ln, hit, wb, hasWB, wantHit, wantWB, wantHasWB)
+			}
+			for range rng.Intn(3) {
+				write := rng.Intn(2) == 0
+				rehit.Rehit(write)
+				if hit, _, _ := access.Access(ln, write); !hit {
+					t.Fatalf("%d ways, op %d: repeat of line %d missed", ways, i, ln)
+				}
+			}
+			if rehit.Stats() != access.Stats() {
+				t.Fatalf("%d ways, op %d: stats %+v, want %+v", ways, i, rehit.Stats(), access.Stats())
+			}
+		}
+		if got, want := rehit.Flush(), access.Flush(); !slices.Equal(got, want) {
+			t.Errorf("%d ways: dirty lines %v, want %v", ways, got, want)
+		}
+	}
 }
 
 // FuzzPrivateFilter holds the private-level filter to the full
@@ -157,4 +221,25 @@ func FuzzPrivateFilter(f *testing.F) {
 			t.Fatalf("L1/L2/LLC stats: got %s, want %s", gotStats, wantStats)
 		}
 	})
+}
+
+// TestFilterRepeatOnFirstLine checks that only the last line an access
+// touched counts as a repeat: a store on the first line of a load that
+// spans two lines must dirty that line, so evicting it from the
+// direct-mapped L1 writes it back.
+func TestFilterRepeatOnFirstLine(t *testing.T) {
+	cfg := filterShapes[2] // 1 KiB direct-mapped L1, 64-byte lines
+	cfg.CPUs = 1
+	accs := []trace.Access{
+		{Kind: trace.Load, Addr: 0, Size: 128},     // lines 0 and 1
+		{Kind: trace.Store, Addr: 8, Size: 8},      // line 0 again
+		{Kind: trace.Load, Addr: 1 << 10, Size: 8}, // line 16 evicts line 0
+	}
+	pf, err := FilterPrivate(cfg, accs, []int32{0, int32(len(accs))}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{Accesses: 4, Hits: 1, Misses: 3, WriteBacks: 1}); pf.L1Stats != want {
+		t.Errorf("L1 stats %+v, want %+v", pf.L1Stats, want)
+	}
 }

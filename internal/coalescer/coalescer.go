@@ -145,9 +145,6 @@ func (m Mode) Validate() error { return modes.Validate(m) }
 // Fixed timing and geometry of the coalescer. The paper evaluates one
 // value of each, so they are constants rather than Config fields.
 const (
-	// StepCycles is τ, the time per comparator step of the sorting
-	// network (§4.1).
-	StepCycles = sortnet.DefaultStepCycles
 	// CompareCycles and MergeCycles price the DMC unit's operations
 	// (§5.3.3: both 2 cycles); the warp gather prices its block lookup
 	// the same way.
@@ -579,10 +576,19 @@ func (c *Coalescer) Fence(now uint64) {
 
 // Advance processes time up to now: releases backed-off retries that fell
 // due, delivers any memory responses due at or before now and closes
-// gather sequences whose timeout expired.
+// gather sequences whose timeout expired. With none of those due and the
+// CRQ empty there is nothing to do, which is most calls: a non-empty CRQ
+// always reaches drainCRQ, whose every pass over a blocked head counts
+// its MSHR stalls.
 func (c *Coalescer) Advance(now uint64) {
 	if now > c.lastAdvance {
 		c.lastAdvance = now
+	}
+	if c.crqLen == 0 &&
+		(len(c.inflight) == 0 || c.inflight[0].tick > now) &&
+		(len(c.retryQ) == 0 || c.retryQ[0].ready > now) &&
+		c.gather.nextExpiry() > now {
+		return
 	}
 	c.releaseRetries(now)
 	c.completeDue(now)

@@ -68,7 +68,7 @@ func (g *sortGather) reset(c *Coalescer) error {
 			return err
 		}
 	}
-	pipe, err := sortnet.NewPipeline(net, c.cfg.Fold, StepCycles)
+	pipe, err := sortnet.NewPipeline(net, c.cfg.Fold)
 	if err != nil {
 		return err
 	}

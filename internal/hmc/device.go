@@ -3,6 +3,7 @@ package hmc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -412,7 +413,7 @@ func (d *Device) SubmitPacket(tick uint64, req Request) (Completion, error) {
 	if req.PacketBytes%FlitBytes != 0 {
 		return Completion{}, fmt.Errorf("hmc: packet size %d not FLIT aligned", req.PacketBytes)
 	}
-	if req.Addr/uint64(c.BlockBytes) != (req.Addr+uint64(req.PacketBytes)-1)/uint64(c.BlockBytes) {
+	if shift := bits.TrailingZeros32(c.BlockBytes); req.Addr>>shift != (req.Addr+uint64(req.PacketBytes)-1)>>shift {
 		return Completion{}, fmt.Errorf("hmc: request %#x+%d crosses a %d B block boundary", req.Addr, req.PacketBytes, c.BlockBytes)
 	}
 	if req.RequestedBytes > req.PacketBytes {

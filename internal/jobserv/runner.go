@@ -23,7 +23,9 @@ type parkState struct {
 
 // parkCheckInterval is how many simulator steps a single-run job advances
 // between preemption checks: small enough that park latency is
-// microseconds, large enough that the check never shows in a profile.
+// microseconds, large enough that the check never shows in a profile. A
+// step may feed a run of private-cache hits, not just one event, but it
+// still ends between two events, so a park stays exact.
 const parkCheckInterval = 4096
 
 // realExec is the production executor: it dispatches a job to its kind's

@@ -118,14 +118,14 @@ func DefaultConfig() Config {
 // form of §3.5's simultaneous comparators — and touches an Entry only on a
 // key match.
 type File struct {
-	cfg           Config
-	entries       []Entry
-	keys          []uint64
-	linesPerBlock uint64
-	merge         bool // second-phase coalescing on
-	free          int
-	stats         Stats
-	check         *invariant.Checker
+	cfg        Config
+	entries    []Entry
+	keys       []uint64
+	merge      bool  // second-phase coalescing on
+	blockShift uint8 // log2 of the lines per HMC block
+	free       int
+	stats      Stats
+	check      *invariant.Checker
 
 	// Scratch buffers reused across Insert calls so the steady state
 	// allocates nothing. keptBuf backs the unmerged-target working set;
@@ -169,10 +169,10 @@ func (cfg Config) Validate() error {
 }
 
 // NewFile builds an MSHR file whose requests may not cross a block of
-// linesPerBlock cache lines. merge enables second-phase coalescing; without
-// it every insert allocates fresh entries, which evaluates the DMC unit in
-// isolation (Figure 8's "DMC unit" series). The coalescer that owns the
-// file supplies both.
+// linesPerBlock cache lines, a power of two. merge enables second-phase
+// coalescing; without it every insert allocates fresh entries, which
+// evaluates the DMC unit in isolation (Figure 8's "DMC unit" series). The
+// coalescer that owns the file supplies both.
 func NewFile(cfg Config, linesPerBlock uint64, merge bool) (*File, error) {
 	f := &File{}
 	if err := f.Reset(cfg, linesPerBlock, merge); err != nil {
@@ -189,8 +189,8 @@ func (f *File) Reset(cfg Config, linesPerBlock uint64, merge bool) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if linesPerBlock == 0 {
-		return fmt.Errorf("mshr: a block must hold at least one line")
+	if linesPerBlock == 0 || linesPerBlock&(linesPerBlock-1) != 0 {
+		return fmt.Errorf("mshr: %d lines per block is not a power of two", linesPerBlock)
 	}
 	if cfg.MaxSubentries == 0 {
 		cfg.MaxSubentries = 8
@@ -212,15 +212,15 @@ func (f *File) Reset(cfg Config, linesPerBlock uint64, merge bool) error {
 	}
 	clear(keys)
 	*f = File{
-		cfg:           cfg,
-		entries:       entries,
-		keys:          keys,
-		linesPerBlock: linesPerBlock,
-		merge:         merge,
-		free:          cfg.Entries,
-		keptBuf:       f.keptBuf,
-		issuedBuf:     f.issuedBuf,
-		unplacedBuf:   f.unplacedBuf,
+		cfg:         cfg,
+		entries:     entries,
+		keys:        keys,
+		merge:       merge,
+		blockShift:  uint8(bits.TrailingZeros64(linesPerBlock)),
+		free:        cfg.Entries,
+		keptBuf:     f.keptBuf,
+		issuedBuf:   f.issuedBuf,
+		unplacedBuf: f.unplacedBuf,
 	}
 	return nil
 }
@@ -274,7 +274,7 @@ func (f *File) Insert(baseLine uint64, lines int, write bool, targets []Target) 
 	if lines <= 0 || lines > MaxLines {
 		return Outcome{}, fmt.Errorf("mshr: invalid line count %d", lines)
 	}
-	if baseLine/f.linesPerBlock != (baseLine+uint64(lines)-1)/f.linesPerBlock {
+	if baseLine>>f.blockShift != (baseLine+uint64(lines)-1)>>f.blockShift {
 		return Outcome{}, fmt.Errorf("mshr: request [%d,%d) crosses HMC block boundary", baseLine, baseLine+uint64(lines))
 	}
 	for _, t := range targets {
@@ -382,7 +382,7 @@ func placed(out Outcome, t Target) bool {
 
 // matchKey is the nonzero match key of the (HMC block, T bit) holding line.
 func (f *File) matchKey(line uint64, write bool) uint64 {
-	k := (line / f.linesPerBlock) << 1
+	k := line >> f.blockShift << 1
 	if write {
 		k |= 1
 	}

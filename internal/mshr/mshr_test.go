@@ -48,8 +48,10 @@ func TestNewFileValidation(t *testing.T) {
 			t.Errorf("case %d: bad config accepted", i)
 		}
 	}
-	if _, err := NewFile(DefaultConfig(), 0, true); err == nil {
-		t.Error("block of zero lines accepted")
+	for _, lines := range []uint64{0, 3} {
+		if _, err := NewFile(DefaultConfig(), lines, true); err == nil {
+			t.Errorf("block of %d lines accepted", lines)
+		}
 	}
 }
 
@@ -630,7 +632,7 @@ func checkKeys(t *testing.T, op int, f *File, block uint64) {
 			t.Fatalf("op %d: entry %d (valid=%v) has key %d, want %d", op, i, e.valid, f.keys[i], want)
 		}
 	}
-	for line := block * f.linesPerBlock; line < (block+1)*f.linesPerBlock; line++ {
+	for line := block << f.blockShift; line < (block+1)<<f.blockShift; line++ {
 		for _, write := range []bool{false, true} {
 			if got, want := f.lookup(f.matchKey(line, write), line), bruteLookup(f, line, write); got != want {
 				t.Fatalf("op %d: lookup(line %d, write %v) = %v, covers scan %v", op, line, write, got, want)

@@ -8,7 +8,7 @@ import "fmt"
 //
 // Deletion is implicit — "tombstone-free via token validation": a slot is
 // live only while the token ring still records its token as fetching its
-// line (System.tokenLine[token%ring] == line). Completions retire a fetch
+// line (System.tokenLine[token] == line). Completions retire a fetch
 // by stamping the ring slot with fetchDone, which instantly invalidates the
 // table slot without touching the table. Stale slots are recycled by
 // inserts and dropped wholesale when the table rehashes.
@@ -58,9 +58,10 @@ func newFetchTableSize(capacity int) int {
 	return size
 }
 
-// live reports whether the slot still describes an outstanding fill.
+// live reports whether the slot still describes an outstanding fill. Its
+// token is a ring slot, as newToken hands them out.
 func (s *System) fetchLive(sl *fetchSlot) bool {
-	return s.tokenLine[sl.token%uint64(len(s.tokenLine))] == sl.line
+	return s.tokenLine[sl.token] == sl.line
 }
 
 // fetchLookup returns the outstanding-fill record for line, if any.

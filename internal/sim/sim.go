@@ -397,7 +397,7 @@ func (s *System) complete(tick uint64, subs []mshr.Sub, fault bool) {
 		if sub.Token == writeBackToken {
 			continue
 		}
-		idx := sub.Token % uint64(len(s.tokenCPU))
+		idx := sub.Token // a ring slot: newToken hands out no other
 		if s.ledger != nil {
 			if v := s.ledger.Complete(idx, tick); v != nil {
 				s.check.Record(v)
@@ -511,7 +511,7 @@ func (s *System) newToken(cpu uint8, line uint64) uint64 {
 func (s *System) forfeitIfDoomed(tok uint64) bool {
 	doomed := false
 	s.coal.DoomedTokens(func(token uint64) {
-		if token != writeBackToken && token%uint64(len(s.tokenCPU)) == tok {
+		if token == tok {
 			doomed = true
 		}
 	})

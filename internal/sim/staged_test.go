@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hmccoal/internal/coalescer"
@@ -134,6 +136,127 @@ func TestStagedLoopMatchesRun(t *testing.T) {
 			diffResults(t, want, got, sc.name)
 		})
 	}
+}
+
+// TestStepFeedsPrivateRun holds every Step that feeds more than one access
+// to the step contract (stepContract) on each staged scenario, and on a
+// trace whose run of private hits outlasts the sorter timeout a re-touch
+// inside the run arms: that run must end at the timeout, not at the fill
+// the run began under.
+func TestStepFeedsPrivateRun(t *testing.T) {
+	for _, sc := range stagedScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			stepContract(t, sc.config(), sc.trace(t))
+		})
+	}
+	t.Run("retouch-timeout", func(t *testing.T) {
+		// Line 0 is filled long before the run, which starts with a load
+		// of it. Line 1 is still in flight when its second touch, next in
+		// the run and past the same-core window, regenerates a miss into
+		// an empty sorter (the bypass is off), due to time out 24 cycles
+		// later. The loads of line 0 after it are private hits one cycle
+		// apart, for longer than the fill takes, with a fence among them.
+		accs := []trace.Access{
+			{Tick: 0, Kind: trace.Load, Addr: 0, Size: 8},
+			{Tick: 2000, Kind: trace.Load, Addr: 64, Size: 8},
+			{Tick: 2059, Kind: trace.Load, Addr: 0, Size: 8},
+			{Tick: 2060, Kind: trace.Load, Addr: 72, Size: 8},
+		}
+		for tick := uint64(2061); tick < 2561; tick++ {
+			a := trace.Access{Tick: tick, Kind: trace.Load, Addr: 8, Size: 8}
+			if tick == 2400 {
+				a = trace.Access{Tick: tick, Kind: trace.FenceOp}
+			}
+			accs = append(accs, a)
+		}
+		cfg := DefaultConfig()
+		cfg.Coalescer.Bypass = false
+		stepContract(t, cfg, accs)
+	})
+}
+
+// stepContract runs accs on a System built from cfg and holds every Step
+// that feeds more than one access to the step contract. A twin System,
+// built and started alike, takes each such Step one access at a time
+// through the stages (feedOne), checking before each that the access is
+// no fence, that its core is within its MLP budget, that its tick is
+// before the coalescer's next event as it stands then, and, after the
+// first, that it hits in the private levels; every other Step the twin
+// takes as a Step. The two must stay at the same trace positions and tick
+// and end in the same Result, Tick must never run backwards, and some Step
+// must feed a run.
+func stepContract(t *testing.T, cfg Config, accs []trace.Access) {
+	t.Helper()
+	a, b := mustSystem(t, cfg), mustSystem(t, cfg)
+	if err := errors.Join(a.Start(accs), b.Start(accs)); err != nil {
+		t.Fatal(err)
+	}
+	runs, prev := 0, uint64(0)
+	for done := false; !done; {
+		before := slices.Clone(a.ts.pos)
+		var err error
+		if done, err = a.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if a.Tick() < prev {
+			t.Fatalf("Tick ran backwards: %d after %d", a.Tick(), prev)
+		}
+		prev = a.Tick()
+		fed := 0
+		for c, p := range before {
+			fed += int(a.ts.pos[c] - p)
+		}
+		if fed < 2 {
+			if _, err := b.Step(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			runs++
+			for i := 0; i < fed; i++ {
+				feedOne(t, b, i > 0)
+			}
+		}
+		if !slices.Equal(a.ts.pos, b.ts.pos) || a.Tick() != b.Tick() {
+			t.Fatalf("step-by-step twin at positions %v tick %d, Step at %v tick %d",
+				b.ts.pos, b.Tick(), a.ts.pos, a.Tick())
+		}
+	}
+	want, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffResults(t, want, got, "Step against the twin")
+	if runs == 0 {
+		t.Error("no Step fed more than one access")
+	}
+}
+
+// feedOne feeds s's root cursor access as a Step of its own would, after
+// checking that it may: no fence, within its core's MLP budget, before the
+// coalescer's next event and, if private is set, a private-level hit.
+func feedOne(t *testing.T, s *System, private bool) {
+	t.Helper()
+	ts := &s.ts
+	cur := ts.cursors[0]
+	p := ts.streamOff[cur.cpu] + ts.pos[cur.cpu]
+	acc := s.streamAt(cur.cpu, ts.pos[cur.cpu])
+	switch next, ok := s.coal.NextEvent(); {
+	case acc.Kind == trace.FenceOp:
+		t.Fatalf("CPU %d access %d in a run is a fence", cur.cpu, ts.pos[cur.cpu])
+	case s.outstanding[cur.cpu] >= s.cfg.MaxOutstanding:
+		t.Fatalf("CPU %d access %d in a run has a full MLP budget", cur.cpu, ts.pos[cur.cpu])
+	case ok && next <= cur.tick:
+		t.Fatalf("CPU %d access %d in a run at tick %d, memory's next event at %d", cur.cpu, ts.pos[cur.cpu], cur.tick, next)
+	case private && !ts.filter.Private(int(p)):
+		t.Fatalf("CPU %d access %d in a run reaches the LLC", cur.cpu, ts.pos[cur.cpu])
+	}
+	s.stageTraceFeed(acc, p, cur.tick)
+	ts.last = max(ts.last, cur.tick)
+	s.advanceCursor(cur.cpu, acc, cur.tick)
 }
 
 // stepUntil steps the system until its high-water tick reaches at least

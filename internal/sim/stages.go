@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hmccoal/internal/cache"
 	"hmccoal/internal/coalescer"
@@ -13,7 +14,7 @@ import (
 // loop: the trace laid out by CPU, the cursor heap merging per-CPU streams,
 // the parked-core bookkeeping and the high-water tick. Making it a named
 // struct (instead of Run-local variables) is what lets the simulator stop
-// between any two events and be stepped one event at a time.
+// between any two steps, each one event or one run of private hits.
 type tickState struct {
 	// accs, streamOff and streamIdx are the run's TraceIndex, shared by
 	// reference: streamOff[c]..streamOff[c+1] delimits CPU c's stream,
@@ -166,11 +167,12 @@ func (s *System) park(cpu uint8, tick uint64, fence bool) {
 }
 
 // Step advances the simulation by one scheduling event — a memory-system
-// delivery or one core access — and reports whether the trace has fully
-// issued (Finish then drains the memory system). The stages inside one
-// step, in order: error poll, memory retire, then for the chosen core
-// either fence handling, MLP parking, or trace feed + re-touch
-// regeneration, and finally the cursor advance.
+// delivery, a fence or a park — or by one core access and the run of
+// private-cache hits after it (feedPrivateRun), and reports whether the
+// trace has fully issued (Finish then drains the memory system). The
+// stages inside one step, in order: error poll, memory retire, then for
+// the chosen core either fence handling, MLP parking, or trace feed +
+// re-touch regeneration, and finally the cursor advance.
 func (s *System) Step() (bool, error) {
 	ts := &s.ts
 	if !ts.started {
@@ -224,6 +226,7 @@ func (s *System) Step() (bool, error) {
 	a := s.streamAt(cpu, ts.pos[cpu])
 	effTick := cur.tick
 
+	fed := false
 	switch {
 	case a.Kind == trace.FenceOp:
 		if s.stageFence(cpu, effTick) {
@@ -234,13 +237,57 @@ func (s *System) Step() (bool, error) {
 		s.park(cpu, effTick, false)
 		return false, nil
 	default:
-		s.stageTraceFeed(a, ts.streamOff[cpu]+ts.pos[cpu], effTick)
+		if s.stageTraceFeed(a, ts.streamOff[cpu]+ts.pos[cpu], effTick) {
+			memTick, memOK = s.coal.NextEvent()
+		}
+		fed = true
 	}
 	if effTick > ts.last {
 		ts.last = effTick
 	}
 	s.advanceCursor(cpu, a, effTick)
+	if fed {
+		s.feedPrivateRun(memTick, memOK)
+	}
 	return false, nil
+}
+
+// feedPrivateRun feeds the root cursor's accesses for as long as each is
+// one the next Step would feed without touching the LLC: not a fence,
+// within its core's MLP budget, flagged by no line in the private-level
+// filter, and before memTick, the coalescer's next event (if memOK). Each
+// is the whole of the Step it would get: nothing in the memory system is
+// due before memTick, so the access's Advance moves no event, and the only
+// way a private hit moves one is a re-touch it regenerates, after which
+// memTick is read again. The checks run cheapest first, and the error
+// poll stays where the next Step would make it.
+func (s *System) feedPrivateRun(memTick uint64, memOK bool) {
+	ts := &s.ts
+	for len(ts.cursors) > 0 {
+		if s.runErr == nil {
+			s.runErr = s.coal.Err()
+		}
+		if s.runErr != nil {
+			return
+		}
+		cur := ts.cursors[0]
+		if memOK && memTick <= cur.tick {
+			return
+		}
+		cpu := cur.cpu
+		p := ts.streamOff[cpu] + ts.pos[cpu]
+		a := s.streamAt(cpu, ts.pos[cpu])
+		if a.Kind == trace.FenceOp || s.outstanding[cpu] >= s.cfg.MaxOutstanding || !ts.filter.Private(int(p)) {
+			return
+		}
+		if s.stageTraceFeed(a, p, cur.tick) {
+			memTick, memOK = s.coal.NextEvent()
+		}
+		if cur.tick > ts.last {
+			ts.last = cur.tick
+		}
+		s.advanceCursor(cpu, a, cur.tick)
+	}
 }
 
 // stageMemoryRetire advances the memory pipeline to now, delivering every
@@ -274,8 +321,9 @@ func (s *System) stageFence(cpu uint8, effTick uint64) bool {
 // stageTraceFeed runs access a, at stream position p, through the shared
 // LLC — only the lines the private-level filter flags reach it — and
 // pushes its LLC misses (and write-backs) into the coalescer's front end,
-// then regenerates re-touch misses for lines still in flight.
-func (s *System) stageTraceFeed(a *trace.Access, p int32, effTick uint64) {
+// then regenerates re-touch misses for lines still in flight. It reports
+// whether it pushed any request.
+func (s *System) stageTraceFeed(a *trace.Access, p int32, effTick uint64) bool {
 	s.clockAdvance(effTick)
 	s.coal.Advance(effTick)
 	s.missBuf = s.llc.ReplayLLC(s.ts.filter, int(p), a, s.missBuf[:0])
@@ -303,7 +351,7 @@ func (s *System) stageTraceFeed(a *trace.Access, p int32, effTick uint64) {
 			Critical: !m.WriteBack && !m.Write,
 		})
 	}
-	s.stageRetouch(a, effTick, &missedLines, nMissed)
+	return s.stageRetouch(a, effTick, &missedLines, nMissed) || len(s.missBuf) > 0
 }
 
 // stageRetouch regenerates the LLC misses hidden by instant tag-array
@@ -312,11 +360,12 @@ func (s *System) stageTraceFeed(a *trace.Access, p int32, effTick uint64) {
 // when they come from a different core. (Same-core re-touches are absorbed
 // by that core's private L1 MSHR subentries and never reach the LLC.)
 // Regenerating them lets them merge in the shared MSHRs, as conventional
-// MSHR-based coalescing does.
-func (s *System) stageRetouch(a *trace.Access, effTick uint64, missedLines *[8]uint64, nMissed int) {
-	lineBytes := uint64(s.cfg.Hierarchy.LLC.LineBytes)
-	firstLn := a.Addr / lineBytes
-	lastLn := (a.End() - 1) / lineBytes
+// MSHR-based coalescing does. It reports whether it pushed any request.
+func (s *System) stageRetouch(a *trace.Access, effTick uint64, missedLines *[8]uint64, nMissed int) bool {
+	shift := bits.TrailingZeros32(s.cfg.Hierarchy.LLC.LineBytes)
+	firstLn := a.Addr >> shift
+	lastLn := (a.End() - 1) >> shift
+	pushed := false
 	for ln := firstLn; ln <= lastLn; ln++ {
 		fresh := false
 		for i := 0; i < nMissed; i++ {
@@ -335,7 +384,7 @@ func (s *System) stageRetouch(a *trace.Access, effTick uint64, missedLines *[8]u
 		if fi.cpu == a.CPU && effTick-fi.tick <= sameCoreWindow {
 			continue
 		}
-		lo, hi := ln*lineBytes, (ln+1)*lineBytes
+		lo, hi := ln<<shift, (ln+1)<<shift
 		if a.Addr > lo {
 			lo = a.Addr
 		}
@@ -351,7 +400,9 @@ func (s *System) stageRetouch(a *trace.Access, effTick uint64, missedLines *[8]u
 			CPU:      a.CPU,
 			Critical: a.Kind != trace.Store,
 		})
+		pushed = true
 	}
+	return pushed
 }
 
 // advanceCursor moves the issuing CPU's cursor past the access it just

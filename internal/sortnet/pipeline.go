@@ -2,9 +2,9 @@ package sortnet
 
 import "fmt"
 
-// DefaultStepCycles is τ from §4.1: each parallel step performs a fully
+// StepCycles is τ from §4.1: each parallel step performs a fully
 // parallel compare (2 cycles) and exchange (2 cycles).
-const DefaultStepCycles = 4
+const StepCycles = 4
 
 // Pipeline folds the comparator steps of a Network into hardware pipeline
 // stages and prices traversals in clock cycles (paper §4.1).
@@ -18,9 +18,8 @@ const DefaultStepCycles = 4
 //	          comparators are reused across the steps of a stage. Adds a
 //	          2τ fill delay but quarters the buffer cost.
 type Pipeline struct {
-	net        *Network
-	depths     []int  // comparator steps per pipeline stage
-	stepCycles uint64 // τ
+	net    *Network
+	depths []int // comparator steps per pipeline stage
 }
 
 // Fold selects how comparator steps map onto pipeline stages.
@@ -35,13 +34,10 @@ const (
 	PerStage
 )
 
-// NewPipeline builds the pipeline model for net with the given fold.
-// stepCycles is τ; pass 0 for the paper default of 4 cycles.
-func NewPipeline(net *Network, fold Fold, stepCycles uint64) (*Pipeline, error) {
-	if stepCycles == 0 {
-		stepCycles = DefaultStepCycles
-	}
-	p := &Pipeline{net: net, stepCycles: stepCycles}
+// NewPipeline builds the pipeline model for net with the given fold, each
+// comparator step taking τ = StepCycles.
+func NewPipeline(net *Network, fold Fold) (*Pipeline, error) {
+	p := &Pipeline{net: net}
 	switch fold {
 	case PerStep:
 		p.depths = make([]int, net.Depth())
@@ -78,9 +74,6 @@ func (p *Pipeline) StageDepths() []int {
 // NumStages returns the pipeline depth in stages.
 func (p *Pipeline) NumStages() int { return len(p.depths) }
 
-// StepCycles returns τ in clock cycles.
-func (p *Pipeline) StepCycles() uint64 { return p.stepCycles }
-
 // LatencyCycles returns the time for one sequence of m valid requests to
 // traverse the pipeline, honoring stage-select: merge stages beyond
 // StagesNeeded(m) are disabled and skipped (§3.3). The traversal cost of an
@@ -93,7 +86,7 @@ func (p *Pipeline) LatencyCycles(m int) uint64 {
 		if covered >= needSteps {
 			break
 		}
-		cycles += uint64(d) * p.stepCycles
+		cycles += uint64(d) * StepCycles
 		covered += d
 	}
 	return cycles
@@ -109,7 +102,7 @@ func (p *Pipeline) IntervalCycles() uint64 {
 			max = d
 		}
 	}
-	return uint64(max) * p.stepCycles
+	return uint64(max) * StepCycles
 }
 
 // FullLatencyCycles returns the fill time for a full-width sequence.

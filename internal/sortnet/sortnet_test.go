@@ -299,7 +299,7 @@ func TestBitonicRejectsBadWidths(t *testing.T) {
 
 func TestBitonicPipelineFolds(t *testing.T) {
 	net := MustNewBitonic(16)
-	p, err := NewPipeline(net, PerStage, 0)
+	p, err := NewPipeline(net, PerStage)
 	if err != nil {
 		t.Fatal(err)
 	}
